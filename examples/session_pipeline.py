@@ -64,7 +64,7 @@ def main() -> None:
             if execution.details.get("deferred")
         ]
         assert deferred_edges, "the filter edge should defer at lambda = 15"
-        context = costed.runtime_context
+        (context,) = costed.runtime_contexts
         for execution in deferred_edges:
             name = execution.output.name
             print(

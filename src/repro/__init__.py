@@ -30,24 +30,26 @@ The package is organized as follows:
 ``repro.query``
     The cost-based query layer: logical plans (``Scan``/``Filter``/
     ``Project``/``Join``/``GroupBy``/``OrderBy``), a planner that picks
-    each node's physical operator with the Section 2 cost models, and an
-    executor with per-node estimated-vs-actual I/O reporting.
+    each node's physical operator with the Section 2 cost models, and the
+    single-fragment executor with per-node estimated-vs-actual I/O
+    reporting.
 
 ``repro.shard``
-    Sharded parallel query execution: collections hash/range-partitioned
-    across N simulated devices (``ShardSet``/``ShardedCollection``), a
-    sharded planner that decomposes queries into per-shard fragments with
-    priced repartition exchanges (partition-wise joins, shard-local
-    aggregation), and a concurrent executor running one worker per device
-    under parent/child bufferpool shares, reporting per-shard estimated
-    vs. actual I/O and the critical-path (max-over-shards) cost.
+    The one execution path: collections hash/range-partitioned across N
+    simulated devices (``ShardSet``/``ShardedCollection``; a single
+    device is a one-shard set), the planner that decomposes every query
+    into per-shard fragments with priced repartition exchanges
+    (partition-wise joins, shard-local aggregation), and the executor
+    running one worker per device under parent/child bufferpool shares,
+    reporting per-shard estimated vs. actual I/O and the critical-path
+    (max-over-shards) cost.
 
 ``repro.session``
-    The top-level ``Session`` facade: one front door owning the backend
-    (or shard set), the DRAM budget and the shared bufferpool, routing
-    queries to the single-device or sharded executor through the uniform
-    physical-operator protocol with per-edge materialize / pipeline /
-    defer boundary decisions.  ``Session.submit()`` /
+    The top-level ``Session`` facade: one front door owning the devices
+    (a backend or a shard set), the DRAM budget and the shared
+    bufferpool, running every query through the sharded planner and
+    executor with per-edge materialize / pipeline / defer boundary
+    decisions.  ``Session.submit()`` /
     ``Session.run_workload()`` expose the concurrent workload lifecycle;
     ``Session.query()`` is sugar over ``submit(...).result()``.
 
@@ -108,8 +110,6 @@ from repro.query import (
     PhysicalPlan,
     Query,
     QueryExecutor,
-    QueryResult,
-    execute_query,
 )
 from repro.shard import (
     HashPartitioner,
@@ -117,10 +117,9 @@ from repro.shard import (
     ShardedCollection,
     ShardedPhysicalPlan,
     ShardedPlanner,
+    QueryResult,
     ShardedQueryExecutor,
-    ShardedQueryResult,
     ShardSet,
-    execute_sharded_query,
 )
 from repro.session import Session
 from repro.workload_mgmt import (
@@ -183,7 +182,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "CalibrationAggregator",
     "DeviceWorkerPool",
-    "execute_query",
     "ShardSet",
     "ShardedCollection",
     "HashPartitioner",
@@ -191,7 +189,5 @@ __all__ = [
     "ShardedPlanner",
     "ShardedPhysicalPlan",
     "ShardedQueryExecutor",
-    "ShardedQueryResult",
-    "execute_sharded_query",
     "__version__",
 ]

@@ -29,11 +29,19 @@ import argparse
 import sys
 
 from repro.bench import experiments, reporting
-from repro.bench.harness import make_environment
+from repro.exceptions import ConfigurationError
 from repro.query import Query
 from repro.session import Session
+from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
-from repro.workloads.generator import make_join_inputs, make_sort_input
+from repro.storage.collection import PersistentCollection
+from repro.storage.schema import WISCONSIN_SCHEMA
+from repro.workloads.generator import (
+    make_join_inputs,
+    make_sharded_join_inputs,
+    make_sharded_sort_input,
+    make_sort_input,
+)
 
 #: Maps figure numbers to (description, runner) pairs.  Runners accept the
 #: parsed argparse namespace and return printable text.
@@ -216,27 +224,26 @@ def _run_table1(args) -> str:
 # Canned planner/executor queries over the Wisconsin workload.
 # --------------------------------------------------------------------- #
 class _Relations:
-    """Builds the canned inputs on a single backend or a shard set."""
+    """Builds the canned inputs: plain collections on a one-shard set,
+    sharded collections otherwise."""
 
-    def __init__(self, env=None, shard_set=None):
-        self.env = env
+    def __init__(self, shard_set):
         self.shard_set = shard_set
+        self.sharded = shard_set.num_shards > 1
 
     def sort_input(self, num_records):
-        if self.shard_set is not None:
-            from repro.workloads.generator import make_sharded_sort_input
-
+        if self.sharded:
             return make_sharded_sort_input(num_records, self.shard_set, name="T")
-        return make_sort_input(num_records, self.env.backend, name="T")
+        return make_sort_input(num_records, self.shard_set.backends[0], name="T")
 
     def join_inputs(self, left_records, right_records):
-        if self.shard_set is not None:
-            from repro.workloads.generator import make_sharded_join_inputs
-
+        if self.sharded:
             return make_sharded_join_inputs(
                 left_records, right_records, self.shard_set
             )
-        return make_join_inputs(left_records, right_records, self.env.backend)
+        return make_join_inputs(
+            left_records, right_records, self.shard_set.backends[0]
+        )
 
 
 def _query_sort(args, relations):
@@ -301,50 +308,38 @@ def _run_query(args) -> str:
     _, builder = QUERIES[args.name]
     if args.shards < 1:
         raise SystemExit(f"--shards must be at least 1, got {args.shards}")
-    if args.shards > 1:
-        if args.materialize:
-            raise SystemExit(
-                "--materialize is not supported with --shards > 1: the "
-                "sharded executor merges shard outputs in DRAM"
-            )
-        from repro.shard import ShardSet
-
-        shard_set = ShardSet.create(
-            args.shards, backend_name=args.backend, write_ns=args.write_ns
-        )
-        query, budget_base = builder(args, _Relations(shard_set=shard_set))
-        budget = MemoryBudget.fraction_of(budget_base, args.fraction)
-        session = Session(shard_set, budget, boundary_policy=args.boundaries)
+    shard_set = ShardSet.create(
+        args.shards, backend_name=args.backend, write_ns=args.write_ns
+    )
+    query, budget_base = builder(args, _Relations(shard_set))
+    budget = MemoryBudget.fraction_of(budget_base, args.fraction)
+    session = Session(
+        shard_set,
+        budget,
+        materialize_result=args.materialize,
+        boundary_policy=args.boundaries,
+    )
+    try:
         result = session.query(query)
-        lines = [
-            result.explain(),
-            "",
-            f"output records    : {len(result.records)}",
-            f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms "
-            "(critical path)",
-            f"summed device time: {result.summed_seconds * 1e3:.3f} ms",
-            f"cacheline reads   : {result.io.cacheline_reads:.0f} (all shards)",
-            f"cacheline writes  : {result.io.cacheline_writes:.0f} (all shards)",
-        ]
-    else:
-        env = make_environment(args.backend, write_ns=args.write_ns)
-        query, budget_base = builder(args, _Relations(env=env))
-        budget = MemoryBudget.fraction_of(budget_base, args.fraction)
-        session = Session(
-            env.backend,
-            budget,
-            materialize_result=args.materialize,
-            boundary_policy=args.boundaries,
+    except ConfigurationError as error:
+        raise SystemExit(str(error)) from None
+    sharded = args.shards > 1
+    scope = " (all shards)" if sharded else ""
+    lines = [
+        result.explain(),
+        "",
+        f"output records    : {len(result.records)}",
+        f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms"
+        + (" (critical path)" if sharded else ""),
+    ]
+    if sharded:
+        lines.append(
+            f"summed device time: {result.summed_seconds * 1e3:.3f} ms"
         )
-        result = session.query(query)
-        lines = [
-            result.explain(),
-            "",
-            f"output records    : {len(result.records)}",
-            f"simulated time    : {result.simulated_seconds * 1e3:.3f} ms",
-            f"cacheline reads   : {result.io.cacheline_reads:.0f}",
-            f"cacheline writes  : {result.io.cacheline_writes:.0f}",
-        ]
+    lines += [
+        f"cacheline reads   : {result.io.cacheline_reads:.0f}{scope}",
+        f"cacheline writes  : {result.io.cacheline_writes:.0f}{scope}",
+    ]
     preview = result.records[: args.rows]
     if preview:
         lines.append(f"first {len(preview)} records:")
@@ -356,14 +351,6 @@ def _run_query(args) -> str:
 # Canned concurrent workload through the admission-controlled Session.
 # --------------------------------------------------------------------- #
 def _run_workload(args) -> str:
-    from repro.shard import ShardSet
-    from repro.storage.collection import PersistentCollection
-    from repro.storage.schema import WISCONSIN_SCHEMA
-    from repro.workloads.generator import (
-        make_sharded_join_inputs,
-        make_sharded_sort_input,
-    )
-
     if args.shards < 2:
         raise SystemExit("--shards must be at least 2 for a mixed workload")
     if args.concurrency < 1:

@@ -231,10 +231,10 @@ def sum_snapshots(snapshots) -> IOSnapshot:
     Summing per-shard deltas gives the total device traffic of a sharded
     run, directly comparable to a single-device snapshot delta.
     """
-    total = IOSnapshot()
+    total = None
     for snapshot in snapshots:
-        total = total + snapshot
-    return total
+        total = snapshot if total is None else total + snapshot
+    return IOSnapshot() if total is None else total
 
 
 def critical_path_ns(snapshots) -> float:

@@ -47,13 +47,14 @@ The API has three layers:
     with the estimated vs. actual settlement writes it saved.
 
 **Execution** (:mod:`repro.query.executor`)
-    :class:`QueryExecutor` runs the plan over the batched block-I/O path,
-    one operator at a time, with every operator's DRAM workspace
-    registered against a shared
+    :class:`QueryExecutor` runs one fragment's plan over the batched
+    block-I/O path, one operator at a time, with every operator's DRAM
+    workspace registered against a shared
     :class:`~repro.storage.bufferpool.Bufferpool` so the budget is
-    enforced end-to-end.  The final output stays in DRAM unless
-    ``materialize_result`` is set (the paper factors that write out of
-    its comparisons).  The preferred front door is the
+    enforced end-to-end.  The final output stays in DRAM unless the
+    plan's root is materialized (the paper factors that write out of its
+    comparisons).  Whole queries -- single-device ones are one-shard
+    plans -- run through :mod:`repro.shard`; the front door is the
     :class:`repro.session.Session` facade::
 
         from repro import Session
@@ -68,12 +69,7 @@ queries through exactly this pipeline, and
 the measured-cheapest fixed algorithm across the write-intensity grid.
 """
 
-from repro.query.executor import (
-    NodeExecution,
-    QueryExecutor,
-    QueryResult,
-    execute_query,
-)
+from repro.query.executor import FragmentResult, NodeExecution, QueryExecutor
 from repro.query.physical import (
     BOUNDARY_POLICIES,
     Boundary,
@@ -119,7 +115,6 @@ __all__ = [
     "PhysicalOperator",
     "build_operator",
     "QueryExecutor",
-    "QueryResult",
+    "FragmentResult",
     "NodeExecution",
-    "execute_query",
 ]

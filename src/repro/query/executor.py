@@ -1,10 +1,16 @@
-"""Physical plan execution over the uniform operator protocol.
+"""Single-fragment plan execution over the uniform operator protocol.
 
-The executor runs a :class:`~repro.query.planner.PhysicalPlan` bottom-up.
-Every node -- scan, filter, project, sort, join, grouped aggregation --
-is wrapped in a :class:`~repro.query.physical.PhysicalOperator` and
-driven through ``open()``/``blocks()``/``close()``; what happens to the
-operator's output stream is the plan's per-edge
+:class:`QueryExecutor` is the engine for one fragment: one
+:class:`~repro.query.planner.PhysicalPlan` on one device.  Queries
+themselves run through :class:`~repro.shard.executor.ShardedQueryExecutor`
+(usually via :class:`repro.Session`), which runs every fragment of a
+plan -- the only one, on a single device -- through this engine.
+
+The executor runs a physical plan bottom-up.  Every node -- scan,
+filter, project, sort, join, grouped aggregation -- is wrapped in a
+:class:`~repro.query.physical.PhysicalOperator` and driven through
+``open()``/``blocks()``/``close()``; what happens to the operator's
+output stream is the plan's per-edge
 :class:`~repro.query.physical.Boundary` decision:
 
 * ``MATERIALIZE`` edges drain the block stream onto the persistent
@@ -26,8 +32,8 @@ deadlock it); the planner's per-edge feasibility gate -- an intermediate
 only pipelines when its estimated size fits the budget -- is what bounds
 them, and a forced ``boundary_policy="pipeline"`` deliberately bypasses
 that gate.  The device I/O of every node is snapshotted individually:
-:meth:`QueryResult.explain` shows estimated vs. actual cacheline I/O and
-elapsed device nanoseconds per node.
+:meth:`FragmentResult.explain` shows estimated vs. actual cacheline I/O
+and elapsed device nanoseconds per node.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.exceptions import ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOSnapshot
 from repro.query.logical import Scan
@@ -70,12 +75,12 @@ class NodeExecution:
 
 
 @dataclass
-class QueryResult:
-    """Outcome of one query execution."""
+class FragmentResult:
+    """Outcome of one fragment's execution on its device."""
 
     plan: PhysicalPlan
     output: PersistentCollection
-    #: Total device I/O of the execution (all nodes).
+    #: Total device I/O of the fragment (all nodes).
     io: IOSnapshot
     #: Per-node actuals keyed by ``id(planned_node)``.
     executions: dict = field(default_factory=dict)
@@ -116,21 +121,15 @@ class _ExecutionState:
 
 
 class QueryExecutor:
-    """Runs physical plans against a backend under one shared bufferpool.
+    """Runs one fragment's physical plan under one shared bufferpool.
 
     Args:
         backend: persistence backend hosting inputs, intermediates and
-            (optionally) the final output.
+            (when the plan's root is materialized) the final output.
         budget: DRAM budget; also used to plan when :meth:`execute` is
             handed an unplanned logical query.
         bufferpool: shared pool every operator registers its workspace
             with; a fresh pool over ``budget`` when omitted.
-        materialize_result: write the final output to the persistent
-            device (the paper's experiments factor this write out, so the
-            default keeps the root in DRAM).
-        boundary_policy: how the planner places operator boundaries when
-            :meth:`execute` plans a logical query itself; see
-            :class:`~repro.query.planner.CostBasedPlanner`.
     """
 
     def __init__(
@@ -138,44 +137,24 @@ class QueryExecutor:
         backend: PersistenceBackend,
         budget: MemoryBudget,
         bufferpool: Bufferpool | None = None,
-        materialize_result: bool = False,
-        boundary_policy: str = "cost",
     ) -> None:
         self.backend = backend
         self.budget = budget
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
-        self.materialize_result = materialize_result
-        self.boundary_policy = boundary_policy
 
-    def execute(self, query) -> QueryResult:
-        """Plan (when needed) and run a query, collecting per-node I/O."""
-        if getattr(query, "is_sharded_plan", False):
-            raise ConfigurationError(
-                "this is a sharded plan; run it through "
-                "repro.shard.ShardedQueryExecutor (or repro.Session) "
-                "instead of the single-device QueryExecutor"
-            )
+    def execute(self, query) -> FragmentResult:
+        """Plan (when needed) and run a fragment, collecting per-node I/O."""
         if isinstance(query, PhysicalPlan):
             plan = query
         else:
-            plan = CostBasedPlanner(
-                self.backend, self.budget, boundary_policy=self.boundary_policy
-            ).plan(query)
-        if getattr(plan, "is_sharded_plan", False):
-            raise ConfigurationError(
-                "the query scans sharded collections; run it through "
-                "repro.shard.ShardedQueryExecutor (or repro.Session) "
-                "instead of the single-device QueryExecutor"
-            )
-        if self.materialize_result:
-            plan.materialize_root()
+            plan = CostBasedPlanner(self.backend, self.budget).plan(query)
         device = self.backend.device
         state = _ExecutionState(self.backend)
         before = device.snapshot()
         root_execution = self._execute_node(plan.root, state)
         total = device.snapshot() - before
         self._backfill_deferred(state)
-        return QueryResult(
+        return FragmentResult(
             plan=plan,
             output=root_execution.output,
             io=total,
@@ -274,27 +253,3 @@ class QueryExecutor:
                 name
             )
 
-
-def execute_query(
-    query,
-    backend: PersistenceBackend,
-    budget: MemoryBudget,
-    bufferpool: Bufferpool | None = None,
-    materialize_result: bool = False,
-) -> QueryResult:
-    """Deprecated shorthand; use :class:`repro.session.Session` instead."""
-    import warnings
-
-    warnings.warn(
-        "repro.query.execute_query() is deprecated; use "
-        "repro.Session(backend, budget).query(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    executor = QueryExecutor(
-        backend,
-        budget,
-        bufferpool=bufferpool,
-        materialize_result=materialize_result,
-    )
-    return executor.execute(query)

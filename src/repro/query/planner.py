@@ -27,7 +27,7 @@ The execution convention the estimates assume matches
 :class:`repro.query.executor.QueryExecutor`: every operator's output is
 materialized on the persistent device except the plan root, which stays in
 DRAM (the paper factors final-output writes out of its comparisons) unless
-the executor is asked to materialize the result.
+:meth:`PhysicalPlan.materialize_root` asks for the result on the device.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class PhysicalPlan:
 
         Re-adds the output-write term the planner removed when it pinned
         the root to DRAM, keeping the estimate aligned with what the
-        executor's settlement step will charge.
+        executor's settlement step will charge.  Idempotent.
         """
         if self.root.materialized:
             return
@@ -311,30 +311,22 @@ class CostBasedPlanner:
         self.lam = device.write_read_ratio
         self._bytes_to_buffers = device.geometry.bytes_to_cachelines
 
-    def plan(self, query):
-        """Plan a :class:`~repro.query.logical.Query` (or bare node).
+    def plan(self, query) -> PhysicalPlan:
+        """Plan a :class:`~repro.query.logical.Query` (or bare node) as one
+        single-device fragment.
 
-        Queries over :class:`~repro.shard.collection.ShardedCollection`
-        inputs are delegated to the sharded planner and come back as a
-        :class:`~repro.shard.planner.ShardedPhysicalPlan` -- per-shard
-        fragments plus exchanges -- instead of a single-device plan.
+        Whole queries are planned by
+        :class:`~repro.shard.planner.ShardedPlanner`, which calls this
+        planner once per shard fragment; sharded collections are rejected
+        here.
         """
         node = query.node if isinstance(query, Query) else query
         if not isinstance(node, LogicalNode):
             raise ConfigurationError(
                 f"cannot plan a {type(query).__name__}; expected a Query or "
-                "logical node"
+                "logical node (whole query plans run through "
+                "repro.shard.ShardedQueryExecutor or repro.Session)"
             )
-        # Imported lazily: repro.shard builds on this module.
-        from repro.shard.planner import ShardedPlanner, find_sharded_collections
-
-        sharded = find_sharded_collections(node)
-        if sharded:
-            return ShardedPlanner(
-                sharded[0].shard_set,
-                self.budget,
-                boundary_policy=self.boundary_policy,
-            ).plan(node)
         root = self._plan_node(node)
         self._decide_boundaries(root)
         # The root stays in DRAM: the paper factors the final-output write
@@ -361,6 +353,12 @@ class CostBasedPlanner:
         raise ConfigurationError(f"unknown logical node {type(node).__name__}")
 
     def _plan_scan(self, node: Scan) -> PlannedNode:
+        if getattr(node.collection, "is_sharded", False):
+            raise ConfigurationError(
+                f"collection {node.collection.name!r} is sharded; plan the "
+                "query with repro.shard.ShardedPlanner (or run it through "
+                "repro.Session)"
+            )
         # Reads are charged to the consuming operator, so a scan itself is
         # free; its collection is already materialized.  ``est_records``
         # overrides the actual cardinality for collections that are still

@@ -38,6 +38,14 @@ serial worker per simulated device, preserving per-device serialization
 it requests the whole session budget (the single-query behavior of
 earlier revisions) and sheds instead of waiting, so exceeding the budget
 still raises.
+
+Every query takes one path: the session's devices form a
+:class:`~repro.shard.collection.ShardSet` (a single device is a
+one-shard set), the :class:`~repro.shard.planner.ShardedPlanner` plans
+every query, and the :class:`~repro.shard.executor.ShardedQueryExecutor`
+runs it and returns a :class:`~repro.shard.executor.QueryResult`.  A
+query over plain collections on a sharded session is placed on the one
+shard backend that holds them.
 """
 
 from __future__ import annotations
@@ -50,13 +58,10 @@ from repro.exceptions import ConfigurationError
 from repro.pmem.backends import make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.query.executor import QueryResult
-from repro.query.logical import LogicalNode, Query, Scan
 from repro.query.physical import BOUNDARY_POLICIES
-from repro.query.planner import CostBasedPlanner, PhysicalPlan
 from repro.shard.collection import ShardSet
-from repro.shard.executor import ShardedQueryResult
-from repro.shard.planner import ShardedPlanner, find_sharded_collections
+from repro.shard.executor import QueryResult
+from repro.shard.planner import ShardedPhysicalPlan, ShardedPlanner
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
@@ -68,20 +73,6 @@ from repro.workload_mgmt.scheduler import WorkloadScheduler, _SlotGate
 
 #: Budget used when a session is created without one: 1 MiB of DRAM.
 DEFAULT_SESSION_BUDGET_BYTES = 1 << 20
-
-
-def _plain_scan_backends(node: LogicalNode) -> list[PersistenceBackend]:
-    """Backends of every non-sharded materialized scan in a logical tree."""
-    backends: list[PersistenceBackend] = []
-    if isinstance(node, Scan) and not getattr(
-        node.collection, "is_sharded", False
-    ):
-        backend = getattr(node.collection, "backend", None)
-        if backend is not None:
-            backends.append(backend)
-    for child in node.children:
-        backends.extend(_plain_scan_backends(child))
-    return backends
 
 
 class Session:
@@ -128,16 +119,16 @@ class Session:
                 f"unknown boundary policy {boundary_policy!r}; expected one "
                 f"of {', '.join(BOUNDARY_POLICIES)}"
             )
-        self.shard_set: Optional[ShardSet] = None
-        self.backend: Optional[PersistenceBackend] = None
         if isinstance(target, ShardSet):
             self.shard_set = target
         elif isinstance(target, PersistenceBackend):
-            self.backend = target
+            self.shard_set = ShardSet([target])
         elif isinstance(target, PersistentMemoryDevice):
-            self.backend = make_backend("blocked_memory", target)
+            self.shard_set = ShardSet([make_backend("blocked_memory", target)])
         elif isinstance(target, str):
-            self.backend = make_backend(target, PersistentMemoryDevice())
+            self.shard_set = ShardSet(
+                [make_backend(target, PersistentMemoryDevice())]
+            )
         else:
             raise ConfigurationError(
                 f"cannot build a Session over {type(target).__name__}; "
@@ -162,21 +153,22 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def is_sharded(self) -> bool:
-        return self.shard_set is not None
+        return self.shard_set.num_shards > 1
+
+    @property
+    def backend(self) -> Optional[PersistenceBackend]:
+        """The backend of a single-device session (``None`` when sharded)."""
+        return None if self.is_sharded else self.shard_set.backends[0]
 
     @property
     def device(self) -> PersistentMemoryDevice:
         """The (first) simulated device behind the session."""
-        if self.shard_set is not None:
-            return self.shard_set.backends[0].device
-        return self.backend.device
+        return self.shard_set.backends[0].device
 
     @property
     def devices(self) -> list[PersistentMemoryDevice]:
         """Every simulated device the session can touch, in shard order."""
-        if self.shard_set is not None:
-            return self.shard_set.devices
-        return [self.backend.device]
+        return self.shard_set.devices
 
     @property
     def closed(self) -> bool:
@@ -242,7 +234,7 @@ class Session:
                 self._scheduler = WorkloadScheduler(
                     self.bufferpool,
                     self.budget,
-                    self.devices,
+                    self.shard_set,
                     policy=self.admission_policy,
                     calibration=self.calibration,
                 )
@@ -262,7 +254,7 @@ class Session:
         On a sharded session, use :class:`~repro.shard.collection.
         ShardedCollection` directly to spread data across the shard set.
         """
-        if self.shard_set is not None:
+        if self.is_sharded:
             raise ConfigurationError(
                 "create_collection targets a single backend; build a "
                 "ShardedCollection over the session's shard_set instead"
@@ -278,16 +270,12 @@ class Session:
     # ------------------------------------------------------------------ #
     # Planning.
     # ------------------------------------------------------------------ #
-    def plan(self, query, boundary_policy: str | None = None):
-        """Plan a query without running it (single-device or sharded)."""
-        policy = boundary_policy or self.boundary_policy
-        shard_set, backend = self._route(query)
-        if shard_set is not None:
-            return ShardedPlanner(
-                shard_set, self.budget, boundary_policy=policy
-            ).plan(query)
-        return CostBasedPlanner(
-            backend, self.budget, boundary_policy=policy
+    def plan(self, query, boundary_policy: str | None = None) -> ShardedPhysicalPlan:
+        """Plan a query without running it."""
+        return ShardedPlanner(
+            self.shard_set,
+            self.budget,
+            boundary_policy=boundary_policy or self.boundary_policy,
         ).plan(query)
 
     def explain(self, query, boundary_policy: str | None = None) -> str:
@@ -326,21 +314,12 @@ class Session:
         handle = QueryHandle(
             query, priority=priority, tag=tag, seq=scheduler.next_seq()
         )
-        shard_set, backend = self._route(query)
-        handle._shard_set = shard_set
-        handle._backend = backend
-        handle._device_index = self._device_index(backend)
         handle._boundary_policy = boundary_policy or self.boundary_policy
         handle._materialize_result = (
             self.materialize_result
             if materialize_result is None
             else materialize_result
         )
-        if handle._materialize_result and shard_set is not None:
-            raise ConfigurationError(
-                "materialize_result is not supported on sharded queries: "
-                "the sharded executor merges shard outputs in DRAM"
-            )
         if memory_bytes is not None and memory_bytes <= 0:
             raise ConfigurationError("memory_bytes must be positive")
         handle._memory_bytes = memory_bytes
@@ -439,8 +418,7 @@ class Session:
         *,
         materialize_result: bool | None = None,
         boundary_policy: str | None = None,
-        max_workers: int | None = None,
-    ) -> QueryResult | ShardedQueryResult:
+    ) -> QueryResult:
         """Plan (when needed), execute, and wait for one query.
 
         Sugar over ``submit(...).result()``: the query requests the whole
@@ -448,14 +426,6 @@ class Session:
         shed rather than queued when the pool cannot fit it -- exceeding
         the budget raises, as it always did.
         """
-        if max_workers is not None:
-            raise ConfigurationError(
-                "max_workers is a workload-scheduling knob and would be "
-                "ignored here: each device runs its work serially.  Pass "
-                "it to run_workload(max_workers=...) to bound concurrent "
-                "queries, or use ShardedQueryExecutor directly to cap a "
-                "single query's in-flight shard tasks"
-            )
         handle = self.submit(
             query,
             materialize_result=materialize_result,
@@ -479,77 +449,10 @@ class Session:
         """
         return self.calibration.report()
 
-    # ------------------------------------------------------------------ #
-    # Routing.
-    # ------------------------------------------------------------------ #
-    def _route(
-        self, query
-    ) -> tuple[Optional[ShardSet], Optional[PersistenceBackend]]:
-        """Where a query runs: ``(shard_set, None)`` or ``(None, backend)``.
-
-        Sharded plans and queries over sharded collections run on the
-        session's shard set.  Plain queries run on the session backend;
-        on a *sharded* session they are routed to the single shard
-        backend their scanned collections live on (so mixed workloads
-        can put shard-local queries next to sharded ones), and rejected
-        when their collections live elsewhere.
-        """
-        if getattr(query, "is_sharded_plan", False):
-            return self._check_shard_set(query.shard_set), None
-        if isinstance(query, PhysicalPlan):
-            backend = query.backend
-            if self.shard_set is not None and backend not in self.shard_set.backends:
-                raise ConfigurationError(
-                    "this session runs on a ShardSet, but the plan was "
-                    "built for a backend outside it"
-                )
-            return None, backend
-        node = query.node if isinstance(query, Query) else query
-        sharded = (
-            find_sharded_collections(node) if hasattr(node, "children") else []
-        )
-        if sharded:
-            return self._check_shard_set(sharded[0].shard_set), None
-        if self.shard_set is not None:
-            backends = (
-                _plain_scan_backends(node) if hasattr(node, "children") else []
-            )
-            unique = {id(backend): backend for backend in backends}
-            if len(unique) == 1:
-                (backend,) = unique.values()
-                if backend in self.shard_set.backends:
-                    return None, backend
-            raise ConfigurationError(
-                "this session runs on a ShardSet, but the query scans no "
-                "sharded collections and its inputs do not live on a "
-                "single backend of that shard set; load the inputs into a "
-                "ShardedCollection (or onto one shard backend) of the "
-                "session's shard set"
-            )
-        return None, self.backend
-
-    def _device_index(self, backend: Optional[PersistenceBackend]) -> int:
-        """Position of a backend's device in :attr:`devices` (0 default)."""
-        if backend is None:
-            return 0
-        if self.shard_set is not None:
-            for index, candidate in enumerate(self.shard_set.backends):
-                if candidate is backend:
-                    return index
-        return 0
-
-    def _check_shard_set(self, shard_set: ShardSet) -> ShardSet:
-        if self.shard_set is not None and shard_set is not self.shard_set:
-            raise ConfigurationError(
-                "the query's sharded collections live on a different shard "
-                "set than this session's"
-            )
-        return shard_set
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         target = (
             f"shards={self.shard_set.num_shards}"
-            if self.shard_set is not None
+            if self.is_sharded
             else f"backend={self.backend.name!r}"
         )
         return (

@@ -1,7 +1,8 @@
-"""Sharded parallel query execution over partitioned collections.
+"""Query execution over one or many devices: the one execution path.
 
-``repro.shard`` scales the single-device query layer out to N simulated
-persistent-memory devices:
+``repro.shard`` runs every query, scaling the single-fragment query
+layer out to N simulated persistent-memory devices (a single device is
+the one-shard case):
 
 * :class:`~repro.shard.collection.ShardSet` -- N independent devices,
   each behind its own persistence backend;
@@ -16,16 +17,13 @@ persistent-memory devices:
   Section 2 cost models under a ``1/N`` share of the DRAM budget;
 * :class:`~repro.shard.executor.ShardedQueryExecutor` -- runs fragments
   concurrently (one worker per device) under parent/child bufferpool
-  accounting and reports per-shard estimated vs. actual I/O plus the
-  critical-path (max-over-shards) cost.
+  accounting and returns a :class:`~repro.shard.executor.QueryResult`
+  with per-shard estimated vs. actual I/O plus the critical-path
+  (max-over-shards) cost.
 """
 
 from repro.shard.collection import ShardedCollection, ShardSet
-from repro.shard.executor import (
-    ShardedQueryExecutor,
-    ShardedQueryResult,
-    execute_sharded_query,
-)
+from repro.shard.executor import QueryResult, ShardedQueryExecutor
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -53,6 +51,5 @@ __all__ = [
     "ExchangeStep",
     "find_sharded_collections",
     "ShardedQueryExecutor",
-    "ShardedQueryResult",
-    "execute_sharded_query",
+    "QueryResult",
 ]

@@ -85,6 +85,27 @@ class ShardSet:
     def write_read_ratio(self) -> float:
         return self.backends[0].device.write_read_ratio
 
+    def positions_of(self, other: "ShardSet") -> list[int]:
+        """Where each of ``other``'s backends sits in this set, in order.
+
+        ``other`` is a plan's placement: this set itself, or a one-shard
+        subset holding a plain collection.  A backend outside this set
+        raises :class:`ConfigurationError`.
+        """
+        if other is self:
+            return list(range(len(self.backends)))
+        positions = {
+            id(backend): index for index, backend in enumerate(self.backends)
+        }
+        try:
+            return [positions[id(backend)] for backend in other.backends]
+        except KeyError:
+            raise ConfigurationError(
+                "the plan was built for a different shard set than this "
+                "one; its fragments and I/O accounting would land on the "
+                "wrong devices"
+            ) from None
+
     def snapshot(self) -> list[IOSnapshot]:
         """Per-shard device snapshots, in shard order."""
         return [backend.device.snapshot() for backend in self.backends]

@@ -1,12 +1,14 @@
-"""Concurrent execution of sharded physical plans.
+"""Execution of every query plan, on one device or many.
 
-The executor walks the plan's steps in order and runs each step's
-per-shard tasks on a :class:`~repro.workload_mgmt.workers.DeviceWorkerPool`
--- one serial worker per simulated device:
+Every query runs through :class:`ShardedQueryExecutor`: a single device
+is a one-shard :class:`~repro.shard.collection.ShardSet`, so a
+single-device query is just a plan with one
+:class:`~repro.shard.planner.FragmentStep` of one fragment.  The
+executor walks the plan's steps in order:
 
 * a :class:`~repro.shard.planner.FragmentStep` executes its per-shard
-  physical plans through ordinary single-device
-  :class:`~repro.query.executor.QueryExecutor` instances, each under that
+  physical plans through the single-fragment
+  :class:`~repro.query.executor.QueryExecutor` engine, each under that
   shard's child share of the bufferpool the executor was given;
 * an :class:`~repro.shard.planner.ExchangeStep` runs in two barrier
   phases -- every source shard scans its input and buckets records by
@@ -14,14 +16,19 @@ per-shard tasks on a :class:`~repro.workload_mgmt.workers.DeviceWorkerPool`
   materialized), then every destination shard bulk-appends its bucket
   (charging writes on the destination device).
 
-Thread-safety comes from the worker pool: all work touching device ``i``
-is serialized on worker ``i``, so the per-device counters are
-single-threaded *even when the pool is shared with other concurrently
-running queries* (the workload scheduler passes one pool to every
-executor).  For the same reason every task measures its own I/O with a
-device snapshot delta taken on the worker -- a task-local measurement is
-exact under co-scheduling, where a coordinator-side snapshot around a
-step would absorb interleaved work from other queries.
+Where tasks run follows from the plan.  A plan that touches one device
+runs its tasks inline on the calling thread; under the workload
+scheduler that thread is the device's own serial worker, which it never
+waits on, so it cannot deadlock.  A plan that touches several devices
+submits each shard's task to that device's worker in a
+:class:`~repro.workload_mgmt.workers.DeviceWorkerPool`: all work
+touching device ``i`` is serialized on worker ``i``, so the per-device
+counters are single-threaded *even when the pool is shared with other
+concurrently running queries* (the workload scheduler passes one pool to
+every executor).  For the same reason every task measures its own I/O
+with a device snapshot delta taken where it runs -- a task-local
+measurement is exact under co-scheduling, where a coordinator-side
+snapshot around a step would absorb interleaved work from other queries.
 
 The bufferpool handed to the executor is treated as externally owned
 (typically a per-query share carved by the admission controller): the
@@ -29,22 +36,24 @@ executor carves per-shard child shares from it and closes only those,
 never the pool itself.
 
 The result merges the per-shard outputs (an ordered merge for a root
-OrderBy, concatenation otherwise) into one in-DRAM collection, sums the
-per-shard :class:`~repro.pmem.metrics.IOSnapshot` deltas, and reports the
-critical path: per step, the slowest shard's simulated time, summed over
-steps -- the makespan of the parallel execution.
+OrderBy, concatenation otherwise; a one-shard plan keeps its fragment's
+own output) into one collection, sums the per-shard
+:class:`~repro.pmem.metrics.IOSnapshot` deltas, and reports the critical
+path: per step, the slowest shard's simulated time, summed over steps --
+the makespan of the parallel execution, and the whole device time of a
+one-shard plan.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 from repro.pmem.metrics import IOSnapshot, critical_path_ns, sum_snapshots
-from repro.query.executor import QueryExecutor, QueryResult
+from repro.query.executor import FragmentResult, QueryExecutor
 from repro.shard.collection import ShardSet
 from repro.shard.planner import (
     ExchangeStep,
@@ -54,17 +63,20 @@ from repro.shard.planner import (
 )
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
-from repro.workload_mgmt.workers import DeviceWorkerPool
+
+if TYPE_CHECKING:
+    from repro.workload_mgmt.workers import DeviceWorkerPool
 
 _result_counter = itertools.count()
 
 
 @dataclass
-class ShardedQueryResult:
-    """Outcome of one sharded query execution."""
+class QueryResult:
+    """Outcome of one query execution (one shard or many)."""
 
     plan: ShardedPhysicalPlan
-    #: Merged final output (in DRAM, like the single-device root).
+    #: Final output: the fragment's own root output on one shard, else the
+    #: merged shard outputs (in DRAM).
     output: PersistentCollection
     #: Summed device I/O across every shard.
     io: IOSnapshot
@@ -77,14 +89,33 @@ class ShardedQueryResult:
     critical_path_cachelines: float
     #: Per-step, per-shard I/O deltas keyed by step index.
     step_io: dict = field(default_factory=dict)
-    #: Per-fragment-step, per-shard node-execution maps (for explain()).
-    fragment_executions: dict = field(default_factory=dict)
+    #: Per-fragment-step, per-shard :class:`FragmentResult` lists.
+    fragment_results: dict = field(default_factory=dict)
     #: Records moved per exchange step, keyed by step index.
     exchange_records: dict = field(default_factory=dict)
 
     @property
     def records(self) -> list[tuple]:
         return self.output.records
+
+    @property
+    def executions(self) -> dict:
+        """Per-node actuals of every fragment, keyed by ``id(planned_node)``."""
+        executions: dict = {}
+        for results in self.fragment_results.values():
+            for result in results:
+                executions.update(result.executions)
+        return executions
+
+    @property
+    def runtime_contexts(self) -> list:
+        """The Section 3.1 runtime contexts of fragments that deferred an edge."""
+        return [
+            result.runtime_context
+            for results in self.fragment_results.values()
+            for result in results
+            if result.runtime_context is not None
+        ]
 
     @property
     def simulated_seconds(self) -> float:
@@ -97,27 +128,28 @@ class ShardedQueryResult:
         return self.io.total_ns / 1e9
 
     def explain(self) -> str:
-        """The sharded plan rendering with per-shard estimated vs. actual I/O."""
+        """The plan rendering with per-shard estimated vs. actual I/O."""
         return self.plan.explain(self)
 
 
 class ShardedQueryExecutor:
-    """Runs sharded plans concurrently over a shard set.
+    """Runs query plans over a shard set.
 
     Args:
-        shard_set: the devices/backends the plan's collections live on.
+        shard_set: the devices/backends the plan's collections live on;
+            a plan may also be placed on a one-shard subset of it.
         budget: parent DRAM budget shared by all concurrent fragments.
         bufferpool: externally-owned pool (e.g. the query's admitted
             share) the per-shard child shares are carved from; a fresh
             pool over ``budget`` when omitted.  Shares are reserved up
             front, so concurrent fragments can never jointly exceed it,
             and the executor never closes the pool itself.
-        max_workers: cap on concurrently running per-shard tasks;
-            defaults to one in-flight task per shard.
-        worker_pool: a shared :class:`DeviceWorkerPool` to co-schedule
-            this query's tasks with other queries on the same devices
-            (the workload scheduler passes its own); a private pool is
-            created (and shut down) per execution when omitted.
+        worker_pool: a shared :class:`DeviceWorkerPool`, one worker per
+            device of ``shard_set``, to co-schedule a multi-shard plan's
+            tasks with other queries (the workload scheduler passes its
+            own); a private pool is created (and shut down) per
+            multi-shard execution when omitted.  One-shard plans run
+            inline and never use it.
     """
 
     def __init__(
@@ -125,50 +157,48 @@ class ShardedQueryExecutor:
         shard_set: ShardSet,
         budget: MemoryBudget,
         bufferpool: Bufferpool | None = None,
-        max_workers: int | None = None,
-        boundary_policy: str = "cost",
         worker_pool: DeviceWorkerPool | None = None,
     ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ConfigurationError("max_workers must be positive")
         self.shard_set = shard_set
         self.budget = budget
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
-        self.max_workers = max_workers
-        self.boundary_policy = boundary_policy
         self.worker_pool = worker_pool
 
-    def execute(self, query) -> ShardedQueryResult:
-        """Plan (when needed) and run a sharded query."""
+    def execute(self, query) -> QueryResult:
+        """Plan (when needed) and run a query."""
         if isinstance(query, ShardedPhysicalPlan):
             plan = query
-            if plan.shard_set is not self.shard_set:
-                raise ConfigurationError(
-                    "the plan was built for a different shard set than this "
-                    "executor's; its fragments and I/O accounting would land "
-                    "on the wrong devices"
-                )
         else:
-            plan = ShardedPlanner(
-                self.shard_set, self.budget, boundary_policy=self.boundary_policy
-            ).plan(query)
-        num_shards = plan.num_shards
-        limit = None
-        if self.max_workers is not None and self.max_workers < num_shards:
-            limit = threading.BoundedSemaphore(self.max_workers)
+            plan = ShardedPlanner(self.shard_set, self.budget).plan(query)
+        workers = self.shard_set.positions_of(plan.shard_set)
+        inline = len(workers) == 1
+        owns_pool = not inline and self.worker_pool is None
         pool = self.worker_pool
-        owns_pool = pool is None
         if owns_pool:
-            pool = DeviceWorkerPool(num_shards)
+            # Imported here: repro.workload_mgmt builds on this module.
+            from repro.workload_mgmt.workers import DeviceWorkerPool
+
+            pool = DeviceWorkerPool(self.shard_set.num_shards)
+
+        def run_tasks(fn) -> list:
+            """``fn(shard)`` for every shard of the plan: inline on one
+            shard, else on each shard's device worker."""
+            if inline:
+                return [fn(0)]
+            return pool.map_shards(fn, workers)
+
         shares: list[Bufferpool] = []
         try:
-            for index in range(num_shards):
+            if inline:
+                # Nothing to split: the one fragment runs under the pool.
+                return self._run(plan, [self.bufferpool], run_tasks)
+            for index in range(plan.num_shards):
                 shares.append(
                     self.bufferpool.share(
                         nbytes=plan.shard_budget.nbytes, owner=f"shard{index}"
                     )
                 )
-            return self._run(plan, shares, pool, limit)
+            return self._run(plan, shares, run_tasks)
         finally:
             for share in shares:
                 share.close()
@@ -178,22 +208,22 @@ class ShardedQueryExecutor:
     # ------------------------------------------------------------------ #
     # Step execution.
     # ------------------------------------------------------------------ #
-    def _run(self, plan, shares, pool, limit) -> ShardedQueryResult:
+    def _run(self, plan, shares, run_tasks) -> QueryResult:
         num_shards = plan.num_shards
         fragment_outputs: dict[int, list[PersistentCollection]] = {}
-        fragment_executions: dict[int, list[dict]] = {}
+        fragment_results: dict[int, list[FragmentResult]] = {}
         exchange_records: dict[int, int] = {}
         step_io: dict[int, list[IOSnapshot]] = {}
         critical_ns = 0.0
         critical_cachelines = 0.0
         for step in plan.steps:
             if isinstance(step, FragmentStep):
-                results = self._run_fragments(step, plan, shares, pool, limit)
+                results = self._run_fragments(step, plan, shares, run_tasks)
                 fragment_outputs[step.index] = [r.output for r in results]
-                fragment_executions[step.index] = [r.executions for r in results]
-                # A fragment's QueryResult.io is the device delta taken
-                # around its run *on its own serial worker*: exact even
-                # when other queries interleave on the devices.
+                fragment_results[step.index] = results
+                # A fragment's io is the device delta taken around its run
+                # *on its own device's serial worker*: exact even when
+                # other queries interleave on the devices.
                 deltas = [result.io for result in results]
                 critical_ns += critical_path_ns(deltas)
                 critical_cachelines += max(
@@ -201,7 +231,7 @@ class ShardedQueryExecutor:
                 )
             elif isinstance(step, ExchangeStep):
                 moved, deltas, phase_ns, phase_cachelines = self._run_exchange(
-                    step, fragment_outputs, pool, limit
+                    step, fragment_outputs, plan.shard_set.devices, run_tasks
                 )
                 exchange_records[step.index] = moved
                 critical_ns += phase_ns
@@ -215,7 +245,7 @@ class ShardedQueryExecutor:
         ]
         self._release_exchange_stores(plan)
         output = self._merge(plan, fragment_outputs[plan.final_step_index])
-        return ShardedQueryResult(
+        return QueryResult(
             plan=plan,
             output=output,
             io=sum_snapshots(per_shard_io),
@@ -223,25 +253,25 @@ class ShardedQueryExecutor:
             critical_path_ns=critical_ns,
             critical_path_cachelines=critical_cachelines,
             step_io=step_io,
-            fragment_executions=fragment_executions,
+            fragment_results=fragment_results,
             exchange_records=exchange_records,
         )
 
     def _run_fragments(
-        self, step: FragmentStep, plan, shares, pool, limit
-    ) -> list[QueryResult]:
-        def run_fragment(index: int) -> QueryResult:
+        self, step: FragmentStep, plan, shares, run_tasks
+    ) -> list[FragmentResult]:
+        def run_fragment(index: int) -> FragmentResult:
             executor = QueryExecutor(
-                self.shard_set.backends[index],
+                plan.shard_set.backends[index],
                 plan.shard_budget,
                 bufferpool=shares[index],
             )
             return executor.execute(step.fragments[index])
 
-        return pool.map_shards(run_fragment, len(step.fragments), limit)
+        return run_tasks(run_fragment)
 
     def _run_exchange(
-        self, step: ExchangeStep, fragment_outputs, pool, limit
+        self, step: ExchangeStep, fragment_outputs, devices, run_tasks
     ) -> tuple[int, list[IOSnapshot], float, float]:
         """Run the two exchange phases; returns (records moved, per-shard
         deltas, critical ns, critical cachelines).
@@ -263,7 +293,7 @@ class ShardedQueryExecutor:
         # Phase 1 (parallel per source shard): scan and bucket.  Reads are
         # charged on the source device iff the source is materialized.
         def read_and_bucket(index: int):
-            device = self.shard_set.devices[index]
+            device = devices[index]
             before = device.snapshot()
             buckets: list[list[tuple]] = [[] for _ in range(num_shards)]
             for block in sources[index].scan_blocks():
@@ -271,14 +301,14 @@ class ShardedQueryExecutor:
                     buckets[shard_of(record)].append(record)
             return buckets, device.snapshot() - before
 
-        read_results = pool.map_shards(read_and_bucket, num_shards, limit)
+        read_results = run_tasks(read_and_bucket)
         all_buckets = [buckets for buckets, _ in read_results]
         read_deltas = [delta for _, delta in read_results]
 
         # Phase 2 (parallel per destination shard): bulk-append the
         # destination's share from every source, charging its own device.
         def write_destination(dest_index: int):
-            device = self.shard_set.devices[dest_index]
+            device = devices[dest_index]
             before = device.snapshot()
             dest = step.dests[dest_index]
             dest.clear()
@@ -294,7 +324,7 @@ class ShardedQueryExecutor:
             dest.seal()
             return moved, device.snapshot() - before
 
-        write_results = pool.map_shards(write_destination, num_shards, limit)
+        write_results = run_tasks(write_destination)
         moved = sum(count for count, _ in write_results)
         write_deltas = [delta for _, delta in write_results]
         deltas = [read + write for read, write in zip(read_deltas, write_deltas)]
@@ -326,6 +356,8 @@ class ShardedQueryExecutor:
     # Result merge.
     # ------------------------------------------------------------------ #
     def _merge(self, plan, outputs: list[PersistentCollection]):
+        if len(outputs) == 1:
+            return outputs[0]
         merged = PersistentCollection(
             name=f"sharded-result-{next(_result_counter)}",
             schema=plan.root_schema,
@@ -345,24 +377,3 @@ class ShardedQueryExecutor:
         merged.seal()
         return merged
 
-
-def execute_sharded_query(
-    query,
-    shard_set: ShardSet,
-    budget: MemoryBudget,
-    bufferpool: Bufferpool | None = None,
-    max_workers: int | None = None,
-) -> ShardedQueryResult:
-    """Deprecated shorthand; use :class:`repro.session.Session` instead."""
-    import warnings
-
-    warnings.warn(
-        "repro.shard.execute_sharded_query() is deprecated; use "
-        "repro.Session(shard_set, budget).query(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    executor = ShardedQueryExecutor(
-        shard_set, budget, bufferpool=bufferpool, max_workers=max_workers
-    )
-    return executor.execute(query)

@@ -28,6 +28,12 @@ the plan's *critical path* -- the sum over steps of the slowest shard in
 each step -- is the sharded analogue of a single-device plan's total
 cost, and it is what ``explain()`` reports next to the summed per-shard
 estimates and actuals.
+
+Every query is planned here, including single-device ones: a single
+device is a one-shard :class:`~repro.shard.collection.ShardSet`, and a
+query over plain collections is placed on the one shard backend that
+holds them.  A one-shard plan is a single :class:`FragmentStep` with no
+exchanges and a trivial merge, and it renders exactly like its fragment.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ Step = Union[FragmentStep, ExchangeStep]
 class ShardedPhysicalPlan:
     """A partitioned query plan: ordered steps plus the merge policy."""
 
-    #: Marks sharded plans for duck-typed dispatch in the query layer.
+    #: Tells this plan type apart from a fragment's :class:`PhysicalPlan`
+    #: for callers outside the library; the library itself never asks.
     is_sharded_plan = True
 
     shard_set: ShardSet
@@ -137,9 +144,35 @@ class ShardedPhysicalPlan:
     merge: tuple[str, Optional[int]]
     root_schema: Schema
 
+    @classmethod
+    def from_fragment(cls, fragment: PhysicalPlan) -> "ShardedPhysicalPlan":
+        """Wrap a pre-planned single-device plan as a one-shard plan."""
+        return cls(
+            shard_set=ShardSet([fragment.backend]),
+            budget=fragment.budget,
+            shard_budget=fragment.budget,
+            steps=[FragmentStep(0, [fragment], "shard-local fragments")],
+            final_step_index=0,
+            merge=("concat", None),
+            root_schema=fragment.root.schema,
+        )
+
     @property
     def final_step(self) -> FragmentStep:
         return self.steps[self.final_step_index]
+
+    def materialize_root(self) -> None:
+        """Write the final output to the device instead of DRAM.
+
+        Only a one-shard plan can: its output is its fragment's root.  A
+        multi-shard plan merges its shard outputs in DRAM.
+        """
+        if self.num_shards > 1:
+            raise ConfigurationError(
+                "materialize_result is not supported on sharded queries: "
+                "the sharded executor merges shard outputs in DRAM"
+            )
+        self.final_step.fragments[0].materialize_root()
 
     @property
     def num_shards(self) -> int:
@@ -158,11 +191,14 @@ class ShardedPhysicalPlan:
     def explain(self, result=None) -> str:
         """Render the sharded plan, optionally with per-shard actuals.
 
-        ``result`` is a :class:`~repro.shard.executor.ShardedQueryResult`;
-        when given, every fragment line shows estimated vs. actual
-        weighted cacheline I/O and the summary reports the actual critical
-        path next to the estimate.
+        ``result`` is a :class:`~repro.shard.executor.QueryResult`; when
+        given, every fragment line shows estimated vs. actual weighted
+        cacheline I/O and the summary reports the actual critical path
+        next to the estimate.  A one-shard plan renders as its fragment.
         """
+        if self.num_shards == 1:
+            fragment = self.final_step.fragments[0]
+            return fragment.explain(result.executions if result else None)
         device = self.shard_set.backends[0].device
         read_ns = device.latency.read_ns
         lam = device.write_read_ratio
@@ -240,20 +276,23 @@ class ShardedPhysicalPlan:
         for shard, fragment in enumerate(step.fragments):
             executions = None
             if result is not None:
-                shard_executions = result.fragment_executions.get(step.index)
-                if shard_executions is not None:
-                    executions = shard_executions[shard]
+                fragment_results = result.fragment_results.get(step.index)
+                if fragment_results is not None:
+                    executions = fragment_results[shard].executions
             lines.append(f"   shard {shard}:")
             lines.extend(fragment.explain_lines(executions, prefix="      "))
         return lines
 
 
 class ShardedPlanner:
-    """Plans logical queries over sharded collections.
+    """Plans every query: sharded collections, or plain ones on one shard.
 
     Args:
-        shard_set: the devices/backends the query's sharded collections
-            live on; every scanned collection must belong to it.
+        shard_set: the devices/backends the query's collections live on.
+            A query over sharded collections must scan only collections
+            of this set; a query over plain collections is placed on the
+            one backend of this set that holds them all (any plain
+            collection runs on a one-shard set).
         budget: the DRAM budget *this query* runs under -- under workload
             admission control this is the query's admitted
             :class:`~repro.storage.bufferpool.Bufferpool` share, not the
@@ -285,16 +324,54 @@ class ShardedPlanner:
         self._exchange_counter = 0
 
     def plan(self, query) -> ShardedPhysicalPlan:
+        """Plan a ``Query`` or logical node; wrap a pre-planned
+        :class:`PhysicalPlan` as a one-shard plan."""
+        if isinstance(query, PhysicalPlan):
+            return ShardedPhysicalPlan.from_fragment(query)
         node = query.node if isinstance(query, Query) else query
         if not isinstance(node, LogicalNode):
             raise ConfigurationError(
                 f"cannot plan a {type(query).__name__}; expected a Query or "
                 "logical node"
             )
+        placement = self._placement(node)
+        if placement is not self.shard_set:
+            return ShardedPlanner(
+                placement, self.budget, boundary_policy=self.boundary_policy
+            )._plan(node)
+        return self._plan(node)
+
+    def _placement(self, node: LogicalNode) -> ShardSet:
+        """The shard set the query runs on.
+
+        Queries over sharded collections (and every query on a one-shard
+        set) run on the planner's set.  A query over plain collections
+        only runs on the one shard backend that holds all of them, so
+        plain queries on different shards can run side by side.
+        """
+        if self.shard_set.num_shards == 1 or find_sharded_collections(node):
+            return self.shard_set
+        backends = {
+            id(scan.collection.backend): scan.collection.backend
+            for scan in _scans(node)
+        }
+        if len(backends) == 1:
+            (backend,) = backends.values()
+            if backend in self.shard_set.backends:
+                return ShardSet([backend])
+        raise ConfigurationError(
+            "the query scans no sharded collections and its inputs do not "
+            "live on a single backend of this ShardSet; load the inputs "
+            "into a ShardedCollection (or onto one shard backend) of it"
+        )
+
+    def _plan(self, node: LogicalNode) -> ShardedPhysicalPlan:
         self._steps = []
         # A process-unique id per plan keeps exchange stores distinct even
         # when one planner plans repeatedly against the same shard set.
-        self._plan_id = next(_plan_counter)
+        # One-shard plans have no exchanges, so they take no id.
+        if self.shard_set.num_shards > 1:
+            self._plan_id = next(_plan_counter)
         self._exchange_counter = 0
         per_shard, _ = self._build(node)
         final = self._add_fragment_step(per_shard, "shard-local fragments")
@@ -369,6 +446,8 @@ class ShardedPlanner:
     def _build_scan(self, node: Scan):
         collection = node.collection
         if not getattr(collection, "is_sharded", False):
+            if self.shard_set.num_shards == 1:
+                return [node], None
             raise ConfigurationError(
                 f"collection {collection.name!r} is not sharded; a sharded "
                 "plan requires every scanned input to be a ShardedCollection "
@@ -436,41 +515,25 @@ class ShardedPlanner:
 
     def _build_group_by(self, node: GroupBy):
         children, partitioner = self._build(node.child)
-        if self.shard_set.num_shards == 1:
-            # One shard trivially co-locates every group value.
-            out = (
-                partitioner.with_key_index(0)
-                if partitioner is not None
-                else HashPartitioner(1)
-            )
-            return (
-                [
-                    GroupBy(
-                        child, node.group_index, node.aggregates, node.estimated_groups
-                    )
-                    for child in children
-                ],
-                out,
-            )
         if partitioner is None or partitioner.key_index != node.group_index:
-            exchange_partitioner = HashPartitioner(
+            partitioner = HashPartitioner(
                 self.shard_set.num_shards, key_index=node.group_index
             )
-            children = self._exchange(
-                children,
-                exchange_partitioner,
-                reason="input not partitioned on the group attribute",
-            )
-            partitioner = exchange_partitioner
+            # One shard trivially co-locates every group value.
+            if self.shard_set.num_shards > 1:
+                children = self._exchange(
+                    children,
+                    partitioner,
+                    reason="input not partitioned on the group attribute",
+                )
         # Shard-local grouping is exact: equal group values are co-located,
         # so per-shard groups are disjoint and concatenate without merging.
-        out_partitioner = partitioner.with_key_index(0)
         return (
             [
                 GroupBy(child, node.group_index, node.aggregates, node.estimated_groups)
                 for child in children
             ],
-            out_partitioner,
+            partitioner.with_key_index(0),
         )
 
     # ------------------------------------------------------------------ #
@@ -602,9 +665,15 @@ class ShardedPlanner:
 
 def find_sharded_collections(node: LogicalNode) -> list[ShardedCollection]:
     """Every sharded collection scanned anywhere in a logical tree."""
-    found: list[ShardedCollection] = []
-    if isinstance(node, Scan) and getattr(node.collection, "is_sharded", False):
-        found.append(node.collection)
+    return [
+        scan.collection
+        for scan in _scans(node)
+        if getattr(scan.collection, "is_sharded", False)
+    ]
+
+
+def _scans(node: LogicalNode):
+    if isinstance(node, Scan):
+        yield node
     for child in node.children:
-        found.extend(find_sharded_collections(child))
-    return found
+        yield from _scans(child)

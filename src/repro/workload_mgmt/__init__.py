@@ -9,8 +9,8 @@ The subsystem behind ``Session.submit()`` / ``Session.run_workload()``:
   :class:`AdmissionPolicy` (``queue`` / ``shed`` / ``degrade``) when the
   session pool is exhausted;
 * :mod:`repro.workload_mgmt.scheduler` — the :class:`WorkloadScheduler`
-  co-schedules single-device queries and sharded fragments from
-  *different* queries on one serial worker per simulated device
+  co-schedules the per-device work of *different* queries on one serial
+  worker per simulated device
   (:class:`DeviceWorkerPool`), preserving the per-device serialization
   the I/O accounting depends on;
 * :mod:`repro.workload_mgmt.handle` — the :class:`QueryHandle`

@@ -38,7 +38,7 @@ from repro.exceptions import (
     BufferpoolExhaustedError,
     ConfigurationError,
 )
-from repro.query.planner import SORT_ALTERNATIVES, PhysicalPlan
+from repro.query.planner import SORT_ALTERNATIVES
 from repro.shard.planner import FragmentStep
 from repro.storage.bufferpool import Bufferpool
 from repro.workload_mgmt.handle import QueryHandle, QueryStatus
@@ -83,36 +83,31 @@ def _node_demand_bytes(node, budget) -> int:
     return int(min(budget.nbytes, max(need, budget.block_bytes)))
 
 
-def _single_plan_demand_bytes(plan: PhysicalPlan) -> int:
-    """Peak workspace demand of a single-device plan (nodes run one at
-    a time, so the peak — not the sum — is what the query needs)."""
+def _fragment_demand_bytes(fragment) -> int:
+    """Peak workspace demand of one fragment (its nodes run one at a time,
+    so the peak — not the sum — is what the fragment needs)."""
     return max(
-        _node_demand_bytes(node, plan.budget) for node in plan.root.walk()
+        _node_demand_bytes(node, fragment.budget) for node in fragment.root.walk()
     )
 
 
 def estimate_plan_memory_bytes(plan) -> int:
     """The planner's DRAM estimate for one planned query, in bytes.
 
-    For a single-device plan this is the peak per-node workspace demand.
-    For a sharded plan the fragments of one step run concurrently (one
-    per device), so the estimate is ``num_shards`` times the peak
-    fragment demand across steps — the amount the sharded executor will
-    split into per-shard child shares.  Exchange record buckets are
-    staged in unaccounted DRAM (as in single-query execution) and are
-    not part of the estimate.
+    The fragments of one step run concurrently (one per device), so the
+    estimate is ``num_shards`` times the peak fragment demand across steps
+    — the amount the executor splits into per-shard child shares; on a
+    single device it is the one fragment's peak per-node demand.  Exchange
+    record buckets are staged in unaccounted DRAM (as in single-query
+    execution) and are not part of the estimate.
     """
-    if getattr(plan, "is_sharded_plan", False):
-        fragment_demand = plan.shard_budget.block_bytes
-        for step in plan.steps:
-            if not isinstance(step, FragmentStep):
-                continue
-            for fragment in step.fragments:
-                fragment_demand = max(
-                    fragment_demand, _single_plan_demand_bytes(fragment)
-                )
-        return int(min(plan.budget.nbytes, fragment_demand * plan.num_shards))
-    return _single_plan_demand_bytes(plan)
+    fragment_demand = plan.shard_budget.block_bytes
+    for step in plan.steps:
+        if not isinstance(step, FragmentStep):
+            continue
+        for fragment in step.fragments:
+            fragment_demand = max(fragment_demand, _fragment_demand_bytes(fragment))
+    return int(min(plan.budget.nbytes, fragment_demand * plan.num_shards))
 
 
 # --------------------------------------------------------------------- #

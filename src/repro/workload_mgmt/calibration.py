@@ -40,7 +40,7 @@ class CalibrationAggregator:
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def record(self, result) -> None:
-        """Fold one finished query result (single-device or sharded) in."""
+        """Fold one finished :class:`~repro.shard.executor.QueryResult` in."""
         samples = list(_iter_samples(result))
         with self._lock:
             self._queries += 1
@@ -94,17 +94,13 @@ class CalibrationAggregator:
 
 def _iter_samples(result):
     """Yield ``(operator, est_wcl, actual_wcl)`` per executed plan node."""
-    if hasattr(result, "fragment_executions"):  # a ShardedQueryResult
-        for step in result.plan.steps:
-            if not isinstance(step, FragmentStep):
-                continue
-            shard_executions = result.fragment_executions.get(step.index)
-            if shard_executions is None:
-                continue
-            for fragment, executions in zip(step.fragments, shard_executions):
-                yield from _plan_samples(fragment, executions)
-        return
-    yield from _plan_samples(result.plan, result.executions)
+    for step in result.plan.steps:
+        if not isinstance(step, FragmentStep):
+            continue
+        for fragment, fragment_result in zip(
+            step.fragments, result.fragment_results.get(step.index, ())
+        ):
+            yield from _plan_samples(fragment, fragment_result.executions)
 
 
 def _plan_samples(plan, executions):

@@ -61,8 +61,8 @@ class QueryHandle:
             budget).
         queue_wait_ns: simulated device-busy nanoseconds that elapsed
             between submission and dispatch (the admission queue wait).
-        run_ns: the query's own simulated run time once finished — the
-            critical path for sharded plans, total device time otherwise.
+        run_ns: the query's own simulated run time once finished — its
+            critical path (the whole device time on one device).
     """
 
     def __init__(self, query, *, priority: int = 0, tag: Optional[str] = None, seq: int = 0) -> None:
@@ -87,9 +87,8 @@ class QueryHandle:
         self._plan = None
         self._reference_plan = None
         self._preplanned = False
-        self._shard_set = None
-        self._backend = None
-        self._device_index = 0
+        #: Worker (device) indices the plan runs on, in shard order.
+        self._workers: list[int] = []
         self._boundary_policy: Optional[str] = None
         self._materialize_result = False
         self._memory_bytes: Optional[int] = None
@@ -160,6 +159,15 @@ class QueryHandle:
     # ------------------------------------------------------------------ #
     def _mark_running(self) -> None:
         self._status = QueryStatus.RUNNING
+
+    def _claim_dispatch(self) -> bool:
+        """``True`` exactly once: the caller owns starting (or abandoning)
+        this admitted handle."""
+        with self._lock:
+            if self._dispatched:
+                return False
+            self._dispatched = True
+            return True
 
     def _finish(self, result, run_ns: float) -> None:
         self._result = result

@@ -3,42 +3,47 @@
 The scheduler turns the admission controller's decisions into running
 queries while preserving the one invariant the simulated accounting
 depends on: *per-device serialization across queries*.  All work that
-touches device ``i`` — a whole single-device query, or one shard's
-fragment/exchange task of a sharded query — is funneled through device
-``i``'s serial worker in the shared :class:`DeviceWorkerPool`, so
-fragments from different queries are co-scheduled on one worker-per-
-device pool exactly as fragments of a single query used to be.
+touches device ``i`` is funneled through device ``i``'s serial worker in
+the shared :class:`DeviceWorkerPool`, so fragments from different
+queries are co-scheduled on one worker-per-device pool exactly as
+fragments of a single query are.
 
-Execution shape per admitted query:
+Every admitted query runs the same way: a coordinator calls the
+:class:`~repro.shard.executor.ShardedQueryExecutor` on the query's plan,
+under the query's admitted bufferpool share.  Where the coordinator runs
+follows from the plan:
 
-* a **single-device** query is one task on its device's worker (the
-  :class:`~repro.query.executor.QueryExecutor` runs start to finish on
-  that worker thread, under the query's admitted bufferpool share);
-* a **sharded** query gets a lightweight coordinator thread that walks
-  the plan's steps and submits each step's per-shard tasks to the shared
-  pool (the refitted :class:`~repro.shard.executor.ShardedQueryExecutor`
-  measures every task's I/O locally on the worker, so interleaved
-  queries never pollute each other's snapshots).
+* a plan that touches **one device** (every single-device query, and a
+  plain query on one shard backend) runs its coordinator as one task on
+  that device's worker, and the executor runs the fragment inline there;
+* a plan that touches **several devices** gets a lightweight coordinator
+  thread that walks the plan's steps and submits each step's per-shard
+  tasks to the shared pool (the executor measures every task's I/O
+  locally on the worker, so interleaved queries never pollute each
+  other's snapshots).
 
 Simulated time: devices only advance their clocks by doing work, so the
 scheduler's *busy clock* — the maximum over devices of simulated busy
 nanoseconds since the scheduler started — is the workload's notion of
 "now".  A query's ``queue_wait_ns`` is the busy-clock delta between
-submission and dispatch; its ``run_ns`` is its own critical path.
+submission and admission; its ``run_ns`` is its own critical path.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.query.executor import QueryExecutor
-from repro.query.planner import CostBasedPlanner, PhysicalPlan
-from repro.shard.planner import ShardedPlanner
+from repro.query.planner import PhysicalPlan
+from repro.shard.collection import ShardSet
+from repro.shard.executor import ShardedQueryExecutor
+from repro.shard.planner import ShardedPhysicalPlan, ShardedPlanner
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.workload_mgmt.admission import AdmissionController
+from repro.workload_mgmt.admission import (
+    AdmissionController,
+    estimate_plan_memory_bytes,
+)
 from repro.workload_mgmt.calibration import CalibrationAggregator
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workload_mgmt.workers import DeviceWorkerPool
@@ -64,14 +69,14 @@ class WorkloadScheduler:
     """Admits, plans, and co-schedules a session's concurrent queries.
 
     The scheduler deliberately holds no reference to its ``Session`` (the
-    session routes queries and hands over the pieces), so a dropped
-    session is reclaimed promptly and its worker threads exit.
+    session hands over the pieces), so a dropped session is reclaimed
+    promptly and its worker threads exit.
 
     Args:
         bufferpool: the session pool admitted shares are carved from.
         budget: the session budget (reference plans are priced under it).
-        devices: every simulated device the session can touch, in shard
-            order; one serial worker is created per device.
+        shard_set: the session's devices; one serial worker is created
+            per device, in shard order.
         policy: default admission policy name or instance.
         calibration: aggregator fed every completed query's result.
     """
@@ -80,18 +85,23 @@ class WorkloadScheduler:
         self,
         bufferpool: Bufferpool,
         budget: MemoryBudget,
-        devices: list,
+        shard_set: ShardSet,
         policy="queue",
         calibration: Optional[CalibrationAggregator] = None,
     ) -> None:
         self.budget = budget
-        self.devices = list(devices)
+        self.shard_set = shard_set
+        self.devices = shard_set.devices
         self.worker_pool = DeviceWorkerPool(len(self.devices))
         self.controller = AdmissionController(bufferpool, policy=policy)
         self.calibration = calibration
         self._baseline_ns = [device.snapshot().total_ns for device in self.devices]
         self._lock = threading.Lock()
+        #: Notified whenever ``_running`` becomes empty.
+        self._idle = threading.Condition(self._lock)
         self._running: set[QueryHandle] = set()
+        #: Admitted with dispatch deferred, and not yet started.
+        self._unstarted: set[QueryHandle] = set()
         self._seq = 0
         self._closed = False
 
@@ -107,15 +117,14 @@ class WorkloadScheduler:
     def submit(
         self, handle: QueryHandle, *, policy=None, dispatch: bool = True
     ) -> QueryHandle:
-        """Admit (or queue/shed/degrade) a routed handle; maybe dispatch.
+        """Admit (or queue/shed/degrade) a handle; maybe dispatch it.
 
-        The handle arrives routed by the session (its ``_shard_set`` /
-        ``_backend`` / ``_device_index`` fields are set).  With
-        ``dispatch=False`` an admitted handle holds its share but does
-        not start until :meth:`start` — ``run_workload`` uses this to
-        make admission decisions for a whole batch before any query can
-        finish (and thereby free memory), which keeps the ``shed``
-        policy's rejections deterministic.
+        With ``dispatch=False`` an admitted handle holds its share but does
+        not start until :meth:`start` — ``run_workload`` uses this to make
+        admission decisions for a whole batch before any query can finish
+        (and thereby free memory), which keeps the ``shed`` policy's
+        rejections deterministic.  A handle queued here is dispatched by
+        whichever release admits it, never by :meth:`start`.
         """
         with self._lock:
             if self._closed:
@@ -130,6 +139,9 @@ class WorkloadScheduler:
             self._finalize(handle)
             if dispatch:
                 self._dispatch(handle)
+            else:
+                with self._lock:
+                    self._unstarted.add(handle)
         return handle
 
     def _record_queue_wait(self, handle: QueryHandle) -> None:
@@ -142,20 +154,21 @@ class WorkloadScheduler:
         )
 
     def start(self, handle: QueryHandle) -> None:
-        """Dispatch a handle admitted with ``dispatch=False`` (no-op
-        for queued/terminal handles, which dispatch via admission)."""
-        if handle._share is not None and not handle._dispatched:
-            self._dispatch(handle)
+        """Dispatch a handle admitted at submit with ``dispatch=False``.
+
+        A no-op for every other handle: queued handles are dispatched by
+        the release that admits them, possibly on a worker thread at this
+        very moment.
+        """
+        with self._lock:
+            if handle not in self._unstarted:
+                return
+            self._unstarted.discard(handle)
+        self._dispatch(handle)
 
     def busy_clock_ns(self) -> float:
         """Simulated 'now': the busiest device's ns since startup."""
-        return max(
-            (
-                device.snapshot().total_ns - baseline
-                for device, baseline in zip(self.devices, self._baseline_ns)
-            ),
-            default=0.0,
-        )
+        return max(self.device_busy_ns(), default=0.0)
 
     def device_busy_ns(self) -> list[float]:
         """Per-device simulated busy ns since scheduler startup."""
@@ -169,28 +182,21 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------ #
     def _prepare(self, handle: QueryHandle) -> None:
         """Reference-plan the query and size its admission request."""
-        from repro.workload_mgmt.admission import estimate_plan_memory_bytes
-
         query = handle.query
-        if isinstance(query, PhysicalPlan) or getattr(
-            query, "is_sharded_plan", False
-        ):
+        if isinstance(query, (PhysicalPlan, ShardedPhysicalPlan)):
             # Already planned: the plan's own budget is the request (its
             # operators will reserve exactly that much workspace).
             handle._preplanned = True
-            handle._reference_plan = query
+            handle._reference_plan = self._plan(query, handle, self.budget)
             requested = self._clamp_request(query.budget.nbytes)
         elif handle._memory_bytes is not None:
             # An explicit request: plan straight under it, so admission
             # at the requested size reuses this plan instead of planning
             # twice.
             requested = self._clamp_request(handle._memory_bytes)
-            budget = MemoryBudget(
-                requested,
-                cacheline_bytes=self.budget.cacheline_bytes,
-                block_bytes=self.budget.block_bytes,
+            handle._reference_plan = self._plan(
+                query, handle, self._budget(requested)
             )
-            handle._reference_plan = self._plan(query, handle, budget)
         else:
             handle._reference_plan = self._plan(query, handle, self.budget)
             requested = self._clamp_request(
@@ -205,14 +211,27 @@ class WorkloadScheduler:
             self.controller.floor_bytes,
         )
 
-    def _plan(self, query, handle: QueryHandle, budget: MemoryBudget):
-        if handle._shard_set is not None:
-            return ShardedPlanner(
-                handle._shard_set, budget, boundary_policy=handle._boundary_policy
+    def _budget(self, nbytes: int) -> MemoryBudget:
+        return MemoryBudget(
+            nbytes,
+            cacheline_bytes=self.budget.cacheline_bytes,
+            block_bytes=self.budget.block_bytes,
+        )
+
+    def _plan(self, query, handle: QueryHandle, budget) -> ShardedPhysicalPlan:
+        """Plan ``query`` (a pre-planned single-device plan is wrapped as
+        a one-shard plan), place it on the session's devices, and apply
+        ``materialize_result``."""
+        if isinstance(query, ShardedPhysicalPlan):
+            plan = query
+        else:
+            plan = ShardedPlanner(
+                self.shard_set, budget, boundary_policy=handle._boundary_policy
             ).plan(query)
-        return CostBasedPlanner(
-            handle._backend, budget, boundary_policy=handle._boundary_policy
-        ).plan(query)
+        handle._workers = self.shard_set.positions_of(plan.shard_set)
+        if handle._materialize_result:
+            plan.materialize_root()
+        return plan
 
     def _finalize(self, handle: QueryHandle) -> None:
         """Fix the executable plan for the admitted budget.
@@ -226,59 +245,45 @@ class WorkloadScheduler:
         if handle._preplanned or handle.admitted_bytes == reference.budget.nbytes:
             handle._plan = reference
             return
-        budget = MemoryBudget(
-            handle.admitted_bytes,
-            cacheline_bytes=self.budget.cacheline_bytes,
-            block_bytes=self.budget.block_bytes,
+        handle._plan = self._plan(
+            handle.query, handle, self._budget(handle.admitted_bytes)
         )
-        handle._plan = self._plan(handle.query, handle, budget)
 
     # ------------------------------------------------------------------ #
     # Dispatch and completion.
     # ------------------------------------------------------------------ #
     def _dispatch(self, handle: QueryHandle) -> None:
-        handle._dispatched = True
-        handle._mark_running()
+        if not handle._claim_dispatch():
+            return
         with self._lock:
             self._running.add(handle)
-        if handle._shard_set is not None:
-            thread = threading.Thread(
-                target=self._run_sharded,
-                args=(handle,),
-                name=f"workload-query-{handle.seq}",
-                daemon=True,
-            )
-            thread.start()
-        else:
-            self.worker_pool.submit(handle._device_index, self._run_single, handle)
-
-    def _run_single(self, handle: QueryHandle) -> None:
-        """Runs on the query's device worker thread."""
-        result, run_ns, error = None, 0.0, None
         try:
-            executor = QueryExecutor(
-                handle._backend,
-                handle._share.budget,
-                bufferpool=handle._share,
-                materialize_result=handle._materialize_result,
-            )
-            result = executor.execute(handle._plan)
-            run_ns = result.io.total_ns
-        except BaseException as caught:  # noqa: BLE001 - stored on the handle
-            error = caught
-        self._complete(handle, result, run_ns, error)
+            if len(handle._workers) == 1:
+                # One device: its worker coordinates, and runs the
+                # fragment inline -- no extra thread hop.
+                self.worker_pool.submit(
+                    handle._workers[0], self._run_sharded, handle
+                )
+            else:
+                threading.Thread(
+                    target=self._run_sharded,
+                    args=(handle,),
+                    name=f"workload-query-{handle.seq}",
+                    daemon=True,
+                ).start()
+        except BaseException:
+            with self._idle:
+                self._running.discard(handle)
+                self._idle.notify_all()
+            raise
 
     def _run_sharded(self, handle: QueryHandle) -> None:
-        """Runs on the query's coordinator thread; per-shard tasks go to
-        the shared worker pool."""
-        # Imported lazily: repro.shard.executor builds on this package's
-        # worker pool, so a module-level import would be circular.
-        from repro.shard.executor import ShardedQueryExecutor
-
+        """Runs a query's coordinator: on its device's worker for a
+        one-device plan, else on its own thread."""
         result, run_ns, error = None, 0.0, None
         try:
             executor = ShardedQueryExecutor(
-                handle._shard_set,
+                self.shard_set,
                 handle._share.budget,
                 bufferpool=handle._share,
                 worker_pool=self.worker_pool,
@@ -298,9 +303,13 @@ class WorkloadScheduler:
                 if self.calibration is not None:
                     self.calibration.record(result)
         finally:
-            with self._lock:
-                self._running.discard(handle)
+            # Waiters this release admits enter ``_running`` before this
+            # handle leaves it, so shutdown never sees a false idle.
             self._release_and_dispatch(handle)
+            with self._idle:
+                self._running.discard(handle)
+                if not self._running:
+                    self._idle.notify_all()
             handle._done.set()
 
     def _release_and_dispatch(self, handle: QueryHandle) -> None:
@@ -323,16 +332,22 @@ class WorkloadScheduler:
     def abandon(self, handle: QueryHandle) -> None:
         """Resolve a handle that will never be started.
 
-        Used when a batch submission fails partway: queued handles are
-        cancelled, and handles already admitted with ``dispatch=False``
-        give their shares back (possibly admitting other waiters, which
-        are dispatched normally).  Dispatched or terminal handles are
-        left alone.
+        Used when a batch submission fails partway and at shutdown:
+        queued handles are cancelled, and handles admitted with
+        ``dispatch=False`` give their shares back (possibly admitting
+        other waiters, which are dispatched normally).  Dispatched or
+        terminal handles are left alone.
         """
-        if handle.done or handle._dispatched:
+        with self._lock:
+            self._unstarted.discard(handle)
+        if handle.done:
             return
         if handle._share is None:
+            # Atomic with admission: a handle a release admits meanwhile
+            # is not cancelled, and its releaser dispatches it.
             self.controller.cancel(handle)
+            return
+        if not handle._claim_dispatch():
             return
         handle._cancel_abandoned()
         self._release_and_dispatch(handle)
@@ -346,31 +361,19 @@ class WorkloadScheduler:
     def shutdown(self, wait: bool = True) -> list[QueryHandle]:
         """Stop accepting queries, cancel waiters, drain running ones.
 
+        Queued handles are cancelled and handles admitted but never
+        started are abandoned (their shares returned); with ``wait`` the
+        call then blocks until every running query has completed.
         Returns the handles that were cancelled while queued.
         """
         with self._lock:
             self._closed = True
+            unstarted = list(self._unstarted)
         cancelled = self.controller.drain_pending()
+        for handle in unstarted:
+            self.abandon(handle)
         if wait:
-            idle_checks = 0
-            while True:
-                with self._lock:
-                    running = list(self._running)
-                if not running and self.controller.admitted_count == 0:
-                    break
-                for handle in running:
-                    handle._done.wait()
-                if not running:
-                    # Admitted but not dispatched: either a completion is
-                    # mid-flight (it will show up in _running shortly) or
-                    # the handle was deliberately never started -- give
-                    # the former a moment, then stop waiting on the
-                    # latter rather than spinning forever.
-                    idle_checks += 1
-                    if idle_checks > 50:
-                        break
-                    time.sleep(0.001)
-                else:
-                    idle_checks = 0
+            with self._idle:
+                self._idle.wait_for(lambda: not self._running)
         self.worker_pool.shutdown(wait=wait)
         return cancelled

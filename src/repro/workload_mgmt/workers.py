@@ -17,9 +17,8 @@ queries share the devices.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -64,29 +63,17 @@ class DeviceWorkerPool:
         )
 
     def map_shards(
-        self,
-        fn: Callable[[int], object],
-        count: int,
-        limit: Optional[threading.Semaphore] = None,
+        self, fn: Callable[[int], object], device_indices: Sequence[int]
     ) -> list:
-        """Run ``fn(i)`` for ``i in range(count)``, each on device ``i``.
+        """Run ``fn(i)`` for every position ``i``, on worker ``device_indices[i]``.
 
-        ``limit`` caps how many tasks are in flight at once (the
-        ``max_workers`` compatibility knob): the submitting thread blocks
-        on the semaphore before each submission and the slot is returned
-        when the task finishes.  Results come back in index order; if any
-        task raised, every task is still awaited and the first error is
-        re-raised.
+        Results come back in position order; if any task raised, every
+        task is still awaited and the first error is re-raised.
         """
-        futures: list[Future] = []
-        for index in range(count):
-            if limit is not None:
-                limit.acquire()
-                future = self.submit(index, fn, index)
-                future.add_done_callback(lambda _f, _l=limit: _l.release())
-            else:
-                future = self.submit(index, fn, index)
-            futures.append(future)
+        futures = [
+            self.submit(device, fn, index)
+            for index, device in enumerate(device_indices)
+        ]
         results: list = []
         first_error: Optional[BaseException] = None
         for future in futures:

@@ -1,0 +1,43 @@
+"""Golden-file regression test for the single-device ``query`` CLI output.
+
+Every canned query's full report -- plan rendering with estimated vs.
+actual I/O per node, the summary lines and the record preview -- is
+compared byte for byte against a committed fixture in ``golden_cli/``.
+The fixtures are the reference for the single execution path: any change
+to plans, simulated I/O or rendering shows up as a reviewable diff.
+Regenerate with::
+
+    REGENERATE_GOLDEN=1 python -m pytest tests/test_cli_golden.py
+"""
+
+import os
+import pathlib
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).with_name("golden_cli")
+
+CASES = {
+    "query_sort": ["query", "sort"],
+    "query_filter-sort": ["query", "filter-sort"],
+    "query_join": ["query", "join"],
+    "query_join-sort": ["query", "join-sort"],
+    "query_aggregate": ["query", "aggregate"],
+    "query_join_materialize": ["query", "join", "--materialize"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_query_cli_output_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    rendered = capsys.readouterr().out
+    golden_path = GOLDEN_DIR / f"{name}.txt"
+    if os.environ.get("REGENERATE_GOLDEN"):
+        golden_path.write_text(rendered, encoding="utf-8")
+    assert rendered == golden_path.read_text(encoding="utf-8"), (
+        f"`python -m repro {' '.join(CASES[name])}` output changed; inspect "
+        "the diff and, if intended, regenerate with REGENERATE_GOLDEN=1 "
+        f"python -m pytest {__file__}"
+    )

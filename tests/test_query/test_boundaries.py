@@ -120,8 +120,7 @@ class TestDeferredExecution:
         result = session.query(query, boundary_policy="defer")
         # Byte-identical records despite the dropped intermediate.
         assert result.records == baseline.records
-        context = result.runtime_context
-        assert context is not None
+        (context,) = result.runtime_contexts
         deferred_execs = [
             e
             for e in result.executions.values()
@@ -190,7 +189,8 @@ class TestExplainRendering:
             Query.scan(collection).order_by(), materialize_result=True
         )
         assert result.output.is_materialized
-        assert result.plan.root.boundary.kind is BoundaryKind.MATERIALIZE
+        (fragment,) = result.plan.final_step.fragments
+        assert fragment.root.boundary.kind is BoundaryKind.MATERIALIZE
 
 
 class TestPhysicalOperatorProtocol:

@@ -1,4 +1,4 @@
-"""The Session facade: routing, shared bufferpool, deprecation shims."""
+"""The Session facade: targets, placement, shared bufferpool."""
 
 import pytest
 
@@ -6,15 +6,13 @@ from repro import (
     MemoryBudget,
     PersistentMemoryDevice,
     Query,
+    QueryResult,
     Session,
     ShardSet,
-    ShardedQueryResult,
-    execute_query,
-    execute_sharded_query,
 )
 from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
-from repro.query import QueryResult
+from repro.query import CostBasedPlanner
 from repro.shard import ShardedCollection
 from repro.storage.bufferpool import Bufferpool
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -52,7 +50,7 @@ class TestTargets:
         collection = make_sharded_sort_input(64, shard_set)
         session = Session(shard_set, MemoryBudget.from_records(8))
         result = session.query(Query.scan(collection).order_by())
-        assert isinstance(result, ShardedQueryResult)
+        assert isinstance(result, QueryResult)
         assert [r[0] for r in result.records] == sorted(
             r[0] for r in collection.records
         )
@@ -102,6 +100,35 @@ class TestRouting:
         )
 
 
+class TestOneResultType:
+    def test_preplanned_single_device_plan_runs_as_one_shard(self, backend):
+        collection = make_sort_input(120, backend)
+        budget = budget_for(collection, 0.10)
+        fragment = CostBasedPlanner(backend, budget).plan(
+            Query.scan(collection).order_by()
+        )
+        with Session(backend, budget) as session:
+            result = session.submit(fragment).result()
+            direct = session.query(Query.scan(collection).order_by())
+        assert isinstance(result, QueryResult)
+        assert result.plan.num_shards == 1
+        assert result.plan.final_step.fragments == [fragment]
+        assert result.records == direct.records
+        assert result.io == direct.io
+
+    def test_one_shard_result_keeps_the_fragment_output(self, backend):
+        collection = make_sort_input(120, backend)
+        session = Session(backend, budget_for(collection, 0.10))
+        result = session.query(
+            Query.scan(collection).order_by(), materialize_result=True
+        )
+        (fragment_result,) = result.fragment_results[0]
+        assert result.output is fragment_result.output
+        assert result.output.is_materialized
+        assert result.critical_path_ns == result.io.total_ns
+        assert result.explain() == fragment_result.explain()
+
+
 class TestSharedBufferpool:
     def test_queries_share_and_release_the_session_pool(self, backend):
         collection = make_sort_input(200, backend)
@@ -120,33 +147,6 @@ class TestSharedBufferpool:
         session = Session(shard_set, budget)
         session.query(Query.scan(collection).order_by())
         assert session.bufferpool.reserved_bytes == 0
-
-
-class TestDeprecatedShims:
-    def test_execute_query_warns_and_matches_session(self, backend):
-        collection = make_sort_input(128, backend)
-        budget = budget_for(collection, 0.10)
-        with pytest.warns(DeprecationWarning, match="execute_query"):
-            shimmed = execute_query(
-                Query.scan(collection).order_by(), backend, budget
-            )
-        direct = Session(backend, budget).query(
-            Query.scan(collection).order_by()
-        )
-        assert shimmed.records == direct.records
-
-    def test_execute_sharded_query_warns(self):
-        shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(32, shard_set)
-        with pytest.warns(DeprecationWarning, match="execute_sharded_query"):
-            result = execute_sharded_query(
-                Query.scan(collection).order_by(),
-                shard_set,
-                MemoryBudget.from_records(8),
-            )
-        assert [r[0] for r in result.records] == sorted(
-            r[0] for r in collection.records
-        )
 
 
 class TestCreateCollection:

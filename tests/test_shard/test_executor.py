@@ -13,7 +13,9 @@ from repro.shard import (
 )
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
+from repro.workload_mgmt import DeviceWorkerPool
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -48,21 +50,45 @@ def test_same_plan_executes_twice_identically():
     assert first.critical_path_ns == second.critical_path_ns
 
 
-def test_worker_count_does_not_change_accounting():
+def test_worker_pool_does_not_change_accounting():
+    """A private per-execution pool and a shared pool account alike."""
     budget = MemoryBudget.from_records(45)
     results = []
-    for max_workers in (1, 2, None):
+    for shared in (False, True):
         shard_set = ShardSet.create(3)
         query = repartitioned_join(shard_set)
-        executor = ShardedQueryExecutor(
-            shard_set, budget, max_workers=max_workers
-        )
+        pool = DeviceWorkerPool(3) if shared else None
+        executor = ShardedQueryExecutor(shard_set, budget, worker_pool=pool)
         results.append(executor.execute(query))
-    baseline = results[0]
-    for result in results[1:]:
-        assert sorted(result.records) == sorted(baseline.records)
-        assert result.io == baseline.io
-        assert result.critical_path_ns == baseline.critical_path_ns
+        if pool is not None:
+            pool.shutdown()
+    private, shared = results
+    assert sorted(shared.records) == sorted(private.records)
+    assert shared.io == private.io
+    assert shared.critical_path_ns == private.critical_path_ns
+
+
+def test_one_shard_plan_runs_inline_on_the_calling_thread():
+    """A plan that touches one device never uses the worker pool."""
+    shard_set = ShardSet.create(2)
+    plain = PersistentCollection(
+        name="P", backend=shard_set.backends[1], schema=WISCONSIN_SCHEMA
+    )
+    plain.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40))
+    plain.seal()
+
+    class NoPool:
+        def __getattr__(self, name):
+            raise AssertionError(f"the worker pool was used ({name})")
+
+    result = ShardedQueryExecutor(
+        shard_set, MemoryBudget.from_records(20), worker_pool=NoPool()
+    ).execute(Query.scan(plain).order_by())
+    assert result.plan.num_shards == 1
+    assert result.plan.shard_set.backends == [shard_set.backends[1]]
+    assert [r[0] for r in result.records] == list(range(40))
+    assert result.per_shard_io[0] == result.io
+    assert result.critical_path_ns == result.io.total_ns
 
 
 def test_parent_pool_too_small_for_shares_raises():

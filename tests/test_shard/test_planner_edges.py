@@ -14,9 +14,8 @@ from repro.shard import (
     ShardedPhysicalPlan,
     ShardedPlanner,
     ShardedQueryExecutor,
-    execute_sharded_query,
 )
-from repro.shard.planner import ExchangeStep
+from repro.shard.planner import ExchangeStep, FragmentStep
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import load_collection
@@ -172,16 +171,34 @@ class TestTinyBudgets:
 
 
 class TestShardedDispatch:
-    def test_cost_based_planner_delegates_to_sharded_planner(self):
+    def test_cost_based_planner_rejects_sharded_collections(self):
         shard_set = ShardSet.create(2)
         collection = build_sharded(shard_set, "T", list(range(64)))
         env = make_environment()
         budget = MemoryBudget.from_records(16)
-        plan = CostBasedPlanner(env.backend, budget).plan(
-            Query.scan(collection).order_by()
+        with pytest.raises(ConfigurationError, match="ShardedPlanner"):
+            CostBasedPlanner(env.backend, budget).plan(
+                Query.scan(collection).order_by()
+            )
+
+    def test_sharded_planner_plans_a_one_shard_fragment(self):
+        env = make_environment()
+        plain = load_collection(
+            (WISCONSIN_SCHEMA.make_record(key) for key in range(64)),
+            env.backend,
+            "T",
+        )
+        budget = MemoryBudget.from_records(16)
+        plan = ShardedPlanner(ShardSet([env.backend]), budget).plan(
+            Query.scan(plain).order_by()
         )
         assert isinstance(plan, ShardedPhysicalPlan)
-        assert plan.num_shards == 2
+        assert plan.num_shards == 1
+        assert [type(step) for step in plan.steps] == [FragmentStep]
+        single = CostBasedPlanner(env.backend, budget).plan(
+            Query.scan(plain).order_by()
+        )
+        assert plan.explain() == single.explain()
 
     def test_single_device_executor_rejects_sharded_queries(self):
         shard_set = ShardSet.create(2)
@@ -189,7 +206,7 @@ class TestShardedDispatch:
         env = make_environment()
         budget = MemoryBudget.from_records(16)
         executor = QueryExecutor(env.backend, budget)
-        with pytest.raises(ConfigurationError, match="ShardedQueryExecutor"):
+        with pytest.raises(ConfigurationError, match="sharded"):
             executor.execute(Query.scan(collection))
 
     def test_mixed_shard_sets_rejected(self):
@@ -217,17 +234,6 @@ class TestShardedDispatch:
             ShardedPlanner(shard_set, budget).plan(
                 Query.scan(sharded).join(Query.scan(plain))
             )
-
-    def test_execute_sharded_query_shim_warns_and_still_works(self):
-        shard_set = ShardSet.create(2)
-        collection = build_sharded(shard_set, "T", list(range(32)))
-        with pytest.warns(DeprecationWarning, match="execute_sharded_query"):
-            result = execute_sharded_query(
-                Query.scan(collection).order_by(),
-                shard_set,
-                MemoryBudget.from_records(8),
-            )
-        assert [record[0] for record in result.records] == sorted(range(32))
 
     def test_exchange_pricing_uses_actual_shard_counts_under_skew(self):
         # Every record lands on shard 0, but the group attribute routes

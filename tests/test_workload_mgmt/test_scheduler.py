@@ -1,6 +1,9 @@
 """Co-scheduling: per-device serialization, equivalence, timing."""
 
+import sys
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -52,29 +55,16 @@ class TestDeviceWorkerPool:
 
     def test_map_shards_returns_in_index_order(self):
         pool = DeviceWorkerPool(4)
-        assert pool.map_shards(lambda i: i * i, 4) == [0, 1, 4, 9]
+        assert pool.map_shards(lambda i: i * i, [0, 1, 2, 3]) == [0, 1, 4, 9]
         pool.shutdown()
 
-    def test_map_shards_limit_caps_inflight(self):
-        pool = DeviceWorkerPool(4)
-        inflight, peak = [0], [0]
-        lock = threading.Lock()
-        limit = threading.BoundedSemaphore(2)
-
-        def task(index):
-            with lock:
-                inflight[0] += 1
-                peak[0] = max(peak[0], inflight[0])
-            import time
-
-            time.sleep(0.005)
-            with lock:
-                inflight[0] -= 1
-            return index
-
-        assert pool.map_shards(task, 4, limit) == [0, 1, 2, 3]
+    def test_map_shards_runs_each_position_on_its_device(self):
+        pool = DeviceWorkerPool(3)
+        names = pool.map_shards(
+            lambda i: threading.current_thread().name, [2, 0]
+        )
         pool.shutdown()
-        assert peak[0] <= 2
+        assert "worker-2" in names[0] and "worker-0" in names[1]
 
     def test_map_shards_propagates_the_first_error(self):
         pool = DeviceWorkerPool(2)
@@ -85,7 +75,7 @@ class TestDeviceWorkerPool:
             return index
 
         with pytest.raises(ValueError, match="boom"):
-            pool.map_shards(task, 2)
+            pool.map_shards(task, [0, 1])
         pool.shutdown()
 
 
@@ -210,3 +200,111 @@ class TestCoScheduling:
             )
             assert len(follow_up.result().records) == 100
         assert session.bufferpool.holders() == {}
+
+
+class TestDispatchLifecycle:
+    def test_batch_member_admitted_by_a_release_runs_once(self, backend):
+        """``run_workload`` starts its deferred batch after submitting it.
+        A queued member that a finishing query admits from the worker
+        thread must not be dispatched a second time by that start loop:
+        the duplicate run would fail on the share the first run released.
+        """
+        collection = build_plain(backend, "RACE", range(300))
+        query = Query.scan(collection).filter(lambda r: True, selectivity=1.0)
+        with Session(backend, MemoryBudget.from_bytes(32_000)) as session:
+            scheduler = session.scheduler
+            admitted, started = threading.Event(), threading.Event()
+            finalize, start = scheduler._finalize, scheduler.start
+
+            def gated_finalize(handle):
+                # The release on the worker has carved "second" its share:
+                # hold the dispatch until the start loop has looked at it.
+                if handle.tag == "second" and (
+                    threading.current_thread() is not threading.main_thread()
+                ):
+                    admitted.set()
+                    started.wait(5)
+                finalize(handle)
+
+            def gated_start(handle):
+                if handle.tag == "second":
+                    admitted.wait(5)
+                start(handle)
+                if handle.tag == "second":
+                    started.set()
+
+            scheduler._finalize = gated_finalize
+            scheduler.start = gated_start
+            result = session.run_workload(
+                [
+                    {"query": query, "memory_bytes": 24_000, "tag": "first"},
+                    {"query": query, "memory_bytes": 24_000, "tag": "second"},
+                ],
+                policy="queue",
+            )
+            assert admitted.is_set() and started.is_set()
+            # A later query on the same serial worker runs after any
+            # duplicate of "second" would have.
+            session.submit(query, memory_bytes=24_000).result(timeout=5)
+            first, second = result.handles
+            assert first.status is QueryStatus.DONE
+            assert second.status is QueryStatus.DONE, second.error
+            assert len(second.result().records) == 300
+
+    def test_close_abandons_admitted_but_unstarted_handles(self, backend):
+        collection = build_plain(backend, "IDLE", range(100))
+        session = Session(backend, MemoryBudget.from_bytes(32_000))
+        handle = session.submit(
+            Query.scan(collection).order_by(),
+            memory_bytes=8_000,
+            _dispatch=False,
+        )
+        assert session.bufferpool.reserved_bytes == 8_000
+        with warnings.catch_warnings():
+            # A share left behind would make close() warn about a leak.
+            warnings.simplefilter("error", ResourceWarning)
+            began = time.perf_counter()
+            session.close()
+            elapsed = time.perf_counter() - began
+        assert handle.status is QueryStatus.CANCELLED
+        assert handle.wait(0)
+        assert session.bufferpool.reserved_bytes == 0
+        assert elapsed < 1.0
+
+    def test_batches_under_admission_pressure_run_every_query_once(self):
+        """Stress: batches over two devices under a budget admitting two
+        queries at a time, with a short switch interval so releases on
+        the workers race the start loop.  A double dispatch fails the
+        duplicate run; a lost one never finishes."""
+        shard_set = ShardSet.create(2)
+        plains = [
+            build_plain(shard_set.backends[index], f"S{index}", range(40))
+            for index in range(2)
+        ]
+        sharded = make_sharded_sort_input(40, shard_set)
+        queries = [
+            Query.scan(plains[index % 2]).filter(
+                lambda r: r[0] % 2 == 0, selectivity=0.5
+            )
+            for index in range(10)
+        ] + [Query.scan(sharded).filter(lambda r: r[0] < 20, selectivity=0.5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Session(shard_set, MemoryBudget.from_bytes(16_384)) as session:
+                for _ in range(30):
+                    result = session.run_workload(
+                        [{"query": q, "memory_bytes": 8_192} for q in queries],
+                        policy="queue",
+                    )
+                    for handle in result.handles:
+                        assert handle.wait(10)
+                    assert [h.status for h in result.handles] == [
+                        QueryStatus.DONE
+                    ] * len(queries)
+                    assert [len(h.result().records) for h in result.handles] == [
+                        20
+                    ] * len(queries)
+                assert session.bufferpool.reserved_bytes == 0
+        finally:
+            sys.setswitchinterval(interval)

@@ -136,14 +136,6 @@ class TestQueryShim:
         with pytest.raises(AdmissionRejectedError):
             session.query(Query.scan(collection).order_by())
 
-    def test_max_workers_rejected_on_query(self, backend):
-        collection = make_sort_input(50, backend)
-        session = Session(backend, MemoryBudget.from_records(50))
-        with pytest.raises(ConfigurationError, match="max_workers"):
-            session.query(
-                Query.scan(collection).order_by(), max_workers=2
-            )
-
     def test_preplanned_queries_still_run(self, backend):
         collection = make_sort_input(150, backend)
         with Session(backend, MemoryBudget.from_records(60)) as session:
