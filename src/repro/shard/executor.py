@@ -46,9 +46,9 @@ one-shard plan.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
@@ -63,6 +63,7 @@ from repro.shard.planner import (
 )
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.runs import merge_streams
 
 if TYPE_CHECKING:
     from repro.workload_mgmt.workers import DeviceWorkerPool
@@ -366,9 +367,8 @@ class ShardedQueryExecutor:
         merge_kind, merge_key = plan.merge
         if merge_kind == "ordered":
             merged.extend(
-                heapq.merge(
-                    *(output.records for output in outputs),
-                    key=lambda record: record[merge_key],
+                merge_streams(
+                    [output.records for output in outputs], itemgetter(merge_key)
                 )
             )
         else:

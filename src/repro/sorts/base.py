@@ -10,6 +10,7 @@ device.
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
@@ -90,6 +91,8 @@ class SortAlgorithm(abc.ABC):
         self.materialize_output = materialize_output
         self.output_name = output_name
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+        #: The sort key extractor, bound once: the kernels call it per record.
+        self.key_fn = operator.itemgetter(schema.key_index)
         self.workspace_records = budget.record_capacity(schema)
         if self.workspace_records < 1:
             raise InsufficientMemoryError(
@@ -150,10 +153,6 @@ class SortAlgorithm(abc.ABC):
     def memory_buffers(self) -> float:
         """The DRAM budget in cachelines: the paper's M."""
         return self.budget.buffers
-
-    @property
-    def key_fn(self):
-        return self.schema.key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -8,56 +8,30 @@ and rewrites the whole data set.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import ReplacementSelectionHeap
-from repro.storage.collection import AppendBuffer, PersistentCollection
-from repro.storage.runs import RunSet, merge_runs
+from repro.sorts.heaps import replacement_selection_runs
+from repro.storage.collection import PersistentCollection
+from repro.storage.runs import RunSet, merge_runs, scan_stream
 
 
 def generate_runs_replacement_selection(
-    collection: PersistentCollection,
+    records: Iterable[tuple],
     runset: RunSet,
     capacity_records: int,
     key_fn,
-    start: int = 0,
-    stop: int | None = None,
 ) -> int:
-    """Generate sorted runs from a slice of ``collection`` into ``runset``.
+    """Generate sorted runs from ``records`` into ``runset``.
 
-    Returns the number of runs produced.  Shared by external mergesort and
-    the mergesort segment of segment sort.  The input is consumed block by
-    block and emitted records are buffered per run, so both directions go
-    through the batched collection I/O path.
+    Returns the number of runs in ``runset``.  Shared by external
+    mergesort, the mergesort segment of segment sort and the
+    replacement-selection region of hybrid sort.  Each finished run is
+    written with one batched append.
     """
-    heap = ReplacementSelectionHeap(capacity_records, key_fn)
-    current_run: AppendBuffer | None = None
-    for block in collection.scan_blocks(start=start, stop=stop):
-        for record in block:
-            if not heap.is_full:
-                heap.fill(record)
-                continue
-            if current_run is None:
-                current_run = AppendBuffer(runset.new_run())
-            emitted, run_closed = heap.push_pop(record)
-            current_run.append(emitted)
-            if run_closed:
-                current_run.seal()
-                current_run = None
-    # Drain what remains in the two heaps: the tail of the current run and,
-    # if present, the records already parked for the next run.
-    if len(heap):
-        if current_run is None:
-            current_run = AppendBuffer(runset.new_run())
-        current_run.extend(heap.drain_current())
-        current_run.seal()
-        current_run = None
-        if heap.has_next_run():
-            next_run = runset.new_run()
-            next_run.extend(heap.drain_next())
-            next_run.seal()
-    elif current_run is not None:
-        current_run.seal()
+    for run in replacement_selection_runs(records, capacity_records, key_fn):
+        runset.write_sorted_run(run)
     return len(runset)
 
 
@@ -76,7 +50,10 @@ class ExternalMergeSort(SortAlgorithm):
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )
         generate_runs_replacement_selection(
-            collection, runset, self.workspace_records, self.key_fn
+            scan_stream(collection),
+            runset,
+            self.workspace_records,
+            self.key_fn,
         )
         merge_passes = merge_runs(
             runset.runs,

@@ -1,176 +1,141 @@
-"""Heap utilities shared by the sorting algorithms.
+"""Sort kernels: the heap loops shared by the sorting algorithms.
 
 Two structures appear throughout Section 2.1 of the paper:
 
-* a *bounded max-heap* that retains the K smallest elements seen so far
-  (the selection region of hybrid sort, the scan heap of selection sort and
-  lazy sort), and
-* the classic *two-heap replacement selection* structure used for run
-  generation in external mergesort and in the replacement-selection region
-  of hybrid sort.
+* a *selection scan*, a bounded max-heap that retains the K smallest
+  records after a threshold (the selection region of hybrid sort, the
+  scans of selection sort and lazy sort), and
+* classic *two-heap replacement selection* for run generation in external
+  mergesort, the mergesort segment of segment sort and the
+  replacement-selection region of hybrid sort.
 
-Both are implemented on ``heapq`` with explicit tie-breaking on input
-position so that records with equal keys have a stable, strict total
-order -- the write-limited sorts rely on that order to guarantee that
-consecutive scans never select the same record twice.
+Each is one function with its loop inlined over ``heapq``; the key
+extractor is passed in once and never looked up per record.  Ties are
+broken on input position, so records with equal keys have a strict total
+order: a selection scan orders them by ``(key, position)`` -- which is what
+guarantees that consecutive scans never select the same record twice --
+and replacement selection by ``(key, arrival)``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
+from heapq import heapify, heappop, heapreplace
+from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
 
 
-class BoundedMaxHeap:
-    """Keeps the ``capacity`` smallest ``(key, position, record)`` entries.
+def _check_capacity(capacity: int) -> None:
+    if capacity <= 0:
+        raise ConfigurationError(f"heap capacity must be positive, got {capacity}")
 
-    Ordering is lexicographic on ``(key, position)``, which is a strict
-    total order even in the presence of duplicate keys.
+
+def select_smallest(
+    records: Iterable[tuple],
+    capacity: int,
+    key: Callable[[tuple], int],
+    after: tuple[int, int] | None = None,
+    displaced: Callable[[tuple], object] | None = None,
+) -> tuple[list[tuple], tuple[int, int] | None]:
+    """One selection scan: the ``capacity`` smallest records after ``after``.
+
+    Records are ordered by ``(key, position)``, where position counts every
+    record of the scan; those at or below the ``after`` threshold are
+    skipped.  Heap entries are ``(-key, -position, record)``.  Once the heap
+    is full each further record either evicts the current maximum or is
+    itself rejected, and that record is passed to ``displaced`` when given
+    (lazy sort's spill, hybrid sort's replacement region).
+
+    Returns the retained records in ascending order and the ``(key,
+    position)`` of the largest one -- the next scan's threshold -- or
+    ``None`` when nothing was retained.
     """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"heap capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        # heapq is a min-heap; store negated ordering tuples to get a max-heap.
-        self._heap: list[tuple[int, int, tuple]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    @property
-    def max_key_position(self) -> tuple[int, int] | None:
-        """The largest ``(key, position)`` currently retained, or ``None``."""
-        if not self._heap:
-            return None
-        neg_key, neg_pos, _ = self._heap[0]
-        return (-neg_key, -neg_pos)
-
-    def offer(self, key: int, position: int, record: tuple) -> tuple | None:
-        """Offer an entry; returns the displaced record, if any.
-
-        * If the heap is not full the entry is retained and ``None`` is
-          returned.
-        * If the heap is full and the entry is smaller than the current
-          maximum, the maximum is displaced (and returned) to make room.
-        * Otherwise the entry itself is rejected and returned unchanged.
-        """
-        item = (-key, -position, record)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-            return None
-        largest = self._heap[0]
-        if item > largest:  # negated: item smaller than current max
-            displaced = heapq.heapreplace(self._heap, item)
-            return displaced[2]
-        return record
-
-    def would_accept(self, key: int, position: int) -> bool:
-        """Whether :meth:`offer` would retain an entry with this ordering."""
-        if len(self._heap) < self.capacity:
-            return True
-        neg_key, neg_pos, _ = self._heap[0]
-        return (key, position) < (-neg_key, -neg_pos)
-
-    def drain_sorted(self) -> list[tuple]:
-        """Remove and return all retained records in ascending key order."""
-        entries = sorted(self._heap, reverse=True)
-        self._heap = []
-        return [record for _, _, record in entries]
-
-    def clear(self) -> None:
-        self._heap = []
+    _check_capacity(capacity)
+    low_key, low_position = after if after is not None else (float("-inf"), -1)
+    heap: list[tuple[int, int, tuple]] = []
+    scan = enumerate(records)
+    for position, record in scan:
+        record_key = key(record)
+        if record_key < low_key or (
+            record_key == low_key and position <= low_position
+        ):
+            continue
+        heap.append((-record_key, -position, record))
+        if len(heap) == capacity:
+            break
+    heapify(heap)
+    largest = -heap[0][0] if heap else None
+    # Positions only grow within a scan, so a record beats the retained
+    # maximum exactly when its key is smaller; one that does not is past
+    # the threshold, like the maximum before it.
+    for position, record in scan:
+        record_key = key(record)
+        if record_key < largest:
+            if record_key < low_key or (
+                record_key == low_key and position <= low_position
+            ):
+                continue
+            evicted = heapreplace(heap, (-record_key, -position, record))[2]
+            largest = -heap[0][0]
+            if displaced is not None:
+                displaced(evicted)
+        elif displaced is not None:
+            displaced(record)
+    if not heap:
+        return [], None
+    threshold = (-heap[0][0], -heap[0][1])
+    heap.sort(reverse=True)
+    return [record for _, _, record in heap], threshold
 
 
-class ReplacementSelectionHeap:
-    """Two-heap replacement selection over a fixed record capacity.
+def replacement_selection_runs(
+    records: Iterable[tuple],
+    capacity: int,
+    key: Callable[[tuple], int],
+) -> Iterator[list[tuple]]:
+    """Two-heap replacement selection: yield each sorted run as a list.
 
-    The structure produces maximal runs: records are emitted in ascending
-    order from the *current* heap; an incoming record smaller than the last
-    emitted one is parked in the *next* heap and participates in the
-    following run.  On average runs are twice the memory size for random
-    inputs, the property the paper's Eq. 1 relies on.
+    The first ``capacity`` records fill the current heap.  Every further
+    record emits the smallest current entry; it joins the current heap
+    when its key is not below the emitted one and is parked for the next
+    run otherwise.  When the current heap empties the run closes and the
+    parked heap becomes current.  At the end the current heap completes
+    the open run and the parked records form one final run.  Runs are
+    maximal -- on average twice the memory size for random inputs, the
+    property the paper's Eq. 1 relies on.  Entries are ``(key, arrival,
+    record)``.
     """
-
-    def __init__(self, capacity: int, key_fn) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"heap capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.key_fn = key_fn
-        self._current: list[tuple[int, int, tuple]] = []
-        self._next: list[tuple[int, int, tuple]] = []
-        self._sequence = 0
-
-    def __len__(self) -> int:
-        return len(self._current) + len(self._next)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity
-
-    @property
-    def current_size(self) -> int:
-        return len(self._current)
-
-    @property
-    def next_size(self) -> int:
-        return len(self._next)
-
-    def _entry(self, record: tuple) -> tuple[int, int, tuple]:
-        self._sequence += 1
-        return (self.key_fn(record), self._sequence, record)
-
-    def fill(self, record: tuple) -> None:
-        """Add a record while capacity remains (initial fill phase)."""
-        if self.is_full:
-            raise ConfigurationError("replacement-selection heap is already full")
-        heapq.heappush(self._current, self._entry(record))
-
-    def push_pop(self, record: tuple) -> tuple[tuple, bool]:
-        """Insert ``record`` and emit the smallest current-run record.
-
-        Returns ``(emitted_record, run_closed)``.  ``run_closed`` is true
-        when the current heap became empty and the structure rolled over to
-        the next run *after* emitting.
-        """
-        if not self._current:
-            raise ConfigurationError("push_pop on an empty current heap")
-        smallest = self._current[0]
-        emitted = heapq.heappop(self._current)[2]
-        if self.key_fn(record) >= smallest[0]:
-            heapq.heappush(self._current, self._entry(record))
-        else:
-            heapq.heappush(self._next, self._entry(record))
-        run_closed = not self._current
-        if run_closed:
-            self._rollover()
-        return emitted, run_closed
-
-    def pop_current(self) -> tuple | None:
-        """Emit the smallest record of the current run, or ``None`` if empty."""
-        if not self._current:
-            return None
-        return heapq.heappop(self._current)[2]
-
-    def _rollover(self) -> None:
-        self._current, self._next = self._next, []
-        heapq.heapify(self._current)
-
-    def drain_current(self) -> Iterator[tuple]:
-        """Emit the remainder of the current run in order."""
-        while self._current:
-            yield heapq.heappop(self._current)[2]
-
-    def drain_next(self) -> Iterator[tuple]:
-        """Emit the parked next-run records in order."""
-        while self._next:
-            yield heapq.heappop(self._next)[2]
-
-    def has_next_run(self) -> bool:
-        return bool(self._next)
+    _check_capacity(capacity)
+    records = iter(records)
+    current = [
+        (key(record), arrival, record)
+        for arrival, record in zip(range(capacity), records)
+    ]
+    heapify(current)
+    # Parked entries are only read once they become the current heap, so
+    # they are kept unordered and heapified at the rollover.
+    parked: list[tuple[int, int, tuple]] = []
+    park = parked.append
+    run: list[tuple] = []
+    emit = run.append
+    for arrival, record in enumerate(records, capacity):
+        record_key = key(record)
+        if record_key >= current[0][0]:
+            emit(heapreplace(current, (record_key, arrival, record))[2])
+            continue
+        emit(heappop(current)[2])
+        park((record_key, arrival, record))
+        if not current:
+            yield run
+            run = []
+            emit = run.append
+            heapify(parked)
+            current, parked = parked, []
+            park = parked.append
+    current.sort()
+    run.extend([record for _, _, record in current])
+    if run:
+        yield run
+    if parked:
+        parked.sort()
+        yield [record for _, _, record in parked]

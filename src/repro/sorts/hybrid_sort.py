@@ -17,9 +17,10 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap, ReplacementSelectionHeap
-from repro.storage.collection import AppendBuffer, PersistentCollection
-from repro.storage.runs import RunSet, merge_runs
+from repro.sorts.external_mergesort import generate_runs_replacement_selection
+from repro.sorts.heaps import select_smallest
+from repro.storage.collection import PersistentCollection
+from repro.storage.runs import RunSet, merge_runs, scan_stream
 
 #: Default split of M between the selection and replacement regions.
 DEFAULT_SELECTION_FRACTION = 0.5
@@ -65,54 +66,24 @@ class HybridSort(SortAlgorithm):
             return SortResult(output=output, io=None)
 
         selection_capacity, replacement_capacity = self._region_capacities()
-        selection_region = BoundedMaxHeap(selection_capacity)
-        replacement_region = ReplacementSelectionHeap(
-            replacement_capacity, self.key_fn
-        )
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-hybs"
         )
-        current_run: AppendBuffer | None = None
-
-        position = 0
-        for block in collection.scan_blocks():
-            for record in block:
-                displaced = selection_region.offer(
-                    self.key_fn(record), position, record
-                )
-                position += 1
-                if displaced is None:
-                    continue
-                # The displaced record (either an evicted former minimum or
-                # the incoming record itself) moves to the replacement region.
-                if not replacement_region.is_full:
-                    replacement_region.fill(displaced)
-                    continue
-                if current_run is None:
-                    current_run = AppendBuffer(runset.new_run())
-                emitted, run_closed = replacement_region.push_pop(displaced)
-                current_run.append(emitted)
-                if run_closed:
-                    current_run.seal()
-                    current_run = None
-
-        # Algorithm 1, lines 17-19: flush the three in-memory regions.
-        # Rs holds the globally smallest records, so it becomes the output
-        # prefix without an intermediate run.
-        output.extend(selection_region.drain_sorted())
-        if replacement_region.current_size:
-            if current_run is None:
-                current_run = AppendBuffer(runset.new_run())
-            current_run.extend(replacement_region.drain_current())
-            current_run.seal()
-            current_run = None
-        elif current_run is not None:
-            current_run.seal()
-            current_run = None
-        if replacement_region.has_next_run():
-            tail_run = runset.new_run()
-            tail_run.extend(replacement_region.drain_next())
-            tail_run.seal()
+        # Every record Rs displaces (an evicted former maximum or the
+        # incoming record itself) flows, in order, through Rr.  Algorithm 1,
+        # lines 17-19: Rs ends up holding the globally smallest records, so
+        # it becomes the output prefix without an intermediate run.
+        displaced: list[tuple] = []
+        prefix, _ = select_smallest(
+            scan_stream(collection),
+            selection_capacity,
+            self.key_fn,
+            displaced=displaced.append,
+        )
+        generate_runs_replacement_selection(
+            displaced, runset, replacement_capacity, self.key_fn
+        )
+        output.extend(prefix)
 
         # Line 20: merge all remaining runs behind the Rs prefix.  Every run
         # record is >= the largest record of Rs (Rs only ever evicted its

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.sorts.heaps import select_smallest
+from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.runs import scan_stream
 
 
 class LazySort(SortAlgorithm):
@@ -70,25 +67,20 @@ class LazySort(SortAlgorithm):
                     status=CollectionStatus.MATERIALIZED,
                 )
 
-            heap = BoundedMaxHeap(self.workspace_records)
-            spill = AppendBuffer(intermediate) if intermediate is not None else None
-            position = 0
-            for block in source.scan_blocks():
-                for record in block:
-                    key = self.key_fn(record)
-                    if threshold is None or (key, position) > threshold:
-                        displaced = heap.offer(key, position, record)
-                        if displaced is not None and spill is not None:
-                            # The displaced record is not among the current M
-                            # minimums but is still pending: it belongs to the
-                            # materialized intermediate input.
-                            spill.append(displaced)
-                    position += 1
-            if spill is not None:
-                spill.flush()
+            # A displaced record is not among the current M minimums but is
+            # still pending: when materializing, it belongs to the
+            # intermediate input.
+            spill: list[tuple] = []
+            batch, threshold = select_smallest(
+                scan_stream(source),
+                self.workspace_records,
+                self.key_fn,
+                after=threshold,
+                displaced=spill.append if intermediate is not None else None,
+            )
+            if intermediate is not None:
+                intermediate.extend(spill)
             scans += 1
-            threshold = heap.max_key_position
-            batch = heap.drain_sorted()
             output.extend(batch)
             emitted += len(batch)
             if not batch:

@@ -16,11 +16,13 @@ value from Eq. 4 of the paper is used.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.exceptions import ConfigurationError, CostModelError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.external_mergesort import generate_runs_replacement_selection
-from repro.sorts.selection_sort import selection_sort_stream
+from repro.sorts.selection_sort import selection_passes
 from repro.storage.collection import PersistentCollection
 from repro.storage.runs import RunSet, merge_runs, merge_streams, scan_stream
 
@@ -74,12 +76,10 @@ class SegmentSort(SortAlgorithm):
         # Write-incurring segment: replacement-selection run generation.
         if boundary > 0:
             generate_runs_replacement_selection(
-                collection,
+                scan_stream(collection, 0, boundary),
                 runset,
                 self.workspace_records,
                 self.key_fn,
-                start=0,
-                stop=boundary,
             )
 
         merge_passes = 0
@@ -126,11 +126,13 @@ class SegmentSort(SortAlgorithm):
                 runs = [reduced_output]
             streams = [scan_stream(run) for run in runs]
             streams.append(
-                selection_sort_stream(
-                    collection,
-                    self.workspace_records,
-                    self.key_fn,
-                    start=boundary,
+                itertools.chain.from_iterable(
+                    selection_passes(
+                        collection,
+                        self.workspace_records,
+                        self.key_fn,
+                        start=boundary,
+                    )
                 )
             )
             merge_passes += 1

@@ -13,24 +13,25 @@ from __future__ import annotations
 from repro.exceptions import ReproError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import BoundedMaxHeap
+from repro.sorts.heaps import select_smallest
 from repro.storage.collection import PersistentCollection
+from repro.storage.runs import scan_stream
 
 
-def selection_sort_stream(
+def selection_passes(
     collection: PersistentCollection,
     workspace_records: int,
     key_fn,
     start: int = 0,
     stop: int | None = None,
 ):
-    """Lazily yield a slice of ``collection`` in sorted order.
+    """Lazily yield a slice of ``collection`` in sorted order, one pass at a time.
 
-    The generator performs the multi-pass selection sort but never writes:
-    each pass re-reads the slice (charging reads) and yields the next batch
-    of minimum records.  Segment sort pipes this stream straight into its
-    final merge, which is how it avoids materializing the selection segment
-    as an intermediate run.
+    Each pass re-reads the slice (charging reads) and yields the next
+    batch of minimum records as a sorted list; nothing is written.
+    Selection sort appends every batch to its output; segment sort pipes
+    the batches straight into its final merge, which is how it avoids
+    materializing the selection segment as an intermediate run.
     """
     if collection.is_deferred:
         total = sum(1 for _ in collection.scan(start=start, stop=stop))
@@ -39,62 +40,18 @@ def selection_sort_stream(
     emitted = 0
     threshold: tuple[int, int] | None = None
     while emitted < total:
-        heap = BoundedMaxHeap(workspace_records)
-        position = 0
-        for block in collection.scan_blocks(start=start, stop=stop):
-            for record in block:
-                key = key_fn(record)
-                if threshold is None or (key, position) > threshold:
-                    heap.offer(key, position, record)
-                position += 1
-        if len(heap) == 0:
+        batch, threshold = select_smallest(
+            scan_stream(collection, start, stop),
+            workspace_records,
+            key_fn,
+            after=threshold,
+        )
+        if not batch:
             raise ReproError(
                 "selection sort made no progress; input mutated during sorting?"
             )
-        threshold = heap.max_key_position
-        batch = heap.drain_sorted()
         emitted += len(batch)
-        yield from batch
-
-
-def selection_sort_into(
-    collection: PersistentCollection,
-    output: PersistentCollection,
-    workspace_records: int,
-    key_fn,
-    start: int = 0,
-    stop: int | None = None,
-) -> int:
-    """Selection-sort a slice of ``collection``, appending to ``output``.
-
-    Returns the number of read passes performed over the slice.  Shared by
-    :class:`SelectionSort` and the selection segment of segment sort.
-    """
-    total = len(collection.records[start:stop]) if not collection.is_deferred else None
-    if total is None:
-        total = sum(1 for _ in collection.scan(start=start, stop=stop))
-    emitted = 0
-    threshold: tuple[int, int] | None = None
-    passes = 0
-    while emitted < total:
-        heap = BoundedMaxHeap(workspace_records)
-        position = 0
-        for block in collection.scan_blocks(start=start, stop=stop):
-            for record in block:
-                key = key_fn(record)
-                if threshold is None or (key, position) > threshold:
-                    heap.offer(key, position, record)
-                position += 1
-        passes += 1
-        if len(heap) == 0:
-            raise ReproError(
-                "selection sort made no progress; input mutated during sorting?"
-            )
-        threshold = heap.max_key_position
-        batch = heap.drain_sorted()
-        output.extend(batch)
-        emitted += len(batch)
-    return passes
+        yield batch
 
 
 class SelectionSort(SortAlgorithm):
@@ -108,9 +65,11 @@ class SelectionSort(SortAlgorithm):
         if len(collection) == 0:
             output.seal()
             return SortResult(output=output, io=None)
-        passes = selection_sort_into(
-            collection, output, self.workspace_records, self.key_fn
-        )
+        passes = 0
+        for passes, batch in enumerate(
+            selection_passes(collection, self.workspace_records, self.key_fn), 1
+        ):
+            output.extend(batch)
         output.seal()
         return SortResult(
             output=output,

@@ -387,12 +387,13 @@ class PersistentCollection:
 
         Drop-in for :meth:`scan` wherever the stream is fully consumed
         (merges, hash-table builds); reads are priced per block batch
-        instead of per record.
+        instead of per record.  The blocks are flattened in C.
         """
-        for block in self.scan_blocks(
-            start=start, stop=stop, charge_batch_blocks=charge_batch_blocks
-        ):
-            yield from block
+        return itertools.chain.from_iterable(
+            self.scan_blocks(
+                start=start, stop=stop, charge_batch_blocks=charge_batch_blocks
+            )
+        )
 
     def __iter__(self) -> Iterator[tuple]:
         return self.scan()

@@ -9,7 +9,6 @@ backend like the paper's merging phase does.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Callable, Iterable, Iterator
 
@@ -80,31 +79,21 @@ class RunSet:
 
 
 def merge_streams(
-    streams: list[Iterator[tuple]],
+    streams: Iterable[Iterable[tuple]],
     key: Callable[[tuple], int],
-) -> Iterator[tuple]:
-    """K-way merge of already-sorted record streams.
+) -> list[tuple]:
+    """Stable merge of already-sorted record streams.
 
-    A small explicit heap keyed on ``(key, stream_index)`` keeps the merge
-    stable across streams, which matters for the position-based tie-breaks
-    the write-limited sorts rely on.
+    The streams are read fully and concatenated in stream order, and
+    ``list.sort`` merges them in C: timsort finds the sorted streams as
+    runs.  The sort is stable, so records with equal keys keep stream
+    order, then their order within the stream -- the ``(key,
+    stream_index)`` tie-break of a heap merge, which the position-based
+    tie-breaks of the write-limited sorts rely on.
     """
-    heap: list[tuple[int, int, tuple, Iterator[tuple]]] = []
-    for index, stream in enumerate(streams):
-        try:
-            first = next(stream)
-        except StopIteration:
-            continue
-        heap.append((key(first), index, first, stream))
-    heapq.heapify(heap)
-    while heap:
-        record_key, index, record, stream = heapq.heappop(heap)
-        yield record
-        try:
-            following = next(stream)
-        except StopIteration:
-            continue
-        heapq.heappush(heap, (key(following), index, following, stream))
+    merged = list(itertools.chain.from_iterable(streams))
+    merged.sort(key=key)
+    return merged
 
 
 def merge_runs(

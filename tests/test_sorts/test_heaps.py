@@ -1,164 +1,148 @@
-"""Tests for the heap structures used by the sorts."""
+"""Tests for the sort kernels: selection scans and replacement selection."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.sorts.heaps import BoundedMaxHeap, ReplacementSelectionHeap
+from repro.sorts.heaps import replacement_selection_runs, select_smallest
 from repro.storage.schema import WISCONSIN_SCHEMA
 
-
-def record(key):
-    return WISCONSIN_SCHEMA.make_record(key)
+KEY = WISCONSIN_SCHEMA.key
 
 
-class TestBoundedMaxHeap:
+def record(key, tag=0):
+    """A record with ``key``; attribute 1 holds ``tag`` to tell ties apart."""
+    fields = list(WISCONSIN_SCHEMA.make_record(key))
+    fields[1] = tag
+    return tuple(fields)
+
+
+def records(keys):
+    return [record(key, position) for position, key in enumerate(keys)]
+
+
+def keys_of(rows):
+    return [row[0] for row in rows]
+
+
+def select(keys, capacity, after=None):
+    displaced = []
+    batch, threshold = select_smallest(
+        records(keys), capacity, KEY, after=after, displaced=displaced.append
+    )
+    return batch, threshold, displaced
+
+
+class TestSelectSmallest:
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
-            BoundedMaxHeap(0)
+            select_smallest([], 0, KEY)
 
     def test_retains_smallest(self):
-        heap = BoundedMaxHeap(3)
-        for position, key in enumerate([9, 1, 7, 3, 8, 2]):
-            heap.offer(key, position, record(key))
-        assert [r[0] for r in heap.drain_sorted()] == [1, 2, 3]
+        batch, _, _ = select([9, 1, 7, 3, 8, 2], 3)
+        assert keys_of(batch) == [1, 2, 3]
 
-    def test_offer_returns_displaced(self):
-        heap = BoundedMaxHeap(2)
-        assert heap.offer(5, 0, record(5)) is None
-        assert heap.offer(3, 1, record(3)) is None
-        displaced = heap.offer(1, 2, record(1))
-        assert displaced[0] == 5
+    def test_evicted_maximum_is_displaced(self):
+        _, _, displaced = select([5, 3, 1], 2)
+        assert keys_of(displaced) == [5]
 
-    def test_offer_rejects_larger_when_full(self):
-        heap = BoundedMaxHeap(2)
-        heap.offer(1, 0, record(1))
-        heap.offer(2, 1, record(2))
-        rejected = heap.offer(9, 2, record(9))
-        assert rejected[0] == 9
-        assert len(heap) == 2
+    def test_larger_record_is_rejected_when_full(self):
+        batch, _, displaced = select([1, 2, 9], 2)
+        assert keys_of(displaced) == [9]
+        assert keys_of(batch) == [1, 2]
 
-    def test_max_key_position(self):
-        heap = BoundedMaxHeap(3)
-        assert heap.max_key_position is None
-        heap.offer(5, 0, record(5))
-        heap.offer(2, 1, record(2))
-        assert heap.max_key_position == (5, 0)
+    def test_threshold_is_largest_retained(self):
+        assert select([], 3)[1] is None
+        assert select([5, 2], 3)[1] == (5, 0)
 
     def test_duplicate_keys_ordered_by_position(self):
-        heap = BoundedMaxHeap(2)
-        heap.offer(5, 0, record(5))
-        heap.offer(5, 1, record(5))
-        assert heap.max_key_position == (5, 1)
-        displaced = heap.offer(5, 2, record(5))
-        assert displaced is not None
+        batch, threshold, displaced = select([5, 5, 5], 2)
+        assert threshold == (5, 1)
+        assert [row[1] for row in batch] == [0, 1]
+        assert [row[1] for row in displaced] == [2]
 
-    def test_would_accept(self):
-        heap = BoundedMaxHeap(1)
-        assert heap.would_accept(10, 0)
-        heap.offer(10, 0, record(10))
-        assert heap.would_accept(5, 1)
-        assert not heap.would_accept(11, 1)
+    def test_after_threshold_breaks_ties_by_position(self):
+        # Key 5 at position 1 was selected by an earlier scan; only the
+        # later duplicate (position 2) and larger keys remain eligible.
+        batch, threshold, _ = select([3, 5, 5, 7], 2, after=(5, 1))
+        assert [(row[0], row[1]) for row in batch] == [(5, 2), (7, 3)]
+        assert threshold == (7, 3)
 
-    def test_drain_empties_heap(self):
-        heap = BoundedMaxHeap(4)
-        heap.offer(1, 0, record(1))
-        heap.drain_sorted()
-        assert len(heap) == 0
+    def test_records_at_or_below_threshold_are_never_displaced(self):
+        # (1, 0), (4, 2) and (2, 5) are at or below the threshold.
+        _, _, displaced = select([1, 6, 4, 4, 9, 2, 4], 1, after=(4, 2))
+        assert [(row[0], row[1]) for row in displaced] == [(6, 1), (9, 4), (4, 6)]
 
-    def test_clear(self):
-        heap = BoundedMaxHeap(4)
-        heap.offer(1, 0, record(1))
-        heap.clear()
-        assert len(heap) == 0
+    def test_input_shorter_than_capacity(self):
+        batch, threshold, displaced = select([4, 1], 5)
+        assert keys_of(batch) == [1, 4]
+        assert threshold == (4, 0)
+        assert displaced == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=60))
     def test_property_retains_k_smallest(self, keys):
         capacity = 5
-        heap = BoundedMaxHeap(capacity)
-        for position, key in enumerate(keys):
-            heap.offer(key, position, record(key))
-        retained = sorted(r[0] for r in heap.drain_sorted())
-        assert retained == sorted(keys)[: min(capacity, len(keys))]
+        batch, _, displaced = select(keys, capacity)
+        assert keys_of(batch) == sorted(keys)[: min(capacity, len(keys))]
+        assert sorted(batch + displaced) == sorted(records(keys))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=60),
+           st.integers(min_value=1, max_value=8))
+    def test_property_consecutive_scans_partition_input(self, keys, capacity):
+        emitted, after = [], None
+        while len(emitted) < len(keys):
+            batch, after = select_smallest(records(keys), capacity, KEY, after=after)
+            assert 0 < len(batch) <= capacity
+            emitted.extend(batch)
+        assert emitted == sorted(records(keys), key=lambda row: (row[0], row[1]))
 
 
-class TestReplacementSelectionHeap:
+class TestReplacementSelectionRuns:
+    def runs(self, keys, capacity):
+        return [keys_of(run) for run in replacement_selection_runs(
+            records(keys), capacity, KEY
+        )]
+
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
-            ReplacementSelectionHeap(0, WISCONSIN_SCHEMA.key)
+            list(replacement_selection_runs([], 0, KEY))
 
-    def test_fill_then_full(self):
-        heap = ReplacementSelectionHeap(2, WISCONSIN_SCHEMA.key)
-        heap.fill(record(3))
-        assert not heap.is_full
-        heap.fill(record(1))
-        assert heap.is_full
-        with pytest.raises(ConfigurationError):
-            heap.fill(record(2))
+    def test_empty_input_yields_no_run(self):
+        assert self.runs([], 2) == []
 
-    def test_push_pop_emits_ascending_within_run(self):
-        heap = ReplacementSelectionHeap(3, WISCONSIN_SCHEMA.key)
-        for key in [5, 2, 8]:
-            heap.fill(record(key))
-        emitted = []
-        for key in [9, 6, 7]:
-            rec, closed = heap.push_pop(record(key))
-            emitted.append(rec[0])
-            assert not closed
-        assert emitted == sorted(emitted)
+    def test_fill_only_input_is_one_sorted_run(self):
+        assert self.runs([3, 1], 2) == [[1, 3]]
+
+    def test_runs_emit_ascending(self):
+        assert self.runs([5, 2, 8, 9, 6, 7], 3) == [[2, 5, 6, 7, 8, 9]]
 
     def test_smaller_record_parks_for_next_run(self):
-        heap = ReplacementSelectionHeap(2, WISCONSIN_SCHEMA.key)
-        heap.fill(record(5))
-        heap.fill(record(6))
-        _, closed = heap.push_pop(record(1))  # 1 < emitted 5: next run
-        assert not closed
-        assert heap.next_size == 1
+        # 1 < emitted 5: parked, and it closes the input as its own run.
+        assert self.runs([5, 6, 1], 2) == [[5, 6], [1]]
 
     def test_run_closes_when_current_exhausted(self):
-        heap = ReplacementSelectionHeap(1, WISCONSIN_SCHEMA.key)
-        heap.fill(record(5))
-        _, closed = heap.push_pop(record(1))
-        assert closed
-        assert heap.current_size == 1  # rolled over to the next run
+        assert self.runs([5, 1, 0], 1) == [[5], [1], [0]]
 
-    def test_drain_current_and_next(self):
-        heap = ReplacementSelectionHeap(2, WISCONSIN_SCHEMA.key)
-        heap.fill(record(4))
-        heap.fill(record(6))
-        heap.push_pop(record(1))
-        current = [r[0] for r in heap.drain_current()]
-        assert current == sorted(current)
-        assert heap.has_next_run()
-        nxt = [r[0] for r in heap.drain_next()]
-        assert nxt == [1]
+    def test_parked_records_follow_the_open_run(self):
+        assert self.runs([4, 6, 1, 7, 8], 2) == [[4, 6, 7, 8], [1]]
 
-    def test_pop_current_on_empty_returns_none(self):
-        heap = ReplacementSelectionHeap(1, WISCONSIN_SCHEMA.key)
-        assert heap.pop_current() is None
+    def test_equal_keys_keep_arrival_order(self):
+        runs = list(replacement_selection_runs(records([2, 2, 1, 2]), 2, KEY))
+        assert [[(row[0], row[1]) for row in run] for run in runs] == [
+            [(2, 0), (2, 1), (2, 3)], [(1, 2)],
+        ]
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=500), min_size=5, max_size=80))
-    def test_property_runs_are_sorted_and_cover_input(self, keys):
-        capacity = 4
-        heap = ReplacementSelectionHeap(capacity, WISCONSIN_SCHEMA.key)
-        runs = [[]]
-        pending = list(keys)
-        for key in pending[:capacity]:
-            heap.fill(record(key))
-        for key in pending[capacity:]:
-            emitted, closed = heap.push_pop(record(key))
-            runs[-1].append(emitted[0])
-            if closed:
-                runs.append([])
-        for rec in heap.drain_current():
-            runs[-1].append(rec[0])
-        if heap.has_next_run():
-            runs.append([rec[0] for rec in heap.drain_next()])
-        # Every run is individually sorted and together they cover the input.
+    @given(st.lists(st.integers(min_value=0, max_value=500), max_size=80),
+           st.integers(min_value=1, max_value=8))
+    def test_property_runs_are_sorted_maximal_and_cover_input(self, keys, capacity):
+        runs = self.runs(keys, capacity)
         for run in runs:
             assert run == sorted(run)
-        flattened = sorted(key for run in runs for key in run)
-        assert flattened == sorted(keys)
+        # Every run but the parked tail holds at least a full heap.
+        for run in runs[:-1]:
+            assert len(run) >= capacity
+        assert sorted(key for run in runs for key in run) == sorted(keys)
