@@ -5,11 +5,17 @@ starting state, ``step(state, value)`` folds one attribute value in, and
 ``final(state)`` yields the output value.  States are plain Python values
 so the operators can keep one per group in DRAM and account for their size
 against the memory budget.
+
+The operators do not call ``step`` per record.  :func:`compile_fold` turns
+an aggregate list into one generated ``fold(states, record)`` function
+that updates a group's list of states in place, with each aggregate's
+``fold_source`` inlined.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 from repro.exceptions import ConfigurationError
 
@@ -19,6 +25,12 @@ class AggregateFunction(ABC):
 
     #: Name used in registries and reports.
     name: str = "aggregate"
+
+    #: Source of one in-place update of ``states[{slot}]`` by ``record``,
+    #: inlined by :func:`compile_fold`; must equal :meth:`step`.
+    fold_source: str = (
+        "states[{slot}] = steps[{slot}](states[{slot}], record[{attribute}])"
+    )
 
     @abstractmethod
     def initial(self):
@@ -45,6 +57,7 @@ class CountAggregate(AggregateFunction):
     """COUNT(*): the number of records in the group."""
 
     name = "count"
+    fold_source = "states[{slot}] += 1"
 
     def initial(self):
         return 0
@@ -63,6 +76,7 @@ class SumAggregate(AggregateFunction):
     """SUM(attribute)."""
 
     name = "sum"
+    fold_source = "states[{slot}] += record[{attribute}]"
 
     def initial(self):
         return 0
@@ -81,6 +95,9 @@ class MinAggregate(AggregateFunction):
     """MIN(attribute)."""
 
     name = "min"
+    fold_source = """value = record[{attribute}]
+if states[{slot}] is None or value < states[{slot}]:
+    states[{slot}] = value"""
 
     def initial(self):
         return None
@@ -105,6 +122,9 @@ class MaxAggregate(AggregateFunction):
     """MAX(attribute)."""
 
     name = "max"
+    fold_source = """value = record[{attribute}]
+if states[{slot}] is None or value > states[{slot}]:
+    states[{slot}] = value"""
 
     def initial(self):
         return None
@@ -166,3 +186,22 @@ def make_aggregate(name: str) -> AggregateFunction:
         raise ConfigurationError(
             f"unknown aggregate {name!r}; expected one of: {known}"
         ) from None
+
+
+def compile_fold(
+    aggregates: list[tuple[AggregateFunction, int]],
+) -> Callable[[list, tuple], None]:
+    """One ``fold(states, record)`` for ``(aggregate, attribute)`` pairs.
+
+    ``states[i]`` is the state of ``aggregates[i]``; the generated function
+    folds ``record`` into every state in place, exactly as
+    ``states[i] = aggregate.step(states[i], record[attribute])`` would.
+    """
+    lines = ["def fold(states, record):"]
+    for slot, (aggregate, attribute) in enumerate(aggregates):
+        source = aggregate.fold_source.format(slot=slot, attribute=attribute)
+        lines.extend("    " + line for line in source.splitlines())
+    lines.append("    return None")
+    namespace = {"steps": [aggregate.step for aggregate, _ in aggregates]}
+    exec("\n".join(lines), namespace)
+    return namespace["fold"]

@@ -15,13 +15,19 @@ Two strategies, mirroring the sort/join duality of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
-from repro.aggregation.functions import AggregateFunction, make_aggregate
-from repro.joins.common import partition_of
+from repro.aggregation.functions import (
+    AggregateFunction,
+    compile_fold,
+    make_aggregate,
+)
+from repro.joins.common import partition_into
 from repro.pmem.backends.base import PersistenceBackend
-from repro.pmem.metrics import IOSnapshot
+from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.sorts.segment_sort import SegmentSort
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import (
@@ -33,7 +39,7 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
 @dataclass
-class AggregationResult:
+class AggregationResult(IOResult):
     """Outcome of one grouped aggregation."""
 
     #: Output collection: one record per group, ``(group_key, agg1, agg2, ...)``.
@@ -45,18 +51,6 @@ class AggregationResult:
     #: Number of spill partitions written (hash aggregation only).
     spills: int = 0
     details: dict = field(default_factory=dict)
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.io.total_ns / 1e9
-
-    @property
-    def cacheline_writes(self) -> float:
-        return self.io.cacheline_writes
-
-    @property
-    def cacheline_reads(self) -> float:
-        return self.io.cacheline_reads
 
 
 class _AggregationBase:
@@ -109,6 +103,8 @@ class _AggregationBase:
                     f"aggregate {name!r} over attribute {attribute} outside schema"
                 )
             self.aggregates.append((make_aggregate(name), attribute))
+        #: ``fold(states, record)``: folds a record into a group's states.
+        self._fold = compile_fold(self.aggregates)
         self.workspace_records = budget.record_capacity(schema)
         if self.workspace_records < 1:
             raise InsufficientMemoryError(
@@ -148,12 +144,6 @@ class _AggregationBase:
     def _fresh_states(self) -> list:
         return [aggregate.initial() for aggregate, _ in self.aggregates]
 
-    def _step_states(self, states: list, record: tuple) -> list:
-        return [
-            aggregate.step(state, record[attribute])
-            for state, (aggregate, attribute) in zip(states, self.aggregates)
-        ]
-
     def _finalize(self, group_key: int, states: list) -> tuple:
         return tuple(
             [group_key]
@@ -192,23 +182,26 @@ class SortedAggregation(_AggregationBase):
         )
         sort_result = sorter.sort(collection)
 
-        groups = 0
-        current_key = None
-        states = self._fresh_states()
+        group_index = self.group_index
+        fold = self._fold
+        current_key = states = None
         emitted = AppendBuffer(output)
+        groups = 0
         for block in sort_result.output.scan_blocks():
             for record in block:
-                key = record[self.group_index]
-                if current_key is None:
-                    current_key = key
+                key = record[group_index]
                 if key != current_key:
-                    emitted.append(self._finalize(current_key, states))
-                    groups += 1
+                    if states is not None:
+                        emitted.append(self._finalize(current_key, states))
+                        groups += 1
                     current_key = key
                     states = self._fresh_states()
-                states = self._step_states(states, record)
-        emitted.append(self._finalize(current_key, states))
-        groups += 1
+                fold(states, record)
+        # An input that turns out empty (a deferred one is only estimated
+        # non-empty) has no group to emit.
+        if states is not None:
+            emitted.append(self._finalize(current_key, states))
+            groups += 1
         emitted.seal()
         return AggregationResult(
             output=output,
@@ -242,67 +235,72 @@ class HashAggregation(_AggregationBase):
 
         max_groups = max(1, self.budget.nbytes // self.GROUP_STATE_BYTES)
         spills = 0
-        groups = 0
         emitted_groups = AppendBuffer(output)
 
-        def aggregate_stream(source, label: str, depth: int) -> int:
+        group_index = self.group_index
+        fold = self._fold
+
+        def aggregate_stream(source, label: str, depth: int, limit) -> int:
             """Aggregate a collection's records, spilling overflow groups.
 
             A group's records are never split between the in-memory table
             and the spills: once a key owns a table entry every later record
             with that key folds into it, and keys first seen after the table
-            fills are spilled wholesale and re-aggregated in a later pass.
-            Returns the number of groups emitted.
+            holds ``limit`` groups are spilled wholesale and re-aggregated
+            in a later pass.  Returns the number of groups emitted.
             """
             nonlocal spills
             table: dict[int, list] = {}
-            partitions: list[PersistentCollection | None] = [None] * self.SPILL_PARTITIONS
-            buffers: list[AppendBuffer | None] = [None] * self.SPILL_PARTITIONS
-            spilled_records = 0
-            for block in source.scan_blocks():
-                for record in block:
-                    key = record[self.group_index]
-                    states = table.get(key)
-                    if states is not None:
-                        table[key] = self._step_states(states, record)
-                        continue
-                    if len(table) < max_groups:
-                        table[key] = self._step_states(self._fresh_states(), record)
-                        continue
-                    index = partition_of(key, self.SPILL_PARTITIONS)
-                    target = buffers[index]
-                    if target is None:
-                        spills += 1
-                        partition = PersistentCollection(
-                            name=f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
-                            backend=self.backend,
-                            schema=self.schema,
-                            status=CollectionStatus.MATERIALIZED,
-                        )
-                        partitions[index] = partition
-                        target = buffers[index] = AppendBuffer(partition)
-                    target.append(record)
-                    spilled_records += 1
+            get = table.get
 
-            emitted = 0
-            for key in sorted(table):
-                emitted_groups.append(self._finalize(key, table[key]))
-                emitted += 1
-            for index, partition in enumerate(partitions):
+            def overflow():
+                for block in source.scan_blocks():
+                    spilled = []
+                    for record in block:
+                        key = record[group_index]
+                        states = get(key)
+                        if states is None:
+                            if len(table) >= limit:
+                                spilled.append(record)
+                                continue
+                            states = table[key] = self._fresh_states()
+                        fold(states, record)
+                    yield spilled
+
+            targets = [
+                _Spill(
+                    name=f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
+                    backend=self.backend,
+                    schema=self.schema,
+                    status=CollectionStatus.MATERIALIZED,
+                )
+                for index in range(self.SPILL_PARTITIONS)
+            ]
+            spilled_records = partition_into(
+                overflow(), itemgetter(group_index), targets
+            )
+            emitted_groups.extend(
+                [self._finalize(key, table[key]) for key in sorted(table)]
+            )
+            emitted = len(table)
+            for index, target in enumerate(targets):
+                partition = target.collection
                 if partition is None:
                     continue
-                buffers[index].seal()
-                if depth >= 8 or len(partition) >= spilled_records:
-                    # Degenerate split (e.g. one giant group): finish in
-                    # memory rather than recursing forever.
-                    emitted += self._aggregate_in_memory(partition, emitted_groups)
-                else:
-                    emitted += aggregate_stream(
-                        partition, f"{label}.{index}", depth + 1
-                    )
+                spills += 1
+                partition.seal()
+                # A degenerate split (e.g. one giant group) is finished in
+                # memory rather than recursing forever.
+                degenerate = depth >= 8 or len(partition) >= spilled_records
+                emitted += aggregate_stream(
+                    partition,
+                    f"{label}.{index}",
+                    depth + 1,
+                    math.inf if degenerate else max_groups,
+                )
             return emitted
 
-        groups = aggregate_stream(collection, "root", depth=0)
+        groups = aggregate_stream(collection, "root", 0, max_groups)
         emitted_groups.seal()
         return AggregationResult(
             output=output,
@@ -312,17 +310,15 @@ class HashAggregation(_AggregationBase):
             details={"max_groups_in_memory": max_groups},
         )
 
-    def _aggregate_in_memory(
-        self, partition: PersistentCollection, output: AppendBuffer
-    ) -> int:
-        table: dict[int, list] = {}
-        for block in partition.scan_blocks():
-            for record in block:
-                key = record[self.group_index]
-                states = table.get(key, None)
-                if states is None:
-                    states = self._fresh_states()
-                table[key] = self._step_states(states, record)
-        for key in sorted(table):
-            output.append(self._finalize(key, table[key]))
-        return len(table)
+
+class _Spill:
+    """A hash-aggregation spill partition, created on its first flush."""
+
+    def __init__(self, **collection_args) -> None:
+        self.collection_args = collection_args
+        self.collection: PersistentCollection | None = None
+
+    def extend(self, records: list[tuple]) -> None:
+        if self.collection is None:
+            self.collection = PersistentCollection(**self.collection_args)
+        self.collection.extend(records)

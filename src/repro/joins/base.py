@@ -12,11 +12,12 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
-from repro.joins.common import joined_schema
+from repro.joins.common import joined_schema, partition_into
 from repro.pmem.backends.base import PersistenceBackend
-from repro.pmem.metrics import IOSnapshot
+from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
@@ -25,7 +26,7 @@ _join_output_counter = itertools.count()
 
 
 @dataclass
-class JoinResult:
+class JoinResult(IOResult):
     """Outcome of one join execution."""
 
     #: The join output collection (concatenated left+right records).
@@ -38,18 +39,6 @@ class JoinResult:
     iterations: int = 0
     #: Algorithm-specific extras.
     details: dict = field(default_factory=dict)
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.io.total_ns / 1e9
-
-    @property
-    def cacheline_writes(self) -> float:
-        return self.io.cacheline_writes
-
-    @property
-    def cacheline_reads(self) -> float:
-        return self.io.cacheline_reads
 
     @property
     def matches(self) -> int:
@@ -98,6 +87,9 @@ class JoinAlgorithm(abc.ABC):
         self.materialize_output = materialize_output
         self.partition_fudge_factor = partition_fudge_factor
         self.output_schema = joined_schema(left_schema, right_schema)
+        #: Join-key extractors, bound once per join.
+        self.left_key = itemgetter(left_schema.key_index)
+        self.right_key = itemgetter(right_schema.key_index)
         self.left_workspace_records = budget.record_capacity(left_schema)
         if self.left_workspace_records < 1:
             raise InsufficientMemoryError(
@@ -161,22 +153,49 @@ class JoinAlgorithm(abc.ABC):
         )
         return max(1, -(-len(left) // capacity))  # ceiling division
 
+    def _partition_inputs(
+        self,
+        left: PersistentCollection,
+        right: PersistentCollection,
+        num_partitions: int,
+        prefix: str,
+        stops: tuple[int | None, int | None] = (None, None),
+        materialized: int | None = None,
+    ) -> list[list[PersistentCollection | None]]:
+        """Hash-partition both inputs onto persistent memory.
+
+        Returns the left and the right partitions, written from the first
+        ``stops`` records of each input through :func:`partition_into`.
+        Only the first ``materialized`` partition indexes are written
+        (segmented Grace join materializes only some); the others are
+        ``None`` and their records are skipped.
+        """
+        sides = []
+        for source, key, side, stop in zip(
+            (left, right), (self.left_key, self.right_key), "LR", stops
+        ):
+            partitions = [
+                PersistentCollection(
+                    name=f"{prefix}-{side}-p{index}",
+                    backend=self.backend,
+                    schema=source.schema,
+                    status=CollectionStatus.MATERIALIZED,
+                )
+                if materialized is None or index < materialized
+                else None
+                for index in range(num_partitions)
+            ]
+            partition_into(source.scan_blocks(stop=stop), key, partitions)
+            for partition in partitions:
+                if partition is not None:
+                    partition.seal()
+            sides.append(partitions)
+        return sides
+
     @property
     def memory_buffers(self) -> float:
         """The DRAM budget in cachelines: the paper's M."""
         return self.budget.buffers
-
-    @property
-    def left_key(self):
-        return self.left_schema.key
-
-    @property
-    def right_key(self):
-        return self.right_schema.key
-
-    def combine(self, left_record: tuple, right_record: tuple) -> tuple:
-        """Concatenate a matching pair into one output record."""
-        return left_record + right_record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

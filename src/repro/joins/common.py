@@ -1,11 +1,20 @@
-"""Shared helpers for the join algorithms."""
+"""Hash kernels shared by the joins and the hash aggregation.
+
+:func:`partition_into` hash-partitions a block stream into per-partition
+targets, :func:`split_blocks` splits blocks around one partition for the
+iterative hash joins, and :func:`probe_block` probes a hash table with one
+block.  Each binds its key extractor and inlines the hash once, and emits
+exactly the records of the per-record loops it replaced, in their order.
+"""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
+from repro.storage.collection import DEFAULT_APPEND_BUFFER_RECORDS
 from repro.storage.schema import Schema
 
 #: Knuth's multiplicative constant; decorrelates partition assignment from
@@ -13,12 +22,95 @@ from repro.storage.schema import Schema
 _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = (1 << 32) - 1
 
+#: Input records :func:`partition_into` reads between two bucket sweeps.
+PARTITION_SWEEP_RECORDS = 512
+
+#: The most records :func:`partition_into` ever holds in one bucket.
+PARTITION_BUCKET_BOUND = DEFAULT_APPEND_BUFFER_RECORDS + PARTITION_SWEEP_RECORDS - 1
+
 
 def partition_of(key: int, num_partitions: int) -> int:
     """Deterministic hash partition of a join key."""
     if num_partitions <= 0:
         raise ConfigurationError("number of partitions must be positive")
     return ((key * _HASH_MULTIPLIER) & _HASH_MASK) % num_partitions
+
+
+def partition_into(
+    blocks: Iterable[list[tuple]],
+    key_fn: Callable[[tuple], int],
+    targets: list,
+) -> int:
+    """Hash-partition a block stream into ``targets``; returns records read.
+
+    A record goes to ``targets[partition_of(key_fn(record), len(targets))]``
+    and is dropped when that entry is ``None``.  Every other target gets
+    its records in input order through ``extend``.  Records wait in a DRAM
+    bucket per target; every :data:`PARTITION_SWEEP_RECORDS` input records
+    each bucket holding at least ``DEFAULT_APPEND_BUFFER_RECORDS`` is handed
+    over, and the rest are handed over at the end.  So no bucket ever holds
+    more than :data:`PARTITION_BUCKET_BOUND` records.
+    """
+    num_partitions = len(targets)
+    buckets: list[list[tuple]] = [[] for _ in targets]
+    dropped: list[tuple] = []
+    appends = [
+        dropped.append if target is None else bucket.append
+        for bucket, target in zip(buckets, targets)
+    ]
+    live = [index for index, target in enumerate(targets) if target is not None]
+    records = chain.from_iterable(blocks)
+    scanned = 0
+    while True:
+        chunk = list(islice(records, PARTITION_SWEEP_RECORDS))
+        if not chunk:
+            break
+        scanned += len(chunk)
+        for record in chunk:
+            appends[
+                ((key_fn(record) * _HASH_MULTIPLIER) & _HASH_MASK) % num_partitions
+            ](record)
+        dropped.clear()
+        for index in live:
+            if len(buckets[index]) >= DEFAULT_APPEND_BUFFER_RECORDS:
+                targets[index].extend(buckets[index])
+                buckets[index] = []
+                appends[index] = buckets[index].append
+    for index in live:
+        if buckets[index]:
+            targets[index].extend(buckets[index])
+    return scanned
+
+
+def split_blocks(
+    blocks: Iterable[list[tuple]],
+    key_fn: Callable[[tuple], int],
+    num_partitions: int,
+    index: int,
+    spill=None,
+) -> Iterator[list[tuple]]:
+    """Split each block three ways around hash partition ``index``.
+
+    Yields, per block, its records of partition ``index``.  Records of a
+    later partition go to ``spill.extend`` when a spill is given and are
+    dropped otherwise; records of an earlier partition are dropped.  Both
+    outputs keep input order, so the spill is the next pass's input in the
+    order a per-record loop would have written it.
+    """
+    for block in blocks:
+        current: list[tuple] = []
+        later: list[tuple] = []
+        for record in block:
+            partition = (
+                (key_fn(record) * _HASH_MULTIPLIER) & _HASH_MASK
+            ) % num_partitions
+            if partition == index:
+                current.append(record)
+            elif partition > index:
+                later.append(record)
+        if later and spill is not None:
+            spill.extend(later)
+        yield current
 
 
 def build_hash_table(
@@ -31,13 +123,17 @@ def build_hash_table(
     return dict(table)
 
 
-def probe(
+def probe_block(
     table: dict[int, list[tuple]],
-    record: tuple,
+    block: Iterable[tuple],
     key_fn: Callable[[tuple], int],
 ) -> list[tuple]:
-    """Records in ``table`` that match ``record``'s key (possibly empty)."""
-    return table.get(key_fn(record), [])
+    """Concatenated ``match + record`` pairs of one probe block.
+
+    Ordered by probe record, then by the matches' build-insertion order.
+    """
+    get = table.get
+    return [match + record for record in block for match in get(key_fn(record), ())]
 
 
 def joined_schema(left: Schema, right: Schema) -> Schema:

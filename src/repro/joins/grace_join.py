@@ -11,61 +11,8 @@ from __future__ import annotations
 
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, partition_of, probe
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
-
-
-def partition_collection(
-    collection: PersistentCollection,
-    num_partitions: int,
-    key_fn,
-    backend,
-    prefix: str,
-    start: int = 0,
-    stop: int | None = None,
-    partition_filter=None,
-) -> tuple[list[PersistentCollection], int]:
-    """Hash-partition a slice of ``collection`` into materialized partitions.
-
-    ``partition_filter`` restricts which partition indexes are physically
-    written (segmented Grace join materializes only some); records hashing
-    to unmaterialized partitions are simply not written.  The input is
-    consumed block by block and each partition buffers its records, so both
-    directions use the batched collection I/O path.  Returns the list of
-    partition collections (entries are ``None`` for skipped partitions) and
-    the number of records scanned.
-    """
-    partitions: list[PersistentCollection | None] = []
-    buffers: list[AppendBuffer | None] = []
-    for index in range(num_partitions):
-        if partition_filter is not None and not partition_filter(index):
-            partitions.append(None)
-            buffers.append(None)
-            continue
-        partition = PersistentCollection(
-            name=f"{prefix}-p{index}",
-            backend=backend,
-            schema=collection.schema,
-            status=CollectionStatus.MATERIALIZED,
-        )
-        partitions.append(partition)
-        buffers.append(AppendBuffer(partition))
-    scanned = 0
-    for block in collection.scan_blocks(start=start, stop=stop):
-        scanned += len(block)
-        for record in block:
-            index = partition_of(key_fn(record), num_partitions)
-            target = buffers[index]
-            if target is not None:
-                target.append(record)
-    for buffer in buffers:
-        if buffer is not None:
-            buffer.seal()
-    return partitions, scanned
+from repro.joins.common import build_hash_table, probe_block
+from repro.storage.collection import AppendBuffer, PersistentCollection
 
 
 class GraceJoin(JoinAlgorithm):
@@ -83,27 +30,14 @@ class GraceJoin(JoinAlgorithm):
             return JoinResult(output=output, io=None)
 
         num_partitions = self.num_partitions_for(left)
-        left_parts, _ = partition_collection(
-            left,
-            num_partitions,
-            self.left_key,
-            self.backend,
-            prefix=f"{output.name}-L",
-        )
-        right_parts, _ = partition_collection(
-            right,
-            num_partitions,
-            self.right_key,
-            self.backend,
-            prefix=f"{output.name}-R",
+        left_parts, right_parts = self._partition_inputs(
+            left, right, num_partitions, output.name
         )
         matches = AppendBuffer(output)
         for left_part, right_part in zip(left_parts, right_parts):
             table = build_hash_table(left_part.scan_blocks_flat(), self.left_key)
             for block in right_part.scan_blocks():
-                for right_record in block:
-                    for left_record in probe(table, right_record, self.right_key):
-                        matches.append(self.combine(left_record, right_record))
+                matches.extend(probe_block(table, block, self.right_key))
         matches.seal()
         return JoinResult(
             output=output,

@@ -9,9 +9,11 @@ backing-store collection that becomes the next iteration's input
 
 from __future__ import annotations
 
+import itertools
+
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, partition_of, probe
+from repro.joins.common import build_hash_table, probe_block, split_blocks
 from repro.storage.collection import (
     AppendBuffer,
     CollectionStatus,
@@ -25,6 +27,14 @@ class SimpleHashJoin(JoinAlgorithm):
     short_name = "HJ"
     write_limited = False
 
+    def _materialize_after(self, lazy_iterations: int, remaining: int) -> bool:
+        """Whether this pass writes the later partitions back.
+
+        Asked while ``remaining`` partitions (this one included, at least
+        two) are left, ``lazy_iterations`` passes after the last write-back.
+        """
+        return True
+
     def _execute(
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
@@ -33,60 +43,59 @@ class SimpleHashJoin(JoinAlgorithm):
             output.seal()
             return JoinResult(output=output, io=None)
 
-        num_partitions = max(
-            1, -(-len(left) // self.left_workspace_records)
-        )
-        left_source, right_source = left, right
-        iterations = 0
+        num_partitions = max(1, -(-len(left) // self.left_workspace_records))
+        sources = (left, right)
+        keys = (self.left_key, self.right_key)
+        lazy_iterations = materializations = 0
         matches = AppendBuffer(output)
         for index in range(num_partitions):
-            iterations += 1
-            is_last = index == num_partitions - 1
-            left_next = right_next = None
-            left_spill = right_spill = None
-            if not is_last:
-                left_next = PersistentCollection(
-                    name=f"{output.name}-hj-L{index + 1}",
-                    backend=self.backend,
-                    schema=self.left_schema,
-                    status=CollectionStatus.MATERIALIZED,
+            lazy_iterations += 1
+            remaining = num_partitions - index
+            spills = (None, None)
+            if remaining > 1 and self._materialize_after(lazy_iterations, remaining):
+                materializations += 1
+                lazy_iterations = 0
+                spills = tuple(
+                    AppendBuffer(
+                        PersistentCollection(
+                            name=f"{output.name}-{self.short_name.lower()}"
+                            f"-{side}{materializations}",
+                            backend=self.backend,
+                            schema=schema,
+                            status=CollectionStatus.MATERIALIZED,
+                        )
+                    )
+                    for side, schema in (
+                        ("L", self.left_schema),
+                        ("R", self.right_schema),
+                    )
                 )
-                right_next = PersistentCollection(
-                    name=f"{output.name}-hj-R{index + 1}",
-                    backend=self.backend,
-                    schema=self.right_schema,
-                    status=CollectionStatus.MATERIALIZED,
-                )
-                left_spill = AppendBuffer(left_next)
-                right_spill = AppendBuffer(right_next)
-            build: list[tuple] = []
-            for block in left_source.scan_blocks():
-                for record in block:
-                    partition = partition_of(self.left_key(record), num_partitions)
-                    if partition == index:
-                        build.append(record)
-                    elif left_spill is not None and partition > index:
-                        left_spill.append(record)
-            table = build_hash_table(build, self.left_key)
-            for block in right_source.scan_blocks():
-                for record in block:
-                    partition = partition_of(self.right_key(record), num_partitions)
-                    if partition == index:
-                        for left_record in probe(table, record, self.right_key):
-                            matches.append(self.combine(left_record, record))
-                    elif right_spill is not None and partition > index:
-                        right_spill.append(record)
-            if not is_last:
-                left_spill.seal()
-                right_spill.seal()
-                left_source, right_source = left_next, right_next
+            # Partition ``index`` is joined in DRAM; records of later
+            # partitions go to the spills, when this pass writes them back.
+            build, probe = (
+                split_blocks(source.scan_blocks(), key, num_partitions, index, spill)
+                for source, key, spill in zip(sources, keys, spills)
+            )
+            table = build_hash_table(
+                itertools.chain.from_iterable(build), self.left_key
+            )
+            for block in probe:
+                matches.extend(probe_block(table, block, self.right_key))
+            if spills[0] is not None:
+                for spill in spills:
+                    spill.seal()
+                sources = tuple(spill.collection for spill in spills)
         matches.seal()
         return JoinResult(
             output=output,
             io=None,
             partitions=num_partitions,
-            iterations=iterations,
+            iterations=num_partitions,
+            details=self._details(materializations),
         )
+
+    def _details(self, materializations: int) -> dict:
+        return {}
 
     def estimated_cost_ns(self, left_buffers: float, right_buffers: float) -> float:
         return cost.hash_join_cost(

@@ -19,9 +19,8 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe
-from repro.joins.grace_join import partition_collection
-from repro.storage.collection import PersistentCollection
+from repro.joins.common import build_hash_table, probe_block
+from repro.storage.collection import AppendBuffer, PersistentCollection
 
 
 class HybridGraceNestedLoopsJoin(JoinAlgorithm):
@@ -84,6 +83,7 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
         left_boundary = int(round(total_left * x))
         right_boundary = int(round(total_right * y))
 
+        matches = AppendBuffer(output)
         num_partitions = 0
         if left_boundary > 0:
             capacity = max(
@@ -92,35 +92,24 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             num_partitions = max(1, -(-left_boundary // capacity))
 
             # Phase 1: partition the Grace fractions of both inputs.
-            left_parts, _ = partition_collection(
+            left_parts, right_parts = self._partition_inputs(
                 left,
-                num_partitions,
-                self.left_key,
-                self.backend,
-                prefix=f"{output.name}-L",
-                stop=left_boundary,
-            )
-            right_parts, _ = partition_collection(
                 right,
                 num_partitions,
-                self.right_key,
-                self.backend,
-                prefix=f"{output.name}-R",
-                stop=right_boundary,
+                output.name,
+                stops=(left_boundary, right_boundary),
             )
 
             # Phase 2: partition-wise Grace join, piggybacking the scan of
             # the unpartitioned right remainder (Tx join V1-y) onto each
             # in-memory left partition.
             for left_part, right_part in zip(left_parts, right_parts):
-                table = build_hash_table(left_part.scan(), self.left_key)
-                for record in right_part.scan():
-                    for match in probe(table, record, self.right_key):
-                        output.append(self.combine(match, record))
+                table = build_hash_table(left_part.scan_blocks_flat(), self.left_key)
+                for block in right_part.scan_blocks():
+                    matches.extend(probe_block(table, block, self.right_key))
                 if right_boundary < total_right:
-                    for record in right.scan(start=right_boundary):
-                        for match in probe(table, record, self.right_key):
-                            output.append(self.combine(match, record))
+                    for block in right.scan_blocks(start=right_boundary):
+                        matches.extend(probe_block(table, block, self.right_key))
         elif right_boundary > 0:
             # Records of the right Grace fraction never have a partitioned
             # left counterpart; they are still covered by the nested-loops
@@ -135,15 +124,16 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             block_records = self.left_workspace_records
             for block_start in range(left_boundary, total_left, block_records):
                 iterations += 1
-                block = list(
-                    left.scan(start=block_start, stop=block_start + block_records)
+                table = build_hash_table(
+                    left.scan_blocks_flat(
+                        start=block_start, stop=block_start + block_records
+                    ),
+                    self.left_key,
                 )
-                table = build_hash_table(block, self.left_key)
-                for record in right.scan():
-                    for match in probe(table, record, self.right_key):
-                        output.append(self.combine(match, record))
+                for block in right.scan_blocks():
+                    matches.extend(probe_block(table, block, self.right_key))
 
-        output.seal()
+        matches.seal()
         return JoinResult(
             output=output,
             io=None,

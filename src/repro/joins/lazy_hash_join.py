@@ -12,95 +12,22 @@ remainder as new, smaller inputs and reverts to being lazy.
 from __future__ import annotations
 
 from repro.joins import cost
-from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, partition_of, probe
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.joins.hash_join import SimpleHashJoin
 
 
-class LazyHashJoin(JoinAlgorithm):
+class LazyHashJoin(SimpleHashJoin):
     """Hash join that trades intermediate writes for input rescans."""
 
     short_name = "LaJ"
     write_limited = True
 
-    def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
-    ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
-        if len(left) == 0 or len(right) == 0:
-            output.seal()
-            return JoinResult(output=output, io=None)
-
+    def _materialize_after(self, lazy_iterations: int, remaining: int) -> bool:
         lam = self.backend.device.write_read_ratio
-        num_partitions = max(1, -(-len(left) // self.left_workspace_records))
-        left_source, right_source = left, right
-        iterations = 0
-        lazy_iterations = 0
-        materializations = 0
+        threshold = max(1, cost.lazy_hash_materialization_iteration(remaining, lam))
+        return lazy_iterations >= threshold
 
-        matches = AppendBuffer(output)
-        for index in range(num_partitions):
-            iterations += 1
-            lazy_iterations += 1
-            remaining = num_partitions - index
-            threshold = max(
-                1, cost.lazy_hash_materialization_iteration(remaining, lam)
-            )
-            materialize = lazy_iterations >= threshold and remaining > 1
-            left_next = right_next = None
-            left_spill = right_spill = None
-            if materialize:
-                materializations += 1
-                left_next = PersistentCollection(
-                    name=f"{output.name}-laj-L{materializations}",
-                    backend=self.backend,
-                    schema=self.left_schema,
-                    status=CollectionStatus.MATERIALIZED,
-                )
-                right_next = PersistentCollection(
-                    name=f"{output.name}-laj-R{materializations}",
-                    backend=self.backend,
-                    schema=self.right_schema,
-                    status=CollectionStatus.MATERIALIZED,
-                )
-                left_spill = AppendBuffer(left_next)
-                right_spill = AppendBuffer(right_next)
-
-            build: list[tuple] = []
-            for block in left_source.scan_blocks():
-                for record in block:
-                    partition = partition_of(self.left_key(record), num_partitions)
-                    if partition == index:
-                        build.append(record)
-                    elif partition > index and left_spill is not None:
-                        left_spill.append(record)
-            table = build_hash_table(build, self.left_key)
-            for block in right_source.scan_blocks():
-                for record in block:
-                    partition = partition_of(self.right_key(record), num_partitions)
-                    if partition == index:
-                        for left_record in probe(table, record, self.right_key):
-                            matches.append(self.combine(left_record, record))
-                    elif partition > index and right_spill is not None:
-                        right_spill.append(record)
-
-            if materialize:
-                left_spill.seal()
-                right_spill.seal()
-                left_source, right_source = left_next, right_next
-                lazy_iterations = 0
-        matches.seal()
-        return JoinResult(
-            output=output,
-            io=None,
-            partitions=num_partitions,
-            iterations=iterations,
-            details={"intermediate_materializations": materializations},
-        )
+    def _details(self, materializations: int) -> dict:
+        return {"intermediate_materializations": materializations}
 
     def estimated_cost_ns(self, left_buffers: float, right_buffers: float) -> float:
         return cost.lazy_hash_join_cost(

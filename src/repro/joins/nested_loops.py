@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe
-from repro.storage.collection import PersistentCollection
+from repro.joins.common import build_hash_table, probe_block
+from repro.storage.collection import AppendBuffer, PersistentCollection
 
 
 class NestedLoopsJoin(JoinAlgorithm):
@@ -35,11 +35,14 @@ class NestedLoopsJoin(JoinAlgorithm):
         # build side); terminate on an exhausted slice instead.  Settled
         # collections keep the exact count-bounded loop.
         known_total = None if left.is_deferred else len(left)
+        matches = AppendBuffer(output)
         iterations = 0
         block_start = 0
         while known_total is None or block_start < known_total:
             block = list(
-                left.scan(start=block_start, stop=block_start + block_records)
+                left.scan_blocks_flat(
+                    start=block_start, stop=block_start + block_records
+                )
             )
             if not block:
                 break
@@ -48,13 +51,12 @@ class NestedLoopsJoin(JoinAlgorithm):
             # is identical to tuple-at-a-time nested loops, only the Python
             # CPU time changes.
             table = build_hash_table(block, self.left_key)
-            for right_record in right.scan():
-                for left_record in probe(table, right_record, self.right_key):
-                    output.append(self.combine(left_record, right_record))
+            for right_block in right.scan_blocks():
+                matches.extend(probe_block(table, right_block, self.right_key))
             if len(block) < block_records:
                 break
             block_start += block_records
-        output.seal()
+        matches.seal()
         return JoinResult(
             output=output,
             io=None,

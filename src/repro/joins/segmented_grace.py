@@ -10,11 +10,12 @@ Grace join; regardless, x is a direct write-intensity knob.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, partition_of, probe
-from repro.joins.grace_join import partition_collection
+from repro.joins.common import build_hash_table, probe_block, split_blocks
 from repro.storage.collection import AppendBuffer, PersistentCollection
 
 #: Default fraction of partitions materialized.
@@ -58,26 +59,10 @@ class SegmentedGraceJoin(JoinAlgorithm):
         materialized = int(round(num_partitions * self.write_intensity))
         materialized = min(max(materialized, 0), num_partitions)
 
-        def is_materialized(index: int) -> bool:
-            return index < materialized
-
         # Phase 1: single scan of both inputs, materializing only the
         # selected partitions; records of the other partitions are skipped.
-        left_parts, _ = partition_collection(
-            left,
-            num_partitions,
-            self.left_key,
-            self.backend,
-            prefix=f"{output.name}-L",
-            partition_filter=is_materialized,
-        )
-        right_parts, _ = partition_collection(
-            right,
-            num_partitions,
-            self.right_key,
-            self.backend,
-            prefix=f"{output.name}-R",
-            partition_filter=is_materialized,
+        left_parts, right_parts = self._partition_inputs(
+            left, right, num_partitions, output.name, materialized=materialized
         )
 
         # Phase 2: Grace-style processing of the materialized partitions.
@@ -87,27 +72,21 @@ class SegmentedGraceJoin(JoinAlgorithm):
                 left_parts[index].scan_blocks_flat(), self.left_key
             )
             for block in right_parts[index].scan_blocks():
-                for record in block:
-                    for match in probe(table, record, self.right_key):
-                        matches.append(self.combine(match, record))
+                matches.extend(probe_block(table, block, self.right_key))
 
         # Phase 3: the remaining partitions are processed by re-scanning the
         # primary inputs and filtering on the fly.
         rescans = 0
         for index in range(materialized, num_partitions):
             rescans += 1
-            build = [
-                record
-                for record in left.scan_blocks_flat()
-                if partition_of(self.left_key(record), num_partitions) == index
-            ]
+            build = itertools.chain.from_iterable(
+                split_blocks(left.scan_blocks(), self.left_key, num_partitions, index)
+            )
             table = build_hash_table(build, self.left_key)
-            for block in right.scan_blocks():
-                for record in block:
-                    if partition_of(self.right_key(record), num_partitions) != index:
-                        continue
-                    for match in probe(table, record, self.right_key):
-                        matches.append(self.combine(match, record))
+            for block in split_blocks(
+                right.scan_blocks(), self.right_key, num_partitions, index
+            ):
+                matches.extend(probe_block(table, block, self.right_key))
 
         matches.seal()
         return JoinResult(

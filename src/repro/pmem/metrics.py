@@ -255,3 +255,21 @@ def _combine_breakdowns(left: dict, right: dict, sign: float) -> dict:
         if value != 0.0:
             combined[label] = value
     return combined
+
+
+class IOResult:
+    """Views of an algorithm result's ``io`` snapshot (mixed into results)."""
+
+    io: IOSnapshot
+
+    @property
+    def simulated_seconds(self) -> float:
+        return self.io.total_ns / 1e9
+
+    @property
+    def cacheline_writes(self) -> float:
+        return self.io.cacheline_writes
+
+    @property
+    def cacheline_reads(self) -> float:
+        return self.io.cacheline_reads

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
-from repro.joins.common import build_hash_table, partition_of, probe
+from repro.joins.common import build_hash_table, partition_of, probe_block
 from repro.runtime.context import OperatorContext
 from repro.storage.collection import (
     AppendBuffer,
@@ -57,9 +57,7 @@ class PartitionJoinFunctor:
         table = build_hash_table(left.scan_blocks_flat(), self.left_key)
         matches = AppendBuffer(output)
         for block in right.scan_blocks():
-            for record in block:
-                for match in probe(table, record, self.right_key):
-                    matches.append(match + record)
+            matches.extend(probe_block(table, block, self.right_key))
         matches.flush()
 
 

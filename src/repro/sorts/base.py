@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
 from repro.pmem.backends.base import PersistenceBackend
-from repro.pmem.metrics import IOSnapshot
+from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
 @dataclass
-class SortResult:
+class SortResult(IOResult):
     """Outcome of one sort execution."""
 
     #: The sorted output collection.
@@ -37,18 +37,6 @@ class SortResult:
     input_scans: int = 0
     #: Algorithm-specific extras (e.g. materialization points of lazy sort).
     details: dict = field(default_factory=dict)
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.io.total_ns / 1e9
-
-    @property
-    def cacheline_writes(self) -> float:
-        return self.io.cacheline_writes
-
-    @property
-    def cacheline_reads(self) -> float:
-        return self.io.cacheline_reads
 
 
 class SortAlgorithm(abc.ABC):

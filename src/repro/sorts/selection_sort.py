@@ -34,7 +34,7 @@ def selection_passes(
     materializing the selection segment as an intermediate run.
     """
     if collection.is_deferred:
-        total = sum(1 for _ in collection.scan(start=start, stop=stop))
+        total = sum(map(len, collection.scan_blocks(start=start, stop=stop)))
     else:
         total = len(collection.records[start:stop])
     emitted = 0

@@ -8,6 +8,7 @@ from repro.aggregation import HashAggregation, SortedAggregation
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BlockedMemoryBackend
 from repro.pmem.device import PersistentMemoryDevice
+from repro.runtime.context import OperatorContext
 from repro.sorts import LazySort
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import PersistentCollection
@@ -87,6 +88,21 @@ class TestCorrectness:
         collection = build_collection(backend, [], name="empty-agg")
         budget = MemoryBudget.from_records(10)
         result = aggregation_cls(backend, budget).aggregate(collection)
+        assert result.output.records == []
+
+    def test_deferred_input_that_selects_nothing(self, aggregation_cls, backend):
+        # A deferred filter only knows its estimated cardinality, so the
+        # aggregation cannot tell it is empty before reading it.
+        source = build_collection(backend, range(100), name="deferred-source")
+        context = OperatorContext(backend)
+        selected = context.filter(
+            context.register(source), lambda record: False, selectivity=0.5
+        )
+        assert len(selected) == 50
+        result = aggregation_cls(
+            backend, MemoryBudget.from_records(30), aggregates={"count": 0, "sum": 1}
+        ).aggregate(selected)
+        assert result.groups == 0
         assert result.output.records == []
 
     def test_group_by_non_key_attribute(self, aggregation_cls, backend, grouped_input):

@@ -12,7 +12,12 @@ from repro.joins import (
     SegmentedGraceJoin,
     SimpleHashJoin,
 )
-from repro.joins.common import build_hash_table, joined_schema, partition_of, probe
+from repro.joins.common import (
+    build_hash_table,
+    joined_schema,
+    partition_of,
+    probe_block,
+)
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
@@ -70,8 +75,12 @@ class TestHelpers:
     def test_build_and_probe(self):
         records = [WISCONSIN_SCHEMA.make_record(k) for k in [1, 2, 2, 3]]
         table = build_hash_table(records, WISCONSIN_SCHEMA.key)
-        assert len(probe(table, WISCONSIN_SCHEMA.make_record(2), WISCONSIN_SCHEMA.key)) == 2
-        assert probe(table, WISCONSIN_SCHEMA.make_record(9), WISCONSIN_SCHEMA.key) == []
+        two, nine = WISCONSIN_SCHEMA.make_record(2), WISCONSIN_SCHEMA.make_record(9)
+        assert probe_block(table, [two], WISCONSIN_SCHEMA.key) == [
+            records[1] + two,
+            records[2] + two,
+        ]
+        assert probe_block(table, [nine], WISCONSIN_SCHEMA.key) == []
 
     def test_joined_schema(self):
         combined = joined_schema(WISCONSIN_SCHEMA, WISCONSIN_SCHEMA)
