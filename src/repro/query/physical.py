@@ -43,6 +43,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from repro.exceptions import ConfigurationError
@@ -175,7 +176,7 @@ class FilterOperator(PhysicalOperator):
     def _blocks(self) -> Iterator[list[tuple]]:
         predicate = self.node.logical.predicate
         for block in self.source.scan_blocks():
-            survivors = [record for record in block if predicate(record)]
+            survivors = list(filter(predicate, block))
             if survivors:
                 yield survivors
 
@@ -186,11 +187,16 @@ class ProjectOperator(PhysicalOperator):
     def __init__(self, node, backend, source: PersistentCollection) -> None:
         super().__init__(node, backend)
         self.source = source
+        self._getter = itemgetter(*node.logical.indices)
 
     def _blocks(self) -> Iterator[list[tuple]]:
-        indices = self.node.logical.indices
+        getter = self._getter
+        single = len(self.node.logical.indices) == 1
         for block in self.source.scan_blocks():
-            yield [tuple(record[i] for i in indices) for record in block]
+            values = map(getter, block)
+            # A one-index itemgetter returns the bare value; zip re-wraps
+            # each one as the 1-tuple record the schema promises.
+            yield list(zip(values) if single else values)
 
 
 class SortOperator(PhysicalOperator):

@@ -180,10 +180,7 @@ class ShardedCollection:
 
     def extend(self, records: Iterable[tuple]) -> None:
         """Partition and bulk-append ``records`` shard by shard."""
-        buckets: list[list[tuple]] = [[] for _ in self.shards]
-        shard_of = self.partitioner.shard_of
-        for record in records:
-            buckets[shard_of(record)].append(record)
+        buckets = self.partitioner.split(records)
         for shard, bucket in zip(self.shards, buckets):
             shard.extend(bucket)
 

@@ -289,7 +289,7 @@ class ShardedQueryExecutor:
         else:
             sources = fragment_outputs[step.source_fragment]
         num_shards = len(step.dests)
-        shard_of = step.partitioner.shard_of
+        split = step.partitioner.split
 
         # Phase 1 (parallel per source shard): scan and bucket.  Reads are
         # charged on the source device iff the source is materialized.
@@ -298,8 +298,8 @@ class ShardedQueryExecutor:
             before = device.snapshot()
             buckets: list[list[tuple]] = [[] for _ in range(num_shards)]
             for block in sources[index].scan_blocks():
-                for record in block:
-                    buckets[shard_of(record)].append(record)
+                for bucket, part in zip(buckets, split(block)):
+                    bucket.extend(part)
             return buckets, device.snapshot() - before
 
         read_results = run_tasks(read_and_bucket)

@@ -16,7 +16,8 @@ routing-compatible.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.joins.common import _HASH_MASK, _HASH_MULTIPLIER
@@ -45,6 +46,21 @@ class Partitioner:
     def shard_of(self, record: tuple) -> int:
         """Shard index owning ``record``."""
         return self.shard_of_key(record[self.key_index])
+
+    def shards_of(self, records: Iterable[tuple]) -> list[int]:
+        """Shard index of every record, in order: one call per batch."""
+        keys = map(itemgetter(self.key_index), records)
+        return list(map(self.shard_of_key, keys))
+
+    def split(self, records: Iterable[tuple]) -> list[list[tuple]]:
+        """``records`` bucketed by shard, each bucket in input order."""
+        if not isinstance(records, list):
+            records = list(records)
+        buckets: list[list[tuple]] = [[] for _ in range(self.num_shards)]
+        appends = [bucket.append for bucket in buckets]
+        for shard, record in zip(self.shards_of(records), records):
+            appends[shard](record)
+        return buckets
 
     def routes_like(self, other: "Partitioner") -> bool:
         """Whether equal keys land on the same shard under both partitioners.
@@ -84,6 +100,11 @@ class HashPartitioner(Partitioner):
 
     def shard_of_key(self, key: int) -> int:
         return self.hash_fn(key) % self.num_shards
+
+    def shards_of(self, records: Iterable[tuple]) -> list[int]:
+        num_shards = self.num_shards
+        hashes = map(self.hash_fn, map(itemgetter(self.key_index), records))
+        return [value % num_shards for value in hashes]
 
     def routes_like(self, other: Partitioner) -> bool:
         return (

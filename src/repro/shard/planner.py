@@ -39,6 +39,7 @@ exchanges and a trivial merge, and it renders exactly like its fragment.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -636,12 +637,10 @@ class ShardedPlanner:
         (``records`` is the no-charge accessor), so pricing with the true
         distribution costs no simulated I/O.
         """
-        counts = [0.0] * num_shards
-        shard_of = partitioner.shard_of
+        counts = Counter()
         for collection in sources:
-            for record in collection.records:
-                counts[shard_of(record)] += 1.0
-        return counts
+            counts.update(partitioner.shards_of(collection.records))
+        return [float(counts[shard]) for shard in range(num_shards)]
 
     def _add_fragment_step(
         self, per_shard: list[LogicalNode], label: str

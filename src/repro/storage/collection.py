@@ -30,7 +30,8 @@ vectorized backend calls.  Both shapes are cost-equivalent -- identical
 device counters for the same record traffic -- the batched one just does
 O(1) Python work per block batch instead of O(records); the
 :func:`io_batching` switch can force the per-record path for equivalence
-testing.
+testing.  A ``scan_blocks`` list is a *charge batch* of whole I/O blocks:
+the unit of Python work and of one backend charge, not modelled DRAM.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _anonymous_counter = itertools.count()
 
-#: Blocks charged per vectorized backend call while scanning in batches.
+#: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
 DEFAULT_CHARGE_BATCH_BLOCKS = 64
 
 #: Records an :class:`AppendBuffer` accumulates before flushing.
@@ -65,9 +66,9 @@ def set_io_batching(enabled: bool) -> bool:
 
     With batching disabled, :meth:`PersistentCollection.extend` degrades to
     per-record :meth:`PersistentCollection.append` calls and
-    :meth:`PersistentCollection.scan_blocks` charges one backend call per
-    block -- the exact charge sequence of the per-record APIs.  Used by the
-    equivalence tests and benchmarks to compare both paths.
+    :meth:`PersistentCollection.scan_blocks` yields and charges one block
+    per list -- the exact charge sequence of the per-record APIs.  Used by
+    the equivalence tests and benchmarks to compare both paths.
     """
     global _io_batching_enabled
     previous = _io_batching_enabled
@@ -313,86 +314,60 @@ class PersistentCollection:
             self.backend.read(self.name, pending_read)
 
     def scan_blocks(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        charge_batch_blocks: int = DEFAULT_CHARGE_BATCH_BLOCKS,
+        self, start: int = 0, stop: int | None = None
     ) -> Iterator[list[tuple]]:
-        """Yield insertion-order record blocks, charging reads in bulk.
+        """Yield insertion-order record batches, charging reads in bulk.
 
-        Each yielded list holds the records of one I/O block (the smallest
-        record count whose payload reaches ``block_bytes``; the final block
-        may be partial).  The charge totals are identical to
-        :meth:`scan`'s -- including under early termination, where only the
-        blocks actually yielded are priced (charges for up to
-        ``charge_batch_blocks`` blocks are accumulated and settled in one
-        backend call at batch boundaries and on generator close) -- and
-        consumers iterate plain lists instead of pulling a generator once
-        per record.
+        Each list is one *charge batch*: up to
+        :data:`DEFAULT_CHARGE_BATCH_BLOCKS` whole I/O blocks (an I/O block
+        is the smallest record count whose payload reaches
+        ``block_bytes``); a partial final block is a list of its own.  A
+        materialized collection charges each list in one backend call just
+        before yielding it, so a full scan costs exactly what :meth:`scan`
+        costs and an abandoned scan has paid for exactly the lists it
+        handed out.  Under ``io_batching(False)`` every list is one block.
+        A deferred collection also yields one block per list: its replay
+        charges source reads as it derives, so a larger list would derive
+        (and charge) further ahead of a consumer that stops early.  No
+        operator sizes a DRAM structure from a list's length.
         """
-        if charge_batch_blocks < 1:
-            raise ConfigurationError("charge_batch_blocks must be positive")
         record_bytes = self.schema.record_bytes
         per_block = max(1, -(-self.block_bytes // record_bytes))
         if self._status is CollectionStatus.DEFERRED:
             # The operator context prices the replay; just batch its stream.
-            block: list[tuple] = []
-            for record in self.scan(start=start, stop=stop):
-                block.append(record)
-                if len(block) >= per_block:
-                    yield block
-                    block = []
-            if block:
+            stream = self.scan(start=start, stop=stop)
+            while block := list(itertools.islice(stream, per_block)):
                 yield block
             return
-        records = self._records[start:stop]
-        if not records:
-            return
-        full_blocks, tail_records = divmod(len(records), per_block)
-        if self._status is CollectionStatus.MEMORY or self.backend is None:
-            for position in range(0, len(records), per_block):
-                yield records[position:position + per_block]
-            return
-        chunk_bytes = per_block * record_bytes
-        position = 0
-        uncharged_blocks = 0
-        uncharged_tail_bytes = 0
-        batch_limit = charge_batch_blocks if _io_batching_enabled else 1
-        try:
-            for _ in range(full_blocks):
-                if uncharged_blocks >= batch_limit:
-                    self.backend.read_bulk(self.name, chunk_bytes, uncharged_blocks)
-                    uncharged_blocks = 0
-                # Count the block before yielding so a consumer that stops
-                # here still settles it on generator close.
-                uncharged_blocks += 1
-                yield records[position:position + per_block]
-                position += per_block
-            if tail_records:
-                uncharged_tail_bytes = tail_records * record_bytes
-                yield records[position:]
-        finally:
-            if uncharged_blocks:
-                self.backend.read_bulk(self.name, chunk_bytes, uncharged_blocks)
-            if uncharged_tail_bytes:
-                self.backend.read(self.name, uncharged_tail_bytes)
+        records = self._records
+        start, stop, _ = slice(start, stop).indices(len(records))
+        charged = self._status is CollectionStatus.MATERIALIZED
+        batch_blocks = DEFAULT_CHARGE_BATCH_BLOCKS if _io_batching_enabled else 1
+        step = per_block * batch_blocks
+        full_stop = start + max(0, stop - start) // per_block * per_block
+        for position in range(start, full_stop, step):
+            batch = records[position:min(position + step, full_stop)]
+            if charged:
+                self.backend.read_bulk(
+                    self.name, per_block * record_bytes, len(batch) // per_block
+                )
+            yield batch
+        if full_stop < stop:
+            if charged:
+                self.backend.read(self.name, (stop - full_stop) * record_bytes)
+            yield records[full_stop:stop]
 
     def scan_blocks_flat(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        charge_batch_blocks: int = DEFAULT_CHARGE_BATCH_BLOCKS,
+        self, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple]:
         """A per-record stream with :meth:`scan_blocks` batched charging.
 
         Drop-in for :meth:`scan` wherever the stream is fully consumed
-        (merges, hash-table builds); reads are priced per block batch
-        instead of per record.  The blocks are flattened in C.
+        (merges, hash-table builds); reads are priced per charge batch
+        instead of per record.  The batches are flattened in C.
         """
         return itertools.chain.from_iterable(
-            self.scan_blocks(
-                start=start, stop=stop, charge_batch_blocks=charge_batch_blocks
-            )
+            self.scan_blocks(start=start, stop=stop)
         )
 
     def __iter__(self) -> Iterator[tuple]:

@@ -1,4 +1,4 @@
-"""Golden-file regression test for the single-device ``query`` CLI output.
+"""Golden-file regression test for the ``query`` CLI output.
 
 Every canned query's full report -- plan rendering with estimated vs.
 actual I/O per node, the summary lines and the record preview -- is
@@ -10,12 +10,14 @@ Regenerate with::
     REGENERATE_GOLDEN=1 python -m pytest tests/test_cli_golden.py
 """
 
+import itertools
 import os
 import pathlib
 
 import pytest
 
 from repro.cli import main
+from repro.shard import planner as shard_planner
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden_cli")
 
@@ -26,11 +28,18 @@ CASES = {
     "query_join-sort": ["query", "join-sort"],
     "query_aggregate": ["query", "aggregate"],
     "query_join_materialize": ["query", "join", "--materialize"],
+    "query_aggregate_2shard": ["query", "aggregate", "--shards", "2"],
+    "query_join-sort_2shard": ["query", "join-sort", "--shards", "2"],
+    "query_filter-sort_defer": ["query", "filter-sort", "--boundaries", "defer"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_query_cli_output_matches_golden(name, capsys):
+def test_query_cli_output_matches_golden(name, capsys, monkeypatch):
+    # Exchange stores are named after a process-wide plan counter; restart
+    # it so every case renders as `python -m repro ...` does in a fresh
+    # process, whatever ran before it.
+    monkeypatch.setattr(shard_planner, "_plan_counter", itertools.count())
     assert main(CASES[name]) == 0
     rendered = capsys.readouterr().out
     golden_path = GOLDEN_DIR / f"{name}.txt"

@@ -1,6 +1,8 @@
 """Unit tests for the partitioners."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.shard.partition import (
@@ -87,3 +89,65 @@ class TestRangePartitioner:
         moved = RangePartitioner([10], key_index=0).with_key_index(3)
         assert moved.key_index == 3
         assert moved.boundaries == (10,)
+
+
+# --------------------------------------------------------------------- #
+# Batch routing: shards_of(records) == [shard_of(r) for r in records].
+# --------------------------------------------------------------------- #
+_keys = st.integers(min_value=-(2**40), max_value=2**40)
+_records = st.lists(st.tuples(_keys, _keys, _keys), max_size=200)
+
+
+def _assert_batch_routing_matches(partitioner, records):
+    assert partitioner.shards_of(records) == [
+        partitioner.shard_of(record) for record in records
+    ]
+    buckets = [[] for _ in range(partitioner.num_shards)]
+    for record in records:
+        buckets[partitioner.shard_of(record)].append(record)
+    assert partitioner.split(records) == buckets
+    assert partitioner.split(iter(records)) == buckets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=_records,
+    num_shards=st.integers(min_value=1, max_value=9),
+    key_index=st.sampled_from([0, 1]),
+    custom_hash=st.booleans(),
+)
+def test_hash_shards_of_matches_shard_of(records, num_shards, key_index, custom_hash):
+    hash_fn = (lambda key: key * 31 + 7) if custom_hash else None
+    partitioner = HashPartitioner(num_shards, key_index=key_index, hash_fn=hash_fn)
+    _assert_batch_routing_matches(partitioner, records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=_records,
+    boundaries=st.sets(_keys, max_size=6).map(sorted),
+    key_index=st.sampled_from([0, 1]),
+    data=st.data(),
+)
+def test_range_shards_of_matches_shard_of(records, boundaries, key_index, data):
+    if boundaries:
+        # Records keyed exactly on a split point route to the upper shard.
+        on_boundary = data.draw(
+            st.lists(st.sampled_from(boundaries), max_size=20)
+        )
+        records = records + [(key, key, key) for key in on_boundary]
+    partitioner = RangePartitioner(boundaries, key_index=key_index)
+    _assert_batch_routing_matches(partitioner, records)
+
+
+@pytest.mark.parametrize(
+    "partitioner",
+    [
+        HashPartitioner(3),
+        HashPartitioner(3, hash_fn=lambda key: 0),
+        RangePartitioner([10, 20]),
+    ],
+)
+def test_shards_of_empty_batch(partitioner):
+    assert partitioner.shards_of([]) == []
+    assert partitioner.split([]) == [[], [], []]

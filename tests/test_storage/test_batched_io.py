@@ -11,13 +11,19 @@ Fig. 7 sweep workloads.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import experiments
+from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.storage.collection import (
+    DEFAULT_CHARGE_BATCH_BLOCKS,
     AppendBuffer,
     CollectionStatus,
     PersistentCollection,
@@ -26,6 +32,11 @@ from repro.storage.collection import (
     set_io_batching,
 )
 from repro.storage.schema import WISCONSIN_SCHEMA
+from tests.test_cli_golden import CASES as CLI_CASES
+from tests.test_joins.test_golden_io import CASES as JOIN_CASES
+from tests.test_joins.test_golden_io import run_case as run_join_case
+from tests.test_sorts.test_golden_io import CASES as SORT_CASES
+from tests.test_sorts.test_golden_io import run_case as run_sort_case
 
 
 def _materialized(backend, name="col"):
@@ -138,7 +149,7 @@ def test_collection_batched_path_is_cost_identical(backend_name, num_records):
 
 def test_scan_blocks_matches_scan_records_and_charges(backend):
     collection = _materialized(backend)
-    collection.extend(_records(777))
+    collection.extend(_records(2000))
     collection.seal()
     device = backend.device
     before = device.snapshot()
@@ -149,9 +160,16 @@ def test_scan_blocks_matches_scan_records_and_charges(backend):
     blocks_delta = device.snapshot() - before
     assert [r for block in blocks for r in block] == scanned
     assert blocks_delta == scan_delta
-    # Every block except possibly the last holds one I/O block's records.
+    # 13 records per block (1 KiB rounded up to whole 80-byte records):
+    # two full charge batches of DEFAULT_CHARGE_BATCH_BLOCKS blocks, the
+    # 25 remaining whole blocks, then the 11-record partial tail block.
     per_block = -(-collection.block_bytes // WISCONSIN_SCHEMA.record_bytes)
-    assert all(len(block) == per_block for block in blocks[:-1])
+    assert per_block == 13 and DEFAULT_CHARGE_BATCH_BLOCKS == 64
+    assert [len(block) for block in blocks] == [832, 832, 325, 11]
+    # Unbatched, every list is one I/O block.
+    with io_batching(False):
+        sizes = [len(block) for block in collection.scan_blocks()]
+    assert sizes == [per_block] * (2000 // per_block) + [2000 % per_block]
 
 
 def test_scan_blocks_slice_matches_scan_slice(backend):
@@ -171,7 +189,7 @@ def test_scan_blocks_slice_matches_scan_slice(backend):
 
 def test_scan_blocks_abandoned_early_charges_only_consumed_blocks(backend):
     collection = _materialized(backend)
-    collection.extend(_records(1000))
+    collection.extend(_records(3000))
     collection.seal()
     device = backend.device
     before = device.snapshot()
@@ -179,11 +197,95 @@ def test_scan_blocks_abandoned_early_charges_only_consumed_blocks(backend):
     consumed = [next(iterator), next(iterator)]
     iterator.close()
     delta = device.snapshot() - before
-    per_block = -(-collection.block_bytes // WISCONSIN_SCHEMA.record_bytes)
-    expected_bytes = 2 * per_block * WISCONSIN_SCHEMA.record_bytes
-    assert sum(len(block) for block in consumed) == 2 * per_block
-    assert delta.bytes_read == expected_bytes
-    assert delta.read_calls <= 2
+    consumed_records = sum(len(block) for block in consumed)
+    assert consumed_records < 3000
+    assert delta.bytes_read == consumed_records * WISCONSIN_SCHEMA.record_bytes
+    before = device.snapshot()
+    list(collection.scan(stop=consumed_records))
+    assert delta == device.snapshot() - before
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    backend_name=st.sampled_from(sorted(BACKEND_REGISTRY)),
+    num_records=st.integers(min_value=0, max_value=3000),
+    bounds=st.tuples(
+        st.integers(min_value=0, max_value=3100),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3100)),
+    ),
+    batched=st.booleans(),
+    abandon_after=st.integers(min_value=0, max_value=6),
+)
+def test_scan_blocks_charge_batches_match_scan(
+    backend_name, num_records, bounds, batched, abandon_after
+):
+    start, stop = bounds
+    backend = make_backend(backend_name, PersistentMemoryDevice())
+    collection = _materialized(backend)
+    collection.extend(_records(num_records))
+    collection.seal()
+    device = backend.device
+
+    def charged(consume):
+        before = device.snapshot()
+        result = consume()
+        return result, device.snapshot() - before
+
+    with io_batching(batched):
+        scanned, scan_delta = charged(lambda: list(collection.scan(start, stop)))
+        blocks, blocks_delta = charged(
+            lambda: list(collection.scan_blocks(start, stop))
+        )
+        assert [r for block in blocks for r in block] == scanned
+        assert blocks_delta == scan_delta
+
+        def abandon():
+            iterator = collection.scan_blocks(start, stop)
+            taken = sum(map(len, itertools.islice(iterator, abandon_after)))
+            iterator.close()
+            return taken
+
+        taken, abandon_delta = charged(abandon)
+        # Abandoning after k lists costs what reading exactly their
+        # records record by record costs.
+        first = slice(start, stop).indices(num_records)[0]
+        _, prefix_delta = charged(
+            lambda: list(collection.scan(first, first + taken))
+        )
+        assert taken == sum(map(len, blocks[:abandon_after]))
+        assert abandon_delta == prefix_delta
+
+
+def test_no_consumer_abandons_a_materialized_scan(monkeypatch, capsys):
+    """Every materialized scan in the golden workloads runs to exhaustion.
+
+    A charge batch is paid when it is handed out, so a consumer that
+    abandoned a materialized scan mid-batch would now pay for records it
+    never read.  Spy on every scan the sort, join and aggregation golden
+    cases and the golden CLI queries start, and prove none stops early.
+    """
+    original = PersistentCollection.scan_blocks
+    scans = []
+
+    def spy(self, start=0, stop=None):
+        if not self.is_materialized:
+            yield from original(self, start, stop)
+            return
+        scan = {"collection": self.name, "exhausted": False}
+        scans.append(scan)
+        yield from original(self, start, stop)
+        scan["exhausted"] = True
+
+    monkeypatch.setattr(PersistentCollection, "scan_blocks", spy)
+    for case in SORT_CASES:
+        run_sort_case(*case)
+    for case in JOIN_CASES:
+        run_join_case(*case)
+    for args in CLI_CASES.values():
+        assert cli_main(args) == 0
+    capsys.readouterr()
+    assert len(scans) > 100
+    assert [scan for scan in scans if not scan["exhausted"]] == []
 
 
 def test_extend_empty_is_noop_even_when_sealed(backend):
