@@ -35,7 +35,7 @@ class GraceJoin(JoinAlgorithm):
         )
         matches = AppendBuffer(output)
         for left_part, right_part in zip(left_parts, right_parts):
-            table = build_hash_table(left_part.scan_blocks_flat(), self.left_key)
+            table = build_hash_table(left_part.scan(), self.left_key)
             for block in right_part.scan_blocks():
                 matches.extend(probe_block(table, block, self.right_key))
         matches.seal()

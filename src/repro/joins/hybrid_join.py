@@ -104,7 +104,7 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             # the unpartitioned right remainder (Tx join V1-y) onto each
             # in-memory left partition.
             for left_part, right_part in zip(left_parts, right_parts):
-                table = build_hash_table(left_part.scan_blocks_flat(), self.left_key)
+                table = build_hash_table(left_part.scan(), self.left_key)
                 for block in right_part.scan_blocks():
                     matches.extend(probe_block(table, block, self.right_key))
                 if right_boundary < total_right:
@@ -125,7 +125,7 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             for block_start in range(left_boundary, total_left, block_records):
                 iterations += 1
                 table = build_hash_table(
-                    left.scan_blocks_flat(
+                    left.scan(
                         start=block_start, stop=block_start + block_records
                     ),
                     self.left_key,

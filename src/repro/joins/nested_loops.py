@@ -40,7 +40,7 @@ class NestedLoopsJoin(JoinAlgorithm):
         block_start = 0
         while known_total is None or block_start < known_total:
             block = list(
-                left.scan_blocks_flat(
+                left.scan(
                     start=block_start, stop=block_start + block_records
                 )
             )

@@ -69,7 +69,7 @@ class SegmentedGraceJoin(JoinAlgorithm):
         matches = AppendBuffer(output)
         for index in range(materialized):
             table = build_hash_table(
-                left_parts[index].scan_blocks_flat(), self.left_key
+                left_parts[index].scan(), self.left_key
             )
             for block in right_parts[index].scan_blocks():
                 matches.extend(probe_block(table, block, self.right_key))

@@ -13,12 +13,23 @@ and makes the materialization decisions when collections are opened:
 * :meth:`OperatorContext.reconstruct` streams a deferred collection's
   records without writing them anywhere, which is how laziness actually
   saves writes.
+
+Both replay a chain of filters, partitions and splits a root charge batch
+at a time from the nearest *available* ancestor, the root (a MEMORY or a
+produced MATERIALIZED collection).  The charge contract: a replay that
+pulls ``k`` root records pays ``k // per_block`` whole-block reads, plus the
+partial tail block only if it ran past the root's last record.  A bounded
+replay -- a sliced ``reconstruct`` or a split's low side -- stops at the
+root record completing its bound, so a slice whose last output is the
+root's last record does not pay the tail.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from itertools import compress, repeat
+from operator import eq
+from typing import Callable, Iterator, Optional
 
 from repro.exceptions import (
     ConfigurationError,
@@ -29,8 +40,17 @@ from repro.pmem.backends.base import PersistenceBackend
 from repro.runtime.api import CallKind, FilterCall, MergeCall, PartitionCall, SplitCall
 from repro.runtime.graph import ControlFlowGraph
 from repro.runtime.rules import MaterializationDecision, RuleEngine
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    DEFAULT_CHARGE_BATCH_BLOCKS,
+    CollectionStatus,
+    PersistentCollection,
+)
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
+
+#: A replay step: ``(keep, start, stop)``.  A filter or partition keeps the
+#: records its ``keep`` predicate accepts; a split (``keep`` is None) keeps
+#: ``[start, stop)`` of its input and stops pulling once ``stop`` entered.
+Step = tuple[Optional[Callable[[tuple], bool]], int, Optional[int]]
 
 
 class OperatorContext:
@@ -245,7 +265,12 @@ class OperatorContext:
         return name in self._produced
 
     def produce(self, name: str) -> None:
-        """Fill a promoted collection by replaying its derivation chain."""
+        """Fill a promoted collection by replaying its derivation chain.
+
+        All or nothing: if the replay raises, every collection being
+        produced is cleared (its store truncated) before the exception
+        propagates, so the next ``open()`` produces it again from scratch.
+        """
         if self.is_available(name):
             return
         collection = self.collection(name)
@@ -267,34 +292,38 @@ class OperatorContext:
             # same pass over the source.
             self._produce_partition_group(producer)
             return
-        for record in self._derive(name):
-            collection.append(record)
-        collection.flush()
-        self._produced.add(name)
+        batches = self._replay(*self._chain(name))
+        self._fill([collection], ([batch] for batch in batches))
 
     def reconstruct(
         self, name: str, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple]:
         """Stream a deferred collection's records without materializing them.
 
-        Fully consumed reconstructions are tallied (count of derivations,
-        and the collection's true cardinality whenever a derivation runs
-        to exhaustion -- including sliced scans that reach past the end),
-        so callers -- the query executor's deferred boundaries in
-        particular -- can report how much re-derivation a deferral
-        actually cost.
+        ``start``/``stop`` slice the derived stream the way
+        ``itertools.islice`` would, and the replay derives no further than
+        the slice needs.  Fully consumed reconstructions are tallied (count
+        of derivations, and the collection's true cardinality whenever a
+        derivation runs to exhaustion -- including sliced scans that reach
+        past the end), so callers -- the query executor's deferred
+        boundaries in particular -- can report how much re-derivation a
+        deferral actually cost.
         """
-        produced = 0
+        return itertools.chain.from_iterable(
+            self._reconstruct(name, start, stop)
+        )
 
-        def counted() -> Iterator[tuple]:
-            nonlocal produced
-            for record in self._derive(name):
-                produced += 1
-                yield record
-
-        sliced = itertools.islice(counted(), start, stop)
-        for record in sliced:
-            yield record
+    def _reconstruct(
+        self, name: str, start: int, stop: int | None
+    ) -> Iterator[list[tuple]]:
+        if start < 0 or (stop is not None and stop < 0):
+            raise ValueError("reconstruct bounds must be non-negative")
+        # The slice is one more split step; like islice, it pulls
+        # max(start, stop) records even when stop < start.
+        bound = None if stop is None else max(start, stop)
+        root, steps = self._chain(name)
+        taken = yield from self._replay(root, [*steps, (None, start, bound)])
+        produced = taken[-1]
         self._reconstruction_counts[name] = (
             self._reconstruction_counts.get(name, 0) + 1
         )
@@ -364,50 +393,82 @@ class OperatorContext:
             return len(collection.records)
         return self._expected_records.get(name, 0)
 
-    def _source_stream(self, name: str) -> Iterator[tuple]:
-        """Records of a collection, derived recursively when necessary."""
-        collection = self.collection(name)
-        if self.is_available(name):
-            # Scanning an available source for reconstruction accumulates
-            # read cost against it (input to the read-over-write rule).
-            nbytes = len(collection.records) * collection.schema.record_bytes
-            cachelines = self.backend.device.geometry.bytes_to_cachelines(nbytes)
-            self._accumulated_read_ns[name] = self._accumulated_read_ns.get(
-                name, 0.0
-            ) + self.backend.device.latency.read_cost_ns(cachelines)
-            return collection.scan()
-        return self._derive(name)
+    def _chain(self, name: str) -> tuple[PersistentCollection, list[Step]]:
+        """The root of ``name``'s replay and the steps from it down to ``name``.
 
-    def _derive(self, name: str) -> Iterator[tuple]:
-        """Generator producing the records of ``name`` from its ancestors."""
-        producer = self.graph.producer_of(name)
-        if producer is None:
-            raise GraphConsistencyError(
-                f"collection {name!r} has no producer and no records; "
-                "cannot derive it"
-            )
-        descriptor = producer.descriptor
-        if producer.kind is CallKind.MERGE:
-            raise GraphConsistencyError(
-                "merge outputs are append targets and cannot be re-derived "
-                f"lazily (collection {name!r})"
-            )
-        source_name = producer.inputs[0]
-        source = self._source_stream(source_name)
-        if producer.kind is CallKind.SPLIT:
-            start, stop = descriptor.output_slice(producer.output_index(name))
-            yield from itertools.islice(source, start, stop)
-        elif producer.kind is CallKind.PARTITION:
-            index = producer.output_index(name)
-            for record in source:
-                if descriptor.partition_fn(record) == index:
-                    yield record
-        elif producer.kind is CallKind.FILTER:
-            for record in source:
-                if descriptor.predicate(record):
-                    yield record
-        else:  # pragma: no cover - defensive; all kinds handled above
-            raise GraphConsistencyError(f"unsupported call kind {producer.kind}")
+        ``name`` itself is always re-derived from its producer; the chain
+        then walks up while the source is unavailable.
+        """
+        steps: list[Step] = []
+        while not steps or not self.is_available(name):
+            producer = self.graph.producer_of(name)
+            if producer is None:
+                raise GraphConsistencyError(
+                    f"collection {name!r} has no producer and no records; "
+                    "cannot derive it"
+                )
+            if producer.kind is CallKind.MERGE:
+                raise GraphConsistencyError(
+                    "merge outputs are append targets and cannot be re-derived "
+                    f"lazily (collection {name!r})"
+                )
+            descriptor, index = producer.descriptor, producer.output_index(name)
+            if producer.kind is CallKind.SPLIT:
+                steps.append((None, *descriptor.output_slice(index)))
+            elif producer.kind is CallKind.PARTITION:
+                fn = descriptor.partition_fn
+                steps.append((lambda record, fn=fn, i=index: fn(record) == i, 0, None))
+            else:
+                steps.append((descriptor.predicate, 0, None))
+            name = producer.inputs[0]
+        steps.reverse()
+        return self.collection(name), steps
+
+    def _replay(
+        self, root: PersistentCollection, steps: list[Step]
+    ) -> Iterator[list[tuple]]:
+        """Yield the records ``steps`` derive from ``root``, a batch at a time.
+
+        A pull takes at most one root charge batch and no more root records
+        than the fullest bounded step still accepts (steps never pass on
+        more than they take), so a bound is reached exactly at the end of a
+        pull.  Root reads follow the module's charge contract.  Returns how
+        many records entered each step.
+        """
+        if all(stop != 0 for _, _, stop in steps[1:]):
+            # Opening the root accrues its read cost to the read-over-write
+            # rule; a zero bound above the first step never opens it.
+            device = self.backend.device
+            cachelines = device.geometry.bytes_to_cachelines(root.nbytes)
+            self._accumulated_read_ns[root.name] = self._accumulated_read_ns.get(
+                root.name, 0.0
+            ) + device.latency.read_cost_ns(cachelines)
+        records = root.records
+        per_block = root.records_per_block
+        batch_records = per_block * DEFAULT_CHARGE_BATCH_BLOCKS
+        bounded = [(i, stop) for i, (*_, stop) in enumerate(steps) if stop is not None]
+        taken = [0] * len(steps)
+        position = charged = 0
+        while pull := min([batch_records, *(stop - taken[i] for i, stop in bounded)]):
+            if position == len(records):
+                root.charge_scan(charged, position)  # ran past the last record
+                break
+            batch = records[position:position + pull]
+            position += len(batch)
+            whole = position - (position - charged) % per_block
+            root.charge_scan(charged, whole)
+            charged = whole
+            for index, (keep, start, stop) in enumerate(steps):
+                seen = taken[index]
+                taken[index] = seen + len(batch)
+                if keep is not None:
+                    batch = list(filter(keep, batch))
+                else:
+                    end = None if stop is None else stop - seen
+                    batch = batch[max(0, start - seen):end]
+            if batch:
+                yield batch
+        return taken
 
     def _produce_partition_group(self, call) -> None:
         """Materialize every promoted output of one partition call in one scan."""
@@ -422,12 +483,30 @@ class OperatorContext:
                 targets[index] = output
         if not targets:
             return
-        source_name = call.inputs[0]
-        for record in self._source_stream(source_name):
-            index = descriptor.partition_fn(record)
-            target = targets.get(index)
-            if target is not None:
-                target.append(record)
-        for output in targets.values():
-            output.flush()
-            self._produced.add(output.name)
+        # Any output's chain, less its own partition step, derives the source.
+        root, steps = self._chain(call.outputs[0])
+        source = self._replay(root, steps[:-1])
+
+        def shares(batch: list[tuple]) -> list[list[tuple]]:
+            indices = list(map(descriptor.partition_fn, batch))
+            return [
+                list(compress(batch, map(eq, indices, repeat(index))))
+                for index in targets
+            ]
+
+        self._fill(list(targets.values()), map(shares, source))
+
+    def _fill(self, targets: list[PersistentCollection], shares) -> None:
+        """Extend each target with its list of every ``shares`` item, all or
+        nothing: an exception clears every target before it propagates."""
+        try:
+            for batch_shares in shares:
+                for target, share in zip(targets, batch_shares):
+                    target.extend(share)
+            for target in targets:
+                target.flush()
+        except BaseException:
+            for target in targets:
+                target.clear()
+            raise
+        self._produced.update(target.name for target in targets)

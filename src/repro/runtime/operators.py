@@ -54,7 +54,7 @@ class PartitionJoinFunctor:
         left.open()
         right.open()
         output.open()
-        table = build_hash_table(left.scan_blocks_flat(), self.left_key)
+        table = build_hash_table(left.scan(), self.left_key)
         matches = AppendBuffer(output)
         for block in right.scan_blocks():
             matches.extend(probe_block(table, block, self.right_key))

@@ -127,7 +127,7 @@ class ShardedCollection:
     Records are routed by the collection's :class:`Partitioner` (hash on
     the schema key by default) and each shard is an ordinary
     :class:`PersistentCollection` named ``{name}/shard{i}`` on backend
-    ``i``.  Appends and scans charge the owning shard's device exactly as
+    ``i``.  Writes and scans charge the owning shard's device exactly as
     an unsharded collection would charge its single device, so summed
     shard counters are directly comparable to a single-device run.
     """
@@ -174,10 +174,6 @@ class ShardedCollection:
     # ------------------------------------------------------------------ #
     # Writing.
     # ------------------------------------------------------------------ #
-    def append(self, record: tuple) -> None:
-        """Route one record to its shard, charging that shard's device."""
-        self.shards[self.partitioner.shard_of(record)].append(record)
-
     def extend(self, records: Iterable[tuple]) -> None:
         """Partition and bulk-append ``records`` shard by shard."""
         buckets = self.partitioner.split(records)

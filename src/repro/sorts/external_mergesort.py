@@ -14,7 +14,7 @@ from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.heaps import replacement_selection_runs
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import RunSet, merge_runs, scan_stream
+from repro.storage.runs import RunSet, merge_runs
 
 
 def generate_runs_replacement_selection(
@@ -50,7 +50,7 @@ class ExternalMergeSort(SortAlgorithm):
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )
         generate_runs_replacement_selection(
-            scan_stream(collection),
+            collection.scan(),
             runset,
             self.workspace_records,
             self.key_fn,

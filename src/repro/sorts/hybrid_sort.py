@@ -20,7 +20,7 @@ from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.external_mergesort import generate_runs_replacement_selection
 from repro.sorts.heaps import select_smallest
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import RunSet, merge_runs, scan_stream
+from repro.storage.runs import RunSet, merge_runs
 
 #: Default split of M between the selection and replacement regions.
 DEFAULT_SELECTION_FRACTION = 0.5
@@ -75,7 +75,7 @@ class HybridSort(SortAlgorithm):
         # it becomes the output prefix without an intermediate run.
         displaced: list[tuple] = []
         prefix, _ = select_smallest(
-            scan_stream(collection),
+            collection.scan(),
             selection_capacity,
             self.key_fn,
             displaced=displaced.append,

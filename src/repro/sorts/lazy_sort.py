@@ -16,7 +16,6 @@ from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.heaps import select_smallest
 from repro.storage.collection import CollectionStatus, PersistentCollection
-from repro.storage.runs import scan_stream
 
 
 class LazySort(SortAlgorithm):
@@ -72,7 +71,7 @@ class LazySort(SortAlgorithm):
             # intermediate input.
             spill: list[tuple] = []
             batch, threshold = select_smallest(
-                scan_stream(source),
+                source.scan(),
                 self.workspace_records,
                 self.key_fn,
                 after=threshold,

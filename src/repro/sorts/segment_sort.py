@@ -24,7 +24,7 @@ from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.external_mergesort import generate_runs_replacement_selection
 from repro.sorts.selection_sort import selection_passes
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import RunSet, merge_runs, merge_streams, scan_stream
+from repro.storage.runs import RunSet, merge_runs, merge_streams
 
 
 class SegmentSort(SortAlgorithm):
@@ -76,7 +76,7 @@ class SegmentSort(SortAlgorithm):
         # Write-incurring segment: replacement-selection run generation.
         if boundary > 0:
             generate_runs_replacement_selection(
-                scan_stream(collection, 0, boundary),
+                collection.scan(0, boundary),
                 runset,
                 self.workspace_records,
                 self.key_fn,
@@ -124,7 +124,7 @@ class SegmentSort(SortAlgorithm):
                     key=self.key_fn,
                 )
                 runs = [reduced_output]
-            streams = [scan_stream(run) for run in runs]
+            streams = [run.scan() for run in runs]
             streams.append(
                 itertools.chain.from_iterable(
                     selection_passes(

@@ -15,7 +15,6 @@ from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.heaps import select_smallest
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import scan_stream
 
 
 def selection_passes(
@@ -41,7 +40,7 @@ def selection_passes(
     threshold: tuple[int, int] | None = None
     while emitted < total:
         batch, threshold = select_smallest(
-            scan_stream(collection, start, stop),
+            collection.scan(start, stop),
             workspace_records,
             key_fn,
             after=threshold,

@@ -20,25 +20,23 @@ Collections can be in one of three states, mirroring the paper's
     replaying the control-flow graph from the oldest materialized ancestor
     (Section 3.1).
 
-Two I/O shapes are offered on top of these states.  The per-record API
-(:meth:`PersistentCollection.append` / :meth:`PersistentCollection.scan`)
-charges the backend one block at a time as records stream through.  The
-batched API (:meth:`PersistentCollection.extend` /
-:meth:`PersistentCollection.scan_blocks`, plus the :class:`AppendBuffer`
-helper for incremental producers) groups whole block batches into single
-vectorized backend calls.  Both shapes are cost-equivalent -- identical
-device counters for the same record traffic -- the batched one just does
-O(1) Python work per block batch instead of O(records); the
-:func:`io_batching` switch can force the per-record path for equivalence
-testing.  A ``scan_blocks`` list is a *charge batch* of whole I/O blocks:
-the unit of Python work and of one backend charge, not modelled DRAM.
+One I/O shape serves every state.  Records are written with
+:meth:`PersistentCollection.extend` (the :class:`AppendBuffer` helper
+batches producers that emit one record at a time) and read with
+:meth:`PersistentCollection.scan_blocks` or its flattened form
+:meth:`PersistentCollection.scan`.  Both charge whole block batches in
+single vectorized backend calls, so the Python work is O(1) per batch
+instead of O(records).  A ``scan_blocks`` list is a *charge batch* of
+whole I/O blocks: the unit of Python work and of one backend charge, not
+modelled DRAM.  :meth:`PersistentCollection.charge_scan` is the one
+function that prices a scanned range; a deferred collection's replay
+charges its root through it too.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import CollectionStateError, ConfigurationError
@@ -52,38 +50,6 @@ DEFAULT_CHARGE_BATCH_BLOCKS = 64
 
 #: Records an :class:`AppendBuffer` accumulates before flushing.
 DEFAULT_APPEND_BUFFER_RECORDS = 512
-
-_io_batching_enabled = True
-
-
-def io_batching_enabled() -> bool:
-    """Whether the batched APIs use vectorized backend charging."""
-    return _io_batching_enabled
-
-
-def set_io_batching(enabled: bool) -> bool:
-    """Toggle batched charging globally; returns the previous setting.
-
-    With batching disabled, :meth:`PersistentCollection.extend` degrades to
-    per-record :meth:`PersistentCollection.append` calls and
-    :meth:`PersistentCollection.scan_blocks` yields and charges one block
-    per list -- the exact charge sequence of the per-record APIs.  Used by
-    the equivalence tests and benchmarks to compare both paths.
-    """
-    global _io_batching_enabled
-    previous = _io_batching_enabled
-    _io_batching_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def io_batching(enabled: bool):
-    """Context manager scoping :func:`set_io_batching` to a block."""
-    previous = set_io_batching(enabled)
-    try:
-        yield
-    finally:
-        set_io_batching(previous)
 
 
 def _next_anonymous_name() -> str:
@@ -191,52 +157,31 @@ class PersistentCollection:
 
         Deferred collections ask their operator context whether they should
         be materialized; if the verdict (or the prior state) is
-        MATERIALIZED but the records are not yet present, the context
+        MATERIALIZED but the records are not yet produced, the context
         produces them by replaying the control-flow graph.
         """
         if self._status is CollectionStatus.DEFERRED and self.context is not None:
             self.context.assess(self.name)
         if self._status is CollectionStatus.MATERIALIZED and self.context is not None:
-            if not self._records and self.context.is_pending(self.name):
+            if self.context.is_pending(self.name):
                 self.context.produce(self.name)
 
     # ------------------------------------------------------------------ #
     # Writing.
     # ------------------------------------------------------------------ #
-    def append(self, record: tuple) -> None:
-        """Append one record, charging device writes when materialized."""
-        if self._sealed:
-            raise CollectionStateError(f"collection {self.name!r} is sealed")
-        if self._status is CollectionStatus.DEFERRED:
-            raise CollectionStateError(
-                f"cannot append to deferred collection {self.name!r}; "
-                "materialize it first"
-            )
-        self._records.append(record)
-        if self._status is CollectionStatus.MATERIALIZED:
-            self._pending_bytes += self.schema.record_bytes
-            while self._pending_bytes >= self.block_bytes:
-                self.backend.append(self.name, self.block_bytes)
-                self._pending_bytes -= self.block_bytes
-
     def extend(self, records: Iterable[tuple]) -> None:
-        """Append many records, charging whole block batches in bulk.
+        """Append records, charging the full blocks they complete in bulk.
 
-        Cost-equivalent to appending the records one by one -- the same
-        number of full blocks reaches the backend and the same partial
-        block stays pending -- but the backend (and through it the device)
-        is charged once per batch instead of once per block, so the Python
-        overhead no longer scales with the record count.
+        Appended bytes accumulate into ``block_bytes`` blocks: every block
+        they fill is charged, all in one backend call, and the partial
+        block stays pending until more records or :meth:`flush` complete
+        it.  So how a stream is cut into ``extend`` calls never changes
+        what it costs.  An empty extend touches no state, even on a sealed
+        collection.
         """
-        if not _io_batching_enabled:
-            for record in records:
-                self.append(record)
-            return
         if not isinstance(records, list):
             records = list(records)
         if not records:
-            # Matches the per-record path: zero appends touch no state, so
-            # an empty extend is a no-op even on sealed collections.
             return
         if self._sealed:
             raise CollectionStateError(f"collection {self.name!r} is sealed")
@@ -283,35 +228,27 @@ class PersistentCollection:
     # ------------------------------------------------------------------ #
     # Reading.
     # ------------------------------------------------------------------ #
-    def scan(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
-        """Yield records in insertion order, charging reads as they stream.
+    @property
+    def records_per_block(self) -> int:
+        """Records per I/O block: the fewest whose payload fills ``block_bytes``."""
+        return max(1, -(-self.block_bytes // self.schema.record_bytes))
 
-        ``start``/``stop`` allow a contiguous slice to be read without
-        paying for the skipped prefix -- collections are directly
-        addressable, so skipping is a pointer adjustment, exactly the
-        assumption the paper's segment-processing cost models make.
+    def charge_scan(self, start: int, stop: int) -> None:
+        """Charge the reads of a fully consumed scan of records ``[start, stop)``.
+
+        One ``read_bulk`` for the whole I/O blocks counted from ``start``,
+        then one ``read`` for the partial tail block.  Only a MATERIALIZED
+        collection charges anything.
         """
-        if self._status is CollectionStatus.DEFERRED:
-            if self.context is None:
-                raise CollectionStateError(
-                    f"deferred collection {self.name!r} has no operator context"
-                )
-            yield from self.context.reconstruct(self.name, start=start, stop=stop)
+        if self._status is not CollectionStatus.MATERIALIZED:
             return
-        records = self._records[start:stop]
-        if self._status is CollectionStatus.MEMORY or self.backend is None:
-            yield from records
-            return
-        pending_read = 0
         record_bytes = self.schema.record_bytes
-        for record in records:
-            pending_read += record_bytes
-            if pending_read >= self.block_bytes:
-                self.backend.read(self.name, pending_read)
-                pending_read = 0
-            yield record
-        if pending_read:
-            self.backend.read(self.name, pending_read)
+        per_block = self.records_per_block
+        blocks, tail = divmod(max(0, stop - start), per_block)
+        if blocks:
+            self.backend.read_bulk(self.name, per_block * record_bytes, blocks)
+        if tail:
+            self.backend.read(self.name, tail * record_bytes)
 
     def scan_blocks(
         self, start: int = 0, stop: int | None = None
@@ -319,56 +256,50 @@ class PersistentCollection:
         """Yield insertion-order record batches, charging reads in bulk.
 
         Each list is one *charge batch*: up to
-        :data:`DEFAULT_CHARGE_BATCH_BLOCKS` whole I/O blocks (an I/O block
-        is the smallest record count whose payload reaches
-        ``block_bytes``); a partial final block is a list of its own.  A
-        materialized collection charges each list in one backend call just
-        before yielding it, so a full scan costs exactly what :meth:`scan`
-        costs and an abandoned scan has paid for exactly the lists it
-        handed out.  Under ``io_batching(False)`` every list is one block.
-        A deferred collection also yields one block per list: its replay
-        charges source reads as it derives, so a larger list would derive
-        (and charge) further ahead of a consumer that stops early.  No
+        :data:`DEFAULT_CHARGE_BATCH_BLOCKS` whole I/O blocks; a partial
+        final block is a list of its own.  ``start``/``stop`` read a
+        contiguous slice without paying for the skipped prefix --
+        collections are directly addressable, which is the assumption the
+        paper's segment-processing cost models make.  A materialized
+        collection charges each list through :meth:`charge_scan` just
+        before yielding it, so an abandoned scan has paid for exactly the
+        lists it handed out.
+
+        A deferred collection yields its operator context's replay
+        (``reconstruct``) in lists of the same size.  The replay charges its
+        root for whole blocks a root charge batch at a time, as it derives,
+        and for the root's partial tail block only once it runs past the
+        root's last record.  So a fully consumed deferred scan costs exactly
+        what the replay contract says, while an abandoned one has paid for
+        the whole blocks of every root batch it derived -- at most one root
+        charge batch beyond the records it handed out -- and no tail.  No
         operator sizes a DRAM structure from a list's length.
         """
-        record_bytes = self.schema.record_bytes
-        per_block = max(1, -(-self.block_bytes // record_bytes))
+        per_block = self.records_per_block
+        step = per_block * DEFAULT_CHARGE_BATCH_BLOCKS
         if self._status is CollectionStatus.DEFERRED:
-            # The operator context prices the replay; just batch its stream.
-            stream = self.scan(start=start, stop=stop)
-            while block := list(itertools.islice(stream, per_block)):
-                yield block
+            if self.context is None:
+                raise CollectionStateError(
+                    f"deferred collection {self.name!r} has no operator context"
+                )
+            stream = self.context.reconstruct(self.name, start=start, stop=stop)
+            while batch := list(itertools.islice(stream, step)):
+                yield batch
             return
         records = self._records
         start, stop, _ = slice(start, stop).indices(len(records))
-        charged = self._status is CollectionStatus.MATERIALIZED
-        batch_blocks = DEFAULT_CHARGE_BATCH_BLOCKS if _io_batching_enabled else 1
-        step = per_block * batch_blocks
         full_stop = start + max(0, stop - start) // per_block * per_block
         for position in range(start, full_stop, step):
-            batch = records[position:min(position + step, full_stop)]
-            if charged:
-                self.backend.read_bulk(
-                    self.name, per_block * record_bytes, len(batch) // per_block
-                )
-            yield batch
+            end = min(position + step, full_stop)
+            self.charge_scan(position, end)
+            yield records[position:end]
         if full_stop < stop:
-            if charged:
-                self.backend.read(self.name, (stop - full_stop) * record_bytes)
+            self.charge_scan(full_stop, stop)
             yield records[full_stop:stop]
 
-    def scan_blocks_flat(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[tuple]:
-        """A per-record stream with :meth:`scan_blocks` batched charging.
-
-        Drop-in for :meth:`scan` wherever the stream is fully consumed
-        (merges, hash-table builds); reads are priced per charge batch
-        instead of per record.  The batches are flattened in C.
-        """
-        return itertools.chain.from_iterable(
-            self.scan_blocks(start=start, stop=stop)
-        )
+    def scan(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """The records of :meth:`scan_blocks`, one at a time (flattened in C)."""
+        return itertools.chain.from_iterable(self.scan_blocks(start, stop))
 
     def __iter__(self) -> Iterator[tuple]:
         return self.scan()
@@ -430,8 +361,9 @@ class AppendBuffer:
 
     Algorithm hot loops (run generation, partitioning, probe output) often
     produce records individually; buffering them and flushing through
-    :meth:`PersistentCollection.extend` keeps their charge totals identical
-    to per-record appends while amortizing the Python call overhead.  The
+    :meth:`PersistentCollection.extend` amortizes the Python call overhead
+    without changing what the stream costs (``extend`` charges the same
+    however the stream is cut).  The
     buffer must be flushed (or the collection sealed via :meth:`seal`)
     before the records are visible in the collection.
     """

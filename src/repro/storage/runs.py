@@ -18,16 +18,6 @@ from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
-def scan_stream(collection: PersistentCollection, start: int = 0,
-                stop: int | None = None) -> Iterator[tuple]:
-    """A per-record stream over ``collection`` with block-batched charging.
-
-    Alias of :meth:`PersistentCollection.scan_blocks_flat`, kept here so the
-    sort/merge modules read naturally.
-    """
-    return collection.scan_blocks_flat(start=start, stop=stop)
-
-
 class RunSet:
     """A named family of sorted run collections sharing one backend."""
 
@@ -138,7 +128,7 @@ def merge_runs(
                 continue
             merged = scratch.new_run()
             merged.extend(
-                merge_streams([scan_stream(run) for run in group], key_fn)
+                merge_streams([run.scan() for run in group], key_fn)
             )
             merged.seal()
             next_level.append(merged)
@@ -146,9 +136,9 @@ def merge_runs(
     passes += 1
     if len(current) == 1:
         # A single run: copy it to the output (read it, optionally write it).
-        output.extend(scan_stream(current[0]))
+        output.extend(current[0].scan())
     else:
-        output.extend(merge_streams([scan_stream(run) for run in current], key_fn))
+        output.extend(merge_streams([run.scan() for run in current], key_fn))
     if materialize_output:
         output.seal()
     return passes

@@ -31,6 +31,10 @@ CASES = {
     "query_aggregate_2shard": ["query", "aggregate", "--shards", "2"],
     "query_join-sort_2shard": ["query", "join-sort", "--shards", "2"],
     "query_filter-sort_defer": ["query", "filter-sort", "--boundaries", "defer"],
+    "query_join-sort_defer": ["query", "join-sort", "--boundaries", "defer"],
+    "query_join-sort_defer_segj": [
+        "query", "join-sort", "--boundaries", "defer", "--fraction", "0.02",
+    ],
 }
 
 

@@ -196,6 +196,61 @@ class TestProduce:
         assert ready.records == []
 
 
+class TestProduceIsAllOrNothing:
+    """A replay that raises leaves no partial output behind.
+
+    The fault strikes in the second root charge batch, after the first
+    batch's records have already been appended to the targets.
+    """
+
+    FAULT_KEY = 1500
+
+    @pytest.fixture
+    def big_source(self, backend, context):
+        collection = build_collection(backend, range(2000), name="big-source")
+        return context.register(collection)
+
+    def faulty(self, fn):
+        armed = [True]
+
+        def guarded(record):
+            if armed[0] and record[0] == self.FAULT_KEY:
+                raise RuntimeError("injected fault")
+            return fn(record)
+
+        return guarded, armed
+
+    def test_failed_produce_clears_its_target(self, context, big_source, backend):
+        predicate, armed = self.faulty(lambda record: record[0] % 2 == 0)
+        evens = context.filter(big_source, predicate, selectivity=0.5)
+        evens.mark_materialized()
+        with pytest.raises(RuntimeError):
+            evens.open()
+        assert evens.records == []
+        assert backend.logical_bytes(evens.name) == 0
+        armed[0] = False
+        evens.open()
+        assert [r[0] for r in evens.scan()] == list(range(0, 2000, 2))
+
+    def test_failed_group_produce_clears_every_sibling(
+        self, context, big_source, backend
+    ):
+        partition_fn, armed = self.faulty(lambda record: record[0] % 3)
+        outputs = context.partition(big_source, partition_fn, num_partitions=3)
+        context.graph.producer_of(outputs[0].name).group_decision = "materialize"
+        outputs[0].mark_materialized()
+        with pytest.raises(RuntimeError):
+            outputs[0].open()
+        for output in outputs:
+            assert output.records == []
+            assert backend.logical_bytes(output.name) == 0
+            assert context.is_pending(output.name)
+        armed[0] = False
+        outputs[0].open()
+        for index, output in enumerate(outputs):
+            assert [r[0] for r in output.scan()] == list(range(index, 2000, 3))
+
+
 class TestCostBookkeeping:
     def test_estimated_write_cost_uses_cardinality(self, context, source):
         low, _ = context.split(source, 50)

@@ -173,7 +173,7 @@ class TestConfiguration:
         collection = PersistentCollection(
             name="odd", backend=backend, schema=odd_schema
         )
-        collection.append(odd_schema.make_record(1))
+        collection.extend([odd_schema.make_record(1)])
         with pytest.raises(ConfigurationError):
             ExternalMergeSort(backend, sort_budget).sort(collection)
 

@@ -18,7 +18,7 @@ from repro.sorts import ExternalMergeSort, HybridSort, SelectionSort
 from repro.sorts.external_mergesort import generate_runs_replacement_selection
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import PersistentCollection
-from repro.storage.runs import RunSet, merge_streams, scan_stream
+from repro.storage.runs import RunSet, merge_streams
 from repro.storage.schema import WISCONSIN_SCHEMA
 
 KEY = WISCONSIN_SCHEMA.key
@@ -115,7 +115,7 @@ class TestReplacementSelectionKernel:
         backend, collection = load(records)
         runset = RunSet(backend, prefix="kernel")
         generate_runs_replacement_selection(
-            scan_stream(collection), runset, capacity, KEY
+            collection.scan(), runset, capacity, KEY
         )
         assert [run.records for run in runset.runs] == reference_runs(
             records, capacity
@@ -131,7 +131,7 @@ class TestReplacementSelectionKernel:
         backend, collection = load(records)
         runset = RunSet(backend, prefix="kernel")
         generate_runs_replacement_selection(
-            scan_stream(collection, start, stop), runset, capacity, KEY
+            collection.scan(start, stop), runset, capacity, KEY
         )
         assert [run.records for run in runset.runs] == reference_runs(
             records[start:stop], capacity
@@ -142,7 +142,7 @@ class TestReplacementSelectionKernel:
         runset = RunSet(backend, prefix="kernel")
         assert (
             generate_runs_replacement_selection(
-                scan_stream(collection), runset, 4, KEY
+                collection.scan(), runset, 4, KEY
             )
             == 0
         )
@@ -152,7 +152,7 @@ class TestReplacementSelectionKernel:
         backend, collection = load(records)
         runset = RunSet(backend, prefix="kernel")
         generate_runs_replacement_selection(
-            scan_stream(collection), runset, 8, KEY
+            collection.scan(), runset, 8, KEY
         )
         assert [run.records for run in runset.runs] == [stable_by_key(records)]
 

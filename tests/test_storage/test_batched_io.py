@@ -1,12 +1,13 @@
-"""Regression tests for the batched block-I/O fast path.
+"""Regression tests for block-batched I/O charging.
 
-The batched collection/backend/device APIs must be *cost-transparent*:
-for the same record traffic they must leave the device counters (the
-:class:`~repro.pmem.metrics.IOSnapshot` fields) and the per-store stats
-byte-for-byte identical to the per-record path.  These tests drive both
-paths -- the per-record one via the :func:`repro.storage.collection.io_batching`
-switch -- over collection-level workloads, every backend, and the Fig. 5 /
-Fig. 7 sweep workloads.
+The bulk device and backend calls must be *cost-transparent*: they leave
+the device counters (the :class:`~repro.pmem.metrics.IOSnapshot` fields)
+and the per-store stats byte-for-byte identical to the sequence of single
+calls they stand for.  A collection's ``extend`` and ``scan_blocks`` must
+then charge exactly the arithmetic charge model written out below -- one
+block-sized backend call per whole I/O block plus one for the partial
+tail -- on every backend.  Whole workloads are pinned by the exact-I/O
+fixtures ``golden_io/{sorts,joins,deferred}.json``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import experiments
 from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
@@ -27,14 +27,13 @@ from repro.storage.collection import (
     AppendBuffer,
     CollectionStatus,
     PersistentCollection,
-    io_batching,
-    io_batching_enabled,
-    set_io_batching,
 )
 from repro.storage.schema import WISCONSIN_SCHEMA
 from tests.test_cli_golden import CASES as CLI_CASES
 from tests.test_joins.test_golden_io import CASES as JOIN_CASES
 from tests.test_joins.test_golden_io import run_case as run_join_case
+from tests.test_runtime.test_golden_io import CASES as DEFERRED_CASES
+from tests.test_runtime.test_golden_io import run_case as run_deferred_case
 from tests.test_sorts.test_golden_io import CASES as SORT_CASES
 from tests.test_sorts.test_golden_io import run_case as run_sort_case
 
@@ -61,6 +60,45 @@ def _store_state(backend, name):
         stats.read_calls,
         dict(stats.extra),
     )
+
+
+def model_writes(backend, name, num_records):
+    """Single-call charges of appending ``num_records`` records, then sealing.
+
+    Appended bytes fill ``block_bytes`` blocks one backend append each;
+    sealing flushes the partial block.
+    """
+    block_bytes = backend.device.geometry.block_bytes
+    full_blocks, pending = divmod(
+        num_records * WISCONSIN_SCHEMA.record_bytes, block_bytes
+    )
+    for _ in range(full_blocks):
+        backend.append(name, block_bytes)
+    if pending:
+        backend.append(name, pending)
+
+
+def model_reads(backend, name, num_records):
+    """Single-call charges of a full scan of ``num_records`` records.
+
+    One backend read per whole I/O block (the fewest records whose payload
+    fills ``block_bytes``: 13 Wisconsin records per 1 KiB), then one for
+    the records of the partial tail block.
+    """
+    record_bytes = WISCONSIN_SCHEMA.record_bytes
+    per_block = -(-backend.device.geometry.block_bytes // record_bytes)
+    blocks, tail = divmod(num_records, per_block)
+    for _ in range(blocks):
+        backend.read(name, per_block * record_bytes)
+    if tail:
+        backend.read(name, tail * record_bytes)
+
+
+def charged(device, action):
+    """``action()``'s result and the device counters it moved."""
+    before = device.snapshot()
+    result = action()
+    return result, device.snapshot() - before
 
 
 # --------------------------------------------------------------------- #
@@ -124,67 +162,76 @@ def test_backend_bulk_matches_sequential_calls(backend_name):
 
 
 # --------------------------------------------------------------------- #
-# Collection-level equivalence: extend/scan_blocks vs append/scan.
+# Collection-level charges against the arithmetic model.
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
-@pytest.mark.parametrize("num_records", [0, 1, 11, 2000])
-def test_collection_batched_path_is_cost_identical(backend_name, num_records):
+@pytest.mark.parametrize("num_records", [0, 1, 11, 13, 2000])
+def test_collection_charges_match_model(backend_name, num_records):
     records = _records(num_records)
-    snapshots, states, payloads = [], [], []
-    for batched in (False, True):
-        device = PersistentMemoryDevice()
-        backend = make_backend(backend_name, device)
-        collection = _materialized(backend)
-        with io_batching(batched):
-            collection.extend(records)
-            collection.seal()
-            seen = [record for block in collection.scan_blocks() for record in block]
-        snapshots.append(device.snapshot())
-        states.append(_store_state(backend, "col"))
-        payloads.append(seen)
-    assert snapshots[0] == snapshots[1]
-    assert states[0] == states[1]
-    assert payloads[0] == payloads[1] == records
+    device = PersistentMemoryDevice()
+    backend = make_backend(backend_name, device)
+    collection = _materialized(backend)
+    model_device = PersistentMemoryDevice()
+    model = make_backend(backend_name, model_device)
+    model.create_store("col")
+
+    def write():
+        collection.extend(records)
+        collection.seal()
+
+    _, write_delta = charged(device, write)
+    _, model_write = charged(
+        model_device, lambda: model_writes(model, "col", num_records)
+    )
+    assert write_delta == model_write
+    seen, read_delta = charged(device, lambda: list(collection.scan()))
+    _, model_read = charged(
+        model_device, lambda: model_reads(model, "col", num_records)
+    )
+    assert read_delta == model_read
+    assert seen == records
+    assert _store_state(backend, "col") == _store_state(model, "col")
 
 
-def test_scan_blocks_matches_scan_records_and_charges(backend):
+def test_scan_blocks_lists_are_charge_batches(backend):
     collection = _materialized(backend)
     collection.extend(_records(2000))
     collection.seal()
-    device = backend.device
-    before = device.snapshot()
-    scanned = list(collection.scan())
-    scan_delta = device.snapshot() - before
-    before = device.snapshot()
-    blocks = list(collection.scan_blocks())
-    blocks_delta = device.snapshot() - before
-    assert [r for block in blocks for r in block] == scanned
-    assert blocks_delta == scan_delta
+    blocks, delta = charged(backend.device, lambda: list(collection.scan_blocks()))
+    assert [r for block in blocks for r in block] == collection.records
     # 13 records per block (1 KiB rounded up to whole 80-byte records):
     # two full charge batches of DEFAULT_CHARGE_BATCH_BLOCKS blocks, the
     # 25 remaining whole blocks, then the 11-record partial tail block.
-    per_block = -(-collection.block_bytes // WISCONSIN_SCHEMA.record_bytes)
-    assert per_block == 13 and DEFAULT_CHARGE_BATCH_BLOCKS == 64
+    assert collection.records_per_block == 13 and DEFAULT_CHARGE_BATCH_BLOCKS == 64
     assert [len(block) for block in blocks] == [832, 832, 325, 11]
-    # Unbatched, every list is one I/O block.
-    with io_batching(False):
-        sizes = [len(block) for block in collection.scan_blocks()]
-    assert sizes == [per_block] * (2000 // per_block) + [2000 % per_block]
+    assert delta.read_calls == 2000 // 13 + 1
+    assert delta.bytes_read == 2000 * WISCONSIN_SCHEMA.record_bytes
 
 
-def test_scan_blocks_slice_matches_scan_slice(backend):
+def test_scan_slice_charges_blocks_from_its_start(backend):
     collection = _materialized(backend)
     collection.extend(_records(300))
     collection.seal()
     device = backend.device
-    before = device.snapshot()
-    scanned = list(collection.scan(start=37, stop=211))
-    scan_delta = device.snapshot() - before
-    before = device.snapshot()
-    flat = list(collection.scan_blocks_flat(start=37, stop=211))
-    flat_delta = device.snapshot() - before
-    assert flat == scanned
-    assert flat_delta == scan_delta
+    seen, delta = charged(device, lambda: list(collection.scan(start=37, stop=211)))
+    assert seen == collection.records[37:211]
+    # 174 records: 13 whole blocks counted from record 37, then 5 records.
+    _, model = charged(device, lambda: model_reads(backend, "col", 174))
+    assert delta == model
+
+
+def test_charge_scan_is_the_scan_price(backend):
+    collection = _materialized(backend)
+    collection.extend(_records(300))
+    collection.seal()
+    device = backend.device
+    _, scanned = charged(device, lambda: list(collection.scan_blocks(20, 250)))
+    _, priced = charged(device, lambda: collection.charge_scan(20, 250))
+    assert scanned == priced
+    memory = PersistentCollection(name="mem", status=CollectionStatus.MEMORY)
+    memory.extend(_records(300))
+    _, free = charged(device, lambda: memory.charge_scan(0, 300))
+    assert free.total_ns == 0.0 and free.read_calls == 0
 
 
 def test_scan_blocks_abandoned_early_charges_only_consumed_blocks(backend):
@@ -213,11 +260,10 @@ def test_scan_blocks_abandoned_early_charges_only_consumed_blocks(backend):
         st.integers(min_value=0, max_value=3100),
         st.one_of(st.none(), st.integers(min_value=0, max_value=3100)),
     ),
-    batched=st.booleans(),
     abandon_after=st.integers(min_value=0, max_value=6),
 )
-def test_scan_blocks_charge_batches_match_scan(
-    backend_name, num_records, bounds, batched, abandon_after
+def test_scan_blocks_charge_batches_match_model(
+    backend_name, num_records, bounds, abandon_after
 ):
     start, stop = bounds
     backend = make_backend(backend_name, PersistentMemoryDevice())
@@ -225,53 +271,52 @@ def test_scan_blocks_charge_batches_match_scan(
     collection.extend(_records(num_records))
     collection.seal()
     device = backend.device
+    first, last, _ = slice(start, stop).indices(num_records)
+    expected = collection.records[first:last]
 
-    def charged(consume):
-        before = device.snapshot()
-        result = consume()
-        return result, device.snapshot() - before
+    blocks, blocks_delta = charged(
+        device, lambda: list(collection.scan_blocks(start, stop))
+    )
+    assert [r for block in blocks for r in block] == expected
+    assert all(len(block) % 13 == 0 for block in blocks[:-1])
+    assert all(len(block) <= 832 for block in blocks)
+    _, model_delta = charged(
+        device, lambda: model_reads(backend, "col", len(expected))
+    )
+    assert blocks_delta == model_delta
 
-    with io_batching(batched):
-        scanned, scan_delta = charged(lambda: list(collection.scan(start, stop)))
-        blocks, blocks_delta = charged(
-            lambda: list(collection.scan_blocks(start, stop))
-        )
-        assert [r for block in blocks for r in block] == scanned
-        assert blocks_delta == scan_delta
+    def abandon():
+        iterator = collection.scan_blocks(start, stop)
+        taken = sum(map(len, itertools.islice(iterator, abandon_after)))
+        iterator.close()
+        return taken
 
-        def abandon():
-            iterator = collection.scan_blocks(start, stop)
-            taken = sum(map(len, itertools.islice(iterator, abandon_after)))
-            iterator.close()
-            return taken
-
-        taken, abandon_delta = charged(abandon)
-        # Abandoning after k lists costs what reading exactly their
-        # records record by record costs.
-        first = slice(start, stop).indices(num_records)[0]
-        _, prefix_delta = charged(
-            lambda: list(collection.scan(first, first + taken))
-        )
-        assert taken == sum(map(len, blocks[:abandon_after]))
-        assert abandon_delta == prefix_delta
+    taken, abandon_delta = charged(device, abandon)
+    # Abandoning after k lists costs what the model charges for exactly
+    # their records.
+    assert taken == sum(map(len, blocks[:abandon_after]))
+    _, prefix_delta = charged(device, lambda: model_reads(backend, "col", taken))
+    assert abandon_delta == prefix_delta
 
 
-def test_no_consumer_abandons_a_materialized_scan(monkeypatch, capsys):
-    """Every materialized scan in the golden workloads runs to exhaustion.
+def test_no_consumer_abandons_a_scan(monkeypatch, capsys):
+    """Every scan in the golden workloads runs to exhaustion.
 
-    A charge batch is paid when it is handed out, so a consumer that
-    abandoned a materialized scan mid-batch would now pay for records it
-    never read.  Spy on every scan the sort, join and aggregation golden
-    cases and the golden CLI queries start, and prove none stops early.
+    A materialized charge batch is paid when it is handed out, and a
+    deferred scan's replay charges whole root blocks as it derives and the
+    root's tail only at its end, so a consumer that abandoned either scan
+    would pay something other than the replay contract.  Spy on every scan
+    the sort, join, aggregation and deferred-input golden cases and the
+    golden CLI queries start, and prove none stops early.
     """
     original = PersistentCollection.scan_blocks
     scans = []
 
     def spy(self, start=0, stop=None):
-        if not self.is_materialized:
+        if self.is_memory:
             yield from original(self, start, stop)
             return
-        scan = {"collection": self.name, "exhausted": False}
+        scan = {"collection": self.name, "deferred": self.is_deferred}
         scans.append(scan)
         yield from original(self, start, stop)
         scan["exhausted"] = True
@@ -281,20 +326,22 @@ def test_no_consumer_abandons_a_materialized_scan(monkeypatch, capsys):
         run_sort_case(*case)
     for case in JOIN_CASES:
         run_join_case(*case)
+    for case in DEFERRED_CASES:
+        run_deferred_case(*case)
     for args in CLI_CASES.values():
         assert cli_main(args) == 0
     capsys.readouterr()
-    assert len(scans) > 100
-    assert [scan for scan in scans if not scan["exhausted"]] == []
+    deferred = [scan for scan in scans if scan["deferred"]]
+    assert len(scans) - len(deferred) > 100
+    assert len(deferred) > 100
+    assert [scan for scan in scans if "exhausted" not in scan] == []
 
 
 def test_extend_empty_is_noop_even_when_sealed(backend):
     collection = _materialized(backend)
     collection.extend(_records(5))
     collection.seal()
-    for batched in (False, True):
-        with io_batching(batched):
-            collection.extend([])  # zero appends touch no state on either path
+    collection.extend([])  # zero records touch no state
     assert len(collection.records) == 5
 
 
@@ -319,19 +366,6 @@ def test_memory_collection_extend_and_scan_blocks_charge_nothing(backend):
     assert device.snapshot().total_ns == 0.0
 
 
-def test_io_batching_switch_restores_previous_state():
-    assert io_batching_enabled()
-    with io_batching(False):
-        assert not io_batching_enabled()
-        with io_batching(True):
-            assert io_batching_enabled()
-        assert not io_batching_enabled()
-    assert io_batching_enabled()
-    previous = set_io_batching(False)
-    assert previous is True
-    assert set_io_batching(True) is False
-
-
 # --------------------------------------------------------------------- #
 # block_bytes validation (regression: 0 used to silently become default).
 # --------------------------------------------------------------------- #
@@ -349,50 +383,3 @@ def test_zero_block_bytes_raises(backend):
 def test_default_block_bytes_comes_from_device_geometry(backend):
     collection = _materialized(backend, name="defaults")
     assert collection.block_bytes == backend.device.geometry.block_bytes
-
-
-# --------------------------------------------------------------------- #
-# End-to-end: the Fig. 5 / Fig. 7 sweep workloads cost the same on both
-# paths (the acceptance criterion of the batched fast path).
-# --------------------------------------------------------------------- #
-def _comparable(rows):
-    return [
-        {
-            key: row[key]
-            for key in (
-                "algorithm",
-                "simulated_seconds",
-                "cacheline_reads",
-                "cacheline_writes",
-            )
-        }
-        for row in rows
-    ]
-
-
-def test_fig5_sort_sweep_identical_io_on_both_paths():
-    results = {}
-    for batched in (False, True):
-        with io_batching(batched):
-            results[batched] = experiments.sort_memory_sweep(
-                num_records=900, memory_fractions=(0.05, 0.11)
-            )
-    assert _comparable(results[False]) == _comparable(results[True])
-    assert all(row["sorted"] for row in results[True])
-
-
-def test_fig7_join_sweep_identical_io_on_both_paths():
-    results = {}
-    for batched in (False, True):
-        with io_batching(batched):
-            results[batched] = experiments.join_memory_sweep(
-                left_records=300,
-                right_records=3000,
-                memory_fractions=(0.05, 0.11),
-                hybrid_intensities=((0.5, 0.5),),
-                segmented_intensities=(0.5,),
-            )
-    assert _comparable(results[False]) == _comparable(results[True])
-    matches = [row["matches"] for row in results[True]]
-    assert matches == [row["matches"] for row in results[False]]
-    assert all(count > 0 for count in matches)

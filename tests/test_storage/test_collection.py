@@ -16,7 +16,7 @@ class TestLifecycle:
 
     def test_memory_collection_needs_no_backend(self):
         collection = PersistentCollection(status=CollectionStatus.MEMORY)
-        collection.append(WISCONSIN_SCHEMA.make_record(1))
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         assert len(collection) == 1
 
     def test_auto_generated_names_are_unique(self):
@@ -35,13 +35,13 @@ class TestLifecycle:
     def test_seal_prevents_appends(self, backend):
         collection = build_collection(backend, range(5), name="sealed")
         with pytest.raises(CollectionStateError):
-            collection.append(WISCONSIN_SCHEMA.make_record(6))
+            collection.extend([WISCONSIN_SCHEMA.make_record(6)])
 
     def test_clear_resets_and_allows_appends(self, backend):
         collection = build_collection(backend, range(5), name="clearable")
         collection.clear()
         assert len(collection) == 0
-        collection.append(WISCONSIN_SCHEMA.make_record(1))
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         assert len(collection) == 1
 
     def test_drop_removes_backend_store(self, backend):
@@ -53,7 +53,7 @@ class TestLifecycle:
     def test_append_to_deferred_raises(self):
         deferred = PersistentCollection(status=CollectionStatus.DEFERRED)
         with pytest.raises(CollectionStateError):
-            deferred.append(WISCONSIN_SCHEMA.make_record(1))
+            deferred.extend([WISCONSIN_SCHEMA.make_record(1)])
 
     def test_scan_deferred_without_context_raises(self):
         deferred = PersistentCollection(status=CollectionStatus.DEFERRED)
@@ -71,7 +71,7 @@ class TestLifecycle:
         )
         deferred.mark_materialized()
         assert deferred.is_materialized
-        deferred.append(WISCONSIN_SCHEMA.make_record(1))
+        deferred.extend([WISCONSIN_SCHEMA.make_record(1)])
         assert len(deferred) == 1
 
     def test_mark_materialized_without_backend_raises(self):
@@ -143,24 +143,27 @@ class TestIOCharging:
         assert delta.cacheline_reads == pytest.approx(4000 / 64)
 
     def test_partial_scan_stops_charging(self, device, backend):
-        collection = build_collection(backend, range(100), name="early-stop")
+        collection = build_collection(backend, range(2000), name="early-stop")
         before = device.snapshot()
-        iterator = collection.scan()
-        for _ in range(10):
-            next(iterator)
+        iterator = collection.scan_blocks()
+        first = next(iterator)
         iterator.close()
         delta = device.snapshot() - before
-        assert delta.cacheline_reads <= 8000 / 64 / 2
+        # An abandoned scan has paid for the lists it handed out and no
+        # more: here one charge batch of 64 whole 13-record blocks.
+        assert len(first) == 64 * 13
+        assert delta.bytes_read == len(first) * WISCONSIN_SCHEMA.record_bytes
+        assert delta.cacheline_writes == 0
 
     def test_flush_writes_partial_block(self, device, backend):
         collection = PersistentCollection(name="tiny", backend=backend)
-        collection.append(WISCONSIN_SCHEMA.make_record(1))
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         assert device.counters.cacheline_writes == 0  # buffered
         collection.flush()
         assert device.counters.cacheline_writes == pytest.approx(80 / 64)
 
     def test_seal_flushes(self, device, backend):
         collection = PersistentCollection(name="seal-flush", backend=backend)
-        collection.append(WISCONSIN_SCHEMA.make_record(1))
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         collection.seal()
         assert device.counters.cacheline_writes > 0
