@@ -1,4 +1,4 @@
-"""Golden-file regression test for the ``query`` CLI output.
+"""Golden-file regression test for the ``query`` and sort ``figure`` CLI output.
 
 Every canned query's full report -- plan rendering with estimated vs.
 actual I/O per node, the summary lines and the record preview -- is
@@ -35,6 +35,10 @@ CASES = {
     "query_join-sort_defer_segj": [
         "query", "join-sort", "--boundaries", "defer", "--fraction", "0.02",
     ],
+    # The paper's sort figures: ExMS, HybS, LaS and SegS over the memory
+    # sweep (Figure 5) and the write-intensity sweep (Figure 9).
+    "figure_5_records_2000": ["figure", "5", "--records", "2000"],
+    "figure_9": ["figure", "9"],
 }
 
 
