@@ -15,11 +15,16 @@ broken on input position, so records with equal keys have a strict total
 order: a selection scan orders them by ``(key, position)`` -- which is what
 guarantees that consecutive scans never select the same record twice --
 and replacement selection by ``(key, arrival)``.
+
+A third kernel, :func:`ranked_passes`, serves a whole sequence of
+consecutive selection scans over one stable source from a single ranking:
+it computes once and charges per pass.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
@@ -86,6 +91,51 @@ def select_smallest(
     threshold = (-heap[0][0], -heap[0][1])
     heap.sort(reverse=True)
     return [record for _, _, record in heap], threshold
+
+
+def ranked_passes(
+    source,
+    capacity: int,
+    key: Callable[[tuple], int],
+    start: int = 0,
+    stop: int | None = None,
+) -> Iterator[tuple[list[tuple], tuple[int, int]]]:
+    """Consecutive selection scans of ``source[start:stop]``, ranked once.
+
+    Yields, pass after pass, exactly what :func:`select_smallest` returns
+    when each scan resumes after the previous pass's threshold: the next
+    ``capacity`` records in ``(key, position)`` order, ascending, and the
+    ``(key, position)`` of the last of them.  So a caller may stop after
+    any pass and continue with ``select_smallest(after=threshold)``.
+
+    The first pass reads the slice through ``source.scan_blocks`` and
+    sorts its positions once by ``(key, position)`` -- a stable sort of the
+    positions by key.  Each pass is then the next ``capacity`` positions of
+    that order.  Every later pass still drains a fresh
+    ``source.scan_blocks(start, stop)``, so each pass makes the same
+    backend calls as the full rescan it replaces: the I/O profile is
+    identical, only the Python CPU time changes.
+
+    The ranked order is simulator bookkeeping over records the collection
+    already holds as Python tuples, not modelled DRAM: the sort's
+    workspace stays ``capacity`` records.  ``source`` must be a MEMORY or
+    MATERIALIZED collection, whose rescans yield the same records at the
+    same price; a deferred one is priced by its replay and keeps
+    :func:`select_smallest` per pass.  Nothing is read until the first
+    pass is requested.
+    """
+    _check_capacity(capacity)
+    records = list(chain.from_iterable(source.scan_blocks(start, stop)))
+    keys = list(map(key, records))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fetch = records.__getitem__
+    for offset in range(0, len(order), capacity):
+        if offset:
+            for _ in source.scan_blocks(start, stop):
+                pass
+        positions = order[offset : offset + capacity]
+        last = positions[-1]
+        yield list(map(fetch, positions)), (keys[last], last)
 
 
 def replacement_selection_runs(

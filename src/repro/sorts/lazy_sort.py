@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import select_smallest
+from repro.sorts.heaps import ranked_passes, select_smallest
 from repro.storage.collection import CollectionStatus, PersistentCollection
 
 
@@ -39,6 +39,8 @@ class LazySort(SortAlgorithm):
         intermediates = 0
         materialization_points: list[int] = []
         threshold: tuple[int, int] | None = None
+        # The ranked passes over the current source, once one is served.
+        passes = None
 
         while emitted < total_records:
             remaining = total_records - emitted
@@ -65,20 +67,26 @@ class LazySort(SortAlgorithm):
                     schema=self.schema,
                     status=CollectionStatus.MATERIALIZED,
                 )
-
-            # A displaced record is not among the current M minimums but is
-            # still pending: when materializing, it belongs to the
-            # intermediate input.
-            spill: list[tuple] = []
-            batch, threshold = select_smallest(
-                source.scan(),
-                self.workspace_records,
-                self.key_fn,
-                after=threshold,
-                displaced=spill.append if intermediate is not None else None,
-            )
-            if intermediate is not None:
-                intermediate.extend(spill)
+            if materialize or source.is_deferred:
+                # A displaced record is not among the current M minimums
+                # but is still pending: when materializing, it belongs to
+                # the intermediate input, in the order it was displaced.
+                spill: list[tuple] = []
+                batch, threshold = select_smallest(
+                    source.scan(),
+                    self.workspace_records,
+                    self.key_fn,
+                    after=threshold,
+                    displaced=spill.append if materialize else None,
+                )
+                if intermediate is not None:
+                    intermediate.extend(spill)
+            else:
+                if passes is None:
+                    passes = ranked_passes(
+                        source, self.workspace_records, self.key_fn
+                    )
+                batch, threshold = next(passes)
             scans += 1
             output.extend(batch)
             emitted += len(batch)
@@ -90,6 +98,7 @@ class LazySort(SortAlgorithm):
                 materialization_points.append(emitted)
                 source = intermediate
                 threshold = None
+                passes = None
                 iteration = 1
             else:
                 iteration += 1
