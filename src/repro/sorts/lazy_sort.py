@@ -42,66 +42,78 @@ class LazySort(SortAlgorithm):
         # The ranked passes over the current source, once one is served.
         passes = None
 
-        while emitted < total_records:
-            remaining = total_records - emitted
-            source_buffers = source.num_buffers
-            materialization_iteration = max(
-                1,
-                cost.lazy_sort_materialization_iteration(
-                    max(source_buffers, 1.0), max(self.memory_buffers, 2.0), lam
-                ),
-            )
-            # Materializing is pointless when the current pass will finish
-            # the job anyway; the cost model's floor() would suggest it for
-            # tiny remainders, so guard explicitly.
-            materialize = (
-                iteration >= materialization_iteration
-                and remaining > self.workspace_records
-            )
-            intermediate = None
-            if materialize:
-                intermediates += 1
-                intermediate = PersistentCollection(
-                    name=f"{collection.name}-las-intermediate-{intermediates}",
-                    backend=self.backend,
-                    schema=self.schema,
-                    status=CollectionStatus.MATERIALIZED,
+        # Intermediates are scratch stores: each is dropped once the next
+        # replaces it as the source, and the last when the sort ends,
+        # whether it succeeds or fails.  Dropping charges no I/O.
+        intermediate = None
+        try:
+            while emitted < total_records:
+                remaining = total_records - emitted
+                materialization_iteration = max(
+                    1,
+                    cost.lazy_sort_materialization_iteration(
+                        max(source.num_buffers, 1.0),
+                        max(self.memory_buffers, 2.0),
+                        lam,
+                    ),
                 )
-            if materialize or source.is_deferred:
-                # A displaced record is not among the current M minimums
-                # but is still pending: when materializing, it belongs to
-                # the intermediate input, in the order it was displaced.
-                spill: list[tuple] = []
-                batch, threshold = select_smallest(
-                    source.scan(),
-                    self.workspace_records,
-                    self.key_fn,
-                    after=threshold,
-                    displaced=spill.append if materialize else None,
+                # Materializing is pointless when the current pass will
+                # finish the job anyway; the cost model's floor() would
+                # suggest it for tiny remainders, so guard explicitly.
+                materialize = (
+                    iteration >= materialization_iteration
+                    and remaining > self.workspace_records
                 )
-                if intermediate is not None:
-                    intermediate.extend(spill)
-            else:
-                if passes is None:
-                    passes = ranked_passes(
-                        source, self.workspace_records, self.key_fn
+                if materialize:
+                    intermediates += 1
+                    intermediate = PersistentCollection(
+                        name=f"{collection.name}-las-intermediate-{intermediates}",
+                        backend=self.backend,
+                        schema=self.schema,
+                        status=CollectionStatus.MATERIALIZED,
                     )
-                batch, threshold = next(passes)
-            scans += 1
-            output.extend(batch)
-            emitted += len(batch)
-            if not batch:
-                break
+                if materialize or source.is_deferred:
+                    # A displaced record is not among the current M minimums
+                    # but is still pending: when materializing, it belongs
+                    # to the intermediate input, in the order it was
+                    # displaced.
+                    spill: list[tuple] = []
+                    batch, threshold = select_smallest(
+                        source.scan(),
+                        self.workspace_records,
+                        self.key_fn,
+                        after=threshold,
+                        displaced=spill.append if materialize else None,
+                    )
+                    if materialize:
+                        intermediate.extend(spill)
+                else:
+                    if passes is None:
+                        passes = ranked_passes(
+                            source, self.workspace_records, self.key_fn
+                        )
+                    batch, threshold = next(passes)
+                scans += 1
+                output.extend(batch)
+                emitted += len(batch)
+                if not batch:
+                    break
 
-            if intermediate is not None:
-                intermediate.seal()
-                materialization_points.append(emitted)
-                source = intermediate
-                threshold = None
-                passes = None
-                iteration = 1
-            else:
-                iteration += 1
+                if materialize:
+                    intermediate.seal()
+                    materialization_points.append(emitted)
+                    if source is not collection:
+                        source.drop()
+                    source = intermediate
+                    threshold = None
+                    passes = None
+                    iteration = 1
+                else:
+                    iteration += 1
+        finally:
+            for scratch in (source, intermediate):
+                if scratch is not None and scratch is not collection:
+                    scratch.drop()
 
         output.seal()
         return SortResult(
