@@ -8,6 +8,20 @@ once the penalty catches up with the savings (Eq. 5 of the paper,
 ``n = floor(|T| lambda / (M (lambda + 1)))``), it materializes the still
 unprocessed remainder as a smaller intermediate input, and reverts to
 being lazy on that input.
+
+Every pass is charged as a full rescan, but the lazy passes over a MEMORY
+or MATERIALIZED source are computed once: they come from the ranked
+selection kernel (:func:`~repro.sorts.heaps.ranked_passes`).  Two kinds of
+pass still run a :func:`~repro.sorts.heaps.select_smallest` scan.  A
+materializing pass does, because the order in which it displaces records
+lays out the intermediate and so decides later tie-breaks.  A pass over a
+DEFERRED input does, because a replay is priced with its bookkeeping, not
+only its root reads.  A deferred input has no buffers of its own, so lazy
+sort materializes it on the first pass that leaves more than M records.
+
+A deferred input's length is its context's estimate, so the first pass,
+which sees every record, counts the true one.  Intermediates are scratch
+stores, dropped once replaced and when the sort ends.
 """
 
 from __future__ import annotations
@@ -27,7 +41,8 @@ class LazySort(SortAlgorithm):
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
         total_records = len(collection)
-        if total_records == 0:
+        counted = not collection.is_deferred
+        if counted and total_records == 0:
             output.seal()
             return SortResult(output=output, io=None)
 
@@ -47,7 +62,7 @@ class LazySort(SortAlgorithm):
         # whether it succeeds or fails.  Dropping charges no I/O.
         intermediate = None
         try:
-            while emitted < total_records:
+            while emitted < total_records or not counted:
                 remaining = total_records - emitted
                 materialization_iteration = max(
                     1,
@@ -64,28 +79,36 @@ class LazySort(SortAlgorithm):
                     iteration >= materialization_iteration
                     and remaining > self.workspace_records
                 )
-                if materialize:
-                    intermediates += 1
-                    intermediate = PersistentCollection(
-                        name=f"{collection.name}-las-intermediate-{intermediates}",
-                        backend=self.backend,
-                        schema=self.schema,
-                        status=CollectionStatus.MATERIALIZED,
-                    )
                 if materialize or source.is_deferred:
                     # A displaced record is not among the current M minimums
                     # but is still pending: when materializing, it belongs
                     # to the intermediate input, in the order it was
-                    # displaced.
+                    # displaced.  The first pass over a deferred input
+                    # keeps it to count the input.
                     spill: list[tuple] = []
                     batch, threshold = select_smallest(
                         source.scan(),
                         self.workspace_records,
                         self.key_fn,
                         after=threshold,
-                        displaced=spill.append if materialize else None,
+                        displaced=(
+                            spill.append if materialize or not counted else None
+                        ),
                     )
+                    if not counted:
+                        total_records = len(batch) + len(spill)
+                        counted = True
+                    # An over-declared deferred input may leave nothing
+                    # to materialize.
+                    materialize = materialize and bool(spill)
                     if materialize:
+                        intermediates += 1
+                        intermediate = PersistentCollection(
+                            name=f"{collection.name}-las-intermediate-{intermediates}",
+                            backend=self.backend,
+                            schema=self.schema,
+                            status=CollectionStatus.MATERIALIZED,
+                        )
                         intermediate.extend(spill)
                 else:
                     if passes is None:

@@ -1,4 +1,4 @@
-"""Lifecycle of lazy sort's intermediate inputs.
+"""Lazy sort's intermediate inputs and its deferred-input cardinality.
 
 Lazy sort materializes the unprocessed remainder of its input as an
 intermediate store whenever the Eq. 5 read penalty catches up with the
@@ -6,12 +6,19 @@ write savings.  Those stores are scratch space: each must be dropped once
 the next replaces it, and the last when the sort ends, whether it
 succeeds or fails -- otherwise the next sort of the same input appends
 into the stale store of the same name.
+
+A deferred input's length is only its context's estimate; lazy sort must
+sort every record the input really has, however wrong the declaration,
+and must not create an intermediate store it has nothing to put in.
 """
 
 import pytest
 
+from repro.runtime.context import OperatorContext
 from repro.sorts import LazySort
 from repro.storage.bufferpool import MemoryBudget
+from repro.storage.collection import PersistentCollection
+from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import wisconsin_permutation
 
 from tests.conftest import build_collection
@@ -70,3 +77,59 @@ def test_intermediates_are_dropped_when_the_sort_fails(backend):
         sort.sort(collection)
     assert seen_intermediates
     assert intermediate_stores(backend) == []
+
+
+#: The deferred filter keeps a quarter of its 3,000-record root.
+ROOT_RECORDS = 3_000
+KEPT_RECORDS = 750
+
+
+def keep(record):
+    return record[0] % 4 == 1
+
+
+@pytest.mark.parametrize("workspace", [100, 1_000])
+@pytest.mark.parametrize("declared", [0.1, 3.0], ids=["under", "over"])
+def test_deferred_input_is_sorted_whatever_its_declared_size(
+    backend, monkeypatch, declared, workspace
+):
+    base = [
+        WISCONSIN_SCHEMA.make_record(key)
+        for key in wisconsin_permutation(ROOT_RECORDS, seed=5)
+    ]
+    root = PersistentCollection(name="root", backend=backend)
+    root.extend(base)
+    root.seal()
+    context = OperatorContext(backend)
+    context.register(root)
+    deferred = context.declare(
+        name="filtered", expected_records=int(KEPT_RECORDS * declared)
+    )
+    context.filter(
+        root, keep, KEPT_RECORDS * declared / ROOT_RECORDS, output=deferred
+    )
+    dropped_sizes = {}
+    drop_store = backend.drop_store
+
+    def recording_drop(name):
+        dropped_sizes[name] = backend.store_stats(name).logical_bytes
+        drop_store(name)
+
+    monkeypatch.setattr(backend, "drop_store", recording_drop)
+
+    result = LazySort(backend, MemoryBudget.from_records(workspace)).sort(
+        deferred
+    )
+
+    assert result.output.records == sorted(filter(keep, base))
+    intermediates = {
+        name: size
+        for name, size in dropped_sizes.items()
+        if "las-intermediate" in name
+    }
+    assert len(intermediates) == result.details["intermediate_materializations"]
+    assert all(intermediates.values()), "an empty intermediate store was created"
+    if workspace >= KEPT_RECORDS:
+        # One pass holds the whole input.
+        assert result.input_scans == 1
+        assert not intermediates
