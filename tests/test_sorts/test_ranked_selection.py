@@ -1,0 +1,364 @@
+"""Differential tests for the ranked selection kernel.
+
+Lazy sort's lazy passes and the selection passes behind selection sort
+and segment sort's selection segment are served by
+:func:`~repro.sorts.heaps.ranked_passes`: the source is ranked once and
+every pass drains an identical rescan to pay for itself.  This file keeps
+test-local copies of the per-pass loops the kernel replaced -- one full
+``select_smallest`` scan per pass -- and asserts that both produce the
+same records in the same order, the same ``IOSnapshot`` delta, the same
+``input_scans`` and ``details``, the same per-store stats (lazy sort's
+intermediates aside: the reference leaves them behind) and, for deferred
+inputs, the same replay bookkeeping.  Every input record carries its load
+position in attribute 1, so equal keys are distinguishable.
+
+A structural guard counts ``select_smallest`` calls, so the speedup cannot
+silently regress to one scan per pass.
+"""
+
+import contextlib
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.sorts.lazy_sort as lazy_sort_module
+import repro.sorts.segment_sort as segment_sort_module
+import repro.sorts.selection_sort as selection_sort_module
+from repro.exceptions import ReproError
+from repro.pmem.backends import make_backend
+from repro.pmem.device import PersistentMemoryDevice
+from repro.pmem.latency import LatencyModel
+from repro.runtime.context import OperatorContext
+from repro.sorts import LazySort, SegmentSort, SelectionSort, cost
+from repro.sorts.base import SortResult
+from repro.sorts.heaps import ranked_passes, select_smallest
+from repro.storage.bufferpool import MemoryBudget
+from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.schema import WISCONSIN_SCHEMA
+
+KEY = WISCONSIN_SCHEMA.key
+
+
+# --------------------------------------------------------------------- #
+# The reference: one full selection scan per pass.
+# --------------------------------------------------------------------- #
+def reference_selection_passes(
+    collection, workspace_records, key_fn, start=0, stop=None
+):
+    """``selection_passes`` as a ``select_smallest`` scan per pass."""
+    if collection.is_deferred:
+        total = sum(map(len, collection.scan_blocks(start=start, stop=stop)))
+    else:
+        total = len(collection.records[start:stop])
+    emitted = 0
+    threshold = None
+    while emitted < total:
+        batch, threshold = select_smallest(
+            collection.scan(start, stop),
+            workspace_records,
+            key_fn,
+            after=threshold,
+        )
+        if not batch:
+            raise ReproError("selection sort made no progress")
+        emitted += len(batch)
+        yield batch
+
+
+class ReferenceLazySort(LazySort):
+    """Lazy sort's loop with a ``select_smallest`` scan per pass.
+
+    Like the loop the kernel replaced, it never drops its intermediates.
+    """
+
+    def _execute(self, collection):
+        output = self._make_output(collection.name)
+        total_records = len(collection)
+        if total_records == 0:
+            output.seal()
+            return SortResult(output=output, io=None)
+        lam = self.backend.device.write_read_ratio
+        source = collection
+        emitted = 0
+        iteration = 1
+        scans = 0
+        intermediates = 0
+        materialization_points = []
+        threshold = None
+        while emitted < total_records:
+            remaining = total_records - emitted
+            materialization_iteration = max(
+                1,
+                cost.lazy_sort_materialization_iteration(
+                    max(source.num_buffers, 1.0), max(self.memory_buffers, 2.0), lam
+                ),
+            )
+            materialize = (
+                iteration >= materialization_iteration
+                and remaining > self.workspace_records
+            )
+            intermediate = None
+            if materialize:
+                intermediates += 1
+                intermediate = PersistentCollection(
+                    name=f"{collection.name}-las-intermediate-{intermediates}",
+                    backend=self.backend,
+                    schema=self.schema,
+                    status=CollectionStatus.MATERIALIZED,
+                )
+            spill = []
+            batch, threshold = select_smallest(
+                source.scan(),
+                self.workspace_records,
+                self.key_fn,
+                after=threshold,
+                displaced=spill.append if intermediate is not None else None,
+            )
+            if intermediate is not None:
+                intermediate.extend(spill)
+            scans += 1
+            output.extend(batch)
+            emitted += len(batch)
+            if not batch:
+                break
+            if intermediate is not None:
+                intermediate.seal()
+                materialization_points.append(emitted)
+                source = intermediate
+                threshold = None
+                iteration = 1
+            else:
+                iteration += 1
+        output.seal()
+        return SortResult(
+            output=output,
+            io=None,
+            runs_generated=0,
+            merge_passes=0,
+            input_scans=scans,
+            details={
+                "intermediate_materializations": intermediates,
+                "materialization_points": materialization_points,
+            },
+        )
+
+
+# --------------------------------------------------------------------- #
+# Inputs and observations.
+# --------------------------------------------------------------------- #
+def build(backend_name, kind, keys, lam):
+    """A fresh device and backend with a sort input of the given kind.
+
+    A deferred input is a filter over a materialized root that drops every
+    third record, declared at its exact size.
+    """
+    device = PersistentMemoryDevice(
+        latency=LatencyModel(read_ns=10.0, write_ns=10.0 * lam)
+    )
+    backend = make_backend(backend_name, device)
+    records = []
+    for position, key in enumerate(keys):
+        fields = list(WISCONSIN_SCHEMA.make_record(key))
+        fields[1] = position
+        records.append(tuple(fields))
+    if kind == "memory":
+        collection = PersistentCollection(
+            name="input", status=CollectionStatus.MEMORY
+        )
+    else:
+        collection = PersistentCollection(name="input", backend=backend)
+    collection.extend(records)
+    collection.seal()
+    context = None
+    if kind == "deferred":
+        context = OperatorContext(backend)
+        context.register(collection)
+        kept = sum(1 for position in range(len(keys)) if position % 3)
+        deferred = context.declare(name="filtered", expected_records=kept)
+        collection = context.filter(
+            collection, lambda record: record[1] % 3 != 0, 2 / 3, output=deferred
+        )
+    return device, backend, context, collection
+
+
+def observe(sort_cls, kwargs, backend_name, kind, keys, lam, workspace):
+    device, backend, context, collection = build(backend_name, kind, keys, lam)
+    result = sort_cls(
+        backend, MemoryBudget.from_records(workspace), **kwargs
+    ).sort(collection)
+    stores = [
+        (
+            stats.name,
+            stats.logical_bytes,
+            stats.physical_bytes,
+            stats.append_calls,
+            stats.read_calls,
+            stats.truncate_calls,
+            stats.extra,
+        )
+        for stats in map(backend.store_stats, backend.stores())
+        if "las-intermediate" not in stats.name
+    ]
+    replays = None
+    if context is not None:
+        replays = (
+            context.reconstruction_count(collection.name),
+            context.last_reconstructed_records(collection.name),
+        )
+    return {
+        "output": result.output.records,
+        "io": result.io.as_dict(),
+        "input_scans": result.input_scans,
+        "runs_generated": result.runs_generated,
+        "merge_passes": result.merge_passes,
+        "details": result.details,
+        "stores": stores,
+        "replays": replays,
+    }
+
+
+@contextlib.contextmanager
+def reference_passes():
+    """Route selection sort and segment sort through the reference passes."""
+    with mock.patch.object(
+        selection_sort_module, "selection_passes", reference_selection_passes
+    ), mock.patch.object(
+        segment_sort_module, "selection_passes", reference_selection_passes
+    ):
+        yield
+
+
+#: Few distinct keys (heavy duplication) and a wide key range.
+key_lists = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=120),
+    st.lists(st.integers(min_value=0, max_value=10_000), max_size=120),
+)
+case = dict(
+    backend_name=st.sampled_from(["blocked_memory", "pmfs"]),
+    kind=st.sampled_from(["memory", "materialized", "deferred"]),
+    keys=key_lists,
+    lam=st.sampled_from([1.0, 3.0, 15.0]),
+    workspace=st.integers(min_value=1, max_value=8),
+)
+
+
+# --------------------------------------------------------------------- #
+# Differentials.
+# --------------------------------------------------------------------- #
+LAZY_SORT_EXAMPLES = [
+    ("blocked_memory", "materialized", list(range(8, 0, -1)), 1.0, 8),
+    ("pmfs", "memory", [value % 7 for value in range(20)], 15.0, 4),
+    ("pmfs", "materialized", [value % 7 for value in range(20)], 1.0, 8),
+]
+
+
+#: Lazy sort materializing never (the input fits the workspace), once and
+#: twice, and over a deferred input.
+@example(*LAZY_SORT_EXAMPLES[0])
+@example(*LAZY_SORT_EXAMPLES[1])
+@example(*LAZY_SORT_EXAMPLES[2])
+@example("blocked_memory", "deferred", [value % 9 for value in range(90)], 3.0, 3)
+@settings(max_examples=150, deadline=None)
+@given(**case)
+def test_lazy_sort_matches_per_pass_scans(backend_name, kind, keys, lam, workspace):
+    args = (backend_name, kind, keys, lam, workspace)
+    assert observe(LazySort, {}, *args) == observe(ReferenceLazySort, {}, *args)
+
+
+def test_lazy_sort_examples_cover_zero_one_and_two_materializations():
+    counts = {
+        observe(LazySort, {}, *args)["details"]["intermediate_materializations"]
+        for args in LAZY_SORT_EXAMPLES[:3]
+    }
+    assert counts == {0, 1, 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(**case)
+def test_selection_sort_matches_per_pass_scans(
+    backend_name, kind, keys, lam, workspace
+):
+    args = (backend_name, kind, keys, lam, workspace)
+    observed = observe(SelectionSort, {}, *args)
+    with reference_passes():
+        assert observed == observe(SelectionSort, {}, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**case, intensity=st.sampled_from([0.0, 0.2, 0.8]))
+def test_segment_sort_matches_per_pass_scans(
+    backend_name, kind, keys, lam, workspace, intensity
+):
+    args = (backend_name, kind, keys, lam, workspace)
+    kwargs = {"write_intensity": intensity}
+    observed = observe(SegmentSort, kwargs, *args)
+    with reference_passes():
+        assert observed == observe(SegmentSort, kwargs, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=key_lists,
+    capacity=st.integers(min_value=1, max_value=8),
+    kind=st.sampled_from(["memory", "materialized"]),
+    data=st.data(),
+)
+def test_ranked_passes_resume_like_selection_scans(keys, capacity, kind, data):
+    start = data.draw(st.integers(min_value=0, max_value=len(keys)))
+    stop = data.draw(
+        st.one_of(st.none(), st.integers(min_value=start, max_value=len(keys)))
+    )
+    _, _, _, collection = build("pmfs", kind, keys, 1.0)
+    threshold = None
+    for batch, ranked_threshold in ranked_passes(
+        collection, capacity, KEY, start, stop
+    ):
+        expected, threshold = select_smallest(
+            collection.records[start:stop], capacity, KEY, after=threshold
+        )
+        assert (batch, ranked_threshold) == (expected, threshold)
+    assert select_smallest(
+        collection.records[start:stop], capacity, KEY, after=threshold
+    ) == ([], None)
+
+
+# --------------------------------------------------------------------- #
+# Structural guard.
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "sort_cls, kwargs",
+    [
+        (LazySort, {}),
+        (SelectionSort, {}),
+        (SegmentSort, {"write_intensity": 0.0}),
+        (SegmentSort, {"write_intensity": 0.2}),
+        (SegmentSort, {"write_intensity": 0.8}),
+    ],
+)
+def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
+    sort_cls, kwargs
+):
+    args = ("pmfs", "materialized", [value % 97 for value in range(400)], 3.0, 6)
+    calls = 0
+
+    def counting(*call_args, **call_kwargs):
+        nonlocal calls
+        calls += 1
+        return select_smallest(*call_args, **call_kwargs)
+
+    with mock.patch.object(
+        lazy_sort_module, "select_smallest", counting
+    ), mock.patch.object(selection_sort_module, "select_smallest", counting):
+        observed = observe(sort_cls, kwargs, *args)
+    if sort_cls is LazySort:
+        materializations = observed["details"]["intermediate_materializations"]
+        assert materializations >= 1
+        assert calls == materializations
+        reference = observe(ReferenceLazySort, kwargs, *args)
+    else:
+        assert calls == 0
+        with reference_passes():
+            reference = observe(sort_cls, kwargs, *args)
+    assert observed["input_scans"] == reference["input_scans"] > 1
