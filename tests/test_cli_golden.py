@@ -29,6 +29,10 @@ CASES = {
     "query_aggregate": ["query", "aggregate"],
     "query_join_materialize": ["query", "join", "--materialize"],
     "query_aggregate_2shard": ["query", "aggregate", "--shards", "2"],
+    # The same query under HashAgg: spilling at 5% of the input in DRAM,
+    # every group in memory at 50%.
+    "query_aggregate_hashagg_spill": ["query", "aggregate", "--fraction", "0.05"],
+    "query_aggregate_hashagg_memory": ["query", "aggregate", "--fraction", "0.5"],
     "query_join-sort_2shard": ["query", "join-sort", "--shards", "2"],
     "query_filter-sort_defer": ["query", "filter-sort", "--boundaries", "defer"],
     "query_join-sort_defer": ["query", "join-sort", "--boundaries", "defer"],
