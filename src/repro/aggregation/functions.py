@@ -6,16 +6,18 @@ starting state, ``step(state, value)`` folds one attribute value in, and
 so the operators can keep one per group in DRAM and account for their size
 against the memory budget.
 
-The operators do not call ``step`` per record.  :func:`compile_fold` turns
-an aggregate list into one generated ``fold(states, record)`` function
-that updates a group's list of states in place, with each aggregate's
-``fold_source`` inlined.
+The operators do not call these methods per record.  Each aggregate also
+declares its semantics as Python source snippets, which
+:mod:`repro.aggregation.kernels` inlines into generated kernels compiled
+once per aggregate spec: ``init_source`` (the state after a group's first
+value), ``fold_source`` (fold one more value in place), ``final_source``
+(the output of a state) and ``group_source`` (the output of a whole group
+at once).  The snippets must agree with ``initial``/``step``/``final``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 from repro.exceptions import ConfigurationError
 
@@ -26,11 +28,25 @@ class AggregateFunction(ABC):
     #: Name used in registries and reports.
     name: str = "aggregate"
 
-    #: Source of one in-place update of ``states[{slot}]`` by ``record``,
-    #: inlined by :func:`compile_fold`; must equal :meth:`step`.
-    fold_source: str = (
-        "states[{slot}] = steps[{slot}](states[{slot}], record[{attribute}])"
-    )
+    # Source snippets inlined by :mod:`repro.aggregation.kernels`, each
+    # formatted with ``{value}`` (an expression for the folded value),
+    # ``{values}`` (an iterable of a whole group's values, whose records
+    # are the list ``rows``) and ``{state[i]}`` (the aggregate's ``i``-th
+    # state slot).  Every concrete aggregate declares all four.
+
+    #: State slots the aggregate keeps per group.
+    state_slots: int = 1
+    #: Expression: the ``state_slots`` state values after folding a group's
+    #: first value, comma-separated; must equal ``step(initial(), value)``.
+    init_source: str
+    #: Statements folding ``{value}`` into the state in place; must equal
+    #: :meth:`step`.
+    fold_source: str
+    #: Expression: the output value of the state; must equal :meth:`final`.
+    final_source: str
+    #: Expression: the output value of a whole non-empty group, equal to
+    #: folding its values one at a time.
+    group_source: str
 
     @abstractmethod
     def initial(self):
@@ -57,7 +73,10 @@ class CountAggregate(AggregateFunction):
     """COUNT(*): the number of records in the group."""
 
     name = "count"
-    fold_source = "states[{slot}] += 1"
+    init_source = "1"
+    fold_source = "{state[0]} += 1"
+    final_source = "{state[0]}"
+    group_source = "len(rows)"
 
     def initial(self):
         return 0
@@ -76,7 +95,10 @@ class SumAggregate(AggregateFunction):
     """SUM(attribute)."""
 
     name = "sum"
-    fold_source = "states[{slot}] += record[{attribute}]"
+    init_source = "{value}"
+    fold_source = "{state[0]} += {value}"
+    final_source = "{state[0]}"
+    group_source = "sum({values})"
 
     def initial(self):
         return 0
@@ -95,9 +117,11 @@ class MinAggregate(AggregateFunction):
     """MIN(attribute)."""
 
     name = "min"
-    fold_source = """value = record[{attribute}]
-if states[{slot}] is None or value < states[{slot}]:
-    states[{slot}] = value"""
+    init_source = "{value}"
+    fold_source = """if {value} < {state[0]}:
+    {state[0]} = {value}"""
+    final_source = "{state[0]}"
+    group_source = "min({values})"
 
     def initial(self):
         return None
@@ -122,9 +146,11 @@ class MaxAggregate(AggregateFunction):
     """MAX(attribute)."""
 
     name = "max"
-    fold_source = """value = record[{attribute}]
-if states[{slot}] is None or value > states[{slot}]:
-    states[{slot}] = value"""
+    init_source = "{value}"
+    fold_source = """if {value} > {state[0]}:
+    {state[0]} = {value}"""
+    final_source = "{state[0]}"
+    group_source = "max({values})"
 
     def initial(self):
         return None
@@ -149,6 +175,12 @@ class AverageAggregate(AggregateFunction):
     """AVG(attribute), reported as an integer (floor), SQL-style for ints."""
 
     name = "avg"
+    state_slots = 2  # (sum, count)
+    init_source = "{value}, 1"
+    fold_source = """{state[0]} += {value}
+{state[1]} += 1"""
+    final_source = "{state[0]} // {state[1]}"
+    group_source = "sum({values}) // len(rows)"
 
     def initial(self):
         return (0, 0)  # (sum, count)
@@ -187,21 +219,3 @@ def make_aggregate(name: str) -> AggregateFunction:
             f"unknown aggregate {name!r}; expected one of: {known}"
         ) from None
 
-
-def compile_fold(
-    aggregates: list[tuple[AggregateFunction, int]],
-) -> Callable[[list, tuple], None]:
-    """One ``fold(states, record)`` for ``(aggregate, attribute)`` pairs.
-
-    ``states[i]`` is the state of ``aggregates[i]``; the generated function
-    folds ``record`` into every state in place, exactly as
-    ``states[i] = aggregate.step(states[i], record[attribute])`` would.
-    """
-    lines = ["def fold(states, record):"]
-    for slot, (aggregate, attribute) in enumerate(aggregates):
-        source = aggregate.fold_source.format(slot=slot, attribute=attribute)
-        lines.extend("    " + line for line in source.splitlines())
-    lines.append("    return None")
-    namespace = {"steps": [aggregate.step for aggregate, _ in aggregates]}
-    exec("\n".join(lines), namespace)
-    return namespace["fold"]

@@ -5,26 +5,27 @@ Two strategies, mirroring the sort/join duality of the paper:
 * :class:`SortedAggregation` is the *write-limited* strategy: it sorts the
   input on the grouping attribute with one of the Section 2.1 sorts
   (segment sort by default, output pipelined) and folds the sorted stream
-  into per-group accumulators.  Its persistent-memory writes are the
-  aggregate output plus whatever the chosen sort spills.
+  group by group.  Its persistent-memory writes are the aggregate output
+  plus whatever the chosen sort spills.
 * :class:`HashAggregation` is the *write-incurring* baseline: groups are
   accumulated in a DRAM hash table and, when the table exceeds the memory
   budget, whole partitions of accumulated state are spilled to persistent
   memory and re-read at the end.
+
+Both run the generated kernels of :mod:`repro.aggregation.kernels`,
+compiled once per ``(aggregate spec, group attribute)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
-from repro.aggregation.functions import (
-    AggregateFunction,
-    compile_fold,
-    make_aggregate,
-)
+from repro.aggregation.kernels import compile_kernels
 from repro.joins.common import partition_into
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOResult, IOSnapshot
@@ -96,15 +97,16 @@ class _AggregationBase:
         self.materialize_output = materialize_output
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
         spec = aggregates or {"count": group_index}
-        self.aggregates: list[tuple[AggregateFunction, int]] = []
         for name, attribute in spec.items():
             if not 0 <= attribute < schema.num_fields:
                 raise ConfigurationError(
                     f"aggregate {name!r} over attribute {attribute} outside schema"
                 )
-            self.aggregates.append((make_aggregate(name), attribute))
-        #: ``fold(states, record)``: folds a record into a group's states.
-        self._fold = compile_fold(self.aggregates)
+        #: The spec's generated kernels, shared by every operator built for
+        #: the same spec and group attribute.
+        self.kernels = compile_kernels(tuple(spec.items()), group_index)
+        #: ``(aggregate, attribute)`` pairs in output order.
+        self.aggregates = self.kernels.aggregates
         self.workspace_records = budget.record_capacity(schema)
         if self.workspace_records < 1:
             raise InsufficientMemoryError(
@@ -141,15 +143,6 @@ class _AggregationBase:
             name=name, schema=self.output_schema, status=CollectionStatus.MEMORY
         )
 
-    def _fresh_states(self) -> list:
-        return [aggregate.initial() for aggregate, _ in self.aggregates]
-
-    def _finalize(self, group_key: int, states: list) -> tuple:
-        return tuple(
-            [group_key]
-            + [aggregate.final(state) for state, (aggregate, _) in zip(states, self.aggregates)]
-        )
-
 
 class SortedAggregation(_AggregationBase):
     """Write-limited aggregation: sort (pipelined) then stream group-by."""
@@ -182,26 +175,18 @@ class SortedAggregation(_AggregationBase):
         )
         sort_result = sorter.sort(collection)
 
-        group_index = self.group_index
-        fold = self._fold
-        current_key = states = None
-        emitted = AppendBuffer(output)
-        groups = 0
-        for block in sort_result.output.scan_blocks():
-            for record in block:
-                key = record[group_index]
-                if key != current_key:
-                    if states is not None:
-                        emitted.append(self._finalize(current_key, states))
-                        groups += 1
-                    current_key = key
-                    states = self._fresh_states()
-                fold(states, record)
         # An input that turns out empty (a deferred one is only estimated
         # non-empty) has no group to emit.
-        if states is not None:
-            emitted.append(self._finalize(current_key, states))
-            groups += 1
+        rows = self.kernels.fold_sorted(
+            chain.from_iterable(sort_result.output.scan_blocks())
+        )
+        emitted = AppendBuffer(output)
+        groups = 0
+        # Whole buffer-sized batches flush where appending group by group
+        # would; ``extend`` charges the same either way.
+        while batch := list(islice(rows, emitted.batch_records)):
+            emitted.extend(batch)
+            groups += len(batch)
         emitted.seal()
         return AggregationResult(
             output=output,
@@ -229,44 +214,27 @@ class HashAggregation(_AggregationBase):
 
     def _execute(self, collection: PersistentCollection) -> AggregationResult:
         output = self._make_output(collection.name)
-        if len(collection) == 0:
-            output.seal()
-            return AggregationResult(output=output, io=None)
-
         max_groups = max(1, self.budget.nbytes // self.GROUP_STATE_BYTES)
-        spills = 0
-        emitted_groups = AppendBuffer(output)
+        key_fn = itemgetter(self.group_index)
+        fold_block = self.kernels.fold_block
+        finish = self.kernels.finish
+        emitted = AppendBuffer(output)
+        groups = spills = 0
 
-        group_index = self.group_index
-        fold = self._fold
-
-        def aggregate_stream(source, label: str, depth: int, limit) -> int:
-            """Aggregate a collection's records, spilling overflow groups.
-
-            A group's records are never split between the in-memory table
-            and the spills: once a key owns a table entry every later record
-            with that key folds into it, and keys first seen after the table
-            holds ``limit`` groups are spilled wholesale and re-aggregated
-            in a later pass.  Returns the number of groups emitted.
-            """
-            nonlocal spills
-            table: dict[int, list] = {}
-            get = table.get
-
-            def overflow():
-                for block in source.scan_blocks():
-                    spilled = []
-                    for record in block:
-                        key = record[group_index]
-                        states = get(key)
-                        if states is None:
-                            if len(table) >= limit:
-                                spilled.append(record)
-                                continue
-                            states = table[key] = self._fresh_states()
-                        fold(states, record)
-                    yield spilled
-
+        # A group's records are never split between the in-memory table and
+        # the spills: once a key owns a table entry every later record with
+        # that key folds into it, and keys first seen after the table holds
+        # ``limit`` groups are spilled wholesale and re-aggregated in a later
+        # pass.  Passes run depth first: a spill partition's own spills are
+        # finished before its next sibling is sealed and read.  An input is
+        # empty when its scan is (a deferred one is only estimated).
+        pending = [(collection, "root", 0, max_groups)]
+        while pending:
+            source, label, depth, limit = pending.pop()
+            if depth:
+                spills += 1
+                source.seal()
+            table: dict = {}
             targets = [
                 _Spill(
                     name=f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
@@ -277,31 +245,30 @@ class HashAggregation(_AggregationBase):
                 for index in range(self.SPILL_PARTITIONS)
             ]
             spilled_records = partition_into(
-                overflow(), itemgetter(group_index), targets
+                _fold_blocks(source.scan_blocks(), fold_block, table, limit),
+                key_fn,
+                targets,
             )
-            emitted_groups.extend(
-                [self._finalize(key, table[key]) for key in sorted(table)]
-            )
-            emitted = len(table)
-            for index, target in enumerate(targets):
-                partition = target.collection
+            finished = finish(table)
+            emitted.extend(finished)
+            groups += len(finished)
+            # Pushed last to first, so partition 0 is visited next.
+            for index in reversed(range(self.SPILL_PARTITIONS)):
+                partition = targets[index].collection
                 if partition is None:
                     continue
-                spills += 1
-                partition.seal()
                 # A degenerate split (e.g. one giant group) is finished in
-                # memory rather than recursing forever.
+                # memory rather than split forever.
                 degenerate = depth >= 8 or len(partition) >= spilled_records
-                emitted += aggregate_stream(
-                    partition,
-                    f"{label}.{index}",
-                    depth + 1,
-                    math.inf if degenerate else max_groups,
+                pending.append(
+                    (
+                        partition,
+                        f"{label}.{index}",
+                        depth + 1,
+                        math.inf if degenerate else max_groups,
+                    )
                 )
-            return emitted
-
-        groups = aggregate_stream(collection, "root", 0, max_groups)
-        emitted_groups.seal()
+        emitted.seal()
         return AggregationResult(
             output=output,
             io=None,
@@ -309,6 +276,16 @@ class HashAggregation(_AggregationBase):
             spills=spills,
             details={"max_groups_in_memory": max_groups},
         )
+
+
+def _fold_blocks(
+    blocks: Iterable[list[tuple]], fold_block: Callable, table: dict, limit
+) -> Iterator[list[tuple]]:
+    """Fold each block into ``table``; yield, per block, the records spilled."""
+    for block in blocks:
+        spilled: list[tuple] = []
+        fold_block(block, table, limit, spilled)
+        yield spilled
 
 
 class _Spill:

@@ -3,8 +3,8 @@
 Each kernel is compared against the per-record loop it replaced, kept here
 as a reference: :func:`partition_into` against ``partition_of`` plus one
 ``AppendBuffer`` per partition, :func:`probe_block` against a nested loop
-over the hash table, and ``compile_fold`` against the aggregates'
-``initial``/``step``/``final``.  Records carry their load position in
+over the hash table, and the hash aggregation's generated ``fold_block``
+and ``finish`` against the aggregates' ``initial``/``step``/``final``.  Records carry their load position in
 attribute 1, so records with equal keys are distinguishable.
 """
 
@@ -15,11 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation import HashAggregation
-from repro.aggregation.functions import (
-    AGGREGATE_REGISTRY,
-    compile_fold,
-    make_aggregate,
-)
+from repro.aggregation.functions import AGGREGATE_REGISTRY, make_aggregate
+from repro.aggregation.kernels import compile_kernels
 from repro.joins import GraceJoin
 from repro.joins.common import (
     PARTITION_BUCKET_BOUND,
@@ -245,13 +242,16 @@ class TestSplitBlocks:
 
 class TestCompiledFold:
     def fold_and_finalize(self, aggregates, records):
-        fold = compile_fold(aggregates)
-        states = [aggregate.initial() for aggregate, _ in aggregates]
-        for record in records:
-            fold(states, record)
-        return [
-            aggregate.final(state) for state, (aggregate, _) in zip(states, aggregates)
-        ]
+        """Fold ``records`` as one group (attribute 0 is a constant key
+        prepended to each record) and finish it."""
+        spec = tuple(
+            (aggregate.name, attribute + 1) for aggregate, attribute in aggregates
+        )
+        kernels = compile_kernels(spec, 0)
+        table = {}
+        kernels.fold_block([(0,) + record for record in records], table, 1, [])
+        [(key, *values)] = kernels.finish(table)
+        return values
 
     def reference(self, aggregates, records):
         states = [aggregate.initial() for aggregate, _ in aggregates]
@@ -297,7 +297,9 @@ class TestCompiledFold:
         assert self.fold_and_finalize(aggregates, [(-1,), (-2,)]) == [-2]
 
     def test_updates_states_in_place(self):
-        aggregates = [(make_aggregate("count"), 0), (make_aggregate("sum"), 1)]
-        states = [0, 0]
-        assert compile_fold(aggregates)(states, (9, 4)) is None
-        assert states == [1, 4]
+        fold_block = compile_kernels((("count", 0), ("sum", 1)), 0).fold_block
+        table = {}
+        assert fold_block([(9, 4)], table, 1, []) is None
+        assert table == {9: [1, 4]}
+        fold_block([(9, 5)], table, 1, [])
+        assert table == {9: [2, 9]}
