@@ -125,7 +125,6 @@ from repro.session import Session
 from repro.workload_mgmt import (
     ADMISSION_POLICIES,
     AdmissionController,
-    AdmissionPolicy,
     CalibrationAggregator,
     DeviceWorkerPool,
     QueryHandle,
@@ -178,7 +177,6 @@ __all__ = [
     "WorkloadResult",
     "WorkloadScheduler",
     "AdmissionController",
-    "AdmissionPolicy",
     "ADMISSION_POLICIES",
     "CalibrationAggregator",
     "DeviceWorkerPool",

@@ -150,10 +150,12 @@ class OperatorContext:
     ) -> tuple[PersistentCollection, PersistentCollection]:
         """``split(T, n, Tl, Th)``: record a split of ``source`` at ``position``."""
         self._ensure_registered(source)
-        low = low or self.declare(expected_records=position)
-        high = high or self.declare(
-            expected_records=max(0, self._expected(source.name) - position)
-        )
+        if low is None:
+            low = self.declare(expected_records=position)
+        if high is None:
+            high = self.declare(
+                expected_records=max(0, self._expected(source.name) - position)
+            )
         descriptor = SplitCall(position=position)
         self.graph.add_call(descriptor, (source.name,), (low.name, high.name))
         self._expected_records.setdefault(low.name, position)
@@ -205,9 +207,10 @@ class OperatorContext:
         """``filter(T, p(), f, Tp)``: record a filtering of ``source``."""
         self._ensure_registered(source)
         descriptor = FilterCall(predicate=predicate, selectivity=selectivity)
-        output = output or self.declare(
-            expected_records=descriptor.expected_size(self._expected(source.name))
-        )
+        if output is None:
+            output = self.declare(
+                expected_records=descriptor.expected_size(self._expected(source.name))
+            )
         self._ensure_registered(output)
         self.graph.add_call(descriptor, (source.name,), (output.name,))
         self._expected_records.setdefault(

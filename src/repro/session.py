@@ -69,7 +69,7 @@ from repro.workload_mgmt.admission import ADMISSION_POLICIES, resolve_policy
 from repro.workload_mgmt.calibration import CalibrationAggregator
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workload_mgmt.result import WorkloadResult
-from repro.workload_mgmt.scheduler import WorkloadScheduler, _SlotGate
+from repro.workload_mgmt.scheduler import WorkloadScheduler
 
 #: Budget used when a session is created without one: 1 MiB of DRAM.
 DEFAULT_SESSION_BUDGET_BYTES = 1 << 20
@@ -96,8 +96,7 @@ class Session:
             ``"defer"``).
         admission_policy: default workload admission policy for
             :meth:`submit` / :meth:`run_workload` (``"queue"``,
-            ``"shed"``, ``"degrade"`` or an
-            :class:`~repro.workload_mgmt.admission.AdmissionPolicy`).
+            ``"shed"`` or ``"degrade"``).
 
     Sessions are context managers: :meth:`close` drains in-flight
     queries, releases the session bufferpool, and warns about leaked
@@ -112,7 +111,7 @@ class Session:
         bufferpool: Bufferpool | None = None,
         materialize_result: bool = False,
         boundary_policy: str = "cost",
-        admission_policy="queue",
+        admission_policy: str = "queue",
     ) -> None:
         if boundary_policy not in BOUNDARY_POLICIES:
             raise ConfigurationError(
@@ -295,18 +294,16 @@ class Session:
         materialize_result: bool | None = None,
         boundary_policy: str | None = None,
         memory_bytes: Optional[int] = None,
-        _slot_gate=None,
         _dispatch: bool = True,
     ) -> QueryHandle:
         """Submit a query for admission and execution; returns at once.
 
-        ``query`` may be a :class:`~repro.query.logical.Query`, a bare
-        logical node, or an already-planned physical plan.  The admission
-        controller sizes the query's DRAM share from the planner's
-        memory estimate (or ``memory_bytes`` when given, or the plan's
-        own budget for pre-planned queries), carves it out of the session
-        pool, and applies ``policy`` (the session default when omitted)
-        if the pool is exhausted.  The returned
+        ``query`` is a :class:`~repro.query.logical.Query` or a bare
+        logical node.  The admission controller sizes the query's DRAM
+        share from the planner's memory estimate (or ``memory_bytes``
+        when given), carves it out of the session pool, and applies
+        ``policy`` (the session default when omitted) if the pool is
+        exhausted.  The returned
         :class:`~repro.workload_mgmt.handle.QueryHandle` exposes
         ``status``, blocking ``result()``, and ``cancel()``.
         """
@@ -323,26 +320,17 @@ class Session:
         if memory_bytes is not None and memory_bytes <= 0:
             raise ConfigurationError("memory_bytes must be positive")
         handle._memory_bytes = memory_bytes
-        handle._slot_gate = _slot_gate
         return scheduler.submit(handle, policy=policy, dispatch=_dispatch)
 
-    def run_workload(
-        self,
-        queries,
-        *,
-        policy=None,
-        max_workers: Optional[int] = None,
-    ) -> WorkloadResult:
+    def run_workload(self, queries, *, policy: str | None = None) -> WorkloadResult:
         """Submit a batch of queries, wait for all, report the workload.
 
         ``queries`` is an iterable whose items are queries (``Query`` /
-        logical node / plan) or per-query option mappings like
+        logical node) or per-query option mappings like
         ``{"query": q, "priority": 2, "tag": "hot"}`` (every
-        :meth:`submit` keyword is accepted).  ``max_workers`` bounds how
-        many queries run concurrently on top of the memory-based
-        admission.  Admission decisions for the whole batch are made
-        before any query starts, so a ``shed`` policy rejects the same
-        overflow every run, deterministically.
+        :meth:`submit` keyword is accepted).  Admission decisions for the
+        whole batch are made before any query starts, so a ``shed``
+        policy rejects the same overflow every run, deterministically.
 
         The returned :class:`WorkloadResult` carries every handle plus
         the workload critical path -- the busiest device's simulated time
@@ -351,23 +339,14 @@ class Session:
         items = [self._normalize_workload_item(item) for item in queries]
         if not items:
             raise ConfigurationError("run_workload needs at least one query")
-        policy_obj = (
-            resolve_policy(policy) if policy is not None else self.admission_policy
-        )
-        gate = _SlotGate(max_workers) if max_workers is not None else None
+        policy = self.admission_policy if policy is None else resolve_policy(policy)
         scheduler = self.scheduler
         busy_before = scheduler.device_busy_ns()
         handles: list[QueryHandle] = []
         try:
             for query, options in items:
                 handles.append(
-                    self.submit(
-                        query,
-                        policy=policy_obj,
-                        _slot_gate=gate,
-                        _dispatch=False,
-                        **options,
-                    )
+                    self.submit(query, policy=policy, _dispatch=False, **options)
                 )
         except BaseException:
             # A later item failed validation/planning: the earlier
@@ -392,25 +371,23 @@ class Session:
         ]
         return WorkloadResult(
             handles=handles,
-            policy=policy_obj.name,
+            policy=policy,
             critical_path_ns=max(per_device, default=0.0),
             per_device_busy_ns=per_device,
         )
 
     @staticmethod
     def _normalize_workload_item(item):
-        if isinstance(item, dict):
-            options = dict(item)
-            try:
-                query = options.pop("query")
-            except KeyError:
-                raise ConfigurationError(
-                    "a workload item mapping needs a 'query' key"
-                ) from None
-            return query, options
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], dict):
-            return item[0], dict(item[1])
-        return item, {}
+        if not isinstance(item, dict):
+            return item, {}
+        options = dict(item)
+        try:
+            query = options.pop("query")
+        except KeyError:
+            raise ConfigurationError(
+                "a workload item mapping needs a 'query' key"
+            ) from None
+        return query, options
 
     def query(
         self,
@@ -419,7 +396,7 @@ class Session:
         materialize_result: bool | None = None,
         boundary_policy: str | None = None,
     ) -> QueryResult:
-        """Plan (when needed), execute, and wait for one query.
+        """Plan, execute, and wait for one query.
 
         Sugar over ``submit(...).result()``: the query requests the whole
         session budget (so plans match the single-query behavior) and is
@@ -458,7 +435,7 @@ class Session:
         return (
             f"Session({target}, budget={self.budget.nbytes}B, "
             f"boundary_policy={self.boundary_policy!r}, "
-            f"admission_policy={self.admission_policy.name!r})"
+            f"admission_policy={self.admission_policy!r})"
         )
 
 

@@ -145,19 +145,6 @@ class ShardedPhysicalPlan:
     merge: tuple[str, Optional[int]]
     root_schema: Schema
 
-    @classmethod
-    def from_fragment(cls, fragment: PhysicalPlan) -> "ShardedPhysicalPlan":
-        """Wrap a pre-planned single-device plan as a one-shard plan."""
-        return cls(
-            shard_set=ShardSet([fragment.backend]),
-            budget=fragment.budget,
-            shard_budget=fragment.budget,
-            steps=[FragmentStep(0, [fragment], "shard-local fragments")],
-            final_step_index=0,
-            merge=("concat", None),
-            root_schema=fragment.root.schema,
-        )
-
     @property
     def final_step(self) -> FragmentStep:
         return self.steps[self.final_step_index]
@@ -325,10 +312,7 @@ class ShardedPlanner:
         self._exchange_counter = 0
 
     def plan(self, query) -> ShardedPhysicalPlan:
-        """Plan a ``Query`` or logical node; wrap a pre-planned
-        :class:`PhysicalPlan` as a one-shard plan."""
-        if isinstance(query, PhysicalPlan):
-            return ShardedPhysicalPlan.from_fragment(query)
+        """Plan a ``Query`` or logical node."""
         node = query.node if isinstance(query, Query) else query
         if not isinstance(node, LogicalNode):
             raise ConfigurationError(

@@ -5,9 +5,9 @@ The subsystem behind ``Session.submit()`` / ``Session.run_workload()``:
 * :mod:`repro.workload_mgmt.admission` — the
   :class:`AdmissionController` carves each admitted query a child
   :class:`~repro.storage.bufferpool.Bufferpool` share sized from the
-  planner's memory estimate, and applies a pluggable
-  :class:`AdmissionPolicy` (``queue`` / ``shed`` / ``degrade``) when the
-  session pool is exhausted;
+  planner's memory estimate, and applies the named admission policy
+  (``queue`` / ``shed`` / ``degrade``) when the session pool is
+  exhausted;
 * :mod:`repro.workload_mgmt.scheduler` — the :class:`WorkloadScheduler`
   co-schedules the per-device work of *different* queries on one serial
   worker per simulated device
@@ -24,10 +24,6 @@ The subsystem behind ``Session.submit()`` / ``Session.run_workload()``:
 from repro.workload_mgmt.admission import (
     ADMISSION_POLICIES,
     AdmissionController,
-    AdmissionPolicy,
-    DegradeAdmission,
-    QueueAdmission,
-    ShedAdmission,
     admission_floor_bytes,
     estimate_plan_memory_bytes,
     resolve_policy,
@@ -41,10 +37,6 @@ from repro.workload_mgmt.workers import DeviceWorkerPool
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionController",
-    "AdmissionPolicy",
-    "QueueAdmission",
-    "ShedAdmission",
-    "DegradeAdmission",
     "admission_floor_bytes",
     "estimate_plan_memory_bytes",
     "resolve_policy",

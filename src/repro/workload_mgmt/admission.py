@@ -7,7 +7,8 @@ session pool, sized from the planner's memory estimate for the query
 budget in the parent up front, the set of concurrently admitted queries
 can never jointly exceed the session budget — admission is exactly the
 point where :class:`~repro.exceptions.BufferpoolExhaustedError` surfaces,
-and what happens then is the pluggable :class:`AdmissionPolicy`:
+and what happens then is the admission policy, named by one of
+:data:`ADMISSION_POLICIES`:
 
 ``queue``
     the query waits (FIFO within a priority level, higher priority
@@ -30,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Optional
 
 from repro.aggregation.operators import HashAggregation
 from repro.exceptions import (
@@ -110,101 +110,16 @@ def estimate_plan_memory_bytes(plan) -> int:
     return int(min(plan.budget.nbytes, fragment_demand * plan.num_shards))
 
 
-# --------------------------------------------------------------------- #
-# Policies.
-# --------------------------------------------------------------------- #
-class AdmissionPolicy:
-    """What to do when a query's share cannot be carved right now.
-
-    ``on_exhausted`` runs under the controller lock; it must either park
-    the handle on the wait queue (``controller._enqueue``), reject it
-    (``handle._reject``), or shrink the request and retry the carve
-    (``controller._carve``).  Returns ``True`` when the query ended up
-    admitted after all.
-    """
-
-    name = "policy"
-
-    def on_exhausted(
-        self,
-        controller: "AdmissionController",
-        handle: QueryHandle,
-        error: BufferpoolExhaustedError,
-    ) -> bool:
-        raise NotImplementedError
+ADMISSION_POLICIES = ("queue", "shed", "degrade")
 
 
-class QueueAdmission(AdmissionPolicy):
-    """Wait for memory: FIFO within a priority level, higher first."""
-
-    name = "queue"
-
-    def on_exhausted(self, controller, handle, error) -> bool:
-        controller._enqueue(handle)
-        return False
-
-
-class ShedAdmission(AdmissionPolicy):
-    """Reject immediately instead of waiting."""
-
-    name = "shed"
-
-    def on_exhausted(self, controller, handle, error) -> bool:
-        handle._reject(
-            AdmissionRejectedError(
-                f"query {handle.tag or handle.seq} shed by admission "
-                f"control: {error}"
-            )
-        )
-        return False
-
-
-class DegradeAdmission(AdmissionPolicy):
-    """Halve the request (and later replan) until it fits or floors out.
-
-    A degraded query is replanned under the smaller admitted budget, so
-    the cost-based planner switches to low-memory operators and
-    materialized boundaries on its own.  If even the floor cannot be
-    carved, the query queues at the floor size.
-    """
-
-    name = "degrade"
-
-    def on_exhausted(self, controller, handle, error) -> bool:
-        if handle._preplanned:
-            # A pre-planned query cannot be replanned under a smaller
-            # budget (its operators already size workspace from the
-            # plan's own budget), so degrading would over-reserve the
-            # share at run time; wait for the full request instead.
-            controller._enqueue(handle)
-            return False
-        floor = controller.floor_bytes
-        nbytes = handle.requested_bytes
-        while nbytes > floor:
-            nbytes = max(floor, nbytes // 2)
-            handle.requested_bytes = nbytes
-            handle.degraded = True
-            if controller._carve(handle):
-                return True
-        controller._enqueue(handle)
-        return False
-
-
-ADMISSION_POLICIES = {
-    policy.name: policy
-    for policy in (QueueAdmission(), ShedAdmission(), DegradeAdmission())
-}
-
-
-def resolve_policy(policy) -> AdmissionPolicy:
-    """An :class:`AdmissionPolicy` instance from a name or instance."""
-    if isinstance(policy, AdmissionPolicy):
-        return policy
+def resolve_policy(policy) -> str:
+    """Validate an admission policy name (one of :data:`ADMISSION_POLICIES`)."""
     if isinstance(policy, str) and policy in ADMISSION_POLICIES:
-        return ADMISSION_POLICIES[policy]
+        return policy
     raise ConfigurationError(
         f"unknown admission policy {policy!r}; expected one of "
-        f"{', '.join(sorted(ADMISSION_POLICIES))} or an AdmissionPolicy"
+        f"{', '.join(ADMISSION_POLICIES)}"
     )
 
 
@@ -217,63 +132,56 @@ class AdmissionController:
     Args:
         bufferpool: the session pool every admitted query's share is
             carved from.
-        policy: default :class:`AdmissionPolicy` (name or instance).
-        floor_bytes: smallest share the ``degrade`` policy will shrink
-            to (and the lower clamp on explicit requests).
+        policy: the default policy, one of :data:`ADMISSION_POLICIES`.
     """
 
-    def __init__(
-        self,
-        bufferpool: Bufferpool,
-        policy="queue",
-        floor_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, bufferpool: Bufferpool, policy: str = "queue") -> None:
         self.bufferpool = bufferpool
         self.default_policy = resolve_policy(policy)
-        self.floor_bytes = (
-            floor_bytes
-            if floor_bytes is not None
-            else admission_floor_bytes(bufferpool.budget)
-        )
+        #: Smallest share ``degrade`` shrinks to, and the lower clamp on
+        #: every request.
+        self.floor_bytes = admission_floor_bytes(bufferpool.budget)
         self._lock = threading.RLock()
         self._pending: list[tuple[int, int, QueryHandle]] = []
         self._counter = itertools.count()
-        self._admitted: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Admission.
     # ------------------------------------------------------------------ #
     def try_admit(self, handle: QueryHandle, policy=None) -> bool:
-        """Admit ``handle`` now, or apply the policy's exhaustion action.
+        """Admit ``handle`` now, or apply ``policy`` (the default when
+        omitted) because its share cannot be carved.
 
         Returns ``True`` when the handle holds an admitted share on
         return; ``False`` when it was queued or rejected.
         """
-        chosen = resolve_policy(policy) if policy is not None else self.default_policy
+        policy = self.default_policy if policy is None else resolve_policy(policy)
         with self._lock:
-            if not self._acquire_slot(handle):
-                if chosen.name == "shed":
-                    handle._reject(
-                        AdmissionRejectedError(
-                            f"query {handle.tag or handle.seq} shed: no "
-                            "free execution slot"
-                        )
-                    )
-                else:
-                    self._enqueue(handle)
-                return False
             if self._carve(handle):
                 return True
-            error = BufferpoolExhaustedError(
-                f"cannot carve {handle.requested_bytes} bytes for query "
-                f"{handle.tag or handle.seq}; "
-                f"{self.bufferpool.available_bytes} of "
-                f"{self.bufferpool.budget.nbytes} available"
-            )
-            admitted = chosen.on_exhausted(self, handle, error)
-            if not admitted:
-                self._release_slot(handle)
-            return admitted
+            if policy == "shed":
+                handle._reject(
+                    AdmissionRejectedError(
+                        f"query {handle.tag or handle.seq} shed by admission "
+                        f"control: cannot carve {handle.requested_bytes} "
+                        f"bytes; {self.bufferpool.available_bytes} of "
+                        f"{self.bufferpool.budget.nbytes} available"
+                    )
+                )
+                return False
+            if policy == "degrade":
+                # The scheduler replans a degraded query under its
+                # admitted budget, so the planner picks low-memory
+                # operators on its own.
+                while handle.requested_bytes > self.floor_bytes:
+                    handle.requested_bytes = max(
+                        self.floor_bytes, handle.requested_bytes // 2
+                    )
+                    handle.degraded = True
+                    if self._carve(handle):
+                        return True
+            self._enqueue(handle)
+            return False
 
     def release(self, handle: QueryHandle) -> list[QueryHandle]:
         """Return a finished query's share; admit unblocked waiters.
@@ -286,17 +194,13 @@ class AdmissionController:
         """
         with self._lock:
             self._close_share(handle)
-            self._release_slot(handle)
             admitted: list[QueryHandle] = []
             while self._pending:
                 _, _, head = self._pending[0]
                 if head.status is not QueryStatus.QUEUED:
                     heapq.heappop(self._pending)  # cancelled: drop lazily
                     continue
-                if not self._acquire_slot(head):
-                    break
                 if not self._carve(head):
-                    self._release_slot(head)
                     break
                 heapq.heappop(self._pending)
                 admitted.append(head)
@@ -322,11 +226,6 @@ class AdmissionController:
             return cancelled
 
     @property
-    def admitted_count(self) -> int:
-        with self._lock:
-            return len(self._admitted)
-
-    @property
     def pending_count(self) -> int:
         with self._lock:
             return sum(
@@ -336,7 +235,7 @@ class AdmissionController:
             )
 
     # ------------------------------------------------------------------ #
-    # Internals (called under the lock, including from policies).
+    # Internals (called under the lock).
     # ------------------------------------------------------------------ #
     def _carve(self, handle: QueryHandle) -> bool:
         nbytes = max(self.floor_bytes, int(handle.requested_bytes))
@@ -354,7 +253,6 @@ class AdmissionController:
         # never be "cancelled" after its share was carved and then run
         # anyway.
         handle._mark_running()
-        self._admitted.add(handle.seq)
         return True
 
     def _close_share(self, handle: QueryHandle) -> None:
@@ -362,7 +260,6 @@ class AdmissionController:
         if share is None:
             return
         handle._share = None
-        self._admitted.discard(handle.seq)
         try:
             share.close()
         except ConfigurationError:
@@ -377,19 +274,3 @@ class AdmissionController:
         heapq.heappush(
             self._pending, (-handle.priority, next(self._counter), handle)
         )
-
-    @staticmethod
-    def _acquire_slot(handle: QueryHandle) -> bool:
-        gate = handle._slot_gate
-        if gate is None:
-            return True
-        if gate.try_acquire():
-            handle._slot_held = True
-            return True
-        return False
-
-    @staticmethod
-    def _release_slot(handle: QueryHandle) -> None:
-        if handle._slot_held and handle._slot_gate is not None:
-            handle._slot_gate.release()
-            handle._slot_held = False

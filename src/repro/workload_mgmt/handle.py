@@ -21,7 +21,7 @@ from repro.exceptions import QueryCancelledError
 class QueryStatus(enum.Enum):
     """Lifecycle states of one submitted query."""
 
-    #: Waiting for admission (memory or an execution slot).
+    #: Waiting for admission: its bufferpool share cannot be carved yet.
     QUEUED = "queued"
     #: Admitted -- its bufferpool share is carved -- and executing (or
     #: about to; the status flips at admission, so a handle that can no
@@ -49,7 +49,7 @@ class QueryHandle:
     """One submitted query: status, result, cancellation, telemetry.
 
     Attributes:
-        query: what was submitted (a ``Query``, logical node, or plan).
+        query: what was submitted (a ``Query`` or logical node).
         priority: admission priority; higher admits first among waiters.
         tag: caller-supplied label used in workload reports.
         requested_bytes: DRAM the admission controller asked for (after
@@ -71,7 +71,6 @@ class QueryHandle:
         self.tag = tag
         self.seq = seq
         self.requested_bytes: Optional[int] = None
-        self.original_requested_bytes: Optional[int] = None
         self.admitted_bytes: Optional[int] = None
         self.degraded = False
         self.queue_wait_ns = 0.0
@@ -86,14 +85,11 @@ class QueryHandle:
         self._share = None
         self._plan = None
         self._reference_plan = None
-        self._preplanned = False
         #: Worker (device) indices the plan runs on, in shard order.
         self._workers: list[int] = []
         self._boundary_policy: Optional[str] = None
         self._materialize_result = False
         self._memory_bytes: Optional[int] = None
-        self._slot_gate = None
-        self._slot_held = False
         self._dispatched = False
         self._clock_submit = 0.0
 

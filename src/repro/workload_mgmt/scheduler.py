@@ -35,7 +35,6 @@ import threading
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.query.planner import PhysicalPlan
 from repro.shard.collection import ShardSet
 from repro.shard.executor import ShardedQueryExecutor
 from repro.shard.planner import ShardedPhysicalPlan, ShardedPlanner
@@ -47,22 +46,6 @@ from repro.workload_mgmt.admission import (
 from repro.workload_mgmt.calibration import CalibrationAggregator
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workload_mgmt.workers import DeviceWorkerPool
-
-
-class _SlotGate:
-    """A non-blocking counting gate bounding concurrently running queries."""
-
-    def __init__(self, slots: int) -> None:
-        if slots <= 0:
-            raise ConfigurationError("max_workers must be positive")
-        self.slots = slots
-        self._semaphore = threading.BoundedSemaphore(slots)
-
-    def try_acquire(self) -> bool:
-        return self._semaphore.acquire(blocking=False)
-
-    def release(self) -> None:
-        self._semaphore.release()
 
 
 class WorkloadScheduler:
@@ -77,7 +60,7 @@ class WorkloadScheduler:
         budget: the session budget (reference plans are priced under it).
         shard_set: the session's devices; one serial worker is created
             per device, in shard order.
-        policy: default admission policy name or instance.
+        policy: the default admission policy name.
         calibration: aggregator fed every completed query's result.
     """
 
@@ -86,7 +69,7 @@ class WorkloadScheduler:
         bufferpool: Bufferpool,
         budget: MemoryBudget,
         shard_set: ShardSet,
-        policy="queue",
+        policy: str = "queue",
         calibration: Optional[CalibrationAggregator] = None,
     ) -> None:
         self.budget = budget
@@ -182,28 +165,18 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------ #
     def _prepare(self, handle: QueryHandle) -> None:
         """Reference-plan the query and size its admission request."""
-        query = handle.query
-        if isinstance(query, (PhysicalPlan, ShardedPhysicalPlan)):
-            # Already planned: the plan's own budget is the request (its
-            # operators will reserve exactly that much workspace).
-            handle._preplanned = True
-            handle._reference_plan = self._plan(query, handle, self.budget)
-            requested = self._clamp_request(query.budget.nbytes)
-        elif handle._memory_bytes is not None:
+        if handle._memory_bytes is not None:
             # An explicit request: plan straight under it, so admission
             # at the requested size reuses this plan instead of planning
             # twice.
             requested = self._clamp_request(handle._memory_bytes)
-            handle._reference_plan = self._plan(
-                query, handle, self._budget(requested)
-            )
+            handle._reference_plan = self._plan(handle, self._budget(requested))
         else:
-            handle._reference_plan = self._plan(query, handle, self.budget)
+            handle._reference_plan = self._plan(handle, self.budget)
             requested = self._clamp_request(
                 estimate_plan_memory_bytes(handle._reference_plan)
             )
         handle.requested_bytes = requested
-        handle.original_requested_bytes = requested
 
     def _clamp_request(self, requested: int) -> int:
         return max(
@@ -218,16 +191,12 @@ class WorkloadScheduler:
             block_bytes=self.budget.block_bytes,
         )
 
-    def _plan(self, query, handle: QueryHandle, budget) -> ShardedPhysicalPlan:
-        """Plan ``query`` (a pre-planned single-device plan is wrapped as
-        a one-shard plan), place it on the session's devices, and apply
-        ``materialize_result``."""
-        if isinstance(query, ShardedPhysicalPlan):
-            plan = query
-        else:
-            plan = ShardedPlanner(
-                self.shard_set, budget, boundary_policy=handle._boundary_policy
-            ).plan(query)
+    def _plan(self, handle: QueryHandle, budget) -> ShardedPhysicalPlan:
+        """Plan the handle's query, place it on the session's devices, and
+        apply ``materialize_result``."""
+        plan = ShardedPlanner(
+            self.shard_set, budget, boundary_policy=handle._boundary_policy
+        ).plan(handle.query)
         handle._workers = self.shard_set.positions_of(plan.shard_set)
         if handle._materialize_result:
             plan.materialize_root()
@@ -242,12 +211,10 @@ class WorkloadScheduler:
         size — and reserve — workspace that actually fits the share.
         """
         reference = handle._reference_plan
-        if handle._preplanned or handle.admitted_bytes == reference.budget.nbytes:
+        if handle.admitted_bytes == reference.budget.nbytes:
             handle._plan = reference
-            return
-        handle._plan = self._plan(
-            handle.query, handle, self._budget(handle.admitted_bytes)
-        )
+        else:
+            handle._plan = self._plan(handle, self._budget(handle.admitted_bytes))
 
     # ------------------------------------------------------------------ #
     # Dispatch and completion.

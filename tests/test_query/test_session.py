@@ -12,7 +12,6 @@ from repro import (
 )
 from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
-from repro.query import CostBasedPlanner
 from repro.shard import ShardedCollection
 from repro.storage.bufferpool import Bufferpool
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -101,21 +100,6 @@ class TestRouting:
 
 
 class TestOneResultType:
-    def test_preplanned_single_device_plan_runs_as_one_shard(self, backend):
-        collection = make_sort_input(120, backend)
-        budget = budget_for(collection, 0.10)
-        fragment = CostBasedPlanner(backend, budget).plan(
-            Query.scan(collection).order_by()
-        )
-        with Session(backend, budget) as session:
-            result = session.submit(fragment).result()
-            direct = session.query(Query.scan(collection).order_by())
-        assert isinstance(result, QueryResult)
-        assert result.plan.num_shards == 1
-        assert result.plan.final_step.fragments == [fragment]
-        assert result.records == direct.records
-        assert result.io == direct.io
-
     def test_one_shard_result_keeps_the_fragment_output(self, backend):
         collection = make_sort_input(120, backend)
         session = Session(backend, budget_for(collection, 0.10))

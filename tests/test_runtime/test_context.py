@@ -74,6 +74,20 @@ class TestPrimitives:
         assert context.graph.producer_of(output.name).kind.value == "filter"
         assert context.estimated_cardinality(output.name) == 10
 
+    def test_filter_keeps_an_empty_caller_output(self, context, source):
+        # An empty collection has len() 0; it must still count as given.
+        output = context.declare(expected_records=0)
+        result = context.filter(source, lambda record: True, 1.0, output=output)
+        assert result is output
+        assert context.graph.producer_of(output.name).kind.value == "filter"
+
+    def test_split_keeps_empty_caller_outputs(self, context, source):
+        low = context.declare(expected_records=0)
+        high = context.declare(expected_records=0)
+        assert context.split(source, 0, low=low, high=high) == (low, high)
+        assert context.graph.producer_of(low.name).kind.value == "split"
+        assert context.graph.producer_of(high.name).kind.value == "split"
+
     def test_merge_runs_the_functor_eagerly(self, context, source, backend):
         target = context.declare(status=CollectionStatus.MEMORY)
         calls = []

@@ -161,25 +161,6 @@ class TestCoScheduling:
             )
             assert result.critical_path_ns <= result.serial_sum_ns + 1e-6
 
-    def test_max_workers_bounds_concurrent_queries(self, backend):
-        collection = build_plain(backend, "MW", range(500))
-        query = Query.scan(collection).filter(
-            lambda r: r[0] < 100, selectivity=0.2
-        )
-        with Session(backend, MemoryBudget.from_bytes(64_000)) as session:
-            result = session.run_workload(
-                [
-                    {"query": query, "memory_bytes": 4_096, "tag": f"q{i}"}
-                    for i in range(4)
-                ],
-                max_workers=1,
-            )
-            assert len(result.completed) == 4
-            # With one slot the later queries must have waited even
-            # though memory alone would admit all four at once.
-            waits = [handle.queue_wait_ns for handle in result.handles]
-            assert sum(1 for wait in waits if wait > 0.0) >= 3
-
     def test_failed_query_releases_memory_and_reports(self, backend):
         bad = build_plain(backend, "BAD", range(100))
 

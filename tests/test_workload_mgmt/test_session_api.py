@@ -6,6 +6,7 @@ import pytest
 
 from repro import MemoryBudget, Query, Session, ShardSet
 from repro.exceptions import AdmissionRejectedError, ConfigurationError
+from repro.query import CostBasedPlanner
 from repro.storage.bufferpool import Bufferpool
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -136,14 +137,42 @@ class TestQueryShim:
         with pytest.raises(AdmissionRejectedError):
             session.query(Query.scan(collection).order_by())
 
-    def test_preplanned_queries_still_run(self, backend):
-        collection = make_sort_input(150, backend)
-        with Session(backend, MemoryBudget.from_records(60)) as session:
-            plan = session.plan(Query.scan(collection).order_by())
-            result = session.query(plan)
-            assert [r[0] for r in result.records] == sorted(
-                r[0] for r in collection.records
+class TestDegradeThroughSession:
+    def test_degraded_query_is_replanned_under_its_admitted_share(
+        self, backend
+    ):
+        """``run_workload`` decides admission for the whole batch before
+        any query starts, so the blocker still holds its share when the
+        second sort asks for the whole budget."""
+        collection = make_sort_input(400, backend)
+        budget = MemoryBudget.from_records(100)
+        query = Query.scan(collection).order_by()
+        with Session(backend, budget) as session:
+            report = session.run_workload(
+                [
+                    {
+                        "query": query,
+                        "memory_bytes": (budget.nbytes * 3) // 4,
+                        "tag": "blocker",
+                    },
+                    {
+                        "query": query,
+                        "memory_bytes": budget.nbytes,
+                        "tag": "degraded",
+                    },
+                ],
+                policy="degrade",
             )
+            serial = session.query(query)
+        blocker, degraded = report.handles
+        assert blocker.status is QueryStatus.DONE
+        assert not blocker.degraded
+        assert degraded.status is QueryStatus.DONE
+        assert degraded.degraded
+        assert degraded.admitted_bytes < budget.nbytes
+        result = degraded.result()
+        assert result.plan.budget.nbytes == degraded.admitted_bytes
+        assert result.records == serial.records
 
 
 class TestMixedRouting:
@@ -236,29 +265,45 @@ class TestWorkloadValidation:
         with pytest.raises(ConfigurationError, match="memory_bytes"):
             session.submit(Query.scan(collection).order_by(), memory_bytes=0)
 
+    @pytest.mark.parametrize("entry", ["submit", "query"])
+    @pytest.mark.parametrize("kind", ["physical", "sharded"])
+    def test_a_plan_is_rejected_at_submit(self, backend, kind, entry):
+        collection = make_sort_input(100, backend)
+        query = Query.scan(collection).order_by()
+        budget = MemoryBudget.from_records(50)
+        with Session(backend, budget) as session:
+            if kind == "physical":
+                plan = CostBasedPlanner(backend, budget).plan(query)
+            else:
+                plan = session.plan(query)
+            with pytest.raises(ConfigurationError, match="cannot plan"):
+                getattr(session, entry)(plan)
+            assert session.bufferpool.reserved_bytes == 0
+            assert len(session.query(query).records) == 100
+
+    def test_a_tuple_workload_item_is_rejected(self, backend):
+        collection = make_sort_input(50, backend)
+        query = Query.scan(collection).order_by()
+        with Session(backend) as session:
+            with pytest.raises(ConfigurationError, match="cannot plan"):
+                session.run_workload([(query, {"tag": "pair"})])
+            assert session.bufferpool.reserved_bytes == 0
+            assert len(session.query(query).records) == 50
+
+    @pytest.mark.parametrize("policy", ["eager", "QUEUE", 3, object()])
+    def test_unknown_admission_policy_rejected(self, backend, policy):
+        with pytest.raises(ConfigurationError, match="admission policy"):
+            Session(backend, admission_policy=policy)
+        query = Query.scan(make_sort_input(50, backend)).order_by()
+        with Session(backend) as session:
+            with pytest.raises(ConfigurationError, match="admission policy"):
+                session.submit(query, policy=policy)
+            with pytest.raises(ConfigurationError, match="admission policy"):
+                session.run_workload([query], policy=policy)
+            assert session.bufferpool.reserved_bytes == 0
+
 
 class TestReviewRegressions:
-    def test_preplanned_query_never_degrades_below_its_budget(self, backend):
-        """A pre-planned plan cannot be replanned, so the degrade policy
-        must queue it for its full request instead of admitting it under
-        a share its operators would over-reserve."""
-        collection = make_sort_input(400, backend)
-        budget = MemoryBudget.from_records(100)
-        with Session(
-            backend, budget, admission_policy="degrade"
-        ) as session:
-            plan = session.plan(Query.scan(collection).order_by())
-            blocker = session.submit(
-                Query.scan(collection).order_by(),
-                memory_bytes=(budget.nbytes * 3) // 4,
-            )
-            preplanned = session.submit(plan, tag="preplanned")
-            preplanned.wait()
-            assert preplanned.status is QueryStatus.DONE
-            assert not preplanned.degraded
-            assert preplanned.admitted_bytes == budget.nbytes
-            blocker.result()
-
     def test_failed_workload_submission_releases_admitted_shares(
         self, backend
     ):
