@@ -157,7 +157,7 @@ class SortedAggregation(_AggregationBase):
 
     def _execute(self, collection: PersistentCollection) -> AggregationResult:
         output = self._make_output(collection.name)
-        if len(collection) == 0:
+        if not collection.is_deferred and len(collection) == 0:
             output.seal()
             return AggregationResult(output=output, io=None)
 

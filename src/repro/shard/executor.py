@@ -11,10 +11,14 @@ executor walks the plan's steps in order:
   :class:`~repro.query.executor.QueryExecutor` engine, each under that
   shard's child share of the bufferpool the executor was given;
 * an :class:`~repro.shard.planner.ExchangeStep` runs in two barrier
-  phases -- every source shard scans its input and buckets records by
-  destination (charging reads on the source device when the input is
-  materialized), then every destination shard bulk-appends its bucket
-  (charging writes on the destination device).
+  phases -- every source shard scans its input (charging reads on the
+  source device when the input is materialized), then every destination
+  shard bulk-appends its bucket from each source (charging writes on the
+  destination device).  A materialized source was routed by the planner,
+  so its scan only pays for the read and the planned buckets are written;
+  a source changed since planning raises
+  :class:`~repro.exceptions.CollectionStateError`.  A fragment's pipelined
+  output is routed block by block as it is scanned.
 
 Where tasks run follows from the plan.  A plan that touches one device
 runs its tasks inline on the calling thread; under the workload
@@ -47,11 +51,12 @@ one-shard plan.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.metrics import IOSnapshot, critical_path_ns, sum_snapshots
 from repro.query.executor import FragmentResult, QueryExecutor
 from repro.shard.collection import ShardSet
@@ -292,12 +297,24 @@ class ShardedQueryExecutor:
         split = step.partitioner.split
 
         # Phase 1 (parallel per source shard): scan and bucket.  Reads are
-        # charged on the source device iff the source is materialized.
+        # charged on the source device iff the source is materialized.  A
+        # materialized source was routed by the planner: its scan only
+        # pays for the read, and the planned buckets go to the writers.
         def read_and_bucket(index: int):
             device = devices[index]
             before = device.snapshot()
+            source = sources[index]
+            if step.buckets is not None:
+                records, length = step.routed_from[index]
+                if source.records is not records or len(records) != length:
+                    raise CollectionStateError(
+                        f"exchange source {source.name!r} changed after the "
+                        "query was planned; plan the query again"
+                    )
+                deque(source.scan_blocks(), maxlen=0)
+                return step.buckets[index], device.snapshot() - before
             buckets: list[list[tuple]] = [[] for _ in range(num_shards)]
-            for block in sources[index].scan_blocks():
+            for block in source.scan_blocks():
                 for bucket, part in zip(buckets, split(block)):
                     bucket.extend(part)
             return buckets, device.snapshot() - before

@@ -14,6 +14,9 @@ list of *steps*:
   set, priced with the repartition I/O term: a read of the source (free
   when the producing fragment pipelines straight into the exchange) plus
   a ``lambda``-weighted write of every record at its destination shard.
+  Materialized sources are routed here, once: the step keeps each
+  source's records split by destination, the executor writes those
+  buckets, and each destination's write is priced from its true share.
 
 Placement rules: ``Scan``/``Filter``/``Project``/``OrderBy`` are always
 shard-local; a ``Join`` is partition-wise when both inputs are
@@ -39,7 +42,6 @@ exchanges and a trivial merge, and it renders exactly like its fragment.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -95,7 +97,9 @@ class ExchangeStep:
     collections, charged on the source shard's device, or the pipelined
     DRAM outputs of ``source_fragment``, free), routes every record with
     ``partitioner``, and writes each destination shard's share to that
-    shard's device.
+    shard's device.  Materialized sources exist at plan time, so they are
+    routed once, by the planner, into ``buckets``; fragment outputs are
+    routed block by block as the executor reads them.
     """
 
     index: int
@@ -112,6 +116,17 @@ class ExchangeStep:
     #: Estimated write cost per destination shard, ns.
     est_write_ns: list[float] = field(default_factory=list)
     reason: str = ""
+    #: Per source shard, its records split by destination shard at plan
+    #: time; ``None`` when fed by a fragment.
+    buckets: Optional[list[list[list[tuple]]]] = field(
+        default=None, repr=False, compare=False
+    )
+    #: Per source shard, the record list the buckets were routed from and
+    #: its length then: a source cleared (a new list) or appended to since
+    #: planning no longer matches, and the executor refuses the step.
+    routed_from: Optional[list[tuple[list[tuple], int]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def est_critical_ns(self) -> float:
@@ -534,11 +549,17 @@ class ShardedPlanner:
         schema = per_shard[0].output_schema()
         num_shards = self.shard_set.num_shards
         dest_records: Optional[list[float]] = None
+        buckets = routed_from = None
         if all(isinstance(node, Scan) for node in per_shard):
             # Bare scans: the exchange reads the materialized shards
-            # directly, charging the source devices.
+            # directly, charging the source devices.  Their records exist
+            # already, so they are routed here, once, through the no-charge
+            # ``records`` accessor: the executor still scans (and pays
+            # for) each source, then writes these buckets.
             sources = [node.collection for node in per_shard]
             source_fragment = None
+            routed_from = [(source.records, len(source.records)) for source in sources]
+            buckets = [partitioner.split(records) for records, _ in routed_from]
             shard_records = [
                 node.est_records if node.est_records is not None else len(node.collection)
                 for node in per_shard
@@ -548,14 +569,13 @@ class ShardedPlanner:
                 for records, backend in zip(shard_records, self.shard_set.backends)
             ]
             if all(node.est_records is None for node in per_shard):
-                # The source shards are already materialized, so instead of
-                # assuming a uniform 1/N spread the planner routes the
-                # actual records through the exchange partitioner and
-                # prices each destination's write with its true share --
-                # skewed exchanges now show a skewed critical path.
-                dest_records = self._route_destination_counts(
-                    sources, partitioner, num_shards
-                )
+                # Instead of assuming a uniform 1/N spread, each
+                # destination's write is priced with its true share --
+                # skewed exchanges show a skewed critical path.
+                dest_records = [
+                    float(sum(len(split[dest]) for split in buckets))
+                    for dest in range(num_shards)
+                ]
         else:
             # The producing fragments pipeline their DRAM roots straight
             # into the exchange, so the read side is free.
@@ -601,6 +621,8 @@ class ShardedPlanner:
             est_read_ns=est_read_ns,
             est_write_ns=est_write_ns,
             reason=reason,
+            buckets=buckets,
+            routed_from=routed_from,
         )
         self._steps.append(step)
         self._exchange_counter += 1
@@ -608,23 +630,6 @@ class ShardedPlanner:
             Scan(dest, est_records=records)
             for dest, records in zip(dests, dest_records)
         ]
-
-    @staticmethod
-    def _route_destination_counts(
-        sources: list[PersistentCollection],
-        partitioner: Partitioner,
-        num_shards: int,
-    ) -> list[float]:
-        """Actual per-destination record counts of one exchange.
-
-        Plan-time routing touches only the in-DRAM record payloads
-        (``records`` is the no-charge accessor), so pricing with the true
-        distribution costs no simulated I/O.
-        """
-        counts = Counter()
-        for collection in sources:
-            counts.update(partitioner.shards_of(collection.records))
-        return [float(counts[shard]) for shard in range(num_shards)]
 
     def _add_fragment_step(
         self, per_shard: list[LogicalNode], label: str

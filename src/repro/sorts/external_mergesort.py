@@ -43,7 +43,7 @@ class ExternalMergeSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if len(collection) == 0:
+        if not collection.is_deferred and len(collection) == 0:
             output.seal()
             return SortResult(output=output, io=None)
         runset = RunSet(

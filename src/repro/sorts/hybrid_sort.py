@@ -61,7 +61,7 @@ class HybridSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if len(collection) == 0:
+        if not collection.is_deferred and len(collection) == 0:
             output.seal()
             return SortResult(output=output, io=None)
 

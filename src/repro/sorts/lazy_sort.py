@@ -42,7 +42,7 @@ class LazySort(SortAlgorithm):
         output = self._make_output(collection.name)
         total_records = len(collection)
         counted = not collection.is_deferred
-        if total_records == 0:
+        if total_records == 0 and counted:
             output.seal()
             return SortResult(output=output, io=None)
 

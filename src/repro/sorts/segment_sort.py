@@ -63,20 +63,23 @@ class SegmentSort(SortAlgorithm):
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
         total_records = len(collection)
-        if total_records == 0:
+        if not collection.is_deferred and total_records == 0:
             output.seal()
             return SortResult(output=output, io=None)
 
         intensity = self.resolve_intensity(collection.num_buffers)
         boundary = int(round(total_records * intensity))
+        # A deferred input's length is only an estimate, so a pure
+        # mergesort reads the input to its end, not to the boundary.
+        mergesort_only = boundary >= total_records
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-segs"
         )
 
         # Write-incurring segment: replacement-selection run generation.
-        if boundary > 0:
+        if boundary > 0 or mergesort_only:
             generate_runs_replacement_selection(
-                collection.scan(0, boundary),
+                collection.scan(0, None if mergesort_only else boundary),
                 runset,
                 self.workspace_records,
                 self.key_fn,
@@ -84,7 +87,7 @@ class SegmentSort(SortAlgorithm):
 
         merge_passes = 0
         selection_scans = 0
-        if boundary >= total_records:
+        if mergesort_only:
             # Pure external mergesort.
             merge_passes = merge_runs(
                 runset.runs,

@@ -71,7 +71,7 @@ class SelectionSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if len(collection) == 0:
+        if not collection.is_deferred and len(collection) == 0:
             output.seal()
             return SortResult(output=output, io=None)
         passes = 0

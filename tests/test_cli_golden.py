@@ -29,6 +29,8 @@ CASES = {
     "query_aggregate": ["query", "aggregate"],
     "query_join_materialize": ["query", "join", "--materialize"],
     "query_aggregate_2shard": ["query", "aggregate", "--shards", "2"],
+    # An exchange from materialized inputs to four destinations.
+    "query_aggregate_4shard": ["query", "aggregate", "--shards", "4"],
     # The same query under HashAgg: spilling at 5% of the input in DRAM,
     # every group in memory at 50%.
     "query_aggregate_hashagg_spill": ["query", "aggregate", "--fraction", "0.05"],

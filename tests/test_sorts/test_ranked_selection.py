@@ -71,12 +71,13 @@ class ReferenceLazySort(LazySort):
     """Lazy sort's loop with a ``select_smallest`` scan per pass.
 
     Like the loop the kernel replaced, it never drops its intermediates.
+    Like the operator, it scans a deferred input declared empty once.
     """
 
     def _execute(self, collection):
         output = self._make_output(collection.name)
         total_records = len(collection)
-        if total_records == 0:
+        if total_records == 0 and not collection.is_deferred:
             output.seal()
             return SortResult(output=output, io=None)
         lam = self.backend.device.write_read_ratio
@@ -87,7 +88,7 @@ class ReferenceLazySort(LazySort):
         intermediates = 0
         materialization_points = []
         threshold = None
-        while emitted < total_records:
+        while emitted < total_records or not scans:
             remaining = total_records - emitted
             materialization_iteration = max(
                 1,
