@@ -14,7 +14,10 @@ extractor is passed in once and never looked up per record.  Ties are
 broken on input position, so records with equal keys have a strict total
 order: a selection scan orders them by ``(key, position)`` -- which is what
 guarantees that consecutive scans never select the same record twice --
-and replacement selection by ``(key, arrival)``.
+and replacement selection by ``(key, arrival)``.  Replacement selection
+keeps only keys in its heaps: whether a record joins the current run
+depends on its key alone, and each run is its members, kept in arrival
+order, stably sorted by key.
 
 A third kernel, :func:`ranked_passes`, serves a whole sequence of
 consecutive selection scans over one stable source from a single ranking:
@@ -24,7 +27,7 @@ it computes once and charges per pass.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
@@ -146,46 +149,45 @@ def replacement_selection_runs(
     """Two-heap replacement selection: yield each sorted run as a list.
 
     The first ``capacity`` records fill the current heap.  Every further
-    record emits the smallest current entry; it joins the current heap
-    when its key is not below the emitted one and is parked for the next
-    run otherwise.  When the current heap empties the run closes and the
-    parked heap becomes current.  At the end the current heap completes
-    the open run and the parked records form one final run.  Runs are
-    maximal -- on average twice the memory size for random inputs, the
-    property the paper's Eq. 1 relies on.  Entries are ``(key, arrival,
-    record)``.
+    record emits the smallest current key; it joins the current run when
+    its key is not below the emitted one and is parked for the next run
+    otherwise.  When the current heap empties the run closes and the
+    parked records become current.  At the end the open run is completed
+    and the parked records form one final run.  Runs are maximal -- on
+    average twice the memory size for random inputs, the property the
+    paper's Eq. 1 relies on.
+
+    The heaps hold plain keys: membership is decided by keys alone, so the
+    records themselves are only appended, in arrival order, to the run
+    they join.  A closed run is its members stably sorted by key, which is
+    exactly the ``(key, arrival)`` order a heap of ``(key, arrival,
+    record)`` entries would emit.
     """
     _check_capacity(capacity)
     records = iter(records)
-    current = [
-        (key(record), arrival, record)
-        for arrival, record in zip(range(capacity), records)
-    ]
-    heapify(current)
-    # Parked entries are only read once they become the current heap, so
-    # they are kept unordered and heapified at the rollover.
-    parked: list[tuple[int, int, tuple]] = []
+    members = list(islice(records, capacity))
+    heap = list(map(key, members))
+    heapify(heap)
+    join = members.append
+    parked: list[tuple] = []
     park = parked.append
-    run: list[tuple] = []
-    emit = run.append
-    for arrival, record in enumerate(records, capacity):
+    for record in records:
         record_key = key(record)
-        if record_key >= current[0][0]:
-            emit(heapreplace(current, (record_key, arrival, record))[2])
+        if record_key >= heap[0]:
+            heapreplace(heap, record_key)
+            join(record)
             continue
-        emit(heappop(current)[2])
-        park((record_key, arrival, record))
-        if not current:
-            yield run
-            run = []
-            emit = run.append
-            heapify(parked)
-            current, parked = parked, []
+        heappop(heap)
+        park(record)
+        if not heap:
+            members.sort(key=key)
+            yield members
+            members, parked = parked, []
+            join = members.append
             park = parked.append
-    current.sort()
-    run.extend([record for _, _, record in current])
-    if run:
-        yield run
-    if parked:
-        parked.sort()
-        yield [record for _, _, record in parked]
+            heap = list(map(key, members))
+            heapify(heap)
+    for run in (members, parked):
+        if run:
+            run.sort(key=key)
+            yield run

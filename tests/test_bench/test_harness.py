@@ -10,7 +10,8 @@ from repro.bench.harness import (
     run_sort,
     sort_algorithm_suite,
 )
-from repro.sorts import ExternalMergeSort
+from repro.pmem.backends import BACKEND_PAPER_ORDER
+from repro.sorts import SORT_REGISTRY, ExternalMergeSort
 from repro.joins import GraceJoin
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
@@ -103,6 +104,26 @@ class TestRunners:
             label="custom",
         )
         assert row["algorithm"] == "custom"
+
+    @pytest.mark.parametrize("backend_name", BACKEND_PAPER_ORDER)
+    @pytest.mark.parametrize("sort_name", sorted(SORT_REGISTRY))
+    def test_run_sort_repeats_and_leaves_only_the_input(
+        self, sort_name, backend_name
+    ):
+        # A sweep runs the same sort over one backend point after point;
+        # each point must start from the state the previous one found.
+        env = make_environment(backend_name)
+        collection = make_sort_input(2000, env.backend)
+        budget = budget_for(collection, 0.05)
+        stores = env.backend.stores()
+        rows = [
+            run_sort(SORT_REGISTRY[sort_name], collection, env.backend, budget)
+            for _ in range(3)
+        ]
+        fields = ("cacheline_reads", "cacheline_writes", "simulated_seconds")
+        counters = [tuple(row[field] for field in fields) for row in rows]
+        assert counters[0] == counters[1] == counters[2]
+        assert env.backend.stores() == stores
 
     def test_run_join_row_contents(self):
         env = make_environment()

@@ -45,6 +45,8 @@ CASES = {
     # sweep (Figure 5) and the write-intensity sweep (Figure 9).
     "figure_5_records_2000": ["figure", "5", "--records", "2000"],
     "figure_9": ["figure", "9"],
+    # The sort sweep under each of the four persistence backends.
+    "figure_6_records_2000": ["figure", "6", "--records", "2000"],
 }
 
 

@@ -105,11 +105,18 @@ key_lists = st.one_of(
     st.lists(st.integers(min_value=0, max_value=10_000), max_size=80),
 )
 capacities = st.integers(min_value=1, max_value=8)
+#: The same lists as drawn, ascending, or descending: replacement
+#: selection's single-run and capacity-sized-run extremes.
+ordered_key_lists = st.one_of(
+    key_lists,
+    key_lists.map(sorted),
+    key_lists.map(lambda keys: sorted(keys, reverse=True)),
+)
 
 
 class TestReplacementSelectionKernel:
     @settings(max_examples=150, deadline=None)
-    @given(keys=key_lists, capacity=capacities)
+    @given(keys=ordered_key_lists, capacity=capacities)
     def test_runs_match_reference(self, keys, capacity):
         records = tagged_records(keys)
         backend, collection = load(records)
@@ -123,7 +130,7 @@ class TestReplacementSelectionKernel:
         assert all(run.is_sealed for run in runset.runs)
 
     @settings(max_examples=50, deadline=None)
-    @given(keys=key_lists, capacity=capacities, data=st.data())
+    @given(keys=ordered_key_lists, capacity=capacities, data=st.data())
     def test_slice_runs_match_reference(self, keys, capacity, data):
         start = data.draw(st.integers(min_value=0, max_value=len(keys)))
         stop = data.draw(st.integers(min_value=start, max_value=len(keys)))
@@ -155,6 +162,24 @@ class TestReplacementSelectionKernel:
             collection.scan(), runset, 8, KEY
         )
         assert [run.records for run in runset.runs] == [stable_by_key(records)]
+
+    def test_descending_input_gives_runs_of_capacity(self):
+        # Every record after the fill is below the whole heap: it parks,
+        # and the run closes after exactly ``capacity`` records.
+        records = tagged_records(range(24, 0, -1))
+        backend, collection = load(records)
+        runset = RunSet(backend, prefix="kernel")
+        generate_runs_replacement_selection(collection.scan(), runset, 4, KEY)
+        assert [run.records for run in runset.runs] == [
+            stable_by_key(records[start : start + 4]) for start in range(0, 24, 4)
+        ]
+
+    def test_ascending_input_is_one_run(self):
+        records = tagged_records([1, 2, 2, 3, 5, 8, 8, 13, 21])
+        backend, collection = load(records)
+        runset = RunSet(backend, prefix="kernel")
+        generate_runs_replacement_selection(collection.scan(), runset, 2, KEY)
+        assert [run.records for run in runset.runs] == [records]
 
 
 class TestMergeStability:
