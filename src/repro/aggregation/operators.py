@@ -123,7 +123,14 @@ class _AggregationBase:
         device = self.backend.device
         before = device.snapshot()
         with self.bufferpool.workspace(self.budget.nbytes, owner=self.short_name):
-            result = self._execute(collection)
+            # The one emptiness gate: only a settled input's length is
+            # known up front; a deferred input runs and its scan decides.
+            if not collection.is_deferred and len(collection) == 0:
+                output = self._make_output(collection.name)
+                output.seal()
+                result = AggregationResult(output=output, io=None)
+            else:
+                result = self._execute(collection)
         result.io = device.snapshot() - before
         return result
 
@@ -157,10 +164,6 @@ class SortedAggregation(_AggregationBase):
 
     def _execute(self, collection: PersistentCollection) -> AggregationResult:
         output = self._make_output(collection.name)
-        if not collection.is_deferred and len(collection) == 0:
-            output.seal()
-            return AggregationResult(output=output, io=None)
-
         group_schema = Schema(
             num_fields=self.schema.num_fields,
             field_bytes=self.schema.field_bytes,
@@ -175,8 +178,7 @@ class SortedAggregation(_AggregationBase):
         )
         sort_result = sorter.sort(collection)
 
-        # An input that turns out empty (a deferred one is only estimated
-        # non-empty) has no group to emit.
+        # A deferred input that turns out empty has no group to emit.
         rows = self.kernels.fold_sorted(
             chain.from_iterable(sort_result.output.scan_blocks())
         )
@@ -226,8 +228,7 @@ class HashAggregation(_AggregationBase):
         # that key folds into it, and keys first seen after the table holds
         # ``limit`` groups are spilled wholesale and re-aggregated in a later
         # pass.  Passes run depth first: a spill partition's own spills are
-        # finished before its next sibling is sealed and read.  An input is
-        # empty when its scan is (a deferred one is only estimated).
+        # finished before its next sibling is sealed and read.
         pending = [(collection, "root", 0, max_groups)]
         while pending:
             source, label, depth, limit = pending.pop()

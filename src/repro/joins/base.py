@@ -15,11 +15,20 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
-from repro.joins.common import joined_schema, partition_into
+from repro.joins.common import (
+    build_hash_table,
+    joined_schema,
+    partition_into,
+    probe_block,
+)
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    AppendBuffer,
+    CollectionStatus,
+    PersistentCollection,
+)
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _join_output_counter = itertools.count()
@@ -106,7 +115,14 @@ class JoinAlgorithm(abc.ABC):
         device = self.backend.device
         before = device.snapshot()
         with self.bufferpool.workspace(self.budget.nbytes, owner=self.short_name):
-            result = self._execute(left, right)
+            # The one emptiness gate: only a settled input's length is
+            # known up front; a deferred input runs and its scan decides.
+            if any(not side.is_deferred and len(side) == 0 for side in (left, right)):
+                output = self._make_output(left.name, right.name)
+                output.seal()
+                result = JoinResult(output=output, io=None)
+            else:
+                result = self._execute(left, right)
         result.io = device.snapshot() - before
         return result
 
@@ -151,7 +167,7 @@ class JoinAlgorithm(abc.ABC):
         capacity = max(
             1, int(self.left_workspace_records / self.partition_fudge_factor)
         )
-        return max(1, -(-len(left) // capacity))  # ceiling division
+        return max(1, -(-left.estimated_records // capacity))  # ceiling division
 
     def _partition_inputs(
         self,
@@ -191,6 +207,35 @@ class JoinAlgorithm(abc.ABC):
                     partition.seal()
             sides.append(partitions)
         return sides
+
+    def _nested_loops(
+        self,
+        left: PersistentCollection,
+        right: PersistentCollection,
+        start: int,
+        matches: AppendBuffer,
+    ) -> int:
+        """Block nested loops of ``left`` from ``start`` against all of ``right``.
+
+        ``left`` is cut into workspace-sized slices until one comes back
+        short, so the loop stops on an exhausted scan whatever the input's
+        estimate says; a settled input's empty slice past its end charges
+        nothing.  Returns the number of slices joined.
+        """
+        block_records = self.left_workspace_records
+        iterations = 0
+        while block := list(left.scan(start=start, stop=start + block_records)):
+            iterations += 1
+            # Hashing the block is a DRAM-side optimization: the I/O profile
+            # is identical to tuple-at-a-time nested loops, only the Python
+            # CPU time changes.
+            table = build_hash_table(block, self.left_key)
+            for right_block in right.scan_blocks():
+                matches.extend(probe_block(table, right_block, self.right_key))
+            if len(block) < block_records:
+                break
+            start += block_records
+        return iterations
 
     @property
     def memory_buffers(self) -> float:

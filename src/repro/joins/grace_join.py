@@ -25,10 +25,6 @@ class GraceJoin(JoinAlgorithm):
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
         output = self._make_output(left.name, right.name)
-        if len(left) == 0 or len(right) == 0:
-            output.seal()
-            return JoinResult(output=output, io=None)
-
         num_partitions = self.num_partitions_for(left)
         left_parts, right_parts = self._partition_inputs(
             left, right, num_partitions, output.name

@@ -39,11 +39,9 @@ class SimpleHashJoin(JoinAlgorithm):
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
         output = self._make_output(left.name, right.name)
-        if len(left) == 0 or len(right) == 0:
-            output.seal()
-            return JoinResult(output=output, io=None)
-
-        num_partitions = max(1, -(-len(left) // self.left_workspace_records))
+        num_partitions = max(
+            1, -(-left.estimated_records // self.left_workspace_records)
+        )
         sources = (left, right)
         keys = (self.left_key, self.right_key)
         lazy_iterations = materializations = 0

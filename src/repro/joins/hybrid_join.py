@@ -74,14 +74,11 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
         output = self._make_output(left.name, right.name)
-        total_left, total_right = len(left), len(right)
-        if total_left == 0 or total_right == 0:
-            output.seal()
-            return JoinResult(output=output, io=None)
-
+        # The boundaries are sized from the estimates; every loop below
+        # stops on an exhausted scan.
         x, y = self.resolve_intensities(left, right)
-        left_boundary = int(round(total_left * x))
-        right_boundary = int(round(total_right * y))
+        left_boundary = int(round(left.estimated_records * x))
+        right_boundary = int(round(right.estimated_records * y))
 
         matches = AppendBuffer(output)
         num_partitions = 0
@@ -107,31 +104,18 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
                 table = build_hash_table(left_part.scan(), self.left_key)
                 for block in right_part.scan_blocks():
                     matches.extend(probe_block(table, block, self.right_key))
-                if right_boundary < total_right:
-                    for block in right.scan_blocks(start=right_boundary):
-                        matches.extend(probe_block(table, block, self.right_key))
-        elif right_boundary > 0:
-            # Records of the right Grace fraction never have a partitioned
-            # left counterpart; they are still covered by the nested-loops
-            # phase below, so nothing is materialized for them.  This mirrors
-            # the cost model, where a lone y > 0 only adds wasted writes.
-            pass
+                for block in right.scan_blocks(start=right_boundary):
+                    matches.extend(probe_block(table, block, self.right_key))
+        # A lone right Grace fraction (x = 0, y > 0) has no partitioned left
+        # counterpart: the nested-loops phase covers it, so nothing is
+        # materialized for it.  This mirrors the cost model, where a lone
+        # y > 0 only adds wasted writes.
 
         # Phase 3: block nested loops of the unpartitioned left remainder
         # against the entire right input.
-        iterations = num_partitions
-        if left_boundary < total_left:
-            block_records = self.left_workspace_records
-            for block_start in range(left_boundary, total_left, block_records):
-                iterations += 1
-                table = build_hash_table(
-                    left.scan(
-                        start=block_start, stop=block_start + block_records
-                    ),
-                    self.left_key,
-                )
-                for block in right.scan_blocks():
-                    matches.extend(probe_block(table, block, self.right_key))
+        iterations = num_partitions + self._nested_loops(
+            left, right, left_boundary, matches
+        )
 
         matches.seal()
         return JoinResult(

@@ -51,10 +51,6 @@ class SegmentedGraceJoin(JoinAlgorithm):
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
         output = self._make_output(left.name, right.name)
-        if len(left) == 0 or len(right) == 0:
-            output.seal()
-            return JoinResult(output=output, io=None)
-
         num_partitions = self.num_partitions_for(left)
         materialized = int(round(num_partitions * self.write_intensity))
         materialized = min(max(materialized, 0), num_partitions)

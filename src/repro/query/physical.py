@@ -310,13 +310,10 @@ class DeferredFilterOperator(PhysicalOperator):
                 f"got {type(logical).__name__}"
             )
         name = self.context.create_name(prefix="deferred-filter")
-        # The estimate is floored at one record: consumers use ``len()``
-        # only for emptiness gates and workspace sizing, and an estimated-
-        # empty (but actually non-empty) input must not short-circuit them.
         output = self.context.declare(
             name=name,
             schema=self.node.schema,
-            expected_records=max(1, int(round(self.node.est_records))),
+            expected_records=int(round(self.node.est_records)),
         )
         self.context.filter(
             self.source, logical.predicate, logical.selectivity, output=output

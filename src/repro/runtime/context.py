@@ -112,12 +112,16 @@ class OperatorContext:
             raise ConfigurationError(
                 f"collection {collection.name!r} already registered"
             )
-        collection.context = self
         self._collections[collection.name] = collection
         self.graph.add_collection(collection.name)
         if expected_records is not None:
             self._expected_records[collection.name] = expected_records
-        if collection.records or not collection.is_deferred:
+        # Only a collection this context must derive points back at it: a
+        # settled input is recorded as produced, so a base table keeps no
+        # reference to the query that read it.
+        if collection.is_deferred:
+            collection.context = self
+        else:
             self._produced.add(collection.name)
         return collection
 
@@ -150,18 +154,15 @@ class OperatorContext:
     ) -> tuple[PersistentCollection, PersistentCollection]:
         """``split(T, n, Tl, Th)``: record a split of ``source`` at ``position``."""
         self._ensure_registered(source)
+        remainder = max(0, self.estimated_cardinality(source.name) - position)
         if low is None:
             low = self.declare(expected_records=position)
         if high is None:
-            high = self.declare(
-                expected_records=max(0, self._expected(source.name) - position)
-            )
+            high = self.declare(expected_records=remainder)
         descriptor = SplitCall(position=position)
         self.graph.add_call(descriptor, (source.name,), (low.name, high.name))
         self._expected_records.setdefault(low.name, position)
-        self._expected_records.setdefault(
-            high.name, max(0, self._expected(source.name) - position)
-        )
+        self._expected_records.setdefault(high.name, remainder)
         return low, high
 
     def partition(
@@ -190,7 +191,7 @@ class OperatorContext:
         self.graph.add_call(
             descriptor, (source.name,), tuple(o.name for o in outputs)
         )
-        source_records = self._expected(source.name)
+        source_records = self.estimated_cardinality(source.name)
         for index, output in enumerate(outputs):
             self._expected_records.setdefault(
                 output.name, descriptor.expected_size(index, source_records)
@@ -207,15 +208,12 @@ class OperatorContext:
         """``filter(T, p(), f, Tp)``: record a filtering of ``source``."""
         self._ensure_registered(source)
         descriptor = FilterCall(predicate=predicate, selectivity=selectivity)
+        expected = descriptor.expected_size(self.estimated_cardinality(source.name))
         if output is None:
-            output = self.declare(
-                expected_records=descriptor.expected_size(self._expected(source.name))
-            )
+            output = self.declare(expected_records=expected)
         self._ensure_registered(output)
         self.graph.add_call(descriptor, (source.name,), (output.name,))
-        self._expected_records.setdefault(
-            output.name, descriptor.expected_size(self._expected(source.name))
-        )
+        self._expected_records.setdefault(output.name, expected)
         return output
 
     def merge(
@@ -259,12 +257,11 @@ class OperatorContext:
         return name not in self._produced
 
     def is_available(self, name: str) -> bool:
-        """Records are present and can be scanned without re-derivation."""
-        if name not in self._collections:
-            return False
-        collection = self._collections[name]
-        if collection.is_deferred:
-            return False
+        """Records are present and can be scanned without re-derivation.
+
+        Only settled collections are ever recorded as produced: a settled
+        input when it is registered, a promoted one once it is filled.
+        """
         return name in self._produced
 
     def produce(self, name: str) -> None:
@@ -357,7 +354,7 @@ class OperatorContext:
         collection = self._collections.get(name)
         if collection is not None and (collection.records or self.is_available(name)):
             return len(collection.records)
-        return self._expected(name)
+        return self._expected_records.get(name, 0)
 
     def estimated_write_cost(self, name: str) -> float:
         """Cost (ns) of materializing the collection once."""
@@ -389,12 +386,6 @@ class OperatorContext:
     def _ensure_registered(self, collection: PersistentCollection) -> None:
         if collection.name not in self._collections:
             self.register(collection)
-
-    def _expected(self, name: str) -> int:
-        collection = self._collections.get(name)
-        if collection is not None and (collection.records or self.is_available(name)):
-            return len(collection.records)
-        return self._expected_records.get(name, 0)
 
     def _chain(self, name: str) -> tuple[PersistentCollection, list[Step]]:
         """The root of ``name``'s replay and the steps from it down to ``name``.

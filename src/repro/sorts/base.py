@@ -99,7 +99,14 @@ class SortAlgorithm(abc.ABC):
         device = self.backend.device
         before = device.snapshot()
         with self.bufferpool.workspace(self.budget.nbytes, owner=self.short_name):
-            result = self._execute(collection)
+            # The one emptiness gate: only a settled input's length is
+            # known up front; a deferred input runs and its scan decides.
+            if not collection.is_deferred and len(collection) == 0:
+                output = self._make_output(collection.name)
+                output.seal()
+                result = SortResult(output=output, io=None)
+            else:
+                result = self._execute(collection)
         result.io = device.snapshot() - before
         return result
 

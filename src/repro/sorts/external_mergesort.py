@@ -43,9 +43,6 @@ class ExternalMergeSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if not collection.is_deferred and len(collection) == 0:
-            output.seal()
-            return SortResult(output=output, io=None)
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )

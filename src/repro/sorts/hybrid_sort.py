@@ -61,10 +61,6 @@ class HybridSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if not collection.is_deferred and len(collection) == 0:
-            output.seal()
-            return SortResult(output=output, io=None)
-
         selection_capacity, replacement_capacity = self._region_capacities()
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-hybs"

@@ -19,8 +19,9 @@ DEFERRED input does, because a replay is priced with its bookkeeping, not
 only its root reads.  A deferred input has no buffers of its own, so lazy
 sort materializes it on the first pass that leaves more than M records.
 
-A deferred input's length is its context's estimate, so the first pass,
-which sees every record, counts the true one.  Intermediates are scratch
+A deferred input's length is unknown until a scan of it ends, so the
+first pass, which sees every record, counts it; only that pass's
+materialization decision reads the estimate.  Intermediates are scratch
 stores, dropped once replaced and when the sort ends.
 """
 
@@ -40,12 +41,8 @@ class LazySort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        total_records = len(collection)
-        counted = not collection.is_deferred
-        if total_records == 0 and counted:
-            output.seal()
-            return SortResult(output=output, io=None)
-
+        # A deferred input's length is counted by its first pass.
+        total_records = None if collection.is_deferred else len(collection)
         lam = self.backend.device.write_read_ratio
         source = collection
         emitted = 0
@@ -62,8 +59,13 @@ class LazySort(SortAlgorithm):
         # whether it succeeds or fails.  Dropping charges no I/O.
         intermediate = None
         try:
-            while emitted < total_records or not counted:
-                remaining = total_records - emitted
+            while total_records is None or emitted < total_records:
+                # Until then the first pass decides by the estimate.
+                remaining = (
+                    collection.estimated_records
+                    if total_records is None
+                    else total_records - emitted
+                )
                 materialization_iteration = max(
                     1,
                     cost.lazy_sort_materialization_iteration(
@@ -92,12 +94,13 @@ class LazySort(SortAlgorithm):
                         self.key_fn,
                         after=threshold,
                         displaced=(
-                            spill.append if materialize or not counted else None
+                            spill.append
+                            if materialize or total_records is None
+                            else None
                         ),
                     )
-                    if not counted:
+                    if total_records is None:
                         total_records = len(batch) + len(spill)
-                        counted = True
                     # An over-declared deferred input may leave nothing
                     # to materialize.
                     materialize = materialize and bool(spill)

@@ -62,15 +62,11 @@ class SegmentSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        total_records = len(collection)
-        if not collection.is_deferred and total_records == 0:
-            output.seal()
-            return SortResult(output=output, io=None)
-
+        total_records = collection.estimated_records
         intensity = self.resolve_intensity(collection.num_buffers)
         boundary = int(round(total_records * intensity))
-        # A deferred input's length is only an estimate, so a pure
-        # mergesort reads the input to its end, not to the boundary.
+        # The boundary comes from an estimate, so a pure mergesort reads
+        # the input to its end, not to the boundary.
         mergesort_only = boundary >= total_records
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-segs"

@@ -71,9 +71,6 @@ class SelectionSort(SortAlgorithm):
 
     def _execute(self, collection: PersistentCollection) -> SortResult:
         output = self._make_output(collection.name)
-        if not collection.is_deferred and len(collection) == 0:
-            output.seal()
-            return SortResult(output=output, io=None)
         passes = 0
         for passes, batch in enumerate(
             selection_passes(collection, self.workspace_records, self.key_fn), 1

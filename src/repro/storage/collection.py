@@ -18,7 +18,9 @@ Collections can be in one of three states, mirroring the paper's
     Declared but not physically present.  Scanning a deferred collection
     delegates to its operator context, which reconstructs the records by
     replaying the control-flow graph from the oldest materialized ancestor
-    (Section 3.1).
+    (Section 3.1).  Its length is known only once a scan ends, so
+    ``len()`` raises; :attr:`PersistentCollection.estimated_records` is
+    the one place its context's estimate is read.
 
 One I/O shape serves every state.  Records are written with
 :meth:`PersistentCollection.extend` (the :class:`AppendBuffer` helper
@@ -305,6 +307,27 @@ class PersistentCollection:
         return self.scan()
 
     def __len__(self) -> int:
+        """The record count of a settled collection.
+
+        A DEFERRED collection is never written, so its length is unknown
+        until a scan of it ends: asking raises.  Size structures from
+        :attr:`estimated_records` and stop on an exhausted scan instead.
+        """
+        if self._status is CollectionStatus.DEFERRED:
+            raise CollectionStateError(
+                f"deferred collection {self.name!r} has no length until a "
+                "scan of it ends; size with estimated_records"
+            )
+        return len(self._records)
+
+    @property
+    def estimated_records(self) -> int:
+        """Records to size partitions, boundaries and workspaces for.
+
+        The exact count of a settled collection; the operator context's
+        estimate for a DEFERRED one, which may be wrong either way, so no
+        loop may stop on it.
+        """
         if self._status is CollectionStatus.DEFERRED:
             if self.context is None:
                 raise CollectionStateError(

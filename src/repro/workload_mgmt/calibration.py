@@ -6,8 +6,7 @@ Every executed plan node carries the planner's Section 2 estimate
 into per-operator sums of *weighted cachelines* (``reads + lambda *
 writes``, the unit the paper's models are expressed in) across every
 query a session has run, so ``Session.calibration_report()`` can show
-where the models run hot or cold — the feedback loop the roadmap's
-correction-factor item needs.
+where the models run hot or cold.
 """
 
 from __future__ import annotations
@@ -54,15 +53,6 @@ class CalibrationAggregator:
     def query_count(self) -> int:
         with self._lock:
             return self._queries
-
-    def correction_factors(self) -> dict[str, float]:
-        """Per-operator actual/estimated ratios (operators with est > 0)."""
-        with self._lock:
-            return {
-                operator: stats.ratio
-                for operator, stats in self._stats.items()
-                if stats.ratio is not None
-            }
 
     def report(self) -> str:
         """A small text table of per-operator estimated vs. actual wcl."""

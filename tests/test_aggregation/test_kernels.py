@@ -5,10 +5,8 @@ attribute)`` (:mod:`repro.aggregation.kernels`).  The references below are
 the per-record loops those kernels replaced, kept here: each group's
 states start at ``initial()``, every record is folded in with ``step``
 and the output is built with ``final``; SortAgg appends group by group and
-HashAgg recurses into its spill partitions.  The reference departs from
-the old HashAgg in one place, as the operator does: it decides emptiness
-from the scan rather than from ``len()`` (only an estimate for a deferred
-input), so an empty input also reports ``max_groups_in_memory``.  Both
+HashAgg recurses into its spill partitions.  A settled empty input
+reaches neither: the aggregation base's emptiness gate answers it.  Both
 sides run on devices of their own (every backend), so output, ``groups``,
 ``spills``, ``details`` and the exact ``IOSnapshot`` are compared.
 """
@@ -31,7 +29,6 @@ from repro.aggregation.operators import AggregationResult, _Spill
 from repro.joins.common import partition_into
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.runtime.context import OperatorContext
 from repro.sorts import SORT_REGISTRY
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import (
@@ -385,18 +382,3 @@ class TestHashAggregationBugfixes:
         finally:
             if enabled:
                 gc.enable()
-
-    def test_deferred_input_estimated_empty(self, backend):
-        source = build_collection(backend, range(3000), name="estimated-empty")
-        context = OperatorContext(backend)
-        selected = context.filter(
-            context.register(source),
-            lambda record: record[0] % 2 == 0,
-            selectivity=0.0,
-        )
-        assert len(selected) == 0
-        result = HashAggregation(
-            backend, MemoryBudget.from_records(100), aggregates={"count": 0}
-        ).aggregate(selected)
-        assert result.groups == 1500
-        assert sorted(result.output.records) == [(key, 1) for key in range(0, 3000, 2)]

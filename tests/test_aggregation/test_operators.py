@@ -98,7 +98,7 @@ class TestCorrectness:
         selected = context.filter(
             context.register(source), lambda record: False, selectivity=0.5
         )
-        assert len(selected) == 50
+        assert selected.estimated_records == 50
         result = aggregation_cls(
             backend, MemoryBudget.from_records(30), aggregates={"count": 0, "sum": 1}
         ).aggregate(selected)

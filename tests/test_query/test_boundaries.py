@@ -156,6 +156,25 @@ class TestDeferredExecution:
         assert overridden[0].details.get("rule") == "read-over-write"
         assert overridden[0].output.is_materialized
 
+    def test_a_deferred_query_leaves_no_context_on_its_base_tables(self, backend):
+        # Only a collection the runtime must derive points back at its
+        # context, so a base table does not keep a finished query's graph
+        # (and its deferred collections and predicates) alive.
+        left, right = make_join_inputs(150, 1_500, backend)
+        with Session(
+            backend, budget_for(left, 0.10), boundary_policy="defer"
+        ) as session:
+            result = session.query(
+                Query.scan(left)
+                .filter(lambda r: r[0] < 75, selectivity=0.5)
+                .join(Query.scan(right))
+            )
+            executions = result.executions.values()
+            assert any(e.details.get("deferred") for e in executions)
+            assert len(result.records) == 750
+        assert left.context is None
+        assert right.context is None
+
 
 class TestExplainRendering:
     def test_boundary_decisions_render_with_saved_writes(self, backend):

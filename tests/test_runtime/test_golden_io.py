@@ -131,8 +131,8 @@ def deferred_input(backend, root_kind, selectivity, rules=None):
     root.seal()
     context = OperatorContext(backend, rules=rules)
     context.register(root)
-    # As the query executor's deferred boundary does: the estimate is
-    # floored at one record so an estimated-empty input still runs.
+    # The estimate is floored at one record, so f=0 is an over-declared
+    # empty input: consumers size for a record its scan never finds.
     output = context.declare(
         name="deferred-filter",
         expected_records=max(1, int(ROOT_RECORDS * float(selectivity))),

@@ -76,7 +76,7 @@ class ReferenceLazySort(LazySort):
 
     def _execute(self, collection):
         output = self._make_output(collection.name)
-        total_records = len(collection)
+        total_records = collection.estimated_records
         if total_records == 0 and not collection.is_deferred:
             output.seal()
             return SortResult(output=output, io=None)
