@@ -35,33 +35,19 @@ class BlockedMemoryBackend(PersistenceBackend):
         if self.block_bytes <= 0:
             raise ConfigurationError("block_bytes must be positive")
 
-    def _charge_append(self, stats: StoreStats, nbytes: int) -> None:
-        # Allocate as many new blocks as the append spills into.  Block
+    def _charge_append(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
+        # Allocate as many new blocks as the appends spill into.  Block
         # allocation is a pointer update in the block chain: no data is
         # copied, so only the payload write is charged.
-        needed = stats.logical_bytes + nbytes
-        while stats.physical_bytes < needed:
-            self._grow_physical(stats, self.block_bytes)
-            stats.extra["blocks"] = stats.extra.get("blocks", 0) + 1
-        self.device.write(nbytes)
-
-    def _charge_read(self, stats: StoreStats, nbytes: int) -> None:
-        # Accessor methods over the block chain provide byte addressability,
-        # so a read costs exactly the payload transfer.
-        self.device.read(nbytes)
-
-    def _charge_append_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
         needed = stats.logical_bytes + chunk_bytes * count
         new_blocks = self._grow_to(stats, needed, self.block_bytes)
         if new_blocks:
             stats.extra["blocks"] = stats.extra.get("blocks", 0) + new_blocks
         self.device.write_bulk(chunk_bytes, count)
 
-    def _charge_read_bulk(
-        self, stats: StoreStats, chunk_bytes: int, count: int
-    ) -> None:
+    def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
+        # Accessor methods over the block chain provide byte addressability,
+        # so a read costs exactly the payload transfer.
         self.device.read_bulk(chunk_bytes, count)
 
     def blocks_allocated(self, store_id: str) -> int:

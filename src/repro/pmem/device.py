@@ -6,16 +6,14 @@ access in the library flows.  It owns:
 * the :class:`~repro.pmem.latency.LatencyModel` (read/write latencies and
   the asymmetry ratio ``lambda``),
 * the :class:`DeviceGeometry` (cacheline and block sizes),
-* the :class:`~repro.pmem.metrics.IOCounters` used for reporting, and
-* a coarse wear map recording how many cacheline writes landed on each
-  region of the device, which the paper mentions as the reason writes are
-  further amplified by wear-leveling.
+* the :class:`~repro.pmem.metrics.IOCounters` used for reporting.
 
 Persistence backends (Section 3.2) never talk to the latency model
-directly; they call :meth:`PersistentMemoryDevice.read`,
-:meth:`~PersistentMemoryDevice.write` and
-:meth:`~PersistentMemoryDevice.overhead`, which keeps the accounting in one
-place and guarantees the invariant ``elapsed == transfer + overhead``.
+directly; they call :meth:`PersistentMemoryDevice.read_bulk`,
+:meth:`~PersistentMemoryDevice.write_bulk` and
+:meth:`~PersistentMemoryDevice.overhead`, each charging ``count`` identical
+accesses, which keeps the accounting in one place and guarantees the
+invariant ``elapsed == transfer + overhead``.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ DEFAULT_CACHELINE_BYTES = 64
 #: Block size the paper settles on for its experiments (Section 4 reports
 #: 1024-byte blocks after a block-size sensitivity check).
 DEFAULT_BLOCK_BYTES = 1024
-
-#: Granularity of the wear map: one bucket per this many bytes.
-DEFAULT_WEAR_REGION_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,92 +100,39 @@ class PersistentMemoryDevice:
         self,
         latency: LatencyModel | None = None,
         geometry: DeviceGeometry | None = None,
-        wear_region_bytes: int = DEFAULT_WEAR_REGION_BYTES,
     ) -> None:
         self.latency = latency or LatencyModel.paper_default()
         self.geometry = geometry or DeviceGeometry()
-        if wear_region_bytes <= 0:
-            raise ConfigurationError("wear_region_bytes must be positive")
-        self._wear_region_bytes = wear_region_bytes
         self._counters = IOCounters()
-        self._wear: dict[int, float] = {}
         self._allocated_bytes = 0
 
     # ------------------------------------------------------------------ #
-    # Accounting primitives used by the persistence backends.
+    # Accounting primitives used by the persistence backends.  Each charges
+    # ``count`` identical accesses in one counter update: the latency model
+    # is linear per cacheline, so the totals are those of ``count`` single
+    # accesses, with O(1) Python work.  ``read``/``write`` are the
+    # single-access forms.
     # ------------------------------------------------------------------ #
-    def read(self, nbytes: int | float, address: int | None = None) -> float:
+    def read(self, nbytes: int | float) -> float:
         """Charge a read of ``nbytes`` bytes; returns the cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot read a negative number of bytes")
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.read_cost_ns(cachelines)
-        self._counters.record_read(cachelines, nbytes, cost)
-        return cost
+        return self._transfer(nbytes, 1, write=False)
 
-    def write(self, nbytes: int | float, address: int | None = None) -> float:
+    def write(self, nbytes: int | float) -> float:
         """Charge a write of ``nbytes`` bytes; returns the cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot write a negative number of bytes")
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.write_cost_ns(cachelines)
-        self._counters.record_write(cachelines, nbytes, cost)
-        if address is not None:
-            region = address // self._wear_region_bytes
-            self._wear[region] = self._wear.get(region, 0.0) + cachelines
-        return cost
+        return self._transfer(nbytes, 1, write=True)
 
-    def overhead(self, cost_ns: float, label: str = "other") -> float:
-        """Charge a software overhead (system call, allocator work, ...)."""
-        if cost_ns < 0:
-            raise ConfigurationError("overhead must be non-negative")
-        self._counters.record_overhead(cost_ns, label)
-        return cost_ns
-
-    # ------------------------------------------------------------------ #
-    # Vectorized accounting: one call charging ``count`` identical
-    # accesses.  The latency model is linear per cacheline, so these are
-    # cost-equivalent to ``count`` single calls -- same counters, same
-    # ``elapsed == transfer + overhead`` invariant, same wear-map updates
-    # -- but with O(1) Python work instead of O(count).
-    # ------------------------------------------------------------------ #
-    def read_bulk(
-        self, nbytes: int | float, count: int, address: int | None = None
-    ) -> float:
+    def read_bulk(self, nbytes: int | float, count: int) -> float:
         """Charge ``count`` reads of ``nbytes`` each; returns total cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot read a negative number of bytes")
-        if count < 0:
-            raise ConfigurationError("read count must be non-negative")
-        if count == 0:
-            return 0.0
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.read_cost_ns(cachelines)
-        self._counters.record_read_bulk(cachelines, nbytes, cost, count)
-        return cost * count
+        return self._transfer(nbytes, count, write=False)
 
-    def write_bulk(
-        self, nbytes: int | float, count: int, address: int | None = None
-    ) -> float:
+    def write_bulk(self, nbytes: int | float, count: int) -> float:
         """Charge ``count`` writes of ``nbytes`` each; returns total cost in ns."""
-        if nbytes < 0:
-            raise ConfigurationError("cannot write a negative number of bytes")
-        if count < 0:
-            raise ConfigurationError("write count must be non-negative")
-        if count == 0:
-            return 0.0
-        cachelines = self.geometry.bytes_to_cachelines(nbytes)
-        cost = self.latency.write_cost_ns(cachelines)
-        self._counters.record_write_bulk(cachelines, nbytes, cost, count)
-        if address is not None:
-            region = address // self._wear_region_bytes
-            self._wear[region] = self._wear.get(region, 0.0) + cachelines * count
-        return cost * count
+        return self._transfer(nbytes, count, write=True)
 
-    def overhead_bulk(
-        self, cost_ns: float, count: int, label: str = "other"
+    def overhead(
+        self, cost_ns: float, label: str = "other", count: int = 1
     ) -> float:
-        """Charge ``count`` identical software overheads in one update."""
+        """Charge ``count`` software overheads (system call, allocator work, ...)."""
         if cost_ns < 0:
             raise ConfigurationError("overhead must be non-negative")
         if count < 0:
@@ -199,6 +141,23 @@ class PersistentMemoryDevice:
             return 0.0
         self._counters.record_overhead(cost_ns * count, label)
         return cost_ns * count
+
+    def _transfer(self, nbytes: int | float, count: int, write: bool) -> float:
+        if nbytes < 0 or count < 0:
+            raise ConfigurationError(
+                f"cannot {'write' if write else 'read'} {count} x {nbytes} "
+                "bytes: sizes and counts must be non-negative"
+            )
+        if count == 0:
+            return 0.0
+        cachelines = self.geometry.bytes_to_cachelines(nbytes)
+        if write:
+            cost = self.latency.write_cost_ns(cachelines)
+            self._counters.record_write(cachelines, nbytes, cost, count)
+        else:
+            cost = self.latency.read_cost_ns(cachelines)
+            self._counters.record_read(cachelines, nbytes, cost, count)
+        return cost * count
 
     # ------------------------------------------------------------------ #
     # Capacity tracking (optional).
@@ -247,19 +206,6 @@ class PersistentMemoryDevice:
 
     def reset_counters(self) -> None:
         self._counters.reset()
-        self._wear.clear()
-
-    @property
-    def wear_map(self) -> dict[int, float]:
-        """Cacheline writes per wear region (region index -> writes)."""
-        return dict(self._wear)
-
-    @property
-    def max_region_wear(self) -> float:
-        """Worst-case region wear; zero when nothing has been written."""
-        if not self._wear:
-            return 0.0
-        return max(self._wear.values())
 
     @contextmanager
     def measure(self):

@@ -50,39 +50,18 @@ class IOCounters:
         return self.cacheline_reads + self.cacheline_writes
 
     def record_read(
-        self, cachelines: float, nbytes: int | float, cost_ns: float
+        self, cachelines: float, nbytes: int | float, cost_ns: float, count: int = 1
     ) -> None:
-        self.cacheline_reads += cachelines
-        self.bytes_read += nbytes
-        self.read_calls += 1
-        self.transfer_ns += cost_ns
-
-    def record_write(
-        self, cachelines: float, nbytes: int | float, cost_ns: float
-    ) -> None:
-        self.cacheline_writes += cachelines
-        self.bytes_written += nbytes
-        self.write_calls += 1
-        self.transfer_ns += cost_ns
-
-    def record_read_bulk(
-        self, cachelines: float, nbytes: int | float, cost_ns: float, count: int
-    ) -> None:
-        """Record ``count`` identical reads in one update.
-
-        Equivalent to ``count`` calls of :meth:`record_read` with the same
-        per-call figures; the per-call latency model is linear, so the
-        totals are the same either way.
-        """
+        """Record ``count`` identical reads of the given per-read figures."""
         self.cacheline_reads += cachelines * count
         self.bytes_read += nbytes * count
         self.read_calls += count
         self.transfer_ns += cost_ns * count
 
-    def record_write_bulk(
-        self, cachelines: float, nbytes: int | float, cost_ns: float, count: int
+    def record_write(
+        self, cachelines: float, nbytes: int | float, cost_ns: float, count: int = 1
     ) -> None:
-        """Record ``count`` identical writes in one update."""
+        """Record ``count`` identical writes of the given per-write figures."""
         self.cacheline_writes += cachelines * count
         self.bytes_written += nbytes * count
         self.write_calls += count

@@ -2,7 +2,7 @@
 
 A :class:`ShardSet` is the hardware side of sharded execution: N
 independent :class:`~repro.pmem.device.PersistentMemoryDevice` instances
-(each with its own latency model, geometry, counters and wear map), each
+(each with its own latency model, geometry and counters), each
 wrapped in its own persistence backend.  Plan fragments run one thread
 per shard, and because every fragment only ever touches its own shard's
 device, the per-device counters need no synchronization.

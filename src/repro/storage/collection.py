@@ -202,7 +202,7 @@ class PersistentCollection:
     def flush(self) -> None:
         """Flush any partially filled block to the backend."""
         if self._status is CollectionStatus.MATERIALIZED and self._pending_bytes:
-            self.backend.append(self.name, self._pending_bytes)
+            self.backend.append_bulk(self.name, self._pending_bytes)
             self._pending_bytes = 0
 
     def seal(self) -> None:
@@ -238,9 +238,10 @@ class PersistentCollection:
     def charge_scan(self, start: int, stop: int) -> None:
         """Charge the reads of a fully consumed scan of records ``[start, stop)``.
 
-        One ``read_bulk`` for the whole I/O blocks counted from ``start``,
-        then one ``read`` for the partial tail block.  Only a MATERIALIZED
-        collection charges anything.
+        One ``read_bulk`` of ``blocks`` chunks for the whole I/O blocks
+        counted from ``start``, then one single-chunk ``read_bulk`` for the
+        partial tail block.  Only a MATERIALIZED collection charges
+        anything.
         """
         if self._status is not CollectionStatus.MATERIALIZED:
             return
@@ -250,7 +251,7 @@ class PersistentCollection:
         if blocks:
             self.backend.read_bulk(self.name, per_block * record_bytes, blocks)
         if tail:
-            self.backend.read(self.name, tail * record_bytes)
+            self.backend.read_bulk(self.name, tail * record_bytes)
 
     def scan_blocks(
         self, start: int = 0, stop: int | None = None

@@ -5,10 +5,10 @@ device counters.  This test runs every join of Section 2.2, the runtime
 API's segmented Grace join operator and both grouped aggregations over one
 fixed pair of inputs -- a left side with some duplicate keys and a
 Zipf-skewed right side whose hot keys repeat many times and whose tail
-keys partly miss the left side -- at two DRAM budgets and on two backends.
-It compares the full ``IOSnapshot.as_dict()``, the partition / iteration /
-group / spill counts and a digest of the output order against the
-committed ``golden_io/joins.json``.  Both inputs carry each record's load
+keys partly miss the left side -- at two DRAM budgets and on all four
+backends.  It compares the full ``IOSnapshot.as_dict()``, the partition /
+iteration / group / spill counts and a digest of the output order against
+the committed ``golden_io/joins.json``.  Both inputs carry each record's load
 position in attribute 1, so the digest also pins the order of equal keys.
 Regenerate with::
 
@@ -52,7 +52,7 @@ RIGHT_KEY_SPACE = 280
 #: DRAM budgets in records: 8% of the left input (many partitions, and the
 #: hash aggregation spills) and 80% (two partitions, every group in DRAM).
 BUDGET_RECORDS = (24, 240)
-BACKENDS = ("blocked_memory", "pmfs")
+BACKENDS = ("blocked_memory", "pmfs", "ramdisk", "dynamic_array")
 
 JOINS = {
     "NLJ": (NestedLoopsJoin, {}),

@@ -60,35 +60,35 @@ class TestStoreLifecycle:
 
     def test_unknown_store_rejected(self, any_backend):
         with pytest.raises(UnknownCollectionError):
-            any_backend.append("missing", 10)
+            any_backend.append_bulk("missing", 10)
 
     def test_logical_bytes_track_appends(self, any_backend):
         any_backend.create_store("t")
-        any_backend.append("t", 100)
-        any_backend.append("t", 60)
+        any_backend.append_bulk("t", 100)
+        any_backend.append_bulk("t", 60)
         assert any_backend.logical_bytes("t") == 160
 
     def test_truncate_resets_logical_size(self, any_backend):
         any_backend.create_store("t")
-        any_backend.append("t", 500)
+        any_backend.append_bulk("t", 500)
         any_backend.truncate("t")
         assert any_backend.logical_bytes("t") == 0
 
     def test_negative_append_rejected(self, any_backend):
         any_backend.create_store("t")
         with pytest.raises(ConfigurationError):
-            any_backend.append("t", -1)
+            any_backend.append_bulk("t", -1)
 
     def test_negative_read_rejected(self, any_backend):
         any_backend.create_store("t")
         with pytest.raises(ConfigurationError):
-            any_backend.read("t", -1)
+            any_backend.read_bulk("t", -1)
 
     def test_read_charges_device_reads(self, any_backend):
         any_backend.create_store("t")
-        any_backend.append("t", 640)
+        any_backend.append_bulk("t", 640)
         before = any_backend.device.snapshot()
-        any_backend.read("t", 640)
+        any_backend.read_bulk("t", 640)
         delta = any_backend.device.snapshot() - before
         assert delta.cacheline_reads >= 10.0
         assert delta.cacheline_writes == 0
@@ -96,7 +96,7 @@ class TestStoreLifecycle:
     def test_append_charges_device_writes(self, any_backend):
         any_backend.create_store("t")
         before = any_backend.device.snapshot()
-        any_backend.append("t", 640)
+        any_backend.append_bulk("t", 640)
         delta = any_backend.device.snapshot() - before
         assert delta.cacheline_writes >= 10.0
 
@@ -105,32 +105,32 @@ class TestBlockedMemory:
     def test_append_charges_exactly_payload(self, device):
         backend = BlockedMemoryBackend(device)
         backend.create_store("t")
-        backend.append("t", 320)
+        backend.append_bulk("t", 320)
         assert device.counters.cacheline_writes == pytest.approx(5.0)
         assert device.counters.overhead_ns == 0.0
 
     def test_read_charges_exactly_payload(self, device):
         backend = BlockedMemoryBackend(device)
         backend.create_store("t")
-        backend.append("t", 320)
+        backend.append_bulk("t", 320)
         device.reset_counters()
-        backend.read("t", 320)
+        backend.read_bulk("t", 320)
         assert device.counters.cacheline_reads == pytest.approx(5.0)
         assert device.counters.cacheline_writes == 0.0
 
     def test_blocks_allocated_lazily(self, device):
         backend = BlockedMemoryBackend(device, block_bytes=1024)
         backend.create_store("t")
-        backend.append("t", 100)
+        backend.append_bulk("t", 100)
         assert backend.blocks_allocated("t") == 1
-        backend.append("t", 2000)
+        backend.append_bulk("t", 2000)
         assert backend.blocks_allocated("t") == 3
 
     def test_no_copy_on_expansion(self, device):
         backend = BlockedMemoryBackend(device, block_bytes=256)
         backend.create_store("t")
         for _ in range(20):
-            backend.append("t", 100)
+            backend.append_bulk("t", 100)
         # Writes equal the payload exactly: 20 * 100 / 64 cachelines.
         assert device.counters.cacheline_writes == pytest.approx(2000 / 64)
 
@@ -139,9 +139,9 @@ class TestDynamicArray:
     def test_expansion_copies_live_payload(self, device):
         backend = DynamicArrayBackend(device, initial_capacity_bytes=128)
         backend.create_store("t")
-        backend.append("t", 128)
+        backend.append_bulk("t", 128)
         device.reset_counters()
-        backend.append("t", 64)  # triggers a doubling that copies 128 bytes
+        backend.append_bulk("t", 64)  # triggers a doubling that copies 128 bytes
         assert device.counters.cacheline_reads == pytest.approx(2.0)
         assert device.counters.cacheline_writes == pytest.approx(2.0 + 1.0)
 
@@ -149,7 +149,7 @@ class TestDynamicArray:
         backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
         backend.create_store("t")
         for _ in range(16):
-            backend.append("t", 64)
+            backend.append_bulk("t", 64)
         assert backend.expansions("t") >= 4
         assert backend.copied_bytes("t") > 0
 
@@ -162,7 +162,7 @@ class TestDynamicArray:
         for backend in (blocked, dynamic):
             backend.create_store("t")
             for _ in range(100):
-                backend.append("t", 80)
+                backend.append_bulk("t", 80)
         assert (
             dynamic_device.counters.cacheline_writes
             > blocked_device.counters.cacheline_writes
@@ -175,7 +175,7 @@ class TestDynamicArray:
     def test_reallocation_overhead_charged(self, device):
         backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
         backend.create_store("t")
-        backend.append("t", 1024)
+        backend.append_bulk("t", 1024)
         assert device.counters.overhead_breakdown.get("reallocation", 0) > 0
 
 
@@ -183,30 +183,30 @@ class TestRamDisk:
     def test_small_write_rounded_to_fs_block(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
         backend.create_store("t")
-        backend.append("t", 10)
+        backend.append_bulk("t", 10)
         assert device.counters.cacheline_writes == pytest.approx(8.0)
         assert backend.padded_write_bytes("t") == 502
 
     def test_small_read_rounded_to_fs_block(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
         backend.create_store("t")
-        backend.append("t", 512)
+        backend.append_bulk("t", 512)
         device.reset_counters()
-        backend.read("t", 100)
+        backend.read_bulk("t", 100)
         assert device.counters.cacheline_reads == pytest.approx(8.0)
         assert backend.padded_read_bytes("t") == 412
 
     def test_syscall_overhead_per_call(self, device):
         backend = RamDiskBackend(device, syscall_overhead_ns=700.0)
         backend.create_store("t")
-        backend.append("t", 512)
-        backend.read("t", 512)
+        backend.append_bulk("t", 512)
+        backend.read_bulk("t", 512)
         assert device.counters.overhead_breakdown["syscall"] == pytest.approx(1400.0)
 
     def test_block_aligned_write_has_no_padding(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
         backend.create_store("t")
-        backend.append("t", 1024)
+        backend.append_bulk("t", 1024)
         assert backend.padded_write_bytes("t") == 0
 
 
@@ -214,14 +214,14 @@ class TestPmfs:
     def test_byte_granular_transfers(self, device):
         backend = PmfsBackend(device)
         backend.create_store("t")
-        backend.append("t", 80)
+        backend.append_bulk("t", 80)
         assert device.counters.cacheline_writes == pytest.approx(1.25)
 
     def test_small_per_call_overhead(self, device):
         backend = PmfsBackend(device, file_call_overhead_ns=80.0)
         backend.create_store("t")
-        backend.append("t", 64)
-        backend.read("t", 64)
+        backend.append_bulk("t", 64)
+        backend.read_bulk("t", 64)
         assert device.counters.overhead_ns == pytest.approx(160.0)
 
     def test_cheaper_than_ramdisk_for_small_records(self):
@@ -233,7 +233,7 @@ class TestPmfs:
         for backend in (pmfs, ramdisk):
             backend.create_store("t")
             for _ in range(50):
-                backend.append("t", 80)
+                backend.append_bulk("t", 80)
         assert pmfs_device.elapsed_ns < ramdisk_device.elapsed_ns
 
 
@@ -246,8 +246,8 @@ class TestOverheadOrdering:
             backend = make_backend(name, device)
             backend.create_store("t")
             for _ in range(200):
-                backend.append("t", 80)
+                backend.append_bulk("t", 80)
             for _ in range(200):
-                backend.read("t", 80)
+                backend.read_bulk("t", 80)
             totals[name] = device.elapsed_ns
         assert totals["blocked_memory"] <= totals["pmfs"] <= totals["ramdisk"]

@@ -131,21 +131,7 @@ class TestAccounting:
         assert device.elapsed_ns == pytest.approx(expected)
 
 
-class TestWearAndCapacity:
-    def test_wear_map_tracks_addressed_writes(self, device):
-        device.write(64, address=0)
-        device.write(64, address=1 << 20)
-        device.write(64, address=5)
-        wear = device.wear_map
-        assert wear[0] == pytest.approx(2.0)
-        assert wear[1] == pytest.approx(1.0)
-        assert device.max_region_wear == pytest.approx(2.0)
-
-    def test_wear_map_empty_without_addresses(self, device):
-        device.write(64)
-        assert device.wear_map == {}
-        assert device.max_region_wear == 0.0
-
+class TestCapacity:
     def test_capacity_enforced(self):
         device = PersistentMemoryDevice(
             geometry=DeviceGeometry(capacity_bytes=1024)

@@ -77,7 +77,7 @@ class TestIOCounters:
 
     def test_fractional_bytes_accumulate_exactly_in_bulk(self):
         counters = IOCounters()
-        counters.record_write_bulk(cachelines=0.1, nbytes=6.4, cost_ns=1.0, count=10)
+        counters.record_write(cachelines=0.1, nbytes=6.4, cost_ns=1.0, count=10)
         assert counters.bytes_written == pytest.approx(64.0)
         assert counters.snapshot().bytes_written == 64
 

@@ -51,11 +51,11 @@ class ReferenceReplay:
         for record in records:
             pending_read += record_bytes
             if pending_read >= collection.block_bytes:
-                collection.backend.read(collection.name, pending_read)
+                collection.backend.read_bulk(collection.name, pending_read)
                 pending_read = 0
             yield record
         if pending_read:
-            collection.backend.read(collection.name, pending_read)
+            collection.backend.read_bulk(collection.name, pending_read)
 
     def source_stream(self, name):
         context = self.context

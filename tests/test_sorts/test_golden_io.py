@@ -3,9 +3,9 @@
 Figure output is rounded to three significant digits, so it cannot pin the
 device counters.  This test runs every sort of Section 2.1 -- plus the
 sorted aggregation, which sorts on a non-leading attribute -- over one
-fixed 3000-record input with duplicate keys at two DRAM budgets and on two
-backends, and compares the full ``IOSnapshot.as_dict()``, the run / merge /
-scan counts and a digest of the output order against the committed
+fixed 3000-record input with duplicate keys at two DRAM budgets and on all
+four backends, and compares the full ``IOSnapshot.as_dict()``, the run /
+merge / scan counts and a digest of the output order against the committed
 ``golden_io/sorts.json``.  The input carries each record's load position
 in attribute 1, so the digest also pins the order of equal keys.
 Regenerate with::
@@ -43,7 +43,7 @@ DISTINCT_KEYS = 700
 #: DRAM budgets in records: 0.8% of the input (runs outnumber the merge
 #: fan-in, so merging takes several passes) and 8%.
 BUDGET_RECORDS = (24, 240)
-BACKENDS = ("blocked_memory", "pmfs")
+BACKENDS = ("blocked_memory", "pmfs", "ramdisk", "dynamic_array")
 
 ALGORITHMS = {
     "ExMS": (ExternalMergeSort, {}),

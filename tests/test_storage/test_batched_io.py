@@ -63,7 +63,7 @@ def _store_state(backend, name):
 
 
 def model_writes(backend, name, num_records):
-    """Single-call charges of appending ``num_records`` records, then sealing.
+    """Single-chunk charges of appending ``num_records`` records, then sealing.
 
     Appended bytes fill ``block_bytes`` blocks one backend append each;
     sealing flushes the partial block.
@@ -73,13 +73,13 @@ def model_writes(backend, name, num_records):
         num_records * WISCONSIN_SCHEMA.record_bytes, block_bytes
     )
     for _ in range(full_blocks):
-        backend.append(name, block_bytes)
+        backend.append_bulk(name, block_bytes)
     if pending:
-        backend.append(name, pending)
+        backend.append_bulk(name, pending)
 
 
 def model_reads(backend, name, num_records):
-    """Single-call charges of a full scan of ``num_records`` records.
+    """Single-chunk charges of a full scan of ``num_records`` records.
 
     One backend read per whole I/O block (the fewest records whose payload
     fills ``block_bytes``: 13 Wisconsin records per 1 KiB), then one for
@@ -89,9 +89,9 @@ def model_reads(backend, name, num_records):
     per_block = -(-backend.device.geometry.block_bytes // record_bytes)
     blocks, tail = divmod(num_records, per_block)
     for _ in range(blocks):
-        backend.read(name, per_block * record_bytes)
+        backend.read_bulk(name, per_block * record_bytes)
     if tail:
-        backend.read(name, tail * record_bytes)
+        backend.read_bulk(name, tail * record_bytes)
 
 
 def charged(device, action):
@@ -108,13 +108,12 @@ def test_device_bulk_calls_match_repeated_single_calls():
     single, bulk = PersistentMemoryDevice(), PersistentMemoryDevice()
     for _ in range(7):
         single.read(1024)
-        single.write(1024, address=4096)
+        single.write(1024)
         single.overhead(80.0, label="x")
     bulk.read_bulk(1024, 7)
-    bulk.write_bulk(1024, 7, address=4096)
-    bulk.overhead_bulk(80.0, 7, label="x")
+    bulk.write_bulk(1024, 7)
+    bulk.overhead(80.0, label="x", count=7)
     assert single.snapshot() == bulk.snapshot()
-    assert single.wear_map == bulk.wear_map
     assert single.counters.overhead_breakdown == bulk.counters.overhead_breakdown
 
 
@@ -122,7 +121,7 @@ def test_device_bulk_zero_count_charges_nothing():
     device = PersistentMemoryDevice()
     assert device.read_bulk(1024, 0) == 0.0
     assert device.write_bulk(1024, 0) == 0.0
-    assert device.overhead_bulk(80.0, 0) == 0.0
+    assert device.overhead(80.0, count=0) == 0.0
     assert device.snapshot() == PersistentMemoryDevice().snapshot()
 
 
@@ -133,30 +132,38 @@ def test_device_bulk_rejects_negative_count():
     with pytest.raises(ConfigurationError):
         device.write_bulk(1024, -1)
     with pytest.raises(ConfigurationError):
-        device.overhead_bulk(80.0, -1)
+        device.overhead(80.0, count=-1)
 
 
 # --------------------------------------------------------------------- #
 # Backend-level bulk operations, every backend.
 # --------------------------------------------------------------------- #
+#: A sequence of ``(operation, chunk_bytes, count)`` backend calls.  Chunk
+#: sizes straddle every growth granule (blocks, extents, 512-byte fs records,
+#: doubling capacities), and zero-byte and zero-count calls are included.
+CHUNK_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(("append", "read")),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=0, max_value=40),
+    ),
+    max_size=12,
+)
+
+
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
-def test_backend_bulk_matches_sequential_calls(backend_name):
-    seq_backend = make_backend(backend_name, PersistentMemoryDevice())
+@settings(max_examples=50, deadline=None)
+@given(calls=CHUNK_CALLS)
+def test_backend_bulk_matches_sequential_calls(backend_name, calls):
+    """``count`` chunks in one call charge what ``count`` single-chunk calls do."""
     bulk_backend = make_backend(backend_name, PersistentMemoryDevice())
-    for backend in (seq_backend, bulk_backend):
+    seq_backend = make_backend(backend_name, PersistentMemoryDevice())
+    for backend in (bulk_backend, seq_backend):
         backend.create_store("s")
-    # 37 appends of 1024 then 37 reads of 1024, with awkward odd sizes mixed
-    # in so growth paths (doubling, extents, fs blocks) are exercised.
-    for _ in range(37):
-        seq_backend.append("s", 1024)
-    seq_backend.append("s", 700)
-    for _ in range(37):
-        seq_backend.read("s", 1024)
-    seq_backend.read("s", 700)
-    bulk_backend.append_bulk("s", 1024, 37)
-    bulk_backend.append("s", 700)
-    bulk_backend.read_bulk("s", 1024, 37)
-    bulk_backend.read("s", 700)
+    for operation, chunk_bytes, count in calls:
+        getattr(bulk_backend, f"{operation}_bulk")("s", chunk_bytes, count)
+        for _ in range(count):
+            getattr(seq_backend, f"{operation}_bulk")("s", chunk_bytes)
     assert seq_backend.device.snapshot() == bulk_backend.device.snapshot()
     assert _store_state(seq_backend, "s") == _store_state(bulk_backend, "s")
 
