@@ -121,11 +121,10 @@ def ranked_passes(
 
     The ranked order is simulator bookkeeping over records the collection
     already holds as Python tuples, not modelled DRAM: the sort's
-    workspace stays ``capacity`` records.  ``source`` must be a MEMORY or
-    MATERIALIZED collection, whose rescans yield the same records at the
-    same price; a deferred one is priced by its replay and keeps
-    :func:`select_smallest` per pass.  Nothing is read until the first
-    pass is requested.
+    workspace stays ``capacity`` records.  Every rescan of ``source``
+    yields the same records at the same price: a MEMORY or MATERIALIZED
+    collection re-reads its blocks, a DEFERRED one replays its derivation
+    once per pass.  Nothing is read until the first pass is requested.
     """
     _check_capacity(capacity)
     records = list(chain.from_iterable(source.scan_blocks(start, stop)))

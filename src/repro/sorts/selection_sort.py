@@ -8,19 +8,18 @@ output.  Every record is written exactly once, at its final location, at
 the price of |T|/M read passes.
 
 The simulator charges every one of those passes but computes them once:
-over a MEMORY or MATERIALIZED input the passes come from the ranked
-selection kernel (:func:`~repro.sorts.heaps.ranked_passes`), which ranks
-the input on its first pass and drains an identical rescan for each later
-one.  A DEFERRED input is priced by its replay, so it keeps one
-:func:`~repro.sorts.heaps.select_smallest` scan per pass.
+the passes come from the ranked selection kernel
+(:func:`~repro.sorts.heaps.ranked_passes`), which ranks the input on its
+first pass and drains an identical rescan for each later one.  A DEFERRED
+input's rescan is a replay, so each pass pays one replay, like the full
+selection scan it stands for.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ReproError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import ranked_passes, select_smallest
+from repro.sorts.heaps import ranked_passes
 from repro.storage.collection import PersistentCollection
 
 
@@ -39,27 +38,7 @@ def selection_passes(
     the batches straight into its final merge, which is how it avoids
     materializing the selection segment as an intermediate run.
     """
-    if not collection.is_deferred:
-        for batch, _ in ranked_passes(
-            collection, workspace_records, key_fn, start, stop
-        ):
-            yield batch
-        return
-    total = sum(map(len, collection.scan_blocks(start=start, stop=stop)))
-    emitted = 0
-    threshold: tuple[int, int] | None = None
-    while emitted < total:
-        batch, threshold = select_smallest(
-            collection.scan(start, stop),
-            workspace_records,
-            key_fn,
-            after=threshold,
-        )
-        if not batch:
-            raise ReproError(
-                "selection sort made no progress; input mutated during sorting?"
-            )
-        emitted += len(batch)
+    for batch, _ in ranked_passes(collection, workspace_records, key_fn, start, stop):
         yield batch
 
 

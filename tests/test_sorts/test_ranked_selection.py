@@ -12,8 +12,8 @@ intermediates aside: the reference leaves them behind) and, for deferred
 inputs, the same replay bookkeeping.  Every input record carries its load
 position in attribute 1, so equal keys are distinguishable.
 
-A structural guard counts ``select_smallest`` calls, so the speedup cannot
-silently regress to one scan per pass.
+A structural guard counts ``select_smallest`` calls and rankings, so the
+speedup cannot silently regress to one scan per pass.
 """
 
 import contextlib
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import repro.sorts.lazy_sort as lazy_sort_module
 import repro.sorts.segment_sort as segment_sort_module
 import repro.sorts.selection_sort as selection_sort_module
-from repro.exceptions import ReproError
 from repro.pmem.backends import make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.pmem.latency import LatencyModel
@@ -47,22 +46,20 @@ KEY = WISCONSIN_SCHEMA.key
 def reference_selection_passes(
     collection, workspace_records, key_fn, start=0, stop=None
 ):
-    """``selection_passes`` as a ``select_smallest`` scan per pass."""
-    if collection.is_deferred:
-        total = sum(map(len, collection.scan_blocks(start=start, stop=stop)))
-    else:
-        total = len(collection.records[start:stop])
-    emitted = 0
-    threshold = None
-    while emitted < total:
+    """``selection_passes`` as a ``select_smallest`` scan per pass.
+
+    Every pass is one full scan of the slice; the first one also counts
+    it, so no scan is spent on counting alone.
+    """
+    emitted, total, threshold = 0, None, None
+    while total is None or emitted < total:
+        records = list(collection.scan(start, stop))
+        total = len(records)
         batch, threshold = select_smallest(
-            collection.scan(start, stop),
-            workspace_records,
-            key_fn,
-            after=threshold,
+            records, workspace_records, key_fn, after=threshold
         )
         if not batch:
-            raise ReproError("selection sort made no progress")
+            return
         emitted += len(batch)
         yield batch
 
@@ -343,15 +340,21 @@ def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
 ):
     args = ("pmfs", "materialized", [value % 97 for value in range(400)], 3.0, 6)
     calls = 0
+    rankings = 0
 
     def counting(*call_args, **call_kwargs):
         nonlocal calls
         calls += 1
         return select_smallest(*call_args, **call_kwargs)
 
+    def counting_rankings(*call_args, **call_kwargs):
+        nonlocal rankings
+        rankings += 1
+        return ranked_passes(*call_args, **call_kwargs)
+
     with mock.patch.object(
         lazy_sort_module, "select_smallest", counting
-    ), mock.patch.object(selection_sort_module, "select_smallest", counting):
+    ), mock.patch.object(selection_sort_module, "ranked_passes", counting_rankings):
         observed = observe(sort_cls, kwargs, *args)
     if sort_cls is LazySort:
         materializations = observed["details"]["intermediate_materializations"]
@@ -359,7 +362,8 @@ def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
         assert calls == materializations
         reference = observe(ReferenceLazySort, kwargs, *args)
     else:
-        assert calls == 0
+        # Every selection pass comes from one ranking of the source.
+        assert rankings == 1
         with reference_passes():
             reference = observe(sort_cls, kwargs, *args)
     assert observed["input_scans"] == reference["input_scans"] > 1
