@@ -96,13 +96,18 @@ class SegmentSort(SortAlgorithm):
             )
         else:
             # The selection segment is produced lazily in sorted order and
-            # merged with the (possibly pre-reduced) mergesort runs.  The
-            # number of read passes over the segment is its size divided by
-            # the workspace, as in Eq. 1's quadratic term.
-            segment_records = total_records - boundary
-            selection_scans = max(
-                1, -(-segment_records // self.workspace_records)
-            )
+            # merged with the (possibly pre-reduced) mergesort runs.  Its
+            # read passes -- its size divided by the workspace, as in Eq.
+            # 1's quadratic term -- are counted as they run: the size of a
+            # deferred segment is known only once a pass has read it.
+            def selection_batches():
+                nonlocal selection_scans
+                for batch in selection_passes(
+                    collection, self.workspace_records, self.key_fn, start=boundary
+                ):
+                    selection_scans += 1
+                    yield batch
+
             fan_in = self.budget.merge_fan_in()
             runs = list(runset.runs)
             if len(runs) + 1 > fan_in:
@@ -124,19 +129,12 @@ class SegmentSort(SortAlgorithm):
                 )
                 runs = [reduced_output]
             streams = [run.scan() for run in runs]
-            streams.append(
-                itertools.chain.from_iterable(
-                    selection_passes(
-                        collection,
-                        self.workspace_records,
-                        self.key_fn,
-                        start=boundary,
-                    )
-                )
-            )
+            streams.append(itertools.chain.from_iterable(selection_batches()))
             merge_passes += 1
             output.extend(merge_streams(streams, self.key_fn))
             output.seal()
+            # An empty selection segment is still read once.
+            selection_scans = max(1, selection_scans)
 
         return SortResult(
             output=output,

@@ -115,3 +115,18 @@ def test_len_of_a_deferred_collection_raises(backend):
     with pytest.raises(CollectionStateError):
         len(deferred)
     assert root.estimated_records == len(root) == 100
+
+
+@pytest.mark.parametrize("declared", [0.05, 0.5, 0.9], ids=["under", "exact", "over"])
+def test_segment_sort_reports_the_scans_it_made(backend, declared):
+    """``input_scans`` counts the selection passes that ran: each replays the
+    deferred input once, however wrong its declared size."""
+    root = build_collection(
+        backend, wisconsin_permutation(ROOT_RECORDS, seed=7), name="root"
+    )
+    context = OperatorContext(backend)
+    deferred = context.filter(context.register(root), keep, declared)
+    result = SegmentSort(
+        backend, MemoryBudget.from_records(100), write_intensity=0.2
+    ).sort(deferred)
+    assert result.input_scans == context.reconstruction_count(deferred.name) > 2
