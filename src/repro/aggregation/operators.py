@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -30,12 +30,9 @@ from repro.joins.common import partition_into
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.sorts.segment_sort import SegmentSort
+from repro.storage.algorithm import Algorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
@@ -54,11 +51,11 @@ class AggregationResult(IOResult):
     details: dict = field(default_factory=dict)
 
 
-class _AggregationBase:
-    """Shared construction and output handling for the two strategies."""
+class _AggregationBase(Algorithm):
+    """Shared construction for the two strategies."""
 
     short_name = "aggregation"
-    write_limited = False
+    result_type = AggregationResult
 
     def __init__(
         self,
@@ -90,12 +87,9 @@ class _AggregationBase:
                 f"group attribute {group_index} outside the schema's "
                 f"{schema.num_fields} attributes"
             )
-        self.backend = backend
-        self.budget = budget
+        super().__init__(backend, budget, materialize_output, bufferpool)
         self.schema = schema
         self.group_index = group_index
-        self.materialize_output = materialize_output
-        self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
         spec = aggregates or {"count": group_index}
         for name, attribute in spec.items():
             if not 0 <= attribute < schema.num_fields:
@@ -120,35 +114,10 @@ class _AggregationBase:
 
     def aggregate(self, collection: PersistentCollection) -> AggregationResult:
         """Aggregate ``collection`` and return the result with its I/O delta."""
-        device = self.backend.device
-        before = device.snapshot()
-        with self.bufferpool.workspace(self.budget.nbytes, owner=self.short_name):
-            # The one emptiness gate: only a settled input's length is
-            # known up front; a deferred input runs and its scan decides.
-            if not collection.is_deferred and len(collection) == 0:
-                output = self._make_output(collection.name)
-                output.seal()
-                result = AggregationResult(output=output, io=None)
-            else:
-                result = self._execute(collection)
-        result.io = device.snapshot() - before
-        return result
+        return self._run(collection)
 
-    def _execute(self, collection: PersistentCollection) -> AggregationResult:
-        raise NotImplementedError
-
-    def _make_output(self, input_name: str) -> PersistentCollection:
-        name = f"{input_name}-groupby-{self.short_name.lower()}"
-        if self.materialize_output:
-            return PersistentCollection(
-                name=name,
-                backend=self.backend,
-                schema=self.output_schema,
-                status=CollectionStatus.MATERIALIZED,
-            )
-        return PersistentCollection(
-            name=name, schema=self.output_schema, status=CollectionStatus.MEMORY
-        )
+    def _output_name(self, input_name: str) -> str:
+        return f"{input_name}-groupby-{self.short_name.lower()}"
 
 
 class SortedAggregation(_AggregationBase):
@@ -157,13 +126,13 @@ class SortedAggregation(_AggregationBase):
     short_name = "SortAgg"
     write_limited = True
 
-    def __init__(self, *args, sort_class=SegmentSort, sort_kwargs=None, **kwargs):
+    def __init__(self, *args, sort_class=SegmentSort, **kwargs):
         super().__init__(*args, **kwargs)
         self.sort_class = sort_class
-        self.sort_kwargs = dict(sort_kwargs or {})
 
-    def _execute(self, collection: PersistentCollection) -> AggregationResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> AggregationResult:
         group_schema = Schema(
             num_fields=self.schema.num_fields,
             field_bytes=self.schema.field_bytes,
@@ -174,26 +143,20 @@ class SortedAggregation(_AggregationBase):
             self.budget,
             schema=group_schema,
             materialize_output=False,
-            **self.sort_kwargs,
         )
         sort_result = sorter.sort(collection)
 
         # A deferred input that turns out empty has no group to emit.
-        rows = self.kernels.fold_sorted(
-            chain.from_iterable(sort_result.output.scan_blocks())
+        output.extend(
+            self.kernels.fold_sorted(
+                chain.from_iterable(sort_result.output.scan_blocks())
+            )
         )
-        emitted = AppendBuffer(output)
-        groups = 0
-        # Whole buffer-sized batches flush where appending group by group
-        # would; ``extend`` charges the same either way.
-        while batch := list(islice(rows, emitted.batch_records)):
-            emitted.extend(batch)
-            groups += len(batch)
-        emitted.seal()
+        output.seal()
         return AggregationResult(
             output=output,
             io=None,
-            groups=groups,
+            groups=len(output),
             details={
                 "sort": sorter.short_name,
                 "sort_runs": sort_result.runs_generated,
@@ -214,14 +177,14 @@ class HashAggregation(_AggregationBase):
     #: Number of spill partitions new groups overflow into.
     SPILL_PARTITIONS = 8
 
-    def _execute(self, collection: PersistentCollection) -> AggregationResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> AggregationResult:
         max_groups = max(1, self.budget.nbytes // self.GROUP_STATE_BYTES)
         key_fn = itemgetter(self.group_index)
         fold_block = self.kernels.fold_block
         finish = self.kernels.finish
-        emitted = AppendBuffer(output)
-        groups = spills = 0
+        spills = 0
 
         # A group's records are never split between the in-memory table and
         # the spills: once a key owns a table entry every later record with
@@ -250,9 +213,7 @@ class HashAggregation(_AggregationBase):
                 key_fn,
                 targets,
             )
-            finished = finish(table)
-            emitted.extend(finished)
-            groups += len(finished)
+            output.extend(finish(table))
             # Pushed last to first, so partition 0 is visited next.
             for index in reversed(range(self.SPILL_PARTITIONS)):
                 partition = targets[index].collection
@@ -269,11 +230,11 @@ class HashAggregation(_AggregationBase):
                         math.inf if degenerate else max_groups,
                     )
                 )
-        emitted.seal()
+        output.seal()
         return AggregationResult(
             output=output,
             io=None,
-            groups=groups,
+            groups=len(output),
             spills=spills,
             details={"max_groups_in_memory": max_groups},
         )

@@ -1,34 +1,33 @@
 """Common scaffolding for the join algorithms.
 
-Every join follows the same contract: construct it with a persistence
-backend and a DRAM budget, then call :meth:`JoinAlgorithm.join` with the
-two input collections.  By convention the *left* input is the smaller one
-(the paper's T) and the *right* input the larger one (V); the algorithms
-do not re-order them, so callers control which side is built against.
+Every join follows the run contract of
+:class:`~repro.storage.algorithm.Algorithm`: construct it with a
+persistence backend and a DRAM budget, then call
+:meth:`JoinAlgorithm.join` with the two input collections.  By
+convention the *left* input is the smaller one (the paper's T) and the
+*right* input the larger one (V); the algorithms do not re-order them, so
+callers control which side is built against.
 """
 
 from __future__ import annotations
 
-import abc
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.exceptions import ConfigurationError, InsufficientMemoryError
+from repro.exceptions import InsufficientMemoryError
 from repro.joins.common import (
     build_hash_table,
     joined_schema,
     partition_into,
     probe_block,
 )
+from repro.joins.cost import PARTITION_FUDGE_FACTOR
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOResult, IOSnapshot
+from repro.storage.algorithm import Algorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _join_output_counter = itertools.count()
@@ -54,7 +53,7 @@ class JoinResult(IOResult):
         return len(self.output.records)
 
 
-class JoinAlgorithm(abc.ABC):
+class JoinAlgorithm(Algorithm):
     """Base class for all equi-join algorithms.
 
     Args:
@@ -62,19 +61,12 @@ class JoinAlgorithm(abc.ABC):
             (optionally) the join output.
         budget: DRAM budget; bounds hash tables and nested-loop blocks.
         left_schema / right_schema: record schemas of the two inputs.
-        materialize_output: write the join result to persistent memory
-            (default, as in the paper's experiments) or keep it in DRAM as
-            if pipelined.
-        partition_fudge_factor: the paper's f, the growth of a partition
-            once a hash table is built over it (1.2 in the paper).
-        bufferpool: pool the join registers its DRAM workspace with while
-            running, so the budget is enforced rather than advisory.  A
-            private pool over ``budget`` is used when omitted; the query
-            executor passes its shared pool here.
+        materialize_output / bufferpool: see
+            :class:`~repro.storage.algorithm.Algorithm`.
     """
 
     short_name: str = "join"
-    write_limited: bool = False
+    result_type = JoinResult
 
     def __init__(
         self,
@@ -83,18 +75,11 @@ class JoinAlgorithm(abc.ABC):
         left_schema: Schema = WISCONSIN_SCHEMA,
         right_schema: Schema = WISCONSIN_SCHEMA,
         materialize_output: bool = True,
-        partition_fudge_factor: float = 1.2,
         bufferpool: Bufferpool | None = None,
     ) -> None:
-        if partition_fudge_factor < 1.0:
-            raise ConfigurationError("partition fudge factor must be >= 1.0")
-        self.backend = backend
-        self.budget = budget
-        self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+        super().__init__(backend, budget, materialize_output, bufferpool)
         self.left_schema = left_schema
         self.right_schema = right_schema
-        self.materialize_output = materialize_output
-        self.partition_fudge_factor = partition_fudge_factor
         self.output_schema = joined_schema(left_schema, right_schema)
         #: Join-key extractors, bound once per join.
         self.left_key = itemgetter(left_schema.key_index)
@@ -105,69 +90,26 @@ class JoinAlgorithm(abc.ABC):
                 f"{self.short_name}: budget of {budget.nbytes} bytes holds no records"
             )
 
-    # ------------------------------------------------------------------ #
-    # Public API.
-    # ------------------------------------------------------------------ #
     def join(
         self, left: PersistentCollection, right: PersistentCollection
     ) -> JoinResult:
         """Join ``left`` (the smaller input, T) with ``right`` (V)."""
-        device = self.backend.device
-        before = device.snapshot()
-        with self.bufferpool.workspace(self.budget.nbytes, owner=self.short_name):
-            # The one emptiness gate: only a settled input's length is
-            # known up front; a deferred input runs and its scan decides.
-            if any(not side.is_deferred and len(side) == 0 for side in (left, right)):
-                output = self._make_output(left.name, right.name)
-                output.seal()
-                result = JoinResult(output=output, io=None)
-            else:
-                result = self._execute(left, right)
-        result.io = device.snapshot() - before
-        return result
+        return self._run(left, right)
 
-    def estimated_cost_ns(
-        self, left_buffers: float, right_buffers: float
-    ) -> float:
-        """Analytical Section 2.2 cost estimate, in nanoseconds."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not provide a cost model"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Helpers for subclasses.
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
-    ) -> JoinResult:
-        """Run the algorithm; the caller handles I/O snapshotting."""
-
-    def _make_output(self, left_name: str, right_name: str) -> PersistentCollection:
-        name = (
+    def _output_name(self, left_name: str, right_name: str) -> str:
+        return (
             f"{left_name}-join-{right_name}-{self.short_name.lower()}"
             f"-{next(_join_output_counter)}"
         )
-        if self.materialize_output:
-            return PersistentCollection(
-                name=name,
-                backend=self.backend,
-                schema=self.output_schema,
-                status=CollectionStatus.MATERIALIZED,
-            )
-        return PersistentCollection(
-            name=name,
-            backend=None,
-            schema=self.output_schema,
-            status=CollectionStatus.MEMORY,
-        )
 
-    def num_partitions_for(self, left: PersistentCollection) -> int:
-        """Partition count so each left partition's hash table fits in DRAM."""
-        capacity = max(
-            1, int(self.left_workspace_records / self.partition_fudge_factor)
-        )
-        return max(1, -(-left.estimated_records // capacity))  # ceiling division
+    def num_partitions_for(self, records: int) -> int:
+        """Partition count so each hash table over ``records`` fits in DRAM.
+
+        A partition grows by the paper's f once a hash table is built over
+        it, so one holds the workspace divided by f.
+        """
+        capacity = max(1, int(self.left_workspace_records / PARTITION_FUDGE_FACTOR))
+        return max(1, -(-records // capacity))  # ceiling division
 
     def _partition_inputs(
         self,
@@ -213,7 +155,7 @@ class JoinAlgorithm(abc.ABC):
         left: PersistentCollection,
         right: PersistentCollection,
         start: int,
-        matches: AppendBuffer,
+        output: PersistentCollection,
     ) -> int:
         """Block nested loops of ``left`` from ``start`` against all of ``right``.
 
@@ -231,16 +173,11 @@ class JoinAlgorithm(abc.ABC):
             # CPU time changes.
             table = build_hash_table(block, self.left_key)
             for right_block in right.scan_blocks():
-                matches.extend(probe_block(table, right_block, self.right_key))
+                output.extend(probe_block(table, right_block, self.right_key))
             if len(block) < block_records:
                 break
             start += block_records
         return iterations
-
-    @property
-    def memory_buffers(self) -> float:
-        """The DRAM budget in cachelines: the paper's M."""
-        return self.budget.buffers
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

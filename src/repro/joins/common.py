@@ -14,7 +14,6 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
-from repro.storage.collection import DEFAULT_APPEND_BUFFER_RECORDS
 from repro.storage.schema import Schema
 
 #: Knuth's multiplicative constant; decorrelates partition assignment from
@@ -25,8 +24,11 @@ _HASH_MASK = (1 << 32) - 1
 #: Input records :func:`partition_into` reads between two bucket sweeps.
 PARTITION_SWEEP_RECORDS = 512
 
+#: Records a :func:`partition_into` bucket holds before a sweep hands it over.
+PARTITION_FLUSH_RECORDS = 512
+
 #: The most records :func:`partition_into` ever holds in one bucket.
-PARTITION_BUCKET_BOUND = DEFAULT_APPEND_BUFFER_RECORDS + PARTITION_SWEEP_RECORDS - 1
+PARTITION_BUCKET_BOUND = PARTITION_FLUSH_RECORDS + PARTITION_SWEEP_RECORDS - 1
 
 
 def partition_of(key: int, num_partitions: int) -> int:
@@ -47,7 +49,7 @@ def partition_into(
     and is dropped when that entry is ``None``.  Every other target gets
     its records in input order through ``extend``.  Records wait in a DRAM
     bucket per target; every :data:`PARTITION_SWEEP_RECORDS` input records
-    each bucket holding at least ``DEFAULT_APPEND_BUFFER_RECORDS`` is handed
+    each bucket holding at least :data:`PARTITION_FLUSH_RECORDS` is handed
     over, and the rest are handed over at the end.  So no bucket ever holds
     more than :data:`PARTITION_BUCKET_BOUND` records.
     """
@@ -72,7 +74,7 @@ def partition_into(
             ](record)
         dropped.clear()
         for index in live:
-            if len(buckets[index]) >= DEFAULT_APPEND_BUFFER_RECORDS:
+            if len(buckets[index]) >= PARTITION_FLUSH_RECORDS:
                 targets[index].extend(buckets[index])
                 buckets[index] = []
                 appends[index] = buckets[index].append

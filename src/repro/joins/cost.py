@@ -14,6 +14,10 @@ import math
 
 from repro.exceptions import CostModelError
 
+#: The paper's f: the growth of a partition once a hash table is built
+#: over it.
+PARTITION_FUDGE_FACTOR = 1.2
+
 
 def _validate(left: float, right: float, memory: float, lam: float) -> None:
     if left <= 0 or right <= 0:
@@ -31,7 +35,9 @@ def _output_cost(output_buffers: float, read_cost: float, lam: float) -> float:
 
 
 def grace_applicable(
-    left_buffers: float, memory_buffers: float, fudge_factor: float = 1.2
+    left_buffers: float,
+    memory_buffers: float,
+    fudge_factor: float = PARTITION_FUDGE_FACTOR,
 ) -> bool:
     """Grace join applicability: M > sqrt(f |T|)."""
     if left_buffers <= 0 or memory_buffers <= 0:

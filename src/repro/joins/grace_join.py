@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
 from repro.joins.common import build_hash_table, probe_block
-from repro.storage.collection import AppendBuffer, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 
 class GraceJoin(JoinAlgorithm):
@@ -22,19 +22,20 @@ class GraceJoin(JoinAlgorithm):
     write_limited = False
 
     def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
+        self,
+        output: PersistentCollection,
+        left: PersistentCollection,
+        right: PersistentCollection,
     ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
-        num_partitions = self.num_partitions_for(left)
+        num_partitions = self.num_partitions_for(left.estimated_records)
         left_parts, right_parts = self._partition_inputs(
             left, right, num_partitions, output.name
         )
-        matches = AppendBuffer(output)
         for left_part, right_part in zip(left_parts, right_parts):
             table = build_hash_table(left_part.scan(), self.left_key)
             for block in right_part.scan_blocks():
-                matches.extend(probe_block(table, block, self.right_key))
-        matches.seal()
+                output.extend(probe_block(table, block, self.right_key))
+        output.seal()
         return JoinResult(
             output=output,
             io=None,

@@ -14,11 +14,7 @@ import itertools
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
 from repro.joins.common import build_hash_table, probe_block, split_blocks
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 
 
 class SimpleHashJoin(JoinAlgorithm):
@@ -36,16 +32,17 @@ class SimpleHashJoin(JoinAlgorithm):
         return True
 
     def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
+        self,
+        output: PersistentCollection,
+        left: PersistentCollection,
+        right: PersistentCollection,
     ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
         num_partitions = max(
             1, -(-left.estimated_records // self.left_workspace_records)
         )
         sources = (left, right)
         keys = (self.left_key, self.right_key)
         lazy_iterations = materializations = 0
-        matches = AppendBuffer(output)
         for index in range(num_partitions):
             lazy_iterations += 1
             remaining = num_partitions - index
@@ -54,14 +51,12 @@ class SimpleHashJoin(JoinAlgorithm):
                 materializations += 1
                 lazy_iterations = 0
                 spills = tuple(
-                    AppendBuffer(
-                        PersistentCollection(
-                            name=f"{output.name}-{self.short_name.lower()}"
-                            f"-{side}{materializations}",
-                            backend=self.backend,
-                            schema=schema,
-                            status=CollectionStatus.MATERIALIZED,
-                        )
+                    PersistentCollection(
+                        name=f"{output.name}-{self.short_name.lower()}"
+                        f"-{side}{materializations}",
+                        backend=self.backend,
+                        schema=schema,
+                        status=CollectionStatus.MATERIALIZED,
                     )
                     for side, schema in (
                         ("L", self.left_schema),
@@ -78,12 +73,12 @@ class SimpleHashJoin(JoinAlgorithm):
                 itertools.chain.from_iterable(build), self.left_key
             )
             for block in probe:
-                matches.extend(probe_block(table, block, self.right_key))
+                output.extend(probe_block(table, block, self.right_key))
             if spills[0] is not None:
                 for spill in spills:
                     spill.seal()
-                sources = tuple(spill.collection for spill in spills)
-        matches.seal()
+                sources = spills
+        output.seal()
         return JoinResult(
             output=output,
             io=None,

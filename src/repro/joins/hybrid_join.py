@@ -20,7 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
 from repro.joins.common import build_hash_table, probe_block
-from repro.storage.collection import AppendBuffer, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 
 class HybridGraceNestedLoopsJoin(JoinAlgorithm):
@@ -71,22 +71,20 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
         return x, y
 
     def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
+        self,
+        output: PersistentCollection,
+        left: PersistentCollection,
+        right: PersistentCollection,
     ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
         # The boundaries are sized from the estimates; every loop below
         # stops on an exhausted scan.
         x, y = self.resolve_intensities(left, right)
         left_boundary = int(round(left.estimated_records * x))
         right_boundary = int(round(right.estimated_records * y))
 
-        matches = AppendBuffer(output)
         num_partitions = 0
         if left_boundary > 0:
-            capacity = max(
-                1, int(self.left_workspace_records / self.partition_fudge_factor)
-            )
-            num_partitions = max(1, -(-left_boundary // capacity))
+            num_partitions = self.num_partitions_for(left_boundary)
 
             # Phase 1: partition the Grace fractions of both inputs.
             left_parts, right_parts = self._partition_inputs(
@@ -103,9 +101,9 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             for left_part, right_part in zip(left_parts, right_parts):
                 table = build_hash_table(left_part.scan(), self.left_key)
                 for block in right_part.scan_blocks():
-                    matches.extend(probe_block(table, block, self.right_key))
+                    output.extend(probe_block(table, block, self.right_key))
                 for block in right.scan_blocks(start=right_boundary):
-                    matches.extend(probe_block(table, block, self.right_key))
+                    output.extend(probe_block(table, block, self.right_key))
         # A lone right Grace fraction (x = 0, y > 0) has no partitioned left
         # counterpart: the nested-loops phase covers it, so nothing is
         # materialized for it.  This mirrors the cost model, where a lone
@@ -114,10 +112,10 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
         # Phase 3: block nested loops of the unpartitioned left remainder
         # against the entire right input.
         iterations = num_partitions + self._nested_loops(
-            left, right, left_boundary, matches
+            left, right, left_boundary, output
         )
 
-        matches.seal()
+        output.seal()
         return JoinResult(
             output=output,
             io=None,

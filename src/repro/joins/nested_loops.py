@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.storage.collection import AppendBuffer, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 
 class NestedLoopsJoin(JoinAlgorithm):
@@ -21,12 +21,13 @@ class NestedLoopsJoin(JoinAlgorithm):
     write_limited = False
 
     def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
+        self,
+        output: PersistentCollection,
+        left: PersistentCollection,
+        right: PersistentCollection,
     ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
-        matches = AppendBuffer(output)
-        iterations = self._nested_loops(left, right, 0, matches)
-        matches.seal()
+        iterations = self._nested_loops(left, right, 0, output)
+        output.seal()
         return JoinResult(
             output=output,
             io=None,

@@ -16,7 +16,7 @@ from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
 from repro.joins.common import build_hash_table, probe_block, split_blocks
-from repro.storage.collection import AppendBuffer, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 #: Default fraction of partitions materialized.
 DEFAULT_MATERIALIZED_FRACTION = 0.5
@@ -48,10 +48,12 @@ class SegmentedGraceJoin(JoinAlgorithm):
         self.write_intensity = write_intensity
 
     def _execute(
-        self, left: PersistentCollection, right: PersistentCollection
+        self,
+        output: PersistentCollection,
+        left: PersistentCollection,
+        right: PersistentCollection,
     ) -> JoinResult:
-        output = self._make_output(left.name, right.name)
-        num_partitions = self.num_partitions_for(left)
+        num_partitions = self.num_partitions_for(left.estimated_records)
         materialized = int(round(num_partitions * self.write_intensity))
         materialized = min(max(materialized, 0), num_partitions)
 
@@ -62,13 +64,12 @@ class SegmentedGraceJoin(JoinAlgorithm):
         )
 
         # Phase 2: Grace-style processing of the materialized partitions.
-        matches = AppendBuffer(output)
         for index in range(materialized):
             table = build_hash_table(
                 left_parts[index].scan(), self.left_key
             )
             for block in right_parts[index].scan_blocks():
-                matches.extend(probe_block(table, block, self.right_key))
+                output.extend(probe_block(table, block, self.right_key))
 
         # Phase 3: the remaining partitions are processed by re-scanning the
         # primary inputs and filtering on the fly.
@@ -82,9 +83,9 @@ class SegmentedGraceJoin(JoinAlgorithm):
             for block in split_blocks(
                 right.scan_blocks(), self.right_key, num_partitions, index
             ):
-                matches.extend(probe_block(table, block, self.right_key))
+                output.extend(probe_block(table, block, self.right_key))
 
-        matches.seal()
+        output.seal()
         return JoinResult(
             output=output,
             io=None,

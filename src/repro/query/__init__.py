@@ -38,11 +38,10 @@ The API has three layers:
 
 **The physical operator protocol** (:mod:`repro.query.physical`)
     Every plan node executes behind one streaming interface --
-    :class:`PhysicalOperator` with ``open()``/``blocks()``/``close()``
-    plus ``cost_estimate()`` and ``io_snapshot()`` -- and every plan edge
-    carries a :class:`Boundary` decision: materialize the intermediate on
-    the device, pipeline it in DRAM, or defer it entirely so the consumer
-    re-derives it through the Section 3.1 runtime
+    :class:`PhysicalOperator` with ``open()``/``blocks()``/``close()`` --
+    and every plan edge carries a :class:`Boundary` decision: materialize
+    the intermediate on the device, pipeline it in DRAM, or defer it
+    entirely so the consumer re-derives it through the Section 3.1 runtime
     (:mod:`repro.runtime`).  ``explain()`` renders the decision per edge
     with the estimated vs. actual settlement writes it saved.
 

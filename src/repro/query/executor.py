@@ -47,11 +47,7 @@ from repro.query.logical import Scan
 from repro.query.physical import BoundaryKind, build_operator
 from repro.query.planner import CostBasedPlanner, PhysicalPlan, PlannedNode
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 
 _output_counter = itertools.count()
 _context_counter = itertools.count()
@@ -174,7 +170,6 @@ class QueryExecutor:
         operator = build_operator(
             node,
             inputs,
-            backend=self.backend,
             bufferpool=self.bufferpool,
             context_factory=state.context_factory,
         )
@@ -207,11 +202,11 @@ class QueryExecutor:
             and operator.output.is_memory
         ):
             return operator.output
-        sink = AppendBuffer(self._sink(node))
+        sink = self._sink(node)
         for block in operator.blocks():
             sink.extend(block)
         sink.seal()
-        return sink.collection
+        return sink
 
     def _sink(self, node: PlannedNode) -> PersistentCollection:
         name = f"query-{node.operator.lower()}-{next(_output_counter)}"

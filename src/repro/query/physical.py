@@ -11,11 +11,10 @@ runtime -- executes behind one pull interface:
   insertion-order record blocks, so a consumer (or the executor's
   boundary settlement) pulls block by block instead of waiting for a
   monolithic list;
-* :meth:`PhysicalOperator.close` releases the operator;
-* :meth:`PhysicalOperator.cost_estimate` exposes the planner's Section 2
-  estimate for the node, and :meth:`PhysicalOperator.io_snapshot` the
-  device I/O actually charged since ``open()`` -- the estimated-vs-actual
-  pair ``explain()`` reports per node.
+* :meth:`PhysicalOperator.close` releases the operator.
+
+The executor measures each node's device I/O around these calls, and
+``explain()`` reports it next to the planner's estimate.
 
 What happens to the stream at the operator's *output edge* is the plan's
 per-edge :class:`Boundary` decision:
@@ -47,7 +46,6 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.pmem.metrics import IOSnapshot
 from repro.query.logical import Filter, GroupBy, Join, OrderBy, Project, Scan
 from repro.storage.collection import PersistentCollection
 
@@ -92,22 +90,16 @@ class Boundary:
 class PhysicalOperator(abc.ABC):
     """One plan node behind the uniform open()/blocks()/close() protocol.
 
-    Subclasses implement :meth:`_open` and :meth:`_blocks`; the base
-    class snapshots the device at ``open()`` so :meth:`io_snapshot`
-    reports the I/O attributable to this operator (inputs are settled
-    collections, so their production was charged to the producing node).
+    Subclasses implement :meth:`_open` and :meth:`_blocks`.
     """
 
-    def __init__(self, node, backend) -> None:
+    def __init__(self, node) -> None:
         self.node = node
-        self.backend = backend
         self.details: dict = {}
         #: In-memory (or deferred) result collection, when the operator
         #: naturally settles into one; ``None`` for pure streamers.
         self.output: Optional[PersistentCollection] = None
-        self._before: Optional[IOSnapshot] = None
         self._opened = False
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # The protocol.
@@ -116,7 +108,6 @@ class PhysicalOperator(abc.ABC):
         """Acquire inputs and run the operator's blocking work."""
         if self._opened:
             return
-        self._before = self.backend.device.snapshot()
         self._opened = True
         self._open()
 
@@ -127,18 +118,7 @@ class PhysicalOperator(abc.ABC):
         return self._blocks()
 
     def close(self) -> None:
-        """Release the operator (idempotent)."""
-        self._closed = True
-
-    def cost_estimate(self) -> float:
-        """The planner's estimated device time for this node alone, ns."""
-        return self.node.est_cost_ns
-
-    def io_snapshot(self) -> IOSnapshot:
-        """Device I/O charged since :meth:`open`."""
-        if self._before is None:
-            self._before = self.backend.device.snapshot()
-        return self.backend.device.snapshot() - self._before
+        """Release the operator; no operator holds anything past its run."""
 
     # ------------------------------------------------------------------ #
     # Subclass hooks.
@@ -154,8 +134,8 @@ class PhysicalOperator(abc.ABC):
 class ScanOperator(PhysicalOperator):
     """Leaf: hand an already-settled collection to the consumer."""
 
-    def __init__(self, node, backend, collection: PersistentCollection) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, collection: PersistentCollection) -> None:
+        super().__init__(node)
         self.collection = collection
 
     def _open(self) -> None:
@@ -169,8 +149,8 @@ class ScanOperator(PhysicalOperator):
 class FilterOperator(PhysicalOperator):
     """Stream the source blocks through the predicate."""
 
-    def __init__(self, node, backend, source: PersistentCollection) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, source: PersistentCollection) -> None:
+        super().__init__(node)
         self.source = source
 
     def _blocks(self) -> Iterator[list[tuple]]:
@@ -184,8 +164,8 @@ class FilterOperator(PhysicalOperator):
 class ProjectOperator(PhysicalOperator):
     """Stream the source blocks through the attribute projection."""
 
-    def __init__(self, node, backend, source: PersistentCollection) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, source: PersistentCollection) -> None:
+        super().__init__(node)
         self.source = source
         self._getter = itemgetter(*node.logical.indices)
 
@@ -202,13 +182,13 @@ class ProjectOperator(PhysicalOperator):
 class SortOperator(PhysicalOperator):
     """Blocking: run the planned sort algorithm, then stream its output."""
 
-    def __init__(self, node, backend, source, bufferpool) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, source, bufferpool) -> None:
+        super().__init__(node)
         self.source = source
         self.bufferpool = bufferpool
 
     def _open(self) -> None:
-        sorter = self.node.factory(self.bufferpool)
+        sorter = self.node.factory(bufferpool=self.bufferpool)
         result = sorter.sort(self.source)
         self.details = {
             "runs_generated": result.runs_generated,
@@ -228,15 +208,15 @@ class JoinOperator(PhysicalOperator):
     logical attribute order, so consumers never see the swap.
     """
 
-    def __init__(self, node, backend, left, right, bufferpool) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, left, right, bufferpool) -> None:
+        super().__init__(node)
         self.left = left
         self.right = right
         self.bufferpool = bufferpool
         self._swap_fields = 0
 
     def _open(self) -> None:
-        algorithm = self.node.factory(self.bufferpool)
+        algorithm = self.node.factory(bufferpool=self.bufferpool)
         swapped = self.node.extra.get("swapped", False)
         build, probe = (self.right, self.left) if swapped else (self.left, self.right)
         result = algorithm.join(build, probe)
@@ -267,13 +247,13 @@ class JoinOperator(PhysicalOperator):
 class GroupByOperator(PhysicalOperator):
     """Blocking: run the planned aggregation, then stream the groups."""
 
-    def __init__(self, node, backend, source, bufferpool) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, source, bufferpool) -> None:
+        super().__init__(node)
         self.source = source
         self.bufferpool = bufferpool
 
     def _open(self) -> None:
-        aggregation = self.node.factory(self.bufferpool)
+        aggregation = self.node.factory(bufferpool=self.bufferpool)
         result = aggregation.aggregate(self.source)
         self.details = {"groups": result.groups, "spills": result.spills}
         self.details.update(result.details)
@@ -297,8 +277,8 @@ class DeferredFilterOperator(PhysicalOperator):
     decision recorded in :attr:`PhysicalOperator.details`.
     """
 
-    def __init__(self, node, backend, source, context) -> None:
-        super().__init__(node, backend)
+    def __init__(self, node, source, context) -> None:
+        super().__init__(node)
         self.source = source
         self.context = context
 
@@ -342,7 +322,6 @@ def build_operator(
     node,
     inputs: list[PersistentCollection],
     *,
-    backend,
     bufferpool,
     context_factory,
 ) -> PhysicalOperator:
@@ -355,17 +334,17 @@ def build_operator(
     """
     logical = node.logical
     if isinstance(logical, Scan):
-        return ScanOperator(node, backend, logical.collection)
+        return ScanOperator(node, logical.collection)
     if isinstance(logical, Filter):
         if node.boundary.kind is BoundaryKind.DEFER:
-            return DeferredFilterOperator(node, backend, inputs[0], context_factory())
-        return FilterOperator(node, backend, inputs[0])
+            return DeferredFilterOperator(node, inputs[0], context_factory())
+        return FilterOperator(node, inputs[0])
     if isinstance(logical, Project):
-        return ProjectOperator(node, backend, inputs[0])
+        return ProjectOperator(node, inputs[0])
     if isinstance(logical, OrderBy):
-        return SortOperator(node, backend, inputs[0], bufferpool)
+        return SortOperator(node, inputs[0], bufferpool)
     if isinstance(logical, Join):
-        return JoinOperator(node, backend, inputs[0], inputs[1], bufferpool)
+        return JoinOperator(node, inputs[0], inputs[1], bufferpool)
     if isinstance(logical, GroupBy):
-        return GroupByOperator(node, backend, inputs[0], bufferpool)
+        return GroupByOperator(node, inputs[0], bufferpool)
     raise ConfigurationError(f"unknown plan node {type(logical).__name__}")

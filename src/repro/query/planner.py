@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.aggregation.operators import HashAggregation, SortedAggregation
@@ -64,7 +65,7 @@ from repro.query.logical import (
 )
 from repro.query.physical import BOUNDARY_POLICIES, Boundary, BoundaryKind
 from repro.sorts import ExternalMergeSort, HybridSort, LazySort, SegmentSort
-from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema
 
 #: Sort operators the planner enumerates for ``OrderBy`` nodes.
@@ -90,10 +91,10 @@ JOIN_ALTERNATIVES = {
 class PlannedNode:
     """One node of a physical plan.
 
-    ``factory(bufferpool)`` builds the configured physical operator for
-    nodes backed by a sort/join/aggregation algorithm; structural nodes
-    (scan, filter, project) carry ``None`` and are executed directly by
-    the executor.
+    ``factory(bufferpool=...)`` builds the configured algorithm for nodes
+    backed by a sort/join/aggregation; it is the same partial the planner
+    priced.  Structural nodes (scan, filter, project) carry ``None`` and
+    are executed directly by the executor.
     """
 
     logical: LogicalNode
@@ -112,7 +113,7 @@ class PlannedNode:
     #: any other node left at the default) count as materialized: their
     #: collections already live on the device.
     boundary: Boundary = field(default_factory=Boundary)
-    factory: Optional[Callable[[Optional[Bufferpool]], object]] = None
+    factory: Optional[Callable[..., object]] = None
     children: tuple["PlannedNode", ...] = ()
     #: Operator-specific planning details (e.g. ``swapped`` for joins).
     extra: dict = field(default_factory=dict)
@@ -416,44 +417,29 @@ class CostBasedPlanner:
         build_buffers = max(1.0, self._buffers(build.est_records, build.schema))
         probe_buffers = max(1.0, self._buffers(probe.est_records, probe.schema))
 
-        alternatives: dict[str, float] = {}
-        for label, join_class in JOIN_ALTERNATIVES.items():
-            if label == "GJ" and not join_cost.grace_applicable(
-                build_buffers, self.budget.buffers
-            ):
-                continue
-            try:
-                candidate = join_class(
-                    self.backend,
-                    self.budget,
-                    left_schema=build.schema,
-                    right_schema=probe.schema,
-                    materialize_output=False,
-                )
-                alternatives[label] = candidate.estimated_cost_ns(
-                    build_buffers, probe_buffers
-                )
-            except (CostModelError, ConfigurationError, InsufficientMemoryError):
-                continue
+        builds = {
+            label: partial(
+                join_class,
+                self.backend,
+                self.budget,
+                left_schema=build.schema,
+                right_schema=probe.schema,
+                materialize_output=False,
+            )
+            for label, join_class in JOIN_ALTERNATIVES.items()
+        }
+        priced = dict(builds)
+        if not join_cost.grace_applicable(build_buffers, self.budget.buffers):
+            del priced["GJ"]
+        alternatives = self._price(
+            priced,
+            lambda candidate: candidate.estimated_cost_ns(build_buffers, probe_buffers),
+        )
         operator, model_ns = self._cheapest(alternatives, "NLJ")
 
         est_records = max(left.est_records, right.est_records)
         out_schema = node.output_schema()
         cost_ns = model_ns + self._write_cost_ns(est_records, out_schema)
-
-        join_class = JOIN_ALTERNATIVES[operator]
-        build_schema, probe_schema = build.schema, probe.schema
-
-        def factory(bufferpool=None, _class=join_class):
-            return _class(
-                self.backend,
-                self.budget,
-                left_schema=build_schema,
-                right_schema=probe_schema,
-                materialize_output=False,
-                bufferpool=bufferpool,
-            )
-
         return PlannedNode(
             logical=node,
             operator=operator,
@@ -461,7 +447,7 @@ class CostBasedPlanner:
             est_records=est_records,
             est_cost_ns=cost_ns,
             alternatives=alternatives,
-            factory=factory,
+            factory=builds[operator],
             children=(left, right),
             extra={"swapped": swapped},
         )
@@ -470,19 +456,9 @@ class CostBasedPlanner:
         child = self._plan_node(node.child)
         sort_schema = node.sort_schema()
         input_buffers = max(1.0, self._buffers(child.est_records, sort_schema))
-        alternatives = self._price_sorts(sort_schema, input_buffers)
+        builds = self._sort_builds(sort_schema)
+        alternatives = self._price_sorts(builds, input_buffers)
         operator, model_ns = self._cheapest(alternatives, "ExMS")
-        sort_class = SORT_ALTERNATIVES[operator]
-
-        def factory(bufferpool=None, _class=sort_class):
-            return _class(
-                self.backend,
-                self.budget,
-                schema=sort_schema,
-                materialize_output=False,
-                bufferpool=bufferpool,
-            )
-
         # The Section 2.1 models include writing the sorted output once
         # (identically across algorithms); the executor's copy-out step
         # realizes exactly that write, so the model is used as-is.
@@ -493,7 +469,7 @@ class CostBasedPlanner:
             est_records=child.est_records,
             est_cost_ns=model_ns,
             alternatives=alternatives,
-            factory=factory,
+            factory=builds[operator],
             children=(child,),
         )
 
@@ -508,49 +484,38 @@ class CostBasedPlanner:
         )
         input_buffers = max(1.0, self._buffers(child.est_records, group_schema))
 
+        aggregation = dict(
+            group_index=node.group_index,
+            aggregates=node.aggregate_spec(),
+            schema=child.schema,
+            materialize_output=False,
+        )
+        builds = {
+            "HashAgg": partial(
+                HashAggregation, self.backend, self.budget, **aggregation
+            )
+        }
         alternatives = {"HashAgg": self._hash_aggregation_cost_ns(input_buffers, groups)}
-        sort_alternatives = self._price_sorts(group_schema, input_buffers)
+        sort_builds = self._sort_builds(group_schema)
+        sort_alternatives = self._price_sorts(sort_builds, input_buffers)
         if sort_alternatives:
             best_sort, sort_ns = min(
                 sort_alternatives.items(), key=lambda item: item[1]
             )
+            label = f"SortAgg[{best_sort}]"
+            builds[label] = partial(
+                SortedAggregation,
+                self.backend,
+                self.budget,
+                sort_class=SORT_ALTERNATIVES[best_sort],
+                **aggregation,
+            )
             # The aggregation pipelines the sort (no sorted-output write);
             # subtract the model's uniform output term.
-            pipelined_ns = max(
+            alternatives[label] = max(
                 0.0, sort_ns - input_buffers * self.lam * self.read_ns
             )
-            alternatives[f"SortAgg[{best_sort}]"] = pipelined_ns
         operator, model_ns = self._cheapest(alternatives, "HashAgg")
-
-        spec = node.aggregate_spec()
-        group_index = node.group_index
-        if operator == "HashAgg":
-
-            def factory(bufferpool=None):
-                return HashAggregation(
-                    self.backend,
-                    self.budget,
-                    group_index=group_index,
-                    aggregates=spec,
-                    schema=child.schema,
-                    materialize_output=False,
-                    bufferpool=bufferpool,
-                )
-
-        else:
-            sort_class = SORT_ALTERNATIVES[operator.split("[", 1)[1].rstrip("]")]
-
-            def factory(bufferpool=None, _sort_class=sort_class):
-                return SortedAggregation(
-                    self.backend,
-                    self.budget,
-                    group_index=group_index,
-                    aggregates=spec,
-                    schema=child.schema,
-                    materialize_output=False,
-                    bufferpool=bufferpool,
-                    sort_class=_sort_class,
-                )
 
         cost_ns = model_ns + self._write_cost_ns(groups, out_schema)
         return PlannedNode(
@@ -560,7 +525,7 @@ class CostBasedPlanner:
             est_records=groups,
             est_cost_ns=cost_ns,
             alternatives=alternatives,
-            factory=factory,
+            factory=builds[operator],
             children=(child,),
             extra={"estimated_groups": groups},
         )
@@ -568,19 +533,36 @@ class CostBasedPlanner:
     # ------------------------------------------------------------------ #
     # Pricing helpers.
     # ------------------------------------------------------------------ #
-    def _price_sorts(self, schema: Schema, input_buffers: float) -> dict[str, float]:
+    def _sort_builds(self, schema: Schema) -> dict[str, partial]:
+        """One pipelined-output sort partial per alternative."""
+        return {
+            label: partial(
+                sort_class,
+                self.backend,
+                self.budget,
+                schema=schema,
+                materialize_output=False,
+            )
+            for label, sort_class in SORT_ALTERNATIVES.items()
+        }
+
+    def _price_sorts(
+        self, builds: dict[str, partial], input_buffers: float
+    ) -> dict[str, float]:
+        def price(candidate) -> float:
+            if isinstance(candidate, SegmentSort):
+                return self._segment_sort_price(candidate, input_buffers)
+            return candidate.estimated_cost_ns(input_buffers)
+
+        return self._price(builds, price)
+
+    @staticmethod
+    def _price(builds: dict[str, partial], price) -> dict[str, float]:
+        """``price(build())`` of every alternative that builds and prices."""
         alternatives: dict[str, float] = {}
-        for label, sort_class in SORT_ALTERNATIVES.items():
+        for label, build in builds.items():
             try:
-                candidate = sort_class(
-                    self.backend, self.budget, schema=schema, materialize_output=False
-                )
-                if label == "SegS":
-                    alternatives[label] = self._segment_sort_price(
-                        candidate, input_buffers
-                    )
-                else:
-                    alternatives[label] = candidate.estimated_cost_ns(input_buffers)
+                alternatives[label] = price(build())
             except (CostModelError, ConfigurationError, InsufficientMemoryError):
                 continue
         return alternatives

@@ -14,11 +14,7 @@ from typing import Callable
 
 from repro.joins.common import build_hash_table, partition_of, probe_block
 from repro.runtime.context import OperatorContext
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema
 
 
@@ -55,10 +51,8 @@ class PartitionJoinFunctor:
         right.open()
         output.open()
         table = build_hash_table(left.scan(), self.left_key)
-        matches = AppendBuffer(output)
         for block in right.scan_blocks():
-            matches.extend(probe_block(table, block, self.right_key))
-        matches.flush()
+            output.extend(probe_block(table, block, self.right_key))
 
 
 class SegmentedGraceJoinOperator(Operator):

@@ -86,8 +86,7 @@ class Session:
             name (``"blocked_memory"``, ``"pmfs"``, ``"ramdisk"``,
             ``"dynamic_array"``) to build a fresh simulated device.
         budget: DRAM budget shared by every query; 1 MiB when omitted.
-        bufferpool: the shared pool; a fresh one over ``budget`` when
-            omitted.
+            The session owns the one :attr:`bufferpool` over it.
         materialize_result: default for :meth:`query`; write final
             outputs to the persistent device instead of leaving them in
             DRAM.
@@ -108,7 +107,6 @@ class Session:
         target,
         budget: MemoryBudget | None = None,
         *,
-        bufferpool: Bufferpool | None = None,
         materialize_result: bool = False,
         boundary_policy: str = "cost",
         admission_policy: str = "queue",
@@ -135,10 +133,7 @@ class Session:
                 "ShardSet, or backend name"
             )
         self.budget = budget or MemoryBudget(DEFAULT_SESSION_BUDGET_BYTES)
-        self._owns_bufferpool = bufferpool is None
-        self.bufferpool = (
-            bufferpool if bufferpool is not None else Bufferpool(self.budget)
-        )
+        self.bufferpool = Bufferpool(self.budget)
         self.materialize_result = materialize_result
         self.boundary_policy = boundary_policy
         self.admission_policy = resolve_policy(admission_policy)
@@ -180,15 +175,12 @@ class Session:
         """Drain in-flight queries and release the session bufferpool.
 
         Queued (not yet admitted) queries are cancelled; running ones are
-        waited for.  When the session built its own pool, leaked
-        reservations or unclosed shares left behind indicate a bug in
-        whoever carved them: they are force-released with a
-        :class:`ResourceWarning` naming the owners (so the leak fails
-        loudly without masking an in-flight exception) and the pool is
-        closed.  An *injected* pool (the ``bufferpool=`` constructor
-        argument) is left untouched -- other users may still hold live
-        reservations in it.  Idempotent; further queries raise
-        :class:`ConfigurationError`.
+        waited for.  Leaked reservations or unclosed shares left behind
+        in the session's pool indicate a bug in whoever carved them: they
+        are force-released with a :class:`ResourceWarning` naming the
+        owners (so the leak fails loudly without masking an in-flight
+        exception) and the pool is closed.  Idempotent; further queries
+        raise :class:`ConfigurationError`.
         """
         if self._closed:
             return
@@ -197,8 +189,6 @@ class Session:
             scheduler = self._scheduler
         if scheduler is not None:
             scheduler.shutdown(wait=True)
-        if not self._owns_bufferpool:
-            return
         leaked = self.bufferpool.holders()
         if leaked:
             holders = ", ".join(

@@ -41,8 +41,9 @@ class ExternalMergeSort(SortAlgorithm):
     short_name = "ExMS"
     write_limited = False
 
-    def _execute(self, collection: PersistentCollection) -> SortResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> SortResult:
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
         )

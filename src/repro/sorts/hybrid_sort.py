@@ -59,8 +59,9 @@ class HybridSort(SortAlgorithm):
         replacement = max(1, self.workspace_records - selection)
         return selection, replacement
 
-    def _execute(self, collection: PersistentCollection) -> SortResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> SortResult:
         selection_capacity, replacement_capacity = self._region_capacities()
         runset = RunSet(
             self.backend, schema=self.schema, prefix=f"{collection.name}-hybs"

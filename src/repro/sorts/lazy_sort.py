@@ -39,8 +39,9 @@ class LazySort(SortAlgorithm):
     short_name = "LaS"
     write_limited = True
 
-    def _execute(self, collection: PersistentCollection) -> SortResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> SortResult:
         # A deferred input's length is counted by its first pass.
         total_records = None if collection.is_deferred else len(collection)
         lam = self.backend.device.write_read_ratio

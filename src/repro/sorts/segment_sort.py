@@ -60,8 +60,9 @@ class SegmentSort(SortAlgorithm):
         except CostModelError:
             return 0.5
 
-    def _execute(self, collection: PersistentCollection) -> SortResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> SortResult:
         total_records = collection.estimated_records
         intensity = self.resolve_intensity(collection.num_buffers)
         boundary = int(round(total_records * intensity))

@@ -48,8 +48,9 @@ class SelectionSort(SortAlgorithm):
     short_name = "SelS"
     write_limited = True
 
-    def _execute(self, collection: PersistentCollection) -> SortResult:
-        output = self._make_output(collection.name)
+    def _execute(
+        self, output: PersistentCollection, collection: PersistentCollection
+    ) -> SortResult:
         passes = 0
         for passes, batch in enumerate(
             selection_passes(collection, self.workspace_records, self.key_fn), 1

@@ -23,8 +23,9 @@ Collections can be in one of three states, mirroring the paper's
     the one place its context's estimate is read.
 
 One I/O shape serves every state.  Records are written with
-:meth:`PersistentCollection.extend` (the :class:`AppendBuffer` helper
-batches producers that emit one record at a time) and read with
+:meth:`PersistentCollection.extend`, which charges a stream the same
+however it is cut into calls, so producers extend their output directly,
+a block or a batch at a time.  They are read with
 :meth:`PersistentCollection.scan_blocks` or its flattened form
 :meth:`PersistentCollection.scan`.  Both charge whole block batches in
 single vectorized backend calls, so the Python work is O(1) per batch
@@ -49,9 +50,6 @@ _anonymous_counter = itertools.count()
 
 #: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
 DEFAULT_CHARGE_BATCH_BLOCKS = 64
-
-#: Records an :class:`AppendBuffer` accumulates before flushing.
-DEFAULT_APPEND_BUFFER_RECORDS = 512
 
 
 def _next_anonymous_name() -> str:
@@ -378,53 +376,3 @@ class PersistentCollection:
             f"PersistentCollection(name={self.name!r}, status={self._status.value}, "
             f"records={len(self._records)})"
         )
-
-
-class AppendBuffer:
-    """Write-side batching for producers that emit one record at a time.
-
-    Algorithm hot loops (run generation, partitioning, probe output) often
-    produce records individually; buffering them and flushing through
-    :meth:`PersistentCollection.extend` amortizes the Python call overhead
-    without changing what the stream costs (``extend`` charges the same
-    however the stream is cut).  The
-    buffer must be flushed (or the collection sealed via :meth:`seal`)
-    before the records are visible in the collection.
-    """
-
-    __slots__ = ("collection", "batch_records", "_buffer")
-
-    def __init__(
-        self,
-        collection: PersistentCollection,
-        batch_records: int = DEFAULT_APPEND_BUFFER_RECORDS,
-    ) -> None:
-        if batch_records < 1:
-            raise ConfigurationError("batch_records must be positive")
-        self.collection = collection
-        self.batch_records = batch_records
-        self._buffer: list[tuple] = []
-
-    def append(self, record: tuple) -> None:
-        self._buffer.append(record)
-        if len(self._buffer) >= self.batch_records:
-            self.flush()
-
-    def extend(self, records: Iterable[tuple]) -> None:
-        self._buffer.extend(records)
-        if len(self._buffer) >= self.batch_records:
-            self.flush()
-
-    def flush(self) -> None:
-        """Move the buffered records into the collection."""
-        if self._buffer:
-            self.collection.extend(self._buffer)
-            self._buffer = []
-
-    def seal(self) -> None:
-        """Flush the buffer and seal the underlying collection."""
-        self.flush()
-        self.collection.seal()
-
-    def __len__(self) -> int:
-        return len(self._buffer)

@@ -31,11 +31,7 @@ from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.sorts import SORT_REGISTRY
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema
 
 from tests.conftest import build_collection
@@ -63,8 +59,7 @@ def finalize(aggregates, key, states):
 class ReferenceSortedAggregation(SortedAggregation):
     """SortAgg with the per-record group loop."""
 
-    def _execute(self, collection):
-        output = self._make_output(collection.name)
+    def _execute(self, output, collection):
         if len(collection) == 0:
             output.seal()
             return AggregationResult(output=output, io=None)
@@ -78,26 +73,24 @@ class ReferenceSortedAggregation(SortedAggregation):
             self.budget,
             schema=group_schema,
             materialize_output=False,
-            **self.sort_kwargs,
         )
         sort_result = sorter.sort(collection)
         aggregates = self.aggregates
         current_key = states = None
-        emitted = AppendBuffer(output)
         groups = 0
         for record in sort_result.output.scan():
             key = record[self.group_index]
             if key != current_key:
                 if states is not None:
-                    emitted.append(finalize(aggregates, current_key, states))
+                    output.extend([finalize(aggregates, current_key, states)])
                     groups += 1
                 current_key = key
                 states = fresh_states(aggregates)
             fold(aggregates, states, record)
         if states is not None:
-            emitted.append(finalize(aggregates, current_key, states))
+            output.extend([finalize(aggregates, current_key, states)])
             groups += 1
-        emitted.seal()
+        output.seal()
         return AggregationResult(
             output=output,
             io=None,
@@ -113,12 +106,10 @@ class ReferenceSortedAggregation(SortedAggregation):
 class ReferenceHashAggregation(HashAggregation):
     """HashAgg with the per-record fold and a recursion over its spills."""
 
-    def _execute(self, collection):
-        output = self._make_output(collection.name)
+    def _execute(self, output, collection):
         max_groups = max(1, self.budget.nbytes // self.GROUP_STATE_BYTES)
         aggregates = self.aggregates
         group_index = self.group_index
-        emitted_groups = AppendBuffer(output)
         spills = 0
 
         def aggregate_stream(source, label, depth, limit):
@@ -151,7 +142,7 @@ class ReferenceHashAggregation(HashAggregation):
             spilled_records = partition_into(
                 overflow(), itemgetter(group_index), targets
             )
-            emitted_groups.extend(
+            output.extend(
                 [finalize(aggregates, key, table[key]) for key in sorted(table)]
             )
             emitted = len(table)
@@ -171,7 +162,7 @@ class ReferenceHashAggregation(HashAggregation):
             return emitted
 
         groups = aggregate_stream(collection, "root", 0, max_groups)
-        emitted_groups.seal()
+        output.seal()
         return AggregationResult(
             output=output,
             io=None,

@@ -2,10 +2,11 @@
 
 Each kernel is compared against the per-record loop it replaced, kept here
 as a reference: :func:`partition_into` against ``partition_of`` plus one
-``AppendBuffer`` per partition, :func:`probe_block` against a nested loop
-over the hash table, and the hash aggregation's generated ``fold_block``
-and ``finish`` against the aggregates' ``initial``/``step``/``final``.  Records carry their load position in
-attribute 1, so records with equal keys are distinguishable.
+list per partition, :func:`probe_block` against a nested loop over the
+hash table, and the hash aggregation's generated ``fold_block`` and
+``finish`` against the aggregates' ``initial``/``step``/``final``.
+Records carry their load position in attribute 1, so records with equal
+keys are distinguishable.
 """
 
 import re
@@ -27,11 +28,7 @@ from repro.joins.common import (
     split_blocks,
 )
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import (
-    AppendBuffer,
-    CollectionStatus,
-    PersistentCollection,
-)
+from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 
 from tests.conftest import build_collection
@@ -70,23 +67,13 @@ class RecordingTarget:
 
 
 def reference_partition(records, num_partitions, skipped):
-    """The per-record loop: ``partition_of`` into one AppendBuffer each."""
-    outputs = [
-        PersistentCollection(name=f"ref-{index}", status=CollectionStatus.MEMORY)
-        for index in range(num_partitions)
-    ]
-    buffers = [
-        None if index in skipped else AppendBuffer(output)
-        for index, output in enumerate(outputs)
-    ]
+    """The per-record loop: ``partition_of`` into one list each."""
+    outputs = [[] for _ in range(num_partitions)]
     for record in records:
-        target = buffers[partition_of(KEY(record), num_partitions)]
-        if target is not None:
-            target.append(record)
-    for buffer in buffers:
-        if buffer is not None:
-            buffer.seal()
-    return [output.records for output in outputs]
+        partition = partition_of(KEY(record), num_partitions)
+        if partition not in skipped:
+            outputs[partition].append(record)
+    return outputs
 
 
 key_lists = st.lists(st.integers(min_value=0, max_value=400), max_size=3000)

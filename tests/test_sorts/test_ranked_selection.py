@@ -71,8 +71,7 @@ class ReferenceLazySort(LazySort):
     Like the operator, it scans a deferred input declared empty once.
     """
 
-    def _execute(self, collection):
-        output = self._make_output(collection.name)
+    def _execute(self, output, collection):
         total_records = collection.estimated_records
         if total_records == 0 and not collection.is_deferred:
             output.seal()

@@ -200,25 +200,6 @@ class TestConfiguration:
 class TestWorkspaceRegistration:
     """Sorts register their DRAM workspace against the bufferpool."""
 
-    def test_workspace_reserved_during_run_and_released_after(
-        self, backend, small_sort_input, sort_budget
-    ):
-        from repro.storage.bufferpool import Bufferpool
-
-        pool = Bufferpool(sort_budget)
-        algorithm = ExternalMergeSort(backend, sort_budget, bufferpool=pool)
-        observed = []
-        original = algorithm._execute
-
-        def spying_execute(collection):
-            observed.append(pool.reserved_bytes)
-            return original(collection)
-
-        algorithm._execute = spying_execute
-        algorithm.sort(small_sort_input)
-        assert observed == [sort_budget.nbytes]
-        assert pool.reserved_bytes == 0
-
     def test_exhausted_shared_pool_rejects_the_sort(
         self, backend, small_sort_input, sort_budget
     ):

@@ -24,7 +24,6 @@ from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.storage.collection import (
     DEFAULT_CHARGE_BATCH_BLOCKS,
-    AppendBuffer,
     CollectionStatus,
     PersistentCollection,
 )
@@ -352,15 +351,29 @@ def test_extend_empty_is_noop_even_when_sealed(backend):
     assert len(collection.records) == 5
 
 
-def test_append_buffer_flushes_and_seals(backend):
-    collection = _materialized(backend)
-    buffer = AppendBuffer(collection, batch_records=8)
-    for record in _records(21):
-        buffer.append(record)
-    assert len(collection.records) == 16  # two full batches flushed
-    buffer.seal()
-    assert len(collection.records) == 21
-    assert collection.is_sealed
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
+@settings(max_examples=50, deadline=None)
+@given(
+    num_records=st.integers(min_value=0, max_value=300),
+    cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=20),
+)
+def test_extend_is_cut_invariant(backend_name, num_records, cuts):
+    """A stream cut into ``extend`` calls, empty ones included, charges
+    and stores what one ``extend`` of it does."""
+    records = _records(num_records)
+    whole = make_backend(backend_name, PersistentMemoryDevice())
+    cut = make_backend(backend_name, PersistentMemoryDevice())
+    collection = _materialized(whole)
+    collection.extend(records)
+    collection.seal()
+    pieces = _materialized(cut)
+    bounds = [0, *sorted(min(point, num_records) for point in cuts), num_records]
+    for start, stop in zip(bounds, bounds[1:]):
+        pieces.extend(records[start:stop])
+    pieces.seal()
+    assert pieces.records == collection.records
+    assert cut.device.snapshot() == whole.device.snapshot()
+    assert _store_state(cut, "col") == _store_state(whole, "col")
 
 
 def test_memory_collection_extend_and_scan_blocks_charge_nothing(backend):

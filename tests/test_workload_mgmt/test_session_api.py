@@ -7,7 +7,6 @@ import pytest
 from repro import MemoryBudget, Query, Session, ShardSet
 from repro.exceptions import AdmissionRejectedError, ConfigurationError
 from repro.query import CostBasedPlanner
-from repro.storage.bufferpool import Bufferpool
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import QueryStatus
@@ -51,18 +50,6 @@ class TestContextManager:
         assert session.bufferpool.holders() == {}
         with pytest.raises(ConfigurationError, match="closed"):
             session.bufferpool.reserve(1, owner="anyone")
-
-    def test_close_leaves_an_injected_pool_alone(self, backend):
-        budget = MemoryBudget.from_records(50)
-        pool = Bufferpool(budget)
-        pool.reserve(1_000, owner="caller-workspace")
-        session = Session(backend, budget, bufferpool=pool)
-        session.close()
-        # The caller's pool keeps its reservations and stays usable.
-        assert pool.holders() == {"caller-workspace": 1_000}
-        pool.reserve(100, owner="still-open")
-        pool.release("still-open")
-        pool.release("caller-workspace")
 
     def test_close_waits_for_inflight_queries(self, backend):
         collection = make_sort_input(1500, backend)
@@ -130,10 +117,9 @@ class TestQueryShim:
 
     def test_query_sheds_instead_of_waiting(self, backend):
         budget = MemoryBudget.from_records(100)
-        pool = Bufferpool(budget)
-        pool.reserve(budget.nbytes - 100, owner="external-user")
         collection = make_sort_input(100, backend)
-        session = Session(backend, budget, bufferpool=pool)
+        session = Session(backend, budget)
+        session.bufferpool.reserve(budget.nbytes - 100, owner="external-user")
         with pytest.raises(AdmissionRejectedError):
             session.query(Query.scan(collection).order_by())
 
