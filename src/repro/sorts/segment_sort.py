@@ -74,7 +74,8 @@ class SegmentSort(SortAlgorithm):
         )
 
         # Write-incurring segment: replacement-selection run generation.
-        if boundary > 0 or mergesort_only:
+        mergesort_scans = int(boundary > 0 or mergesort_only)
+        if mergesort_scans:
             generate_runs_replacement_selection(
                 collection.scan(0, None if mergesort_only else boundary),
                 runset,
@@ -142,7 +143,7 @@ class SegmentSort(SortAlgorithm):
             io=None,
             runs_generated=len(runset),
             merge_passes=merge_passes,
-            input_scans=1 + selection_scans,
+            input_scans=mergesort_scans + selection_scans,
             details={"write_intensity": intensity, "boundary": boundary},
         )
 

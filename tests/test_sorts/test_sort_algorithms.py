@@ -3,6 +3,8 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.pmem.backends import BACKEND_REGISTRY, make_backend
+from repro.pmem.device import PersistentMemoryDevice
 from repro.sorts import (
     SORT_REGISTRY,
     ExternalMergeSort,
@@ -13,6 +15,7 @@ from repro.sorts import (
 )
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.workloads.generator import make_sort_input
 
 from tests.conftest import build_collection
 
@@ -129,6 +132,23 @@ class TestResultMetadata:
         )
         assert result.details["write_intensity"] == pytest.approx(0.4)
         assert result.details["boundary"] == int(round(len(small_sort_input) * 0.4))
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
+    def test_segment_sort_at_zero_intensity_is_selection_sort(self, backend_name):
+        """With no mergesort segment SegS reads only its selection passes."""
+        results = []
+        for algorithm_class, kwargs in (
+            (SegmentSort, {"write_intensity": 0.0}),
+            (SelectionSort, {}),
+        ):
+            backend = make_backend(backend_name, PersistentMemoryDevice())
+            collection = make_sort_input(300, backend, name="sort-input")
+            budget = MemoryBudget.from_records(24)
+            results.append(algorithm_class(backend, budget, **kwargs).sort(collection))
+        segment, selection = results
+        assert segment.io == selection.io
+        assert segment.input_scans == selection.input_scans == 13
+        assert segment.output.records == selection.output.records
 
     def test_lazy_sort_records_materializations(self, backend, small_sort_input):
         budget = MemoryBudget.fraction_of(small_sort_input, 0.03)
