@@ -60,7 +60,6 @@ class ExternalMergeSort(SortAlgorithm):
             backend=self.backend,
             schema=self.schema,
             key=self.key_fn,
-            materialize_output=self.materialize_output,
         )
         return SortResult(
             output=output,

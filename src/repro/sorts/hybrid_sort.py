@@ -92,7 +92,6 @@ class HybridSort(SortAlgorithm):
             backend=self.backend,
             schema=self.schema,
             key=self.key_fn,
-            materialize_output=self.materialize_output,
         )
         return SortResult(
             output=output,

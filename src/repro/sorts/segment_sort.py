@@ -94,7 +94,6 @@ class SegmentSort(SortAlgorithm):
                 backend=self.backend,
                 schema=self.schema,
                 key=self.key_fn,
-                materialize_output=self.materialize_output,
             )
         else:
             # The selection segment is produced lazily in sorted order and

@@ -93,16 +93,13 @@ def merge_runs(
     backend: PersistenceBackend,
     schema: Schema = WISCONSIN_SCHEMA,
     key: Callable[[tuple], int] | None = None,
-    materialize_output: bool = True,
 ) -> int:
     """Merge sorted runs into ``output`` with at most ``fan_in`` inputs per pass.
 
     Intermediate passes write temporary runs through ``backend`` (and read
     them back), so the I/O profile matches the paper's ``logM |T|`` merge
-    passes.  The final pass streams into ``output``; when
-    ``materialize_output`` is false the output collection is expected to be
-    an in-memory one (pipelined to a consumer) and no writes are charged by
-    construction.
+    passes.  The final pass streams into ``output`` and seals it; an
+    in-memory output (pipelined to a consumer) charges no writes.
 
     Returns:
         The number of merge passes performed (0 when a single empty or
@@ -139,6 +136,5 @@ def merge_runs(
         output.extend(current[0].scan())
     else:
         output.extend(merge_streams([run.scan() for run in current], key_fn))
-    if materialize_output:
-        output.seal()
+    output.seal()
     return passes

@@ -50,10 +50,13 @@ def inputs_for(label, backend):
     return (make_sort_input(120, backend, name="run-input"),)
 
 
+@pytest.mark.parametrize("materialize", [True, False], ids=["materialized", "memory"])
 @pytest.mark.parametrize("label", sorted(ALGORITHMS))
-def test_workspace_reserved_while_executing_and_released_after(label, backend):
+def test_workspace_reserved_while_executing_and_released_after(
+    label, materialize, backend
+):
     pool = Bufferpool(BUDGET)
-    algorithm = build(label, backend, pool)
+    algorithm = build(label, backend, pool, materialize_output=materialize)
     original = algorithm._execute
     observed = []
 
@@ -66,6 +69,7 @@ def test_workspace_reserved_while_executing_and_released_after(label, backend):
     assert observed == [BUDGET.nbytes]
     assert pool.reserved_bytes == 0
     assert result.output.is_sealed
+    assert result.output.is_materialized is materialize
     assert isinstance(result.io, IOSnapshot)
 
 

@@ -121,12 +121,11 @@ class TestMergeRuns:
             name="pipelined", status=CollectionStatus.MEMORY
         )
         before = device.snapshot()
-        merge_runs(
-            runset.runs, output, fan_in=8, backend=backend, materialize_output=False
-        )
+        merge_runs(runset.runs, output, fan_in=8, backend=backend)
         delta = device.snapshot() - before
         assert delta.cacheline_writes == 0
         assert delta.cacheline_reads > 0
+        assert output.is_sealed
 
     def test_intermediate_passes_charge_writes(self, device, backend):
         runset = RunSet(backend)
@@ -137,9 +136,7 @@ class TestMergeRuns:
             name="intermediate", status=CollectionStatus.MEMORY
         )
         before = device.snapshot()
-        merge_runs(
-            runset.runs, output, fan_in=2, backend=backend, materialize_output=False
-        )
+        merge_runs(runset.runs, output, fan_in=2, backend=backend)
         delta = device.snapshot() - before
         # With fan-in 2 and 6 runs there is at least one intermediate level
         # that is written and read back.
