@@ -16,7 +16,10 @@ Acceptance (asserted in both the script and pytest modes):
   deterministically -- two runs shed exactly the same queries;
 * the workload report carries a positive queue-wait for the queries that
   had to wait, and the workload critical path (busiest device over the
-  run) never exceeds the serial sum of per-query run times.
+  run) never exceeds the serial sum of per-query run times;
+* after the ``queue`` and after the ``shed`` workloads every shard
+  device's ``allocated_bytes`` is back at its post-load value: every query
+  drops the stores it created.
 
 Runs standalone (``python benchmarks/bench_multi_query.py [--smoke]``)
 or under pytest-benchmark like the figure benchmarks.
@@ -137,11 +140,20 @@ def run_suite(smoke: bool = False) -> dict:
         budget_bytes = BUDGET_BYTES
         setup = build_setup(SORT_RECORDS, JOIN_LEFT, JOIN_RIGHT, PLAIN_RECORDS)
     shard_set, *inputs = setup
+    loaded = [device.allocated_bytes for device in shard_set.devices]
     share_bytes = budget_bytes // MAX_CONCURRENT
     queries = [
         dict(item, memory_bytes=share_bytes) for item in build_queries(*inputs)
     ]
     failures: list[str] = []
+
+    def check_allocation(policy: str) -> None:
+        allocated = [device.allocated_bytes for device in shard_set.devices]
+        if allocated != loaded:
+            failures.append(
+                f"{policy} workload left device allocation at {allocated} "
+                f"bytes, post-load {loaded}"
+            )
 
     # ----------------------------------------------------------------- #
     # Queue policy: everything completes, records match serial runs.
@@ -184,6 +196,7 @@ def run_suite(smoke: bool = False) -> dict:
                     f"{item['tag']}: concurrent records differ from serial"
                 )
         calibration = session.calibration_report()
+    check_allocation("queue")
 
     # ----------------------------------------------------------------- #
     # Shed policy: the overflow is rejected, deterministically.
@@ -195,6 +208,7 @@ def run_suite(smoke: bool = False) -> dict:
         ) as session:
             shed = session.run_workload(queries, policy="shed")
             shed_runs.append(shed)
+        check_allocation("shed")
     for index, shed in enumerate(shed_runs):
         if len(shed.completed) != MAX_CONCURRENT:
             failures.append(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -32,7 +33,7 @@ from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.sorts.segment_sort import SegmentSort
 from repro.storage.algorithm import Algorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
@@ -201,10 +202,11 @@ class HashAggregation(_AggregationBase):
             table: dict = {}
             targets = [
                 _Spill(
-                    name=f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
-                    backend=self.backend,
-                    schema=self.schema,
-                    status=CollectionStatus.MATERIALIZED,
+                    partial(
+                        self._scratch_collection,
+                        f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
+                        self.schema,
+                    )
                 )
                 for index in range(self.SPILL_PARTITIONS)
             ]
@@ -251,13 +253,14 @@ def _fold_blocks(
 
 
 class _Spill:
-    """A hash-aggregation spill partition, created on its first flush."""
+    """A hash-aggregation spill partition, created by ``create()`` on its
+    first flush."""
 
-    def __init__(self, **collection_args) -> None:
-        self.collection_args = collection_args
+    def __init__(self, create: Callable[[], PersistentCollection]) -> None:
+        self.create = create
         self.collection: PersistentCollection | None = None
 
     def extend(self, records: list[tuple]) -> None:
         if self.collection is None:
-            self.collection = PersistentCollection(**self.collection_args)
+            self.collection = self.create()
         self.collection.extend(records)

@@ -133,11 +133,10 @@ def join_algorithm_suite(
 def run_sort(factory, collection, backend, budget, label: str = "") -> dict:
     """Run one sort and flatten its outcome into a result row.
 
-    Every store the sort leaves behind (its output and any runs) is
-    dropped once the row is recorded, so the next point of a sweep starts
-    from the same backend state and repeats exactly.
+    The sort drops its own runs; its output's store is dropped once the
+    row is recorded, so the next point of a sweep starts from the same
+    backend state and repeats exactly.
     """
-    before = set(backend.stores())
     algorithm = factory(backend, budget)
     result = algorithm.sort(collection)
     row = {
@@ -155,9 +154,7 @@ def run_sort(factory, collection, backend, budget, label: str = "") -> dict:
         "sorted": result.output.is_sorted(),
         "output_records": len(result.output.records),
     }
-    for store_id in backend.stores():
-        if store_id not in before:
-            backend.drop_store(store_id)
+    result.output.drop()
     return row
 
 

@@ -27,7 +27,7 @@ from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOResult, IOSnapshot
 from repro.storage.algorithm import Algorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _join_output_counter = itertools.count()
@@ -122,8 +122,9 @@ class JoinAlgorithm(Algorithm):
     ) -> list[list[PersistentCollection | None]]:
         """Hash-partition both inputs onto persistent memory.
 
-        Returns the left and the right partitions, written from the first
-        ``stops`` records of each input through :func:`partition_into`.
+        Returns the left and the right partitions, scratch stores of the
+        run, written from the first ``stops`` records of each input through
+        :func:`partition_into`.
         Only the first ``materialized`` partition indexes are written
         (segmented Grace join materializes only some); the others are
         ``None`` and their records are skipped.
@@ -133,12 +134,7 @@ class JoinAlgorithm(Algorithm):
             (left, right), (self.left_key, self.right_key), "LR", stops
         ):
             partitions = [
-                PersistentCollection(
-                    name=f"{prefix}-{side}-p{index}",
-                    backend=self.backend,
-                    schema=source.schema,
-                    status=CollectionStatus.MATERIALIZED,
-                )
+                self._scratch_collection(f"{prefix}-{side}-p{index}", source.schema)
                 if materialized is None or index < materialized
                 else None
                 for index in range(num_partitions)

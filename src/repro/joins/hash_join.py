@@ -14,7 +14,7 @@ import itertools
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
 from repro.joins.common import build_hash_table, probe_block, split_blocks
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 
 class SimpleHashJoin(JoinAlgorithm):
@@ -51,12 +51,10 @@ class SimpleHashJoin(JoinAlgorithm):
                 materializations += 1
                 lazy_iterations = 0
                 spills = tuple(
-                    PersistentCollection(
-                        name=f"{output.name}-{self.short_name.lower()}"
+                    self._scratch_collection(
+                        f"{output.name}-{self.short_name.lower()}"
                         f"-{side}{materializations}",
-                        backend=self.backend,
-                        schema=schema,
-                        status=CollectionStatus.MATERIALIZED,
+                        schema,
                     )
                     for side, schema in (
                         ("L", self.left_schema),

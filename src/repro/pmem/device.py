@@ -18,6 +18,7 @@ invariant ``elapsed == transfer + overhead``.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -105,6 +106,9 @@ class PersistentMemoryDevice:
         self.geometry = geometry or DeviceGeometry()
         self._counters = IOCounters()
         self._allocated_bytes = 0
+        # A query's coordinator drops its stores while the device's worker
+        # may be allocating for another query: the one cross-thread write.
+        self._allocation_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Accounting primitives used by the persistence backends.  Each charges
@@ -167,18 +171,20 @@ class PersistentMemoryDevice:
         if nbytes < 0:
             raise ConfigurationError("allocation size must be non-negative")
         capacity = self.geometry.capacity_bytes
-        if capacity is not None and self._allocated_bytes + nbytes > capacity:
-            raise ConfigurationError(
-                f"device capacity exceeded: {self._allocated_bytes + nbytes} "
-                f"> {capacity} bytes"
-            )
-        self._allocated_bytes += nbytes
+        with self._allocation_lock:
+            if capacity is not None and self._allocated_bytes + nbytes > capacity:
+                raise ConfigurationError(
+                    f"device capacity exceeded: {self._allocated_bytes + nbytes} "
+                    f"> {capacity} bytes"
+                )
+            self._allocated_bytes += nbytes
 
     def release(self, nbytes: int) -> None:
         """Return previously allocated capacity to the device."""
         if nbytes < 0:
             raise ConfigurationError("release size must be non-negative")
-        self._allocated_bytes = max(0, self._allocated_bytes - nbytes)
+        with self._allocation_lock:
+            self._allocated_bytes = max(0, self._allocated_bytes - nbytes)
 
     @property
     def allocated_bytes(self) -> int:

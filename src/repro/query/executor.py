@@ -34,6 +34,12 @@ them, and a forced ``boundary_policy="pipeline"`` deliberately bypasses
 that gate.  The device I/O of every node is snapshotted individually:
 :meth:`FragmentResult.explain` shows estimated vs. actual cacheline I/O
 and elapsed device nanoseconds per node.
+
+Every store the executor creates -- each materialized sink, the root's
+included, and every collection its runtime context declares -- is adopted
+by the :class:`~repro.storage.collection.StoreOwner` it is handed: the
+query's, which drops them when the query ends.  Without one, the
+execution owns them itself and keeps only the root's output.
 """
 
 from __future__ import annotations
@@ -47,7 +53,11 @@ from repro.query.logical import Scan
 from repro.query.physical import BoundaryKind, build_operator
 from repro.query.planner import CostBasedPlanner, PhysicalPlan, PlannedNode
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    CollectionStatus,
+    PersistentCollection,
+    StoreOwner,
+)
 
 _output_counter = itertools.count()
 _context_counter = itertools.count()
@@ -98,10 +108,12 @@ class FragmentResult:
 
 
 class _ExecutionState:
-    """Per-execution scratch: node actuals plus the lazy runtime context."""
+    """Per-execution scratch: node actuals, the lazy runtime context and
+    the owner of the stores both create."""
 
-    def __init__(self, backend: PersistenceBackend) -> None:
+    def __init__(self, backend: PersistenceBackend, owner: StoreOwner) -> None:
         self.backend = backend
+        self.owner = owner
         self.executions: dict = {}
         self.context = None
 
@@ -111,7 +123,9 @@ class _ExecutionState:
             from repro.runtime.context import OperatorContext
 
             self.context = OperatorContext(
-                self.backend, name_prefix=f"query-ctx-{next(_context_counter)}"
+                self.backend,
+                name_prefix=f"query-ctx-{next(_context_counter)}",
+                owner=self.owner,
             )
         return self.context
 
@@ -126,6 +140,9 @@ class QueryExecutor:
             handed an unplanned logical query.
         bufferpool: shared pool every operator registers its workspace
             with; a fresh pool over ``budget`` when omitted.
+        owner: adopts every store an execution creates (the query's
+            owner); when omitted, each execution drops its stores when it
+            ends, all but its root output's.
     """
 
     def __init__(
@@ -133,10 +150,12 @@ class QueryExecutor:
         backend: PersistenceBackend,
         budget: MemoryBudget,
         bufferpool: Bufferpool | None = None,
+        owner: StoreOwner | None = None,
     ) -> None:
         self.backend = backend
         self.budget = budget
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+        self.owner = owner
 
     def execute(self, query) -> FragmentResult:
         """Plan (when needed) and run a fragment, collecting per-node I/O."""
@@ -145,9 +164,17 @@ class QueryExecutor:
         else:
             plan = CostBasedPlanner(self.backend, self.budget).plan(query)
         device = self.backend.device
-        state = _ExecutionState(self.backend)
+        owner = self.owner if self.owner is not None else StoreOwner()
+        state = _ExecutionState(self.backend, owner)
         before = device.snapshot()
-        root_execution = self._execute_node(plan.root, state)
+        try:
+            root_execution = self._execute_node(plan.root, state)
+        except BaseException:
+            if self.owner is None:
+                owner.release()
+            raise
+        if self.owner is None:
+            owner.release(keep=[root_execution.output])
         total = device.snapshot() - before
         self._backfill_deferred(state)
         return FragmentResult(
@@ -174,7 +201,7 @@ class QueryExecutor:
             context_factory=state.context_factory,
         )
         operator.open()
-        output = self._settle(node, operator)
+        output = self._settle(node, operator, state)
         operator.close()
         io = device.snapshot() - before
         execution = NodeExecution(
@@ -187,7 +214,9 @@ class QueryExecutor:
         state.executions[id(node)] = execution
         return execution
 
-    def _settle(self, node: PlannedNode, operator) -> PersistentCollection:
+    def _settle(
+        self, node: PlannedNode, operator, state: _ExecutionState
+    ) -> PersistentCollection:
         """Realize the operator's output per the node's boundary decision."""
         if isinstance(node.logical, Scan):
             return operator.output
@@ -202,7 +231,7 @@ class QueryExecutor:
             and operator.output.is_memory
         ):
             return operator.output
-        sink = self._sink(node)
+        sink = state.owner.adopt(self._sink(node))
         for block in operator.blocks():
             sink.extend(block)
         sink.seal()

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -48,6 +49,8 @@ from typing import Iterator, Optional
 from repro.exceptions import ConfigurationError
 from repro.query.logical import Filter, GroupBy, Join, OrderBy, Project, Scan
 from repro.storage.collection import PersistentCollection
+
+_deferred_names = itertools.count()
 
 
 class BoundaryKind(enum.Enum):
@@ -289,7 +292,9 @@ class DeferredFilterOperator(PhysicalOperator):
                 "DEFER boundaries are only supported on Filter edges; "
                 f"got {type(logical).__name__}"
             )
-        name = self.context.create_name(prefix="deferred-filter")
+        # Named process-wide: a materialized deferral is a store of its
+        # query, dropped when the query ends, so no two queries share one.
+        name = f"deferred-filter-{next(_deferred_names)}"
         output = self.context.declare(
             name=name,
             schema=self.node.schema,

@@ -44,6 +44,7 @@ from repro.storage.collection import (
     DEFAULT_CHARGE_BATCH_BLOCKS,
     CollectionStatus,
     PersistentCollection,
+    StoreOwner,
 )
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
@@ -62,8 +63,12 @@ class OperatorContext:
         schema: Schema = WISCONSIN_SCHEMA,
         rules: RuleEngine | None = None,
         name_prefix: str = "ctx",
+        owner: StoreOwner | None = None,
     ) -> None:
         self.backend = backend
+        #: Adopts every collection the context declares, so the stores of
+        #: those it materializes are dropped with its owner's work.
+        self.owner = owner
         self.schema = schema
         self.rules = rules or RuleEngine()
         self.graph = ControlFlowGraph()
@@ -100,6 +105,8 @@ class OperatorContext:
             status=status,
             context=self,
         )
+        if self.owner is not None:
+            self.owner.adopt(collection)
         return self.register(collection, expected_records=expected_records)
 
     def register(

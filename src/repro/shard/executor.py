@@ -34,6 +34,13 @@ with a device snapshot delta taken where it runs -- a task-local
 measurement is exact under co-scheduling, where a coordinator-side
 snapshot around a step would absorb interleaved work from other queries.
 
+A query owns every store it creates: its fragments' sinks, its runtime
+contexts' materializations and its exchange destinations are adopted by
+one :class:`~repro.storage.collection.StoreOwner` and dropped when the
+query ends, on success or failure; only a result the plan materialized
+on the device stays.  The drops run on the coordinator, which is why the
+device guards its allocation counter.
+
 The bufferpool handed to the executor is treated as externally owned
 (typically a per-query share carved by the admission controller): the
 executor carves per-shard child shares from it and closes only those,
@@ -67,7 +74,11 @@ from repro.shard.planner import (
     ShardedPlanner,
 )
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    CollectionStatus,
+    PersistentCollection,
+    StoreOwner,
+)
 from repro.storage.runs import merge_streams
 
 if TYPE_CHECKING:
@@ -194,18 +205,22 @@ class ShardedQueryExecutor:
             return pool.map_shards(fn, workers)
 
         shares: list[Bufferpool] = []
+        stores = StoreOwner()
+        result = None
         try:
-            if inline:
-                # Nothing to split: the one fragment runs under the pool.
-                return self._run(plan, [self.bufferpool], run_tasks)
-            for index in range(plan.num_shards):
-                shares.append(
-                    self.bufferpool.share(
-                        nbytes=plan.shard_budget.nbytes, owner=f"shard{index}"
+            if not inline:
+                for index in range(plan.num_shards):
+                    shares.append(
+                        self.bufferpool.share(
+                            nbytes=plan.shard_budget.nbytes, owner=f"shard{index}"
+                        )
                     )
-                )
-            return self._run(plan, shares, run_tasks)
+            # One shard has nothing to split: its fragment runs under the pool.
+            result = self._run(plan, shares or [self.bufferpool], run_tasks, stores)
+            return result
         finally:
+            # The query's stores go when it ends; only its result stays.
+            stores.release(keep=[result.output] if result is not None else ())
             for share in shares:
                 share.close()
             if owns_pool:
@@ -214,7 +229,7 @@ class ShardedQueryExecutor:
     # ------------------------------------------------------------------ #
     # Step execution.
     # ------------------------------------------------------------------ #
-    def _run(self, plan, shares, run_tasks) -> QueryResult:
+    def _run(self, plan, shares, run_tasks, stores: StoreOwner) -> QueryResult:
         num_shards = plan.num_shards
         fragment_outputs: dict[int, list[PersistentCollection]] = {}
         fragment_results: dict[int, list[FragmentResult]] = {}
@@ -224,7 +239,7 @@ class ShardedQueryExecutor:
         critical_cachelines = 0.0
         for step in plan.steps:
             if isinstance(step, FragmentStep):
-                results = self._run_fragments(step, plan, shares, run_tasks)
+                results = self._run_fragments(step, plan, shares, run_tasks, stores)
                 fragment_outputs[step.index] = [r.output for r in results]
                 fragment_results[step.index] = results
                 # A fragment's io is the device delta taken around its run
@@ -237,7 +252,7 @@ class ShardedQueryExecutor:
                 )
             elif isinstance(step, ExchangeStep):
                 moved, deltas, phase_ns, phase_cachelines = self._run_exchange(
-                    step, fragment_outputs, plan.shard_set.devices, run_tasks
+                    step, fragment_outputs, plan.shard_set.devices, run_tasks, stores
                 )
                 exchange_records[step.index] = moved
                 critical_ns += phase_ns
@@ -249,7 +264,6 @@ class ShardedQueryExecutor:
             sum_snapshots(step_io[step.index][shard] for step in plan.steps)
             for shard in range(num_shards)
         ]
-        self._release_exchange_stores(plan)
         output = self._merge(plan, fragment_outputs[plan.final_step_index])
         return QueryResult(
             plan=plan,
@@ -264,20 +278,21 @@ class ShardedQueryExecutor:
         )
 
     def _run_fragments(
-        self, step: FragmentStep, plan, shares, run_tasks
+        self, step: FragmentStep, plan, shares, run_tasks, stores
     ) -> list[FragmentResult]:
         def run_fragment(index: int) -> FragmentResult:
             executor = QueryExecutor(
                 plan.shard_set.backends[index],
                 plan.shard_budget,
                 bufferpool=shares[index],
+                owner=stores,
             )
             return executor.execute(step.fragments[index])
 
         return run_tasks(run_fragment)
 
     def _run_exchange(
-        self, step: ExchangeStep, fragment_outputs, devices, run_tasks
+        self, step: ExchangeStep, fragment_outputs, devices, run_tasks, stores
     ) -> tuple[int, list[IOSnapshot], float, float]:
         """Run the two exchange phases; returns (records moved, per-shard
         deltas, critical ns, critical cachelines).
@@ -328,10 +343,11 @@ class ShardedQueryExecutor:
         def write_destination(dest_index: int):
             device = devices[dest_index]
             before = device.snapshot()
-            dest = step.dests[dest_index]
+            dest = stores.adopt(step.dests[dest_index])
             dest.clear()
             # Destinations are planned in the MEMORY state; (re)attach the
             # backend store now so the writes charge this shard's device.
+            # The query drops it again when it ends.
             dest.backend.ensure_store(dest.name)
             dest.mark_materialized()
             moved = 0
@@ -351,24 +367,6 @@ class ShardedQueryExecutor:
             delta.total_cachelines for delta in read_deltas
         ) + max(delta.total_cachelines for delta in write_deltas)
         return moved, deltas, phase_ns, phase_cachelines
-
-    @staticmethod
-    def _release_exchange_stores(plan) -> None:
-        """Return the exchange destinations' device allocation.
-
-        The repartitioned intermediates have been consumed by their
-        fragments; dropping the backend stores (releasing capacity, no
-        I/O charge) keeps a long-lived shard set from accumulating
-        allocation across queries.  The collection objects keep their
-        records for inspection, and a re-execution of the same plan
-        re-materializes the stores in the write phase.
-        """
-        for step in plan.steps:
-            if not isinstance(step, ExchangeStep):
-                continue
-            for dest in step.dests:
-                if dest.backend.has_store(dest.name):
-                    dest.backend.drop_store(dest.name)
 
     # ------------------------------------------------------------------ #
     # Result merge.

@@ -45,7 +45,10 @@ class ExternalMergeSort(SortAlgorithm):
         self, output: PersistentCollection, collection: PersistentCollection
     ) -> SortResult:
         runset = RunSet(
-            self.backend, schema=self.schema, prefix=f"{collection.name}-exms"
+            self.backend,
+            schema=self.schema,
+            prefix=f"{collection.name}-exms",
+            owner=self.scratch,
         )
         generate_runs_replacement_selection(
             collection.scan(),
@@ -60,6 +63,7 @@ class ExternalMergeSort(SortAlgorithm):
             backend=self.backend,
             schema=self.schema,
             key=self.key_fn,
+            owner=self.scratch,
         )
         return SortResult(
             output=output,

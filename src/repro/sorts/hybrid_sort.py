@@ -64,7 +64,10 @@ class HybridSort(SortAlgorithm):
     ) -> SortResult:
         selection_capacity, replacement_capacity = self._region_capacities()
         runset = RunSet(
-            self.backend, schema=self.schema, prefix=f"{collection.name}-hybs"
+            self.backend,
+            schema=self.schema,
+            prefix=f"{collection.name}-hybs",
+            owner=self.scratch,
         )
         # Every record Rs displaces (an evicted former maximum or the
         # incoming record itself) flows, in order, through Rr.  Algorithm 1,
@@ -92,6 +95,7 @@ class HybridSort(SortAlgorithm):
             backend=self.backend,
             schema=self.schema,
             key=self.key_fn,
+            owner=self.scratch,
         )
         return SortResult(
             output=output,

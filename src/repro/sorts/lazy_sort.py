@@ -22,7 +22,7 @@ sort materializes it on the first pass that leaves more than M records.
 A deferred input's length is unknown until a scan of it ends, so the
 first pass, which sees every record, counts it; only that pass's
 materialization decision reads the estimate.  Intermediates are scratch
-stores, dropped once replaced and when the sort ends.
+stores of the run, dropped once replaced and when the run ends.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
 from repro.sorts.heaps import ranked_passes, select_smallest
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import PersistentCollection
 
 
 class LazySort(SortAlgorithm):
@@ -55,92 +55,81 @@ class LazySort(SortAlgorithm):
         # The ranked passes over the current source, once one is served.
         passes = None
 
-        # Intermediates are scratch stores: each is dropped once the next
-        # replaces it as the source, and the last when the sort ends,
-        # whether it succeeds or fails.  Dropping charges no I/O.
-        intermediate = None
-        try:
-            while total_records is None or emitted < total_records:
-                # Until then the first pass decides by the estimate.
-                remaining = (
-                    collection.estimated_records
-                    if total_records is None
-                    else total_records - emitted
-                )
-                materialization_iteration = max(
-                    1,
-                    cost.lazy_sort_materialization_iteration(
-                        max(source.num_buffers, 1.0),
-                        max(self.memory_buffers, 2.0),
-                        lam,
+        while total_records is None or emitted < total_records:
+            # Until then the first pass decides by the estimate.
+            remaining = (
+                collection.estimated_records
+                if total_records is None
+                else total_records - emitted
+            )
+            materialization_iteration = max(
+                1,
+                cost.lazy_sort_materialization_iteration(
+                    max(source.num_buffers, 1.0),
+                    max(self.memory_buffers, 2.0),
+                    lam,
+                ),
+            )
+            # Materializing is pointless when the current pass will
+            # finish the job anyway; the cost model's floor() would
+            # suggest it for tiny remainders, so guard explicitly.
+            materialize = (
+                iteration >= materialization_iteration
+                and remaining > self.workspace_records
+            )
+            if materialize or source.is_deferred:
+                # A displaced record is not among the current M minimums
+                # but is still pending: when materializing, it belongs
+                # to the intermediate input, in the order it was
+                # displaced.  The first pass over a deferred input
+                # keeps it to count the input.
+                spill: list[tuple] = []
+                batch, threshold = select_smallest(
+                    source.scan(),
+                    self.workspace_records,
+                    self.key_fn,
+                    after=threshold,
+                    displaced=(
+                        spill.append
+                        if materialize or total_records is None
+                        else None
                     ),
                 )
-                # Materializing is pointless when the current pass will
-                # finish the job anyway; the cost model's floor() would
-                # suggest it for tiny remainders, so guard explicitly.
-                materialize = (
-                    iteration >= materialization_iteration
-                    and remaining > self.workspace_records
-                )
-                if materialize or source.is_deferred:
-                    # A displaced record is not among the current M minimums
-                    # but is still pending: when materializing, it belongs
-                    # to the intermediate input, in the order it was
-                    # displaced.  The first pass over a deferred input
-                    # keeps it to count the input.
-                    spill: list[tuple] = []
-                    batch, threshold = select_smallest(
-                        source.scan(),
-                        self.workspace_records,
-                        self.key_fn,
-                        after=threshold,
-                        displaced=(
-                            spill.append
-                            if materialize or total_records is None
-                            else None
-                        ),
-                    )
-                    if total_records is None:
-                        total_records = len(batch) + len(spill)
-                    # An over-declared deferred input may leave nothing
-                    # to materialize.
-                    materialize = materialize and bool(spill)
-                    if materialize:
-                        intermediates += 1
-                        intermediate = PersistentCollection(
-                            name=f"{collection.name}-las-intermediate-{intermediates}",
-                            backend=self.backend,
-                            schema=self.schema,
-                            status=CollectionStatus.MATERIALIZED,
-                        )
-                        intermediate.extend(spill)
-                else:
-                    if passes is None:
-                        passes = ranked_passes(
-                            source, self.workspace_records, self.key_fn
-                        )
-                    batch, threshold = next(passes)
-                scans += 1
-                output.extend(batch)
-                emitted += len(batch)
-                if not batch:
-                    break
-
+                if total_records is None:
+                    total_records = len(batch) + len(spill)
+                # An over-declared deferred input may leave nothing
+                # to materialize.
+                materialize = materialize and bool(spill)
                 if materialize:
-                    intermediate.seal()
-                    materialization_points.append(emitted)
-                    if source is not collection:
-                        source.drop()
-                    source = intermediate
-                    threshold = None
-                    passes = None
-                    iteration = 1
-                else:
-                    iteration += 1
-        finally:
-            for scratch in (source, intermediate):
-                if scratch is not None and scratch is not collection:
-                    scratch.drop()
+                    intermediates += 1
+                    intermediate = self._scratch_collection(
+                        f"{collection.name}-las-intermediate-{intermediates}",
+                        self.schema,
+                    )
+                    intermediate.extend(spill)
+            else:
+                if passes is None:
+                    passes = ranked_passes(source, self.workspace_records, self.key_fn)
+                batch, threshold = next(passes)
+            scans += 1
+            output.extend(batch)
+            emitted += len(batch)
+            if not batch:
+                break
+
+            if materialize:
+                intermediate.seal()
+                materialization_points.append(emitted)
+                # A replaced intermediate is dropped now, not when the run
+                # ends.  Dropping charges no I/O.
+                if source is not collection:
+                    source.drop()
+                source = intermediate
+                threshold = None
+                passes = None
+                iteration = 1
+            else:
+                iteration += 1
 
         output.seal()
         return SortResult(

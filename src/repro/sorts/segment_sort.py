@@ -70,7 +70,10 @@ class SegmentSort(SortAlgorithm):
         # the input to its end, not to the boundary.
         mergesort_only = boundary >= total_records
         runset = RunSet(
-            self.backend, schema=self.schema, prefix=f"{collection.name}-segs"
+            self.backend,
+            schema=self.schema,
+            prefix=f"{collection.name}-segs",
+            owner=self.scratch,
         )
 
         # Write-incurring segment: replacement-selection run generation.
@@ -94,6 +97,7 @@ class SegmentSort(SortAlgorithm):
                 backend=self.backend,
                 schema=self.schema,
                 key=self.key_fn,
+                owner=self.scratch,
             )
         else:
             # The selection segment is produced lazily in sorted order and
@@ -118,6 +122,7 @@ class SegmentSort(SortAlgorithm):
                     self.backend,
                     schema=self.schema,
                     prefix=f"{collection.name}-segs-reduced",
+                    owner=self.scratch,
                 )
                 reduced_output = reduced.new_run()
                 merge_passes += merge_runs(
@@ -127,6 +132,7 @@ class SegmentSort(SortAlgorithm):
                     backend=self.backend,
                     schema=self.schema,
                     key=self.key_fn,
+                    owner=self.scratch,
                 )
                 runs = [reduced_output]
             streams = [run.scan() for run in runs]

@@ -7,6 +7,12 @@ budget as the run's workspace, creates the output, answers a settled empty
 input with the sealed empty output, and sets the result's device I/O
 delta.  Subclasses implement :meth:`Algorithm._execute`, which extends the
 output it is handed and seals it.
+
+A run owns its scratch: every run, partition, spill and intermediate it
+writes is adopted by :attr:`Algorithm.scratch` where it is created (most
+through :meth:`Algorithm._scratch_collection`), and dropped when the run
+ends, whether it succeeds or fails; the output is dropped too when
+``_execute`` raises.
 """
 
 from __future__ import annotations
@@ -15,7 +21,11 @@ import abc
 
 from repro.pmem.backends.base import PersistenceBackend
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    CollectionStatus,
+    PersistentCollection,
+    StoreOwner,
+)
 
 
 class Algorithm(abc.ABC):
@@ -55,6 +65,8 @@ class Algorithm(abc.ABC):
         self.budget = budget
         self.materialize_output = materialize_output
         self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+        #: The scratch stores of the current run.
+        self.scratch = StoreOwner()
 
     def _run(self, *inputs: PersistentCollection):
         """Run the algorithm over ``inputs`` and return its result."""
@@ -77,13 +89,30 @@ class Algorithm(abc.ABC):
                 output.seal()
                 result = self.result_type(output=output, io=None)
             else:
-                result = self._execute(output, *inputs)
+                try:
+                    result = self._execute(output, *inputs)
+                except BaseException:
+                    self.scratch.adopt(output)
+                    raise
+                finally:
+                    self.scratch.release()
         result.io = device.snapshot() - before
         return result
 
     @abc.abstractmethod
     def _execute(self, output: PersistentCollection, *inputs: PersistentCollection):
         """Extend and seal ``output``; :meth:`_run` handles the rest."""
+
+    def _scratch_collection(self, name: str, schema) -> PersistentCollection:
+        """A materialized scratch collection owned by the current run."""
+        return self.scratch.adopt(
+            PersistentCollection(
+                name=name,
+                backend=self.backend,
+                schema=schema,
+                status=CollectionStatus.MATERIALIZED,
+            )
+        )
 
     @abc.abstractmethod
     def _output_name(self, *input_names: str) -> str:

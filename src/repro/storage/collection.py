@@ -376,3 +376,37 @@ class PersistentCollection:
             f"PersistentCollection(name={self.name!r}, status={self._status.value}, "
             f"records={len(self._records)})"
         )
+
+
+class StoreOwner:
+    """The backend stores of one unit of work, dropped together when it ends.
+
+    A run or a query registers each collection it creates with
+    :meth:`adopt`, where it creates it, and calls :meth:`release` when it
+    ends, on success and on failure.  Release drops the store of every
+    adopted collection still on its backend (a collection adopted while
+    DEFERRED may never have got one) through ``backend.drop_store``: the
+    collection objects keep their records for inspection, and since no
+    backend charges a drop, only the device's allocation moves.
+    """
+
+    def __init__(self) -> None:
+        self._collections: list[PersistentCollection] = []
+
+    def adopt(self, collection: PersistentCollection) -> PersistentCollection:
+        """Own ``collection``'s store from now on; returns the collection."""
+        self._collections.append(collection)
+        return collection
+
+    def release(self, keep: Iterable[PersistentCollection] = ()) -> None:
+        """Drop every adopted store except those of the ``keep`` collections."""
+        kept = set(map(id, keep))
+        collections, self._collections = self._collections, []
+        for collection in collections:
+            backend = collection.backend
+            if (
+                id(collection) not in kept
+                and backend is not None
+                and backend.has_store(collection.name)
+            ):
+                backend.drop_store(collection.name)

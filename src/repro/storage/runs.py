@@ -4,7 +4,9 @@ External sorting algorithms produce *runs*: sorted persistent collections
 that a merge phase later combines.  :class:`RunSet` manages the run
 collections for one sort, and :func:`merge_runs` performs the (possibly
 multi-pass) k-way merge, charging every intermediate read and write to the
-backend like the paper's merging phase does.
+backend like the paper's merging phase does.  Both hand the runs they
+write to the :class:`~repro.storage.collection.StoreOwner` of the sort's
+run, which drops them when it ends.
 """
 
 from __future__ import annotations
@@ -14,22 +16,31 @@ from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    CollectionStatus,
+    PersistentCollection,
+    StoreOwner,
+)
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
 class RunSet:
-    """A named family of sorted run collections sharing one backend."""
+    """A named family of sorted run collections sharing one backend.
+
+    Each new run is adopted by ``owner``, when one is given.
+    """
 
     def __init__(
         self,
         backend: PersistenceBackend,
         schema: Schema = WISCONSIN_SCHEMA,
         prefix: str = "run",
+        owner: StoreOwner | None = None,
     ) -> None:
         self.backend = backend
         self.schema = schema
         self.prefix = prefix
+        self.owner = owner
         self._counter = itertools.count()
         self.runs: list[PersistentCollection] = []
 
@@ -41,6 +52,8 @@ class RunSet:
             schema=self.schema,
             status=CollectionStatus.MATERIALIZED,
         )
+        if self.owner is not None:
+            self.owner.adopt(run)
         self.runs.append(run)
         return run
 
@@ -93,13 +106,15 @@ def merge_runs(
     backend: PersistenceBackend,
     schema: Schema = WISCONSIN_SCHEMA,
     key: Callable[[tuple], int] | None = None,
+    owner: StoreOwner | None = None,
 ) -> int:
     """Merge sorted runs into ``output`` with at most ``fan_in`` inputs per pass.
 
     Intermediate passes write temporary runs through ``backend`` (and read
     them back), so the I/O profile matches the paper's ``logM |T|`` merge
-    passes.  The final pass streams into ``output`` and seals it; an
-    in-memory output (pipelined to a consumer) charges no writes.
+    passes; ``owner`` adopts them.  The final pass streams into ``output``
+    and seals it; an in-memory output (pipelined to a consumer) charges no
+    writes.
 
     Returns:
         The number of merge passes performed (0 when a single empty or
@@ -114,7 +129,9 @@ def merge_runs(
         return 0
     passes = 0
     current = list(runs)
-    scratch = RunSet(backend, schema=schema, prefix=f"{output.name}-merge")
+    scratch = RunSet(
+        backend, schema=schema, prefix=f"{output.name}-merge", owner=owner
+    )
     while len(current) > fan_in:
         passes += 1
         next_level: list[PersistentCollection] = []

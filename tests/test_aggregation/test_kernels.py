@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from functools import partial
 from operator import itemgetter
 
 import pytest
@@ -28,10 +29,11 @@ from repro.aggregation.functions import AGGREGATE_REGISTRY
 from repro.aggregation.operators import AggregationResult, _Spill
 from repro.joins.common import partition_into
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
+from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.sorts import SORT_REGISTRY
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema
 
 from tests.conftest import build_collection
@@ -132,10 +134,11 @@ class ReferenceHashAggregation(HashAggregation):
 
             targets = [
                 _Spill(
-                    name=f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
-                    backend=self.backend,
-                    schema=self.schema,
-                    status=CollectionStatus.MATERIALIZED,
+                    partial(
+                        self._scratch_collection,
+                        f"{collection.name}-hashagg-spill-{depth}-{label}-{index}",
+                        self.schema,
+                    )
                 )
                 for index in range(self.SPILL_PARTITIONS)
             ]
@@ -296,7 +299,17 @@ class TestDifferential:
         )
         assert result.groups == 0
 
-    def test_spills_deeper_than_one_level(self):
+    def test_spills_deeper_than_one_level(self, monkeypatch):
+        created = []
+        create_store = PersistenceBackend.create_store
+
+        def spy(backend, store_id):
+            created.append(store_id)
+            return create_store(backend, store_id)
+
+        # Spills are scratch, dropped when the run ends: read the depths
+        # from the stores the run created.
+        monkeypatch.setattr(PersistenceBackend, "create_store", spy)
         rows = [(key % 300, key, -key, 1) for key in range(1200)]
         result = assert_matches_reference(
             HashAggregation, rows, 64, aggregates={"count": 0, "sum": 1, "min": 2}
@@ -305,7 +318,7 @@ class TestDifferential:
         assert result.spills > HashAggregation.SPILL_PARTITIONS
         depths = {
             int(name.split("-hashagg-spill-")[1].split("-")[0])
-            for name in result.output.backend.stores()
+            for name in created
             if "-hashagg-spill-" in name
         }
         # Spill partitions written by a pass over a spill partition.

@@ -1,5 +1,8 @@
 """Tests for the simulated persistent-memory device."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +156,34 @@ class TestCapacity:
     def test_release_never_goes_negative(self, device):
         device.release(10_000)
         assert device.allocated_bytes == 0
+
+    def test_concurrent_allocate_and_release_lose_no_update(self, device):
+        # A query's coordinator drops stores while the device's worker
+        # allocates for another query; a lost update would leave bytes.
+        rounds, pairs = 20_000, 2
+        device.allocate(rounds * pairs)
+        start = threading.Barrier(2 * pairs)
+
+        def churn(step):
+            start.wait()
+            for _ in range(rounds):
+                step(1)
+
+        workers = [
+            threading.Thread(target=churn, args=(step,))
+            for step in (device.allocate, device.release) * pairs
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert device.allocated_bytes == rounds * pairs
 
     def test_custom_latency_model(self):
         device = PersistentMemoryDevice(latency=LatencyModel(read_ns=20, write_ns=40))

@@ -8,8 +8,9 @@ backends -- to every join (as the build side, so NLJ and HybJ cut sliced
 replays mid-source), every sort (selection passes over a slice), both
 spilling aggregations and the runtime API's segmented Grace join operator
 at a lambda that keeps its partitions deferred and one that promotes them.
-It compares the device's ``IOSnapshot.as_dict()`` delta, every store's
-stats, the replay bookkeeping (``reconstruction_count`` and
+It compares the device's ``IOSnapshot.as_dict()`` delta, the stats of every
+store the case created (a scratch store's as of its drop), the replay
+bookkeeping (``reconstruction_count`` and
 ``last_reconstructed_records``) and a digest of the output order against
 the committed ``golden_io/deferred.json``.  Regenerate with::
 
@@ -158,8 +159,23 @@ def digest(records):
     return hashlib.sha256(repr(list(records)).encode()).hexdigest()[:16]
 
 
-def store_stats(backend):
-    """Every store's stats in creation order, run counters normalised away."""
+def created_stores(backend):
+    """The stats of every store ``backend`` creates from now on, in creation
+    order; a store the run drops keeps the stats it had when dropped."""
+    created = []
+    create_store = backend.create_store
+
+    def spy(store_id):
+        stats = create_store(store_id)
+        created.append(stats)
+        return stats
+
+    backend.create_store = spy
+    return created
+
+
+def store_stats(created):
+    """Each created store's stats, run counters normalised away."""
     return [
         [
             re.sub(r"\d+", "#", stats.name),
@@ -170,7 +186,7 @@ def store_stats(backend):
             stats.truncate_calls,
             stats.extra,
         ]
-        for stats in map(backend.store_stats, backend.stores())
+        for stats in created
     ]
 
 
@@ -180,6 +196,7 @@ def run_case(backend_name, root_kind, selectivity, consumer):
         latency=LatencyModel(read_ns=10.0, write_ns=write_ns)
     )
     backend = make_backend(backend_name, device)
+    created = created_stores(backend)
     rules = CostRules() if consumer in RUNTIME_LAMBDAS else None
     context, deferred = deferred_input(backend, root_kind, selectivity, rules)
     right = probe_side(backend)
@@ -217,7 +234,7 @@ def run_case(backend_name, root_kind, selectivity, consumer):
     }
     return {
         "io": (device.snapshot() - before).as_dict(),
-        "stores": store_stats(backend),
+        "stores": store_stats(created),
         "replays": replays,
         "details": details,
         "output_digest": digest(output.records),

@@ -2,8 +2,10 @@
 
 :meth:`repro.storage.algorithm.Algorithm._run` reserves the whole budget
 in the algorithm's bufferpool while ``_execute`` runs and releases it
-afterwards, also when ``_execute`` raises; and it answers a settled empty
-input with a sealed empty output without calling ``_execute`` at all.
+afterwards, also when ``_execute`` raises; it answers a settled empty
+input with a sealed empty output without calling ``_execute`` at all; and
+it owns the run's scratch stores, dropping them when the run ends -- the
+output's too when the run fails.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 
 from repro.aggregation import HashAggregation, SortedAggregation
 from repro.joins import JOIN_REGISTRY, JoinAlgorithm
+from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOSnapshot
 from repro.sorts import SORT_REGISTRY, SortAlgorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
@@ -125,3 +128,69 @@ def test_settled_empty_input_returns_a_sealed_empty_output(
     assert output.schema == algorithm.output_schema
     assert algorithm.bufferpool.reserved_bytes == 0
     assert isinstance(result.io, IOSnapshot)
+
+
+class KernelFailure(RuntimeError):
+    """Raised into a run by :func:`spy_stores`."""
+
+
+def spy_stores(monkeypatch, inputs, fail_after=None):
+    """Record the stores a run creates (its output first).  With
+    ``fail_after``, its first write to a store other than its inputs' raises
+    once it has created more than ``fail_after`` stores."""
+    input_names = {collection.name for collection in inputs}
+    created = []
+    create_store = PersistenceBackend.create_store
+    append_bulk = PersistenceBackend.append_bulk
+
+    def spy_create(backend, store_id):
+        created.append(store_id)
+        return create_store(backend, store_id)
+
+    def spy_append(backend, store_id, chunk_bytes, count=1):
+        if (
+            fail_after is not None
+            and len(created) > fail_after
+            and store_id not in input_names
+        ):
+            raise KernelFailure(f"write to {store_id!r} failed")
+        return append_bulk(backend, store_id, chunk_bytes, count)
+
+    monkeypatch.setattr(PersistenceBackend, "create_store", spy_create)
+    monkeypatch.setattr(PersistenceBackend, "append_bulk", spy_append)
+    return created
+
+
+#: The read-only baselines write no scratch: only their output.
+NO_SCRATCH = {"NLJ", "SelS"}
+
+
+@pytest.mark.parametrize("label", sorted(ALGORITHMS))
+def test_run_drops_its_scratch_and_keeps_its_output(label, backend, monkeypatch):
+    inputs = inputs_for(label, backend)
+    stores = backend.stores()
+    allocated = backend.device.allocated_bytes
+    created = spy_stores(monkeypatch, inputs)
+    result = run(build(label, backend), inputs)
+    assert (len(created) > 1) is (label not in NO_SCRATCH)
+    assert backend.stores() == [*stores, result.output.name]
+    output_bytes = backend.physical_bytes(result.output.name)
+    assert backend.device.allocated_bytes == allocated + output_bytes
+    # Dropping a store keeps the collection's records.
+    assert result.output.records
+
+
+@pytest.mark.parametrize("label", sorted(ALGORITHMS))
+def test_failed_run_drops_its_scratch_and_its_output(label, backend, monkeypatch):
+    inputs = inputs_for(label, backend)
+    stores = backend.stores()
+    allocated = backend.device.allocated_bytes
+    # Fail once the first scratch store exists, or on the output's first
+    # write when the run has no scratch.
+    fail_after = 0 if label in NO_SCRATCH else 1
+    created = spy_stores(monkeypatch, inputs, fail_after=fail_after)
+    with pytest.raises(KernelFailure):
+        run(build(label, backend), inputs)
+    assert len(created) > fail_after
+    assert backend.stores() == stores
+    assert backend.device.allocated_bytes == allocated

@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
+from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
+from repro.shard.executor import ShardedQueryExecutor
+from repro.storage.algorithm import Algorithm
 from repro.storage.collection import (
     DEFAULT_CHARGE_BATCH_BLOCKS,
     CollectionStatus,
@@ -306,14 +309,18 @@ def test_scan_blocks_charge_batches_match_model(
 
 
 def test_no_consumer_abandons_a_scan(monkeypatch, capsys):
-    """Every scan in the golden workloads runs to exhaustion.
+    """Every scan in the golden workloads runs to exhaustion, and every
+    store a run or a query creates is gone when it ends but its result's.
 
     A materialized charge batch is paid when it is handed out, and a
     deferred scan's replay charges whole root blocks as it derives and the
     root's tail only at its end, so a consumer that abandoned either scan
     would pay something other than the replay contract.  Spy on every scan
     the sort, join, aggregation and deferred-input golden cases and the
-    golden CLI queries start, and prove none stops early.
+    golden CLI queries start, and prove none stops early.  In the same
+    pass, spy on the stores created while an algorithm or a query runs,
+    and prove that when each case returns only the results' remain: a
+    case's inputs are created outside any run.
     """
     original = PersistentCollection.scan_blocks
     scans = []
@@ -327,15 +334,58 @@ def test_no_consumer_abandons_a_scan(monkeypatch, capsys):
         yield from original(self, start, stop)
         scan["exhausted"] = True
 
+    running = 0
+    created = []
+    results = []
+    create_store = PersistenceBackend.create_store
+
+    def spy_create(backend, store_id):
+        if running:
+            created.append((backend, store_id))
+        return create_store(backend, store_id)
+
+    def owner(run):
+        def spy_run(self, *args, **kwargs):
+            nonlocal running
+            running += 1
+            try:
+                result = run(self, *args, **kwargs)
+            finally:
+                running -= 1
+            results.append(result.output)
+            return result
+
+        return spy_run
+
+    def leftover_stores():
+        kept = {(id(output.backend), output.name) for output in results}
+        leftover = [
+            store_id
+            for backend, store_id in created
+            if backend.has_store(store_id) and (id(backend), store_id) not in kept
+        ]
+        created.clear()
+        results.clear()
+        return leftover
+
     monkeypatch.setattr(PersistentCollection, "scan_blocks", spy)
+    monkeypatch.setattr(PersistenceBackend, "create_store", spy_create)
+    monkeypatch.setattr(Algorithm, "_run", owner(Algorithm._run))
+    monkeypatch.setattr(
+        ShardedQueryExecutor, "execute", owner(ShardedQueryExecutor.execute)
+    )
     for case in SORT_CASES:
         run_sort_case(*case)
+        assert leftover_stores() == [], case
     for case in JOIN_CASES:
         run_join_case(*case)
+        assert leftover_stores() == [], case
     for case in DEFERRED_CASES:
         run_deferred_case(*case)
+        assert leftover_stores() == [], case
     for args in CLI_CASES.values():
         assert cli_main(args) == 0
+        assert leftover_stores() == [], args
     capsys.readouterr()
     deferred = [scan for scan in scans if scan["deferred"]]
     assert len(scans) - len(deferred) > 100

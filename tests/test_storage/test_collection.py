@@ -3,7 +3,11 @@
 import pytest
 
 from repro.exceptions import CollectionStateError, ConfigurationError
-from repro.storage.collection import CollectionStatus, PersistentCollection
+from repro.storage.collection import (
+    CollectionStatus,
+    PersistentCollection,
+    StoreOwner,
+)
 from repro.storage.schema import WISCONSIN_SCHEMA
 
 from tests.conftest import build_collection
@@ -167,3 +171,33 @@ class TestIOCharging:
         collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         collection.seal()
         assert device.counters.cacheline_writes > 0
+
+
+class TestStoreOwner:
+    def test_release_drops_adopted_stores_but_keeps_records(self, backend):
+        owner = StoreOwner()
+        scratch = owner.adopt(build_collection(backend, range(40), name="scratch"))
+        kept = owner.adopt(build_collection(backend, range(10), name="kept"))
+        build_collection(backend, range(5), name="input")
+        snapshot = backend.device.snapshot()
+        owner.release(keep=[kept])
+        assert backend.stores() == ["kept", "input"]
+        assert backend.device.allocated_bytes == (
+            backend.physical_bytes("kept") + backend.physical_bytes("input")
+        )
+        # A drop charges nothing, and the collection keeps its records.
+        assert backend.device.snapshot() == snapshot
+        assert len(scratch.records) == 40
+
+    def test_release_skips_stores_already_gone_and_never_made(self, backend):
+        owner = StoreOwner()
+        dropped = owner.adopt(build_collection(backend, range(3), name="dropped"))
+        dropped.drop()
+        owner.adopt(
+            PersistentCollection(
+                name="deferred", backend=backend, status=CollectionStatus.DEFERRED
+            )
+        )
+        owner.release()
+        owner.release()
+        assert backend.stores() == []
