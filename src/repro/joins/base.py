@@ -11,7 +11,6 @@ callers control which side is built against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -29,8 +28,6 @@ from repro.storage.algorithm import Algorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
-
-_join_output_counter = itertools.count()
 
 
 @dataclass
@@ -97,10 +94,7 @@ class JoinAlgorithm(Algorithm):
         return self._run(left, right)
 
     def _output_name(self, left_name: str, right_name: str) -> str:
-        return (
-            f"{left_name}-join-{right_name}-{self.short_name.lower()}"
-            f"-{next(_join_output_counter)}"
-        )
+        return f"{left_name}-join-{right_name}-{self.short_name.lower()}"
 
     def num_partitions_for(self, records: int) -> int:
         """Partition count so each hash table over ``records`` fits in DRAM.

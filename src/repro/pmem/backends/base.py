@@ -1,11 +1,17 @@
 """Common interface for the persistence-layer backends.
 
-A backend manages named *stores*.  A store is the physical representation
-of one persistent collection: the backend decides how appended bytes map
+A backend manages *stores*.  A store is the physical representation of
+one persistent collection: the backend decides how appended bytes map
 onto device writes (block-granular, doubling arrays, ...), and what
 software overhead each operation carries.  The backend never sees record
 payloads -- only byte counts -- because all pricing in the paper is in
 cachelines.
+
+A store's identity is the :class:`StoreStats` handle
+:meth:`PersistenceBackend.create_store` returns; every other store
+operation takes that handle.  Its label is for display only, so two
+stores may share one.  A backend rejects a handle it does not hold (one
+it dropped, or another backend's).
 
 The data path is one shape: :meth:`PersistenceBackend.append_bulk` /
 :meth:`PersistenceBackend.read_bulk` charge ``count`` identical transfers
@@ -27,11 +33,15 @@ from repro.exceptions import ConfigurationError, UnknownCollectionError
 from repro.pmem.device import PersistentMemoryDevice
 
 
-@dataclass
+@dataclass(eq=False)
 class StoreStats:
-    """Per-store bookkeeping kept by every backend."""
+    """Per-store bookkeeping kept by every backend, and the store's handle.
 
-    name: str
+    Handles compare and hash by identity: two stores are the same store
+    only if they are the same object, whatever their labels.
+    """
+
+    label: str
     logical_bytes: int = 0
     physical_bytes: int = 0
     append_calls: int = 0
@@ -53,46 +63,32 @@ class PersistenceBackend(ABC):
 
     def __init__(self, device: PersistentMemoryDevice) -> None:
         self.device = device
-        self._stores: dict[str, StoreStats] = {}
+        #: The live stores' handles, in creation order (a dict as an ordered set).
+        self._stores: dict[StoreStats, None] = {}
 
     # ------------------------------------------------------------------ #
     # Store lifecycle.
     # ------------------------------------------------------------------ #
-    def create_store(self, store_id: str) -> StoreStats:
-        """Create an empty store; creating an existing store is an error."""
-        if store_id in self._stores:
-            raise ConfigurationError(f"store {store_id!r} already exists")
-        stats = StoreStats(name=store_id)
-        self._stores[store_id] = stats
+    def create_store(self, label: str) -> StoreStats:
+        """Create an empty store labelled ``label``; returns its handle."""
+        stats = StoreStats(label=label)
+        self._stores[stats] = None
         self._on_create(stats)
         return stats
 
-    def ensure_store(self, store_id: str) -> StoreStats:
-        """Return the store, creating it if it does not exist yet."""
-        if store_id in self._stores:
-            return self._stores[store_id]
-        return self.create_store(store_id)
-
-    def drop_store(self, store_id: str) -> None:
+    def drop_store(self, store: StoreStats) -> None:
         """Remove a store and release its device allocation."""
-        stats = self._require(store_id)
-        self.device.release(stats.physical_bytes)
-        self._on_drop(stats)
-        del self._stores[store_id]
+        self.device.release(self._require(store).physical_bytes)
+        del self._stores[store]
 
-    def has_store(self, store_id: str) -> bool:
-        return store_id in self._stores
-
-    def store_stats(self, store_id: str) -> StoreStats:
-        return self._require(store_id)
-
-    def stores(self) -> list[str]:
+    def stores(self) -> list[StoreStats]:
+        """The handles of the live stores, in creation order."""
         return list(self._stores)
 
     # ------------------------------------------------------------------ #
     # Data-path operations: the cost policy lives in the subclasses.
     # ------------------------------------------------------------------ #
-    def append_bulk(self, store_id: str, chunk_bytes: int, count: int = 1) -> None:
+    def append_bulk(self, store: StoreStats, chunk_bytes: int, count: int = 1) -> None:
         """Append ``count`` chunks of ``chunk_bytes`` each, charging device writes.
 
         Cost-equivalent to ``count`` sequential single-chunk appends.
@@ -101,13 +97,13 @@ class PersistenceBackend(ABC):
             raise ConfigurationError("append size must be non-negative")
         if count < 0:
             raise ConfigurationError("append count must be non-negative")
-        stats = self._require(store_id)
+        stats = self._require(store)
         if count and chunk_bytes:
             self._charge_append(stats, chunk_bytes, count)
         stats.logical_bytes += chunk_bytes * count
         stats.append_calls += count
 
-    def read_bulk(self, store_id: str, chunk_bytes: int, count: int = 1) -> None:
+    def read_bulk(self, store: StoreStats, chunk_bytes: int, count: int = 1) -> None:
         """Read ``count`` chunks of ``chunk_bytes`` each, charging device reads.
 
         Cost-equivalent to ``count`` sequential single-chunk reads.
@@ -116,29 +112,19 @@ class PersistenceBackend(ABC):
             raise ConfigurationError("read size must be non-negative")
         if count < 0:
             raise ConfigurationError("read count must be non-negative")
-        stats = self._require(store_id)
+        stats = self._require(store)
         if count and chunk_bytes:
             self._charge_read(stats, chunk_bytes, count)
         stats.read_calls += count
 
-    def truncate(self, store_id: str) -> None:
+    def truncate(self, store: StoreStats) -> None:
         """Discard the store's contents (cheap: metadata only)."""
-        stats = self._require(store_id)
+        stats = self._require(store)
         self.device.release(stats.physical_bytes)
         self._on_truncate(stats)
         stats.logical_bytes = 0
         stats.physical_bytes = 0
         stats.truncate_calls += 1
-
-    def logical_bytes(self, store_id: str) -> int:
-        return self._require(store_id).logical_bytes
-
-    def physical_bytes(self, store_id: str) -> int:
-        return self._require(store_id).physical_bytes
-
-    @property
-    def total_physical_bytes(self) -> int:
-        return sum(stats.physical_bytes for stats in self._stores.values())
 
     # ------------------------------------------------------------------ #
     # Hooks for subclasses.
@@ -159,22 +145,19 @@ class PersistenceBackend(ABC):
     def _on_create(self, stats: StoreStats) -> None:
         """Optional subclass hook run when a store is created."""
 
-    def _on_drop(self, stats: StoreStats) -> None:
-        """Optional subclass hook run when a store is dropped."""
-
     def _on_truncate(self, stats: StoreStats) -> None:
         """Optional subclass hook run when a store is truncated."""
 
     # ------------------------------------------------------------------ #
     # Internal helpers.
     # ------------------------------------------------------------------ #
-    def _require(self, store_id: str) -> StoreStats:
-        try:
-            return self._stores[store_id]
-        except KeyError:
+    def _require(self, store: StoreStats) -> StoreStats:
+        if store not in self._stores:
             raise UnknownCollectionError(
-                f"backend {self.name!r} has no store named {store_id!r}"
-            ) from None
+                f"backend {self.name!r} does not hold store {store.label!r}: it "
+                "was dropped, or belongs to another backend"
+            )
+        return store
 
     def _grow_physical(self, stats: StoreStats, nbytes: int) -> None:
         """Record ``nbytes`` of additional physical allocation."""

@@ -105,10 +105,10 @@ class DynamicArrayBackend(PersistenceBackend):
         # recycles vectors between runs.
         self._grow_physical(stats, self.initial_capacity_bytes)
 
-    def expansions(self, store_id: str) -> int:
+    def expansions(self, store: StoreStats) -> int:
         """Number of capacity doublings the store has gone through."""
-        return self.store_stats(store_id).extra.get("expansions", 0)
+        return self._require(store).extra.get("expansions", 0)
 
-    def copied_bytes(self, store_id: str) -> int:
+    def copied_bytes(self, store: StoreStats) -> int:
         """Total payload bytes rewritten because of expansions."""
-        return self.store_stats(store_id).extra.get("copied_bytes", 0)
+        return self._require(store).extra.get("copied_bytes", 0)

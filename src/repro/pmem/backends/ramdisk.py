@@ -77,10 +77,10 @@ class RamDiskBackend(PersistenceBackend):
             + (physical - chunk_bytes) * count
         )
 
-    def padded_write_bytes(self, store_id: str) -> int:
+    def padded_write_bytes(self, store: StoreStats) -> int:
         """Bytes written purely because of block rounding."""
-        return self.store_stats(store_id).extra.get("padded_write_bytes", 0)
+        return self._require(store).extra.get("padded_write_bytes", 0)
 
-    def padded_read_bytes(self, store_id: str) -> int:
+    def padded_read_bytes(self, store: StoreStats) -> int:
         """Bytes read purely because of block rounding."""
-        return self.store_stats(store_id).extra.get("padded_read_bytes", 0)
+        return self._require(store).extra.get("padded_read_bytes", 0)

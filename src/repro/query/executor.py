@@ -59,9 +59,6 @@ from repro.storage.collection import (
     StoreOwner,
 )
 
-_output_counter = itertools.count()
-_context_counter = itertools.count()
-
 
 @dataclass
 class NodeExecution:
@@ -116,6 +113,9 @@ class _ExecutionState:
         self.owner = owner
         self.executions: dict = {}
         self.context = None
+        #: Ordinals of the execution's sinks; a deferred filter over a sink
+        #: registers it in the context, which keys collections by name.
+        self.sink_ordinals = itertools.count()
 
     def context_factory(self):
         """The execution's shared OperatorContext, created on first use."""
@@ -124,7 +124,7 @@ class _ExecutionState:
 
             self.context = OperatorContext(
                 self.backend,
-                name_prefix=f"query-ctx-{next(_context_counter)}",
+                name_prefix="query-ctx",
                 owner=self.owner,
             )
         return self.context
@@ -173,10 +173,10 @@ class QueryExecutor:
             if self.owner is None:
                 owner.release()
             raise
-        if self.owner is None:
-            owner.release(keep=[root_execution.output])
         total = device.snapshot() - before
         self._backfill_deferred(state)
+        if self.owner is None:
+            owner.release(keep=[root_execution.output])
         return FragmentResult(
             plan=plan,
             output=root_execution.output,
@@ -231,14 +231,14 @@ class QueryExecutor:
             and operator.output.is_memory
         ):
             return operator.output
-        sink = state.owner.adopt(self._sink(node))
+        sink = state.owner.adopt(self._sink(node, next(state.sink_ordinals)))
         for block in operator.blocks():
             sink.extend(block)
         sink.seal()
         return sink
 
-    def _sink(self, node: PlannedNode) -> PersistentCollection:
-        name = f"query-{node.operator.lower()}-{next(_output_counter)}"
+    def _sink(self, node: PlannedNode, ordinal: int) -> PersistentCollection:
+        name = f"query-{node.operator.lower()}-{ordinal}"
         if node.materialized:
             return PersistentCollection(
                 name=name,

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import abc
 import enum
-import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -49,8 +48,6 @@ from typing import Iterator, Optional
 from repro.exceptions import ConfigurationError
 from repro.query.logical import Filter, GroupBy, Join, OrderBy, Project, Scan
 from repro.storage.collection import PersistentCollection
-
-_deferred_names = itertools.count()
 
 
 class BoundaryKind(enum.Enum):
@@ -292,9 +289,7 @@ class DeferredFilterOperator(PhysicalOperator):
                 "DEFER boundaries are only supported on Filter edges; "
                 f"got {type(logical).__name__}"
             )
-        # Named process-wide: a materialized deferral is a store of its
-        # query, dropped when the query ends, so no two queries share one.
-        name = f"deferred-filter-{next(_deferred_names)}"
+        name = self.context.create_name("deferred-filter")
         output = self.context.declare(
             name=name,
             schema=self.node.schema,

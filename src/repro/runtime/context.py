@@ -87,7 +87,7 @@ class OperatorContext:
     # Collection management.
     # ------------------------------------------------------------------ #
     def create_name(self, prefix: str | None = None) -> str:
-        """A unique collection identifier (the paper's ``create_name()``)."""
+        """A name unique within this context (the paper's ``create_name()``)."""
         return f"{prefix or self._name_prefix}-{next(self._names)}"
 
     def declare(
@@ -132,6 +132,15 @@ class OperatorContext:
             self._produced.add(collection.name)
         return collection
 
+    def ensure_registered(self, collection: PersistentCollection) -> None:
+        """Register ``collection`` unless it already is.
+
+        By identity: another collection under its name makes ``register``
+        raise, rather than silently standing in for it.
+        """
+        if self._collections.get(collection.name) is not collection:
+            self.register(collection)
+
     def collection(self, name: str) -> PersistentCollection:
         try:
             return self._collections[name]
@@ -160,7 +169,7 @@ class OperatorContext:
         high: PersistentCollection | None = None,
     ) -> tuple[PersistentCollection, PersistentCollection]:
         """``split(T, n, Tl, Th)``: record a split of ``source`` at ``position``."""
-        self._ensure_registered(source)
+        self.ensure_registered(source)
         remainder = max(0, self.estimated_cardinality(source.name) - position)
         if low is None:
             low = self.declare(expected_records=position)
@@ -181,7 +190,7 @@ class OperatorContext:
         expected_sizes: list[int] | None = None,
     ) -> list[PersistentCollection]:
         """``partition(T, h(), k, <Ti>, <si>)``: record a hash partitioning."""
-        self._ensure_registered(source)
+        self.ensure_registered(source)
         if outputs is None:
             outputs = [self.declare() for _ in range(num_partitions)]
         if len(outputs) != num_partitions:
@@ -189,7 +198,7 @@ class OperatorContext:
                 "partition needs exactly one output collection per partition"
             )
         for output in outputs:
-            self._ensure_registered(output)
+            self.ensure_registered(output)
         descriptor = PartitionCall(
             partition_fn=partition_fn,
             num_partitions=num_partitions,
@@ -213,12 +222,12 @@ class OperatorContext:
         output: PersistentCollection | None = None,
     ) -> PersistentCollection:
         """``filter(T, p(), f, Tp)``: record a filtering of ``source``."""
-        self._ensure_registered(source)
+        self.ensure_registered(source)
         descriptor = FilterCall(predicate=predicate, selectivity=selectivity)
         expected = descriptor.expected_size(self.estimated_cardinality(source.name))
         if output is None:
             output = self.declare(expected_records=expected)
-        self._ensure_registered(output)
+        self.ensure_registered(output)
         self.graph.add_call(descriptor, (source.name,), (output.name,))
         self._expected_records.setdefault(output.name, expected)
         return output
@@ -236,9 +245,9 @@ class OperatorContext:
         functor that opens its inputs, triggering assessment and
         production), so unlike the other primitives it runs eagerly.
         """
-        self._ensure_registered(left)
-        self._ensure_registered(right)
-        self._ensure_registered(output)
+        self.ensure_registered(left)
+        self.ensure_registered(right)
+        self.ensure_registered(output)
         descriptor = MergeCall(merge_fn=merge_fn)
         self.graph.add_call(descriptor, (left.name, right.name), ())
         merge_fn(left, right, output)
@@ -390,10 +399,6 @@ class OperatorContext:
     # ------------------------------------------------------------------ #
     # Internal helpers.
     # ------------------------------------------------------------------ #
-    def _ensure_registered(self, collection: PersistentCollection) -> None:
-        if collection.name not in self._collections:
-            self.register(collection)
-
     def _chain(self, name: str) -> tuple[PersistentCollection, list[Step]]:
         """The root of ``name``'s replay and the steps from it down to ``name``.
 

@@ -88,8 +88,7 @@ class SegmentedGraceJoinOperator(Operator):
     def evaluate(self) -> PersistentCollection:
         context = self.context
         for collection in (self.left, self.right):
-            if collection.name not in [c.name for c in context.collections()]:
-                context.register(collection)
+            context.ensure_registered(collection)
 
         output = PersistentCollection(
             name=context.create_name("sgj-output"),

@@ -57,7 +57,6 @@ one-shard plan.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -83,8 +82,6 @@ from repro.storage.runs import merge_streams
 
 if TYPE_CHECKING:
     from repro.workload_mgmt.workers import DeviceWorkerPool
-
-_result_counter = itertools.count()
 
 
 @dataclass
@@ -344,11 +341,9 @@ class ShardedQueryExecutor:
             device = devices[dest_index]
             before = device.snapshot()
             dest = stores.adopt(step.dests[dest_index])
-            dest.clear()
-            # Destinations are planned in the MEMORY state; (re)attach the
-            # backend store now so the writes charge this shard's device.
-            # The query drops it again when it ends.
-            dest.backend.ensure_store(dest.name)
+            # Destinations are planned in the MEMORY state (DROPPED once an
+            # execution of the plan ended); a fresh store on this shard's
+            # backend takes the writes, and the query drops it when it ends.
             dest.mark_materialized()
             moved = 0
             for buckets in all_buckets:
@@ -375,7 +370,7 @@ class ShardedQueryExecutor:
         if len(outputs) == 1:
             return outputs[0]
         merged = PersistentCollection(
-            name=f"sharded-result-{next(_result_counter)}",
+            name="sharded-result",
             schema=plan.root_schema,
             status=CollectionStatus.MEMORY,
         )

@@ -41,7 +41,6 @@ exchanges and a trivial merge, and it renders exactly like its fragment.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -63,8 +62,6 @@ from repro.shard.partition import HashPartitioner, Partitioner
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema
-
-_plan_counter = itertools.count()
 
 
 @dataclass
@@ -323,7 +320,6 @@ class ShardedPlanner:
         )
         self._read_ns = shard_set.backends[0].device.latency.read_ns
         self._steps: list[Step] = []
-        self._plan_id = 0
         self._exchange_counter = 0
 
     def plan(self, query) -> ShardedPhysicalPlan:
@@ -367,11 +363,6 @@ class ShardedPlanner:
 
     def _plan(self, node: LogicalNode) -> ShardedPhysicalPlan:
         self._steps = []
-        # A process-unique id per plan keeps exchange stores distinct even
-        # when one planner plans repeatedly against the same shard set.
-        # One-shard plans have no exchanges, so they take no id.
-        if self.shard_set.num_shards > 1:
-            self._plan_id = next(_plan_counter)
         self._exchange_counter = 0
         per_shard, _ = self._build(node)
         final = self._add_fragment_step(per_shard, "shard-local fragments")
@@ -598,10 +589,7 @@ class ShardedPlanner:
             # store is released again once the query finishes.
             dests.append(
                 PersistentCollection(
-                    name=(
-                        f"exchange{self._plan_id}.{self._exchange_counter}"
-                        f"/shard{index}"
-                    ),
+                    name=f"exchange{self._exchange_counter}/shard{index}",
                     backend=backend,
                     schema=schema,
                     status=CollectionStatus.MEMORY,

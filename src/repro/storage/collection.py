@@ -1,11 +1,15 @@
 """Persistent collections.
 
 A persistent collection is the unit the algorithms and the runtime operate
-on: a named, append-only sequence of records hosted either in DRAM or on
-the persistent device through one of the Section 3.2 backends.
+on: an append-only sequence of records hosted either in DRAM or on the
+persistent device through one of the Section 3.2 backends.  A
+materialized collection holds its own backend store: the handle
+(:attr:`PersistentCollection.store`) is the store's identity, and the
+collection's name is only its label, so two collections never share a
+store, whatever their names.
 
-Collections can be in one of three states, mirroring the paper's
-``cstatus_t`` (Listing 1):
+Collections can be in one of three live states, mirroring the paper's
+``cstatus_t`` (Listing 1), and one final one:
 
 ``MEMORY``
     Purely in-DRAM; accesses are free as far as the device is concerned.
@@ -21,6 +25,14 @@ Collections can be in one of three states, mirroring the paper's
     (Section 3.1).  Its length is known only once a scan ends, so
     ``len()`` raises; :attr:`PersistentCollection.estimated_records` is
     the one place its context's estimate is read.
+
+``DROPPED``
+    Its work has ended: :meth:`PersistentCollection.drop` (directly, or
+    through its :class:`StoreOwner`'s release) dropped its store and let
+    go of its operator context.  Scanning, measuring or extending it
+    raises :class:`~repro.exceptions.CollectionStateError`: a scan of the
+    records it retains would charge no reads.  They stay inspectable
+    through the no-charge :attr:`PersistentCollection.records`.
 
 One I/O shape serves every state.  Records are written with
 :meth:`PersistentCollection.extend`, which charges a stream the same
@@ -43,7 +55,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import CollectionStateError, ConfigurationError
-from repro.pmem.backends.base import PersistenceBackend
+from repro.pmem.backends.base import PersistenceBackend, StoreStats
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 _anonymous_counter = itertools.count()
@@ -62,6 +74,7 @@ class CollectionStatus(enum.Enum):
     MEMORY = "memory"
     MATERIALIZED = "materialized"
     DEFERRED = "deferred"
+    DROPPED = "dropped"
 
 
 class PersistentCollection:
@@ -74,7 +87,9 @@ class PersistentCollection:
     cacheline I/O.
 
     Args:
-        name: unique collection identifier; auto-generated when omitted.
+        name: the collection's label (its store's too); auto-generated
+            when omitted.  An operator context keys the collections it
+            manages by name, so names are unique within one context.
         backend: persistence backend for MATERIALIZED collections.  May be
             ``None`` for purely in-memory collections.
         schema: record schema; defaults to the paper's Wisconsin schema.
@@ -109,12 +124,14 @@ class PersistentCollection:
         self.block_bytes = block_bytes
         if self.block_bytes <= 0:
             raise ConfigurationError("block_bytes must be positive")
+        #: The backend store's handle while MATERIALIZED, else ``None``.
+        self.store: StoreStats | None = None
         if status is CollectionStatus.MATERIALIZED:
             if backend is None:
                 raise ConfigurationError(
                     f"collection {self.name!r} is MATERIALIZED but has no backend"
                 )
-            backend.ensure_store(self.name)
+            self.store = backend.create_store(self.name)
         #: bytes appended since the last block flush to the backend
         self._pending_bytes = 0
 
@@ -142,14 +159,22 @@ class PersistentCollection:
         return self._sealed
 
     def mark_materialized(self) -> None:
-        """Promote a deferred collection so that it can receive records."""
+        """Give the collection a fresh store so that it can receive records.
+
+        Promotes a DEFERRED or MEMORY collection.  A DROPPED one (the
+        exchange destination of a plan executed again) starts afresh: it
+        lets go of the records it retained.
+        """
         if self._status is CollectionStatus.MATERIALIZED:
             return
         if self.backend is None:
             raise CollectionStateError(
                 f"cannot materialize {self.name!r}: no backend attached"
             )
-        self.backend.ensure_store(self.name)
+        if self._status is CollectionStatus.DROPPED:
+            self._records = []
+            self._sealed = False
+        self.store = self.backend.create_store(self.name)
         self._status = CollectionStatus.MATERIALIZED
 
     def open(self) -> None:
@@ -185,22 +210,25 @@ class PersistentCollection:
             return
         if self._sealed:
             raise CollectionStateError(f"collection {self.name!r} is sealed")
-        if self._status is CollectionStatus.DEFERRED:
+        status = self._status
+        if status is CollectionStatus.DEFERRED:
             raise CollectionStateError(
                 f"cannot append to deferred collection {self.name!r}; "
                 "materialize it first"
             )
+        if status is CollectionStatus.DROPPED:
+            raise self._dropped_error()
         self._records.extend(records)
-        if self._status is CollectionStatus.MATERIALIZED:
+        if status is CollectionStatus.MATERIALIZED:
             total = self._pending_bytes + len(records) * self.schema.record_bytes
             full_blocks, self._pending_bytes = divmod(total, self.block_bytes)
             if full_blocks:
-                self.backend.append_bulk(self.name, self.block_bytes, full_blocks)
+                self.backend.append_bulk(self.store, self.block_bytes, full_blocks)
 
     def flush(self) -> None:
         """Flush any partially filled block to the backend."""
         if self._status is CollectionStatus.MATERIALIZED and self._pending_bytes:
-            self.backend.append_bulk(self.name, self._pending_bytes)
+            self.backend.append_bulk(self.store, self._pending_bytes)
             self._pending_bytes = 0
 
     def seal(self) -> None:
@@ -209,21 +237,32 @@ class PersistentCollection:
         self._sealed = True
 
     def clear(self) -> None:
-        """Discard all records; materialized stores are truncated."""
+        """Discard all records; a materialized store is truncated."""
         self._records = []
         self._pending_bytes = 0
         self._sealed = False
-        if self._status is CollectionStatus.MATERIALIZED and self.backend is not None:
-            if self.backend.has_store(self.name):
-                self.backend.truncate(self.name)
+        if self.store is not None:
+            self.backend.truncate(self.store)
 
     def drop(self) -> None:
-        """Clear the collection and remove its backend store entirely."""
-        self._records = []
+        """End the collection's life: drop its store, if it has one.
+
+        The one drop path, for direct drops and a :class:`StoreOwner`'s
+        release alike.  The collection becomes DROPPED and lets go of its
+        operator context, so a derived collection and its context never
+        keep each other alive.  Dropping a DROPPED collection does nothing.
+        """
+        if self.store is not None:
+            self.backend.drop_store(self.store)
+            self.store = None
+        self._status = CollectionStatus.DROPPED
+        self.context = None
         self._pending_bytes = 0
-        self._sealed = False
-        if self.backend is not None and self.backend.has_store(self.name):
-            self.backend.drop_store(self.name)
+
+    def _dropped_error(self) -> CollectionStateError:
+        return CollectionStateError(
+            f"collection {self.name!r} was dropped when its work ended"
+        )
 
     # ------------------------------------------------------------------ #
     # Reading.
@@ -247,9 +286,9 @@ class PersistentCollection:
         per_block = self.records_per_block
         blocks, tail = divmod(max(0, stop - start), per_block)
         if blocks:
-            self.backend.read_bulk(self.name, per_block * record_bytes, blocks)
+            self.backend.read_bulk(self.store, per_block * record_bytes, blocks)
         if tail:
-            self.backend.read_bulk(self.name, tail * record_bytes)
+            self.backend.read_bulk(self.store, tail * record_bytes)
 
     def scan_blocks(
         self, start: int = 0, stop: int | None = None
@@ -276,6 +315,8 @@ class PersistentCollection:
         charge batch beyond the records it handed out -- and no tail.  No
         operator sizes a DRAM structure from a list's length.
         """
+        if self._status is CollectionStatus.DROPPED:
+            raise self._dropped_error()
         per_block = self.records_per_block
         step = per_block * DEFAULT_CHARGE_BATCH_BLOCKS
         if self._status is CollectionStatus.DEFERRED:
@@ -317,6 +358,8 @@ class PersistentCollection:
                 f"deferred collection {self.name!r} has no length until a "
                 "scan of it ends; size with estimated_records"
             )
+        if self._status is CollectionStatus.DROPPED:
+            raise self._dropped_error()
         return len(self._records)
 
     @property
@@ -379,15 +422,14 @@ class PersistentCollection:
 
 
 class StoreOwner:
-    """The backend stores of one unit of work, dropped together when it ends.
+    """The collections of one unit of work, dropped together when it ends.
 
     A run or a query registers each collection it creates with
     :meth:`adopt`, where it creates it, and calls :meth:`release` when it
-    ends, on success and on failure.  Release drops the store of every
-    adopted collection still on its backend (a collection adopted while
-    DEFERRED may never have got one) through ``backend.drop_store``: the
-    collection objects keep their records for inspection, and since no
-    backend charges a drop, only the device's allocation moves.
+    ends, on success and on failure.  Release drops every adopted
+    collection (:meth:`PersistentCollection.drop`): each becomes DROPPED,
+    and the store of each that had one leaves its backend.  No backend
+    charges a drop, so only the device's allocation moves.
     """
 
     def __init__(self) -> None:
@@ -399,14 +441,9 @@ class StoreOwner:
         return collection
 
     def release(self, keep: Iterable[PersistentCollection] = ()) -> None:
-        """Drop every adopted store except those of the ``keep`` collections."""
+        """Drop every adopted collection except the ``keep`` collections."""
         kept = set(map(id, keep))
         collections, self._collections = self._collections, []
         for collection in collections:
-            backend = collection.backend
-            if (
-                id(collection) not in kept
-                and backend is not None
-                and backend.has_store(collection.name)
-            ):
-                backend.drop_store(collection.name)
+            if id(collection) not in kept:
+                collection.drop()

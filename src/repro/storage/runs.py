@@ -68,12 +68,6 @@ class RunSet:
         """Adopt an externally produced sorted collection as a run."""
         self.runs.append(collection)
 
-    def drop_all(self) -> None:
-        """Drop every run's backend store (cleanup between experiments)."""
-        for run in self.runs:
-            run.drop()
-        self.runs = []
-
     def __len__(self) -> int:
         return len(self.runs)
 

@@ -178,3 +178,22 @@ class TestSensitivityAndValidation:
             assert row["kendall_tau"] >= 0.3
         mean_tau = sum(row["kendall_tau"] for row in rows) / len(rows)
         assert mean_tau >= 0.6
+
+    def test_cost_model_validation_rows_do_not_depend_on_run_order(self):
+        """Each memory fraction's rows are the same alone as inside the
+        sweep: no run writes into the store of an earlier run's output,
+        which on ``dynamic_array`` would charge a longer doubling copy."""
+        sizes = dict(
+            num_sort_records=1000,
+            join_left_records=200,
+            join_right_records=2000,
+            backend_name="dynamic_array",
+        )
+        sweep = experiments.cost_model_validation(**sizes)
+        for fraction in experiments.DEFAULT_MEMORY_FRACTIONS:
+            alone = experiments.cost_model_validation(
+                memory_fractions=(fraction,), **sizes
+            )
+            assert alone == [
+                row for row in sweep if row["memory_fraction"] == fraction
+            ]

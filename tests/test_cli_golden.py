@@ -10,14 +10,12 @@ Regenerate with::
     REGENERATE_GOLDEN=1 python -m pytest tests/test_cli_golden.py
 """
 
-import itertools
 import os
 import pathlib
 
 import pytest
 
-from repro.cli import main
-from repro.shard import planner as shard_planner
+from tests.golden_pass import cli_output, observed_pass
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden_cli")
 
@@ -50,14 +48,22 @@ CASES = {
 }
 
 
+def observed_cases():
+    """Every case's output, run once per session under the golden
+    observers, keyed by its argument tuple."""
+    return observed_pass(
+        "cli", [tuple(CASES[name]) for name in sorted(CASES)], cli_output
+    )
+
+
+@pytest.fixture(scope="module")
+def observed():
+    return observed_cases()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_query_cli_output_matches_golden(name, capsys, monkeypatch):
-    # Exchange stores are named after a process-wide plan counter; restart
-    # it so every case renders as `python -m repro ...` does in a fresh
-    # process, whatever ran before it.
-    monkeypatch.setattr(shard_planner, "_plan_counter", itertools.count())
-    assert main(CASES[name]) == 0
-    rendered = capsys.readouterr().out
+def test_query_cli_output_matches_golden(name, observed):
+    rendered = observed[tuple(CASES[name])].value
     golden_path = GOLDEN_DIR / f"{name}.txt"
     if os.environ.get("REGENERATE_GOLDEN"):
         golden_path.write_text(rendered, encoding="utf-8")

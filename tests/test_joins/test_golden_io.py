@@ -41,6 +41,8 @@ from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import wisconsin_permutation
 
+from tests.golden_pass import observed_pass
+
 GOLDEN_PATH = pathlib.Path(__file__).parents[1] / "golden_io" / "joins.json"
 
 LEFT_RECORDS = 300
@@ -168,10 +170,20 @@ def case_id(backend_name, budget_records, algorithm):
     return f"{backend_name}/M={budget_records}/{algorithm}"
 
 
+def observed_cases():
+    """Every case, run once per session under the golden observers."""
+    return observed_pass("joins", CASES, run_case)
+
+
 @pytest.fixture(scope="module")
-def golden():
+def observed():
+    return observed_cases()
+
+
+@pytest.fixture(scope="module")
+def golden(observed):
     if os.environ.get("REGENERATE_GOLDEN"):
-        table = {case_id(*case): run_case(*case) for case in CASES}
+        table = {case_id(*case): observed[case].value for case in CASES}
         GOLDEN_PATH.parent.mkdir(exist_ok=True)
         GOLDEN_PATH.write_text(
             json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8"
@@ -193,8 +205,8 @@ def test_fixture_exercises_spills_and_in_memory_aggregation(golden):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case_id(*case) for case in CASES])
-def test_join_and_aggregation_io_matches_golden(case, golden):
-    assert run_case(*case) == golden[case_id(*case)], (
+def test_join_and_aggregation_io_matches_golden(case, golden, observed):
+    assert observed[case].value == golden[case_id(*case)], (
         "simulated I/O or output order changed; inspect the diff and, if "
         "intended, regenerate with REGENERATE_GOLDEN=1 python -m pytest "
         f"{__file__}"

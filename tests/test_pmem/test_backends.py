@@ -12,6 +12,7 @@ from repro.pmem.backends import (
     RamDiskBackend,
     make_backend,
 )
+from repro.pmem.backends.base import StoreStats
 from repro.pmem.device import PersistentMemoryDevice
 
 
@@ -43,60 +44,65 @@ class TestRegistry:
 
 class TestStoreLifecycle:
     def test_create_and_drop(self, any_backend):
-        any_backend.create_store("t")
-        assert any_backend.has_store("t")
-        any_backend.drop_store("t")
-        assert not any_backend.has_store("t")
+        t = any_backend.create_store("t")
+        assert any_backend.stores() == [t]
+        any_backend.drop_store(t)
+        assert any_backend.stores() == []
 
-    def test_create_duplicate_rejected(self, any_backend):
-        any_backend.create_store("t")
-        with pytest.raises(ConfigurationError):
-            any_backend.create_store("t")
-
-    def test_ensure_store_is_idempotent(self, any_backend):
-        first = any_backend.ensure_store("t")
-        second = any_backend.ensure_store("t")
-        assert first is second
+    def test_a_label_is_not_an_identity(self, any_backend):
+        first = any_backend.create_store("t")
+        second = any_backend.create_store("t")
+        assert first is not second and first != second
+        any_backend.append_bulk(first, 100)
+        assert (first.logical_bytes, second.logical_bytes) == (100, 0)
+        any_backend.drop_store(first)
+        assert any_backend.stores() == [second]
 
     def test_unknown_store_rejected(self, any_backend):
-        with pytest.raises(UnknownCollectionError):
-            any_backend.append_bulk("missing", 10)
+        dropped = any_backend.create_store("t")
+        any_backend.drop_store(dropped)
+        foreign = make_backend(any_backend.name, PersistentMemoryDevice())
+        for store in (StoreStats("missing"), dropped, foreign.create_store("t")):
+            with pytest.raises(UnknownCollectionError):
+                any_backend.append_bulk(store, 10)
+            with pytest.raises(UnknownCollectionError):
+                any_backend.drop_store(store)
 
     def test_logical_bytes_track_appends(self, any_backend):
-        any_backend.create_store("t")
-        any_backend.append_bulk("t", 100)
-        any_backend.append_bulk("t", 60)
-        assert any_backend.logical_bytes("t") == 160
+        t = any_backend.create_store("t")
+        any_backend.append_bulk(t, 100)
+        any_backend.append_bulk(t, 60)
+        assert t.logical_bytes == 160
 
     def test_truncate_resets_logical_size(self, any_backend):
-        any_backend.create_store("t")
-        any_backend.append_bulk("t", 500)
-        any_backend.truncate("t")
-        assert any_backend.logical_bytes("t") == 0
+        t = any_backend.create_store("t")
+        any_backend.append_bulk(t, 500)
+        any_backend.truncate(t)
+        assert t.logical_bytes == 0
 
     def test_negative_append_rejected(self, any_backend):
-        any_backend.create_store("t")
+        t = any_backend.create_store("t")
         with pytest.raises(ConfigurationError):
-            any_backend.append_bulk("t", -1)
+            any_backend.append_bulk(t, -1)
 
     def test_negative_read_rejected(self, any_backend):
-        any_backend.create_store("t")
+        t = any_backend.create_store("t")
         with pytest.raises(ConfigurationError):
-            any_backend.read_bulk("t", -1)
+            any_backend.read_bulk(t, -1)
 
     def test_read_charges_device_reads(self, any_backend):
-        any_backend.create_store("t")
-        any_backend.append_bulk("t", 640)
+        t = any_backend.create_store("t")
+        any_backend.append_bulk(t, 640)
         before = any_backend.device.snapshot()
-        any_backend.read_bulk("t", 640)
+        any_backend.read_bulk(t, 640)
         delta = any_backend.device.snapshot() - before
         assert delta.cacheline_reads >= 10.0
         assert delta.cacheline_writes == 0
 
     def test_append_charges_device_writes(self, any_backend):
-        any_backend.create_store("t")
+        t = any_backend.create_store("t")
         before = any_backend.device.snapshot()
-        any_backend.append_bulk("t", 640)
+        any_backend.append_bulk(t, 640)
         delta = any_backend.device.snapshot() - before
         assert delta.cacheline_writes >= 10.0
 
@@ -104,33 +110,33 @@ class TestStoreLifecycle:
 class TestBlockedMemory:
     def test_append_charges_exactly_payload(self, device):
         backend = BlockedMemoryBackend(device)
-        backend.create_store("t")
-        backend.append_bulk("t", 320)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 320)
         assert device.counters.cacheline_writes == pytest.approx(5.0)
         assert device.counters.overhead_ns == 0.0
 
     def test_read_charges_exactly_payload(self, device):
         backend = BlockedMemoryBackend(device)
-        backend.create_store("t")
-        backend.append_bulk("t", 320)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 320)
         device.reset_counters()
-        backend.read_bulk("t", 320)
+        backend.read_bulk(t, 320)
         assert device.counters.cacheline_reads == pytest.approx(5.0)
         assert device.counters.cacheline_writes == 0.0
 
     def test_blocks_allocated_lazily(self, device):
         backend = BlockedMemoryBackend(device, block_bytes=1024)
-        backend.create_store("t")
-        backend.append_bulk("t", 100)
-        assert backend.blocks_allocated("t") == 1
-        backend.append_bulk("t", 2000)
-        assert backend.blocks_allocated("t") == 3
+        t = backend.create_store("t")
+        backend.append_bulk(t, 100)
+        assert backend.blocks_allocated(t) == 1
+        backend.append_bulk(t, 2000)
+        assert backend.blocks_allocated(t) == 3
 
     def test_no_copy_on_expansion(self, device):
         backend = BlockedMemoryBackend(device, block_bytes=256)
-        backend.create_store("t")
+        t = backend.create_store("t")
         for _ in range(20):
-            backend.append_bulk("t", 100)
+            backend.append_bulk(t, 100)
         # Writes equal the payload exactly: 20 * 100 / 64 cachelines.
         assert device.counters.cacheline_writes == pytest.approx(2000 / 64)
 
@@ -138,20 +144,20 @@ class TestBlockedMemory:
 class TestDynamicArray:
     def test_expansion_copies_live_payload(self, device):
         backend = DynamicArrayBackend(device, initial_capacity_bytes=128)
-        backend.create_store("t")
-        backend.append_bulk("t", 128)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 128)
         device.reset_counters()
-        backend.append_bulk("t", 64)  # triggers a doubling that copies 128 bytes
+        backend.append_bulk(t, 64)  # triggers a doubling that copies 128 bytes
         assert device.counters.cacheline_reads == pytest.approx(2.0)
         assert device.counters.cacheline_writes == pytest.approx(2.0 + 1.0)
 
     def test_expansions_counter(self, device):
         backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
-        backend.create_store("t")
+        t = backend.create_store("t")
         for _ in range(16):
-            backend.append_bulk("t", 64)
-        assert backend.expansions("t") >= 4
-        assert backend.copied_bytes("t") > 0
+            backend.append_bulk(t, 64)
+        assert backend.expansions(t) >= 4
+        assert backend.copied_bytes(t) > 0
 
     def test_writes_exceed_blocked_memory(self):
         """The write amplification the paper attributes to dynamic arrays."""
@@ -160,9 +166,9 @@ class TestDynamicArray:
         blocked = BlockedMemoryBackend(blocked_device)
         dynamic = DynamicArrayBackend(dynamic_device, initial_capacity_bytes=64)
         for backend in (blocked, dynamic):
-            backend.create_store("t")
+            t = backend.create_store("t")
             for _ in range(100):
-                backend.append_bulk("t", 80)
+                backend.append_bulk(t, 80)
         assert (
             dynamic_device.counters.cacheline_writes
             > blocked_device.counters.cacheline_writes
@@ -174,54 +180,54 @@ class TestDynamicArray:
 
     def test_reallocation_overhead_charged(self, device):
         backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
-        backend.create_store("t")
-        backend.append_bulk("t", 1024)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 1024)
         assert device.counters.overhead_breakdown.get("reallocation", 0) > 0
 
 
 class TestRamDisk:
     def test_small_write_rounded_to_fs_block(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
-        backend.create_store("t")
-        backend.append_bulk("t", 10)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 10)
         assert device.counters.cacheline_writes == pytest.approx(8.0)
-        assert backend.padded_write_bytes("t") == 502
+        assert backend.padded_write_bytes(t) == 502
 
     def test_small_read_rounded_to_fs_block(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
-        backend.create_store("t")
-        backend.append_bulk("t", 512)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 512)
         device.reset_counters()
-        backend.read_bulk("t", 100)
+        backend.read_bulk(t, 100)
         assert device.counters.cacheline_reads == pytest.approx(8.0)
-        assert backend.padded_read_bytes("t") == 412
+        assert backend.padded_read_bytes(t) == 412
 
     def test_syscall_overhead_per_call(self, device):
         backend = RamDiskBackend(device, syscall_overhead_ns=700.0)
-        backend.create_store("t")
-        backend.append_bulk("t", 512)
-        backend.read_bulk("t", 512)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 512)
+        backend.read_bulk(t, 512)
         assert device.counters.overhead_breakdown["syscall"] == pytest.approx(1400.0)
 
     def test_block_aligned_write_has_no_padding(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
-        backend.create_store("t")
-        backend.append_bulk("t", 1024)
-        assert backend.padded_write_bytes("t") == 0
+        t = backend.create_store("t")
+        backend.append_bulk(t, 1024)
+        assert backend.padded_write_bytes(t) == 0
 
 
 class TestPmfs:
     def test_byte_granular_transfers(self, device):
         backend = PmfsBackend(device)
-        backend.create_store("t")
-        backend.append_bulk("t", 80)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 80)
         assert device.counters.cacheline_writes == pytest.approx(1.25)
 
     def test_small_per_call_overhead(self, device):
         backend = PmfsBackend(device, file_call_overhead_ns=80.0)
-        backend.create_store("t")
-        backend.append_bulk("t", 64)
-        backend.read_bulk("t", 64)
+        t = backend.create_store("t")
+        backend.append_bulk(t, 64)
+        backend.read_bulk(t, 64)
         assert device.counters.overhead_ns == pytest.approx(160.0)
 
     def test_cheaper_than_ramdisk_for_small_records(self):
@@ -231,9 +237,9 @@ class TestPmfs:
         pmfs = PmfsBackend(pmfs_device)
         ramdisk = RamDiskBackend(ramdisk_device)
         for backend in (pmfs, ramdisk):
-            backend.create_store("t")
+            t = backend.create_store("t")
             for _ in range(50):
-                backend.append_bulk("t", 80)
+                backend.append_bulk(t, 80)
         assert pmfs_device.elapsed_ns < ramdisk_device.elapsed_ns
 
 
@@ -244,10 +250,10 @@ class TestOverheadOrdering:
         for name in ("blocked_memory", "pmfs", "ramdisk"):
             device = PersistentMemoryDevice()
             backend = make_backend(name, device)
-            backend.create_store("t")
+            t = backend.create_store("t")
             for _ in range(200):
-                backend.append_bulk("t", 80)
+                backend.append_bulk(t, 80)
             for _ in range(200):
-                backend.read_bulk("t", 80)
+                backend.read_bulk(t, 80)
             totals[name] = device.elapsed_ns
         assert totals["blocked_memory"] <= totals["pmfs"] <= totals["ramdisk"]

@@ -14,6 +14,7 @@ from repro.query import (
 from repro.runtime.api import CallKind
 from repro.session import Session
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.storage.collection import CollectionStatus
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
 
@@ -129,7 +130,8 @@ class TestDeferredExecution:
         assert deferred_execs, "the filter edge must have deferred"
         execution = deferred_execs[0]
         name = execution.output.name
-        assert execution.output.is_deferred
+        # The query dropped its deferred intermediate when it ended.
+        assert execution.output.status is CollectionStatus.DROPPED
         assert context.reconstruction_count(name) >= 1
         # The derivation is recorded as a FILTER call in the graph.
         producer = context.graph.producer_of(name)
@@ -154,7 +156,8 @@ class TestDeferredExecution:
         ]
         assert overridden, "the rule engine should have vetoed the deferral"
         assert overridden[0].details.get("rule") == "read-over-write"
-        assert overridden[0].output.is_materialized
+        (context,) = result.runtime_contexts
+        assert context.is_available(overridden[0].output.name)
 
     def test_a_deferred_query_leaves_no_context_on_its_base_tables(self, backend):
         # Only a collection the runtime must derive points back at its

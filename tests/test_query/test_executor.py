@@ -3,10 +3,11 @@
 import pytest
 
 from repro.bench.harness import budget_for, make_environment
-from repro.exceptions import BufferpoolExhaustedError
+from repro.exceptions import BufferpoolExhaustedError, CollectionStateError
 from repro.query import CostBasedPlanner, Query, QueryExecutor
 from repro.session import Session
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.storage.collection import CollectionStatus
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
 
@@ -188,3 +189,29 @@ class TestCannedCliQueries:
 
         assert main(["list"]) == 0
         assert "query" in capsys.readouterr().out
+
+
+class TestFinishedQueries:
+    def test_a_finished_querys_intermediates_are_dropped(self, backend):
+        """A query drops its sinks when it ends: scanning one raises a
+        state error naming it, not a backend lookup error."""
+        left, right = make_join_inputs(150, 1_500, backend)
+        query = (
+            Query.scan(left)
+            .filter(lambda r: r[0] < 75, selectivity=0.5)
+            .join(Query.scan(right))
+            .order_by()
+        )
+        result = Session(backend, budget_for(left, 0.10)).query(
+            query, boundary_policy="materialize"
+        )
+        (sink,) = [
+            execution.output
+            for execution in result.executions.values()
+            if execution.node.operator == "Filter"
+        ]
+        assert sink.status is CollectionStatus.DROPPED
+        with pytest.raises(CollectionStateError, match=repr(sink.name)):
+            list(sink.scan())
+        # The result stays readable.
+        assert list(result.output.scan()) == result.records

@@ -39,6 +39,16 @@ class TestDeclarationAndNaming:
         with pytest.raises(ConfigurationError):
             context.register(source)
 
+    def test_another_collection_under_a_registered_name_is_rejected(
+        self, context, source, backend
+    ):
+        # Names are labels, so a namesake is a different collection: a
+        # primitive over it must not silently derive from ``source``.
+        namesake = build_collection(backend, range(5), name="source")
+        context.filter(source, lambda record: True, selectivity=1.0)
+        with pytest.raises(ConfigurationError):
+            context.filter(namesake, lambda record: True, selectivity=1.0)
+
     def test_collection_lookup(self, context, source):
         assert context.collection("source") is source
         with pytest.raises(UnknownCollectionError):
@@ -241,7 +251,7 @@ class TestProduceIsAllOrNothing:
         with pytest.raises(RuntimeError):
             evens.open()
         assert evens.records == []
-        assert backend.logical_bytes(evens.name) == 0
+        assert evens.store.logical_bytes == 0
         armed[0] = False
         evens.open()
         assert [r[0] for r in evens.scan()] == list(range(0, 2000, 2))
@@ -257,7 +267,7 @@ class TestProduceIsAllOrNothing:
             outputs[0].open()
         for output in outputs:
             assert output.records == []
-            assert backend.logical_bytes(output.name) == 0
+            assert output.store.logical_bytes == 0
             assert context.is_pending(output.name)
         armed[0] = False
         outputs[0].open()

@@ -53,6 +53,8 @@ from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import wisconsin_permutation
 
+from tests.golden_pass import observed_pass
+
 GOLDEN_PATH = pathlib.Path(__file__).parents[1] / "golden_io" / "deferred.json"
 
 ROOT_RECORDS = 500
@@ -165,8 +167,8 @@ def created_stores(backend):
     created = []
     create_store = backend.create_store
 
-    def spy(store_id):
-        stats = create_store(store_id)
+    def spy(label):
+        stats = create_store(label)
         created.append(stats)
         return stats
 
@@ -178,7 +180,7 @@ def store_stats(created):
     """Each created store's stats, run counters normalised away."""
     return [
         [
-            re.sub(r"\d+", "#", stats.name),
+            re.sub(r"\d+", "#", stats.label),
             stats.logical_bytes,
             stats.physical_bytes,
             stats.append_calls,
@@ -255,10 +257,20 @@ def case_id(backend_name, root_kind, selectivity, consumer):
     return f"{backend_name}/{root_kind}/f={selectivity}/{consumer}"
 
 
+def observed_cases():
+    """Every case, run once per session under the golden observers."""
+    return observed_pass("deferred", CASES, run_case)
+
+
 @pytest.fixture(scope="module")
-def golden():
+def observed():
+    return observed_cases()
+
+
+@pytest.fixture(scope="module")
+def golden(observed):
     if os.environ.get("REGENERATE_GOLDEN"):
-        table = {case_id(*case): run_case(*case) for case in CASES}
+        table = {case_id(*case): observed[case].value for case in CASES}
         GOLDEN_PATH.parent.mkdir(exist_ok=True)
         GOLDEN_PATH.write_text(
             json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8"
@@ -288,8 +300,8 @@ def test_fixture_exercises_sliced_and_promoted_replays(golden):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case_id(*case) for case in CASES])
-def test_deferred_consumer_io_matches_golden(case, golden):
-    assert run_case(*case) == golden[case_id(*case)], (
+def test_deferred_consumer_io_matches_golden(case, golden, observed):
+    assert observed[case].value == golden[case_id(*case)], (
         "simulated I/O, replay bookkeeping or output order changed; inspect "
         "the diff and, if intended, regenerate with REGENERATE_GOLDEN=1 "
         f"python -m pytest {__file__}"

@@ -85,4 +85,4 @@ class TestSegmentedGraceJoinOperator:
             context, left, right, num_partitions=2, materialize_output=True
         ).evaluate()
         assert output.is_materialized
-        assert backend.has_store(output.name)
+        assert output.store in backend.stores()

@@ -51,11 +51,11 @@ class ReferenceReplay:
         for record in records:
             pending_read += record_bytes
             if pending_read >= collection.block_bytes:
-                collection.backend.read_bulk(collection.name, pending_read)
+                collection.backend.read_bulk(collection.store, pending_read)
                 pending_read = 0
             yield record
         if pending_read:
-            collection.backend.read_bulk(collection.name, pending_read)
+            collection.backend.read_bulk(collection.store, pending_read)
 
     def source_stream(self, name):
         context = self.context
@@ -182,7 +182,7 @@ def build(backend_name, root_kind, num_records, chain):
 def observed(device, backend, before):
     stats = [
         (
-            stats.name,
+            stats.label,
             stats.logical_bytes,
             stats.physical_bytes,
             stats.append_calls,
@@ -190,7 +190,7 @@ def observed(device, backend, before):
             stats.truncate_calls,
             stats.extra,
         )
-        for stats in map(backend.store_stats, backend.stores())
+        for stats in backend.stores()
     ]
     return device.snapshot() - before, stats
 

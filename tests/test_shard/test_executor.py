@@ -36,17 +36,30 @@ def repartitioned_join(shard_set):
     return Query.scan(left).join(Query.scan(right))
 
 
-def test_same_plan_executes_twice_identically():
-    shard_set = ShardSet.create(3)
+@pytest.mark.parametrize("shards, budget_records", [(2, 30), (3, 45)])
+def test_same_plan_executes_twice_identically(shards, budget_records):
+    """The exchange destinations a plan carries are DROPPED when an
+    execution ends; the next execution gives each a fresh store."""
+    shard_set = ShardSet.create(shards)
     query = repartitioned_join(shard_set)
-    budget = MemoryBudget.from_records(45)
+    budget = MemoryBudget.from_records(budget_records)
     plan = ShardedPlanner(shard_set, budget).plan(query)
     executor = ShardedQueryExecutor(shard_set, budget)
+
+    def footprint():
+        return [
+            (backend.stores(), backend.device.allocated_bytes)
+            for backend in shard_set.backends
+        ]
+
+    loaded = footprint()
     first = executor.execute(plan)
+    assert footprint() == loaded
     second = executor.execute(plan)
-    assert sorted(first.records) == sorted(second.records)
-    assert first.io.cacheline_reads == second.io.cacheline_reads
-    assert first.io.cacheline_writes == second.io.cacheline_writes
+    assert footprint() == loaded
+    assert len(first.records) == 360
+    assert second.records == first.records
+    assert second.io == first.io
     assert first.critical_path_ns == second.critical_path_ns
 
 
@@ -251,4 +264,4 @@ def test_exchange_stores_released_after_execution():
     # nothing beyond those loads may remain allocated.
     assert sum(d.allocated_bytes for d in shard_set.devices) <= 3 * base_load
     for backend in shard_set.backends:
-        assert not any("exchange" in store for store in backend.stores())
+        assert not any("exchange" in store.label for store in backend.stores())

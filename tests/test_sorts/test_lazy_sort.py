@@ -29,7 +29,7 @@ BUDGET = MemoryBudget.from_records(12)
 
 
 def intermediate_stores(backend):
-    return [name for name in backend.stores() if "las-intermediate" in name]
+    return [store for store in backend.stores() if "las-intermediate" in store.label]
 
 
 def test_intermediates_are_dropped_after_each_sort(any_backend):
@@ -111,9 +111,9 @@ def test_deferred_input_is_sorted_whatever_its_declared_size(
     dropped_sizes = {}
     drop_store = backend.drop_store
 
-    def recording_drop(name):
-        dropped_sizes[name] = backend.store_stats(name).logical_bytes
-        drop_store(name)
+    def recording_drop(store):
+        dropped_sizes[store.label] = store.logical_bytes
+        drop_store(store)
 
     monkeypatch.setattr(backend, "drop_store", recording_drop)
 

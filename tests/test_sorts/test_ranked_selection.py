@@ -187,7 +187,7 @@ def observe(sort_cls, kwargs, backend_name, kind, keys, lam, workspace):
     ).sort(collection)
     stores = [
         (
-            stats.name,
+            stats.label,
             stats.logical_bytes,
             stats.physical_bytes,
             stats.append_calls,
@@ -195,8 +195,8 @@ def observe(sort_cls, kwargs, backend_name, kind, keys, lam, workspace):
             stats.truncate_calls,
             stats.extra,
         )
-        for stats in map(backend.store_stats, backend.stores())
-        if "las-intermediate" not in stats.name
+        for stats in backend.stores()
+        if "las-intermediate" not in stats.label
     ]
     replays = None
     if context is not None:

@@ -14,7 +14,9 @@ import pytest
 
 from repro.aggregation import HashAggregation, SortedAggregation
 from repro.joins import JOIN_REGISTRY, JoinAlgorithm
+from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.backends.base import PersistenceBackend
+from repro.pmem.device import PersistentMemoryDevice
 from repro.pmem.metrics import IOSnapshot
 from repro.sorts import SORT_REGISTRY, SortAlgorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
@@ -124,7 +126,7 @@ def test_settled_empty_input_returns_a_sealed_empty_output(
     assert output.records == []
     assert output.is_materialized is materialize
     assert output.is_memory is not materialize
-    assert backend.has_store(output.name) is materialize
+    assert (output.store in backend.stores()) is materialize
     assert output.schema == algorithm.output_schema
     assert algorithm.bufferpool.reserved_bytes == 0
     assert isinstance(result.io, IOSnapshot)
@@ -138,23 +140,24 @@ def spy_stores(monkeypatch, inputs, fail_after=None):
     """Record the stores a run creates (its output first).  With
     ``fail_after``, its first write to a store other than its inputs' raises
     once it has created more than ``fail_after`` stores."""
-    input_names = {collection.name for collection in inputs}
+    input_stores = {collection.store for collection in inputs}
     created = []
     create_store = PersistenceBackend.create_store
     append_bulk = PersistenceBackend.append_bulk
 
-    def spy_create(backend, store_id):
-        created.append(store_id)
-        return create_store(backend, store_id)
+    def spy_create(backend, label):
+        store = create_store(backend, label)
+        created.append(store)
+        return store
 
-    def spy_append(backend, store_id, chunk_bytes, count=1):
+    def spy_append(backend, store, chunk_bytes, count=1):
         if (
             fail_after is not None
             and len(created) > fail_after
-            and store_id not in input_names
+            and store not in input_stores
         ):
-            raise KernelFailure(f"write to {store_id!r} failed")
-        return append_bulk(backend, store_id, chunk_bytes, count)
+            raise KernelFailure(f"write to {store.label!r} failed")
+        return append_bulk(backend, store, chunk_bytes, count)
 
     monkeypatch.setattr(PersistenceBackend, "create_store", spy_create)
     monkeypatch.setattr(PersistenceBackend, "append_bulk", spy_append)
@@ -173,10 +176,9 @@ def test_run_drops_its_scratch_and_keeps_its_output(label, backend, monkeypatch)
     created = spy_stores(monkeypatch, inputs)
     result = run(build(label, backend), inputs)
     assert (len(created) > 1) is (label not in NO_SCRATCH)
-    assert backend.stores() == [*stores, result.output.name]
-    output_bytes = backend.physical_bytes(result.output.name)
+    assert backend.stores() == [*stores, result.output.store]
+    output_bytes = result.output.store.physical_bytes
     assert backend.device.allocated_bytes == allocated + output_bytes
-    # Dropping a store keeps the collection's records.
     assert result.output.records
 
 
@@ -194,3 +196,25 @@ def test_failed_run_drops_its_scratch_and_its_output(label, backend, monkeypatch
     assert len(created) > fail_after
     assert backend.stores() == stores
     assert backend.device.allocated_bytes == allocated
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_REGISTRY))
+@pytest.mark.parametrize("label", sorted(ALGORITHMS))
+def test_two_runs_over_one_input_write_two_stores(label, backend_name):
+    """An output's store is its own, whatever its label: a second
+    identical run charges what the first did and writes a store of its
+    own, and dropping either output leaves the other readable."""
+    backend = make_backend(backend_name, PersistentMemoryDevice())
+    inputs = inputs_for(label, backend)
+    algorithm = build(label, backend)
+    first, second = run(algorithm, inputs), run(algorithm, inputs)
+    assert first.io.as_dict() == second.io.as_dict()
+    assert first.output.name == second.output.name
+    assert first.output.store is not second.output.store
+    output_bytes = len(first.output.records) * algorithm.output_schema.record_bytes
+    assert first.output.store.logical_bytes == output_bytes
+    assert second.output.store.logical_bytes == output_bytes
+    assert first.output.store.physical_bytes == second.output.store.physical_bytes
+    records = list(first.output.records)
+    first.output.drop()
+    assert list(second.output.scan()) == records

@@ -18,26 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
-from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.shard.executor import ShardedQueryExecutor
-from repro.storage.algorithm import Algorithm
 from repro.storage.collection import (
     DEFAULT_CHARGE_BATCH_BLOCKS,
     CollectionStatus,
     PersistentCollection,
 )
 from repro.storage.schema import WISCONSIN_SCHEMA
-from tests.test_cli_golden import CASES as CLI_CASES
-from tests.test_joins.test_golden_io import CASES as JOIN_CASES
-from tests.test_joins.test_golden_io import run_case as run_join_case
-from tests.test_runtime.test_golden_io import CASES as DEFERRED_CASES
-from tests.test_runtime.test_golden_io import run_case as run_deferred_case
-from tests.test_sorts.test_golden_io import CASES as SORT_CASES
-from tests.test_sorts.test_golden_io import run_case as run_sort_case
+from tests.test_cli_golden import observed_cases as observed_cli
+from tests.test_joins.test_golden_io import observed_cases as observed_joins
+from tests.test_runtime.test_golden_io import observed_cases as observed_deferred
+from tests.test_sorts.test_golden_io import observed_cases as observed_sorts
 
 
 def _materialized(backend, name="col"):
@@ -53,8 +46,7 @@ def _records(n):
     return [WISCONSIN_SCHEMA.make_record(key) for key in range(n)]
 
 
-def _store_state(backend, name):
-    stats = backend.store_stats(name)
+def _store_state(stats):
     return (
         stats.logical_bytes,
         stats.physical_bytes,
@@ -64,7 +56,7 @@ def _store_state(backend, name):
     )
 
 
-def model_writes(backend, name, num_records):
+def model_writes(backend, store, num_records):
     """Single-chunk charges of appending ``num_records`` records, then sealing.
 
     Appended bytes fill ``block_bytes`` blocks one backend append each;
@@ -75,12 +67,12 @@ def model_writes(backend, name, num_records):
         num_records * WISCONSIN_SCHEMA.record_bytes, block_bytes
     )
     for _ in range(full_blocks):
-        backend.append_bulk(name, block_bytes)
+        backend.append_bulk(store, block_bytes)
     if pending:
-        backend.append_bulk(name, pending)
+        backend.append_bulk(store, pending)
 
 
-def model_reads(backend, name, num_records):
+def model_reads(backend, store, num_records):
     """Single-chunk charges of a full scan of ``num_records`` records.
 
     One backend read per whole I/O block (the fewest records whose payload
@@ -91,9 +83,9 @@ def model_reads(backend, name, num_records):
     per_block = -(-backend.device.geometry.block_bytes // record_bytes)
     blocks, tail = divmod(num_records, per_block)
     for _ in range(blocks):
-        backend.read_bulk(name, per_block * record_bytes)
+        backend.read_bulk(store, per_block * record_bytes)
     if tail:
-        backend.read_bulk(name, tail * record_bytes)
+        backend.read_bulk(store, tail * record_bytes)
 
 
 def charged(device, action):
@@ -160,14 +152,14 @@ def test_backend_bulk_matches_sequential_calls(backend_name, calls):
     """``count`` chunks in one call charge what ``count`` single-chunk calls do."""
     bulk_backend = make_backend(backend_name, PersistentMemoryDevice())
     seq_backend = make_backend(backend_name, PersistentMemoryDevice())
-    for backend in (bulk_backend, seq_backend):
-        backend.create_store("s")
+    bulk_store = bulk_backend.create_store("s")
+    seq_store = seq_backend.create_store("s")
     for operation, chunk_bytes, count in calls:
-        getattr(bulk_backend, f"{operation}_bulk")("s", chunk_bytes, count)
+        getattr(bulk_backend, f"{operation}_bulk")(bulk_store, chunk_bytes, count)
         for _ in range(count):
-            getattr(seq_backend, f"{operation}_bulk")("s", chunk_bytes)
+            getattr(seq_backend, f"{operation}_bulk")(seq_store, chunk_bytes)
     assert seq_backend.device.snapshot() == bulk_backend.device.snapshot()
-    assert _store_state(seq_backend, "s") == _store_state(bulk_backend, "s")
+    assert _store_state(seq_store) == _store_state(bulk_store)
 
 
 # --------------------------------------------------------------------- #
@@ -182,7 +174,7 @@ def test_collection_charges_match_model(backend_name, num_records):
     collection = _materialized(backend)
     model_device = PersistentMemoryDevice()
     model = make_backend(backend_name, model_device)
-    model.create_store("col")
+    model_store = model.create_store("col")
 
     def write():
         collection.extend(records)
@@ -190,16 +182,16 @@ def test_collection_charges_match_model(backend_name, num_records):
 
     _, write_delta = charged(device, write)
     _, model_write = charged(
-        model_device, lambda: model_writes(model, "col", num_records)
+        model_device, lambda: model_writes(model, model_store, num_records)
     )
     assert write_delta == model_write
     seen, read_delta = charged(device, lambda: list(collection.scan()))
     _, model_read = charged(
-        model_device, lambda: model_reads(model, "col", num_records)
+        model_device, lambda: model_reads(model, model_store, num_records)
     )
     assert read_delta == model_read
     assert seen == records
-    assert _store_state(backend, "col") == _store_state(model, "col")
+    assert _store_state(collection.store) == _store_state(model_store)
 
 
 def test_scan_blocks_lists_are_charge_batches(backend):
@@ -225,7 +217,7 @@ def test_scan_slice_charges_blocks_from_its_start(backend):
     seen, delta = charged(device, lambda: list(collection.scan(start=37, stop=211)))
     assert seen == collection.records[37:211]
     # 174 records: 13 whole blocks counted from record 37, then 5 records.
-    _, model = charged(device, lambda: model_reads(backend, "col", 174))
+    _, model = charged(device, lambda: model_reads(backend, collection.store, 174))
     assert delta == model
 
 
@@ -290,7 +282,7 @@ def test_scan_blocks_charge_batches_match_model(
     assert all(len(block) % 13 == 0 for block in blocks[:-1])
     assert all(len(block) <= 832 for block in blocks)
     _, model_delta = charged(
-        device, lambda: model_reads(backend, "col", len(expected))
+        device, lambda: model_reads(backend, collection.store, len(expected))
     )
     assert blocks_delta == model_delta
 
@@ -304,93 +296,39 @@ def test_scan_blocks_charge_batches_match_model(
     # Abandoning after k lists costs what the model charges for exactly
     # their records.
     assert taken == sum(map(len, blocks[:abandon_after]))
-    _, prefix_delta = charged(device, lambda: model_reads(backend, "col", taken))
+    _, prefix_delta = charged(device, lambda: model_reads(backend, collection.store, taken))
     assert abandon_delta == prefix_delta
 
 
-def test_no_consumer_abandons_a_scan(monkeypatch, capsys):
+def test_no_consumer_abandons_a_scan():
     """Every scan in the golden workloads runs to exhaustion, and every
     store a run or a query creates is gone when it ends but its result's.
 
     A materialized charge batch is paid when it is handed out, and a
     deferred scan's replay charges whole root blocks as it derives and the
     root's tail only at its end, so a consumer that abandoned either scan
-    would pay something other than the replay contract.  Spy on every scan
-    the sort, join, aggregation and deferred-input golden cases and the
-    golden CLI queries start, and prove none stops early.  In the same
-    pass, spy on the stores created while an algorithm or a query runs,
-    and prove that when each case returns only the results' remain: a
-    case's inputs are created outside any run.
+    would pay something other than the replay contract.  The golden
+    observers (``tests/golden_pass.py``) watch every scan the sort, join,
+    aggregation and deferred-input golden cases and the golden CLI
+    queries start, on the golden tests' own runs, and every store created
+    while an algorithm or a query runs: when each case returns, only the
+    results' stores may remain (a case's inputs are created outside any
+    run).
     """
-    original = PersistentCollection.scan_blocks
     scans = []
-
-    def spy(self, start=0, stop=None):
-        if self.is_memory:
-            yield from original(self, start, stop)
-            return
-        scan = {"collection": self.name, "deferred": self.is_deferred}
-        scans.append(scan)
-        yield from original(self, start, stop)
-        scan["exhausted"] = True
-
-    running = 0
-    created = []
-    results = []
-    create_store = PersistenceBackend.create_store
-
-    def spy_create(backend, store_id):
-        if running:
-            created.append((backend, store_id))
-        return create_store(backend, store_id)
-
-    def owner(run):
-        def spy_run(self, *args, **kwargs):
-            nonlocal running
-            running += 1
-            try:
-                result = run(self, *args, **kwargs)
-            finally:
-                running -= 1
-            results.append(result.output)
-            return result
-
-        return spy_run
-
-    def leftover_stores():
-        kept = {(id(output.backend), output.name) for output in results}
-        leftover = [
-            store_id
-            for backend, store_id in created
-            if backend.has_store(store_id) and (id(backend), store_id) not in kept
-        ]
-        created.clear()
-        results.clear()
-        return leftover
-
-    monkeypatch.setattr(PersistentCollection, "scan_blocks", spy)
-    monkeypatch.setattr(PersistenceBackend, "create_store", spy_create)
-    monkeypatch.setattr(Algorithm, "_run", owner(Algorithm._run))
-    monkeypatch.setattr(
-        ShardedQueryExecutor, "execute", owner(ShardedQueryExecutor.execute)
-    )
-    for case in SORT_CASES:
-        run_sort_case(*case)
-        assert leftover_stores() == [], case
-    for case in JOIN_CASES:
-        run_join_case(*case)
-        assert leftover_stores() == [], case
-    for case in DEFERRED_CASES:
-        run_deferred_case(*case)
-        assert leftover_stores() == [], case
-    for args in CLI_CASES.values():
-        assert cli_main(args) == 0
-        assert leftover_stores() == [], args
-    capsys.readouterr()
+    for observed in (
+        observed_sorts(),
+        observed_joins(),
+        observed_deferred(),
+        observed_cli(),
+    ):
+        for case, observation in observed.items():
+            assert observation.leftover == [], case
+            scans.extend(observation.scans)
     deferred = [scan for scan in scans if scan["deferred"]]
     assert len(scans) - len(deferred) > 100
     assert len(deferred) > 100
-    assert [scan for scan in scans if "exhausted" not in scan] == []
+    assert [scan for scan in scans if not scan["exhausted"]] == []
 
 
 def test_extend_empty_is_noop_even_when_sealed(backend):
@@ -423,7 +361,7 @@ def test_extend_is_cut_invariant(backend_name, num_records, cuts):
     pieces.seal()
     assert pieces.records == collection.records
     assert cut.device.snapshot() == whole.device.snapshot()
-    assert _store_state(cut, "col") == _store_state(whole, "col")
+    assert _store_state(pieces.store) == _store_state(collection.store)
 
 
 def test_memory_collection_extend_and_scan_blocks_charge_nothing(backend):

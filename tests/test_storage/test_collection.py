@@ -50,9 +50,48 @@ class TestLifecycle:
 
     def test_drop_removes_backend_store(self, backend):
         collection = build_collection(backend, range(5), name="droppable")
-        assert backend.has_store("droppable")
+        store = collection.store
+        assert backend.stores() == [store]
         collection.drop()
-        assert not backend.has_store("droppable")
+        assert backend.stores() == []
+        assert collection.store is None
+        assert collection.status is CollectionStatus.DROPPED
+        collection.drop()  # a second drop does nothing
+        assert collection.status is CollectionStatus.DROPPED
+
+    @pytest.mark.parametrize(
+        "status", [CollectionStatus.MATERIALIZED, CollectionStatus.MEMORY]
+    )
+    def test_a_dropped_collection_refuses_every_access(self, backend, status):
+        collection = PersistentCollection(
+            name="gone", backend=backend, status=status, context=object()
+        )
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
+        collection.drop()
+        assert collection.context is None
+        assert collection.records == [WISCONSIN_SCHEMA.make_record(1)]
+        for access in (
+            lambda: list(collection.scan()),
+            lambda: list(collection.scan_blocks()),
+            lambda: len(collection),
+            lambda: collection.extend([WISCONSIN_SCHEMA.make_record(2)]),
+        ):
+            with pytest.raises(CollectionStateError, match="'gone'"):
+                access()
+
+    def test_mark_materialized_gives_a_dropped_collection_a_fresh_store(
+        self, backend
+    ):
+        collection = build_collection(backend, range(5), name="again")
+        first = collection.store
+        collection.drop()
+        collection.mark_materialized()
+        assert collection.is_materialized
+        assert collection.store is not first
+        assert backend.stores() == [collection.store]
+        collection.extend([WISCONSIN_SCHEMA.make_record(1)])
+        collection.seal()
+        assert list(collection.scan()) == [WISCONSIN_SCHEMA.make_record(1)]
 
     def test_append_to_deferred_raises(self):
         deferred = PersistentCollection(status=CollectionStatus.DEFERRED)
@@ -178,16 +217,18 @@ class TestStoreOwner:
         owner = StoreOwner()
         scratch = owner.adopt(build_collection(backend, range(40), name="scratch"))
         kept = owner.adopt(build_collection(backend, range(10), name="kept"))
-        build_collection(backend, range(5), name="input")
+        source = build_collection(backend, range(5), name="input")
         snapshot = backend.device.snapshot()
         owner.release(keep=[kept])
-        assert backend.stores() == ["kept", "input"]
+        assert backend.stores() == [kept.store, source.store]
         assert backend.device.allocated_bytes == (
-            backend.physical_bytes("kept") + backend.physical_bytes("input")
+            kept.store.physical_bytes + source.store.physical_bytes
         )
         # A drop charges nothing, and the collection keeps its records.
         assert backend.device.snapshot() == snapshot
+        assert scratch.status is CollectionStatus.DROPPED
         assert len(scratch.records) == 40
+        assert len(kept) == 10
 
     def test_release_skips_stores_already_gone_and_never_made(self, backend):
         owner = StoreOwner()

@@ -33,13 +33,6 @@ class TestRunSet:
         runset.add_existing(external)
         assert len(runset) == 1
 
-    def test_drop_all(self, backend):
-        runset = RunSet(backend)
-        run = make_run(runset, [1, 2])
-        runset.drop_all()
-        assert len(runset) == 0
-        assert not backend.has_store(run.name)
-
     def test_iteration(self, backend):
         runset = RunSet(backend)
         make_run(runset, [1])

@@ -8,19 +8,25 @@ stores they held after the load, and the devices exactly the bytes: the
 query's sinks, runtime-context materializations, exchange destinations
 and every algorithm's runs, partitions and spills are gone.  At 3k x 6k
 under a 16 KiB budget the operators write dozens of scratch stores per
-query.
+query.  With the garbage collector off, no finished query's operator
+context or derived collection stays alive either: dropping a collection
+breaks its cycle with its context.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
 from repro.pmem.backends import make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.query import BOUNDARY_POLICIES, Query
+from repro.runtime.context import OperatorContext
 from repro.session import Session
 from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
+from repro.storage.collection import PersistentCollection
 from repro.workloads.generator import make_join_inputs, make_sharded_join_inputs
 
 LEFT, RIGHT = 3_000, 6_000
@@ -82,3 +88,26 @@ def test_queries_leave_the_post_load_stores(policy, shards):
         with pytest.raises(OperatorFailure):
             session.query(build_query(left, right, fail=True))
         assert footprint(backends) == loaded
+
+
+def tracked(kinds):
+    return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+
+
+@pytest.mark.parametrize("policy", ["defer", "cost"])
+def test_finished_queries_leave_no_context_or_collection_alive(policy):
+    kinds = (OperatorContext, PersistentCollection)
+    backend, _, (left, right) = load(1)
+    gc.collect()
+    gc.disable()
+    try:
+        # Held, so that no id of theirs is reused by a query's object.
+        before = tracked(kinds)
+        with Session(backend, BUDGET, boundary_policy=policy) as session:
+            for _ in range(5):
+                session.query(build_query(left, right))
+        known = set(map(id, before))
+        alive = [obj for obj in tracked(kinds) if id(obj) not in known]
+    finally:
+        gc.enable()
+    assert alive == []

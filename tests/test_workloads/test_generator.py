@@ -13,7 +13,8 @@ class TestLoadCollection:
         collection = load_collection(records, backend, "loaded")
         assert len(collection) == 10
         assert collection.is_sealed
-        assert backend.has_store("loaded")
+        assert backend.stores() == [collection.store]
+        assert collection.store.label == "loaded"
 
     def test_loading_charges_writes(self, backend, device):
         before = device.snapshot()
