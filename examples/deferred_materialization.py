@@ -46,7 +46,7 @@ def main() -> None:
     )
     for decision in context.decisions[:6]:
         verdict = "materialize" if decision.materialize else "defer"
-        print(f"  [{decision.rule:>17s}] {verdict:11s} {decision.collection}")
+        print(f"  [{decision.rule:>17s}] {verdict:11s} {decision.collection.name}")
     if len(context.decisions) > 6:
         print(f"  ... {len(context.decisions) - 6} more decisions")
     print(

@@ -66,10 +66,10 @@ def main() -> None:
         assert deferred_edges, "the filter edge should defer at lambda = 15"
         (context,) = costed.runtime_contexts
         for execution in deferred_edges:
-            name = execution.output.name
+            output = execution.output
             print(
-                f"\ndeferred intermediate {name!r}: re-derived "
-                f"{context.reconstruction_count(name)}x through the runtime "
+                f"\ndeferred intermediate {output.name!r}: re-derived "
+                f"{context.reconstruction_count(output)}x through the runtime "
                 f"graph, {execution.records} records, zero settlement writes"
             )
 

@@ -180,6 +180,7 @@ def _run_figure11(args) -> str:
         num_sort_records=args.records,
         join_left_records=args.left,
         join_right_records=args.right,
+        backend_name=args.backend,
     )
     return reporting.format_series(
         rows,
@@ -195,6 +196,7 @@ def _run_figure12(args) -> str:
         join_left_records=args.left,
         join_right_records=args.right,
         memory_fractions=_fractions(args),
+        backend_name=args.backend,
     )
     return reporting.format_table(
         rows,

@@ -44,7 +44,6 @@ execution owns them itself and keeps only the root's output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.pmem.backends.base import PersistenceBackend
@@ -113,20 +112,13 @@ class _ExecutionState:
         self.owner = owner
         self.executions: dict = {}
         self.context = None
-        #: Ordinals of the execution's sinks; a deferred filter over a sink
-        #: registers it in the context, which keys collections by name.
-        self.sink_ordinals = itertools.count()
 
     def context_factory(self):
         """The execution's shared OperatorContext, created on first use."""
         if self.context is None:
             from repro.runtime.context import OperatorContext
 
-            self.context = OperatorContext(
-                self.backend,
-                name_prefix="query-ctx",
-                owner=self.owner,
-            )
+            self.context = OperatorContext(self.backend, owner=self.owner)
         return self.context
 
 
@@ -231,14 +223,14 @@ class QueryExecutor:
             and operator.output.is_memory
         ):
             return operator.output
-        sink = state.owner.adopt(self._sink(node, next(state.sink_ordinals)))
+        sink = state.owner.adopt(self._sink(node))
         for block in operator.blocks():
             sink.extend(block)
         sink.seal()
         return sink
 
-    def _sink(self, node: PlannedNode, ordinal: int) -> PersistentCollection:
-        name = f"query-{node.operator.lower()}-{ordinal}"
+    def _sink(self, node: PlannedNode) -> PersistentCollection:
+        name = f"query-{node.operator.lower()}"
         if node.materialized:
             return PersistentCollection(
                 name=name,
@@ -264,8 +256,8 @@ class QueryExecutor:
                 continue
             if not execution.output.is_deferred:
                 continue
-            name = execution.output.name
-            count = state.context.last_reconstructed_records(name)
+            output = execution.output
+            count = state.context.last_reconstructed_records(output)
             if count is not None:
                 execution.records = count
             else:
@@ -274,6 +266,6 @@ class QueryExecutor:
                 execution.records = int(round(execution.node.est_records))
                 execution.details["records_estimated"] = True
             execution.details["reconstructions"] = state.context.reconstruction_count(
-                name
+                output
             )
 

@@ -299,7 +299,7 @@ class DeferredFilterOperator(PhysicalOperator):
             self.source, logical.predicate, logical.selectivity, output=output
         )
         passes = int(self.node.extra.get("consumer_passes", 1))
-        self.context.set_process_count_hint(name, passes)
+        self.context.set_process_count_hint(output, passes)
         # Run the assess/produce protocol: the rule engine may veto the
         # planner's deferral (and then the records are produced here,
         # charging this node the writes the plan hoped to avoid).
@@ -309,7 +309,7 @@ class DeferredFilterOperator(PhysicalOperator):
             "deferred": output.is_deferred,
             "collection": name,
         }
-        if decision is not None and decision.collection == name:
+        if decision is not None and decision.collection is output:
             self.details["rule"] = decision.rule
             self.details["rule_reason"] = decision.reason
         self.output = output

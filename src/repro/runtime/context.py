@@ -27,15 +27,12 @@ root's last record does not pay the tail.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq
 from typing import Callable, Iterator, Optional
 
-from repro.exceptions import (
-    ConfigurationError,
-    GraphConsistencyError,
-    UnknownCollectionError,
-)
+from repro.exceptions import ConfigurationError, GraphConsistencyError
 from repro.pmem.backends.base import PersistenceBackend
 from repro.runtime.api import CallKind, FilterCall, MergeCall, PartitionCall, SplitCall
 from repro.runtime.graph import ControlFlowGraph
@@ -54,15 +51,32 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 Step = tuple[Optional[Callable[[tuple], bool]], int, Optional[int]]
 
 
+@dataclass
+class _Tracked:
+    """What a context knows of one registered collection."""
+
+    #: Records present: a settled input, or a promoted collection filled.
+    produced: bool
+    expected_records: int | None = None
+    process_count_hint: int = 0
+    #: Read cost (ns) spent opening the collection as a replay root.
+    accumulated_read_ns: float = 0.0
+    reconstructions: int = 0
+    last_reconstructed: int | None = None
+
+
 class OperatorContext:
-    """Runtime context shared by the collections of one physical operator."""
+    """Runtime context shared by the collections of one physical operator.
+
+    The context tracks collections by identity: a collection's name is
+    only its label, so two collections under one label are tracked apart.
+    """
 
     def __init__(
         self,
         backend: PersistenceBackend,
         schema: Schema = WISCONSIN_SCHEMA,
         rules: RuleEngine | None = None,
-        name_prefix: str = "ctx",
         owner: StoreOwner | None = None,
     ) -> None:
         self.backend = backend
@@ -72,23 +86,16 @@ class OperatorContext:
         self.schema = schema
         self.rules = rules or RuleEngine()
         self.graph = ControlFlowGraph()
-        self._name_prefix = name_prefix
         self._names = itertools.count()
-        self._collections: dict[str, PersistentCollection] = {}
-        self._produced: set[str] = set()
-        self._expected_records: dict[str, int] = {}
-        self._process_count_hints: dict[str, int] = {}
-        self._accumulated_read_ns: dict[str, float] = {}
-        self._reconstruction_counts: dict[str, int] = {}
-        self._last_reconstructed: dict[str, int] = {}
+        self._tracked: dict[PersistentCollection, _Tracked] = {}
         self.decisions: list[MaterializationDecision] = []
 
     # ------------------------------------------------------------------ #
     # Collection management.
     # ------------------------------------------------------------------ #
-    def create_name(self, prefix: str | None = None) -> str:
-        """A name unique within this context (the paper's ``create_name()``)."""
-        return f"{prefix or self._name_prefix}-{next(self._names)}"
+    def create_name(self, prefix: str = "ctx") -> str:
+        """A fresh label for a new collection (the paper's ``create_name()``)."""
+        return f"{prefix}-{next(self._names)}"
 
     def declare(
         self,
@@ -114,49 +121,35 @@ class OperatorContext:
         collection: PersistentCollection,
         expected_records: int | None = None,
     ) -> PersistentCollection:
-        """Adopt an existing collection (e.g. a primary input) into the context."""
-        if collection.name in self._collections:
-            raise ConfigurationError(
-                f"collection {collection.name!r} already registered"
+        """Adopt a collection (e.g. a primary input) into the context.
+
+        Registering a collection again changes nothing but an estimate
+        not yet recorded: ``expected_records`` never overrides one.
+        """
+        tracked = self._tracked.get(collection)
+        if tracked is None:
+            # Only a collection this context must derive points back at
+            # it: a settled input is recorded as produced, so a base table
+            # keeps no reference to the query that read it.
+            tracked = self._tracked[collection] = _Tracked(
+                produced=not collection.is_deferred
             )
-        self._collections[collection.name] = collection
-        self.graph.add_collection(collection.name)
-        if expected_records is not None:
-            self._expected_records[collection.name] = expected_records
-        # Only a collection this context must derive points back at it: a
-        # settled input is recorded as produced, so a base table keeps no
-        # reference to the query that read it.
-        if collection.is_deferred:
-            collection.context = self
-        else:
-            self._produced.add(collection.name)
+            if collection.is_deferred:
+                collection.context = self
+        if tracked.expected_records is None:
+            tracked.expected_records = expected_records
         return collection
 
-    def ensure_registered(self, collection: PersistentCollection) -> None:
-        """Register ``collection`` unless it already is.
-
-        By identity: another collection under its name makes ``register``
-        raise, rather than silently standing in for it.
-        """
-        if self._collections.get(collection.name) is not collection:
-            self.register(collection)
-
-    def collection(self, name: str) -> PersistentCollection:
-        try:
-            return self._collections[name]
-        except KeyError:
-            raise UnknownCollectionError(
-                f"context has no collection named {name!r}"
-            ) from None
-
     def collections(self) -> list[PersistentCollection]:
-        return list(self._collections.values())
+        return list(self._tracked)
 
-    def set_process_count_hint(self, name: str, count: int) -> None:
+    def set_process_count_hint(
+        self, collection: PersistentCollection, count: int
+    ) -> None:
         """Tell the multi-process rule how often a collection will be read."""
         if count < 0:
             raise ConfigurationError("process count must be non-negative")
-        self._process_count_hints[name] = count
+        self._tracked[collection].process_count_hint = count
 
     # ------------------------------------------------------------------ #
     # The four API primitives.
@@ -169,16 +162,15 @@ class OperatorContext:
         high: PersistentCollection | None = None,
     ) -> tuple[PersistentCollection, PersistentCollection]:
         """``split(T, n, Tl, Th)``: record a split of ``source`` at ``position``."""
-        self.ensure_registered(source)
-        remainder = max(0, self.estimated_cardinality(source.name) - position)
+        self.register(source)
+        remainder = max(0, self.estimated_cardinality(source) - position)
         if low is None:
-            low = self.declare(expected_records=position)
+            low = self.declare()
         if high is None:
-            high = self.declare(expected_records=remainder)
-        descriptor = SplitCall(position=position)
-        self.graph.add_call(descriptor, (source.name,), (low.name, high.name))
-        self._expected_records.setdefault(low.name, position)
-        self._expected_records.setdefault(high.name, remainder)
+            high = self.declare()
+        self.register(low, expected_records=position)
+        self.register(high, expected_records=remainder)
+        self.graph.add_call(SplitCall(position=position), (source,), (low, high))
         return low, high
 
     def partition(
@@ -190,28 +182,24 @@ class OperatorContext:
         expected_sizes: list[int] | None = None,
     ) -> list[PersistentCollection]:
         """``partition(T, h(), k, <Ti>, <si>)``: record a hash partitioning."""
-        self.ensure_registered(source)
+        self.register(source)
         if outputs is None:
             outputs = [self.declare() for _ in range(num_partitions)]
         if len(outputs) != num_partitions:
             raise ConfigurationError(
                 "partition needs exactly one output collection per partition"
             )
-        for output in outputs:
-            self.ensure_registered(output)
         descriptor = PartitionCall(
             partition_fn=partition_fn,
             num_partitions=num_partitions,
             expected_sizes=tuple(expected_sizes) if expected_sizes else None,
         )
-        self.graph.add_call(
-            descriptor, (source.name,), tuple(o.name for o in outputs)
-        )
-        source_records = self.estimated_cardinality(source.name)
+        source_records = self.estimated_cardinality(source)
         for index, output in enumerate(outputs):
-            self._expected_records.setdefault(
-                output.name, descriptor.expected_size(index, source_records)
+            self.register(
+                output, expected_records=descriptor.expected_size(index, source_records)
             )
+        self.graph.add_call(descriptor, (source,), tuple(outputs))
         return outputs
 
     def filter(
@@ -222,14 +210,13 @@ class OperatorContext:
         output: PersistentCollection | None = None,
     ) -> PersistentCollection:
         """``filter(T, p(), f, Tp)``: record a filtering of ``source``."""
-        self.ensure_registered(source)
+        self.register(source)
         descriptor = FilterCall(predicate=predicate, selectivity=selectivity)
-        expected = descriptor.expected_size(self.estimated_cardinality(source.name))
+        expected = descriptor.expected_size(self.estimated_cardinality(source))
         if output is None:
-            output = self.declare(expected_records=expected)
-        self.ensure_registered(output)
-        self.graph.add_call(descriptor, (source.name,), (output.name,))
-        self._expected_records.setdefault(output.name, expected)
+            output = self.declare()
+        self.register(output, expected_records=expected)
+        self.graph.add_call(descriptor, (source,), (output,))
         return output
 
     def merge(
@@ -245,59 +232,55 @@ class OperatorContext:
         functor that opens its inputs, triggering assessment and
         production), so unlike the other primitives it runs eagerly.
         """
-        self.ensure_registered(left)
-        self.ensure_registered(right)
-        self.ensure_registered(output)
-        descriptor = MergeCall(merge_fn=merge_fn)
-        self.graph.add_call(descriptor, (left.name, right.name), ())
+        for collection in (left, right, output):
+            self.register(collection)
+        self.graph.add_call(MergeCall(merge_fn=merge_fn), (left, right), ())
         merge_fn(left, right, output)
         return output
 
     # ------------------------------------------------------------------ #
     # Assess / produce / reconstruct (the Collection.open protocol).
     # ------------------------------------------------------------------ #
-    def assess(self, name: str) -> MaterializationDecision:
+    def assess(self, collection: PersistentCollection) -> MaterializationDecision:
         """Run the rule engine on a deferred collection."""
-        collection = self.collection(name)
-        decision = self.rules.assess(name, self)
+        decision = self.rules.assess(collection, self)
         self.decisions.append(decision)
         if decision.materialize:
             collection.mark_materialized()
-            producer = self.graph.producer_of(name)
+            producer = self.graph.producer_of(collection)
             if producer is not None and producer.kind is CallKind.PARTITION:
                 producer.group_decision = "materialize"
         return decision
 
-    def is_pending(self, name: str) -> bool:
+    def is_pending(self, collection: PersistentCollection) -> bool:
         """Materialized (or promoted) but records not yet produced."""
-        return name not in self._produced
+        return not self._tracked[collection].produced
 
-    def is_available(self, name: str) -> bool:
+    def is_available(self, collection: PersistentCollection) -> bool:
         """Records are present and can be scanned without re-derivation.
 
         Only settled collections are ever recorded as produced: a settled
         input when it is registered, a promoted one once it is filled.
         """
-        return name in self._produced
+        return self._tracked[collection].produced
 
-    def produce(self, name: str) -> None:
+    def produce(self, collection: PersistentCollection) -> None:
         """Fill a promoted collection by replaying its derivation chain.
 
         All or nothing: if the replay raises, every collection being
         produced is cleared (its store truncated) before the exception
         propagates, so the next ``open()`` produces it again from scratch.
         """
-        if self.is_available(name):
+        if self.is_available(collection):
             return
-        collection = self.collection(name)
         if collection.is_deferred:
             raise GraphConsistencyError(
-                f"collection {name!r} is still deferred; assess it first"
+                f"collection {collection.name!r} is still deferred; assess it first"
             )
-        producer = self.graph.producer_of(name)
+        producer = self.graph.producer_of(collection)
         if producer is None:
             raise GraphConsistencyError(
-                f"collection {name!r} has no producer call and no records"
+                f"collection {collection.name!r} has no producer call and no records"
             )
         if (
             producer.kind is CallKind.PARTITION
@@ -308,11 +291,11 @@ class OperatorContext:
             # same pass over the source.
             self._produce_partition_group(producer)
             return
-        batches = self._replay(*self._chain(name))
+        batches = self._replay(*self._chain(collection))
         self._fill([collection], ([batch] for batch in batches))
 
     def reconstruct(
-        self, name: str, start: int = 0, stop: int | None = None
+        self, collection: PersistentCollection, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple]:
         """Stream a deferred collection's records without materializing them.
 
@@ -326,35 +309,36 @@ class OperatorContext:
         deferral actually cost.
         """
         return itertools.chain.from_iterable(
-            self._reconstruct(name, start, stop)
+            self._reconstruct(collection, start, stop)
         )
 
     def _reconstruct(
-        self, name: str, start: int, stop: int | None
+        self, collection: PersistentCollection, start: int, stop: int | None
     ) -> Iterator[list[tuple]]:
         if start < 0 or (stop is not None and stop < 0):
             raise ValueError("reconstruct bounds must be non-negative")
         # The slice is one more split step; like islice, it pulls
         # max(start, stop) records even when stop < start.
         bound = None if stop is None else max(start, stop)
-        root, steps = self._chain(name)
+        root, steps = self._chain(collection)
         taken = yield from self._replay(root, [*steps, (None, start, bound)])
         produced = taken[-1]
-        self._reconstruction_counts[name] = (
-            self._reconstruction_counts.get(name, 0) + 1
-        )
+        tracked = self._tracked[collection]
+        tracked.reconstructions += 1
         if stop is None or produced < stop:
             # The derivation ran dry before (or exactly at) the slice
             # bound, so ``produced`` is the collection's full cardinality.
-            self._last_reconstructed[name] = produced
+            tracked.last_reconstructed = produced
 
-    def reconstruction_count(self, name: str) -> int:
-        """How many times ``name`` has been fully re-derived."""
-        return self._reconstruction_counts.get(name, 0)
+    def reconstruction_count(self, collection: PersistentCollection) -> int:
+        """How many times ``collection`` has been fully re-derived."""
+        return self._tracked[collection].reconstructions
 
-    def last_reconstructed_records(self, name: str) -> int | None:
+    def last_reconstructed_records(
+        self, collection: PersistentCollection
+    ) -> int | None:
         """Records yielded by the last full reconstruction, if any."""
-        return self._last_reconstructed.get(name)
+        return self._tracked[collection].last_reconstructed
 
     # ------------------------------------------------------------------ #
     # Cost bookkeeping used by the rules.
@@ -363,62 +347,64 @@ class OperatorContext:
     def write_read_ratio(self) -> float:
         return self.backend.device.write_read_ratio
 
-    def expected_process_count(self, name: str) -> int:
-        return self._process_count_hints.get(name, 0)
+    def expected_process_count(self, collection: PersistentCollection) -> int:
+        return self._tracked[collection].process_count_hint
 
-    def estimated_cardinality(self, name: str) -> int:
-        collection = self._collections.get(name)
-        if collection is not None and (collection.records or self.is_available(name)):
+    def estimated_cardinality(self, collection: PersistentCollection) -> int:
+        tracked = self._tracked[collection]
+        if collection.records or tracked.produced:
             return len(collection.records)
-        return self._expected_records.get(name, 0)
+        return tracked.expected_records or 0
 
-    def estimated_write_cost(self, name: str) -> float:
+    def estimated_write_cost(self, collection: PersistentCollection) -> float:
         """Cost (ns) of materializing the collection once."""
-        records = self.estimated_cardinality(name)
-        nbytes = records * self.collection(name).schema.record_bytes
+        nbytes = self.estimated_cardinality(collection) * collection.schema.record_bytes
         cachelines = self.backend.device.geometry.bytes_to_cachelines(nbytes)
         return self.backend.device.latency.write_cost_ns(cachelines)
 
-    def estimated_construction_read_cost(self, name: str) -> float:
+    def estimated_construction_read_cost(
+        self, collection: PersistentCollection
+    ) -> float:
         """Cost (ns) of reading the inputs needed to build the collection once."""
-        producer = self.graph.producer_of(name)
+        producer = self.graph.producer_of(collection)
         if producer is None:
             return 0.0
         total = 0.0
         for parent in producer.inputs:
-            records = self.estimated_cardinality(parent)
-            nbytes = records * self.collection(parent).schema.record_bytes
+            nbytes = self.estimated_cardinality(parent) * parent.schema.record_bytes
             cachelines = self.backend.device.geometry.bytes_to_cachelines(nbytes)
             total += self.backend.device.latency.read_cost_ns(cachelines)
         return total
 
-    def accumulated_read_cost(self, names) -> float:
-        """Read cost already spent scanning the named collections (ns)."""
-        return sum(self._accumulated_read_ns.get(name, 0.0) for name in names)
+    def accumulated_read_cost(self, collections) -> float:
+        """Read cost already spent scanning the given collections (ns)."""
+        return sum(self._tracked[c].accumulated_read_ns for c in collections)
 
     # ------------------------------------------------------------------ #
     # Internal helpers.
     # ------------------------------------------------------------------ #
-    def _chain(self, name: str) -> tuple[PersistentCollection, list[Step]]:
-        """The root of ``name``'s replay and the steps from it down to ``name``.
+    def _chain(
+        self, collection: PersistentCollection
+    ) -> tuple[PersistentCollection, list[Step]]:
+        """The root of ``collection``'s replay and the steps from it down.
 
-        ``name`` itself is always re-derived from its producer; the chain
-        then walks up while the source is unavailable.
+        ``collection`` itself is always re-derived from its producer; the
+        chain then walks up while the source is unavailable.
         """
         steps: list[Step] = []
-        while not steps or not self.is_available(name):
-            producer = self.graph.producer_of(name)
+        while not steps or not self.is_available(collection):
+            producer = self.graph.producer_of(collection)
             if producer is None:
                 raise GraphConsistencyError(
-                    f"collection {name!r} has no producer and no records; "
-                    "cannot derive it"
+                    f"collection {collection.name!r} has no producer and no "
+                    "records; cannot derive it"
                 )
             if producer.kind is CallKind.MERGE:
                 raise GraphConsistencyError(
                     "merge outputs are append targets and cannot be re-derived "
-                    f"lazily (collection {name!r})"
+                    f"lazily (collection {collection.name!r})"
                 )
-            descriptor, index = producer.descriptor, producer.output_index(name)
+            descriptor, index = producer.descriptor, producer.output_index(collection)
             if producer.kind is CallKind.SPLIT:
                 steps.append((None, *descriptor.output_slice(index)))
             elif producer.kind is CallKind.PARTITION:
@@ -426,9 +412,9 @@ class OperatorContext:
                 steps.append((lambda record, fn=fn, i=index: fn(record) == i, 0, None))
             else:
                 steps.append((descriptor.predicate, 0, None))
-            name = producer.inputs[0]
+            collection = producer.inputs[0]
         steps.reverse()
-        return self.collection(name), steps
+        return collection, steps
 
     def _replay(
         self, root: PersistentCollection, steps: list[Step]
@@ -446,9 +432,9 @@ class OperatorContext:
             # rule; a zero bound above the first step never opens it.
             device = self.backend.device
             cachelines = device.geometry.bytes_to_cachelines(root.nbytes)
-            self._accumulated_read_ns[root.name] = self._accumulated_read_ns.get(
-                root.name, 0.0
-            ) + device.latency.read_cost_ns(cachelines)
+            self._tracked[root].accumulated_read_ns += device.latency.read_cost_ns(
+                cachelines
+            )
         records = root.records
         per_block = root.records_per_block
         batch_records = per_block * DEFAULT_CHARGE_BATCH_BLOCKS
@@ -480,12 +466,11 @@ class OperatorContext:
         """Materialize every promoted output of one partition call in one scan."""
         descriptor = call.descriptor
         targets: dict[int, PersistentCollection] = {}
-        for index, output_name in enumerate(call.outputs):
-            output = self.collection(output_name)
+        for index, output in enumerate(call.outputs):
             if output.is_deferred:
                 # Promote the remaining siblings: the eager-partition rule.
                 output.mark_materialized()
-            if not self.is_available(output_name):
+            if not self.is_available(output):
                 targets[index] = output
         if not targets:
             return
@@ -515,4 +500,5 @@ class OperatorContext:
             for target in targets:
                 target.clear()
             raise
-        self._produced.update(target.name for target in targets)
+        for target in targets:
+            self._tracked[target].produced = True

@@ -6,25 +6,27 @@ nodes that consume them, and call nodes connect to the collections they
 produce.  The graph is what allows a deferred collection to be
 reconstructed on demand by walking back to its oldest materialized
 ancestor and replaying the calls along the way.
+
+A collection node is the collection object itself: names are only
+labels, so two collections under one label are two nodes.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import GraphConsistencyError
 from repro.runtime.api import CallKind
+from repro.storage.collection import PersistentCollection
 
 
-@dataclass
+@dataclass(eq=False)
 class CallNode:
-    """One recorded API call."""
+    """One recorded API call (compared by identity, like collections)."""
 
-    call_id: int
     descriptor: object  # SplitCall | PartitionCall | FilterCall | MergeCall
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
+    inputs: tuple[PersistentCollection, ...]
+    outputs: tuple[PersistentCollection, ...]
     #: Set once the runtime decides the call's outputs as a group (the
     #: eager-partition rule forces a single decision per partition call).
     group_decision: str | None = None
@@ -33,12 +35,13 @@ class CallNode:
     def kind(self) -> CallKind:
         return self.descriptor.kind
 
-    def output_index(self, name: str) -> int:
+    def output_index(self, collection: PersistentCollection) -> int:
         try:
-            return self.outputs.index(name)
+            return self.outputs.index(collection)
         except ValueError:
             raise GraphConsistencyError(
-                f"collection {name!r} is not an output of call {self.call_id}"
+                f"collection {collection!r} is not an output of this "
+                f"{self.kind.value} call"
             ) from None
 
 
@@ -46,128 +49,44 @@ class ControlFlowGraph:
     """Bipartite dependency graph between collections and API calls."""
 
     def __init__(self) -> None:
-        self._calls: dict[int, CallNode] = {}
-        self._producer: dict[str, int] = {}
-        self._consumers: dict[str, list[int]] = {}
-        self._collections: set[str] = set()
-        self._ids = itertools.count()
-
-    # ------------------------------------------------------------------ #
-    # Construction.
-    # ------------------------------------------------------------------ #
-    def add_collection(self, name: str) -> None:
-        self._collections.add(name)
+        self._calls: list[CallNode] = []
+        self._producer: dict[PersistentCollection, CallNode] = {}
+        self._consumers: dict[PersistentCollection, list[CallNode]] = {}
 
     def add_call(
         self,
         descriptor,
-        inputs: tuple[str, ...],
-        outputs: tuple[str, ...],
+        inputs: tuple[PersistentCollection, ...],
+        outputs: tuple[PersistentCollection, ...],
     ) -> CallNode:
         """Record an API call; every output may have only one producer."""
-        for name in outputs:
-            if name in self._producer:
+        for collection in outputs:
+            if collection in self._producer:
                 raise GraphConsistencyError(
-                    f"collection {name!r} already has a producer call"
+                    f"collection {collection!r} already has a producer call"
                 )
-        call = CallNode(
-            call_id=next(self._ids),
-            descriptor=descriptor,
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-        )
-        self._calls[call.call_id] = call
-        for name in inputs:
-            self.add_collection(name)
-            self._consumers.setdefault(name, []).append(call.call_id)
-        for name in outputs:
-            self.add_collection(name)
-            self._producer[name] = call.call_id
+        call = CallNode(descriptor, tuple(inputs), tuple(outputs))
+        self._calls.append(call)
+        for collection in inputs:
+            self._consumers.setdefault(collection, []).append(call)
+        for collection in outputs:
+            self._producer[collection] = call
         return call
 
-    # ------------------------------------------------------------------ #
-    # Queries.
-    # ------------------------------------------------------------------ #
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
     def calls(self) -> list[CallNode]:
-        return list(self._calls.values())
+        return list(self._calls)
 
-    def producer_of(self, name: str) -> CallNode | None:
-        """The call that produces ``name``, or ``None`` for primary inputs."""
-        call_id = self._producer.get(name)
-        if call_id is None:
-            return None
-        return self._calls[call_id]
+    def producer_of(self, collection: PersistentCollection) -> CallNode | None:
+        """The call that produces ``collection``, or ``None`` for primary inputs."""
+        return self._producer.get(collection)
 
-    def consumers_of(self, name: str) -> list[CallNode]:
-        """Calls that take ``name`` as an input."""
-        return [self._calls[cid] for cid in self._consumers.get(name, [])]
+    def consumers_of(self, collection: PersistentCollection) -> list[CallNode]:
+        """Calls that take ``collection`` as an input."""
+        return list(self._consumers.get(collection, ()))
 
-    def consumer_count(self, name: str) -> int:
+    def consumer_count(self, collection: PersistentCollection) -> int:
         """How many calls process the collection (the multi-process rule)."""
-        return len(self._consumers.get(name, []))
-
-    def siblings_of(self, name: str) -> tuple[str, ...]:
-        """Other outputs of the call that produces ``name`` (may be empty)."""
-        producer = self.producer_of(name)
-        if producer is None:
-            return ()
-        return tuple(other for other in producer.outputs if other != name)
-
-    def ancestors_of(self, name: str) -> list[str]:
-        """All transitive ancestors of a collection, nearest first."""
-        ancestors: list[str] = []
-        frontier = [name]
-        seen = {name}
-        while frontier:
-            current = frontier.pop(0)
-            producer = self.producer_of(current)
-            if producer is None:
-                continue
-            for parent in producer.inputs:
-                if parent not in seen:
-                    seen.add(parent)
-                    ancestors.append(parent)
-                    frontier.append(parent)
-        return ancestors
-
-    def derivation_chain(self, name: str, is_available) -> list[tuple[CallNode, str]]:
-        """The calls to replay, oldest first, to rebuild ``name``.
-
-        ``is_available(collection_name)`` tells the graph which collections
-        already have their records present (primary inputs, produced
-        intermediates).  The chain stops at the first available ancestor on
-        each path.
-
-        Raises:
-            GraphConsistencyError: if some path reaches a primary input that
-                is not available, i.e. the collection cannot be rebuilt.
-        """
-        chain: list[tuple[CallNode, str]] = []
-
-        def visit(target: str) -> None:
-            if is_available(target):
-                return
-            producer = self.producer_of(target)
-            if producer is None:
-                raise GraphConsistencyError(
-                    f"collection {target!r} has no producer and is not available; "
-                    "cannot reconstruct"
-                )
-            for parent in producer.inputs:
-                visit(parent)
-            chain.append((producer, target))
-
-        visit(name)
-        return chain
+        return len(self._consumers.get(collection, ()))
 
     def __len__(self) -> int:
         return len(self._calls)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ControlFlowGraph(collections={len(self._collections)}, "
-            f"calls={len(self._calls)})"
-        )

@@ -87,9 +87,6 @@ class SegmentedGraceJoinOperator(Operator):
 
     def evaluate(self) -> PersistentCollection:
         context = self.context
-        for collection in (self.left, self.right):
-            context.ensure_registered(collection)
-
         output = PersistentCollection(
             name=context.create_name("sgj-output"),
             backend=context.backend if self.materialize_output else None,

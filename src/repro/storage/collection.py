@@ -58,14 +58,8 @@ from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend, StoreStats
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
-_anonymous_counter = itertools.count()
-
 #: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
 DEFAULT_CHARGE_BATCH_BLOCKS = 64
-
-
-def _next_anonymous_name() -> str:
-    return f"collection-{next(_anonymous_counter)}"
 
 
 class CollectionStatus(enum.Enum):
@@ -87,9 +81,10 @@ class PersistentCollection:
     cacheline I/O.
 
     Args:
-        name: the collection's label (its store's too); auto-generated
-            when omitted.  An operator context keys the collections it
-            manages by name, so names are unique within one context.
+        name: the collection's label (its store's too).  Only a label:
+            the collection object is its identity, to its store and to an
+            operator context alike, so any number of collections may
+            share one.
         backend: persistence backend for MATERIALIZED collections.  May be
             ``None`` for purely in-memory collections.
         schema: record schema; defaults to the paper's Wisconsin schema.
@@ -102,14 +97,14 @@ class PersistentCollection:
 
     def __init__(
         self,
-        name: str | None = None,
+        name: str = "collection",
         backend: Optional[PersistenceBackend] = None,
         schema: Schema = WISCONSIN_SCHEMA,
         status: CollectionStatus = CollectionStatus.MATERIALIZED,
         context=None,
         block_bytes: int | None = None,
     ) -> None:
-        self.name = name or _next_anonymous_name()
+        self.name = name
         self.schema = schema
         self.backend = backend
         self.context = context
@@ -186,10 +181,10 @@ class PersistentCollection:
         produces them by replaying the control-flow graph.
         """
         if self._status is CollectionStatus.DEFERRED and self.context is not None:
-            self.context.assess(self.name)
+            self.context.assess(self)
         if self._status is CollectionStatus.MATERIALIZED and self.context is not None:
-            if self.context.is_pending(self.name):
-                self.context.produce(self.name)
+            if self.context.is_pending(self):
+                self.context.produce(self)
 
     # ------------------------------------------------------------------ #
     # Writing.
@@ -324,7 +319,7 @@ class PersistentCollection:
                 raise CollectionStateError(
                     f"deferred collection {self.name!r} has no operator context"
                 )
-            stream = self.context.reconstruct(self.name, start=start, stop=stop)
+            stream = self.context.reconstruct(self, start=start, stop=stop)
             while batch := list(itertools.islice(stream, step)):
                 yield batch
             return
@@ -375,7 +370,7 @@ class PersistentCollection:
                 raise CollectionStateError(
                     f"deferred collection {self.name!r} has no operator context"
                 )
-            return self.context.estimated_cardinality(self.name)
+            return self.context.estimated_cardinality(self)
         return len(self._records)
 
     @property

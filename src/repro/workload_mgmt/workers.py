@@ -29,7 +29,6 @@ class DeviceWorkerPool:
     Args:
         num_devices: how many devices the pool serves; tasks are keyed by
             device index in ``[0, num_devices)``.
-        name: thread-name prefix, for debuggability.
 
     Tasks for device ``i`` run on worker ``i``, in submission order.
     Because a device's work is funneled through exactly one thread, the
@@ -39,12 +38,12 @@ class DeviceWorkerPool:
     accounting exact under concurrency.
     """
 
-    def __init__(self, num_devices: int, name: str = "device") -> None:
+    def __init__(self, num_devices: int) -> None:
         if num_devices <= 0:
             raise ConfigurationError("a worker pool needs at least one device")
         self._executors = [
             ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"{name}-worker-{index}"
+                max_workers=1, thread_name_prefix=f"device-worker-{index}"
             )
             for index in range(num_devices)
         ]

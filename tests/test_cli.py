@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import experiments, reporting
 from repro.cli import FIGURES, TABLES, build_parser, main
 
 
@@ -86,6 +87,39 @@ class TestExecution:
         assert main(["table", "1", "--output", str(target)]) == 0
         assert "Table 1" in target.read_text()
         assert capsys.readouterr().out == ""
+
+
+class TestFiguresHonourBackend:
+    """``--backend`` reaches every figure's experiment, not only some."""
+
+    SIZES = dict(num_sort_records=300, join_left_records=100, join_right_records=1000)
+    ARGS = ["--records", "300", "--left", "100", "--right", "1000"]
+
+    def test_figure11_runs_on_the_chosen_backend(self, capsys):
+        assert main(["figure", "11", *self.ARGS, "--backend", "dynamic_array"]) == 0
+        rows = experiments.latency_sensitivity(
+            **self.SIZES, backend_name="dynamic_array"
+        )
+        expected = reporting.format_series(
+            rows,
+            "write_latency_ns",
+            "simulated_seconds",
+            title="Figure 11 - response time vs write latency",
+        )
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_figure12_runs_on_the_chosen_backend(self, capsys):
+        args = [*self.ARGS, "--fractions", "0.05", "0.15"]
+        assert main(["figure", "12", *args, "--backend", "dynamic_array"]) == 0
+        rows = experiments.cost_model_validation(
+            **self.SIZES, memory_fractions=(0.05, 0.15), backend_name="dynamic_array"
+        )
+        expected = reporting.format_table(
+            rows,
+            ["operation", "scope", "memory_fraction", "kendall_tau"],
+            title="Figure 12 - cost-model concordance (Kendall's tau)",
+        )
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestQueryCommand:

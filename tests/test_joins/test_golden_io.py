@@ -142,7 +142,7 @@ def run_case(backend_name, budget_records, algorithm):
         return {
             "io": (device.snapshot() - before).as_dict(),
             "decisions": [
-                [decision.collection, decision.rule, decision.materialize]
+                [decision.collection.name, decision.rule, decision.materialize]
                 for decision in context.decisions
             ],
             "output_digest": digest(output.records),

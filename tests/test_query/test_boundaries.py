@@ -1,5 +1,7 @@
 """Boundary decisions: materialize vs. pipeline vs. defer per plan edge."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import budget_for, make_environment
@@ -9,6 +11,7 @@ from repro.query import (
     BoundaryKind,
     CostBasedPlanner,
     Query,
+    QueryExecutor,
     build_operator,
 )
 from repro.runtime.api import CallKind
@@ -128,13 +131,12 @@ class TestDeferredExecution:
             if e.details.get("deferred")
         ]
         assert deferred_execs, "the filter edge must have deferred"
-        execution = deferred_execs[0]
-        name = execution.output.name
+        output = deferred_execs[0].output
         # The query dropped its deferred intermediate when it ended.
-        assert execution.output.status is CollectionStatus.DROPPED
-        assert context.reconstruction_count(name) >= 1
+        assert output.status is CollectionStatus.DROPPED
+        assert context.reconstruction_count(output) >= 1
         # The derivation is recorded as a FILTER call in the graph.
-        producer = context.graph.producer_of(name)
+        producer = context.graph.producer_of(output)
         assert producer is not None and producer.kind is CallKind.FILTER
 
     def test_rules_veto_deferral_at_symmetric_latency(self):
@@ -157,7 +159,40 @@ class TestDeferredExecution:
         assert overridden, "the rule engine should have vetoed the deferral"
         assert overridden[0].details.get("rule") == "read-over-write"
         (context,) = result.runtime_contexts
-        assert context.is_available(overridden[0].output.name)
+        assert context.is_available(overridden[0].output)
+
+    def test_sinks_under_one_label_are_deferred_over_apart(self, backend):
+        # Both sorts settle into a sink labelled ``query-las``, and a
+        # deferred filter over each registers both in the one context.
+        left = make_sort_input(150, backend, name="L")
+        right = make_sort_input(150, backend, name="R")
+        budget = budget_for(left, 0.10)
+        query = (
+            Query.scan(left)
+            .order_by()
+            .filter(lambda r: r[0] < 75, selectivity=0.5)
+            .join(
+                Query.scan(right)
+                .order_by()
+                .filter(lambda r: r[0] % 2 == 0, selectivity=0.5)
+            )
+        )
+        planner = CostBasedPlanner(backend, budget, boundary_policy="materialize")
+        baseline = QueryExecutor(backend, budget).execute(planner.plan(query))
+        plan = planner.plan(query)
+        filters = [n for n in plan.root.walk() if n.logical.kind == "Filter"]
+        for node in filters:
+            node.boundary = dataclasses.replace(node.boundary, kind=BoundaryKind.DEFER)
+        result = QueryExecutor(backend, budget).execute(plan)
+        assert result.records == baseline.records
+        context = result.runtime_context
+        sinks = [result.executions[id(node.children[0])].output for node in filters]
+        assert [sink.name for sink in sinks] == ["query-las", "query-las"]
+        assert sinks[0] is not sinks[1]
+        for node, sink in zip(filters, sinks):
+            deferred = result.executions[id(node)].output
+            assert context.graph.producer_of(deferred).inputs == (sink,)
+            assert context.reconstruction_count(deferred) >= 1
 
     def test_a_deferred_query_leaves_no_context_on_its_base_tables(self, backend):
         # Only a collection the runtime must derive points back at its

@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError, GraphConsistencyError
 from repro.runtime.api import CallKind, FilterCall, MergeCall, PartitionCall, SplitCall
 from repro.runtime.graph import ControlFlowGraph
+from repro.storage.collection import CollectionStatus, PersistentCollection
 
 
 class TestCallDescriptors:
@@ -73,24 +74,19 @@ class TestControlFlowGraph:
         with pytest.raises(GraphConsistencyError):
             graph.add_call(SplitCall(position=3), ("T",), ("Tl",))
 
-    def test_siblings(self):
+    def test_collections_under_one_label_are_distinct_nodes(self):
         graph = ControlFlowGraph()
-        graph.add_call(
-            PartitionCall(partition_fn=lambda r: 0, num_partitions=3),
-            ("T",),
-            ("T0", "T1", "T2"),
+        first, second, low, high = (
+            PersistentCollection(name=name, status=CollectionStatus.MEMORY)
+            for name in ("T", "T", "Tf", "Tf")
         )
-        assert set(graph.siblings_of("T1")) == {"T0", "T2"}
-        assert graph.siblings_of("T") == ()
-
-    def test_ancestors(self):
-        graph = ControlFlowGraph()
-        graph.add_call(SplitCall(position=5), ("T",), ("Tl", "Th"))
-        graph.add_call(
-            FilterCall(predicate=lambda r: True, selectivity=1.0), ("Tl",), ("Tf",)
-        )
-        assert graph.ancestors_of("Tf") == ["Tl", "T"]
-        assert graph.ancestors_of("T") == []
+        keep_all = FilterCall(predicate=lambda r: True)
+        to_low = graph.add_call(keep_all, (first,), (low,))
+        to_high = graph.add_call(keep_all, (second,), (high,))
+        assert graph.producer_of(low) is to_low
+        assert graph.producer_of(high) is to_high
+        assert graph.consumers_of(first) == [to_low]
+        assert graph.consumer_count(second) == 1
 
     def test_output_index(self):
         graph = ControlFlowGraph()
@@ -98,22 +94,6 @@ class TestControlFlowGraph:
         assert call.output_index("Th") == 1
         with pytest.raises(GraphConsistencyError):
             call.output_index("nope")
-
-    def test_derivation_chain_stops_at_available_ancestors(self):
-        graph = ControlFlowGraph()
-        graph.add_call(SplitCall(position=5), ("T",), ("Tl", "Th"))
-        graph.add_call(
-            FilterCall(predicate=lambda r: True, selectivity=1.0), ("Tl",), ("Tf",)
-        )
-        chain = graph.derivation_chain("Tf", is_available=lambda name: name == "T")
-        produced = [target for _, target in chain]
-        assert produced == ["Tl", "Tf"]
-
-    def test_derivation_chain_fails_without_available_root(self):
-        graph = ControlFlowGraph()
-        graph.add_call(SplitCall(position=5), ("T",), ("Tl", "Th"))
-        with pytest.raises(GraphConsistencyError):
-            graph.derivation_chain("Tl", is_available=lambda name: False)
 
     def test_len_counts_calls(self):
         graph = ControlFlowGraph()

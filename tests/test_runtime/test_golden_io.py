@@ -209,7 +209,7 @@ def run_case(backend_name, root_kind, selectivity, consumer):
             context, deferred, right, num_partitions=4
         ).evaluate()
         details = [
-            [decision.collection, decision.rule, decision.materialize]
+            [decision.collection.name, decision.rule, decision.materialize]
             for decision in context.decisions
         ]
     elif consumer in AGGREGATIONS:
@@ -228,11 +228,11 @@ def run_case(backend_name, root_kind, selectivity, consumer):
         output, details = result.output, [result.partitions, result.iterations]
     replays = {
         collection.name: [
-            context.reconstruction_count(collection.name),
-            context.last_reconstructed_records(collection.name),
+            context.reconstruction_count(collection),
+            context.last_reconstructed_records(collection),
         ]
         for collection in context.collections()
-        if context.reconstruction_count(collection.name)
+        if context.reconstruction_count(collection)
     }
     return {
         "io": (device.snapshot() - before).as_dict(),

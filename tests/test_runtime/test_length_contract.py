@@ -129,4 +129,4 @@ def test_segment_sort_reports_the_scans_it_made(backend, declared):
     result = SegmentSort(
         backend, MemoryBudget.from_records(100), write_intensity=0.2
     ).sort(deferred)
-    assert result.input_scans == context.reconstruction_count(deferred.name) > 2
+    assert result.input_scans == context.reconstruction_count(deferred) > 2

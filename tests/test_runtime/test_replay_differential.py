@@ -35,9 +35,9 @@ class ReferenceReplay:
 
     def __init__(self, context: OperatorContext) -> None:
         self.context = context
-        self.accumulated_read_ns: dict[str, float] = {}
-        self.reconstruction_counts: dict[str, int] = {}
-        self.last_reconstructed: dict[str, int] = {}
+        self.accumulated_read_ns: dict[PersistentCollection, float] = {}
+        self.reconstruction_counts: dict[PersistentCollection, int] = {}
+        self.last_reconstructed: dict[PersistentCollection, int] = {}
 
     @staticmethod
     def scan(collection):
@@ -57,27 +57,26 @@ class ReferenceReplay:
         if pending_read:
             collection.backend.read_bulk(collection.store, pending_read)
 
-    def source_stream(self, name):
+    def source_stream(self, collection):
         context = self.context
-        collection = context.collection(name)
-        if context.is_available(name):
+        if context.is_available(collection):
             device = context.backend.device
             cachelines = device.geometry.bytes_to_cachelines(collection.nbytes)
-            self.accumulated_read_ns[name] = self.accumulated_read_ns.get(
-                name, 0.0
+            self.accumulated_read_ns[collection] = self.accumulated_read_ns.get(
+                collection, 0.0
             ) + device.latency.read_cost_ns(cachelines)
             return self.scan(collection)
-        return self.derive(name)
+        return self.derive(collection)
 
-    def derive(self, name):
-        producer = self.context.graph.producer_of(name)
+    def derive(self, collection):
+        producer = self.context.graph.producer_of(collection)
         descriptor = producer.descriptor
         source = self.source_stream(producer.inputs[0])
         if producer.kind is CallKind.SPLIT:
-            start, stop = descriptor.output_slice(producer.output_index(name))
+            start, stop = descriptor.output_slice(producer.output_index(collection))
             yield from itertools.islice(source, start, stop)
         elif producer.kind is CallKind.PARTITION:
-            index = producer.output_index(name)
+            index = producer.output_index(collection)
             for record in source:
                 if descriptor.partition_fn(record) == index:
                     yield record
@@ -86,32 +85,28 @@ class ReferenceReplay:
                 if descriptor.predicate(record):
                     yield record
 
-    def reconstruct(self, name, start=0, stop=None):
+    def reconstruct(self, collection, start=0, stop=None):
         produced = 0
 
         def counted():
             nonlocal produced
-            for record in self.derive(name):
+            for record in self.derive(collection):
                 produced += 1
                 yield record
 
         yield from itertools.islice(counted(), start, stop)
         counts = self.reconstruction_counts
-        counts[name] = counts.get(name, 0) + 1
+        counts[collection] = counts.get(collection, 0) + 1
         if stop is None or produced < stop:
-            self.last_reconstructed[name] = produced
+            self.last_reconstructed[collection] = produced
 
-    def produce(self, name):
-        collection = self.context.collection(name)
-        for record in self.derive(name):
+    def produce(self, collection):
+        for record in self.derive(collection):
             collection.extend([record])
         collection.flush()
 
     def produce_partition_group(self, call):
-        targets = {
-            index: self.context.collection(output)
-            for index, output in enumerate(call.outputs)
-        }
+        targets = dict(enumerate(call.outputs))
         for target in targets.values():
             target.mark_materialized()
         for record in self.source_stream(call.inputs[0]):
@@ -145,7 +140,8 @@ steps = st.one_of(
 
 
 def build(backend_name, root_kind, num_records, chain):
-    """A fresh device, context and deferred chain; returns the chain's outputs."""
+    """A fresh device, context and deferred chain over a root; returns the
+    root and the chain's output."""
     device = PersistentMemoryDevice()
     backend = make_backend(backend_name, device)
     if root_kind == "memory":
@@ -176,7 +172,7 @@ def build(backend_name, root_kind, num_records, chain):
             current = outputs[b % a]
         else:
             current = context.split(current, a)[b]
-    return device, backend, context, current
+    return device, backend, context, root, current
 
 
 def observed(device, backend, before):
@@ -219,10 +215,10 @@ case = dict(
 def test_reconstruct_matches_per_record_replay(
     backend_name, root_kind, num_records, chain, start, stop, via_scan, repeats
 ):
-    device, backend, context, target = build(
+    device, backend, context, root, target = build(
         backend_name, root_kind, num_records, chain
     )
-    ref_device, ref_backend, ref_context, ref_target = build(
+    ref_device, ref_backend, ref_context, ref_root, ref_target = build(
         backend_name, root_kind, num_records, chain
     )
     reference = ReferenceReplay(ref_context)
@@ -231,20 +227,20 @@ def test_reconstruct_matches_per_record_replay(
         if via_scan:
             records = list(target.scan(start, stop))
         else:
-            records = list(context.reconstruct(target.name, start, stop))
-        expected = list(reference.reconstruct(ref_target.name, start, stop))
+            records = list(context.reconstruct(target, start, stop))
+        expected = list(reference.reconstruct(ref_target, start, stop))
         assert records == expected
         assert observed(device, backend, before) == observed(
             ref_device, ref_backend, ref_before
         )
-        assert context.reconstruction_count(target.name) == (
-            reference.reconstruction_counts.get(ref_target.name, 0)
+        assert context.reconstruction_count(target) == (
+            reference.reconstruction_counts.get(ref_target, 0)
         )
-        assert context.last_reconstructed_records(target.name) == (
-            reference.last_reconstructed.get(ref_target.name)
+        assert context.last_reconstructed_records(target) == (
+            reference.last_reconstructed.get(ref_target)
         )
-        assert context.accumulated_read_cost(["root"]) == (
-            reference.accumulated_read_ns.get("root", 0.0)
+        assert context.accumulated_read_cost([root]) == (
+            reference.accumulated_read_ns.get(ref_root, 0.0)
         )
 
 
@@ -255,36 +251,35 @@ def test_produce_matches_per_record_replay(
 ):
     if group and chain[-1][0] != "partition":
         chain = [*chain, ("partition", 3, 1)]
-    device, backend, context, target = build(
+    device, backend, context, root, target = build(
         backend_name, root_kind, num_records, chain
     )
-    ref_device, ref_backend, ref_context, ref_target = build(
+    ref_device, ref_backend, ref_context, ref_root, ref_target = build(
         backend_name, root_kind, num_records, chain
     )
     reference = ReferenceReplay(ref_context)
-    call = context.graph.producer_of(target.name)
-    ref_call = ref_context.graph.producer_of(ref_target.name)
+    call = context.graph.producer_of(target)
+    ref_call = ref_context.graph.producer_of(ref_target)
     if group:
         call.group_decision = "materialize"
-        outputs = [context.collection(name) for name in call.outputs]
-        ref_outputs = [ref_context.collection(name) for name in ref_call.outputs]
+        outputs, ref_outputs = list(call.outputs), list(ref_call.outputs)
     else:
         outputs, ref_outputs = [target], [ref_target]
     target.mark_materialized()
     ref_target.mark_materialized()
     before, ref_before = device.snapshot(), ref_device.snapshot()
-    context.produce(target.name)
+    context.produce(target)
     if group:
         reference.produce_partition_group(ref_call)
     else:
-        reference.produce(ref_target.name)
+        reference.produce(ref_target)
     assert [output.records for output in outputs] == [
         output.records for output in ref_outputs
     ]
-    assert all(context.is_available(output.name) for output in outputs)
+    assert all(context.is_available(output) for output in outputs)
     assert observed(device, backend, before) == observed(
         ref_device, ref_backend, ref_before
     )
-    assert context.accumulated_read_cost(["root"]) == (
-        reference.accumulated_read_ns.get("root", 0.0)
+    assert context.accumulated_read_cost([root]) == (
+        reference.accumulated_read_ns.get(ref_root, 0.0)
     )

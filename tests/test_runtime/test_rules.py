@@ -26,7 +26,7 @@ class TestProcessToAppendRule:
         part = context.partition(source, lambda r: 0, num_partitions=1)[0]
         target = context.declare(status=CollectionStatus.MEMORY)
         context.merge(part, source, lambda a, b, c: None, target)
-        decision = RuleEngine().assess(part.name, context)
+        decision = RuleEngine().assess(part, context)
         assert not decision.materialize
         assert decision.rule == "process-to-append"
 
@@ -34,15 +34,15 @@ class TestProcessToAppendRule:
 class TestEagerPartitionRule:
     def test_sibling_materialization_propagates(self, context, source):
         outputs = context.partition(source, lambda r: r[0] % 3, num_partitions=3)
-        producer = context.graph.producer_of(outputs[0].name)
+        producer = context.graph.producer_of(outputs[0])
         producer.group_decision = "materialize"
-        decision = RuleEngine().assess(outputs[1].name, context)
+        decision = RuleEngine().assess(outputs[1], context)
         assert decision.materialize
         assert decision.rule == "eager-partition"
 
     def test_no_group_decision_falls_through(self, context, source):
         outputs = context.partition(source, lambda r: r[0] % 3, num_partitions=3)
-        decision = RuleEngine().assess(outputs[1].name, context)
+        decision = RuleEngine().assess(outputs[1], context)
         assert decision.rule != "eager-partition"
 
 
@@ -51,15 +51,15 @@ class TestMultiProcessRule:
         low, _ = context.split(source, 100)
         # Tell the runtime the collection will be processed more times than
         # the write/read ratio (15 for the default device).
-        context.set_process_count_hint(low.name, 20)
-        decision = RuleEngine().assess(low.name, context)
+        context.set_process_count_hint(low, 20)
+        decision = RuleEngine().assess(low, context)
         assert decision.materialize
         assert decision.rule == "multi-process"
 
     def test_few_consumers_does_not_fire(self, context, source):
         low, _ = context.split(source, 100)
-        context.set_process_count_hint(low.name, 2)
-        decision = RuleEngine().assess(low.name, context)
+        context.set_process_count_hint(low, 2)
+        decision = RuleEngine().assess(low, context)
         assert decision.rule != "multi-process"
 
 
@@ -73,11 +73,11 @@ class TestReadOverWriteRule:
         engine = RuleEngine()
         decisions = []
         for _ in range(30):
-            decision = engine.assess(target.name, context)
+            decision = engine.assess(target, context)
             decisions.append(decision)
             if decision.materialize:
                 break
-            list(context.reconstruct(target.name))
+            list(context.reconstruct(target))
         assert decisions[-1].materialize
         assert decisions[-1].rule == "read-over-write"
         assert len(decisions) > 1  # it stayed lazy for a while first
@@ -91,39 +91,39 @@ class TestReadOverWriteRule:
         kept = context.filter(source, lambda r: True, selectivity=1.0)
         engine = RuleEngine()
         for _ in range(40):
-            decision = engine.assess(kept.name, context)
+            decision = engine.assess(kept, context)
             if decision.materialize:
                 break
-            list(context.reconstruct(kept.name))
+            list(context.reconstruct(kept))
         assert decision.materialize
 
     def test_primary_inputs_are_not_assessed_for_rewrite(self, context, source):
-        decision = RuleEngine().rule_read_over_write(source.name, context)
+        decision = RuleEngine().rule_read_over_write(source, context)
         assert decision is None
 
 
 class TestDefaultBehaviour:
     def test_default_is_to_defer(self, context, source):
         low, _ = context.split(source, 100)
-        decision = RuleEngine().assess(low.name, context)
+        decision = RuleEngine().assess(low, context)
         assert not decision.materialize
         assert decision.rule in {"default", "process-to-append"}
 
     def test_assess_via_context_promotes_collection(self, context, source):
         low, _ = context.split(source, 100)
-        context.set_process_count_hint(low.name, 20)
-        decision = context.assess(low.name)
+        context.set_process_count_hint(low, 20)
+        decision = context.assess(low)
         assert decision.materialize
-        assert context.collection(low.name).is_materialized
+        assert low.is_materialized
         assert context.decisions[-1] is decision
 
     def test_assess_partition_sets_group_decision(self, context, source):
         outputs = context.partition(source, lambda r: r[0] % 2, num_partitions=2)
-        context.set_process_count_hint(outputs[0].name, 20)
-        context.assess(outputs[0].name)
-        producer = context.graph.producer_of(outputs[0].name)
+        context.set_process_count_hint(outputs[0], 20)
+        context.assess(outputs[0])
+        producer = context.graph.producer_of(outputs[0])
         assert producer.group_decision == "materialize"
         # The sibling now materializes through the eager-partition rule.
-        sibling_decision = context.assess(outputs[1].name)
+        sibling_decision = context.assess(outputs[1])
         assert sibling_decision.materialize
         assert sibling_decision.rule == "eager-partition"

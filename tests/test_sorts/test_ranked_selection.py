@@ -201,8 +201,8 @@ def observe(sort_cls, kwargs, backend_name, kind, keys, lam, workspace):
     replays = None
     if context is not None:
         replays = (
-            context.reconstruction_count(collection.name),
-            context.last_reconstructed_records(collection.name),
+            context.reconstruction_count(collection),
+            context.last_reconstructed_records(collection),
         )
     return {
         "output": result.output.records,

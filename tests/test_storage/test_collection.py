@@ -23,10 +23,11 @@ class TestLifecycle:
         collection.extend([WISCONSIN_SCHEMA.make_record(1)])
         assert len(collection) == 1
 
-    def test_auto_generated_names_are_unique(self):
-        first = PersistentCollection(status=CollectionStatus.MEMORY)
-        second = PersistentCollection(status=CollectionStatus.MEMORY)
-        assert first.name != second.name
+    def test_unnamed_collections_share_a_label_not_a_store(self, backend):
+        first = PersistentCollection(backend=backend)
+        second = PersistentCollection(backend=backend)
+        assert first.name == second.name == "collection"
+        assert first.store is not second.store
 
     def test_status_flags(self, backend):
         materialized = PersistentCollection(backend=backend)
