@@ -35,7 +35,7 @@ The package is organized as follows:
     reporting.
 
 ``repro.shard``
-    The one execution path: collections hash/range-partitioned across N
+    The one execution path: collections hash-partitioned across N
     simulated devices (``ShardSet``/``ShardedCollection``; a single
     device is a one-shard set), the planner that decomposes every query
     into per-shard fragments with priced repartition exchanges
@@ -113,7 +113,6 @@ from repro.query import (
 )
 from repro.shard import (
     HashPartitioner,
-    RangePartitioner,
     ShardedCollection,
     ShardedPhysicalPlan,
     ShardedPlanner,
@@ -183,7 +182,6 @@ __all__ = [
     "ShardSet",
     "ShardedCollection",
     "HashPartitioner",
-    "RangePartitioner",
     "ShardedPlanner",
     "ShardedPhysicalPlan",
     "ShardedQueryExecutor",

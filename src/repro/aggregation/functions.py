@@ -60,14 +60,6 @@ class AggregateFunction(ABC):
     def final(self, state) -> int:
         """Produce the aggregate result from the final state."""
 
-    def merge(self, left, right):
-        """Combine two partial states (used when partitions are unioned).
-
-        The default raises; aggregates that support partial aggregation
-        override it.
-        """
-        raise ConfigurationError(f"{self.name} does not support partial merging")
-
 
 class CountAggregate(AggregateFunction):
     """COUNT(*): the number of records in the group."""
@@ -87,9 +79,6 @@ class CountAggregate(AggregateFunction):
     def final(self, state) -> int:
         return state
 
-    def merge(self, left, right):
-        return left + right
-
 
 class SumAggregate(AggregateFunction):
     """SUM(attribute)."""
@@ -108,9 +97,6 @@ class SumAggregate(AggregateFunction):
 
     def final(self, state) -> int:
         return state
-
-    def merge(self, left, right):
-        return left + right
 
 
 class MinAggregate(AggregateFunction):
@@ -134,13 +120,6 @@ class MinAggregate(AggregateFunction):
             raise ConfigurationError("MIN over an empty group is undefined")
         return state
 
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return min(left, right)
-
 
 class MaxAggregate(AggregateFunction):
     """MAX(attribute)."""
@@ -162,13 +141,6 @@ class MaxAggregate(AggregateFunction):
         if state is None:
             raise ConfigurationError("MAX over an empty group is undefined")
         return state
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return max(left, right)
 
 
 class AverageAggregate(AggregateFunction):
@@ -194,9 +166,6 @@ class AverageAggregate(AggregateFunction):
         if count == 0:
             raise ConfigurationError("AVG over an empty group is undefined")
         return total // count
-
-    def merge(self, left, right):
-        return (left[0] + right[0], left[1] + right[1])
 
 
 #: Registry of aggregate constructors by SQL-ish name.

@@ -98,12 +98,3 @@ def hybrid_cost_surface(
         y_values=ys,
         normalized=normalized,
     )
-
-
-def figure2_panels(grid_points: int = 21) -> list[CostSurface]:
-    """All nine panels of Figure 2, in row-major (lambda, ratio) order."""
-    panels = []
-    for lam in FIGURE2_LAMBDAS:
-        for ratio in FIGURE2_SIZE_RATIOS:
-            panels.append(hybrid_cost_surface(ratio, lam, grid_points=grid_points))
-    return panels

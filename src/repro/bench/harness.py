@@ -29,7 +29,6 @@ from repro.sorts import (
     SegmentSort,
 )
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.schema import WISCONSIN_SCHEMA
 
 
 @dataclass

@@ -8,7 +8,7 @@ helpers keep that formatting in one place so the output of every
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _format_value(value) -> str:
@@ -82,17 +82,3 @@ def format_surface(surface, shades: str = " .:-=+*#%@") -> str:
     for row in surface.normalized:
         lines.append("".join(shades[int(round(value * levels))] for value in row))
     return "\n".join(lines)
-
-
-def summarize(rows: Iterable[dict], keys: Sequence[str]) -> dict:
-    """Aggregate min/mean/max of the given numeric keys over the rows."""
-    rows = list(rows)
-    summary: dict = {"rows": len(rows)}
-    for key in keys:
-        values = [row[key] for row in rows if isinstance(row.get(key), (int, float))]
-        if not values:
-            continue
-        summary[f"{key}_min"] = min(values)
-        summary[f"{key}_max"] = max(values)
-        summary[f"{key}_mean"] = sum(values) / len(values)
-    return summary

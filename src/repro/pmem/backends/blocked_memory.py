@@ -50,9 +50,5 @@ class BlockedMemoryBackend(PersistenceBackend):
         # so a read costs exactly the payload transfer.
         self.device.read_bulk(chunk_bytes, count)
 
-    def blocks_allocated(self, store: StoreStats) -> int:
-        """Number of blocks currently chained for the store."""
-        return self._require(store).extra.get("blocks", 0)
-
     def _on_truncate(self, stats: StoreStats) -> None:
         stats.extra["blocks"] = 0

@@ -104,11 +104,3 @@ class DynamicArrayBackend(PersistenceBackend):
         # re-acquiring the initial chunk is how the C++ implementation
         # recycles vectors between runs.
         self._grow_physical(stats, self.initial_capacity_bytes)
-
-    def expansions(self, store: StoreStats) -> int:
-        """Number of capacity doublings the store has gone through."""
-        return self._require(store).extra.get("expansions", 0)
-
-    def copied_bytes(self, store: StoreStats) -> int:
-        """Total payload bytes rewritten because of expansions."""
-        return self._require(store).extra.get("copied_bytes", 0)

@@ -76,11 +76,3 @@ class RamDiskBackend(PersistenceBackend):
             stats.extra.get("padded_read_bytes", 0)
             + (physical - chunk_bytes) * count
         )
-
-    def padded_write_bytes(self, store: StoreStats) -> int:
-        """Bytes written purely because of block rounding."""
-        return self._require(store).extra.get("padded_write_bytes", 0)
-
-    def padded_read_bytes(self, store: StoreStats) -> int:
-        """Bytes read purely because of block rounding."""
-        return self._require(store).extra.get("padded_read_bytes", 0)

@@ -19,7 +19,6 @@ invariant ``elapsed == transfer + overhead``.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -66,10 +65,6 @@ class DeviceGeometry:
         if self.capacity_bytes is not None and self.capacity_bytes <= 0:
             raise ConfigurationError("capacity_bytes must be positive when set")
 
-    @property
-    def cachelines_per_block(self) -> int:
-        return self.block_bytes // self.cacheline_bytes
-
     def bytes_to_cachelines(self, nbytes: int | float) -> float:
         """Convert a byte count to (fractional) cachelines.
 
@@ -79,11 +74,6 @@ class DeviceGeometry:
         if nbytes < 0:
             raise ConfigurationError("byte count must be non-negative")
         return nbytes / self.cacheline_bytes
-
-    def bytes_to_blocks(self, nbytes: int | float) -> float:
-        if nbytes < 0:
-            raise ConfigurationError("byte count must be non-negative")
-        return nbytes / self.block_bytes
 
 
 class PersistentMemoryDevice:
@@ -213,40 +203,9 @@ class PersistentMemoryDevice:
     def reset_counters(self) -> None:
         self._counters.reset()
 
-    @contextmanager
-    def measure(self):
-        """Context manager yielding a mutable holder of the I/O delta.
-
-        Example::
-
-            with device.measure() as cost:
-                algorithm.run()
-            print(cost.delta.cacheline_writes)
-        """
-        holder = _MeasurementHolder(self)
-        try:
-            yield holder
-        finally:
-            holder.finish()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"PersistentMemoryDevice(r={self.latency.read_ns}ns, "
             f"w={self.latency.write_ns}ns, lambda={self.write_read_ratio:.1f}, "
             f"elapsed={self.elapsed_ns / 1e6:.3f}ms)"
         )
-
-
-class _MeasurementHolder:
-    """Captures the device snapshot delta across a ``measure()`` block."""
-
-    def __init__(self, device: PersistentMemoryDevice) -> None:
-        self._device = device
-        self._start = device.snapshot()
-        self.delta: IOSnapshot = IOSnapshot()
-        self._finished = False
-
-    def finish(self) -> None:
-        if not self._finished:
-            self.delta = self._device.snapshot() - self._start
-            self._finished = True

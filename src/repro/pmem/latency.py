@@ -12,7 +12,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
@@ -22,9 +22,6 @@ DEFAULT_READ_LATENCY_NS = 10.0
 #: Default write latency per cacheline, in nanoseconds (paper Section 4).
 DEFAULT_WRITE_LATENCY_NS = 150.0
 
-#: Write latencies used in the paper's sensitivity analysis (Figure 11).
-SENSITIVITY_WRITE_LATENCIES_NS = (50.0, 100.0, 150.0, 200.0)
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -33,36 +30,23 @@ class LatencyModel:
     Attributes:
         read_ns: cost of reading one cacheline from persistent memory.
         write_ns: cost of writing one cacheline to persistent memory.
-        dram_ns: cost of touching one cacheline in DRAM.  The paper treats
-            DRAM accesses as free relative to persistent memory; the default
-            of zero preserves that, but a non-zero value can be supplied to
-            study configurations where DRAM is not negligible.
+
+    DRAM accesses are free: the paper prices persistent memory only.
     """
 
     read_ns: float = DEFAULT_READ_LATENCY_NS
     write_ns: float = DEFAULT_WRITE_LATENCY_NS
-    dram_ns: float = 0.0
 
     def __post_init__(self) -> None:
         if self.read_ns <= 0:
             raise ConfigurationError(f"read_ns must be positive, got {self.read_ns}")
         if self.write_ns <= 0:
             raise ConfigurationError(f"write_ns must be positive, got {self.write_ns}")
-        if self.dram_ns < 0:
-            raise ConfigurationError(f"dram_ns must be non-negative, got {self.dram_ns}")
 
     @property
     def write_read_ratio(self) -> float:
         """The asymmetry ratio ``lambda = w / r`` used by all cost models."""
         return self.write_ns / self.read_ns
-
-    # ``lambda`` is a keyword in Python; expose the paper's symbol anyway.
-    lambda_ratio = write_read_ratio
-
-    @property
-    def is_asymmetric(self) -> bool:
-        """True when writes are strictly more expensive than reads."""
-        return self.write_ns > self.read_ns
 
     def read_cost_ns(self, cachelines: float) -> float:
         """Simulated time to read ``cachelines`` cachelines."""
@@ -76,50 +60,7 @@ class LatencyModel:
             raise ConfigurationError("cannot write a negative number of cachelines")
         return cachelines * self.write_ns
 
-    def with_write_latency(self, write_ns: float) -> "LatencyModel":
-        """Return a copy with a different write latency (Figure 11 sweeps)."""
-        return replace(self, write_ns=write_ns)
-
-    def with_read_latency(self, read_ns: float) -> "LatencyModel":
-        """Return a copy with a different read latency."""
-        return replace(self, read_ns=read_ns)
-
-    def with_ratio(self, lambda_ratio: float) -> "LatencyModel":
-        """Return a copy whose write latency yields the requested ``lambda``.
-
-        The read latency is kept; only the write latency changes.  Useful for
-        analytical studies (e.g. the Figure 2 cost surfaces) that are stated
-        directly in terms of the write/read ratio.
-        """
-        if lambda_ratio <= 0:
-            raise ConfigurationError(
-                f"lambda must be positive, got {lambda_ratio}"
-            )
-        return replace(self, write_ns=self.read_ns * lambda_ratio)
-
     @classmethod
     def paper_default(cls) -> "LatencyModel":
         """The 10 ns / 150 ns configuration used throughout the paper."""
         return cls()
-
-    @classmethod
-    def symmetric(cls, latency_ns: float = DEFAULT_READ_LATENCY_NS) -> "LatencyModel":
-        """A symmetric device (DRAM-like); useful as an experimental control."""
-        return cls(read_ns=latency_ns, write_ns=latency_ns)
-
-    @classmethod
-    def from_ratio(
-        cls, lambda_ratio: float, read_ns: float = DEFAULT_READ_LATENCY_NS
-    ) -> "LatencyModel":
-        """Build a model from the asymmetry ratio and a read latency."""
-        if lambda_ratio <= 0:
-            raise ConfigurationError(f"lambda must be positive, got {lambda_ratio}")
-        return cls(read_ns=read_ns, write_ns=read_ns * lambda_ratio)
-
-
-def sensitivity_models(
-    write_latencies_ns=SENSITIVITY_WRITE_LATENCIES_NS,
-    read_ns: float = DEFAULT_READ_LATENCY_NS,
-):
-    """Latency models for the Figure 11 write-latency sensitivity sweep."""
-    return [LatencyModel(read_ns=read_ns, write_ns=w) for w in write_latencies_ns]

@@ -134,20 +134,8 @@ class IOSnapshot:
         return self.transfer_ns + self.overhead_ns
 
     @property
-    def total_seconds(self) -> float:
-        return self.total_ns / 1e9
-
-    @property
     def total_cachelines(self) -> float:
         return self.cacheline_reads + self.cacheline_writes
-
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of cacheline traffic that was writes (0 when idle)."""
-        total = self.total_cachelines
-        if total == 0:
-            return 0.0
-        return self.cacheline_writes / total
 
     def weighted_cachelines(self, write_read_ratio: float) -> float:
         """Cacheline traffic with writes weighted by ``lambda``.

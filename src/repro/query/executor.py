@@ -38,8 +38,7 @@ and elapsed device nanoseconds per node.
 Every store the executor creates -- each materialized sink, the root's
 included, and every collection its runtime context declares -- is adopted
 by the :class:`~repro.storage.collection.StoreOwner` it is handed: the
-query's, which drops them when the query ends.  Without one, the
-execution owns them itself and keeps only the root's output.
+query's, which drops them when the query ends.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.metrics import IOSnapshot
 from repro.query.logical import Scan
 from repro.query.physical import BoundaryKind, build_operator
-from repro.query.planner import CostBasedPlanner, PhysicalPlan, PlannedNode
-from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.query.planner import PhysicalPlan, PlannedNode
+from repro.storage.bufferpool import Bufferpool
 from repro.storage.collection import (
     CollectionStatus,
     PersistentCollection,
@@ -126,49 +125,28 @@ class QueryExecutor:
     """Runs one fragment's physical plan under one shared bufferpool.
 
     Args:
-        backend: persistence backend hosting inputs, intermediates and
-            (when the plan's root is materialized) the final output.
-        budget: DRAM budget; also used to plan when :meth:`execute` is
-            handed an unplanned logical query.
         bufferpool: shared pool every operator registers its workspace
-            with; a fresh pool over ``budget`` when omitted.
+            with.
         owner: adopts every store an execution creates (the query's
-            owner); when omitted, each execution drops its stores when it
-            ends, all but its root output's.
+            owner, which drops them when the query ends).
+
+    The plan brings its own backend (:attr:`PhysicalPlan.backend`): it
+    hosts inputs, intermediates and, when the plan's root is
+    materialized, the final output.
     """
 
-    def __init__(
-        self,
-        backend: PersistenceBackend,
-        budget: MemoryBudget,
-        bufferpool: Bufferpool | None = None,
-        owner: StoreOwner | None = None,
-    ) -> None:
-        self.backend = backend
-        self.budget = budget
-        self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+    def __init__(self, bufferpool: Bufferpool, owner: StoreOwner) -> None:
+        self.bufferpool = bufferpool
         self.owner = owner
 
-    def execute(self, query) -> FragmentResult:
-        """Plan (when needed) and run a fragment, collecting per-node I/O."""
-        if isinstance(query, PhysicalPlan):
-            plan = query
-        else:
-            plan = CostBasedPlanner(self.backend, self.budget).plan(query)
-        device = self.backend.device
-        owner = self.owner if self.owner is not None else StoreOwner()
-        state = _ExecutionState(self.backend, owner)
+    def execute(self, plan: PhysicalPlan) -> FragmentResult:
+        """Run a fragment's plan, collecting per-node I/O."""
+        device = plan.backend.device
+        state = _ExecutionState(plan.backend, self.owner)
         before = device.snapshot()
-        try:
-            root_execution = self._execute_node(plan.root, state)
-        except BaseException:
-            if self.owner is None:
-                owner.release()
-            raise
+        root_execution = self._execute_node(plan.root, state)
         total = device.snapshot() - before
         self._backfill_deferred(state)
-        if self.owner is None:
-            owner.release(keep=[root_execution.output])
         return FragmentResult(
             plan=plan,
             output=root_execution.output,
@@ -184,7 +162,7 @@ class QueryExecutor:
         inputs = [
             self._execute_node(child, state).output for child in node.children
         ]
-        device = self.backend.device
+        device = state.backend.device
         before = device.snapshot()
         operator = build_operator(
             node,
@@ -223,18 +201,20 @@ class QueryExecutor:
             and operator.output.is_memory
         ):
             return operator.output
-        sink = state.owner.adopt(self._sink(node))
+        sink = state.owner.adopt(self._sink(node, state.backend))
         for block in operator.blocks():
             sink.extend(block)
         sink.seal()
         return sink
 
-    def _sink(self, node: PlannedNode) -> PersistentCollection:
+    def _sink(
+        self, node: PlannedNode, backend: PersistenceBackend
+    ) -> PersistentCollection:
         name = f"query-{node.operator.lower()}"
         if node.materialized:
             return PersistentCollection(
                 name=name,
-                backend=self.backend,
+                backend=backend,
                 schema=node.schema,
                 status=CollectionStatus.MATERIALIZED,
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.exceptions import ConfigurationError
 

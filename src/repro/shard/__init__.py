@@ -7,7 +7,7 @@ the one-shard case):
 * :class:`~repro.shard.collection.ShardSet` -- N independent devices,
   each behind its own persistence backend;
 * :class:`~repro.shard.collection.ShardedCollection` -- one logical
-  collection hash- or range-partitioned across a shard set
+  collection hash-partitioned across a shard set
   (:mod:`repro.shard.partition`), shard ``i`` being an ordinary
   :class:`~repro.storage.collection.PersistentCollection` on device ``i``;
 * :class:`~repro.shard.planner.ShardedPlanner` -- decomposes a logical
@@ -24,12 +24,7 @@ the one-shard case):
 
 from repro.shard.collection import ShardedCollection, ShardSet
 from repro.shard.executor import QueryResult, ShardedQueryExecutor
-from repro.shard.partition import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    multiplicative_hash,
-)
+from repro.shard.partition import HashPartitioner, multiplicative_hash
 from repro.shard.planner import (
     ExchangeStep,
     FragmentStep,
@@ -41,9 +36,7 @@ from repro.shard.planner import (
 __all__ = [
     "ShardSet",
     "ShardedCollection",
-    "Partitioner",
     "HashPartitioner",
-    "RangePartitioner",
     "multiplicative_hash",
     "ShardedPlanner",
     "ShardedPhysicalPlan",

@@ -7,7 +7,7 @@ wrapped in its own persistence backend.  Plan fragments run one thread
 per shard, and because every fragment only ever touches its own shard's
 device, the per-device counters need no synchronization.
 
-A :class:`ShardedCollection` hash- or range-partitions one logical
+A :class:`ShardedCollection` hash-partitions one logical
 collection across the shard set: shard ``i`` of the collection is a plain
 :class:`~repro.storage.collection.PersistentCollection` on backend ``i``,
 so every existing algorithm runs unchanged against a single shard.
@@ -24,8 +24,7 @@ from repro.pmem.backends import make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
 from repro.pmem.latency import LatencyModel
-from repro.pmem.metrics import IOSnapshot
-from repro.shard.partition import HashPartitioner, Partitioner
+from repro.shard.partition import HashPartitioner
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
@@ -106,14 +105,6 @@ class ShardSet:
                 "wrong devices"
             ) from None
 
-    def snapshot(self) -> list[IOSnapshot]:
-        """Per-shard device snapshots, in shard order."""
-        return [backend.device.snapshot() for backend in self.backends]
-
-    def reset_counters(self) -> None:
-        for backend in self.backends:
-            backend.device.reset_counters()
-
     def __len__(self) -> int:
         return len(self.backends)
 
@@ -124,7 +115,7 @@ class ShardSet:
 class ShardedCollection:
     """One logical collection partitioned across a :class:`ShardSet`.
 
-    Records are routed by the collection's :class:`Partitioner` (hash on
+    Records are routed by the collection's :class:`HashPartitioner` (on
     the schema key by default) and each shard is an ordinary
     :class:`PersistentCollection` named ``{name}/shard{i}`` on backend
     ``i``.  Writes and scans charge the owning shard's device exactly as
@@ -139,7 +130,7 @@ class ShardedCollection:
         self,
         name: str,
         shard_set: ShardSet,
-        partitioner: Optional[Partitioner] = None,
+        partitioner: Optional[HashPartitioner] = None,
         schema: Schema = WISCONSIN_SCHEMA,
         status: CollectionStatus = CollectionStatus.MATERIALIZED,
     ) -> None:
@@ -212,9 +203,6 @@ class ShardedCollection:
         for shard in self.shards:
             combined.extend(shard.records)
         return combined
-
-    def shard_cardinalities(self) -> list[int]:
-        return [len(shard) for shard in self.shards]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -66,13 +66,8 @@ from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.metrics import IOSnapshot, critical_path_ns, sum_snapshots
 from repro.query.executor import FragmentResult, QueryExecutor
 from repro.shard.collection import ShardSet
-from repro.shard.planner import (
-    ExchangeStep,
-    FragmentStep,
-    ShardedPhysicalPlan,
-    ShardedPlanner,
-)
-from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.shard.planner import ExchangeStep, FragmentStep, ShardedPhysicalPlan
+from repro.storage.bufferpool import Bufferpool
 from repro.storage.collection import (
     CollectionStatus,
     PersistentCollection,
@@ -152,54 +147,38 @@ class ShardedQueryExecutor:
     Args:
         shard_set: the devices/backends the plan's collections live on;
             a plan may also be placed on a one-shard subset of it.
-        budget: parent DRAM budget shared by all concurrent fragments.
         bufferpool: externally-owned pool (e.g. the query's admitted
-            share) the per-shard child shares are carved from; a fresh
-            pool over ``budget`` when omitted.  Shares are reserved up
-            front, so concurrent fragments can never jointly exceed it,
-            and the executor never closes the pool itself.
-        worker_pool: a shared :class:`DeviceWorkerPool`, one worker per
-            device of ``shard_set``, to co-schedule a multi-shard plan's
-            tasks with other queries (the workload scheduler passes its
-            own); a private pool is created (and shut down) per
-            multi-shard execution when omitted.  One-shard plans run
-            inline and never use it.
+            share) the per-shard child shares are carved from.  Shares
+            are reserved up front, so concurrent fragments can never
+            jointly exceed it, and the executor never closes the pool
+            itself.
+        worker_pool: the shared :class:`DeviceWorkerPool`, one worker per
+            device of ``shard_set``, that co-schedules a multi-shard
+            plan's tasks with other queries (the workload scheduler's
+            own).  One-shard plans run inline and never use it.
     """
 
     def __init__(
         self,
         shard_set: ShardSet,
-        budget: MemoryBudget,
-        bufferpool: Bufferpool | None = None,
-        worker_pool: DeviceWorkerPool | None = None,
+        bufferpool: Bufferpool,
+        worker_pool: DeviceWorkerPool,
     ) -> None:
         self.shard_set = shard_set
-        self.budget = budget
-        self.bufferpool = bufferpool if bufferpool is not None else Bufferpool(budget)
+        self.bufferpool = bufferpool
         self.worker_pool = worker_pool
 
-    def execute(self, query) -> QueryResult:
-        """Plan (when needed) and run a query."""
-        if isinstance(query, ShardedPhysicalPlan):
-            plan = query
-        else:
-            plan = ShardedPlanner(self.shard_set, self.budget).plan(query)
+    def execute(self, plan: ShardedPhysicalPlan) -> QueryResult:
+        """Run a planned query."""
         workers = self.shard_set.positions_of(plan.shard_set)
         inline = len(workers) == 1
-        owns_pool = not inline and self.worker_pool is None
-        pool = self.worker_pool
-        if owns_pool:
-            # Imported here: repro.workload_mgmt builds on this module.
-            from repro.workload_mgmt.workers import DeviceWorkerPool
-
-            pool = DeviceWorkerPool(self.shard_set.num_shards)
 
         def run_tasks(fn) -> list:
             """``fn(shard)`` for every shard of the plan: inline on one
             shard, else on each shard's device worker."""
             if inline:
                 return [fn(0)]
-            return pool.map_shards(fn, workers)
+            return self.worker_pool.map_shards(fn, workers)
 
         shares: list[Bufferpool] = []
         stores = StoreOwner()
@@ -220,8 +199,6 @@ class ShardedQueryExecutor:
             stores.release(keep=[result.output] if result is not None else ())
             for share in shares:
                 share.close()
-            if owns_pool:
-                pool.shutdown()
 
     # ------------------------------------------------------------------ #
     # Step execution.
@@ -278,13 +255,9 @@ class ShardedQueryExecutor:
         self, step: FragmentStep, plan, shares, run_tasks, stores
     ) -> list[FragmentResult]:
         def run_fragment(index: int) -> FragmentResult:
-            executor = QueryExecutor(
-                plan.shard_set.backends[index],
-                plan.shard_budget,
-                bufferpool=shares[index],
-                owner=stores,
+            return QueryExecutor(shares[index], stores).execute(
+                step.fragments[index]
             )
-            return executor.execute(step.fragments[index])
 
         return run_tasks(run_fragment)
 

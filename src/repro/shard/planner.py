@@ -58,7 +58,7 @@ from repro.query.logical import (
 )
 from repro.query.planner import CostBasedPlanner, PhysicalPlan, output_write_cost_ns
 from repro.shard.collection import ShardedCollection, ShardSet
-from repro.shard.partition import HashPartitioner, Partitioner
+from repro.shard.partition import HashPartitioner
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema
@@ -100,7 +100,7 @@ class ExchangeStep:
     """
 
     index: int
-    partitioner: Partitioner
+    partitioner: HashPartitioner
     schema: Schema
     #: Materialized per-shard sources; ``None`` when fed by a fragment.
     sources: Optional[list[PersistentCollection]]
@@ -406,7 +406,7 @@ class ShardedPlanner:
     # ------------------------------------------------------------------ #
     def _build(
         self, node: LogicalNode
-    ) -> tuple[list[LogicalNode], Optional[Partitioner]]:
+    ) -> tuple[list[LogicalNode], Optional[HashPartitioner]]:
         """Per-shard logical subtrees plus their output partitioning.
 
         Appends exchange (and producing fragment) steps to ``self._steps``
@@ -533,7 +533,7 @@ class ShardedPlanner:
     def _exchange(
         self,
         per_shard: list[LogicalNode],
-        partitioner: Partitioner,
+        partitioner: HashPartitioner,
         reason: str,
     ) -> list[LogicalNode]:
         """Cut the per-shard subtrees at an exchange; returns dest scans."""

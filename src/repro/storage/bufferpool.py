@@ -47,14 +47,6 @@ class MemoryBudget:
         return cls(nbytes=nbytes, **kwargs)
 
     @classmethod
-    def from_kilobytes(cls, kilobytes: float, **kwargs) -> "MemoryBudget":
-        return cls(nbytes=int(kilobytes * 1024), **kwargs)
-
-    @classmethod
-    def from_megabytes(cls, megabytes: float, **kwargs) -> "MemoryBudget":
-        return cls(nbytes=int(megabytes * 1024 * 1024), **kwargs)
-
-    @classmethod
     def from_records(
         cls, num_records: int, schema: Schema = WISCONSIN_SCHEMA, **kwargs
     ) -> "MemoryBudget":
@@ -120,29 +112,6 @@ class MemoryBudget:
         frontier.  Never below two.
         """
         return max(2, int(self.buffers) - 1)
-
-    def split(self, fraction: float) -> tuple["MemoryBudget", "MemoryBudget"]:
-        """Split the budget in two parts: ``fraction`` and the remainder.
-
-        Used by hybrid sort to divide M between the selection region and
-        the replacement-selection region.  Both halves are at least one
-        cacheline.
-        """
-        if not 0 < fraction < 1:
-            raise ConfigurationError("split fraction must be in (0, 1)")
-        first = max(self.cacheline_bytes, int(self.nbytes * fraction))
-        second = max(self.cacheline_bytes, self.nbytes - first)
-        return (
-            MemoryBudget(first, self.cacheline_bytes, self.block_bytes),
-            MemoryBudget(second, self.cacheline_bytes, self.block_bytes),
-        )
-
-    def __mul__(self, factor: float) -> "MemoryBudget":
-        return MemoryBudget(
-            max(1, int(self.nbytes * factor)), self.cacheline_bytes, self.block_bytes
-        )
-
-    __rmul__ = __mul__
 
 
 class Bufferpool:
@@ -243,29 +212,16 @@ class Bufferpool:
     # ------------------------------------------------------------------ #
     # Parent/child shares.
     # ------------------------------------------------------------------ #
-    def share(
-        self,
-        fraction: float | None = None,
-        nbytes: int | None = None,
-        owner: str = "share",
-    ) -> "Bufferpool":
-        """Carve a child pool out of this one, reserving its budget here.
+    def share(self, nbytes: int, owner: str = "share") -> "Bufferpool":
+        """Carve a child pool of ``nbytes`` out of this one, reserving its
+        budget here.
 
-        Exactly one of ``fraction`` (of this pool's budget) or ``nbytes``
-        sizes the share.  The child's whole budget is reserved in the
-        parent immediately, so the sum of live shares can never exceed the
-        parent budget; a share that would raises
-        :class:`BufferpoolExhaustedError`.  Call :meth:`close` on the
-        child (or use it as a context manager) to return the bytes.
+        The child's whole budget is reserved in the parent immediately, so
+        the sum of live shares can never exceed the parent budget; a share
+        that would raises :class:`BufferpoolExhaustedError`.  Call
+        :meth:`close` on the child (or use it as a context manager) to
+        return the bytes.
         """
-        if (fraction is None) == (nbytes is None):
-            raise ConfigurationError(
-                "size a share with exactly one of fraction= or nbytes="
-            )
-        if fraction is not None:
-            if not 0 < fraction <= 1:
-                raise ConfigurationError("share fraction must be in (0, 1]")
-            nbytes = max(1, int(self.budget.nbytes * fraction))
         if nbytes <= 0:
             raise ConfigurationError("share size must be positive")
         self.reserve(nbytes, owner)

@@ -64,10 +64,6 @@ class RunSet:
         run.seal()
         return run
 
-    def add_existing(self, collection: PersistentCollection) -> None:
-        """Adopt an externally produced sorted collection as a run."""
-        self.runs.append(collection)
-
     def __len__(self) -> int:
         return len(self.runs)
 

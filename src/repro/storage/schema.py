@@ -56,13 +56,6 @@ class Schema:
         """Extract the key attribute from a record."""
         return record[self.key_index]
 
-    def validate_record(self, record: tuple) -> None:
-        """Raise :class:`ConfigurationError` if the record does not fit."""
-        if len(record) != self.num_fields:
-            raise ConfigurationError(
-                f"record has {len(record)} fields, schema expects {self.num_fields}"
-            )
-
     def make_record(self, key: int) -> tuple:
         """Build a record from a key, Wisconsin-style.
 
@@ -85,38 +78,6 @@ class Schema:
             position += 1
         return tuple(fields)
 
-    def records_in(self, nbytes: int | float) -> int:
-        """How many whole records fit in ``nbytes`` bytes."""
-        if nbytes < 0:
-            raise ConfigurationError("byte count must be non-negative")
-        return int(nbytes // self.record_bytes)
-
-    def bytes_for(self, num_records: int) -> int:
-        """Size in bytes of ``num_records`` records."""
-        if num_records < 0:
-            raise ConfigurationError("record count must be non-negative")
-        return num_records * self.record_bytes
-
 
 #: The paper's microbenchmark schema: ten eight-byte integers, key first.
 WISCONSIN_SCHEMA = Schema()
-
-
-@dataclass(frozen=True)
-class JoinedSchema:
-    """Schema of a join output: the concatenation of two input schemas."""
-
-    left: Schema
-    right: Schema
-
-    @property
-    def num_fields(self) -> int:
-        return self.left.num_fields + self.right.num_fields
-
-    @property
-    def record_bytes(self) -> int:
-        return self.left.record_bytes + self.right.record_bytes
-
-    def combine(self, left_record: tuple, right_record: tuple) -> tuple:
-        """Concatenate a matching pair into one output record."""
-        return left_record + right_record

@@ -225,15 +225,6 @@ class AdmissionController:
                     cancelled.append(head)
             return cancelled
 
-    @property
-    def pending_count(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for _, _, handle in self._pending
-                if handle.status is QueryStatus.QUEUED
-            )
-
     # ------------------------------------------------------------------ #
     # Internals (called under the lock).
     # ------------------------------------------------------------------ #

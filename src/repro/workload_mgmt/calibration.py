@@ -49,11 +49,6 @@ class CalibrationAggregator:
                 stats.est_wcl += est_wcl
                 stats.actual_wcl += actual_wcl
 
-    @property
-    def query_count(self) -> int:
-        with self._lock:
-            return self._queries
-
     def report(self) -> str:
         """A small text table of per-operator estimated vs. actual wcl."""
         with self._lock:

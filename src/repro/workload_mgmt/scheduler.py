@@ -250,10 +250,7 @@ class WorkloadScheduler:
         result, run_ns, error = None, 0.0, None
         try:
             executor = ShardedQueryExecutor(
-                self.shard_set,
-                handle._share.budget,
-                bufferpool=handle._share,
-                worker_pool=self.worker_pool,
+                self.shard_set, handle._share, self.worker_pool
             )
             result = executor.execute(handle._plan)
             run_ns = result.critical_path_ns

@@ -110,12 +110,3 @@ class WisconsinGenerator:
         """Yield ``num_records`` records in permuted key order."""
         for key in wisconsin_permutation(num_records, seed=self.seed):
             yield self.schema.make_record(key)
-
-    def sequential_records(
-        self, num_records: int, key_offset: int = 0
-    ) -> Iterator[tuple]:
-        """Yield records with sequential keys (for controlled join fanouts)."""
-        if num_records < 0:
-            raise ConfigurationError("number of records must be non-negative")
-        for key in range(key_offset, key_offset + num_records):
-            yield self.schema.make_record(key)

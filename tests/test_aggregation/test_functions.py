@@ -1,8 +1,6 @@
 """Tests for the aggregate accumulators."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.aggregation.functions import (
     AGGREGATE_REGISTRY,
@@ -50,24 +48,3 @@ class TestIndividualAggregates:
         assert isinstance(make_aggregate("sum"), SumAggregate)
         with pytest.raises(ConfigurationError):
             make_aggregate("median")
-
-
-class TestPartialMerging:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        left=st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=30),
-        right=st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=30),
-        name=st.sampled_from(["count", "sum", "min", "max", "avg"]),
-    )
-    def test_merge_equals_folding_everything(self, left, right, name):
-        """Partial aggregation: merge(fold(A), fold(B)) == fold(A + B)."""
-        aggregate = make_aggregate(name)
-
-        def partial(values):
-            state = aggregate.initial()
-            for value in values:
-                state = aggregate.step(state, value)
-            return state
-
-        merged = aggregate.merge(partial(left), partial(right))
-        assert aggregate.final(merged) == fold(make_aggregate(name), left + right)

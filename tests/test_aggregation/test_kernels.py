@@ -338,14 +338,20 @@ class TestDifferential:
 
 class TestCompileOnce:
     def test_an_already_seen_spec_compiles_nothing(self, backend, monkeypatch):
+        # An empty cache, and a spy that counts only this spec's kernels:
+        # neither one an earlier test left cached nor one compiled on a
+        # leftover worker thread can move the counts.
+        kernels_module.compile_kernels.cache_clear()
         budget = MemoryBudget.from_records(20)
         spec = {"max": 2, "count": 0, "avg": 3}
+        prefix = f"<aggregation kernels {tuple(spec.items())!r} by "
         first = HashAggregation(backend, budget, group_index=1, aggregates=spec)
         compiled = []
 
-        def spy(*args):
-            compiled.append(args)
-            return exec(*args)
+        def spy(code, *args):
+            if code.co_filename.startswith(prefix):
+                compiled.append(code.co_filename)
+            return exec(code, *args)
 
         monkeypatch.setattr(kernels_module, "exec", spy, raising=False)
         for operator_class in (HashAggregation, SortedAggregation):
@@ -358,7 +364,7 @@ class TestCompileOnce:
         # A new spec or group attribute is compiled, exactly once.
         HashAggregation(backend, budget, group_index=2, aggregates=spec)
         SortedAggregation(backend, budget, group_index=2, aggregates=spec)
-        assert len(compiled) == 1
+        assert compiled == [prefix + "2>"]
 
     def test_the_cache_is_bounded(self):
         assert kernels_module.compile_kernels.cache_info().maxsize == (

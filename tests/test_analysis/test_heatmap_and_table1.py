@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.heatmap import figure2_panels, hybrid_cost_surface
+from repro.analysis.heatmap import hybrid_cost_surface
 from repro.analysis.table1 import crossover_iteration, lazy_hash_progression
+from repro.bench import experiments
 from repro.exceptions import ConfigurationError
 
 
@@ -53,7 +54,10 @@ class TestHybridCostSurface:
             hybrid_cost_surface(size_ratio=1.0, lam=2.0, grid_points=1)
 
     def test_figure2_has_nine_panels(self):
-        panels = figure2_panels(grid_points=5)
+        panels = [
+            row["surface"]
+            for row in experiments.hybrid_cost_surfaces(grid_points=5)
+        ]
         assert len(panels) == 9
         assert {(p.size_ratio, p.lam) for p in panels} == {
             (ratio, lam) for ratio in (1.0, 10.0, 100.0) for lam in (2.0, 5.0, 8.0)

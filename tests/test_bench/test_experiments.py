@@ -1,8 +1,12 @@
 """Tests for the per-figure experiment definitions (at reduced scale)."""
 
+import inspect
+
 import pytest
 
 from repro.bench import experiments
+from repro.bench.harness import make_environment
+from repro.pmem.latency import LatencyModel
 
 
 class TestAnalyticalExperiments:
@@ -132,6 +136,14 @@ class TestJoinExperiments:
 
 
 class TestSensitivityAndValidation:
+    def test_latency_sensitivity_sweeps_the_papers_write_latencies(self):
+        """Figure 11 sweeps writes over 50-200 ns on the default 10 ns reads."""
+        defaults = inspect.signature(experiments.latency_sensitivity).parameters
+        assert defaults["write_latencies"].default == (50.0, 100.0, 150.0, 200.0)
+        # Each sweep point's device, as latency_sensitivity builds it.
+        device = make_environment(write_ns=50.0).device
+        assert device.latency == LatencyModel(read_ns=10.0, write_ns=50.0)
+
     def test_latency_sensitivity_rows(self):
         rows = experiments.latency_sensitivity(
             write_latencies=(50.0, 200.0),

@@ -1,7 +1,7 @@
 """Tests for the result formatting helpers."""
 
 from repro.analysis.heatmap import hybrid_cost_surface
-from repro.bench.reporting import format_series, format_surface, format_table, summarize
+from repro.bench.reporting import format_series, format_surface, format_table
 
 
 ROWS = [
@@ -56,15 +56,3 @@ class TestFormatSurface:
         text = format_surface(surface)
         assert len(text.splitlines()) == 1 + 7
         assert "lambda = 5" in text
-
-
-class TestSummarize:
-    def test_min_mean_max(self):
-        summary = summarize(ROWS, ["simulated_seconds"])
-        assert summary["rows"] == 3
-        assert summary["simulated_seconds_min"] == 1.20
-        assert summary["simulated_seconds_max"] == 2.5
-
-    def test_ignores_non_numeric(self):
-        summary = summarize(ROWS, ["algorithm"])
-        assert "algorithm_min" not in summary

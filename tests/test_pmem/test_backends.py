@@ -128,9 +128,9 @@ class TestBlockedMemory:
         backend = BlockedMemoryBackend(device, block_bytes=1024)
         t = backend.create_store("t")
         backend.append_bulk(t, 100)
-        assert backend.blocks_allocated(t) == 1
+        assert t.extra["blocks"] == 1
         backend.append_bulk(t, 2000)
-        assert backend.blocks_allocated(t) == 3
+        assert t.extra["blocks"] == 3
 
     def test_no_copy_on_expansion(self, device):
         backend = BlockedMemoryBackend(device, block_bytes=256)
@@ -156,8 +156,8 @@ class TestDynamicArray:
         t = backend.create_store("t")
         for _ in range(16):
             backend.append_bulk(t, 64)
-        assert backend.expansions(t) >= 4
-        assert backend.copied_bytes(t) > 0
+        assert t.extra["expansions"] >= 4
+        assert t.extra["copied_bytes"] > 0
 
     def test_writes_exceed_blocked_memory(self):
         """The write amplification the paper attributes to dynamic arrays."""
@@ -191,7 +191,7 @@ class TestRamDisk:
         t = backend.create_store("t")
         backend.append_bulk(t, 10)
         assert device.counters.cacheline_writes == pytest.approx(8.0)
-        assert backend.padded_write_bytes(t) == 502
+        assert t.extra["padded_write_bytes"] == 502
 
     def test_small_read_rounded_to_fs_block(self, device):
         backend = RamDiskBackend(device, fs_block_bytes=512)
@@ -200,7 +200,7 @@ class TestRamDisk:
         device.reset_counters()
         backend.read_bulk(t, 100)
         assert device.counters.cacheline_reads == pytest.approx(8.0)
-        assert backend.padded_read_bytes(t) == 412
+        assert t.extra["padded_read_bytes"] == 412
 
     def test_syscall_overhead_per_call(self, device):
         backend = RamDiskBackend(device, syscall_overhead_ns=700.0)
@@ -213,7 +213,7 @@ class TestRamDisk:
         backend = RamDiskBackend(device, fs_block_bytes=512)
         t = backend.create_store("t")
         backend.append_bulk(t, 1024)
-        assert backend.padded_write_bytes(t) == 0
+        assert t.extra.get("padded_write_bytes", 0) == 0
 
 
 class TestPmfs:

@@ -17,7 +17,6 @@ class TestDeviceGeometry:
         geometry = DeviceGeometry()
         assert geometry.cacheline_bytes == 64
         assert geometry.block_bytes == 1024
-        assert geometry.cachelines_per_block == 16
 
     def test_block_must_be_multiple_of_cacheline(self):
         with pytest.raises(ConfigurationError):
@@ -26,10 +25,6 @@ class TestDeviceGeometry:
     def test_bytes_to_cachelines_fractional(self):
         geometry = DeviceGeometry()
         assert geometry.bytes_to_cachelines(80) == pytest.approx(1.25)
-
-    def test_bytes_to_blocks(self):
-        geometry = DeviceGeometry()
-        assert geometry.bytes_to_blocks(2048) == pytest.approx(2.0)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -70,17 +65,12 @@ class TestAccounting:
         assert delta.cacheline_reads == 0
         assert delta.cacheline_writes == pytest.approx(1.0)
 
-    def test_measure_context_manager(self, device):
-        with device.measure() as cost:
-            device.write(128)
-        assert cost.delta.cacheline_writes == pytest.approx(2.0)
-
-    def test_measure_attributes_overhead_labels(self, device):
+    def test_snapshot_delta_attributes_overhead_labels(self, device):
         device.overhead(5.0, label="syscall")
-        with device.measure() as cost:
-            device.overhead(42.0, label="syscall")
-            device.overhead(8.0, label="reallocation")
-        assert cost.delta.overhead_breakdown == {
+        before = device.snapshot()
+        device.overhead(42.0, label="syscall")
+        device.overhead(8.0, label="reallocation")
+        assert (device.snapshot() - before).overhead_breakdown == {
             "syscall": 42.0,
             "reallocation": 8.0,
         }

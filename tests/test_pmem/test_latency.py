@@ -7,7 +7,6 @@ from repro.pmem.latency import (
     DEFAULT_READ_LATENCY_NS,
     DEFAULT_WRITE_LATENCY_NS,
     LatencyModel,
-    sensitivity_models,
 )
 
 
@@ -26,12 +25,12 @@ class TestDefaults:
         assert LatencyModel().write_read_ratio == pytest.approx(15.0)
 
     def test_default_is_asymmetric(self):
-        assert LatencyModel().is_asymmetric
+        model = LatencyModel()
+        assert model.write_ns > model.read_ns
 
     def test_symmetric_model(self):
-        model = LatencyModel.symmetric(25.0)
-        assert model.read_ns == model.write_ns == 25.0
-        assert not model.is_asymmetric
+        model = LatencyModel(read_ns=25.0, write_ns=25.0)
+        assert model.write_read_ratio == 1.0
 
 
 class TestCosts:
@@ -56,37 +55,10 @@ class TestCosts:
             LatencyModel().write_cost_ns(-1)
 
 
-class TestDerivedModels:
-    def test_with_write_latency(self):
-        model = LatencyModel().with_write_latency(200.0)
-        assert model.write_ns == 200.0
-        assert model.read_ns == 10.0
-
-    def test_with_read_latency(self):
-        model = LatencyModel().with_read_latency(20.0)
-        assert model.read_ns == 20.0
-        assert model.write_ns == 150.0
-
-    def test_with_ratio(self):
-        model = LatencyModel().with_ratio(5.0)
-        assert model.write_read_ratio == pytest.approx(5.0)
-
-    def test_from_ratio(self):
-        model = LatencyModel.from_ratio(8.0, read_ns=20.0)
-        assert model.write_ns == pytest.approx(160.0)
-
-    def test_from_ratio_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel.from_ratio(0.0)
-
-    def test_with_ratio_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel().with_ratio(-1.0)
-
-    def test_sensitivity_models_match_paper_sweep(self):
-        models = sensitivity_models()
-        assert [m.write_ns for m in models] == [50.0, 100.0, 150.0, 200.0]
-        assert all(m.read_ns == 10.0 for m in models)
+class TestRatio:
+    def test_ratio_follows_both_latencies(self):
+        model = LatencyModel(read_ns=20.0, write_ns=160.0)
+        assert model.write_read_ratio == pytest.approx(8.0)
 
 
 class TestValidation:
@@ -99,10 +71,6 @@ class TestValidation:
     def test_invalid_write_latency(self, write_ns):
         with pytest.raises(ConfigurationError):
             LatencyModel(write_ns=write_ns)
-
-    def test_negative_dram_latency(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel(dram_ns=-1.0)
 
     def test_model_is_frozen(self):
         with pytest.raises(AttributeError):

@@ -83,7 +83,7 @@ class TestIOCounters:
 
     def test_snapshot_carries_overhead_breakdown(self):
         # Regression: snapshot() used to drop the per-label breakdown, so
-        # measure() deltas could not attribute overhead to labels.
+        # snapshot deltas could not attribute overhead to labels.
         counters = IOCounters()
         counters.record_overhead(100.0, label="syscall")
         counters.record_overhead(30.0, label="reallocation")
@@ -111,17 +111,6 @@ class TestIOSnapshot:
         combined = a + b
         assert combined.cacheline_reads == pytest.approx(3.0)
         assert combined.overhead_ns == pytest.approx(15.0)
-
-    def test_total_seconds(self):
-        snapshot = IOSnapshot(transfer_ns=2e9, overhead_ns=1e9)
-        assert snapshot.total_seconds == pytest.approx(3.0)
-
-    def test_write_fraction(self):
-        snapshot = IOSnapshot(cacheline_reads=3.0, cacheline_writes=1.0)
-        assert snapshot.write_fraction == pytest.approx(0.25)
-
-    def test_write_fraction_idle(self):
-        assert IOSnapshot().write_fraction == 0.0
 
     def test_as_dict_round_trip(self):
         snapshot = IOSnapshot(cacheline_reads=2.0, cacheline_writes=4.0, transfer_ns=7.0)

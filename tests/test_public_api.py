@@ -1,5 +1,7 @@
 """Tests for the package's public surface."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -15,13 +17,37 @@ from repro.exceptions import (
 )
 
 
+#: Every module that declares a public surface with ``__all__``.
+MODULES_WITH_ALL = [
+    "repro",
+    "repro.session",
+    "repro.aggregation",
+    "repro.analysis",
+    "repro.bench",
+    "repro.joins",
+    "repro.pmem",
+    "repro.pmem.backends",
+    "repro.query",
+    "repro.runtime",
+    "repro.shard",
+    "repro.sorts",
+    "repro.storage",
+    "repro.workload_mgmt",
+    "repro.workloads",
+]
+
+
+@pytest.mark.parametrize("module_name", MODULES_WITH_ALL)
+def test_all_names_resolve(module_name):
+    """A re-export left behind by a deletion fails here."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
 class TestTopLevelExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
-
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
 
     def test_sort_classes_exported(self):
         assert repro.ExternalMergeSort.short_name == "ExMS"

@@ -17,7 +17,7 @@ from repro.query import (
 from repro.runtime.api import CallKind
 from repro.session import Session
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus
+from repro.storage.collection import CollectionStatus, StoreOwner
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
 
@@ -178,12 +178,14 @@ class TestDeferredExecution:
             )
         )
         planner = CostBasedPlanner(backend, budget, boundary_policy="materialize")
-        baseline = QueryExecutor(backend, budget).execute(planner.plan(query))
+        owner = StoreOwner()
+        executor = QueryExecutor(Bufferpool(budget), owner)
+        baseline = executor.execute(planner.plan(query))
         plan = planner.plan(query)
         filters = [n for n in plan.root.walk() if n.logical.kind == "Filter"]
         for node in filters:
             node.boundary = dataclasses.replace(node.boundary, kind=BoundaryKind.DEFER)
-        result = QueryExecutor(backend, budget).execute(plan)
+        result = executor.execute(plan)
         assert result.records == baseline.records
         context = result.runtime_context
         sinks = [result.executions[id(node.children[0])].output for node in filters]
@@ -193,6 +195,7 @@ class TestDeferredExecution:
             deferred = result.executions[id(node)].output
             assert context.graph.producer_of(deferred).inputs == (sink,)
             assert context.reconstruction_count(deferred) >= 1
+        owner.release()
 
     def test_a_deferred_query_leaves_no_context_on_its_base_tables(self, backend):
         # Only a collection the runtime must derive points back at its

@@ -1,14 +1,17 @@
 """Executor correctness against brute-force in-memory evaluation."""
 
+import inspect
+
 import pytest
 
-from repro.bench.harness import budget_for, make_environment
+from repro.bench.harness import budget_for
 from repro.exceptions import BufferpoolExhaustedError, CollectionStateError
 from repro.query import CostBasedPlanner, Query, QueryExecutor
 from repro.session import Session
-from repro.storage.bufferpool import Bufferpool, MemoryBudget
-from repro.storage.collection import CollectionStatus
-from repro.workloads.generator import make_join_inputs, make_sort_input
+from repro.shard import ShardedQueryExecutor
+from repro.storage.bufferpool import Bufferpool
+from repro.storage.collection import CollectionStatus, StoreOwner
+from repro.workloads.generator import make_join_inputs
 
 
 def brute_force_join(left_records, right_records):
@@ -68,11 +71,10 @@ class TestWisconsinCorrectness:
         # side; output records must still read left + right.
         left, right = make_join_inputs(150, 1_500, backend)
         budget = budget_for(left, 0.10)
-        plan = CostBasedPlanner(backend, budget).plan(
-            Query.scan(right).join(Query.scan(left))
-        )
+        query = Query.scan(right).join(Query.scan(left))
+        plan = CostBasedPlanner(backend, budget).plan(query)
         assert plan.root.extra["swapped"] is True
-        result = QueryExecutor(backend, budget).execute(plan)
+        result = Session(backend, budget).query(query)
         expected = brute_force_join(right.records, left.records)
         assert sorted(result.records) == sorted(expected)
 
@@ -145,20 +147,68 @@ class TestBudgetEnforcement:
     def test_operators_share_the_executor_bufferpool(
         self, backend, small_sort_input, sort_budget
     ):
+        plan = CostBasedPlanner(backend, sort_budget).plan(
+            Query.scan(small_sort_input).order_by()
+        )
         pool = Bufferpool(sort_budget)
-        executor = QueryExecutor(backend, sort_budget, bufferpool=pool)
-        executor.execute(Query.scan(small_sort_input).order_by())
+        owner = StoreOwner()
+        QueryExecutor(pool, owner).execute(plan)
+        owner.release()
         # Workspaces were reserved during the run and fully released after.
         assert pool.reserved_bytes == 0
 
     def test_exhausted_shared_pool_fails_loudly(
         self, backend, small_sort_input, sort_budget
     ):
+        plan = CostBasedPlanner(backend, sort_budget).plan(
+            Query.scan(small_sort_input).order_by()
+        )
         pool = Bufferpool(sort_budget)
         pool.reserve(1, owner="something-else")
-        executor = QueryExecutor(backend, sort_budget, bufferpool=pool)
+        owner = StoreOwner()
         with pytest.raises(BufferpoolExhaustedError):
-            executor.execute(Query.scan(small_sort_input).order_by())
+            QueryExecutor(pool, owner).execute(plan)
+        owner.release()
+
+
+class TestExecutorContract:
+    @pytest.mark.parametrize("executor", [QueryExecutor, ShardedQueryExecutor])
+    def test_every_argument_is_required(self, executor):
+        """An executor runs what its caller hands it: no budget to plan
+        with, no pool or store owner of its own to fall back on."""
+        parameters = inspect.signature(executor).parameters.values()
+        assert "budget" not in [parameter.name for parameter in parameters]
+        assert all(
+            parameter.default is inspect.Parameter.empty for parameter in parameters
+        )
+
+    @pytest.mark.parametrize("shape", ["sort", "join", "group-by"])
+    def test_the_owner_adopts_every_store_an_execution_creates(
+        self, any_backend, shape
+    ):
+        """Every sink a materialized plan writes goes to the caller's
+        owner: releasing it leaves exactly the loaded stores and bytes."""
+        left, right = make_join_inputs(150, 1_500, any_backend)
+        budget = budget_for(left, 0.10)
+        filtered = Query.scan(left).filter(
+            lambda r: r[0] % 2 == 0, selectivity=0.5
+        )
+        query = {
+            "sort": filtered.order_by(),
+            "join": filtered.join(Query.scan(right)),
+            "group-by": filtered.join(Query.scan(right)).group_by(
+                1, {"count": 0, "sum": 1}
+            ),
+        }[shape]
+        plan = CostBasedPlanner(
+            any_backend, budget, boundary_policy="materialize"
+        ).plan(query)
+        loaded = (any_backend.stores(), any_backend.device.allocated_bytes)
+        owner = StoreOwner()
+        QueryExecutor(Bufferpool(budget), owner).execute(plan)
+        assert len(any_backend.stores()) > len(loaded[0])
+        owner.release()
+        assert (any_backend.stores(), any_backend.device.allocated_bytes) == loaded
 
 
 class TestCannedCliQueries:

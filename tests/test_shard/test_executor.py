@@ -1,9 +1,12 @@
 """Executor-level behavior: concurrency, shares, step accounting."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.exceptions import BufferpoolExhaustedError
 from repro.query import Query
+from repro.session import Session
 from repro.shard import (
     HashPartitioner,
     ShardSet,
@@ -16,6 +19,14 @@ from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import DeviceWorkerPool
+
+
+@pytest.fixture
+def workers():
+    """A worker per device for the tests that drive the executor itself."""
+    pool = DeviceWorkerPool(4)
+    yield pool
+    pool.shutdown()
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -37,14 +48,14 @@ def repartitioned_join(shard_set):
 
 
 @pytest.mark.parametrize("shards, budget_records", [(2, 30), (3, 45)])
-def test_same_plan_executes_twice_identically(shards, budget_records):
+def test_same_plan_executes_twice_identically(shards, budget_records, workers):
     """The exchange destinations a plan carries are DROPPED when an
     execution ends; the next execution gives each a fresh store."""
     shard_set = ShardSet.create(shards)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(budget_records)
     plan = ShardedPlanner(shard_set, budget).plan(query)
-    executor = ShardedQueryExecutor(shard_set, budget)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(budget), workers)
 
     def footprint():
         return [
@@ -63,22 +74,58 @@ def test_same_plan_executes_twice_identically(shards, budget_records):
     assert first.critical_path_ns == second.critical_path_ns
 
 
-def test_worker_pool_does_not_change_accounting():
-    """A private per-execution pool and a shared pool account alike."""
-    budget = MemoryBudget.from_records(45)
-    results = []
-    for shared in (False, True):
-        shard_set = ShardSet.create(3)
-        query = repartitioned_join(shard_set)
-        pool = DeviceWorkerPool(3) if shared else None
-        executor = ShardedQueryExecutor(shard_set, budget, worker_pool=pool)
-        results.append(executor.execute(query))
-        if pool is not None:
+@pytest.mark.parametrize("shards", [2, 3, 4])
+def test_worker_pool_does_not_change_accounting(shards):
+    """A query run alone and three copies co-scheduled on one shared pool
+    account alike: every task measures its own device delta."""
+    budget = MemoryBudget.from_records(15 * shards)
+
+    def run(copies):
+        shard_set = ShardSet.create(shards)
+        plans = [
+            ShardedPlanner(shard_set, budget).plan(repartitioned_join(shard_set))
+            for _ in range(copies)
+        ]
+        pool = DeviceWorkerPool(shards)
+        try:
+            with ThreadPoolExecutor(copies) as threads:
+                futures = [
+                    threads.submit(
+                        ShardedQueryExecutor(
+                            shard_set, Bufferpool(budget), pool
+                        ).execute,
+                        plan,
+                    )
+                    for plan in plans
+                ]
+                return [future.result() for future in futures]
+        finally:
             pool.shutdown()
-    private, shared = results
-    assert sorted(shared.records) == sorted(private.records)
-    assert shared.io == private.io
-    assert shared.critical_path_ns == private.critical_path_ns
+
+    (alone,) = run(1)
+    for shared in run(3):
+        assert sorted(shared.records) == sorted(alone.records)
+        assert shared.io == alone.io
+        assert shared.per_shard_io == alone.per_shard_io
+        assert shared.critical_path_ns == alone.critical_path_ns
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_execution_returns_every_share_and_store(shards, workers):
+    """After a query the caller's pool holds no reservation and the
+    backends hold exactly the loaded stores."""
+    shard_set = ShardSet.create(shards)
+    query = repartitioned_join(shard_set)
+    budget = MemoryBudget.from_records(15 * shards)
+    plan = ShardedPlanner(shard_set, budget, boundary_policy="materialize").plan(
+        query
+    )
+    loaded = [backend.stores() for backend in shard_set.backends]
+    pool = Bufferpool(budget)
+    result = ShardedQueryExecutor(shard_set, pool, workers).execute(plan)
+    assert len(result.records) == 360
+    assert pool.reserved_bytes == 0
+    assert [backend.stores() for backend in shard_set.backends] == loaded
 
 
 def test_one_shard_plan_runs_inline_on_the_calling_thread():
@@ -94,9 +141,11 @@ def test_one_shard_plan_runs_inline_on_the_calling_thread():
         def __getattr__(self, name):
             raise AssertionError(f"the worker pool was used ({name})")
 
-    result = ShardedQueryExecutor(
-        shard_set, MemoryBudget.from_records(20), worker_pool=NoPool()
-    ).execute(Query.scan(plain).order_by())
+    budget = MemoryBudget.from_records(20)
+    plan = ShardedPlanner(shard_set, budget).plan(Query.scan(plain).order_by())
+    result = ShardedQueryExecutor(shard_set, Bufferpool(budget), NoPool()).execute(
+        plan
+    )
     assert result.plan.num_shards == 1
     assert result.plan.shard_set.backends == [shard_set.backends[1]]
     assert [r[0] for r in result.records] == list(range(40))
@@ -104,24 +153,25 @@ def test_one_shard_plan_runs_inline_on_the_calling_thread():
     assert result.critical_path_ns == result.io.total_ns
 
 
-def test_parent_pool_too_small_for_shares_raises():
+def test_parent_pool_too_small_for_shares_raises(workers):
     shard_set = ShardSet.create(4)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(60)
+    plan = ShardedPlanner(shard_set, budget).plan(query)
     # An external pool with most of the budget already taken: the four
     # 1/4 shares cannot all be carved out.
     pool = Bufferpool(budget)
     pool.reserve(budget.nbytes // 2, owner="someone-else")
-    executor = ShardedQueryExecutor(shard_set, budget, bufferpool=pool)
+    executor = ShardedQueryExecutor(shard_set, pool, workers)
     with pytest.raises(BufferpoolExhaustedError):
-        executor.execute(query)
+        executor.execute(plan)
 
 
 def test_exchange_moves_every_record_exactly_once():
     shard_set = ShardSet.create(4)
     query = repartitioned_join(shard_set)
-    budget = MemoryBudget.from_records(60)
-    result = ShardedQueryExecutor(shard_set, budget).execute(query)
+    with Session(shard_set, MemoryBudget.from_records(60)) as session:
+        result = session.query(query)
     exchange_steps = [
         step for step in result.plan.steps if isinstance(step, ExchangeStep)
     ]
@@ -132,16 +182,14 @@ def test_exchange_moves_every_record_exactly_once():
     # Every destination shard holds exactly the records its partitioner
     # routes to it.
     for index, dest in enumerate(step.dests):
-        assert all(
-            step.partitioner.shard_of(record) == index for record in dest.records
-        )
+        assert set(step.partitioner.shards_of(dest.records)) <= {index}
 
 
 def test_explain_reports_exchange_actuals():
     shard_set = ShardSet.create(2)
     query = repartitioned_join(shard_set)
-    budget = MemoryBudget.from_records(30)
-    result = ShardedQueryExecutor(shard_set, budget).execute(query)
+    with Session(shard_set, MemoryBudget.from_records(30)) as session:
+        result = session.query(query)
     rendered = result.explain()
     assert "exchange on hash(attr 0)" in rendered
     assert "right input not partitioned on its join key" in rendered
@@ -153,8 +201,8 @@ def test_explain_reports_exchange_actuals():
 def test_step_io_covers_all_devices_per_step():
     shard_set = ShardSet.create(3)
     query = repartitioned_join(shard_set)
-    budget = MemoryBudget.from_records(45)
-    result = ShardedQueryExecutor(shard_set, budget).execute(query)
+    with Session(shard_set, MemoryBudget.from_records(45)) as session:
+        result = session.query(query)
     assert set(result.step_io) == {step.index for step in result.plan.steps}
     for deltas in result.step_io.values():
         assert len(deltas) == 3
@@ -167,21 +215,22 @@ def test_step_io_covers_all_devices_per_step():
         assert total.cacheline_writes == result.per_shard_io[shard].cacheline_writes
 
 
-def test_failed_share_carving_releases_partial_shares():
+def test_failed_share_carving_releases_partial_shares(workers):
     shard_set = ShardSet.create(4)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(60)
+    plan = ShardedPlanner(shard_set, budget).plan(query)
     pool = Bufferpool(budget)
     pool.reserve(budget.nbytes // 2, owner="someone-else")
-    executor = ShardedQueryExecutor(shard_set, budget, bufferpool=pool)
+    executor = ShardedQueryExecutor(shard_set, pool, workers)
     with pytest.raises(BufferpoolExhaustedError):
-        executor.execute(query)
+        executor.execute(plan)
     # Only the external reservation remains: the shares carved before the
     # failure were all returned.
     assert pool.reserved_bytes == budget.nbytes // 2
 
 
-def test_plan_from_other_shard_set_rejected():
+def test_plan_from_other_shard_set_rejected(workers):
     from repro.exceptions import ConfigurationError
 
     set_a = ShardSet.create(2)
@@ -189,7 +238,7 @@ def test_plan_from_other_shard_set_rejected():
     query = repartitioned_join(set_a)
     budget = MemoryBudget.from_records(30)
     plan = ShardedPlanner(set_a, budget).plan(query)
-    executor = ShardedQueryExecutor(set_b, budget)
+    executor = ShardedQueryExecutor(set_b, Bufferpool(budget), workers)
     with pytest.raises(ConfigurationError, match="different shard set"):
         executor.execute(plan)
 
@@ -214,10 +263,8 @@ def test_exchange_critical_path_is_phase_aware():
         [key % 40 for key in range(240)],
         partitioner=HashPartitioner(2, key_index=1, hash_fn=to_zero),
     )
-    budget = MemoryBudget.from_records(30)
-    result = ShardedQueryExecutor(shard_set, budget).execute(
-        Query.scan(left).join(Query.scan(right))
-    )
+    with Session(shard_set, MemoryBudget.from_records(30)) as session:
+        result = session.query(Query.scan(left).join(Query.scan(right)))
     step = next(
         s for s in result.plan.steps if isinstance(s, ExchangeStep)
     )
@@ -247,12 +294,15 @@ def test_exchange_stores_released_after_execution():
     shard_set = ShardSet.create(2)
     budget = MemoryBudget.from_records(30)
     allocated_after_load = None
-    for _ in range(3):
-        query = repartitioned_join(shard_set)
-        if allocated_after_load is None:
-            allocated_after_load = [d.allocated_bytes for d in shard_set.devices]
-        result = ShardedQueryExecutor(shard_set, budget).execute(query)
-        assert len(result.records) == 360
+    with Session(shard_set, budget) as session:
+        for _ in range(3):
+            query = repartitioned_join(shard_set)
+            if allocated_after_load is None:
+                allocated_after_load = [
+                    d.allocated_bytes for d in shard_set.devices
+                ]
+            result = session.query(query)
+            assert len(result.records) == 360
     # Three queries later, only the loaded base relations still hold
     # device allocation: exchange intermediates were all released.
     grown = [

@@ -13,20 +13,29 @@ import pytest
 
 from repro.bench.harness import make_environment
 from repro.pmem.metrics import sum_snapshots
-from repro.query import Query, QueryExecutor
-from repro.shard import (
-    HashPartitioner,
-    ShardSet,
-    ShardedCollection,
-    ShardedQueryExecutor,
-)
-from repro.storage.bufferpool import Bufferpool, MemoryBudget
+from repro.query import CostBasedPlanner, Query
+from repro.session import Session
+from repro.shard import HashPartitioner, ShardSet, ShardedCollection
+from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import load_collection
 
 
 def random_keys(rng, count, domain):
     return [rng.randrange(domain) for _ in range(count)]
+
+
+def run(target, budget, query):
+    with Session(target, budget) as session:
+        return session.query(query)
+
+
+def run_with_deltas(shard_set, budget, query):
+    """Run a sharded query; also return each shard device's counter delta."""
+    before = [device.snapshot() for device in shard_set.devices]
+    result = run(shard_set, budget, query)
+    after = [device.snapshot() for device in shard_set.devices]
+    return result, [a - b for a, b in zip(after, before)]
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -55,19 +64,16 @@ def run_both(seed, num_shards, build_query, key_plan, budget_records=40):
         )
         for index, keys in enumerate(key_lists)
     ]
-    single = QueryExecutor(env.backend, budget).execute(build_query(single_inputs))
+    single = run(env.backend, budget, build_query(single_inputs))
 
     shard_set = ShardSet.create(num_shards)
     sharded_inputs = [
         build_sharded(shard_set, f"rel{index}", keys)
         for index, keys in enumerate(key_lists)
     ]
-    before = shard_set.snapshot()
-    sharded = ShardedQueryExecutor(shard_set, budget).execute(
-        build_query(sharded_inputs)
+    sharded, deltas = run_with_deltas(
+        shard_set, budget, build_query(sharded_inputs)
     )
-    after = shard_set.snapshot()
-    deltas = [a - b for a, b in zip(after, before)]
     return single, sharded, deltas
 
 
@@ -151,8 +157,8 @@ def test_random_partition_key_still_exact(num_shards):
     single_right = load_collection(
         (WISCONSIN_SCHEMA.make_record(key) for key in right_keys), env.backend, "R"
     )
-    single = QueryExecutor(env.backend, budget).execute(
-        Query.scan(single_left).join(Query.scan(single_right))
+    single = run(
+        env.backend, budget, Query.scan(single_left).join(Query.scan(single_right))
     )
 
     shard_set = ShardSet.create(num_shards)
@@ -162,13 +168,11 @@ def test_random_partition_key_still_exact(num_shards):
     right = build_sharded(
         shard_set, "R", right_keys, partitioner=HashPartitioner(num_shards, key_index=5)
     )
-    before = shard_set.snapshot()
-    sharded = ShardedQueryExecutor(shard_set, budget).execute(
-        Query.scan(left).join(Query.scan(right))
+    sharded, deltas = run_with_deltas(
+        shard_set, budget, Query.scan(left).join(Query.scan(right))
     )
-    after = shard_set.snapshot()
     assert_permutation_equal(single, sharded)
-    assert_io_accounting_exact(sharded, [a - b for a, b in zip(after, before)])
+    assert_io_accounting_exact(sharded, deltas)
     # Both sides were mispartitioned, so the plan repartitioned both.
     exchange_count = sum(
         1 for step in sharded.plan.steps if hasattr(step, "partitioner")
@@ -192,11 +196,9 @@ def test_bufferpool_shares_are_returned_after_execution():
         build_sharded(shard_set, f"rel{index}", keys)
         for index, keys in enumerate(key_lists)
     ]
-    budget = MemoryBudget.from_records(60)
-    pool = Bufferpool(budget)
-    executor = ShardedQueryExecutor(shard_set, budget, bufferpool=pool)
-    executor.execute(build_query(inputs))
-    assert pool.reserved_bytes == 0
+    with Session(shard_set, MemoryBudget.from_records(60)) as session:
+        session.query(build_query(inputs))
+        assert session.bufferpool.reserved_bytes == 0
 
 
 @pytest.mark.parametrize("num_shards", [2, 4])
@@ -219,13 +221,11 @@ def test_filter_and_project_above_order_by_keep_global_order(num_shards):
     single_input = load_collection(
         (WISCONSIN_SCHEMA.make_record(key) for key in keys), env.backend, "T"
     )
-    single = QueryExecutor(env.backend, budget).execute(build_query([single_input]))
+    single = run(env.backend, budget, build_query([single_input]))
 
     shard_set = ShardSet.create(num_shards)
     sharded_input = build_sharded(shard_set, "T", keys)
-    sharded = ShardedQueryExecutor(shard_set, budget).execute(
-        build_query([sharded_input])
-    )
+    sharded = run(shard_set, budget, build_query([sharded_input]))
     # The sort key survives at projected position 1: order is observable
     # and must match the single-device stream.
     sorted_keys = [record[1] for record in sharded.records]
@@ -238,12 +238,12 @@ def test_project_dropping_sort_key_degrades_to_concat():
     collection = build_sharded(shard_set, "T", list(range(90)))
     budget = MemoryBudget.from_records(30)
     query = Query.scan(collection).order_by().project(1, 2)
-    result = ShardedQueryExecutor(shard_set, budget).execute(query)
+    result = run(shard_set, budget, query)
     assert result.plan.merge == ("concat", None)
     assert len(result.records) == 90
 
 
-def test_single_device_executor_rejects_sharded_plan_object():
+def test_single_device_planner_rejects_sharded_plan_object():
     from repro.exceptions import ConfigurationError
     from repro.shard import ShardedPlanner
 
@@ -253,4 +253,4 @@ def test_single_device_executor_rejects_sharded_plan_object():
     plan = ShardedPlanner(shard_set, budget).plan(Query.scan(collection).order_by())
     env = make_environment()
     with pytest.raises(ConfigurationError, match="ShardedQueryExecutor"):
-        QueryExecutor(env.backend, budget).execute(plan)
+        CostBasedPlanner(env.backend, budget).plan(plan)

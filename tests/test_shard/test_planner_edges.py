@@ -6,14 +6,14 @@ import pytest
 
 from repro.bench.harness import make_environment
 from repro.exceptions import ConfigurationError
-from repro.query import CostBasedPlanner, Query, QueryExecutor
+from repro.query import CostBasedPlanner, Query
+from repro.session import Session
 from repro.shard import (
     HashPartitioner,
     ShardSet,
     ShardedCollection,
     ShardedPhysicalPlan,
     ShardedPlanner,
-    ShardedQueryExecutor,
 )
 from repro.shard.planner import ExchangeStep, FragmentStep
 from repro.storage.bufferpool import MemoryBudget
@@ -38,7 +38,8 @@ def single_device_records(key_lists, build_query, budget):
         )
         for index, keys in enumerate(key_lists)
     ]
-    return QueryExecutor(env.backend, budget).execute(build_query(inputs)).records
+    with Session(env.backend, budget) as session:
+        return session.query(build_query(inputs)).records
 
 
 class TestEmptyShard:
@@ -50,14 +51,15 @@ class TestEmptyShard:
         partitioner = HashPartitioner(4, hash_fn=identity)
         keys = [key * 4 for key in range(120)]
         collection = build_sharded(shard_set, "T", keys, partitioner)
-        assert collection.shard_cardinalities() == [120, 0, 0, 0]
+        assert [len(shard) for shard in collection.shards] == [120, 0, 0, 0]
         budget = MemoryBudget.from_records(30)
         query = (
             Query.scan(collection)
             .filter(lambda record: record[0] % 8 == 0, selectivity=0.5)
             .order_by()
         )
-        result = ShardedQueryExecutor(shard_set, budget).execute(query)
+        with Session(shard_set, budget) as session:
+            result = session.query(query)
         expected = single_device_records([keys], lambda inputs: (
             Query.scan(inputs[0])
             .filter(lambda record: record[0] % 8 == 0, selectivity=0.5)
@@ -81,9 +83,8 @@ class TestEmptyShard:
             HashPartitioner(4, hash_fn=constant_even),
         )
         budget = MemoryBudget.from_records(40)
-        result = ShardedQueryExecutor(shard_set, budget).execute(
-            Query.scan(left).join(Query.scan(right))
-        )
+        with Session(shard_set, budget) as session:
+            result = session.query(Query.scan(left).join(Query.scan(right)))
         assert len(result.records) == 240
 
 
@@ -96,13 +97,12 @@ class TestSingleShardSkew:
         right = build_sharded(
             shard_set, "R", [key % 50 for key in range(300)], partitioner
         )
-        assert left.shard_cardinalities() == [50, 0, 0, 0]
+        assert [len(shard) for shard in left.shards] == [50, 0, 0, 0]
         budget = MemoryBudget.from_records(40)
-        before = shard_set.snapshot()
-        result = ShardedQueryExecutor(shard_set, budget).execute(
-            Query.scan(left).join(Query.scan(right))
-        )
-        after = shard_set.snapshot()
+        before = [device.snapshot() for device in shard_set.devices]
+        with Session(shard_set, budget) as session:
+            result = session.query(Query.scan(left).join(Query.scan(right)))
+        after = [device.snapshot() for device in shard_set.devices]
         assert len(result.records) == 300
         # The plan stays partition-wise (shared routing), and the skew is
         # visible in the accounting: only shard 0 does any work.
@@ -123,9 +123,8 @@ class TestSkewedJoinFanout:
         shard_set = ShardSet.create(4)
         left = build_sharded(shard_set, "L", left_keys)
         right = build_sharded(shard_set, "R", right_keys)
-        result = ShardedQueryExecutor(shard_set, budget).execute(
-            Query.scan(left).join(Query.scan(right))
-        )
+        with Session(shard_set, budget) as session:
+            result = session.query(Query.scan(left).join(Query.scan(right)))
         expected = single_device_records(
             [left_keys, right_keys],
             lambda inputs: Query.scan(inputs[0]).join(Query.scan(inputs[1])),
@@ -133,7 +132,7 @@ class TestSkewedJoinFanout:
         )
         assert sorted(result.records) == sorted(expected)
         # The hot key's shard dominates the critical path.
-        hot_shard = left.partitioner.shard_of_key(7)
+        (hot_shard,) = left.partitioner.shards_of([(7,)])
         per_shard = [io.total_cachelines for io in result.per_shard_io]
         assert max(per_shard) == per_shard[hot_shard]
 
@@ -148,13 +147,12 @@ class TestTinyBudgets:
         # Two records of DRAM per shard: no hash table fits, block nested
         # loops still runs with a one-record block.
         budget = MemoryBudget.from_records(2 * num_shards)
-        plan = ShardedPlanner(shard_set, budget).plan(
-            Query.scan(left).join(Query.scan(right))
-        )
-        result = ShardedQueryExecutor(shard_set, budget).execute(plan)
+        with Session(shard_set, budget) as session:
+            result = session.query(Query.scan(left).join(Query.scan(right)))
         assert len(result.records) == 192
         chosen = {
-            fragment.root.operator for fragment in plan.final_step.fragments
+            fragment.root.operator
+            for fragment in result.plan.final_step.fragments
         }
         assert chosen == {"NLJ"}
 
@@ -163,9 +161,8 @@ class TestTinyBudgets:
         shard_set = ShardSet.create(num_shards)
         collection = build_sharded(shard_set, "T", list(range(90)))
         budget = MemoryBudget.from_records(2 * num_shards)
-        result = ShardedQueryExecutor(shard_set, budget).execute(
-            Query.scan(collection).order_by()
-        )
+        with Session(shard_set, budget) as session:
+            result = session.query(Query.scan(collection).order_by())
         keys = [record[0] for record in result.records]
         assert keys == sorted(keys)
 
@@ -199,15 +196,6 @@ class TestShardedDispatch:
             Query.scan(plain).order_by()
         )
         assert plan.explain() == single.explain()
-
-    def test_single_device_executor_rejects_sharded_queries(self):
-        shard_set = ShardSet.create(2)
-        collection = build_sharded(shard_set, "T", list(range(64)))
-        env = make_environment()
-        budget = MemoryBudget.from_records(16)
-        executor = QueryExecutor(env.backend, budget)
-        with pytest.raises(ConfigurationError, match="sharded"):
-            executor.execute(Query.scan(collection))
 
     def test_mixed_shard_sets_rejected(self):
         set_a = ShardSet.create(2)
@@ -251,8 +239,8 @@ class TestShardedDispatch:
         assert exchanges, "a non-key group attribute must force an exchange"
         exchange = exchanges[0]
         routed = [0, 0]
-        for record in collection.records:
-            routed[exchange.partitioner.shard_of(record)] += 1
+        for shard in exchange.partitioner.shards_of(collection.records):
+            routed[shard] += 1
         total = sum(routed)
         expected = [
             routed[i] / total * sum(exchange.est_write_ns)

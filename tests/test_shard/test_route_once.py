@@ -11,11 +11,12 @@ block as they read, because their input does not exist at plan time.
 These tests check that:
 
 * each materialized source is routed once per planned query and never
-  while executing (a spy on ``Partitioner.split``/``shards_of``);
+  while executing (a spy on ``HashPartitioner.split``/``shards_of``);
 * executing a plan gives exactly what executing it with the planned
   buckets removed does -- which forces the per-block path -- in records,
   destination contents, per-step and per-shard I/O and the critical path;
-* the planned buckets equal a per-record ``shard_of`` reference;
+* the planned buckets equal a per-record ``hash(key) % num_shards``
+  reference;
 * a source changed between planning and execution is refused.
 """
 
@@ -36,12 +37,20 @@ from repro.shard import (
     ShardedPlanner,
     ShardedQueryExecutor,
 )
-from repro.shard.partition import Partitioner
 from repro.shard.planner import ExchangeStep
-from repro.storage.bufferpool import MemoryBudget
+from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
+from repro.workload_mgmt import DeviceWorkerPool
 
 BUDGET = MemoryBudget.from_records(45)
+
+
+@pytest.fixture(scope="module")
+def workers():
+    """One worker per device (at most four shards) for every execution."""
+    pool = DeviceWorkerPool(4)
+    yield pool
+    pool.shutdown()
 
 
 def build_sharded(shard_set, name, keys, key_index=0):
@@ -92,15 +101,15 @@ def routing_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(Partitioner, "split", spy("split", Partitioner.split))
-    for cls in (Partitioner, HashPartitioner):
-        monkeypatch.setattr(cls, "shards_of", spy("shards_of", cls.shards_of))
+    for name in ("split", "shards_of"):
+        original = getattr(HashPartitioner, name)
+        monkeypatch.setattr(HashPartitioner, name, spy(name, original))
     return calls
 
 
 @pytest.mark.parametrize("query_index", [0, 1], ids=["join", "group_by"])
 def test_materialized_sources_are_routed_once_at_plan_time(
-    routing_calls, query_index
+    routing_calls, workers, query_index
 ):
     shard_set = ShardSet.create(3)
     query = join_and_group(shard_set)[query_index]
@@ -113,11 +122,11 @@ def test_materialized_sources_are_routed_once_at_plan_time(
     assert all(records is source.records for records, source in zip(splits, sources))
 
     routing_calls.clear()
-    ShardedQueryExecutor(shard_set, BUDGET).execute(plan)
+    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers).execute(plan)
     assert routing_calls == []
 
 
-def test_fragment_fed_exchange_routes_while_reading(routing_calls):
+def test_fragment_fed_exchange_routes_while_reading(routing_calls, workers):
     shard_set = ShardSet.create(3)
     right = build_sharded(shard_set, "R", [key % 60 for key in range(360)], 1)
     query = Query.scan(right).filter(lambda record: record[0] % 3, 0.6).group_by(2)
@@ -126,7 +135,7 @@ def test_fragment_fed_exchange_routes_while_reading(routing_calls):
     (step,) = exchanges(plan)
     assert step.sources is None and step.buckets is None
     assert routing_calls == []
-    ShardedQueryExecutor(shard_set, BUDGET).execute(plan)
+    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers).execute(plan)
     assert [name for name, _ in routing_calls].count("split") >= shard_set.num_shards
 
 
@@ -162,9 +171,9 @@ def planned_case(
 
 @settings(max_examples=60, deadline=None)
 @given(**cases)
-def test_planned_buckets_match_the_per_block_path(**case):
+def test_planned_buckets_match_the_per_block_path(workers, **case):
     shard_set, plan = planned_case(**case)
-    executor = ShardedQueryExecutor(shard_set, BUDGET)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
     runs = []
     for candidate in (plan, without_planned_buckets(plan)):
         result = executor.execute(candidate)
@@ -191,7 +200,12 @@ def test_planned_buckets_match_the_per_block_path(**case):
 def test_planned_buckets_equal_per_record_routing(**case):
     _, plan = planned_case(**case)
     for step in exchanges(plan):
-        shard_of = step.partitioner.shard_of
+        partitioner = step.partitioner
+
+        def shard_of(record):
+            key = record[partitioner.key_index]
+            return partitioner.hash_fn(key) % partitioner.num_shards
+
         assert step.buckets == [
             [
                 [record for record in source.records if shard_of(record) == dest]
@@ -201,7 +215,7 @@ def test_planned_buckets_equal_per_record_routing(**case):
         ]
 
 
-def test_source_cleared_and_refilled_after_planning_is_refused():
+def test_source_cleared_and_refilled_after_planning_is_refused(workers):
     shard_set = ShardSet.create(2)
     query, _ = join_and_group(shard_set)
     plan = ShardedPlanner(shard_set, BUDGET).plan(query)
@@ -211,7 +225,7 @@ def test_source_cleared_and_refilled_after_planning_is_refused():
     source.clear()
     source.extend(records)
     source.seal()
-    executor = ShardedQueryExecutor(shard_set, BUDGET)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
     with pytest.raises(CollectionStateError, match="changed after the query was"):
         executor.execute(plan)
     # Planned again, the same query runs.
@@ -219,12 +233,13 @@ def test_source_cleared_and_refilled_after_planning_is_refused():
     assert len(executor.execute(replanned).records) == 360
 
 
-def test_source_appended_to_after_planning_is_refused():
+def test_source_appended_to_after_planning_is_refused(workers):
     shard_set = ShardSet.create(2)
     collection = ShardedCollection("U", shard_set)
     collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40))
     plan = ShardedPlanner(shard_set, BUDGET).plan(Query.scan(collection).group_by(1))
     assert exchanges(plan)
     collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40, 80))
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
     with pytest.raises(CollectionStateError, match="plan the query again"):
-        ShardedQueryExecutor(shard_set, BUDGET).execute(plan)
+        executor.execute(plan)

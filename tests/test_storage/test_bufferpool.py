@@ -13,10 +13,6 @@ class TestMemoryBudget:
     def test_from_bytes(self):
         assert MemoryBudget.from_bytes(4096).nbytes == 4096
 
-    def test_from_kilobytes_and_megabytes(self):
-        assert MemoryBudget.from_kilobytes(2).nbytes == 2048
-        assert MemoryBudget.from_megabytes(1).nbytes == 1024 * 1024
-
     def test_from_records(self):
         budget = MemoryBudget.from_records(100)
         assert budget.nbytes == 8000
@@ -66,19 +62,6 @@ class TestMemoryBudget:
 
     def test_merge_fan_in_floor_of_two(self):
         assert MemoryBudget.from_bytes(64).merge_fan_in() == 2
-
-    def test_split(self):
-        first, second = MemoryBudget.from_bytes(1000).split(0.3)
-        assert first.nbytes + second.nbytes == 1000
-        assert first.nbytes == 300
-
-    def test_split_validation(self):
-        with pytest.raises(ConfigurationError):
-            MemoryBudget.from_bytes(1000).split(1.5)
-
-    def test_multiplication(self):
-        assert (MemoryBudget.from_bytes(1000) * 0.5).nbytes == 500
-        assert (2 * MemoryBudget.from_bytes(1000)).nbytes == 2000
 
     @pytest.mark.parametrize("nbytes", [0, -10])
     def test_non_positive_budget_rejected(self, nbytes):
@@ -173,7 +156,7 @@ class TestBufferpoolShares:
 
     def test_share_reserves_in_parent(self):
         parent = Bufferpool(MemoryBudget.from_bytes(1_000))
-        child = parent.share(fraction=0.25, owner="shard0")
+        child = parent.share(nbytes=250, owner="shard0")
         assert child.budget.nbytes == 250
         assert parent.reserved_bytes == 250
         child.close()
@@ -185,9 +168,9 @@ class TestBufferpoolShares:
         # so shares could jointly over-reserve DRAM.  Carving shares out
         # of the parent makes the over-reservation fail up front.
         parent = Bufferpool(MemoryBudget.from_bytes(1_000))
-        parent.share(fraction=0.6, owner="shard0")
+        parent.share(nbytes=600, owner="shard0")
         with pytest.raises(BufferpoolExhaustedError):
-            parent.share(fraction=0.6, owner="shard1")
+            parent.share(nbytes=600, owner="shard1")
 
     def test_even_shares_fill_the_parent_exactly(self):
         parent = Bufferpool(MemoryBudget.from_bytes(1_000))
@@ -230,20 +213,18 @@ class TestBufferpoolShares:
 
     def test_share_context_manager(self):
         parent = Bufferpool(MemoryBudget.from_bytes(1_000))
-        with parent.share(fraction=0.5, owner="shard0") as child:
+        with parent.share(nbytes=500, owner="shard0") as child:
             child.reserve(100, owner="sort")
             child.release("sort")
             assert parent.reserved_bytes == 500
         assert parent.reserved_bytes == 0
 
-    def test_share_requires_exactly_one_size(self):
+    @pytest.mark.parametrize("nbytes", [0, -100])
+    def test_share_size_must_be_positive(self, nbytes):
         parent = Bufferpool(MemoryBudget.from_bytes(1_000))
         with pytest.raises(ConfigurationError):
-            parent.share(owner="shard0")
-        with pytest.raises(ConfigurationError):
-            parent.share(fraction=0.5, nbytes=100, owner="shard0")
-        with pytest.raises(ConfigurationError):
-            parent.share(fraction=1.5, owner="shard0")
+            parent.share(nbytes=nbytes, owner="shard0")
+        assert parent.reserved_bytes == 0
 
     def test_concurrent_reservations_are_consistent(self):
         import threading

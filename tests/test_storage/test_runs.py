@@ -27,12 +27,6 @@ class TestRunSet:
         assert run.is_sealed
         assert run.is_sorted()
 
-    def test_add_existing(self, backend):
-        runset = RunSet(backend)
-        external = PersistentCollection(name="external-run", backend=backend)
-        runset.add_existing(external)
-        assert len(runset) == 1
-
     def test_iteration(self, backend):
         runset = RunSet(backend)
         make_run(runset, [1])

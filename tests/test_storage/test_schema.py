@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.storage.schema import JoinedSchema, Schema, WISCONSIN_SCHEMA
+from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 
 class TestWisconsinSchema:
@@ -21,7 +21,6 @@ class TestWisconsinSchema:
 
     def test_make_record_has_schema_arity(self):
         record = WISCONSIN_SCHEMA.make_record(7)
-        WISCONSIN_SCHEMA.validate_record(record)
         assert len(record) == 10
 
     def test_derived_attributes_are_deterministic(self):
@@ -36,23 +35,6 @@ class TestWisconsinSchema:
 
 
 class TestSchemaConversions:
-    def test_records_in(self):
-        assert WISCONSIN_SCHEMA.records_in(800) == 10
-        assert WISCONSIN_SCHEMA.records_in(79) == 0
-
-    def test_bytes_for(self):
-        assert WISCONSIN_SCHEMA.bytes_for(100) == 8000
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WISCONSIN_SCHEMA.records_in(-1)
-        with pytest.raises(ConfigurationError):
-            WISCONSIN_SCHEMA.bytes_for(-1)
-
-    def test_validate_record_wrong_arity(self):
-        with pytest.raises(ConfigurationError):
-            WISCONSIN_SCHEMA.validate_record((1, 2, 3))
-
     def test_custom_schema(self):
         schema = Schema(num_fields=4, field_bytes=4, key_index=2)
         assert schema.record_bytes == 16
@@ -71,16 +53,3 @@ class TestSchemaConversions:
     def test_invalid_schema_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             Schema(**kwargs)
-
-
-class TestJoinedSchema:
-    def test_concatenated_size(self):
-        joined = JoinedSchema(WISCONSIN_SCHEMA, WISCONSIN_SCHEMA)
-        assert joined.num_fields == 20
-        assert joined.record_bytes == 160
-
-    def test_combine_concatenates(self):
-        joined = JoinedSchema(WISCONSIN_SCHEMA, WISCONSIN_SCHEMA)
-        left = WISCONSIN_SCHEMA.make_record(1)
-        right = WISCONSIN_SCHEMA.make_record(2)
-        assert joined.combine(left, right) == left + right

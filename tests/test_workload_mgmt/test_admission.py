@@ -91,7 +91,6 @@ class TestPolicies:
         assert controller.try_admit(first)
         assert not controller.try_admit(second)
         assert second.status is QueryStatus.QUEUED
-        assert controller.pending_count == 1
         # Releasing the first admits the waiter at its requested size.
         admitted = controller.release(first)
         assert admitted == [second]
@@ -107,7 +106,6 @@ class TestPolicies:
         assert shed.status is QueryStatus.REJECTED
         with pytest.raises(AdmissionRejectedError, match="victim"):
             raise shed.error
-        assert controller.pending_count == 0
 
     def test_degrade_policy_halves_until_it_fits(self):
         pool = Bufferpool(MemoryBudget(20_000))

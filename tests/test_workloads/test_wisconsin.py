@@ -70,13 +70,3 @@ class TestWisconsinGenerator:
         records = list(generator.records(200))
         assert sorted(r[0] for r in records) == list(range(200))
         assert all(len(record) == 10 for record in records)
-
-    def test_sequential_records(self):
-        generator = WisconsinGenerator(WISCONSIN_SCHEMA)
-        records = list(generator.sequential_records(5, key_offset=10))
-        assert [r[0] for r in records] == [10, 11, 12, 13, 14]
-
-    def test_sequential_negative_count(self):
-        generator = WisconsinGenerator(WISCONSIN_SCHEMA)
-        with pytest.raises(ConfigurationError):
-            list(generator.sequential_records(-1))
