@@ -158,7 +158,7 @@ def run_suite(smoke: bool = False) -> dict:
     # ----------------------------------------------------------------- #
     # Queue policy: everything completes, records match serial runs.
     # ----------------------------------------------------------------- #
-    with Session(shard_set, MemoryBudget.from_bytes(budget_bytes)) as session:
+    with Session(shard_set, MemoryBudget(budget_bytes)) as session:
         try:
             queued = session.run_workload(queries, policy="queue")
         except BufferpoolExhaustedError as error:  # pragma: no cover
@@ -203,9 +203,7 @@ def run_suite(smoke: bool = False) -> dict:
     # ----------------------------------------------------------------- #
     shed_runs = []
     for _ in range(2):
-        with Session(
-            shard_set, MemoryBudget.from_bytes(budget_bytes)
-        ) as session:
+        with Session(shard_set, MemoryBudget(budget_bytes)) as session:
             shed = session.run_workload(queries, policy="shed")
             shed_runs.append(shed)
         check_allocation("shed")

@@ -83,9 +83,7 @@ def main() -> None:
     items = [dict(item, memory_bytes=BUDGET_BYTES // 2) for item in items]
 
     for policy in ("queue", "shed", "degrade"):
-        with Session(
-            shard_set, MemoryBudget.from_bytes(BUDGET_BYTES)
-        ) as session:
+        with Session(shard_set, MemoryBudget(BUDGET_BYTES)) as session:
             report = session.run_workload(items, policy=policy)
             print(f"=== policy: {policy} ===")
             print(report.explain())

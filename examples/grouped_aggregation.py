@@ -28,7 +28,7 @@ def main() -> None:
         WISCONSIN_SCHEMA.make_record((i * 131) % 600) for i in range(6_000)
     )
     orders = load_collection(records, env.backend, "orders")
-    budget = MemoryBudget.from_bytes(64 * 64)  # room for ~64 group states
+    budget = MemoryBudget(64 * 64)  # room for ~64 group states
     aggregates = {"count": 0, "sum": 4, "max": 4}
     print(
         f"{len(orders)} records, 600 groups, DRAM for "

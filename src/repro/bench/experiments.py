@@ -389,6 +389,7 @@ def cost_model_validation(
             estimated[label] = algorithm.estimated_cost_ns(sort_input.num_buffers)
             result = algorithm.sort(sort_input)
             measured[label] = result.io.total_ns
+            result.output.drop()
             if is_write_limited:
                 limited_estimated[label] = estimated[label]
                 limited_measured[label] = measured[label]

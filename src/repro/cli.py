@@ -419,7 +419,7 @@ def _run_workload(args) -> str:
     share_bytes = budget_bytes // args.concurrency
     for item in items:
         item["memory_bytes"] = share_bytes
-    with Session(shard_set, MemoryBudget.from_bytes(budget_bytes)) as session:
+    with Session(shard_set, MemoryBudget(budget_bytes)) as session:
         report = session.run_workload(items, policy=args.policy)
         lines = [
             f"{len(items)} queries over {args.shards} shards, budget "

@@ -13,7 +13,7 @@ safely::
     with Session(backend, MemoryBudget.from_records(64)) as session:
         handle = session.submit(          # non-blocking
             Query.scan(orders).filter(pred, selectivity=0.5),
-            priority=1, tag="orders-filter",
+            tag="orders-filter",
         )
         other = session.submit(Query.scan(items).order_by(), tag="sort")
         print(handle.status)              # queued / running / done / ...
@@ -23,16 +23,20 @@ safely::
         )
         print(report.explain())           # queue-wait vs. run ns per query
 
-Every submitted query is *admitted* before it runs: the admission
-controller carves it a child ``Bufferpool.share()`` sized from the
-planner's memory estimate, so concurrently running queries can never
-jointly exceed the session budget.  When the pool is exhausted the
-admission policy decides -- ``queue`` (wait, FIFO within a priority
-level), ``shed`` (reject with
+Every submitted query is planned, then *admitted* before it runs: the
+admission controller carves it a child ``Bufferpool.share()`` sized
+from the planner's memory estimate, so concurrently running queries can
+never jointly exceed the session budget.  When the pool is exhausted
+the admission policy decides -- ``queue`` (wait, first come first
+admitted), ``shed`` (reject with
 :class:`~repro.exceptions.AdmissionRejectedError`) or ``degrade``
-(replan under a smaller budget slice).  Execution is co-scheduled on one
-serial worker per simulated device, preserving per-device serialization
-*across* queries, not just within one.
+(replan under a smaller budget slice).  ``submit`` and ``run_workload``
+take the same path: ``run_workload`` builds and validates every handle,
+then the scheduler plans the whole batch, admits each member and starts
+the admitted ones, so a member is never admitted and left waiting to
+start.  Execution is co-scheduled on one serial worker per simulated
+device, preserving per-device serialization *across* queries, not just
+within one.
 
 :meth:`Session.query` remains as sugar over ``submit(...).result()``:
 it requests the whole session budget (the single-query behavior of
@@ -55,47 +59,35 @@ import warnings
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.pmem.backends import make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.query.physical import BOUNDARY_POLICIES
 from repro.shard.collection import ShardSet
 from repro.shard.executor import QueryResult
-from repro.shard.planner import ShardedPhysicalPlan, ShardedPlanner
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
-from repro.storage.schema import Schema, WISCONSIN_SCHEMA
-from repro.workload_mgmt.admission import ADMISSION_POLICIES, resolve_policy
+from repro.storage.schema import WISCONSIN_SCHEMA
+from repro.workload_mgmt.admission import ADMISSION_POLICIES
 from repro.workload_mgmt.calibration import CalibrationAggregator
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workload_mgmt.result import WorkloadResult
 from repro.workload_mgmt.scheduler import WorkloadScheduler
 
-#: Budget used when a session is created without one: 1 MiB of DRAM.
-DEFAULT_SESSION_BUDGET_BYTES = 1 << 20
-
 
 class Session:
-    """A query session over one device, backend, or shard set.
+    """A query session over one backend or a shard set.
 
     Args:
         target: where the data lives -- a
-            :class:`~repro.pmem.backends.base.PersistenceBackend`, a bare
-            :class:`~repro.pmem.device.PersistentMemoryDevice` (wrapped in
-            the blocked-memory backend), a :class:`ShardSet`, or a backend
-            name (``"blocked_memory"``, ``"pmfs"``, ``"ramdisk"``,
-            ``"dynamic_array"``) to build a fresh simulated device.
-        budget: DRAM budget shared by every query; 1 MiB when omitted.
-            The session owns the one :attr:`bufferpool` over it.
-        materialize_result: default for :meth:`query`; write final
-            outputs to the persistent device instead of leaving them in
-            DRAM.
+            :class:`~repro.pmem.backends.base.PersistenceBackend` (a
+            one-shard set) or a :class:`ShardSet`.
+        budget: DRAM budget shared by every query.  The session owns the
+            one :attr:`bufferpool` over it.
+        materialize_result: write every query's final output to the
+            persistent device instead of leaving it in DRAM.
         boundary_policy: default boundary placement for planned queries
             (``"cost"``, ``"materialize"``, ``"pipeline"`` or
             ``"defer"``).
-        admission_policy: default workload admission policy for
-            :meth:`submit` / :meth:`run_workload` (``"queue"``,
-            ``"shed"`` or ``"degrade"``).
 
     Sessions are context managers: :meth:`close` drains in-flight
     queries, releases the session bufferpool, and warns about leaked
@@ -105,11 +97,10 @@ class Session:
     def __init__(
         self,
         target,
-        budget: MemoryBudget | None = None,
+        budget: MemoryBudget,
         *,
         materialize_result: bool = False,
         boundary_policy: str = "cost",
-        admission_policy: str = "queue",
     ) -> None:
         if boundary_policy not in BOUNDARY_POLICIES:
             raise ConfigurationError(
@@ -120,23 +111,15 @@ class Session:
             self.shard_set = target
         elif isinstance(target, PersistenceBackend):
             self.shard_set = ShardSet([target])
-        elif isinstance(target, PersistentMemoryDevice):
-            self.shard_set = ShardSet([make_backend("blocked_memory", target)])
-        elif isinstance(target, str):
-            self.shard_set = ShardSet(
-                [make_backend(target, PersistentMemoryDevice())]
-            )
         else:
             raise ConfigurationError(
                 f"cannot build a Session over {type(target).__name__}; "
-                "expected a PersistenceBackend, PersistentMemoryDevice, "
-                "ShardSet, or backend name"
+                "expected a PersistenceBackend or ShardSet"
             )
-        self.budget = budget or MemoryBudget(DEFAULT_SESSION_BUDGET_BYTES)
+        self.budget = budget
         self.bufferpool = Bufferpool(self.budget)
         self.materialize_result = materialize_result
         self.boundary_policy = boundary_policy
-        self.admission_policy = resolve_policy(admission_policy)
         self.calibration = CalibrationAggregator()
         self._scheduler: Optional[WorkloadScheduler] = None
         self._scheduler_lock = threading.Lock()
@@ -155,18 +138,9 @@ class Session:
         return None if self.is_sharded else self.shard_set.backends[0]
 
     @property
-    def device(self) -> PersistentMemoryDevice:
-        """The (first) simulated device behind the session."""
-        return self.shard_set.backends[0].device
-
-    @property
     def devices(self) -> list[PersistentMemoryDevice]:
         """Every simulated device the session can touch, in shard order."""
         return self.shard_set.devices
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------------ #
     # Lifecycle.
@@ -174,8 +148,9 @@ class Session:
     def close(self) -> None:
         """Drain in-flight queries and release the session bufferpool.
 
-        Queued (not yet admitted) queries are cancelled; running ones are
-        waited for.  Leaked reservations or unclosed shares left behind
+        Queued (not yet admitted) queries are cancelled; every admitted
+        one -- running, or admitted with its batch and not yet started --
+        is waited for.  Leaked reservations or unclosed shares left behind
         in the session's pool indicate a bug in whoever carved them: they
         are force-released with a :class:`ResourceWarning` naming the
         owners (so the leak fails loudly without masking an in-flight
@@ -224,21 +199,16 @@ class Session:
                     self.bufferpool,
                     self.budget,
                     self.shard_set,
-                    policy=self.admission_policy,
-                    calibration=self.calibration,
+                    self.calibration,
                 )
             return self._scheduler
 
     # ------------------------------------------------------------------ #
     # Data helpers.
     # ------------------------------------------------------------------ #
-    def create_collection(
-        self,
-        name: str,
-        schema: Schema = WISCONSIN_SCHEMA,
-        records=None,
-    ) -> PersistentCollection:
-        """A materialized collection on the session's (first) backend.
+    def create_collection(self, name: str, records) -> PersistentCollection:
+        """A sealed collection of ``records`` (Wisconsin schema) on the
+        session's backend.
 
         On a sharded session, use :class:`~repro.shard.collection.
         ShardedCollection` directly to spread data across the shard set.
@@ -249,27 +219,11 @@ class Session:
                 "ShardedCollection over the session's shard_set instead"
             )
         collection = PersistentCollection(
-            name=name, backend=self.backend, schema=schema
+            name=name, backend=self.backend, schema=WISCONSIN_SCHEMA
         )
-        if records is not None:
-            collection.extend(records)
-            collection.seal()
+        collection.extend(records)
+        collection.seal()
         return collection
-
-    # ------------------------------------------------------------------ #
-    # Planning.
-    # ------------------------------------------------------------------ #
-    def plan(self, query, boundary_policy: str | None = None) -> ShardedPhysicalPlan:
-        """Plan a query without running it."""
-        return ShardedPlanner(
-            self.shard_set,
-            self.budget,
-            boundary_policy=boundary_policy or self.boundary_policy,
-        ).plan(query)
-
-    def explain(self, query, boundary_policy: str | None = None) -> str:
-        """The plan rendering (estimates only) for a query."""
-        return self.plan(query, boundary_policy=boundary_policy).explain()
 
     # ------------------------------------------------------------------ #
     # The workload API.
@@ -278,13 +232,10 @@ class Session:
         self,
         query,
         *,
-        priority: int = 0,
         tag: Optional[str] = None,
-        policy=None,
-        materialize_result: bool | None = None,
+        policy: str = "queue",
         boundary_policy: str | None = None,
         memory_bytes: Optional[int] = None,
-        _dispatch: bool = True,
     ) -> QueryHandle:
         """Submit a query for admission and execution; returns at once.
 
@@ -292,35 +243,27 @@ class Session:
         logical node.  The admission controller sizes the query's DRAM
         share from the planner's memory estimate (or ``memory_bytes``
         when given), carves it out of the session pool, and applies
-        ``policy`` (the session default when omitted) if the pool is
+        ``policy`` (one of :data:`ADMISSION_POLICIES`) if the pool is
         exhausted.  The returned
         :class:`~repro.workload_mgmt.handle.QueryHandle` exposes
         ``status``, blocking ``result()``, and ``cancel()``.
         """
-        scheduler = self.scheduler
-        handle = QueryHandle(
-            query, priority=priority, tag=tag, seq=scheduler.next_seq()
+        handle = self._handle(
+            query, tag=tag, boundary_policy=boundary_policy, memory_bytes=memory_bytes
         )
-        handle._boundary_policy = boundary_policy or self.boundary_policy
-        handle._materialize_result = (
-            self.materialize_result
-            if materialize_result is None
-            else materialize_result
-        )
-        if memory_bytes is not None and memory_bytes <= 0:
-            raise ConfigurationError("memory_bytes must be positive")
-        handle._memory_bytes = memory_bytes
-        return scheduler.submit(handle, policy=policy, dispatch=_dispatch)
+        return self.scheduler.submit(handle, policy=policy)
 
-    def run_workload(self, queries, *, policy: str | None = None) -> WorkloadResult:
+    def run_workload(self, queries, *, policy: str = "queue") -> WorkloadResult:
         """Submit a batch of queries, wait for all, report the workload.
 
         ``queries`` is an iterable whose items are queries (``Query`` /
         logical node) or per-query option mappings like
-        ``{"query": q, "priority": 2, "tag": "hot"}`` (every
-        :meth:`submit` keyword is accepted).  Admission decisions for the
-        whole batch are made before any query starts, so a ``shed``
-        policy rejects the same overflow every run, deterministically.
+        ``{"query": q, "tag": "hot", "memory_bytes": 20_000}`` (every
+        :meth:`submit` keyword but ``policy`` is accepted).  Every item is
+        validated and planned before any is admitted, so a bad item
+        admits nothing; and admission decisions for the whole batch are
+        made before any query starts, so a ``shed`` policy rejects the
+        same overflow every run, deterministically.
 
         The returned :class:`WorkloadResult` carries every handle plus
         the workload critical path -- the busiest device's simulated time
@@ -329,42 +272,39 @@ class Session:
         items = [self._normalize_workload_item(item) for item in queries]
         if not items:
             raise ConfigurationError("run_workload needs at least one query")
-        policy = self.admission_policy if policy is None else resolve_policy(policy)
+        handles = [self._handle(query, **options) for query, options in items]
         scheduler = self.scheduler
         busy_before = scheduler.device_busy_ns()
-        handles: list[QueryHandle] = []
-        try:
-            for query, options in items:
-                handles.append(
-                    self.submit(query, policy=policy, _dispatch=False, **options)
-                )
-        except BaseException:
-            # A later item failed validation/planning: the earlier
-            # handles were admitted with dispatch deferred and would
-            # otherwise hold their bufferpool shares forever.  Cancel
-            # the still-queued ones first so that releasing the admitted
-            # shares cannot admit (and start) a member of this aborted
-            # batch; waiters from other threads still dispatch normally.
-            for handle in handles:
-                if handle._share is None:
-                    scheduler.abandon(handle)
-            for handle in handles:
-                scheduler.abandon(handle)
-            raise
-        for handle in handles:
-            scheduler.start(handle)
+        scheduler.submit_all(handles, policy=policy)
         for handle in handles:
             handle.wait()
-        busy_after = scheduler.device_busy_ns()
-        per_device = [
-            after - before for after, before in zip(busy_after, busy_before)
+        busy = [
+            after - before
+            for after, before in zip(scheduler.device_busy_ns(), busy_before)
         ]
         return WorkloadResult(
             handles=handles,
             policy=policy,
-            critical_path_ns=max(per_device, default=0.0),
-            per_device_busy_ns=per_device,
+            critical_path_ns=max(busy, default=0.0),
         )
+
+    def _handle(
+        self,
+        query,
+        *,
+        tag: Optional[str] = None,
+        boundary_policy: str | None = None,
+        memory_bytes: Optional[int] = None,
+    ) -> QueryHandle:
+        """A validated handle for ``query``, with the session defaults
+        filled in."""
+        if memory_bytes is not None and memory_bytes <= 0:
+            raise ConfigurationError("memory_bytes must be positive")
+        handle = QueryHandle(query, tag=tag, seq=self.scheduler.next_seq())
+        handle._boundary_policy = boundary_policy or self.boundary_policy
+        handle._materialize_result = self.materialize_result
+        handle._memory_bytes = memory_bytes
+        return handle
 
     @staticmethod
     def _normalize_workload_item(item):
@@ -379,13 +319,7 @@ class Session:
             ) from None
         return query, options
 
-    def query(
-        self,
-        query,
-        *,
-        materialize_result: bool | None = None,
-        boundary_policy: str | None = None,
-    ) -> QueryResult:
+    def query(self, query, *, boundary_policy: str | None = None) -> QueryResult:
         """Plan, execute, and wait for one query.
 
         Sugar over ``submit(...).result()``: the query requests the whole
@@ -395,7 +329,6 @@ class Session:
         """
         handle = self.submit(
             query,
-            materialize_result=materialize_result,
             boundary_policy=boundary_policy,
             policy="shed",
             memory_bytes=self.budget.nbytes,
@@ -424,8 +357,7 @@ class Session:
         )
         return (
             f"Session({target}, budget={self.budget.nbytes}B, "
-            f"boundary_policy={self.boundary_policy!r}, "
-            f"admission_policy={self.admission_policy!r})"
+            f"boundary_policy={self.boundary_policy!r})"
         )
 
 
@@ -435,5 +367,4 @@ __all__ = [
     "QueryHandle",
     "WorkloadResult",
     "ADMISSION_POLICIES",
-    "DEFAULT_SESSION_BUDGET_BYTES",
 ]

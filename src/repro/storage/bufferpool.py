@@ -43,10 +43,6 @@ class MemoryBudget:
     # Constructors.
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_bytes(cls, nbytes: int, **kwargs) -> "MemoryBudget":
-        return cls(nbytes=nbytes, **kwargs)
-
-    @classmethod
     def from_records(
         cls, num_records: int, schema: Schema = WISCONSIN_SCHEMA, **kwargs
     ) -> "MemoryBudget":
@@ -56,36 +52,24 @@ class MemoryBudget:
         return cls(nbytes=num_records * schema.record_bytes, **kwargs)
 
     @classmethod
-    def fraction_of(
-        cls,
-        collection,
-        fraction: float,
-        minimum_records: int = 4,
-        allow_overprovision: bool = False,
-        **kwargs,
-    ) -> "MemoryBudget":
+    def fraction_of(cls, collection, fraction: float) -> "MemoryBudget":
         """A budget equal to a fraction of a collection's size.
 
         The paper's sweeps express memory as 1-15 % of the input size; this
-        constructor reproduces that parametrization.  ``minimum_records``
-        guards against degenerate budgets on tiny test inputs.  A fraction
-        above 1 builds a budget *larger* than the input, which no paper
-        sweep intends; it is rejected unless ``allow_overprovision`` makes
-        the intent explicit.
+        constructor reproduces that parametrization.  The budget holds at
+        least 4 records, so tiny test inputs get no degenerate budget.  A
+        fraction above 1 would build a budget *larger* than the input,
+        which no paper sweep intends, and is rejected.
         """
         if not 0 < fraction:
             raise ConfigurationError("fraction must be positive")
-        if fraction > 1 and not allow_overprovision:
-            raise ConfigurationError(
-                f"fraction {fraction} exceeds the input size; pass "
-                "allow_overprovision=True to build a budget larger than "
-                "the collection"
-            )
+        if fraction > 1:
+            raise ConfigurationError(f"fraction {fraction} exceeds the input size")
         nbytes = max(
             int(collection.nbytes * fraction),
-            minimum_records * collection.schema.record_bytes,
+            4 * collection.schema.record_bytes,
         )
-        return cls(nbytes=nbytes, **kwargs)
+        return cls(nbytes=nbytes)
 
     # ------------------------------------------------------------------ #
     # Conversions.

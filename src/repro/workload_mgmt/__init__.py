@@ -9,12 +9,14 @@ The subsystem behind ``Session.submit()`` / ``Session.run_workload()``:
   (``queue`` / ``shed`` / ``degrade``) when the session pool is
   exhausted;
 * :mod:`repro.workload_mgmt.scheduler` — the :class:`WorkloadScheduler`
-  co-schedules the per-device work of *different* queries on one serial
-  worker per simulated device
+  takes every submission one way (plan the batch, admit each member,
+  start the admitted ones) and co-schedules the per-device work of
+  *different* queries on one serial worker per simulated device
   (:class:`DeviceWorkerPool`), preserving the per-device serialization
   the I/O accounting depends on;
 * :mod:`repro.workload_mgmt.handle` — the :class:`QueryHandle`
-  lifecycle (``status`` / ``result()`` / ``cancel()``);
+  lifecycle (``status`` / ``result()`` / ``cancel()``): QUEUED →
+  RUNNING → DONE/FAILED, or QUEUED → CANCELLED/REJECTED;
 * :mod:`repro.workload_mgmt.result` — the :class:`WorkloadResult`
   report (per-query queue-wait vs. run time, workload critical path);
 * :mod:`repro.workload_mgmt.calibration` — the cost-model calibration

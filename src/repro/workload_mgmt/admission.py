@@ -11,8 +11,8 @@ and what happens then is the admission policy, named by one of
 :data:`ADMISSION_POLICIES`:
 
 ``queue``
-    the query waits (FIFO within a priority level, higher priority
-    first) until running queries release enough memory;
+    the query waits, first come first admitted, until running queries
+    release enough memory;
 
 ``shed``
     the query is rejected immediately with
@@ -28,9 +28,8 @@ and what happens then is the admission policy, named by one of
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
+from collections import deque
 
 from repro.aggregation.operators import HashAggregation
 from repro.exceptions import (
@@ -132,30 +131,27 @@ class AdmissionController:
     Args:
         bufferpool: the session pool every admitted query's share is
             carved from.
-        policy: the default policy, one of :data:`ADMISSION_POLICIES`.
     """
 
-    def __init__(self, bufferpool: Bufferpool, policy: str = "queue") -> None:
+    def __init__(self, bufferpool: Bufferpool) -> None:
         self.bufferpool = bufferpool
-        self.default_policy = resolve_policy(policy)
         #: Smallest share ``degrade`` shrinks to, and the lower clamp on
         #: every request.
         self.floor_bytes = admission_floor_bytes(bufferpool.budget)
         self._lock = threading.RLock()
-        self._pending: list[tuple[int, int, QueryHandle]] = []
-        self._counter = itertools.count()
+        self._pending: deque[QueryHandle] = deque()
 
     # ------------------------------------------------------------------ #
     # Admission.
     # ------------------------------------------------------------------ #
-    def try_admit(self, handle: QueryHandle, policy=None) -> bool:
-        """Admit ``handle`` now, or apply ``policy`` (the default when
-        omitted) because its share cannot be carved.
+    def try_admit(self, handle: QueryHandle, policy: str = "queue") -> bool:
+        """Admit ``handle`` now, or apply ``policy`` (one of
+        :data:`ADMISSION_POLICIES`) because its share cannot be carved.
 
         Returns ``True`` when the handle holds an admitted share on
         return; ``False`` when it was queued or rejected.
         """
-        policy = self.default_policy if policy is None else resolve_policy(policy)
+        policy = resolve_policy(policy)
         with self._lock:
             if self._carve(handle):
                 return True
@@ -180,34 +176,33 @@ class AdmissionController:
                     handle.degraded = True
                     if self._carve(handle):
                         return True
-            self._enqueue(handle)
+            self._pending.append(handle)
             return False
 
     def release(self, handle: QueryHandle) -> list[QueryHandle]:
         """Return a finished query's share; admit unblocked waiters.
 
-        Waiters are admitted in priority order (FIFO within a level)
-        with head-of-line blocking: admission stops at the first waiter
-        that still does not fit, so a large early query is never starved
-        by small late ones.  Returns the newly admitted handles for the
-        scheduler to dispatch.
+        Waiters are admitted in arrival order with head-of-line blocking:
+        admission stops at the first waiter that still does not fit, so a
+        large early query is never starved by small late ones.  Returns
+        the newly admitted handles for the scheduler to start.
         """
         with self._lock:
             self._close_share(handle)
             admitted: list[QueryHandle] = []
             while self._pending:
-                _, _, head = self._pending[0]
+                head = self._pending[0]
                 if head.status is not QueryStatus.QUEUED:
-                    heapq.heappop(self._pending)  # cancelled: drop lazily
+                    self._pending.popleft()  # cancelled: drop lazily
                     continue
                 if not self._carve(head):
                     break
-                heapq.heappop(self._pending)
+                self._pending.popleft()
                 admitted.append(head)
             return admitted
 
     def cancel(self, handle: QueryHandle) -> bool:
-        """Cancel a queued handle (lazily removed from the heap)."""
+        """Cancel a queued handle (lazily removed from the queue)."""
         with self._lock:
             if handle.status is not QueryStatus.QUEUED:
                 return False
@@ -219,7 +214,7 @@ class AdmissionController:
         with self._lock:
             cancelled = []
             while self._pending:
-                _, _, head = heapq.heappop(self._pending)
+                head = self._pending.popleft()
                 if head.status is QueryStatus.QUEUED:
                     head._cancel_queued()
                     cancelled.append(head)
@@ -239,10 +234,9 @@ class AdmissionController:
         handle._share = share
         handle.admitted_bytes = nbytes
         # The status flips to RUNNING here, under the controller lock,
-        # not later at dispatch: cancel() checks the status under the
-        # same lock, so a handle admitted by a concurrent release() can
-        # never be "cancelled" after its share was carved and then run
-        # anyway.
+        # not later at start: cancel() checks the status under the same
+        # lock, so a handle admitted by a concurrent release() can never
+        # be "cancelled" after its share was carved and then run anyway.
         handle._mark_running()
         return True
 
@@ -260,8 +254,3 @@ class AdmissionController:
             for owner in list(share.holders()):
                 share.release(owner)
             share.close()
-
-    def _enqueue(self, handle: QueryHandle) -> None:
-        heapq.heappush(
-            self._pending, (-handle.priority, next(self._counter), handle)
-        )

@@ -39,18 +39,11 @@ class QueryStatus(enum.Enum):
     CANCELLED = "cancelled"
 
 
-#: States a handle can no longer leave.
-TERMINAL_STATUSES = frozenset(
-    {QueryStatus.DONE, QueryStatus.FAILED, QueryStatus.REJECTED, QueryStatus.CANCELLED}
-)
-
-
 class QueryHandle:
     """One submitted query: status, result, cancellation, telemetry.
 
     Attributes:
         query: what was submitted (a ``Query`` or logical node).
-        priority: admission priority; higher admits first among waiters.
         tag: caller-supplied label used in workload reports.
         requested_bytes: DRAM the admission controller asked for (after
             any degrade steps).
@@ -60,14 +53,16 @@ class QueryHandle:
             planner's estimate (the query was replanned under the smaller
             budget).
         queue_wait_ns: simulated device-busy nanoseconds that elapsed
-            between submission and dispatch (the admission queue wait).
+            between submission and admission (the admission queue wait).  On
+            a multi-device session the busy clock is the busiest
+            device's, so a queued query's value depends on which of
+            several concurrent releases admitted it.
         run_ns: the query's own simulated run time once finished — its
             critical path (the whole device time on one device).
     """
 
-    def __init__(self, query, *, priority: int = 0, tag: Optional[str] = None, seq: int = 0) -> None:
+    def __init__(self, query, *, tag: Optional[str] = None, seq: int = 0) -> None:
         self.query = query
-        self.priority = priority
         self.tag = tag
         self.seq = seq
         self.requested_bytes: Optional[int] = None
@@ -79,7 +74,6 @@ class QueryHandle:
         self._done = threading.Event()
         self._result = None
         self._error: Optional[BaseException] = None
-        self._lock = threading.Lock()
         # Scheduler-internal fields (set during prepare/admission).
         self._scheduler = None
         self._share = None
@@ -90,7 +84,6 @@ class QueryHandle:
         self._boundary_policy: Optional[str] = None
         self._materialize_result = False
         self._memory_bytes: Optional[int] = None
-        self._dispatched = False
         self._clock_submit = 0.0
 
     # ------------------------------------------------------------------ #
@@ -99,10 +92,6 @@ class QueryHandle:
     @property
     def status(self) -> QueryStatus:
         return self._status
-
-    @property
-    def done(self) -> bool:
-        return self._status in TERMINAL_STATUSES
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the query reaches a terminal state."""
@@ -133,18 +122,11 @@ class QueryHandle:
         """
         if self._scheduler is None:
             return False
-        return self._scheduler._cancel(self)
+        return self._scheduler.controller.cancel(self)
 
     @property
     def error(self) -> Optional[BaseException]:
         return self._error
-
-    @property
-    def io(self):
-        """The finished query's total :class:`IOSnapshot`, else ``None``."""
-        if self._status is QueryStatus.DONE and self._result is not None:
-            return self._result.io
-        return None
 
     def describe(self) -> str:
         label = self.tag if self.tag is not None else f"#{self.seq}"
@@ -155,15 +137,6 @@ class QueryHandle:
     # ------------------------------------------------------------------ #
     def _mark_running(self) -> None:
         self._status = QueryStatus.RUNNING
-
-    def _claim_dispatch(self) -> bool:
-        """``True`` exactly once: the caller owns starting (or abandoning)
-        this admitted handle."""
-        with self._lock:
-            if self._dispatched:
-                return False
-            self._dispatched = True
-            return True
 
     def _finish(self, result, run_ns: float) -> None:
         self._result = result
@@ -186,12 +159,5 @@ class QueryHandle:
         self._status = QueryStatus.CANCELLED
         self._done.set()
 
-    def _cancel_abandoned(self) -> None:
-        self._error = QueryCancelledError(
-            f"query {self.tag or self.seq} was abandoned before it started"
-        )
-        self._status = QueryStatus.CANCELLED
-        self._done.set()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"QueryHandle({self.describe()}, priority={self.priority})"
+        return f"QueryHandle({self.describe()})"

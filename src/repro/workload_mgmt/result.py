@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workload_mgmt.handle import QueryHandle, QueryStatus
 
@@ -23,9 +23,6 @@ class WorkloadResult:
     handles: list[QueryHandle]
     policy: str
     critical_path_ns: float
-    #: Simulated busy ns per device over the workload window, in device
-    #: order (shard order for sharded sessions).
-    per_device_busy_ns: list[float] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # Slicing helpers.
@@ -48,10 +45,6 @@ class WorkloadResult:
     @property
     def cancelled(self) -> list[QueryHandle]:
         return self.with_status(QueryStatus.CANCELLED)
-
-    def results(self) -> list:
-        """Per-query results of the completed queries, submission order."""
-        return [handle.result() for handle in self.completed]
 
     @property
     def serial_sum_ns(self) -> float:
@@ -82,7 +75,7 @@ class WorkloadResult:
         lines = [
             f"workload: {len(self.handles)} queries (policy={self.policy})"
             f" -- {summary or 'nothing ran'}",
-            f"{'#':>3} {'tag':<18} {'status':<10} {'prio':>4} "
+            f"{'#':>3} {'tag':<18} {'status':<10} "
             f"{'queue-wait ns':>14} {'run ns':>12} {'admitted B':>11}",
         ]
         for handle in self.handles:
@@ -93,7 +86,7 @@ class WorkloadResult:
             degraded = "*" if handle.degraded else ""
             lines.append(
                 f"{handle.seq:>3} {tag:<18.18} {handle.status.value:<10} "
-                f"{handle.priority:>4} {handle.queue_wait_ns:>14.0f} "
+                f"{handle.queue_wait_ns:>14.0f} "
                 f"{handle.run_ns:>12.0f} {admitted + degraded:>11}"
             )
         if any(handle.degraded for handle in self.handles):

@@ -22,6 +22,13 @@ follows from the plan:
   locally on the worker, so interleaved queries never pollute each
   other's snapshots).
 
+Every submission takes one path, :meth:`WorkloadScheduler.submit_all`
+(``submit`` is its one-handle case): plan every handle, admit each one,
+then start the admitted ones.  An admitted handle is running from the
+moment its share is carved, and a queued one is started by the release
+that admits it, so a handle goes QUEUED → RUNNING → DONE/FAILED, or
+QUEUED → CANCELLED/REJECTED, and nothing else.
+
 Simulated time: devices only advance their clocks by doing work, so the
 scheduler's *busy clock* — the maximum over devices of simulated busy
 nanoseconds since the scheduler started — is the workload's notion of
@@ -32,7 +39,6 @@ submission and admission; its ``run_ns`` is its own critical path.
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.shard.collection import ShardSet
@@ -60,7 +66,6 @@ class WorkloadScheduler:
         budget: the session budget (reference plans are priced under it).
         shard_set: the session's devices; one serial worker is created
             per device, in shard order.
-        policy: the default admission policy name.
         calibration: aggregator fed every completed query's result.
     """
 
@@ -69,22 +74,19 @@ class WorkloadScheduler:
         bufferpool: Bufferpool,
         budget: MemoryBudget,
         shard_set: ShardSet,
-        policy: str = "queue",
-        calibration: Optional[CalibrationAggregator] = None,
+        calibration: CalibrationAggregator,
     ) -> None:
         self.budget = budget
         self.shard_set = shard_set
         self.devices = shard_set.devices
         self.worker_pool = DeviceWorkerPool(len(self.devices))
-        self.controller = AdmissionController(bufferpool, policy=policy)
+        self.controller = AdmissionController(bufferpool)
         self.calibration = calibration
         self._baseline_ns = [device.snapshot().total_ns for device in self.devices]
         self._lock = threading.Lock()
         #: Notified whenever ``_running`` becomes empty.
         self._idle = threading.Condition(self._lock)
         self._running: set[QueryHandle] = set()
-        #: Admitted with dispatch deferred, and not yet started.
-        self._unstarted: set[QueryHandle] = set()
         self._seq = 0
         self._closed = False
 
@@ -97,57 +99,38 @@ class WorkloadScheduler:
             self._seq += 1
             return seq
 
-    def submit(
-        self, handle: QueryHandle, *, policy=None, dispatch: bool = True
-    ) -> QueryHandle:
-        """Admit (or queue/shed/degrade) a handle; maybe dispatch it.
+    def submit(self, handle: QueryHandle, *, policy: str = "queue") -> QueryHandle:
+        """Admit (or queue/shed/degrade) one handle; start it if admitted."""
+        self.submit_all([handle], policy=policy)
+        return handle
 
-        With ``dispatch=False`` an admitted handle holds its share but does
-        not start until :meth:`start` — ``run_workload`` uses this to make
-        admission decisions for a whole batch before any query can finish
-        (and thereby free memory), which keeps the ``shed`` policy's
-        rejections deterministic.  A handle queued here is dispatched by
-        whichever release admits it, never by :meth:`start`.
+    def submit_all(self, handles, policy: str = "queue") -> None:
+        """Plan every handle, then admit each, then start the admitted ones.
+
+        Planning touches no device, so a handle that fails to plan fails
+        the call before any handle is admitted.  Every admission is decided
+        before any handle starts (and could finish, freeing memory), which
+        keeps the ``shed`` policy's rejections deterministic.  A handle
+        the policy queues is started by the release that admits it.
         """
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
                     "the session is closed; no further queries can be submitted"
                 )
-        handle._scheduler = self
-        handle._clock_submit = self.busy_clock_ns()
-        self._prepare(handle)
-        if self.controller.try_admit(handle, policy=policy):
-            self._record_queue_wait(handle)
-            self._finalize(handle)
-            if dispatch:
-                self._dispatch(handle)
-            else:
-                with self._lock:
-                    self._unstarted.add(handle)
-        return handle
-
-    def _record_queue_wait(self, handle: QueryHandle) -> None:
-        """Stamp the admission wait: simulated busy ns between submit and
-        the moment the share was carved (not dispatch, which can lag by
-        wall-clock scheduling jitter without any simulated time passing
-        for the query)."""
-        handle.queue_wait_ns = max(
-            0.0, self.busy_clock_ns() - handle._clock_submit
-        )
-
-    def start(self, handle: QueryHandle) -> None:
-        """Dispatch a handle admitted at submit with ``dispatch=False``.
-
-        A no-op for every other handle: queued handles are dispatched by
-        the release that admits them, possibly on a worker thread at this
-        very moment.
-        """
-        with self._lock:
-            if handle not in self._unstarted:
-                return
-            self._unstarted.discard(handle)
-        self._dispatch(handle)
+        clock = self.busy_clock_ns()
+        for handle in handles:
+            handle._clock_submit = clock
+            self._prepare(handle)
+        admitted: list[QueryHandle] = []
+        try:
+            for handle in handles:
+                handle._scheduler = self
+                if self.controller.try_admit(handle, policy=policy):
+                    self._admitted([handle])
+                    admitted.append(handle)
+        finally:
+            self._start(admitted)
 
     def busy_clock_ns(self) -> float:
         """Simulated 'now': the busiest device's ns since startup."""
@@ -217,32 +200,50 @@ class WorkloadScheduler:
             handle._plan = self._plan(handle, self._budget(handle.admitted_bytes))
 
     # ------------------------------------------------------------------ #
-    # Dispatch and completion.
+    # Start, completion and release.
     # ------------------------------------------------------------------ #
-    def _dispatch(self, handle: QueryHandle) -> None:
-        if not handle._claim_dispatch():
-            return
+    def _admitted(self, handles) -> None:
+        """Stamp newly admitted handles' queue waits and count them as
+        running, so shutdown waits for them from admission on.
+
+        The queue wait is the simulated busy ns between submission and
+        admission, not start: the members of a batch start one after
+        another, and an earlier member's run is no wait of a later one.
+        """
+        now = self.busy_clock_ns()
         with self._lock:
-            self._running.add(handle)
-        try:
-            if len(handle._workers) == 1:
-                # One device: its worker coordinates, and runs the
-                # fragment inline -- no extra thread hop.
-                self.worker_pool.submit(
-                    handle._workers[0], self._run_sharded, handle
-                )
-            else:
-                threading.Thread(
-                    target=self._run_sharded,
-                    args=(handle,),
-                    name=f"workload-query-{handle.seq}",
-                    daemon=True,
-                ).start()
-        except BaseException:
-            with self._idle:
-                self._running.discard(handle)
-                self._idle.notify_all()
-            raise
+            for handle in handles:
+                handle.queue_wait_ns = max(0.0, now - handle._clock_submit)
+                self._running.add(handle)
+
+    def _start(self, handles) -> None:
+        """Start admitted handles: fix each one's plan for its admitted
+        share and dispatch it.  A handle that cannot start fails and
+        gives its share back; the waiters that release admits are
+        started in turn."""
+        pending = list(handles)
+        while pending:
+            handle = pending.pop(0)
+            try:
+                self._finalize(handle)
+                self._dispatch(handle)
+            except BaseException as error:  # noqa: BLE001 - stored on the handle
+                handle._fail(error)
+                pending.extend(self._release(handle))
+                self._retire(handle)
+
+    def _dispatch(self, handle: QueryHandle) -> None:
+        if len(handle._workers) == 1:
+            # One device: its worker coordinates, and runs the fragment
+            # inline -- no extra thread hop.
+            self.worker_pool.submit(handle._workers[0], self._run_sharded, handle)
+        else:
+            threading.Thread(
+                target=self._run_sharded,
+                args=(handle,),
+                name=f"workload-query-{handle.seq}",
+                daemon=True,
+            ).start()
 
     def _run_sharded(self, handle: QueryHandle) -> None:
         """Runs a query's coordinator: on its device's worker for a
@@ -264,78 +265,40 @@ class WorkloadScheduler:
                 handle._fail(error)
             else:
                 handle._finish(result, run_ns)
-                if self.calibration is not None:
-                    self.calibration.record(result)
+                self.calibration.record(result)
         finally:
-            # Waiters this release admits enter ``_running`` before this
-            # handle leaves it, so shutdown never sees a false idle.
-            self._release_and_dispatch(handle)
-            with self._idle:
-                self._running.discard(handle)
-                if not self._running:
-                    self._idle.notify_all()
-            handle._done.set()
+            self._start(self._release(handle))
+            self._retire(handle)
 
-    def _release_and_dispatch(self, handle: QueryHandle) -> None:
-        """Return a handle's share and dispatch every waiter it admits."""
-        pending = list(self.controller.release(handle))
-        while pending:
-            waiter = pending.pop(0)
-            try:
-                self._record_queue_wait(waiter)
-                self._finalize(waiter)
-                self._dispatch(waiter)
-            except BaseException as dispatch_error:  # noqa: BLE001
-                waiter._fail(dispatch_error)
-                # Releasing the failed waiter's share can admit more
-                # queued handles; they must be dispatched too, not
-                # dropped holding their shares.
-                pending.extend(self.controller.release(waiter))
-                waiter._done.set()
+    def _release(self, handle: QueryHandle) -> list[QueryHandle]:
+        """Return a handle's share.  The waiters it admits join
+        ``_running`` before the handle leaves it, so shutdown never sees
+        a false idle."""
+        admitted = self.controller.release(handle)
+        if admitted:
+            self._admitted(admitted)
+        return admitted
 
-    def abandon(self, handle: QueryHandle) -> None:
-        """Resolve a handle that will never be started.
-
-        Used when a batch submission fails partway and at shutdown:
-        queued handles are cancelled, and handles admitted with
-        ``dispatch=False`` give their shares back (possibly admitting
-        other waiters, which are dispatched normally).  Dispatched or
-        terminal handles are left alone.
-        """
-        with self._lock:
-            self._unstarted.discard(handle)
-        if handle.done:
-            return
-        if handle._share is None:
-            # Atomic with admission: a handle a release admits meanwhile
-            # is not cancelled, and its releaser dispatches it.
-            self.controller.cancel(handle)
-            return
-        if not handle._claim_dispatch():
-            return
-        handle._cancel_abandoned()
-        self._release_and_dispatch(handle)
-
-    def _cancel(self, handle: QueryHandle) -> bool:
-        return self.controller.cancel(handle)
+    def _retire(self, handle: QueryHandle) -> None:
+        with self._idle:
+            self._running.discard(handle)
+            if not self._running:
+                self._idle.notify_all()
+        handle._done.set()
 
     # ------------------------------------------------------------------ #
     # Shutdown.
     # ------------------------------------------------------------------ #
     def shutdown(self, wait: bool = True) -> list[QueryHandle]:
-        """Stop accepting queries, cancel waiters, drain running ones.
+        """Stop accepting queries, cancel waiters, drain admitted ones.
 
-        Queued handles are cancelled and handles admitted but never
-        started are abandoned (their shares returned); with ``wait`` the
-        call then blocks until every running query has completed.
-        Returns the handles that were cancelled while queued.
+        Queued handles are cancelled; with ``wait`` the call then blocks
+        until every admitted query has completed.  Returns the handles
+        that were cancelled while queued.
         """
         with self._lock:
             self._closed = True
-            unstarted = list(self._unstarted)
         cancelled = self.controller.drain_pending()
-        for handle in unstarted:
-            self.abandon(handle)
         if wait:
             with self._idle:
                 self._idle.wait_for(lambda: not self._running)

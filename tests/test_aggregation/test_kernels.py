@@ -188,7 +188,7 @@ def run(operator_class, rows, budget_bytes, backend_name="blocked_memory", **kwa
     collection.extend(rows)
     collection.seal()
     operator = operator_class(
-        backend, MemoryBudget.from_bytes(budget_bytes), schema=SCHEMA, **kwargs
+        backend, MemoryBudget(budget_bytes), schema=SCHEMA, **kwargs
     )
     return operator.aggregate(collection), backend
 

@@ -147,7 +147,7 @@ class TestWriteProfiles:
         many_groups = build_collection(
             backend, [(i * 7) % 100 for i in range(400)], name="many-groups"
         )
-        budget = MemoryBudget.from_bytes(64 * 10)
+        budget = MemoryBudget(64 * 10)
         lazy_sorted = SortedAggregation(
             backend,
             budget,

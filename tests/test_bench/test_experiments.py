@@ -209,3 +209,42 @@ class TestSensitivityAndValidation:
             assert alone == [
                 row for row in sweep if row["memory_fraction"] == fraction
             ]
+
+    def test_cost_model_validation_drops_every_sort_output(self, monkeypatch):
+        """Figure 12 drops each sort's output once it is measured: the
+        backend ends holding only the three input stores, and the rows
+        are those the sweep gave while it kept every output."""
+        environments = []
+
+        def capture(*args, **kwargs):
+            environments.append(make_environment(*args, **kwargs))
+            return environments[-1]
+
+        monkeypatch.setattr(experiments, "make_environment", capture)
+        rows = experiments.cost_model_validation(
+            num_sort_records=400,
+            join_left_records=100,
+            join_right_records=1000,
+            memory_fractions=(0.02, 0.05),
+            backend_name="dynamic_array",
+        )
+        (env,) = environments
+        stores = env.backend.stores()
+        assert [store.label for store in stores] == ["T", "T", "V"]
+        assert env.device.allocated_bytes == sum(
+            store.physical_bytes for store in stores
+        )
+        taus = [
+            (row["operation"], row["scope"], row["memory_fraction"], row["kendall_tau"])
+            for row in rows
+        ]
+        assert taus == [
+            ("sort", "all", 0.02, 0.0),
+            ("sort", "write-limited", 0.02, 0.0),
+            ("join", "all", 0.02, 0.6),
+            ("join", "write-limited", 0.02, 1.0),
+            ("sort", "all", 0.05, 0.6),
+            ("sort", "write-limited", 0.05, pytest.approx(2 / 3)),
+            ("join", "all", 0.05, 0.4),
+            ("join", "write-limited", 0.05, -1.0),
+        ]

@@ -100,4 +100,4 @@ class TestExceptionHierarchy:
 
     def test_catching_the_base_class_catches_library_errors(self):
         with pytest.raises(ReproError):
-            repro.MemoryBudget.from_bytes(-1)
+            repro.MemoryBudget(-1)

@@ -244,9 +244,9 @@ class TestExplainRendering:
     def test_materialize_result_still_settles_the_root(self, backend):
         collection = make_sort_input(300, backend)
         budget = budget_for(collection, 0.10)
-        session = Session(backend, budget)
+        session = Session(backend, budget, materialize_result=True)
         result = session.query(
-            Query.scan(collection).order_by(), materialize_result=True
+            Query.scan(collection).order_by()
         )
         assert result.output.is_materialized
         (fragment,) = result.plan.final_step.fragments

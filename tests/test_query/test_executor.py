@@ -135,7 +135,9 @@ class TestExecutionReporting:
         self, backend, small_sort_input, sort_budget
     ):
         pipelined = Session(backend, sort_budget).query(Query.scan(small_sort_input).order_by())
-        materialized = Session(backend, sort_budget).query(Query.scan(small_sort_input).order_by(), materialize_result=True)
+        materialized = Session(
+            backend, sort_budget, materialize_result=True
+        ).query(Query.scan(small_sort_input).order_by())
         assert materialized.output.is_materialized
         assert (
             materialized.io.cacheline_writes > pipelined.io.cacheline_writes

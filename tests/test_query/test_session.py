@@ -28,21 +28,6 @@ class TestTargets:
         assert isinstance(result, QueryResult)
         assert result.records == sorted(collection.records)
 
-    def test_device_target_wraps_blocked_memory(self):
-        device = PersistentMemoryDevice()
-        session = Session(device)
-        assert session.backend.name == "blocked_memory"
-        assert session.device is device
-
-    def test_backend_name_target_builds_a_fresh_device(self):
-        session = Session("pmfs")
-        assert session.backend.name == "pmfs"
-        collection = session.create_collection(
-            "t", records=[WISCONSIN_SCHEMA.make_record(k) for k in [3, 1, 2]]
-        )
-        result = session.query(Query.scan(collection).order_by())
-        assert [r[0] for r in result.records] == [1, 2, 3]
-
     def test_shard_set_target_runs_sharded(self):
         shard_set = ShardSet.create(2)
         collection = make_sharded_sort_input(64, shard_set)
@@ -53,13 +38,18 @@ class TestTargets:
             r[0] for r in collection.records
         )
 
-    def test_unsupported_target_rejected(self):
+    @pytest.mark.parametrize(
+        "target",
+        [42, "pmfs", PersistentMemoryDevice()],
+        ids=["int", "backend-name", "device"],
+    )
+    def test_unsupported_target_rejected(self, target):
         with pytest.raises(ConfigurationError, match="Session"):
-            Session(42)
+            Session(target, MemoryBudget.from_records(8))
 
     def test_invalid_boundary_policy_rejected(self, backend):
         with pytest.raises(ConfigurationError, match="boundary policy"):
-            Session(backend, boundary_policy="eager")
+            Session(backend, MemoryBudget(1 << 20), boundary_policy="eager")
 
 
 class TestRouting:
@@ -81,30 +71,28 @@ class TestRouting:
     def test_materialize_result_rejected_on_sharded_queries(self):
         shard_set = ShardSet.create(2)
         collection = make_sharded_sort_input(32, shard_set)
-        session = Session(shard_set, MemoryBudget.from_records(8))
+        session = Session(
+            shard_set, MemoryBudget.from_records(8), materialize_result=True
+        )
         with pytest.raises(ConfigurationError, match="materialize_result"):
-            session.query(
-                Query.scan(collection).order_by(), materialize_result=True
-            )
+            session.query(Query.scan(collection).order_by())
 
-    def test_plan_and_explain_route_like_query(self, backend):
+    def test_sharded_input_runs_a_sharded_plan(self, backend):
         shard_set = ShardSet.create(2)
         sharded = make_sharded_sort_input(32, shard_set)
         session = Session(shard_set, MemoryBudget.from_records(8))
-        plan = session.plan(Query.scan(sharded).order_by())
-        assert plan.is_sharded_plan
-        assert "sharded physical plan" in session.explain(
-            Query.scan(sharded).order_by()
-        )
+        result = session.query(Query.scan(sharded).order_by())
+        assert result.plan.num_shards == 2
+        assert "sharded physical plan" in result.explain()
 
 
 class TestOneResultType:
     def test_one_shard_result_keeps_the_fragment_output(self, backend):
         collection = make_sort_input(120, backend)
-        session = Session(backend, budget_for(collection, 0.10))
-        result = session.query(
-            Query.scan(collection).order_by(), materialize_result=True
+        session = Session(
+            backend, budget_for(collection, 0.10), materialize_result=True
         )
+        result = session.query(Query.scan(collection).order_by())
         (fragment_result,) = result.fragment_results[0]
         assert result.output is fragment_result.output
         assert result.output.is_materialized
@@ -137,11 +125,11 @@ class TestCreateCollection:
         shard_set = ShardSet.create(2)
         session = Session(shard_set, MemoryBudget.from_records(8))
         with pytest.raises(ConfigurationError, match="ShardedCollection"):
-            session.create_collection("t")
+            session.create_collection("t", [])
 
     def test_collection_lands_on_the_session_backend(self):
         env = make_environment()
-        session = Session(env.backend)
+        session = Session(env.backend, MemoryBudget.from_records(8))
         collection = session.create_collection(
             "orders",
             records=[WISCONSIN_SCHEMA.make_record(k) for k in range(8)],

@@ -8,6 +8,8 @@ import warnings
 import pytest
 
 from repro import MemoryBudget, Query, Session, ShardSet
+from repro.exceptions import ConfigurationError
+from repro.shard.planner import ShardedPlanner
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import DeviceWorkerPool, QueryStatus
@@ -15,6 +17,8 @@ from repro.workloads.generator import (
     make_sharded_join_inputs,
     make_sharded_sort_input,
 )
+
+from tests.test_workload_mgmt.conftest import gated
 
 
 def build_plain(backend, name, keys):
@@ -97,7 +101,7 @@ class TestCoScheduling:
                 "tag": "agg",
             },
         ]
-        budget = MemoryBudget.from_bytes(64_000)
+        budget = MemoryBudget(64_000)
         share = budget.nbytes // 3
         with Session(shard_set, budget) as session:
             concurrent = session.run_workload(
@@ -118,7 +122,7 @@ class TestCoScheduling:
         shard_set = ShardSet.create(2)
         a = build_plain(shard_set.backends[0], "A", range(4000))
         b = build_plain(shard_set.backends[1], "B", range(4000))
-        with Session(shard_set, MemoryBudget.from_bytes(64_000)) as session:
+        with Session(shard_set, MemoryBudget(64_000)) as session:
             result = session.run_workload(
                 [
                     Query.scan(a).filter(lambda r: r[0] % 2 == 0, selectivity=0.5),
@@ -132,7 +136,7 @@ class TestCoScheduling:
     def test_queue_waits_are_reported(self, backend):
         collection = build_plain(backend, "Q", range(2000))
         query = Query.scan(collection).order_by()
-        with Session(backend, MemoryBudget.from_bytes(32_000)) as session:
+        with Session(backend, MemoryBudget(32_000)) as session:
             result = session.run_workload(
                 [
                     {"query": query, "memory_bytes": 24_000, "tag": "first"},
@@ -152,7 +156,7 @@ class TestCoScheduling:
         shard_set = ShardSet.create(2)
         sort_input = make_sharded_sort_input(200, shard_set)
         plain = build_plain(shard_set.backends[0], "P", range(500))
-        with Session(shard_set, MemoryBudget.from_bytes(48_000)) as session:
+        with Session(shard_set, MemoryBudget(48_000)) as session:
             result = session.run_workload(
                 [
                     Query.scan(sort_input).order_by(),
@@ -167,7 +171,7 @@ class TestCoScheduling:
         def exploding(record):
             raise RuntimeError("predicate exploded")
 
-        with Session(backend, MemoryBudget.from_bytes(32_000)) as session:
+        with Session(backend, MemoryBudget(32_000)) as session:
             handle = session.submit(
                 Query.scan(bad).filter(exploding, selectivity=0.5)
             )
@@ -184,73 +188,97 @@ class TestCoScheduling:
 
 
 class TestDispatchLifecycle:
-    def test_batch_member_admitted_by_a_release_runs_once(self, backend):
-        """``run_workload`` starts its deferred batch after submitting it.
-        A queued member that a finishing query admits from the worker
-        thread must not be dispatched a second time by that start loop:
-        the duplicate run would fail on the share the first run released.
-        """
-        collection = build_plain(backend, "RACE", range(300))
-        query = Query.scan(collection).filter(lambda r: True, selectivity=1.0)
-        with Session(backend, MemoryBudget.from_bytes(32_000)) as session:
-            scheduler = session.scheduler
-            admitted, started = threading.Event(), threading.Event()
-            finalize, start = scheduler._finalize, scheduler.start
-
-            def gated_finalize(handle):
-                # The release on the worker has carved "second" its share:
-                # hold the dispatch until the start loop has looked at it.
-                if handle.tag == "second" and (
-                    threading.current_thread() is not threading.main_thread()
-                ):
-                    admitted.set()
-                    started.wait(5)
-                finalize(handle)
-
-            def gated_start(handle):
-                if handle.tag == "second":
-                    admitted.wait(5)
-                start(handle)
-                if handle.tag == "second":
-                    started.set()
-
-            scheduler._finalize = gated_finalize
-            scheduler.start = gated_start
-            result = session.run_workload(
-                [
-                    {"query": query, "memory_bytes": 24_000, "tag": "first"},
-                    {"query": query, "memory_bytes": 24_000, "tag": "second"},
-                ],
-                policy="queue",
-            )
-            assert admitted.is_set() and started.is_set()
-            # A later query on the same serial worker runs after any
-            # duplicate of "second" would have.
-            session.submit(query, memory_bytes=24_000).result(timeout=5)
-            first, second = result.handles
-            assert first.status is QueryStatus.DONE
-            assert second.status is QueryStatus.DONE, second.error
-            assert len(second.result().records) == 300
-
-    def test_close_abandons_admitted_but_unstarted_handles(self, backend):
+    def test_close_waits_for_a_running_query_and_returns_its_share(
+        self, backend, gate
+    ):
         collection = build_plain(backend, "IDLE", range(100))
-        session = Session(backend, MemoryBudget.from_bytes(32_000))
-        handle = session.submit(
-            Query.scan(collection).order_by(),
-            memory_bytes=8_000,
-            _dispatch=False,
-        )
+        session = Session(backend, MemoryBudget(32_000))
+        handle = session.submit(gated(gate, collection), memory_bytes=8_000)
+        assert handle.status is QueryStatus.RUNNING
         assert session.bufferpool.reserved_bytes == 8_000
         with warnings.catch_warnings():
             # A share left behind would make close() warn about a leak.
             warnings.simplefilter("error", ResourceWarning)
-            began = time.perf_counter()
-            session.close()
-            elapsed = time.perf_counter() - began
-        assert handle.status is QueryStatus.CANCELLED
-        assert handle.wait(0)
+            closer = threading.Thread(target=session.close)
+            closer.start()
+            closer.join(0.2)
+            assert closer.is_alive()
+            gate.set()
+            closer.join(10)
+        assert not closer.is_alive()
+        assert handle.status is QueryStatus.DONE
+        assert len(handle.result().records) == 100
         assert session.bufferpool.reserved_bytes == 0
-        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("bad", ["validation", "planning"])
+    def test_a_batch_with_a_bad_last_item_admits_nothing(self, backend, bad):
+        collection = build_plain(backend, "BATCH", range(100))
+        query = Query.scan(collection).order_by()
+        with Session(backend, MemoryBudget(32_000)) as session:
+            controller = session.scheduler.controller
+            admissions = []
+            try_admit = controller.try_admit
+
+            def spy(handle, policy="queue"):
+                admissions.append(handle)
+                return try_admit(handle, policy=policy)
+
+            controller.try_admit = spy
+            if bad == "validation":
+                last = {"query": query, "memory_bytes": 0}
+            else:
+                # A plan is not a query: the planner rejects it.
+                last = ShardedPlanner(session.shard_set, session.budget).plan(
+                    query
+                )
+            with pytest.raises(ConfigurationError):
+                session.run_workload([query, query, last], policy="queue")
+            assert admissions == []
+            assert session.bufferpool.reserved_bytes == 0
+            assert len(session.query(query).records) == 100
+
+    def test_close_waits_for_batch_members_admitted_but_not_started(
+        self, backend
+    ):
+        """``close()`` from another thread while ``run_workload`` sits
+        between admitting its batch and starting it: the members are
+        running from admission on, so close waits for them, and the
+        worker pool is still up when they start."""
+        collection = build_plain(backend, "LATE", range(100))
+        query = Query.scan(collection).filter(lambda r: True, selectivity=1.0)
+        session = Session(backend, MemoryBudget(32_000))
+        scheduler = session.scheduler
+        batch, after_close = [], []
+        admitted = threading.Event()
+        start = scheduler._start
+
+        def gated_start(handles):
+            if threading.current_thread() is threading.main_thread():
+                batch.extend(handles)
+                admitted.set()
+                deadline = time.monotonic() + 10
+                while not scheduler._closed and time.monotonic() < deadline:
+                    time.sleep(0.001)  # until close() has begun
+            start(handles)
+
+        def close():
+            admitted.wait(10)
+            session.close()
+            after_close.extend(handle.status for handle in batch)
+
+        scheduler._start = gated_start
+        closer = threading.Thread(target=close)
+        closer.start()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            report = session.run_workload(
+                [{"query": query, "memory_bytes": 8_000}] * 2, policy="queue"
+            )
+            closer.join(10)
+        assert not closer.is_alive()
+        assert batch == report.handles
+        assert after_close == [QueryStatus.DONE] * 2
+        assert session.bufferpool.holders() == {}
 
     def test_batches_under_admission_pressure_run_every_query_once(self):
         """Stress: batches over two devices under a budget admitting two
@@ -272,7 +300,7 @@ class TestDispatchLifecycle:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with Session(shard_set, MemoryBudget.from_bytes(16_384)) as session:
+            with Session(shard_set, MemoryBudget(16_384)) as session:
                 for _ in range(30):
                     result = session.run_workload(
                         [{"query": q, "memory_bytes": 8_192} for q in queries],

@@ -1,7 +1,5 @@
 """The redesigned Session front door: lifecycle, shim, routing, reports."""
 
-import warnings
-
 import pytest
 
 from repro import MemoryBudget, Query, Session, ShardSet
@@ -10,10 +8,13 @@ from repro.query import CostBasedPlanner
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import QueryStatus
+from repro.shard.planner import ShardedPlanner
 from repro.workloads.generator import (
     make_sharded_sort_input,
     make_sort_input,
 )
+
+from tests.test_workload_mgmt.conftest import gated
 
 
 def build_plain(backend, name, keys):
@@ -31,15 +32,15 @@ class TestContextManager:
         with Session(backend, MemoryBudget.from_records(50)) as session:
             result = session.query(Query.scan(collection).order_by())
             assert len(result.records) == 100
-        assert session.closed
         with pytest.raises(ConfigurationError, match="closed"):
             session.query(Query.scan(collection).order_by())
 
     def test_close_is_idempotent(self, backend):
-        session = Session(backend)
+        session = Session(backend, MemoryBudget(1 << 20))
         session.close()
         session.close()
-        assert session.closed
+        with pytest.raises(ConfigurationError, match="closed"):
+            session.scheduler
 
     def test_close_warns_on_leaked_reservations(self, backend):
         session = Session(backend, MemoryBudget.from_records(50))
@@ -80,15 +81,14 @@ class TestContextManager:
         assert queued.status in (QueryStatus.CANCELLED, QueryStatus.DONE)
         assert session.bufferpool.holders() == {}
 
-    def test_shutdown_cancels_a_parked_queue(self, backend):
-        """Deterministic cancellation: nothing running, so the queued
-        handle cannot be admitted before close() drains it."""
+    def test_shutdown_cancels_a_parked_queue(self, backend, gate):
+        """Deterministic cancellation: the blocker runs until the gate
+        opens, so the queued handle cannot be admitted before shutdown
+        drains it."""
         collection = make_sort_input(300, backend)
         session = Session(backend, MemoryBudget.from_records(100))
         blocker = session.submit(
-            Query.scan(collection).order_by(),
-            memory_bytes=session.budget.nbytes,
-            _dispatch=False,
+            gated(gate, collection), memory_bytes=session.budget.nbytes
         )
         queued = session.submit(
             Query.scan(collection).order_by(),
@@ -98,9 +98,11 @@ class TestContextManager:
         cancelled = session.scheduler.shutdown(wait=False)
         assert cancelled == [queued]
         assert queued.status is QueryStatus.CANCELLED
-        # The undispatched blocker still holds its share; releasing it
-        # (as close() would after a dispatch) leaves the pool clean.
-        session.scheduler.controller.release(blocker)
+        # The blocker still runs; once it finishes its share is back and
+        # the pool is clean.
+        assert blocker.status is QueryStatus.RUNNING
+        gate.set()
+        assert len(blocker.result(timeout=10).records) == 300
         assert session.bufferpool.holders() == {}
 
 
@@ -182,7 +184,7 @@ class TestMixedRouting:
         shard_set = ShardSet.create(2)
         sharded = make_sharded_sort_input(200, shard_set)
         plain = build_plain(shard_set.backends[0], "MIX", range(150))
-        with Session(shard_set, MemoryBudget.from_bytes(64_000)) as session:
+        with Session(shard_set, MemoryBudget(64_000)) as session:
             report = session.run_workload(
                 [
                     {"query": Query.scan(sharded).order_by(), "tag": "sharded"},
@@ -236,18 +238,18 @@ class TestCalibrationReport:
 
 class TestWorkloadValidation:
     def test_empty_workload_rejected(self, backend):
-        session = Session(backend)
+        session = Session(backend, MemoryBudget(1 << 20))
         with pytest.raises(ConfigurationError, match="at least one"):
             session.run_workload([])
 
     def test_workload_item_mapping_requires_query(self, backend):
-        session = Session(backend)
+        session = Session(backend, MemoryBudget(1 << 20))
         with pytest.raises(ConfigurationError, match="query"):
             session.run_workload([{"tag": "missing"}])
 
     def test_invalid_memory_bytes_rejected(self, backend):
         collection = make_sort_input(50, backend)
-        session = Session(backend)
+        session = Session(backend, MemoryBudget(1 << 20))
         with pytest.raises(ConfigurationError, match="memory_bytes"):
             session.submit(Query.scan(collection).order_by(), memory_bytes=0)
 
@@ -261,7 +263,7 @@ class TestWorkloadValidation:
             if kind == "physical":
                 plan = CostBasedPlanner(backend, budget).plan(query)
             else:
-                plan = session.plan(query)
+                plan = ShardedPlanner(session.shard_set, budget).plan(query)
             with pytest.raises(ConfigurationError, match="cannot plan"):
                 getattr(session, entry)(plan)
             assert session.bufferpool.reserved_bytes == 0
@@ -270,18 +272,16 @@ class TestWorkloadValidation:
     def test_a_tuple_workload_item_is_rejected(self, backend):
         collection = make_sort_input(50, backend)
         query = Query.scan(collection).order_by()
-        with Session(backend) as session:
+        with Session(backend, MemoryBudget(1 << 20)) as session:
             with pytest.raises(ConfigurationError, match="cannot plan"):
                 session.run_workload([(query, {"tag": "pair"})])
             assert session.bufferpool.reserved_bytes == 0
             assert len(session.query(query).records) == 50
 
-    @pytest.mark.parametrize("policy", ["eager", "QUEUE", 3, object()])
+    @pytest.mark.parametrize("policy", ["eager", "QUEUE", 3, object(), None])
     def test_unknown_admission_policy_rejected(self, backend, policy):
-        with pytest.raises(ConfigurationError, match="admission policy"):
-            Session(backend, admission_policy=policy)
         query = Query.scan(make_sort_input(50, backend)).order_by()
-        with Session(backend) as session:
+        with Session(backend, MemoryBudget(1 << 20)) as session:
             with pytest.raises(ConfigurationError, match="admission policy"):
                 session.submit(query, policy=policy)
             with pytest.raises(ConfigurationError, match="admission policy"):
@@ -307,22 +307,20 @@ class TestReviewRegressions:
         }
         with pytest.raises(ConfigurationError, match="memory_bytes"):
             session.run_workload([good, dict(good, tag="queued"), bad])
-        # Nothing is left holding the pool: the admitted-but-undispatched
-        # share was returned and the queued member cancelled.
+        # The bad item failed validation before any member was admitted,
+        # so nothing holds the pool.
         assert session.bufferpool.holders() == {}
         result = session.query(Query.scan(collection).order_by())
         assert len(result.records) == 200
         session.close()
 
-    def test_admitted_handles_report_running_before_dispatch(self, backend):
+    def test_admitted_handles_cannot_be_cancelled(self, backend, gate):
         """Admission flips the status under the controller lock, so a
         handle whose share is carved can never be cancelled."""
         collection = make_sort_input(100, backend)
         with Session(backend, MemoryBudget.from_records(50)) as session:
-            handle = session.submit(
-                Query.scan(collection).order_by(), _dispatch=False
-            )
+            handle = session.submit(gated(gate, collection))
             assert handle.status is QueryStatus.RUNNING
             assert not handle.cancel()
-            session.scheduler.start(handle)
+            gate.set()
             assert len(handle.result().records) == 100
