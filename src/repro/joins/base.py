@@ -19,7 +19,7 @@ from repro.joins.common import (
     build_hash_table,
     joined_schema,
     partition_into,
-    probe_block,
+    probe_into,
 )
 from repro.joins.cost import PARTITION_FUDGE_FACTOR
 from repro.pmem.backends.base import PersistenceBackend
@@ -162,8 +162,7 @@ class JoinAlgorithm(Algorithm):
             # is identical to tuple-at-a-time nested loops, only the Python
             # CPU time changes.
             table = build_hash_table(block, self.left_key)
-            for right_block in right.scan_blocks():
-                output.extend(probe_block(table, right_block, self.right_key))
+            probe_into(output, table, right.scan_blocks(), self.right_key)
             if len(block) < block_records:
                 break
             start += block_records

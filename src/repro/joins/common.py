@@ -2,14 +2,23 @@
 
 :func:`partition_into` hash-partitions a block stream into per-partition
 targets, :func:`split_blocks` splits blocks around one partition for the
-iterative hash joins, and :func:`probe_block` probes a hash table with one
-block.  Each binds its key extractor and inlines the hash once, and emits
-exactly the records of the per-record loops it replaced, in their order.
+iterative hash joins, and :func:`probe_into` probes a hash table with a
+block stream; every hash join probes through it.  Each binds its key
+extractor and inlines the hash once, and emits exactly the records of the
+per-record loops it replaced, in their order.
+
+A key determines its partition, so a probe record of another partition
+cannot match a partition's table.  Two rules follow.  A probe side goes
+through :func:`split_blocks` only when the split writes a spill; otherwise
+the table is probed with the unsplit scan.  And an empty table is not
+probed: :func:`probe_into` drains the stream instead, so it still charges
+what it would have read (a scan's batches, a deferred input's replay, a
+split's spill writes).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
@@ -125,17 +134,27 @@ def build_hash_table(
     return dict(table)
 
 
-def probe_block(
+def probe_into(
+    output,
     table: dict[int, list[tuple]],
-    block: Iterable[tuple],
+    blocks: Iterable[list[tuple]],
     key_fn: Callable[[tuple], int],
-) -> list[tuple]:
-    """Concatenated ``match + record`` pairs of one probe block.
+) -> None:
+    """Extend ``output`` with the ``match + record`` pairs of every block.
 
-    Ordered by probe record, then by the matches' build-insertion order.
+    Ordered by probe record, then by the matches' build-insertion order;
+    one ``extend`` per block.  An empty table matches nothing, so
+    ``blocks`` is drained unprobed and nothing is written.
     """
+    if not table:
+        deque(blocks, maxlen=0)
+        return
     get = table.get
-    return [match + record for record in block for match in get(key_fn(record), ())]
+    extend = output.extend
+    for block in blocks:
+        extend(
+            [match + record for record in block for match in get(key_fn(record), ())]
+        )
 
 
 def joined_schema(left: Schema, right: Schema) -> Schema:

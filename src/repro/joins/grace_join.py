@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_block
+from repro.joins.common import build_hash_table, probe_into
 from repro.storage.collection import PersistentCollection
 
 
@@ -33,8 +33,7 @@ class GraceJoin(JoinAlgorithm):
         )
         for left_part, right_part in zip(left_parts, right_parts):
             table = build_hash_table(left_part.scan(), self.left_key)
-            for block in right_part.scan_blocks():
-                output.extend(probe_block(table, block, self.right_key))
+            probe_into(output, table, right_part.scan_blocks(), self.right_key)
         output.seal()
         return JoinResult(
             output=output,

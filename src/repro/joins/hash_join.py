@@ -13,7 +13,7 @@ import itertools
 
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_block, split_blocks
+from repro.joins.common import build_hash_table, probe_into, split_blocks
 from repro.storage.collection import PersistentCollection
 
 
@@ -41,7 +41,6 @@ class SimpleHashJoin(JoinAlgorithm):
             1, -(-left.estimated_records // self.left_workspace_records)
         )
         sources = (left, right)
-        keys = (self.left_key, self.right_key)
         lazy_iterations = materializations = 0
         for index in range(num_partitions):
             lazy_iterations += 1
@@ -63,15 +62,24 @@ class SimpleHashJoin(JoinAlgorithm):
                 )
             # Partition ``index`` is joined in DRAM; records of later
             # partitions go to the spills, when this pass writes them back.
-            build, probe = (
-                split_blocks(source.scan_blocks(), key, num_partitions, index, spill)
-                for source, key, spill in zip(sources, keys, spills)
+            # The table holds only partition ``index``, so the probe side is
+            # split only to write its spill.
+            build = split_blocks(
+                sources[0].scan_blocks(),
+                self.left_key,
+                num_partitions,
+                index,
+                spills[0],
             )
             table = build_hash_table(
                 itertools.chain.from_iterable(build), self.left_key
             )
-            for block in probe:
-                output.extend(probe_block(table, block, self.right_key))
+            probe = sources[1].scan_blocks()
+            if spills[1] is not None:
+                probe = split_blocks(
+                    probe, self.right_key, num_partitions, index, spills[1]
+                )
+            probe_into(output, table, probe, self.right_key)
             if spills[0] is not None:
                 for spill in spills:
                     spill.seal()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_block
+from repro.joins.common import build_hash_table, probe_into
 from repro.storage.collection import PersistentCollection
 
 
@@ -100,10 +100,9 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             # in-memory left partition.
             for left_part, right_part in zip(left_parts, right_parts):
                 table = build_hash_table(left_part.scan(), self.left_key)
-                for block in right_part.scan_blocks():
-                    output.extend(probe_block(table, block, self.right_key))
-                for block in right.scan_blocks(start=right_boundary):
-                    output.extend(probe_block(table, block, self.right_key))
+                probe_into(output, table, right_part.scan_blocks(), self.right_key)
+                remainder = right.scan_blocks(start=right_boundary)
+                probe_into(output, table, remainder, self.right_key)
         # A lone right Grace fraction (x = 0, y > 0) has no partitioned left
         # counterpart: the nested-loops phase covers it, so nothing is
         # materialized for it.  This mirrors the cost model, where a lone

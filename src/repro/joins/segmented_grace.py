@@ -15,7 +15,7 @@ import itertools
 from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_block, split_blocks
+from repro.joins.common import build_hash_table, probe_into, split_blocks
 from repro.storage.collection import PersistentCollection
 
 #: Default fraction of partitions materialized.
@@ -65,14 +65,12 @@ class SegmentedGraceJoin(JoinAlgorithm):
 
         # Phase 2: Grace-style processing of the materialized partitions.
         for index in range(materialized):
-            table = build_hash_table(
-                left_parts[index].scan(), self.left_key
-            )
-            for block in right_parts[index].scan_blocks():
-                output.extend(probe_block(table, block, self.right_key))
+            table = build_hash_table(left_parts[index].scan(), self.left_key)
+            probe_into(output, table, right_parts[index].scan_blocks(), self.right_key)
 
         # Phase 3: the remaining partitions are processed by re-scanning the
-        # primary inputs and filtering on the fly.
+        # primary inputs and filtering the build side on the fly; the table
+        # holds only partition ``index``, so the probe side needs no filter.
         rescans = 0
         for index in range(materialized, num_partitions):
             rescans += 1
@@ -80,10 +78,7 @@ class SegmentedGraceJoin(JoinAlgorithm):
                 split_blocks(left.scan_blocks(), self.left_key, num_partitions, index)
             )
             table = build_hash_table(build, self.left_key)
-            for block in split_blocks(
-                right.scan_blocks(), self.right_key, num_partitions, index
-            ):
-                output.extend(probe_block(table, block, self.right_key))
+            probe_into(output, table, right.scan_blocks(), self.right_key)
 
         output.seal()
         return JoinResult(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
-from repro.joins.common import build_hash_table, partition_of, probe_block
+from repro.joins.common import build_hash_table, partition_of, probe_into
 from repro.runtime.context import OperatorContext
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema
@@ -51,8 +51,7 @@ class PartitionJoinFunctor:
         right.open()
         output.open()
         table = build_hash_table(left.scan(), self.left_key)
-        for block in right.scan_blocks():
-            output.extend(probe_block(table, block, self.right_key))
+        probe_into(output, table, right.scan_blocks(), self.right_key)
 
 
 class SegmentedGraceJoinOperator(Operator):

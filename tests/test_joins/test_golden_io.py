@@ -10,6 +10,10 @@ backends.  It compares the full ``IOSnapshot.as_dict()``, the partition /
 iteration / group / spill counts and a digest of the output order against
 the committed ``golden_io/joins.json``.  Both inputs carry each record's load
 position in attribute 1, so the digest also pins the order of equal keys.
+The joins also run over a skewed build side whose keys are all multiples of
+4 (the ``lowmem_join`` shape): ``partition_of`` keeps a key's factors of
+two, so most partitions of a partition count divisible by 4 hold no build
+record, and their probe records pass an empty hash table.
 Regenerate with::
 
     REGENERATE_GOLDEN=1 python -m pytest tests/test_joins/test_golden_io.py
@@ -74,6 +78,14 @@ AGGREGATIONS = {
     "HashAgg": HashAggregation,
     "SortAgg[SegS]": SortedAggregation,
 }
+#: Budgets and backends of the skewed-build cases, whose left keys are
+#: scaled by :data:`SKEWED_BUILD_SCALE`.  At M=30 GJ and SegJ make 12
+#: partitions, 9 of them without a build record; HJ, LaJ and the runtime
+#: operator 10 (5 empty) and HybJ[x=y=0.5] 6 (3 empty).  At M=100 GJ and
+#: SegJ make 4 (3 empty).
+SKEWED_BUILD_SCALE = 4
+SKEWED_BUDGET_RECORDS = (30, 100)
+SKEWED_BACKENDS = ("blocked_memory", "pmfs")
 AGGREGATES = {"count": 0, "sum": 1, "min": 1, "max": 3, "avg": 1}
 RUNTIME_OPERATOR = "runtime.SegJ"
 
@@ -87,10 +99,11 @@ def _with_positions(keys):
     return records
 
 
-def golden_inputs(backend):
-    """The fixed inputs, load position in attribute 1 of each record."""
+def golden_inputs(backend, build_scale=1):
+    """The fixed inputs, load position in attribute 1 of each record; the
+    left keys are multiplied by ``build_scale``."""
     left_keys = [
-        value % LEFT_DISTINCT_KEYS
+        build_scale * (value % LEFT_DISTINCT_KEYS)
         for value in wisconsin_permutation(LEFT_RECORDS, seed=11)
     ]
     rng = random.Random(13)
@@ -113,10 +126,10 @@ def digest(records):
     return hashlib.sha256(repr(list(records)).encode()).hexdigest()[:16]
 
 
-def run_case(backend_name, budget_records, algorithm):
+def run_case(backend_name, budget_records, algorithm, build_scale=1):
     device = PersistentMemoryDevice()
     backend = make_backend(backend_name, device)
-    left, right = golden_inputs(backend)
+    left, right = golden_inputs(backend, build_scale)
     budget = MemoryBudget.from_records(budget_records)
     if algorithm in AGGREGATIONS:
         aggregation = AGGREGATIONS[algorithm](
@@ -163,11 +176,17 @@ CASES = [
     for backend_name in BACKENDS
     for budget_records in BUDGET_RECORDS
     for algorithm in [*JOINS, RUNTIME_OPERATOR, *AGGREGATIONS]
+] + [
+    (backend_name, budget_records, algorithm, SKEWED_BUILD_SCALE)
+    for backend_name in SKEWED_BACKENDS
+    for budget_records in SKEWED_BUDGET_RECORDS
+    for algorithm in [*JOINS, RUNTIME_OPERATOR]
 ]
 
 
-def case_id(backend_name, budget_records, algorithm):
-    return f"{backend_name}/M={budget_records}/{algorithm}"
+def case_id(backend_name, budget_records, algorithm, build_scale=1):
+    scaled = f"/build-keys-x{build_scale}" if build_scale != 1 else ""
+    return f"{backend_name}/M={budget_records}{scaled}/{algorithm}"
 
 
 def observed_cases():

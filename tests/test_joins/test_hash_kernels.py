@@ -2,8 +2,8 @@
 
 Each kernel is compared against the per-record loop it replaced, kept here
 as a reference: :func:`partition_into` against ``partition_of`` plus one
-list per partition, :func:`probe_block` against a nested loop over the
-hash table, and the hash aggregation's generated ``fold_block`` and
+list per partition, :func:`probe_into` against a nested loop over the
+hash table (and its drain of an empty table), and the hash aggregation's generated ``fold_block`` and
 ``finish`` against the aggregates' ``initial``/``step``/``final``.
 Records carry their load position in attribute 1, so records with equal
 keys are distinguishable.
@@ -12,19 +12,19 @@ keys are distinguishable.
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation import HashAggregation
 from repro.aggregation.functions import AGGREGATE_REGISTRY, make_aggregate
 from repro.aggregation.kernels import compile_kernels
-from repro.joins import GraceJoin
+from repro.joins import GraceJoin, SimpleHashJoin
 from repro.joins.common import (
     PARTITION_BUCKET_BOUND,
     build_hash_table,
     partition_into,
     partition_of,
-    probe_block,
+    probe_into,
     split_blocks,
 )
 from repro.storage.bufferpool import MemoryBudget
@@ -175,27 +175,73 @@ def reference_probe(table, block):
     return matches
 
 
-class TestProbeBlock:
+def probed(table, blocks):
+    output = RecordingTarget()
+    probe_into(output, table, blocks, KEY)
+    return output
+
+
+class TestProbeInto:
     @settings(max_examples=60, deadline=None)
     @given(
         build_keys=st.lists(st.integers(min_value=0, max_value=30), max_size=80),
         probe_keys=st.lists(st.integers(min_value=0, max_value=40), max_size=80),
+        block_records=st.integers(min_value=1, max_value=20),
     )
-    def test_matches_the_nested_loop(self, build_keys, probe_keys):
+    @example(build_keys=[], probe_keys=[3, 1, 3], block_records=2)
+    def test_matches_the_nested_loop(self, build_keys, probe_keys, block_records):
         build = tagged_records(build_keys)
         probe = tagged_records(probe_keys)
         table = build_hash_table(build, KEY)
-        assert probe_block(table, probe, KEY) == reference_probe(table, probe)
+        output = probed(table, as_blocks(probe, block_records))
+        assert output.records == reference_probe(table, probe)
 
     def test_orders_by_probe_record_then_build_insertion(self):
         build = tagged_records([5, 7, 5])
         probe = tagged_records([5, 9, 7])
         table = build_hash_table(build, KEY)
-        assert probe_block(table, probe, KEY) == [
+        assert probed(table, [probe]).records == [
             build[0] + probe[0],
             build[2] + probe[0],
             build[1] + probe[2],
         ]
+
+    def test_empty_table_drains_the_blocks_and_extends_nothing(self):
+        blocks = as_blocks(tagged_records(range(50)), 7)
+        yielded = []
+
+        def counting():
+            for block in blocks:
+                yielded.append(block)
+                yield block
+            yielded.append("exhausted")
+
+        output = probed({}, counting())
+        assert yielded == [*blocks, "exhausted"]
+        assert output.batches == []
+
+    def test_hash_join_pass_over_an_empty_build_partition_writes_its_spill(
+        self, backend, monkeypatch
+    ):
+        # Build keys that are multiples of 4 fill only partition 0 of 4, so
+        # pass 1 probes an empty table while it writes the spill pass 2
+        # reads: the right records of partitions 2 and 3.
+        left = build_collection(backend, [4 * key for key in range(40)], name="L")
+        right = build_collection(backend, range(300), name="R")
+        calls = spy_extends(monkeypatch)
+        result = SimpleHashJoin(backend, MemoryBudget.from_records(10)).join(
+            left, right
+        )
+        assert result.partitions == 4
+        assert {partition_of(KEY(record), 4) for record in left.records} == {0}
+        spilled = sum(
+            size
+            for name, size in calls
+            if name.startswith(result.output.name) and name.endswith("-R2")
+        )
+        assert spilled == sum(
+            1 for record in right.records if partition_of(KEY(record), 4) > 1
+        )
 
 
 class TestSplitBlocks:

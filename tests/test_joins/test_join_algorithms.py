@@ -16,7 +16,7 @@ from repro.joins.common import (
     build_hash_table,
     joined_schema,
     partition_of,
-    probe_block,
+    probe_into,
 )
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
@@ -76,11 +76,9 @@ class TestHelpers:
         records = [WISCONSIN_SCHEMA.make_record(k) for k in [1, 2, 2, 3]]
         table = build_hash_table(records, WISCONSIN_SCHEMA.key)
         two, nine = WISCONSIN_SCHEMA.make_record(2), WISCONSIN_SCHEMA.make_record(9)
-        assert probe_block(table, [two], WISCONSIN_SCHEMA.key) == [
-            records[1] + two,
-            records[2] + two,
-        ]
-        assert probe_block(table, [nine], WISCONSIN_SCHEMA.key) == []
+        output = []
+        probe_into(output, table, [[two], [nine]], WISCONSIN_SCHEMA.key)
+        assert output == [records[1] + two, records[2] + two]
 
     def test_joined_schema(self):
         combined = joined_schema(WISCONSIN_SCHEMA, WISCONSIN_SCHEMA)
