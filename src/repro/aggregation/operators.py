@@ -210,10 +210,12 @@ class HashAggregation(_AggregationBase):
                 )
                 for index in range(self.SPILL_PARTITIONS)
             ]
-            spilled_records = partition_into(
-                _fold_blocks(source.scan_blocks(), fold_block, table, limit),
-                key_fn,
-                targets,
+            spilled_records = sum(
+                partition_into(
+                    _fold_blocks(source.scan_blocks(), fold_block, table, limit),
+                    key_fn,
+                    targets,
+                )
             )
             output.extend(finish(table))
             # Pushed last to first, so partition 0 is visited next.

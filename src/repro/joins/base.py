@@ -113,32 +113,39 @@ class JoinAlgorithm(Algorithm):
         prefix: str,
         stops: tuple[int | None, int | None] = (None, None),
         materialized: int | None = None,
-    ) -> list[list[PersistentCollection | None]]:
+    ) -> tuple[list, list, list[int]]:
         """Hash-partition both inputs onto persistent memory.
 
         Returns the left and the right partitions, scratch stores of the
         run, written from the first ``stops`` records of each input through
-        :func:`partition_into`.
+        :func:`partition_into`, and the left partitions' record counts.
         Only the first ``materialized`` partition indexes are written
         (segmented Grace join materializes only some); the others are
-        ``None`` and their records are skipped.
+        ``None`` and their records are skipped.  The left input goes first,
+        and a right partition whose left partition holds no record is
+        ``None`` too: none of its records can match.
         """
+        if materialized is None:
+            materialized = num_partitions
+        live = [index < materialized for index in range(num_partitions)]
         sides = []
         for source, key, side, stop in zip(
             (left, right), (self.left_key, self.right_key), "LR", stops
         ):
             partitions = [
                 self._scratch_collection(f"{prefix}-{side}-p{index}", source.schema)
-                if materialized is None or index < materialized
+                if live[index]
                 else None
                 for index in range(num_partitions)
             ]
-            partition_into(source.scan_blocks(stop=stop), key, partitions)
+            counts = partition_into(source.scan_blocks(stop=stop), key, partitions)
             for partition in partitions:
                 if partition is not None:
                     partition.seal()
-            sides.append(partitions)
-        return sides
+            sides.append((partitions, counts))
+            live = [alive and count > 0 for alive, count in zip(live, counts)]
+        (left_parts, occupancy), (right_parts, _) = sides
+        return left_parts, right_parts, occupancy
 
     def _nested_loops(
         self,

@@ -8,12 +8,15 @@ extractor and inlines the hash once, and emits exactly the records of the
 per-record loops it replaced, in their order.
 
 A key determines its partition, so a probe record of another partition
-cannot match a partition's table.  Two rules follow.  A probe side goes
+cannot match a partition's table.  Three rules follow.  A probe side goes
 through :func:`split_blocks` only when the split writes a spill; otherwise
-the table is probed with the unsplit scan.  And an empty table is not
-probed: :func:`probe_into` drains the stream instead, so it still charges
-what it would have read (a scan's batches, a deferred input's replay, a
-split's spill writes).
+the table is probed with the unsplit scan.  An empty table is not probed:
+:func:`probe_into` drains the stream instead, so it still charges what it
+would have read (a scan's batches, a deferred input's replay, a split's
+spill writes).  And a probe record whose build partition is empty is never
+written: the partitioned joins split the build side first, and
+:func:`partition_into`'s per-partition counts tell them which probe
+partitions to drop unwritten and never read.
 """
 
 from __future__ import annotations
@@ -51,46 +54,49 @@ def partition_into(
     blocks: Iterable[list[tuple]],
     key_fn: Callable[[tuple], int],
     targets: list,
-) -> int:
-    """Hash-partition a block stream into ``targets``; returns records read.
+) -> list[int]:
+    """Hash-partition a block stream into ``targets``; returns each
+    partition's record count.
 
     A record goes to ``targets[partition_of(key_fn(record), len(targets))]``
-    and is dropped when that entry is ``None``.  Every other target gets
-    its records in input order through ``extend``.  Records wait in a DRAM
-    bucket per target; every :data:`PARTITION_SWEEP_RECORDS` input records
-    each bucket holding at least :data:`PARTITION_FLUSH_RECORDS` is handed
-    over, and the rest are handed over at the end.  So no bucket ever holds
-    more than :data:`PARTITION_BUCKET_BOUND` records.
+    and is dropped when that entry is ``None``; the counts include the
+    dropped records.  Every other target gets its records in input order
+    through ``extend``.  Records wait in a DRAM bucket per target; every
+    :data:`PARTITION_SWEEP_RECORDS` input records each bucket holding at
+    least :data:`PARTITION_FLUSH_RECORDS` is handed over (a dropped
+    partition's bucket is emptied), and the rest are handed over at the
+    end.  So no bucket ever holds more than :data:`PARTITION_BUCKET_BOUND`
+    records.
     """
     num_partitions = len(targets)
     buckets: list[list[tuple]] = [[] for _ in targets]
-    dropped: list[tuple] = []
-    appends = [
-        dropped.append if target is None else bucket.append
-        for bucket, target in zip(buckets, targets)
-    ]
-    live = [index for index, target in enumerate(targets) if target is not None]
+    appends = [bucket.append for bucket in buckets]
+    counts = [0] * num_partitions
     records = chain.from_iterable(blocks)
-    scanned = 0
     while True:
         chunk = list(islice(records, PARTITION_SWEEP_RECORDS))
         if not chunk:
             break
-        scanned += len(chunk)
         for record in chunk:
             appends[
                 ((key_fn(record) * _HASH_MULTIPLIER) & _HASH_MASK) % num_partitions
             ](record)
-        dropped.clear()
-        for index in live:
-            if len(buckets[index]) >= PARTITION_FLUSH_RECORDS:
-                targets[index].extend(buckets[index])
+        for index, target in enumerate(targets):
+            bucket = buckets[index]
+            if target is None:
+                counts[index] += len(bucket)
+                bucket.clear()
+            elif len(bucket) >= PARTITION_FLUSH_RECORDS:
+                counts[index] += len(bucket)
+                target.extend(bucket)
                 buckets[index] = []
                 appends[index] = buckets[index].append
-    for index in live:
-        if buckets[index]:
-            targets[index].extend(buckets[index])
-    return scanned
+    for index, target in enumerate(targets):
+        bucket = buckets[index]
+        counts[index] += len(bucket)
+        if bucket and target is not None:
+            target.extend(bucket)
+    return counts
 
 
 def split_blocks(

@@ -5,7 +5,10 @@ is the per-cacheline read cost, ``lam`` the write/read asymmetry, and
 floor/ceiling functions are dropped.  Output materialization is excluded
 (the paper factors it out because it is identical across algorithms); an
 optional ``output_buffers`` argument adds it back when callers want
-absolute totals.
+absolute totals.  The Grace-family prices (GJ, SegJ, HybJ) write and read
+back every partitioned probe record; the joins skip the probe records of
+an empty build partition, so where build partitions are empty those
+prices are an upper bound.
 """
 
 from __future__ import annotations

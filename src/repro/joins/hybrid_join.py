@@ -87,7 +87,7 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
             num_partitions = self.num_partitions_for(left_boundary)
 
             # Phase 1: partition the Grace fractions of both inputs.
-            left_parts, right_parts = self._partition_inputs(
+            left_parts, right_parts, _ = self._partition_inputs(
                 left,
                 right,
                 num_partitions,
@@ -97,8 +97,11 @@ class HybridGraceNestedLoopsJoin(JoinAlgorithm):
 
             # Phase 2: partition-wise Grace join, piggybacking the scan of
             # the unpartitioned right remainder (Tx join V1-y) onto each
-            # in-memory left partition.
+            # in-memory left partition.  An empty left partition matches
+            # nothing, so neither scan is made for it.
             for left_part, right_part in zip(left_parts, right_parts):
+                if right_part is None:
+                    continue
                 table = build_hash_table(left_part.scan(), self.left_key)
                 probe_into(output, table, right_part.scan_blocks(), self.right_key)
                 remainder = right.scan_blocks(start=right_boundary)

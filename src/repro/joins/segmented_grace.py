@@ -58,21 +58,27 @@ class SegmentedGraceJoin(JoinAlgorithm):
         materialized = min(max(materialized, 0), num_partitions)
 
         # Phase 1: single scan of both inputs, materializing only the
-        # selected partitions; records of the other partitions are skipped.
-        left_parts, right_parts = self._partition_inputs(
+        # selected partitions; records of the other partitions, and of a
+        # partition without a build record, are skipped.
+        left_parts, right_parts, occupancy = self._partition_inputs(
             left, right, num_partitions, output.name, materialized=materialized
         )
 
         # Phase 2: Grace-style processing of the materialized partitions.
         for index in range(materialized):
+            if right_parts[index] is None:  # an empty build partition
+                continue
             table = build_hash_table(left_parts[index].scan(), self.left_key)
             probe_into(output, table, right_parts[index].scan_blocks(), self.right_key)
 
         # Phase 3: the remaining partitions are processed by re-scanning the
         # primary inputs and filtering the build side on the fly; the table
         # holds only partition ``index``, so the probe side needs no filter.
+        # A partition without a build record is not rescanned.
         rescans = 0
         for index in range(materialized, num_partitions):
+            if not occupancy[index]:
+                continue
             rescans += 1
             build = itertools.chain.from_iterable(
                 split_blocks(left.scan_blocks(), self.left_key, num_partitions, index)

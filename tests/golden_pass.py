@@ -7,7 +7,7 @@ every case's run, and ``test_storage/test_batched_io.py`` asserts on what
 they saw:
 
 * a scan observer records each materialized or deferred ``scan_blocks``
-  a case starts and whether it ran to exhaustion;
+  a case creates, iterated or not, and whether it ran to exhaustion;
 * a store observer records each store created while an algorithm run
   (``Algorithm._run``) or a query (``ShardedQueryExecutor.execute``) ran,
   and, when the case returns, lists those still on their backend other
@@ -42,6 +42,9 @@ class Observation:
     #: Labels of the stores a run or a query created that outlived the
     #: case, results' outputs excepted.
     leftover: list = field(default_factory=list)
+    #: Handles of every store a run or a query created, in creation order
+    #: (a dropped store's stats as of its drop).
+    created: list = field(default_factory=list)
 
     @property
     def value(self):
@@ -61,17 +64,23 @@ def observe(run, *args) -> Observation:
     create_store = PersistenceBackend.create_store
 
     def spy_scan(collection, start=0, stop=None):
+        # Not a generator itself: a scan is recorded when it is created,
+        # so one that is never iterated is seen too.
+        blocks = scan_blocks(collection, start, stop)
         if collection.is_memory:
-            yield from scan_blocks(collection, start, stop)
-            return
+            return blocks
         scan = {
             "collection": collection.name,
             "deferred": collection.is_deferred,
             "exhausted": False,
         }
         scans.append(scan)
-        yield from scan_blocks(collection, start, stop)
-        scan["exhausted"] = True
+
+        def follow():
+            yield from blocks
+            scan["exhausted"] = True
+
+        return follow()
 
     def spy_create(backend, label):
         store = create_store(backend, label)
@@ -111,7 +120,9 @@ def observe(run, *args) -> Observation:
         for backend, store in created
         if store not in kept and store in backend.stores()
     ]
-    return Observation(returned, error, scans, leftover)
+    return Observation(
+        returned, error, scans, leftover, [store for _, store in created]
+    )
 
 
 def cli_output(*args: str) -> str:

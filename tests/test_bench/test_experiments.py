@@ -246,5 +246,8 @@ class TestSensitivityAndValidation:
             ("sort", "all", 0.05, 0.6),
             ("sort", "write-limited", 0.05, pytest.approx(2 / 3)),
             ("join", "all", 0.05, 0.4),
-            ("join", "write-limited", 0.05, -1.0),
+            # SegJ-50's 25 partitions over 100 keys include empty ones,
+            # which it never rescans: it measures below HybJ-50-50, as
+            # priced.
+            ("join", "write-limited", 0.05, 1.0),
         ]

@@ -1,4 +1,4 @@
-"""Golden-file regression test for the ``query`` and sort ``figure`` CLI output.
+"""Golden-file regression test for the ``query`` and ``figure`` CLI output.
 
 Every canned query's full report -- plan rendering with estimated vs.
 actual I/O per node, the summary lines and the record preview -- is
@@ -45,6 +45,17 @@ CASES = {
     "figure_9": ["figure", "9"],
     # The sort sweep under each of the four persistence backends.
     "figure_6_records_2000": ["figure", "6", "--records", "2000"],
+    # The paper's join figures: the memory sweep (Figure 7), the same sweep
+    # on each persistence backend (Figure 8; at 400 x 4000 records rather
+    # than the default 600 x 6000, to keep it near one second) and the
+    # write-intensity sweep (Figure 10).
+    "figure_7_left_400_right_4000": [
+        "figure", "7", "--left", "400", "--right", "4000",
+    ],
+    "figure_8_left_400_right_4000": [
+        "figure", "8", "--left", "400", "--right", "4000",
+    ],
+    "figure_10": ["figure", "10"],
 }
 
 

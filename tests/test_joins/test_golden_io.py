@@ -13,7 +13,8 @@ position in attribute 1, so the digest also pins the order of equal keys.
 The joins also run over a skewed build side whose keys are all multiples of
 4 (the ``lowmem_join`` shape): ``partition_of`` keeps a key's factors of
 two, so most partitions of a partition count divisible by 4 hold no build
-record, and their probe records pass an empty hash table.
+record.  GJ, SegJ and HybJ then write none of those partitions' probe
+records; the other hash joins pass them an empty hash table.
 Regenerate with::
 
     REGENERATE_GOLDEN=1 python -m pytest tests/test_joins/test_golden_io.py
@@ -82,7 +83,10 @@ AGGREGATIONS = {
 #: scaled by :data:`SKEWED_BUILD_SCALE`.  At M=30 GJ and SegJ make 12
 #: partitions, 9 of them without a build record; HJ, LaJ and the runtime
 #: operator 10 (5 empty) and HybJ[x=y=0.5] 6 (3 empty).  At M=100 GJ and
-#: SegJ make 4 (3 empty).
+#: SegJ make 4 (3 empty).  For GJ, SegJ and HybJ these cases pin the skip:
+#: no right partition is written, read back or rescanned where the left
+#: partition is empty.  For HJ, LaJ and the runtime operator they pin
+#: ``probe_into``'s drain of an empty table.
 SKEWED_BUILD_SCALE = 4
 SKEWED_BUDGET_RECORDS = (30, 100)
 SKEWED_BACKENDS = ("blocked_memory", "pmfs")

@@ -95,8 +95,9 @@ class TestPartitionInto:
             None if index in skipped else RecordingTarget()
             for index in range(num_partitions)
         ]
-        scanned = partition_into(as_blocks(records, block_records), KEY, targets)
-        assert scanned == len(records)
+        counts = partition_into(as_blocks(records, block_records), KEY, targets)
+        # Every partition's records are counted, a skipped one's included.
+        assert counts == list(map(len, reference_partition(records, num_partitions, ())))
         expected = reference_partition(records, num_partitions, skipped)
         for index, target in enumerate(targets):
             if target is None:
@@ -119,7 +120,7 @@ class TestPartitionInto:
 
     def test_empty_input_hands_over_nothing(self):
         target = RecordingTarget()
-        assert partition_into([], KEY, [target]) == 0
+        assert partition_into([], KEY, [target, None]) == [0, 0]
         assert target.batches == []
 
 
