@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark targets.
 
-Every file in this directory regenerates one table or figure of the
-paper's evaluation section.  The actual experiment logic lives in
-:mod:`repro.bench.experiments`; the benchmark wrappers run each experiment
-exactly once under pytest-benchmark (the interesting output is the
-experiment's own data, not the wall-clock time of the Python simulator)
-and print the same rows/series the paper reports.
+``bench_figures.py`` regenerates the paper's figures and Table 1 from
+their declarations in :mod:`repro.bench.figures`; the other files run
+ablations, the planner against fixed algorithms, and the multi-query,
+sharded and deferred-pipeline workloads.  Each runs its experiment exactly
+once under pytest-benchmark (the interesting output is the experiment's
+own data, not the wall-clock time of the Python simulator) and prints the
+rows/series it measured.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The harness keeps the per-figure experiment definitions
 (:mod:`repro.bench.experiments`) separate from generic plumbing
 (:mod:`repro.bench.harness`) and from output formatting
-(:mod:`repro.bench.reporting`), so the same experiments can be driven from
-pytest-benchmark, from the examples, or interactively.
+(:mod:`repro.bench.reporting`).  :mod:`repro.bench.figures` declares each
+figure and table once -- its rows and its report -- for the CLI and
+``benchmarks/bench_figures.py`` alike.
 """
 
 from repro.bench.harness import (

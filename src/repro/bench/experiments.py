@@ -1,22 +1,23 @@
 """Per-figure experiment definitions.
 
 Every public function regenerates the data behind one table or figure of
-the paper's evaluation section, at a configurable (smaller) scale.  Each
+the paper's evaluation section, at the scale its caller passes.  Each
 returns a list of plain dictionaries -- one row per plotted point -- which
-``repro.bench.reporting`` turns into the ASCII tables printed by the
-``benchmarks/`` targets and recorded in ``EXPERIMENTS.md``.
+:mod:`repro.bench.figures` renders through :mod:`repro.bench.reporting`.
 
-Default sizes are deliberately modest so the full suite completes in
-minutes under CPython; the structure (memory expressed as a fraction of
-the input, a 1:10 join cardinality ratio with a fanout of 10) follows the
+The input sizes are the CLI's (``python -m repro figure --help``), far
+below the paper's; the structure (memory expressed as a fraction of the
+input, a 1:10 join cardinality ratio with a fanout of 10) follows the
 paper exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.analysis.concordance import concordance
 from repro.analysis.heatmap import FIGURE2_LAMBDAS, FIGURE2_SIZE_RATIOS, hybrid_cost_surface
-from repro.analysis.table1 import crossover_iteration, lazy_hash_progression
+from repro.analysis.table1 import lazy_hash_progression
 from repro.bench.harness import (
     budget_for,
     join_algorithm_suite,
@@ -47,17 +48,19 @@ from repro.workloads.generator import make_join_inputs, make_sort_input
 #: Memory sizes as fractions of the (left) input, mirroring the 1-15 % sweep.
 DEFAULT_MEMORY_FRACTIONS = (0.02, 0.05, 0.08, 0.11, 0.15)
 
-#: Default input sizes (records).  The paper uses 10M for sorting and
-#: 1M x 10M for joins; these defaults keep the same ratios at Python scale.
-DEFAULT_SORT_RECORDS = 4_000
-DEFAULT_JOIN_LEFT_RECORDS = 1_200
-DEFAULT_JOIN_RIGHT_RECORDS = 12_000
+#: The write intensities Figures 9 and 10 sweep, at this memory fraction
+#: (which Figure 11 uses too).
+SWEPT_INTENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+SWEEP_MEMORY_FRACTION = 0.08
+
+#: Figure 11's write latencies in ns (reads stay at 10 ns).
+WRITE_LATENCIES_NS = (50.0, 100.0, 150.0, 200.0)
 
 
 # --------------------------------------------------------------------- #
 # Figure 2 and Table 1 (analytical).
 # --------------------------------------------------------------------- #
-def hybrid_cost_surfaces(grid_points: int = 11) -> list[dict]:
+def hybrid_cost_surfaces(grid_points: int) -> list[dict]:
     """Figure 2: the nine Jh(x, y) heatmap panels, summarized per panel."""
     rows = []
     for lam in FIGURE2_LAMBDAS:
@@ -72,53 +75,31 @@ def hybrid_cost_surfaces(grid_points: int = 11) -> list[dict]:
                     "best_y": best_y,
                     "cost_at_origin": surface.value_at(0.0, 0.0),
                     "cost_at_grace": surface.value_at(1.0, 1.0),
-                    "cost_at_diagonal": surface.value_at(0.5, 0.5),
                     "surface": surface,
                 }
             )
     return rows
 
 
-def lazy_hash_table1(
-    num_partitions: int = 8,
-    left_per_iteration: float = 1_000.0,
-    right_per_iteration: float = 10_000.0,
-    lam: float = 15.0,
-) -> list[dict]:
-    """Table 1: the per-iteration standard-vs-lazy hash join progression."""
-    rows = lazy_hash_progression(
-        num_partitions, left_per_iteration, right_per_iteration, lam
-    )
-    crossover = crossover_iteration(rows)
-    return [
-        {
-            "iteration": row.iteration,
-            "standard_reads": row.standard_reads,
-            "standard_writes": row.standard_writes,
-            "lazy_reads": row.lazy_reads,
-            "lazy_writes": row.lazy_writes,
-            "savings": row.savings,
-            "penalty": row.penalty,
-            "net_benefit": row.net_benefit,
-            "crossover_iteration": crossover,
-        }
-        for row in rows
-    ]
+def lazy_hash_table1(num_partitions: int) -> list[dict]:
+    """Table 1: the per-iteration standard-vs-lazy hash join progression,
+    for 1,000 left and 10,000 right buffers per iteration at lambda = 15."""
+    rows = lazy_hash_progression(num_partitions, 1_000.0, 10_000.0, 15.0)
+    return [asdict(row) for row in rows]
 
 
 # --------------------------------------------------------------------- #
 # Figures 5 and 6: sorting.
 # --------------------------------------------------------------------- #
 def sort_memory_sweep(
-    num_records: int = DEFAULT_SORT_RECORDS,
+    num_records: int,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
-    intensities=(0.2, 0.8),
 ) -> list[dict]:
     """Figure 5: sort response time and I/O versus available memory."""
     env = make_environment(backend_name)
     collection = make_sort_input(num_records, env.backend)
-    suite = sort_algorithm_suite(intensities)
+    suite = sort_algorithm_suite()
     rows = []
     for fraction in memory_fractions:
         budget = budget_for(collection, fraction)
@@ -130,38 +111,31 @@ def sort_memory_sweep(
 
 
 def sort_backend_comparison(
-    num_records: int = DEFAULT_SORT_RECORDS,
-    memory_fractions=(0.05, 0.15),
-    backends=BACKEND_PAPER_ORDER,
-    intensities=(0.2, 0.8),
+    num_records: int, memory_fractions=(0.05, 0.15)
 ) -> list[dict]:
     """Figure 6: the same sort sweep under each persistence backend."""
     rows = []
-    for backend_name in backends:
+    for backend_name in BACKEND_PAPER_ORDER:
         rows.extend(
             sort_memory_sweep(
                 num_records=num_records,
                 memory_fractions=memory_fractions,
                 backend_name=backend_name,
-                intensities=intensities,
             )
         )
     return rows
 
 
 def sort_write_intensity(
-    num_records: int = DEFAULT_SORT_RECORDS,
-    intensities=(0.1, 0.3, 0.5, 0.7, 0.9),
-    memory_fraction: float = 0.08,
-    backends=BACKEND_PAPER_ORDER,
+    num_records: int, backends=BACKEND_PAPER_ORDER
 ) -> list[dict]:
     """Figure 9: impact of the write-intensity knob on SegS and HybS."""
     rows = []
     for backend_name in backends:
         env = make_environment(backend_name)
         collection = make_sort_input(num_records, env.backend)
-        budget = budget_for(collection, memory_fraction)
-        for intensity in intensities:
+        budget = budget_for(collection, SWEEP_MEMORY_FRACTION)
+        for intensity in SWEPT_INTENSITIES:
             label = f"{int(round(intensity * 100))}%"
             rows.append(
                 run_sort(
@@ -188,8 +162,8 @@ def sort_write_intensity(
 # Figures 7 and 8: joins.
 # --------------------------------------------------------------------- #
 def join_memory_sweep(
-    left_records: int = DEFAULT_JOIN_LEFT_RECORDS,
-    right_records: int = DEFAULT_JOIN_RIGHT_RECORDS,
+    left_records: int,
+    right_records: int,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
     hybrid_intensities=((0.2, 0.8), (0.5, 0.5), (0.8, 0.2)),
@@ -213,14 +187,11 @@ def join_memory_sweep(
 
 
 def join_backend_comparison(
-    left_records: int = DEFAULT_JOIN_LEFT_RECORDS,
-    right_records: int = DEFAULT_JOIN_RIGHT_RECORDS,
-    memory_fractions=(0.05, 0.15),
-    backends=BACKEND_PAPER_ORDER,
+    left_records: int, right_records: int, memory_fractions=(0.05, 0.15)
 ) -> list[dict]:
     """Figure 8: the Figure 7(a) line-up under each persistence backend."""
     rows = []
-    for backend_name in backends:
+    for backend_name in BACKEND_PAPER_ORDER:
         rows.extend(
             join_memory_sweep(
                 left_records=left_records,
@@ -235,19 +206,15 @@ def join_backend_comparison(
 
 
 def join_write_intensity(
-    left_records: int = DEFAULT_JOIN_LEFT_RECORDS,
-    right_records: int = DEFAULT_JOIN_RIGHT_RECORDS,
-    intensities=(0.1, 0.3, 0.5, 0.7, 0.9),
-    memory_fraction: float = 0.08,
-    backend_name: str = "blocked_memory",
-    fixed_intensities=(0.2, 0.5, 0.8),
+    left_records: int, right_records: int, backend_name: str = "blocked_memory"
 ) -> list[dict]:
-    """Figure 10: impact of write intensity on SegJ and HybJ."""
+    """Figure 10: impact of write intensity on SegJ and HybJ, the other
+    HybJ side held at 20, 50 or 80 %."""
     env = make_environment(backend_name)
     left, right = make_join_inputs(left_records, right_records, env.backend)
-    budget = budget_for(left, memory_fraction)
+    budget = budget_for(left, SWEEP_MEMORY_FRACTION)
     rows = []
-    for intensity in intensities:
+    for intensity in SWEPT_INTENSITIES:
         label = f"{int(round(intensity * 100))}%"
         rows.append(
             run_join(
@@ -259,7 +226,7 @@ def join_write_intensity(
                 label=f"SegJ, {label}",
             )
         )
-        for fixed in fixed_intensities:
+        for fixed in (0.2, 0.5, 0.8):
             fixed_label = f"{int(round(fixed * 100))}%"
             rows.append(
                 run_join(
@@ -285,7 +252,6 @@ def join_write_intensity(
                     label=f"HybJ, {fixed_label} - x",
                 )
             )
-        rows[-1]["swept_intensity"] = intensity
     return rows
 
 
@@ -293,19 +259,17 @@ def join_write_intensity(
 # Figure 11: write-latency sensitivity.
 # --------------------------------------------------------------------- #
 def latency_sensitivity(
-    write_latencies=(50.0, 100.0, 150.0, 200.0),
-    num_sort_records: int = DEFAULT_SORT_RECORDS,
-    join_left_records: int = DEFAULT_JOIN_LEFT_RECORDS,
-    join_right_records: int = DEFAULT_JOIN_RIGHT_RECORDS,
-    memory_fraction: float = 0.08,
+    num_sort_records: int,
+    join_left_records: int,
+    join_right_records: int,
     backend_name: str = "blocked_memory",
 ) -> list[dict]:
     """Figure 11: selected sort and join algorithms across write latencies."""
     rows = []
-    for write_ns in write_latencies:
+    for write_ns in WRITE_LATENCIES_NS:
         env = make_environment(backend_name, write_ns=write_ns)
         sort_input = make_sort_input(num_sort_records, env.backend)
-        sort_budget = budget_for(sort_input, memory_fraction)
+        sort_budget = budget_for(sort_input, SWEEP_MEMORY_FRACTION)
         sort_line_up = {
             "LaS": lambda b, m: LazySort(b, m),
             "HybS, 20%": lambda b, m: HybridSort(b, m, write_intensity=0.2),
@@ -322,7 +286,7 @@ def latency_sensitivity(
         left, right = make_join_inputs(
             join_left_records, join_right_records, env.backend
         )
-        join_budget = budget_for(left, memory_fraction)
+        join_budget = budget_for(left, SWEEP_MEMORY_FRACTION)
         join_line_up = {
             "HybJ, 50% - 20%": lambda b, m: HybridGraceNestedLoopsJoin(
                 b, m, left_intensity=0.5, right_intensity=0.2
@@ -346,9 +310,9 @@ def latency_sensitivity(
 # Figure 12: cost-model validation.
 # --------------------------------------------------------------------- #
 def cost_model_validation(
-    num_sort_records: int = DEFAULT_SORT_RECORDS,
-    join_left_records: int = DEFAULT_JOIN_LEFT_RECORDS,
-    join_right_records: int = DEFAULT_JOIN_RIGHT_RECORDS,
+    num_sort_records: int,
+    join_left_records: int,
+    join_right_records: int,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
 ) -> list[dict]:
@@ -454,7 +418,7 @@ DEFAULT_PLANNER_WRITE_LATENCIES = (20.0, 60.0, 150.0, 300.0, 600.0)
 
 
 def planner_vs_fixed_sort(
-    num_records: int = 2_000,
+    num_records: int,
     write_latencies=DEFAULT_PLANNER_WRITE_LATENCIES,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
@@ -494,8 +458,8 @@ def planner_vs_fixed_sort(
 
 
 def planner_vs_fixed_join(
-    left_records: int = 600,
-    right_records: int = 6_000,
+    left_records: int,
+    right_records: int,
     write_latencies=DEFAULT_PLANNER_WRITE_LATENCIES,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",

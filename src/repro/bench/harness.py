@@ -70,8 +70,9 @@ def budget_for(collection, fraction: float) -> MemoryBudget:
 # --------------------------------------------------------------------- #
 # Algorithm suites (the line-ups of the paper's figures).
 # --------------------------------------------------------------------- #
-def sort_algorithm_suite(intensities=(0.2, 0.8)):
-    """Figure 5 line-up: factories keyed by display label.
+def sort_algorithm_suite():
+    """Figure 5 line-up: factories keyed by display label, HybS and SegS
+    at write intensities of 20 and 80 %.
 
     Each factory takes ``(backend, budget)`` and returns a configured sort.
     """
@@ -79,7 +80,7 @@ def sort_algorithm_suite(intensities=(0.2, 0.8)):
         "ExMS": lambda backend, budget: ExternalMergeSort(backend, budget),
         "LaS": lambda backend, budget: LazySort(backend, budget),
     }
-    for intensity in intensities:
+    for intensity in (0.2, 0.8):
         label = f"{int(round(intensity * 100))}%"
         suite[f"HybS, {label}"] = (
             lambda backend, budget, i=intensity: HybridSort(

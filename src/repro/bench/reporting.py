@@ -1,9 +1,8 @@
 """Formatting of experiment results as ASCII tables and series.
 
-The benchmarks print the same rows/series the paper's figures plot; these
-helpers keep that formatting in one place so the output of every
-``benchmarks/`` target looks uniform and is easy to paste into
-``EXPERIMENTS.md``.
+The figures and tables (:mod:`repro.bench.figures`) print the rows and
+series the paper plots; these helpers keep that formatting in one place so
+every report looks uniform.
 """
 
 from __future__ import annotations

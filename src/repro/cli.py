@@ -10,9 +10,10 @@ Usage::
     python -m repro query join --shards 4
     python -m repro workload --policy queue --concurrency 3
 
-Every ``figure``/``table`` subcommand drives the same experiment
-definitions as the ``benchmarks/`` directory and prints the series/rows
-the corresponding figure plots.  The ``query`` subcommand runs canned
+Every ``figure``/``table`` subcommand prints the series/rows the
+corresponding figure plots, from its declaration in
+:mod:`repro.bench.figures`, which ``benchmarks/bench_figures.py`` runs
+too.  The ``query`` subcommand runs canned
 Wisconsin-workload queries through the cost-based planner and executor
 (:mod:`repro.query`) and prints the plan with estimated vs. actual I/O
 per node.  The ``workload`` subcommand submits a canned mix of
@@ -28,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import experiments, reporting
+from repro.bench.figures import FIGURES, TABLES
 from repro.exceptions import ConfigurationError
 from repro.query import Query
 from repro.session import Session
@@ -42,184 +43,6 @@ from repro.workloads.generator import (
     make_sharded_sort_input,
     make_sort_input,
 )
-
-#: Maps figure numbers to (description, runner) pairs.  Runners accept the
-#: parsed argparse namespace and return printable text.
-
-
-def _fractions(args) -> tuple:
-    return tuple(args.fractions)
-
-
-def _run_figure2(args) -> str:
-    rows = experiments.hybrid_cost_surfaces(grid_points=args.grid)
-    sections = [
-        reporting.format_table(
-            rows,
-            ["size_ratio", "lambda", "best_x", "best_y", "cost_at_grace", "cost_at_origin"],
-            title="Figure 2 - hybrid join cost surface summary",
-        )
-    ]
-    sections.extend(reporting.format_surface(row["surface"]) for row in rows)
-    return "\n\n".join(sections)
-
-
-def _run_figure5(args) -> str:
-    rows = experiments.sort_memory_sweep(
-        num_records=args.records,
-        memory_fractions=_fractions(args),
-        backend_name=args.backend,
-    )
-    summary = experiments.writes_reads_summary(rows)
-    return "\n\n".join(
-        [
-            reporting.format_series(
-                rows,
-                "memory_fraction",
-                "simulated_seconds",
-                title="Figure 5 - sort response time vs memory fraction",
-            ),
-            reporting.format_table(
-                summary,
-                [
-                    "algorithm",
-                    "min_writes",
-                    "reads_at_min_writes",
-                    "max_writes",
-                    "reads_at_max_writes",
-                ],
-                title="Figure 5 - min/max cacheline writes (reads)",
-            ),
-        ]
-    )
-
-
-def _run_figure6(args) -> str:
-    rows = experiments.sort_backend_comparison(
-        num_records=args.records, memory_fractions=_fractions(args)
-    )
-    return reporting.format_series(
-        rows,
-        "memory_fraction",
-        "simulated_seconds",
-        group_column="backend",
-        title="Figure 6 - sort response time per persistence backend",
-    )
-
-
-def _run_figure7(args) -> str:
-    rows = experiments.join_memory_sweep(
-        left_records=args.left,
-        right_records=args.right,
-        memory_fractions=_fractions(args),
-        backend_name=args.backend,
-    )
-    summary = experiments.writes_reads_summary(rows)
-    return "\n\n".join(
-        [
-            reporting.format_series(
-                rows,
-                "memory_fraction",
-                "simulated_seconds",
-                title="Figure 7 - join response time vs memory fraction",
-            ),
-            reporting.format_table(
-                summary,
-                [
-                    "algorithm",
-                    "min_writes",
-                    "reads_at_min_writes",
-                    "max_writes",
-                    "reads_at_max_writes",
-                ],
-                title="Figure 7 - min/max cacheline writes (reads)",
-            ),
-        ]
-    )
-
-
-def _run_figure8(args) -> str:
-    rows = experiments.join_backend_comparison(
-        left_records=args.left,
-        right_records=args.right,
-        memory_fractions=_fractions(args),
-    )
-    return reporting.format_series(
-        rows,
-        "memory_fraction",
-        "simulated_seconds",
-        group_column="backend",
-        title="Figure 8 - join response time per persistence backend",
-    )
-
-
-def _run_figure9(args) -> str:
-    rows = experiments.sort_write_intensity(
-        num_records=args.records, backends=(args.backend,)
-    )
-    return reporting.format_table(
-        rows,
-        ["algorithm", "backend", "simulated_seconds", "cacheline_writes", "cacheline_reads"],
-        title="Figure 9 - sort write-intensity sweep",
-    )
-
-
-def _run_figure10(args) -> str:
-    rows = experiments.join_write_intensity(
-        left_records=args.left, right_records=args.right, backend_name=args.backend
-    )
-    return reporting.format_table(
-        rows,
-        ["algorithm", "simulated_seconds", "cacheline_writes", "cacheline_reads"],
-        title="Figure 10 - join write-intensity sweep",
-    )
-
-
-def _run_figure11(args) -> str:
-    rows = experiments.latency_sensitivity(
-        num_sort_records=args.records,
-        join_left_records=args.left,
-        join_right_records=args.right,
-        backend_name=args.backend,
-    )
-    return reporting.format_series(
-        rows,
-        "write_latency_ns",
-        "simulated_seconds",
-        title="Figure 11 - response time vs write latency",
-    )
-
-
-def _run_figure12(args) -> str:
-    rows = experiments.cost_model_validation(
-        num_sort_records=args.records,
-        join_left_records=args.left,
-        join_right_records=args.right,
-        memory_fractions=_fractions(args),
-        backend_name=args.backend,
-    )
-    return reporting.format_table(
-        rows,
-        ["operation", "scope", "memory_fraction", "kendall_tau"],
-        title="Figure 12 - cost-model concordance (Kendall's tau)",
-    )
-
-
-def _run_table1(args) -> str:
-    rows = experiments.lazy_hash_table1(num_partitions=args.partitions)
-    return reporting.format_table(
-        rows,
-        [
-            "iteration",
-            "standard_reads",
-            "standard_writes",
-            "lazy_reads",
-            "lazy_writes",
-            "savings",
-            "penalty",
-        ],
-        title="Table 1 - standard vs lazy hash join progression",
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -433,23 +256,6 @@ def _run_workload(args) -> str:
     return "\n".join(lines)
 
 
-FIGURES = {
-    2: ("Hybrid Grace/nested-loops cost surface", _run_figure2),
-    5: ("Sort response time and I/O vs memory", _run_figure5),
-    6: ("Sorting under the four persistence backends", _run_figure6),
-    7: ("Join response time and I/O vs memory", _run_figure7),
-    8: ("Joins under the four persistence backends", _run_figure8),
-    9: ("Sort write-intensity sensitivity", _run_figure9),
-    10: ("Join write-intensity sensitivity", _run_figure10),
-    11: ("Write-latency sensitivity", _run_figure11),
-    12: ("Cost-model validation (Kendall's tau)", _run_figure12),
-}
-
-TABLES = {
-    1: ("Standard vs lazy hash join progression", _run_table1),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -599,10 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         lines = ["Reproducible experiments:"]
-        for number, (description, _) in sorted(FIGURES.items()):
-            lines.append(f"  figure {number:<2d} {description}")
-        for number, (description, _) in sorted(TABLES.items()):
-            lines.append(f"  table  {number:<2d} {description}")
+        for number, exhibit in sorted(FIGURES.items()):
+            lines.append(f"  figure {number:<2d} {exhibit.description}")
+        for number, exhibit in sorted(TABLES.items()):
+            lines.append(f"  table  {number:<2d} {exhibit.description}")
         lines.append("Planned queries (cost-based operator selection):")
         for name, (description, _) in sorted(QUERIES.items()):
             lines.append(f"  query  {name:<12s} {description}")
@@ -622,13 +428,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "workload":
         _emit(_run_workload(args), args.output)
         return 0
-    if args.command == "figure":
-        _, runner = FIGURES[args.number]
-        _emit(runner(args), args.output)
-        return 0
-    if args.command == "table":
-        _, runner = TABLES[args.number]
-        _emit(runner(args), args.output)
+    if args.command in ("figure", "table"):
+        exhibits = FIGURES if args.command == "figure" else TABLES
+        exhibit = exhibits[args.number]
+        _emit(exhibit.render(exhibit.rows(args)), args.output)
         return 0
     return 1  # pragma: no cover - argparse enforces the choices above
 

@@ -1,7 +1,5 @@
 """Tests for the per-figure experiment definitions (at reduced scale)."""
 
-import inspect
-
 import pytest
 
 from repro.bench import experiments
@@ -28,17 +26,19 @@ class TestAnalyticalExperiments:
 class TestSortExperiments:
     def test_memory_sweep_structure(self):
         rows = experiments.sort_memory_sweep(
-            num_records=500, memory_fractions=(0.05, 0.15), intensities=(0.5,)
+            num_records=500, memory_fractions=(0.05, 0.15)
         )
         algorithms = {row["algorithm"] for row in rows}
-        assert algorithms == {"ExMS", "LaS", "HybS, 50%", "SegS, 50%"}
+        assert algorithms == {
+            "ExMS", "LaS", "HybS, 20%", "HybS, 80%", "SegS, 20%", "SegS, 80%",
+        }
         assert len(rows) == 2 * len(algorithms)
         assert all(row["sorted"] for row in rows)
 
     def test_memory_sweep_trends(self):
         """More memory never makes the write-limited sorts slower."""
         rows = experiments.sort_memory_sweep(
-            num_records=600, memory_fractions=(0.03, 0.15), intensities=(0.5,)
+            num_records=600, memory_fractions=(0.03, 0.15)
         )
         by_algorithm = {}
         for row in rows:
@@ -49,7 +49,7 @@ class TestSortExperiments:
 
     def test_backend_comparison_covers_all_backends(self):
         rows = experiments.sort_backend_comparison(
-            num_records=300, memory_fractions=(0.1,), intensities=(0.5,)
+            num_records=300, memory_fractions=(0.1,)
         )
         assert {row["backend"] for row in rows} == {
             "blocked_memory",
@@ -60,7 +60,7 @@ class TestSortExperiments:
 
     def test_backend_comparison_blocked_memory_is_fastest(self):
         rows = experiments.sort_backend_comparison(
-            num_records=300, memory_fractions=(0.1,), intensities=(0.5,)
+            num_records=300, memory_fractions=(0.1,)
         )
         exms = [row for row in rows if row["algorithm"] == "ExMS"]
         fastest = min(exms, key=lambda r: r["simulated_seconds"])
@@ -68,17 +68,18 @@ class TestSortExperiments:
 
     def test_write_intensity_sweep(self):
         rows = experiments.sort_write_intensity(
-            num_records=400,
-            intensities=(0.2, 0.8),
-            memory_fraction=0.1,
-            backends=("blocked_memory",),
+            num_records=400, backends=("blocked_memory",)
         )
         labels = {row["algorithm"] for row in rows}
-        assert labels == {"SegS, 20%", "SegS, 80%", "HybS, 20%", "HybS, 80%"}
+        assert labels == {
+            f"{name}, {percent}%"
+            for name in ("SegS", "HybS")
+            for percent in (10, 30, 50, 70, 90)
+        }
 
     def test_writes_reads_summary(self):
         rows = experiments.sort_memory_sweep(
-            num_records=400, memory_fractions=(0.05, 0.15), intensities=(0.5,)
+            num_records=400, memory_fractions=(0.05, 0.15)
         )
         summary = experiments.writes_reads_summary(rows)
         assert {entry["algorithm"] for entry in summary} == {
@@ -123,41 +124,32 @@ class TestJoinExperiments:
             assert writes[label] < writes["GJ"]
 
     def test_write_intensity_sweep(self):
-        rows = experiments.join_write_intensity(
-            left_records=120,
-            right_records=1200,
-            intensities=(0.2, 0.8),
-            fixed_intensities=(0.5,),
-            memory_fraction=0.1,
-        )
+        rows = experiments.join_write_intensity(left_records=120, right_records=1200)
         labels = {row["algorithm"] for row in rows}
-        assert "SegJ, 20%" in labels and "SegJ, 80%" in labels
+        assert "SegJ, 10%" in labels and "SegJ, 90%" in labels
         assert "HybJ, x - 50%" in labels and "HybJ, 50% - x" in labels
 
 
 class TestSensitivityAndValidation:
     def test_latency_sensitivity_sweeps_the_papers_write_latencies(self):
         """Figure 11 sweeps writes over 50-200 ns on the default 10 ns reads."""
-        defaults = inspect.signature(experiments.latency_sensitivity).parameters
-        assert defaults["write_latencies"].default == (50.0, 100.0, 150.0, 200.0)
+        assert experiments.WRITE_LATENCIES_NS == (50.0, 100.0, 150.0, 200.0)
         # Each sweep point's device, as latency_sensitivity builds it.
         device = make_environment(write_ns=50.0).device
         assert device.latency == LatencyModel(read_ns=10.0, write_ns=50.0)
 
     def test_latency_sensitivity_rows(self):
         rows = experiments.latency_sensitivity(
-            write_latencies=(50.0, 200.0),
             num_sort_records=300,
             join_left_records=100,
             join_right_records=1000,
         )
-        assert {row["write_latency_ns"] for row in rows} == {50.0, 200.0}
+        assert {row["write_latency_ns"] for row in rows} == {50.0, 100.0, 150.0, 200.0}
         assert {row["operation"] for row in rows} == {"sort", "join"}
 
     def test_write_limited_resilience_to_write_latency(self):
         """Figure 11: higher write latency barely moves the lazy algorithms."""
         rows = experiments.latency_sensitivity(
-            write_latencies=(50.0, 200.0),
             num_sort_records=300,
             join_left_records=100,
             join_right_records=1000,

@@ -46,7 +46,7 @@ class TestEnvironment:
 
 class TestSuites:
     def test_sort_suite_labels(self):
-        suite = sort_algorithm_suite(intensities=(0.2, 0.8))
+        suite = sort_algorithm_suite()
         assert set(suite) == {
             "ExMS",
             "LaS",

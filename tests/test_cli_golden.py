@@ -1,4 +1,4 @@
-"""Golden-file regression test for the ``query`` and ``figure`` CLI output.
+"""Golden-file regression test for the ``query``, ``figure`` and ``table`` CLI output.
 
 Every canned query's full report -- plan rendering with estimated vs.
 actual I/O per node, the summary lines and the record preview -- is
@@ -56,6 +56,20 @@ CASES = {
         "figure", "8", "--left", "400", "--right", "4000",
     ],
     "figure_10": ["figure", "10"],
+    # The analytical figure and table: the Figure 2 cost surfaces and the
+    # Table 1 lazy hash join progression.
+    "figure_2": ["figure", "2"],
+    "table_1": ["table", "1"],
+    # Figures 11 and 12 on a non-default backend, so a run that stops
+    # receiving --backend changes the output.
+    "figure_11_dynamic_array": [
+        "figure", "11", "--records", "300", "--left", "100", "--right", "1000",
+        "--backend", "dynamic_array",
+    ],
+    "figure_12_dynamic_array": [
+        "figure", "12", "--records", "300", "--left", "100", "--right", "1000",
+        "--fractions", "0.05", "0.15", "--backend", "dynamic_array",
+    ],
 }
 
 
