@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small, fast grid (used by CI to exercise the concurrent path)",
+        help="small, fast grid (used by CI to exercise the sharded path)",
     )
     args = parser.parse_args(argv)
     if args.smoke:

@@ -40,7 +40,7 @@ The package is organized as follows:
     device is a one-shard set), the planner that decomposes every query
     into per-shard fragments with priced repartition exchanges
     (partition-wise joins, shard-local aggregation), and the executor
-    running one worker per device under parent/child bufferpool shares,
+    running every shard's tasks under parent/child bufferpool shares,
     reporting per-shard estimated vs. actual I/O and the critical-path
     (max-over-shards) cost.
 
@@ -57,8 +57,8 @@ The package is organized as follows:
     Multi-query workload management: admission control carving each
     admitted query a child bufferpool share sized from the planner's
     memory estimate (queue / shed / degrade policies on exhaustion), a
-    scheduler co-scheduling fragments from different queries on one
-    serial worker per simulated device, query handles, workload reports
+    scheduler running every admitted query whole on the session's one
+    serial worker thread, query handles, workload reports
     and the cost-model calibration aggregator.
 
 ``repro.workloads``

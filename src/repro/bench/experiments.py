@@ -411,15 +411,9 @@ def cost_model_validation(
 # Planner validation: cost-based choice vs. the measured-best fixed
 # algorithm across the Figure 9/10 write-intensity grid.
 # --------------------------------------------------------------------- #
-
-#: Device write latencies spanning the paper's asymmetry range; with 10 ns
-#: reads these give lambda in {2, 6, 15, 30, 60}.
-DEFAULT_PLANNER_WRITE_LATENCIES = (20.0, 60.0, 150.0, 300.0, 600.0)
-
-
 def planner_vs_fixed_sort(
     num_records: int,
-    write_latencies=DEFAULT_PLANNER_WRITE_LATENCIES,
+    write_latencies,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
 ) -> list[dict]:
@@ -460,7 +454,7 @@ def planner_vs_fixed_sort(
 def planner_vs_fixed_join(
     left_records: int,
     right_records: int,
-    write_latencies=DEFAULT_PLANNER_WRITE_LATENCIES,
+    write_latencies,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
 ) -> list[dict]:

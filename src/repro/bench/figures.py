@@ -25,6 +25,8 @@ class Exhibit:
     rows: Callable[..., list]
     #: Those rows -> the printed report.
     render: Callable[[list], str]
+    #: The rows sweep all four backends, so ``--backend`` does not apply.
+    sweeps_backends: bool = False
 
 
 def _table(columns, title):
@@ -108,6 +110,7 @@ FIGURES = {
             num_records=args.records, memory_fractions=args.fractions
         ),
         _per_backend(6, "sorting"),
+        sweeps_backends=True,
     ),
     7: Exhibit(
         "Join response time and I/O vs memory",
@@ -127,6 +130,7 @@ FIGURES = {
             memory_fractions=args.fractions,
         ),
         _per_backend(8, "joins"),
+        sweeps_backends=True,
     ),
     9: Exhibit(
         "Sort write-intensity sensitivity",

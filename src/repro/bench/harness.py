@@ -95,10 +95,7 @@ def sort_algorithm_suite():
     return suite
 
 
-def join_algorithm_suite(
-    hybrid_intensities=((0.5, 0.5),),
-    segmented_intensities=(0.5,),
-):
+def join_algorithm_suite(hybrid_intensities, segmented_intensities):
     """Figure 7(a) line-up: factories keyed by display label."""
     suite = {
         "NLJ": lambda backend, budget: NestedLoopsJoin(backend, budget),

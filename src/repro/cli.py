@@ -364,6 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _GivenBackend(argparse.Action):
+    """Stores ``--backend`` and notes that the command line gave it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.backend_given = True
+
+
 def _add_workload_options(subparser) -> None:
     subparser.add_argument(
         "--records", type=int, default=2_000, help="sort input size in records"
@@ -385,7 +393,9 @@ def _add_workload_options(subparser) -> None:
         "--backend",
         choices=("blocked_memory", "pmfs", "ramdisk", "dynamic_array"),
         default="blocked_memory",
+        action=_GivenBackend,
     )
+    subparser.set_defaults(backend_given=False)
     subparser.add_argument("--grid", type=int, default=21, help="Figure 2 grid size")
     subparser.add_argument(
         "--output", type=str, default=None, help="write the report to a file"
@@ -402,7 +412,8 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         lines = ["Reproducible experiments:"]
         for number, exhibit in sorted(FIGURES.items()):
@@ -431,6 +442,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("figure", "table"):
         exhibits = FIGURES if args.command == "figure" else TABLES
         exhibit = exhibits[args.number]
+        if exhibit.sweeps_backends and args.backend_given:
+            parser.error(
+                f"figure {args.number} sweeps all four backends; "
+                "--backend does not apply to it"
+            )
         _emit(exhibit.render(exhibit.rows(args)), args.output)
         return 0
     return 1  # pragma: no cover - argparse enforces the choices above

@@ -96,8 +96,9 @@ class PersistentMemoryDevice:
         self.geometry = geometry or DeviceGeometry()
         self._counters = IOCounters()
         self._allocated_bytes = 0
-        # A query's coordinator drops its stores while the device's worker
-        # may be allocating for another query: the one cross-thread write.
+        # A client thread may create or drop collections on the device
+        # while the session's worker allocates for a query: the one
+        # cross-thread write.
         self._allocation_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

@@ -34,9 +34,9 @@ admitted), ``shed`` (reject with
 take the same path: ``run_workload`` builds and validates every handle,
 then the scheduler plans the whole batch, admits each member and starts
 the admitted ones, so a member is never admitted and left waiting to
-start.  Execution is co-scheduled on one serial worker per simulated
-device, preserving per-device serialization *across* queries, not just
-within one.
+start.  Every admitted query runs whole on the session's one serial
+worker thread, in start order, so no two threads ever touch a device at
+once.
 
 :meth:`Session.query` remains as sugar over ``submit(...).result()``:
 it requests the whole session budget (the single-query behavior of

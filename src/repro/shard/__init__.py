@@ -15,11 +15,11 @@ the one-shard case):
   shard-local aggregation when the partitioning keys line up, priced
   repartition exchanges otherwise), each fragment planned by the
   Section 2 cost models under a ``1/N`` share of the DRAM budget;
-* :class:`~repro.shard.executor.ShardedQueryExecutor` -- runs fragments
-  concurrently (one worker per device) under parent/child bufferpool
-  accounting and returns a :class:`~repro.shard.executor.QueryResult`
-  with per-shard estimated vs. actual I/O plus the critical-path
-  (max-over-shards) cost.
+* :class:`~repro.shard.executor.ShardedQueryExecutor` -- runs each
+  step's fragments one after another on the calling thread under
+  parent/child bufferpool accounting and returns a
+  :class:`~repro.shard.executor.QueryResult` with per-shard estimated
+  vs. actual I/O plus the critical-path (max-over-shards) cost.
 """
 
 from repro.shard.collection import ShardedCollection, ShardSet

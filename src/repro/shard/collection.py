@@ -3,9 +3,10 @@
 A :class:`ShardSet` is the hardware side of sharded execution: N
 independent :class:`~repro.pmem.device.PersistentMemoryDevice` instances
 (each with its own latency model, geometry and counters), each
-wrapped in its own persistence backend.  Plan fragments run one thread
-per shard, and because every fragment only ever touches its own shard's
-device, the per-device counters need no synchronization.
+wrapped in its own persistence backend.  Every fragment only ever
+touches its own shard's device, so its I/O is that device's snapshot
+delta; the session runs queries on one thread, so the per-device
+counters need no synchronization.
 
 A :class:`ShardedCollection` hash-partitions one logical
 collection across the shard set: shard ``i`` of the collection is a plain

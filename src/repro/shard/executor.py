@@ -20,26 +20,18 @@ executor walks the plan's steps in order:
   :class:`~repro.exceptions.CollectionStateError`.  A fragment's pipelined
   output is routed block by block as it is scanned.
 
-Where tasks run follows from the plan.  A plan that touches one device
-runs its tasks inline on the calling thread; under the workload
-scheduler that thread is the device's own serial worker, which it never
-waits on, so it cannot deadlock.  A plan that touches several devices
-submits each shard's task to that device's worker in a
-:class:`~repro.workload_mgmt.workers.DeviceWorkerPool`: all work
-touching device ``i`` is serialized on worker ``i``, so the per-device
-counters are single-threaded *even when the pool is shared with other
-concurrently running queries* (the workload scheduler passes one pool to
-every executor).  For the same reason every task measures its own I/O
-with a device snapshot delta taken where it runs -- a task-local
-measurement is exact under co-scheduling, where a coordinator-side
-snapshot around a step would absorb interleaved work from other queries.
+Each step runs its shard tasks one after another, in shard order, on the
+calling thread -- under the workload scheduler, the session's one serial
+worker, so no other query touches a device meanwhile.  Every task still
+measures its own I/O with a device snapshot delta, and the plan's
+critical path prices the shards of a step as running concurrently on
+their own devices, as the planner priced them.
 
 A query owns every store it creates: its fragments' sinks, its runtime
 contexts' materializations and its exchange destinations are adopted by
 one :class:`~repro.storage.collection.StoreOwner` and dropped when the
 query ends, on success or failure; only a result the plan materialized
-on the device stays.  The drops run on the coordinator, which is why the
-device guards its allocation counter.
+on the device stays.
 
 The bufferpool handed to the executor is treated as externally owned
 (typically a per-query share carved by the admission controller): the
@@ -60,7 +52,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.metrics import IOSnapshot, critical_path_ns, sum_snapshots
@@ -74,9 +65,6 @@ from repro.storage.collection import (
     StoreOwner,
 )
 from repro.storage.runs import merge_streams
-
-if TYPE_CHECKING:
-    from repro.workload_mgmt.workers import DeviceWorkerPool
 
 
 @dataclass
@@ -149,42 +137,24 @@ class ShardedQueryExecutor:
             a plan may also be placed on a one-shard subset of it.
         bufferpool: externally-owned pool (e.g. the query's admitted
             share) the per-shard child shares are carved from.  Shares
-            are reserved up front, so concurrent fragments can never
-            jointly exceed it, and the executor never closes the pool
-            itself.
-        worker_pool: the shared :class:`DeviceWorkerPool`, one worker per
-            device of ``shard_set``, that co-schedules a multi-shard
-            plan's tasks with other queries (the workload scheduler's
-            own).  One-shard plans run inline and never use it.
+            are reserved up front, so the fragments of a step, priced as
+            concurrent, can never jointly exceed it, and the executor
+            never closes the pool itself.
     """
 
-    def __init__(
-        self,
-        shard_set: ShardSet,
-        bufferpool: Bufferpool,
-        worker_pool: DeviceWorkerPool,
-    ) -> None:
+    def __init__(self, shard_set: ShardSet, bufferpool: Bufferpool) -> None:
         self.shard_set = shard_set
         self.bufferpool = bufferpool
-        self.worker_pool = worker_pool
 
     def execute(self, plan: ShardedPhysicalPlan) -> QueryResult:
         """Run a planned query."""
-        workers = self.shard_set.positions_of(plan.shard_set)
-        inline = len(workers) == 1
-
-        def run_tasks(fn) -> list:
-            """``fn(shard)`` for every shard of the plan: inline on one
-            shard, else on each shard's device worker."""
-            if inline:
-                return [fn(0)]
-            return self.worker_pool.map_shards(fn, workers)
-
+        # Rejects a plan placed on devices outside this executor's set.
+        self.shard_set.positions_of(plan.shard_set)
         shares: list[Bufferpool] = []
         stores = StoreOwner()
         result = None
         try:
-            if not inline:
+            if plan.num_shards > 1:
                 for index in range(plan.num_shards):
                     shares.append(
                         self.bufferpool.share(
@@ -192,7 +162,7 @@ class ShardedQueryExecutor:
                         )
                     )
             # One shard has nothing to split: its fragment runs under the pool.
-            result = self._run(plan, shares or [self.bufferpool], run_tasks, stores)
+            result = self._run(plan, shares or [self.bufferpool], stores)
             return result
         finally:
             # The query's stores go when it ends; only its result stays.
@@ -203,7 +173,7 @@ class ShardedQueryExecutor:
     # ------------------------------------------------------------------ #
     # Step execution.
     # ------------------------------------------------------------------ #
-    def _run(self, plan, shares, run_tasks, stores: StoreOwner) -> QueryResult:
+    def _run(self, plan, shares, stores: StoreOwner) -> QueryResult:
         num_shards = plan.num_shards
         fragment_outputs: dict[int, list[PersistentCollection]] = {}
         fragment_results: dict[int, list[FragmentResult]] = {}
@@ -213,12 +183,13 @@ class ShardedQueryExecutor:
         critical_cachelines = 0.0
         for step in plan.steps:
             if isinstance(step, FragmentStep):
-                results = self._run_fragments(step, plan, shares, run_tasks, stores)
+                results = [
+                    QueryExecutor(share, stores).execute(fragment)
+                    for share, fragment in zip(shares, step.fragments)
+                ]
                 fragment_outputs[step.index] = [r.output for r in results]
                 fragment_results[step.index] = results
-                # A fragment's io is the device delta taken around its run
-                # *on its own device's serial worker*: exact even when
-                # other queries interleave on the devices.
+                # A fragment's io is the device delta taken around its run.
                 deltas = [result.io for result in results]
                 critical_ns += critical_path_ns(deltas)
                 critical_cachelines += max(
@@ -226,7 +197,7 @@ class ShardedQueryExecutor:
                 )
             elif isinstance(step, ExchangeStep):
                 moved, deltas, phase_ns, phase_cachelines = self._run_exchange(
-                    step, fragment_outputs, plan.shard_set.devices, run_tasks, stores
+                    step, fragment_outputs, plan.shard_set.devices, stores
                 )
                 exchange_records[step.index] = moved
                 critical_ns += phase_ns
@@ -251,18 +222,8 @@ class ShardedQueryExecutor:
             exchange_records=exchange_records,
         )
 
-    def _run_fragments(
-        self, step: FragmentStep, plan, shares, run_tasks, stores
-    ) -> list[FragmentResult]:
-        def run_fragment(index: int) -> FragmentResult:
-            return QueryExecutor(shares[index], stores).execute(
-                step.fragments[index]
-            )
-
-        return run_tasks(run_fragment)
-
     def _run_exchange(
-        self, step: ExchangeStep, fragment_outputs, devices, run_tasks, stores
+        self, step: ExchangeStep, fragment_outputs, devices, stores
     ) -> tuple[int, list[IOSnapshot], float, float]:
         """Run the two exchange phases; returns (records moved, per-shard
         deltas, critical ns, critical cachelines).
@@ -272,7 +233,7 @@ class ShardedQueryExecutor:
         slowest read *plus* the slowest write, matching
         :attr:`ExchangeStep.est_critical_ns`, not the maximum of one
         device's combined delta.  Each phase task measures its own device
-        delta on the device's serial worker.
+        delta.
         """
         if step.sources is not None:
             sources = step.sources
@@ -281,7 +242,7 @@ class ShardedQueryExecutor:
         num_shards = len(step.dests)
         split = step.partitioner.split
 
-        # Phase 1 (parallel per source shard): scan and bucket.  Reads are
+        # Phase 1 (per source shard): scan and bucket.  Reads are
         # charged on the source device iff the source is materialized.  A
         # materialized source was routed by the planner: its scan only
         # pays for the read, and the planned buckets go to the writers.
@@ -304,11 +265,11 @@ class ShardedQueryExecutor:
                     bucket.extend(part)
             return buckets, device.snapshot() - before
 
-        read_results = run_tasks(read_and_bucket)
+        read_results = [read_and_bucket(index) for index in range(len(sources))]
         all_buckets = [buckets for buckets, _ in read_results]
         read_deltas = [delta for _, delta in read_results]
 
-        # Phase 2 (parallel per destination shard): bulk-append the
+        # Phase 2 (per destination shard): bulk-append the
         # destination's share from every source, charging its own device.
         def write_destination(dest_index: int):
             device = devices[dest_index]
@@ -326,7 +287,7 @@ class ShardedQueryExecutor:
             dest.seal()
             return moved, device.snapshot() - before
 
-        write_results = run_tasks(write_destination)
+        write_results = [write_destination(index) for index in range(num_shards)]
         moved = sum(count for count, _ in write_results)
         write_deltas = [delta for _, delta in write_results]
         deltas = [read + write for read, write in zip(read_deltas, write_deltas)]

@@ -23,11 +23,13 @@ shard-local; a ``Join`` is partition-wise when both inputs are
 partitioned on their join keys by route-compatible partitioners and
 otherwise repartitions the non-conforming side(s); a ``GroupBy`` is
 shard-local when its input is partitioned on the group attribute and
-otherwise repartitions on it.  A root ``OrderBy`` is merged order-wise at
-the coordinator; every other root is concatenated.
+otherwise repartitions on it.  A root ``OrderBy``'s shard outputs are merged
+order-wise; every other root's are concatenated.
 
-Because fragments run concurrently (one worker per simulated device),
-the plan's *critical path* -- the sum over steps of the slowest shard in
+Because the shards are independent simulated devices, a step's fragments
+are priced as running concurrently (the executor runs them one after
+another on one thread, each measuring its own device), so the plan's
+*critical path* -- the sum over steps of the slowest shard in
 each step -- is the sharded analogue of a single-device plan's total
 cost, and it is what ``explain()`` reports next to the summed per-shard
 estimates and actuals.
@@ -66,7 +68,7 @@ from repro.storage.schema import Schema
 
 @dataclass
 class FragmentStep:
-    """One plan fragment per shard, executed concurrently."""
+    """One plan fragment per shard, priced as running concurrently."""
 
     index: int
     #: One single-device physical plan per shard, in shard order.
@@ -296,8 +298,8 @@ class ShardedPlanner:
         budget: the DRAM budget *this query* runs under -- under workload
             admission control this is the query's admitted
             :class:`~repro.storage.bufferpool.Bufferpool` share, not the
-            whole session budget.  Fragments run concurrently, so each
-            shard is planned (and later executed) under an even ``1/N``
+            whole session budget.  Fragments are priced as concurrent,
+            so each shard is planned (and later executed) under an even ``1/N``
             slice of it; the slices are enforced at execution time
             through parent/child bufferpool accounting against the
             admitted share.
@@ -386,7 +388,7 @@ class ShardedPlanner:
         Shard-local outputs stay sorted through the order-preserving
         unary operators (Filter, Project) above an OrderBy -- exactly the
         chain a single-device streaming execution would keep ordered --
-        so the coordinator can reproduce the global order with a keyed
+        so the executor can reproduce the global order with a keyed
         merge.  A Project that drops the sort attribute, or any other
         operator, loses the order and the shards concatenate.
         """

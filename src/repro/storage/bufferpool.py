@@ -106,8 +106,8 @@ class Bufferpool:
     that a mis-sized algorithm fails loudly instead of silently using more
     DRAM than the experiment intended.
 
-    Pools are thread-safe (sharded plan fragments reserve and release
-    concurrently) and can be carved into child *shares* via
+    Pools are thread-safe (a client thread carves admitted shares while
+    the session's worker reserves and releases) and can be carved into child *shares* via
     :meth:`share`: a child pool's full budget is reserved in its parent up
     front, so concurrent consumers of sibling shares can never jointly
     exceed the parent budget -- over-partitioning fails at ``share()``

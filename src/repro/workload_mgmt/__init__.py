@@ -10,10 +10,9 @@ The subsystem behind ``Session.submit()`` / ``Session.run_workload()``:
   exhausted;
 * :mod:`repro.workload_mgmt.scheduler` — the :class:`WorkloadScheduler`
   takes every submission one way (plan the batch, admit each member,
-  start the admitted ones) and co-schedules the per-device work of
-  *different* queries on one serial worker per simulated device
-  (:class:`DeviceWorkerPool`), preserving the per-device serialization
-  the I/O accounting depends on;
+  start the admitted ones) and runs every started query whole on the
+  session's one serial worker (:class:`DeviceWorkerPool`), so no two
+  threads touch a device at once, which the I/O accounting depends on;
 * :mod:`repro.workload_mgmt.handle` — the :class:`QueryHandle`
   lifecycle (``status`` / ``result()`` / ``cancel()``): QUEUED →
   RUNNING → DONE/FAILED, or QUEUED → CANCELLED/REJECTED;

@@ -93,8 +93,8 @@ def _fragment_demand_bytes(fragment) -> int:
 def estimate_plan_memory_bytes(plan) -> int:
     """The planner's DRAM estimate for one planned query, in bytes.
 
-    The fragments of one step run concurrently (one per device), so the
-    estimate is ``num_shards`` times the peak fragment demand across steps
+    The fragments of one step are priced as concurrent (one per device)
+    and each holds its own share, so the estimate is ``num_shards`` times the peak fragment demand across steps
     — the amount the executor splits into per-shard child shares; on a
     single device it is the one fragment's peak per-node demand.  Exchange
     record buckets are staged in unaccounted DRAM (as in single-query

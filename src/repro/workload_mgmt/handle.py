@@ -79,8 +79,6 @@ class QueryHandle:
         self._share = None
         self._plan = None
         self._reference_plan = None
-        #: Worker (device) indices the plan runs on, in shard order.
-        self._workers: list[int] = []
         self._boundary_policy: Optional[str] = None
         self._materialize_result = False
         self._memory_bytes: Optional[int] = None

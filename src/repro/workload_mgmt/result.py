@@ -11,10 +11,10 @@ from repro.workload_mgmt.handle import QueryHandle, QueryStatus
 class WorkloadResult:
     """Outcome of one ``Session.run_workload`` call.
 
-    ``critical_path_ns`` is the workload's simulated makespan: devices
-    execute concurrently but each device's work is serialized (across
-    queries) on its worker, so the makespan is the busiest device's
-    simulated time over the workload window.  ``serial_sum_ns`` — the sum
+    ``critical_path_ns`` is the workload's simulated makespan: the
+    simulated devices work in parallel while the queries run one after
+    another on the session's worker, so the makespan is the busiest
+    device's simulated time over the workload window.  ``serial_sum_ns`` — the sum
     of every completed query's own run time — is what running the same
     queries back-to-back would cost; the gap between the two is the
     co-scheduling overlap.

@@ -2,25 +2,15 @@
 
 The scheduler turns the admission controller's decisions into running
 queries while preserving the one invariant the simulated accounting
-depends on: *per-device serialization across queries*.  All work that
-touches device ``i`` is funneled through device ``i``'s serial worker in
-the shared :class:`DeviceWorkerPool`, so fragments from different
-queries are co-scheduled on one worker-per-device pool exactly as
-fragments of a single query are.
-
-Every admitted query runs the same way: a coordinator calls the
+depends on: *at most one thread touches a device at a time*.  Every
+admitted query runs whole, as one task, on the session's one serial
+worker (:class:`DeviceWorkerPool`), in the order the queries were
+started: the task calls the
 :class:`~repro.shard.executor.ShardedQueryExecutor` on the query's plan,
-under the query's admitted bufferpool share.  Where the coordinator runs
-follows from the plan:
-
-* a plan that touches **one device** (every single-device query, and a
-  plain query on one shard backend) runs its coordinator as one task on
-  that device's worker, and the executor runs the fragment inline there;
-* a plan that touches **several devices** gets a lightweight coordinator
-  thread that walks the plan's steps and submits each step's per-shard
-  tasks to the shared pool (the executor measures every task's I/O
-  locally on the worker, so interleaved queries never pollute each
-  other's snapshots).
+under the query's admitted bufferpool share, and the executor runs the
+plan's shard tasks one after another on the worker.  Queries therefore
+never interleave on a device, and each task's device snapshot delta is
+exactly its own I/O.
 
 Every submission takes one path, :meth:`WorkloadScheduler.submit_all`
 (``submit`` is its one-handle case): plan every handle, admit each one,
@@ -59,13 +49,13 @@ class WorkloadScheduler:
 
     The scheduler deliberately holds no reference to its ``Session`` (the
     session hands over the pieces), so a dropped session is reclaimed
-    promptly and its worker threads exit.
+    promptly and its worker thread exits.
 
     Args:
         bufferpool: the session pool admitted shares are carved from.
         budget: the session budget (reference plans are priced under it).
-        shard_set: the session's devices; one serial worker is created
-            per device, in shard order.
+        shard_set: the session's devices; one serial worker runs the
+            queries on all of them.
         calibration: aggregator fed every completed query's result.
     """
 
@@ -84,6 +74,9 @@ class WorkloadScheduler:
         self.calibration = calibration
         self._baseline_ns = [device.snapshot().total_ns for device in self.devices]
         self._lock = threading.Lock()
+        #: Held while handles are started, so a batch is queued on the
+        #: worker whole before any waiter a release admits (see ``_start``).
+        self._start_lock = threading.Lock()
         #: Notified whenever ``_running`` becomes empty.
         self._idle = threading.Condition(self._lock)
         self._running: set[QueryHandle] = set()
@@ -180,7 +173,6 @@ class WorkloadScheduler:
         plan = ShardedPlanner(
             self.shard_set, budget, boundary_policy=handle._boundary_policy
         ).plan(handle.query)
-        handle._workers = self.shard_set.positions_of(plan.shard_set)
         if handle._materialize_result:
             plan.materialize_root()
         return plan
@@ -218,41 +210,38 @@ class WorkloadScheduler:
 
     def _start(self, handles) -> None:
         """Start admitted handles: fix each one's plan for its admitted
-        share and dispatch it.  A handle that cannot start fails and
-        gives its share back; the waiters that release admits are
-        started in turn."""
-        pending = list(handles)
-        while pending:
-            handle = pending.pop(0)
-            try:
-                self._finalize(handle)
-                self._dispatch(handle)
-            except BaseException as error:  # noqa: BLE001 - stored on the handle
-                handle._fail(error)
-                pending.extend(self._release(handle))
-                self._retire(handle)
+        share and queue it on the worker.  A handle that cannot start
+        fails and gives its share back; the waiters that release admits
+        are started in turn.
+
+        The client starts a batch while the worker may already be
+        finishing its first members, and a release on the worker starts
+        the waiters it admits.  Starts hold one lock, so a batch is
+        queued whole before any such waiter: the worker's order, and so
+        every simulated clock reading, depends on the admissions alone,
+        not on thread timing."""
+        with self._start_lock:
+            pending = list(handles)
+            while pending:
+                handle = pending.pop(0)
+                try:
+                    self._finalize(handle)
+                    self._dispatch(handle)
+                except BaseException as error:  # noqa: BLE001 - stored on the handle
+                    handle._fail(error)
+                    pending.extend(self._release(handle))
+                    self._retire(handle)
 
     def _dispatch(self, handle: QueryHandle) -> None:
-        if len(handle._workers) == 1:
-            # One device: its worker coordinates, and runs the fragment
-            # inline -- no extra thread hop.
-            self.worker_pool.submit(handle._workers[0], self._run_sharded, handle)
-        else:
-            threading.Thread(
-                target=self._run_sharded,
-                args=(handle,),
-                name=f"workload-query-{handle.seq}",
-                daemon=True,
-            ).start()
+        # The task names the plan's first device; the one worker runs it.
+        device = self.shard_set.positions_of(handle._plan.shard_set)[0]
+        self.worker_pool.submit(device, self._run_sharded, handle)
 
     def _run_sharded(self, handle: QueryHandle) -> None:
-        """Runs a query's coordinator: on its device's worker for a
-        one-device plan, else on its own thread."""
+        """Runs a query whole, on the session's worker."""
         result, run_ns, error = None, 0.0, None
         try:
-            executor = ShardedQueryExecutor(
-                self.shard_set, handle._share, self.worker_pool
-            )
+            executor = ShardedQueryExecutor(self.shard_set, handle._share)
             result = executor.execute(handle._plan)
             run_ns = result.critical_path_ns
         except BaseException as caught:  # noqa: BLE001 - stored on the handle

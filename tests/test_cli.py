@@ -81,6 +81,23 @@ class TestExecution:
         assert code == 0
         assert "kendall_tau" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "6", "--backend", "pmfs"],
+            ["figure", "8", "--backend=ramdisk"],
+            ["figure", "--backend", "blocked_memory", "6"],
+        ],
+    )
+    def test_backend_sweeping_figures_reject_backend(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert "sweeps all four backends" in captured.err
+        assert captured.out == ""
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table1.txt"
         assert main(["table", "1", "--output", str(target)]) == 0

@@ -1,4 +1,4 @@
-"""Golden-file regression test for the ``query``, ``figure`` and ``table`` CLI output.
+"""Golden-file regression test for the ``query``, ``figure``, ``table`` and ``workload`` CLI output.
 
 Every canned query's full report -- plan rendering with estimated vs.
 actual I/O per node, the summary lines and the record preview -- is
@@ -69,6 +69,15 @@ CASES = {
     "figure_12_dynamic_array": [
         "figure", "12", "--records", "300", "--left", "100", "--right", "1000",
         "--fractions", "0.05", "0.15", "--backend", "dynamic_array",
+    ],
+    # The canned concurrent workload on four shards, queued and degraded:
+    # every query runs on the session's one worker in start order, so the
+    # simulated queue waits repeat exactly.
+    "workload_records_400_shards_4": [
+        "workload", "--records", "400", "--shards", "4",
+    ],
+    "workload_records_400_shards_4_degrade": [
+        "workload", "--records", "400", "--shards", "4", "--policy", "degrade",
     ],
 }
 

@@ -148,8 +148,8 @@ class TestCapacity:
         assert device.allocated_bytes == 0
 
     def test_concurrent_allocate_and_release_lose_no_update(self, device):
-        # A query's coordinator drops stores while the device's worker
-        # allocates for another query; a lost update would leave bytes.
+        # A client thread drops stores while the session's worker
+        # allocates for a query; a lost update would leave bytes.
         rounds, pairs = 20_000, 2
         device.allocate(rounds * pairs)
         start = threading.Barrier(2 * pairs)

@@ -1,6 +1,6 @@
-"""Executor-level behavior: concurrency, shares, step accounting."""
+"""Executor-level behavior: the calling thread, shares, step accounting."""
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import pytest
 
@@ -18,15 +18,6 @@ from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
-from repro.workload_mgmt import DeviceWorkerPool
-
-
-@pytest.fixture
-def workers():
-    """A worker per device for the tests that drive the executor itself."""
-    pool = DeviceWorkerPool(4)
-    yield pool
-    pool.shutdown()
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -36,7 +27,7 @@ def build_sharded(shard_set, name, keys, partitioner=None):
     return collection
 
 
-def repartitioned_join(shard_set):
+def repartitioned_join(shard_set, predicate=None):
     left = build_sharded(shard_set, "L", list(range(60)))
     right = build_sharded(
         shard_set,
@@ -44,18 +35,21 @@ def repartitioned_join(shard_set):
         [key % 60 for key in range(360)],
         partitioner=HashPartitioner(shard_set.num_shards, key_index=1),
     )
-    return Query.scan(left).join(Query.scan(right))
+    scan = Query.scan(left)
+    if predicate is not None:
+        scan = scan.filter(predicate, selectivity=1.0)
+    return scan.join(Query.scan(right))
 
 
 @pytest.mark.parametrize("shards, budget_records", [(2, 30), (3, 45)])
-def test_same_plan_executes_twice_identically(shards, budget_records, workers):
+def test_same_plan_executes_twice_identically(shards, budget_records):
     """The exchange destinations a plan carries are DROPPED when an
     execution ends; the next execution gives each a fresh store."""
     shard_set = ShardSet.create(shards)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(budget_records)
     plan = ShardedPlanner(shard_set, budget).plan(query)
-    executor = ShardedQueryExecutor(shard_set, Bufferpool(budget), workers)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(budget))
 
     def footprint():
         return [
@@ -75,43 +69,35 @@ def test_same_plan_executes_twice_identically(shards, budget_records, workers):
 
 
 @pytest.mark.parametrize("shards", [2, 3, 4])
-def test_worker_pool_does_not_change_accounting(shards):
-    """A query run alone and three copies co-scheduled on one shared pool
-    account alike: every task measures its own device delta."""
-    budget = MemoryBudget.from_records(15 * shards)
+def test_co_scheduled_copies_account_like_one_run_alone(shards):
+    """A query run alone and three copies admitted together in one
+    workload account alike: every task measures its own device delta."""
+    share = MemoryBudget.from_records(30 * shards).nbytes
+    # Room for three shares, so the three copies are admitted at once.
+    budget = MemoryBudget(3 * share)
 
     def run(copies):
         shard_set = ShardSet.create(shards)
-        plans = [
-            ShardedPlanner(shard_set, budget).plan(repartitioned_join(shard_set))
+        items = [
+            {"query": repartitioned_join(shard_set), "memory_bytes": share}
             for _ in range(copies)
         ]
-        pool = DeviceWorkerPool(shards)
-        try:
-            with ThreadPoolExecutor(copies) as threads:
-                futures = [
-                    threads.submit(
-                        ShardedQueryExecutor(
-                            shard_set, Bufferpool(budget), pool
-                        ).execute,
-                        plan,
-                    )
-                    for plan in plans
-                ]
-                return [future.result() for future in futures]
-        finally:
-            pool.shutdown()
+        with Session(shard_set, budget) as session:
+            report = session.run_workload(items, policy="queue")
+        assert [handle.admitted_bytes for handle in report.handles] == [share] * copies
+        assert [handle.queue_wait_ns for handle in report.handles] == [0.0] * copies
+        return [handle.result() for handle in report.handles]
 
     (alone,) = run(1)
     for shared in run(3):
-        assert sorted(shared.records) == sorted(alone.records)
+        assert shared.records == alone.records
         assert shared.io == alone.io
         assert shared.per_shard_io == alone.per_shard_io
         assert shared.critical_path_ns == alone.critical_path_ns
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-def test_execution_returns_every_share_and_store(shards, workers):
+def test_execution_returns_every_share_and_store(shards):
     """After a query the caller's pool holds no reservation and the
     backends hold exactly the loaded stores."""
     shard_set = ShardSet.create(shards)
@@ -122,30 +108,55 @@ def test_execution_returns_every_share_and_store(shards, workers):
     )
     loaded = [backend.stores() for backend in shard_set.backends]
     pool = Bufferpool(budget)
-    result = ShardedQueryExecutor(shard_set, pool, workers).execute(plan)
+    result = ShardedQueryExecutor(shard_set, pool).execute(plan)
     assert len(result.records) == 360
     assert pool.reserved_bytes == 0
     assert [backend.stores() for backend in shard_set.backends] == loaded
 
 
-def test_one_shard_plan_runs_inline_on_the_calling_thread():
-    """A plan that touches one device never uses the worker pool."""
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_every_plan_runs_on_the_calling_thread(shards):
+    """Every shard task, exchange phases included, runs on the thread
+    that called ``execute``: every device charge and every predicate."""
+    shard_set = ShardSet.create(shards)
+    threads = set()
+
+    def on_thread(call):
+        def traced(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return call(*args, **kwargs)
+
+        return traced
+
+    def predicate(record):
+        threads.add(threading.get_ident())
+        return True
+
+    query = repartitioned_join(shard_set, predicate)
+    budget = MemoryBudget.from_records(15 * shards)
+    plan = ShardedPlanner(shard_set, budget).plan(query)
+    assert any(isinstance(s, ExchangeStep) for s in plan.steps) == (shards > 1)
+    for device in shard_set.devices:
+        for name in ("read", "write", "read_bulk", "write_bulk"):
+            setattr(device, name, on_thread(getattr(device, name)))
+    result = ShardedQueryExecutor(shard_set, Bufferpool(budget)).execute(plan)
+    assert len(result.records) == 360
+    assert result.io.total_cachelines > 0
+    assert threads == {threading.get_ident()}
+
+
+def test_plain_collection_plan_is_placed_on_its_backend():
+    """A plan over one plain collection runs on that backend alone, and
+    its critical path is its whole device time."""
     shard_set = ShardSet.create(2)
     plain = PersistentCollection(
         name="P", backend=shard_set.backends[1], schema=WISCONSIN_SCHEMA
     )
     plain.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40))
     plain.seal()
-
-    class NoPool:
-        def __getattr__(self, name):
-            raise AssertionError(f"the worker pool was used ({name})")
-
     budget = MemoryBudget.from_records(20)
     plan = ShardedPlanner(shard_set, budget).plan(Query.scan(plain).order_by())
-    result = ShardedQueryExecutor(shard_set, Bufferpool(budget), NoPool()).execute(
-        plan
-    )
+    result = ShardedQueryExecutor(shard_set, Bufferpool(budget)).execute(plan)
     assert result.plan.num_shards == 1
     assert result.plan.shard_set.backends == [shard_set.backends[1]]
     assert [r[0] for r in result.records] == list(range(40))
@@ -153,7 +164,7 @@ def test_one_shard_plan_runs_inline_on_the_calling_thread():
     assert result.critical_path_ns == result.io.total_ns
 
 
-def test_parent_pool_too_small_for_shares_raises(workers):
+def test_parent_pool_too_small_for_shares_raises():
     shard_set = ShardSet.create(4)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(60)
@@ -162,7 +173,7 @@ def test_parent_pool_too_small_for_shares_raises(workers):
     # 1/4 shares cannot all be carved out.
     pool = Bufferpool(budget)
     pool.reserve(budget.nbytes // 2, owner="someone-else")
-    executor = ShardedQueryExecutor(shard_set, pool, workers)
+    executor = ShardedQueryExecutor(shard_set, pool)
     with pytest.raises(BufferpoolExhaustedError):
         executor.execute(plan)
 
@@ -215,14 +226,14 @@ def test_step_io_covers_all_devices_per_step():
         assert total.cacheline_writes == result.per_shard_io[shard].cacheline_writes
 
 
-def test_failed_share_carving_releases_partial_shares(workers):
+def test_failed_share_carving_releases_partial_shares():
     shard_set = ShardSet.create(4)
     query = repartitioned_join(shard_set)
     budget = MemoryBudget.from_records(60)
     plan = ShardedPlanner(shard_set, budget).plan(query)
     pool = Bufferpool(budget)
     pool.reserve(budget.nbytes // 2, owner="someone-else")
-    executor = ShardedQueryExecutor(shard_set, pool, workers)
+    executor = ShardedQueryExecutor(shard_set, pool)
     with pytest.raises(BufferpoolExhaustedError):
         executor.execute(plan)
     # Only the external reservation remains: the shares carved before the
@@ -230,7 +241,7 @@ def test_failed_share_carving_releases_partial_shares(workers):
     assert pool.reserved_bytes == budget.nbytes // 2
 
 
-def test_plan_from_other_shard_set_rejected(workers):
+def test_plan_from_other_shard_set_rejected():
     from repro.exceptions import ConfigurationError
 
     set_a = ShardSet.create(2)
@@ -238,7 +249,7 @@ def test_plan_from_other_shard_set_rejected(workers):
     query = repartitioned_join(set_a)
     budget = MemoryBudget.from_records(30)
     plan = ShardedPlanner(set_a, budget).plan(query)
-    executor = ShardedQueryExecutor(set_b, Bufferpool(budget), workers)
+    executor = ShardedQueryExecutor(set_b, Bufferpool(budget))
     with pytest.raises(ConfigurationError, match="different shard set"):
         executor.execute(plan)
 

@@ -40,17 +40,8 @@ from repro.shard import (
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
-from repro.workload_mgmt import DeviceWorkerPool
 
 BUDGET = MemoryBudget.from_records(45)
-
-
-@pytest.fixture(scope="module")
-def workers():
-    """One worker per device (at most four shards) for every execution."""
-    pool = DeviceWorkerPool(4)
-    yield pool
-    pool.shutdown()
 
 
 def build_sharded(shard_set, name, keys, key_index=0):
@@ -109,7 +100,7 @@ def routing_calls(monkeypatch):
 
 @pytest.mark.parametrize("query_index", [0, 1], ids=["join", "group_by"])
 def test_materialized_sources_are_routed_once_at_plan_time(
-    routing_calls, workers, query_index
+    routing_calls, query_index
 ):
     shard_set = ShardSet.create(3)
     query = join_and_group(shard_set)[query_index]
@@ -122,11 +113,11 @@ def test_materialized_sources_are_routed_once_at_plan_time(
     assert all(records is source.records for records, source in zip(splits, sources))
 
     routing_calls.clear()
-    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers).execute(plan)
+    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET)).execute(plan)
     assert routing_calls == []
 
 
-def test_fragment_fed_exchange_routes_while_reading(routing_calls, workers):
+def test_fragment_fed_exchange_routes_while_reading(routing_calls):
     shard_set = ShardSet.create(3)
     right = build_sharded(shard_set, "R", [key % 60 for key in range(360)], 1)
     query = Query.scan(right).filter(lambda record: record[0] % 3, 0.6).group_by(2)
@@ -135,7 +126,7 @@ def test_fragment_fed_exchange_routes_while_reading(routing_calls, workers):
     (step,) = exchanges(plan)
     assert step.sources is None and step.buckets is None
     assert routing_calls == []
-    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers).execute(plan)
+    ShardedQueryExecutor(shard_set, Bufferpool(BUDGET)).execute(plan)
     assert [name for name, _ in routing_calls].count("split") >= shard_set.num_shards
 
 
@@ -171,9 +162,9 @@ def planned_case(
 
 @settings(max_examples=60, deadline=None)
 @given(**cases)
-def test_planned_buckets_match_the_per_block_path(workers, **case):
+def test_planned_buckets_match_the_per_block_path(**case):
     shard_set, plan = planned_case(**case)
-    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
     runs = []
     for candidate in (plan, without_planned_buckets(plan)):
         result = executor.execute(candidate)
@@ -215,7 +206,7 @@ def test_planned_buckets_equal_per_record_routing(**case):
         ]
 
 
-def test_source_cleared_and_refilled_after_planning_is_refused(workers):
+def test_source_cleared_and_refilled_after_planning_is_refused():
     shard_set = ShardSet.create(2)
     query, _ = join_and_group(shard_set)
     plan = ShardedPlanner(shard_set, BUDGET).plan(query)
@@ -225,7 +216,7 @@ def test_source_cleared_and_refilled_after_planning_is_refused(workers):
     source.clear()
     source.extend(records)
     source.seal()
-    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
     with pytest.raises(CollectionStateError, match="changed after the query was"):
         executor.execute(plan)
     # Planned again, the same query runs.
@@ -233,13 +224,13 @@ def test_source_cleared_and_refilled_after_planning_is_refused(workers):
     assert len(executor.execute(replanned).records) == 360
 
 
-def test_source_appended_to_after_planning_is_refused(workers):
+def test_source_appended_to_after_planning_is_refused():
     shard_set = ShardSet.create(2)
     collection = ShardedCollection("U", shard_set)
     collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40))
     plan = ShardedPlanner(shard_set, BUDGET).plan(Query.scan(collection).group_by(1))
     assert exchanges(plan)
     collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(40, 80))
-    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET), workers)
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
     with pytest.raises(CollectionStateError, match="plan the query again"):
         executor.execute(plan)

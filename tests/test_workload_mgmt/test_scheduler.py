@@ -1,5 +1,6 @@
-"""Co-scheduling: per-device serialization, equivalence, timing."""
+"""Co-scheduling: one serial worker, equivalence, timing."""
 
+import pathlib
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from repro import MemoryBudget, Query, Session, ShardSet
 from repro.exceptions import ConfigurationError
+from repro.shard import HashPartitioner
 from repro.shard.planner import ShardedPlanner
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -18,7 +20,10 @@ from repro.workloads.generator import (
     make_sharded_sort_input,
 )
 
+from tests.golden_pass import cli_output
 from tests.test_workload_mgmt.conftest import gated
+
+GOLDEN_CLI = pathlib.Path(__file__).parents[1] / "golden_cli"
 
 
 def build_plain(backend, name, keys):
@@ -31,56 +36,31 @@ def build_plain(backend, name, keys):
 
 
 class TestDeviceWorkerPool:
-    def test_tasks_for_one_device_never_overlap(self):
+    def test_tasks_never_overlap_and_run_in_submission_order(self):
         pool = DeviceWorkerPool(3)
-        active = [0] * 3
-        overlapped = []
+        active = [0]
+        overlapped, order = [], []
         lock = threading.Lock()
 
-        def task(device_index):
+        def task(index):
             with lock:
-                active[device_index] += 1
-                if active[device_index] > 1:
-                    overlapped.append(device_index)
-            # Without per-device serialization 60 racing tasks on 3
-            # workers would overlap with near-certainty.
+                active[0] += 1
+                if active[0] > 1:
+                    overlapped.append(index)
+                order.append(index)
+            # 60 tasks racing on several threads would overlap with
+            # near-certainty.
             for _ in range(1000):
                 pass
             with lock:
-                active[device_index] -= 1
+                active[0] -= 1
 
-        futures = [
-            pool.submit(index % 3, task, index % 3) for index in range(60)
-        ]
+        futures = [pool.submit(index % 3, task, index) for index in range(60)]
         for future in futures:
             future.result()
         pool.shutdown()
         assert overlapped == []
-
-    def test_map_shards_returns_in_index_order(self):
-        pool = DeviceWorkerPool(4)
-        assert pool.map_shards(lambda i: i * i, [0, 1, 2, 3]) == [0, 1, 4, 9]
-        pool.shutdown()
-
-    def test_map_shards_runs_each_position_on_its_device(self):
-        pool = DeviceWorkerPool(3)
-        names = pool.map_shards(
-            lambda i: threading.current_thread().name, [2, 0]
-        )
-        pool.shutdown()
-        assert "worker-2" in names[0] and "worker-0" in names[1]
-
-    def test_map_shards_propagates_the_first_error(self):
-        pool = DeviceWorkerPool(2)
-
-        def task(index):
-            if index == 1:
-                raise ValueError("boom")
-            return index
-
-        with pytest.raises(ValueError, match="boom"):
-            pool.map_shards(task, [0, 1])
-        pool.shutdown()
+        assert order == list(range(60))
 
 
 class TestCoScheduling:
@@ -115,6 +95,68 @@ class TestCoScheduling:
             ]
         for handle, serial_result in zip(concurrent.handles, serial):
             assert handle.result().records == serial_result.records
+
+    def test_a_mixed_batch_runs_on_one_worker_thread(self):
+        """A plain query on each shard, a repartition join and a sharded
+        sort evaluate every predicate on one thread, not the client's."""
+        shard_set = ShardSet.create(2)
+        plains = [
+            build_plain(shard_set.backends[index], f"P{index}", range(200))
+            for index in range(2)
+        ]
+        sort_input = make_sharded_sort_input(200, shard_set, name="T")
+        left, right = make_sharded_join_inputs(
+            50, 200, shard_set, right_partitioner=HashPartitioner(2, key_index=1)
+        )
+        threads = set()
+
+        def predicate(record):
+            threads.add(threading.get_ident())
+            return record[0] % 2 == 0
+
+        queries = [
+            Query.scan(plain).filter(predicate, selectivity=0.5)
+            for plain in plains
+        ] + [
+            Query.scan(left).filter(predicate, selectivity=0.5).join(
+                Query.scan(right)
+            ),
+            Query.scan(sort_input).filter(predicate, selectivity=0.5).order_by(),
+        ]
+        with Session(shard_set, MemoryBudget(64_000)) as session:
+            result = session.run_workload(queries)
+            assert len(result.completed) == len(queries)
+            assert result.handles[2].result().exchange_records
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize(
+        "golden, policy",
+        [
+            ("workload_records_400_shards_4", "queue"),
+            ("workload_records_400_shards_4_degrade", "degrade"),
+        ],
+    )
+    def test_workload_report_repeats_under_a_short_switch_interval(
+        self, golden, policy
+    ):
+        """A batch is queued on the one worker whole, before any waiter a
+        release admits, so the report -- simulated queue waits included --
+        does not depend on how the threads interleave."""
+        expected = (GOLDEN_CLI / f"{golden}.txt").read_text(encoding="utf-8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs = [
+                cli_output(
+                    "workload", "--records", "400", "--shards", "4",
+                    "--policy", policy,
+                )
+                for _ in range(3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs == [expected] * 3
 
     def test_single_device_queries_on_distinct_shards_overlap(self):
         """Two plain queries on different shard backends co-run: the
