@@ -35,12 +35,12 @@ from repro.query import Query
 from repro.session import Session
 from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import QueryStatus
 from repro.workloads.generator import (
-    make_sharded_join_inputs,
-    make_sharded_sort_input,
+    load_collection,
+    make_join_inputs,
+    make_sort_input,
 )
 
 #: Session budget (divisible by 3: each query requests exactly a third,
@@ -58,26 +58,24 @@ SMOKE_JOIN_LEFT, SMOKE_JOIN_RIGHT = 100, 1_000
 SMOKE_PLAIN_RECORDS = 300
 
 
-def build_plain(backend, name, num_records):
-    collection = PersistentCollection(
-        name=name, backend=backend, schema=WISCONSIN_SCHEMA
-    )
-    collection.extend(
-        WISCONSIN_SCHEMA.make_record(key) for key in range(num_records)
-    )
-    collection.seal()
-    return collection
-
-
 def build_setup(sort_records, join_left, join_right, plain_records):
     """One ShardSet, sharded inputs, and plain per-shard collections."""
     shard_set = ShardSet.create(2)
-    sort_input = make_sharded_sort_input(sort_records, shard_set, name="T")
-    left, right = make_sharded_join_inputs(join_left, join_right, shard_set)
-    plain0 = build_plain(shard_set.backends[0], "P0", plain_records)
-    plain1 = build_plain(shard_set.backends[1], "P1", plain_records)
-    plain1b = build_plain(shard_set.backends[1], "P1b", plain_records // 4)
-    return shard_set, sort_input, left, right, plain0, plain1, plain1b
+    sort_input = make_sort_input(sort_records, shard_set, name="T")
+    left, right = make_join_inputs(join_left, join_right, shard_set)
+    plains = [
+        load_collection(
+            (WISCONSIN_SCHEMA.make_record(key) for key in range(count)),
+            shard_set.backends[shard],
+            name,
+        )
+        for shard, name, count in (
+            (0, "P0", plain_records),
+            (1, "P1", plain_records),
+            (1, "P1b", plain_records // 4),
+        )
+    ]
+    return (shard_set, sort_input, left, right, *plains)
 
 
 def build_queries(sort_input, left, right, plain0, plain1, plain1b):

@@ -34,7 +34,7 @@ from repro.session import Session
 from repro.shard import HashPartitioner, ShardSet
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import MemoryBudget
-from repro.workloads.generator import make_sharded_join_inputs
+from repro.workloads.generator import make_join_inputs
 
 #: lambda in {6, 15, 60} with the paper's 10 ns reads.
 WRITE_LATENCIES = (60.0, 150.0, 600.0)
@@ -66,7 +66,7 @@ def run_one(
     right_partitioner = (
         HashPartitioner(shards, key_index=1) if repartition else None
     )
-    left, right = make_sharded_join_inputs(
+    left, right = make_join_inputs(
         left_records, right_records, shard_set, right_partitioner=right_partitioner
     )
     budget = MemoryBudget.fraction_of(left, fraction)

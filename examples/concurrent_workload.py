@@ -23,34 +23,29 @@ and the workload critical path (the busiest device over the run).
 """
 
 from repro import MemoryBudget, Query, Session, ShardSet
-from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import (
-    make_sharded_join_inputs,
-    make_sharded_sort_input,
+    load_collection,
+    make_join_inputs,
+    make_sort_input,
 )
 
 RECORDS = 600
 BUDGET_BYTES = 24_000  # two 12 KB per-query requests fill it
 
 
-def build_plain(backend, name, num_records):
-    collection = PersistentCollection(
-        name=name, backend=backend, schema=WISCONSIN_SCHEMA
-    )
-    collection.extend(
-        WISCONSIN_SCHEMA.make_record(key) for key in range(num_records)
-    )
-    collection.seal()
-    return collection
-
-
 def main() -> None:
     shard_set = ShardSet.create(2)
-    sort_input = make_sharded_sort_input(RECORDS, shard_set, name="T")
-    left, right = make_sharded_join_inputs(RECORDS // 4, RECORDS, shard_set)
-    plain0 = build_plain(shard_set.backends[0], "P0", RECORDS // 2)
-    plain1 = build_plain(shard_set.backends[1], "P1", RECORDS // 2)
+    sort_input = make_sort_input(RECORDS, shard_set, name="T")
+    left, right = make_join_inputs(RECORDS // 4, RECORDS, shard_set)
+    plain0, plain1 = (
+        load_collection(
+            (WISCONSIN_SCHEMA.make_record(key) for key in range(RECORDS // 2)),
+            backend,
+            f"P{index}",
+        )
+        for index, backend in enumerate(shard_set.backends)
+    )
     items = [
         {"query": Query.scan(sort_input).order_by(), "tag": "shard-sort"},
         {"query": Query.scan(left).join(Query.scan(right)), "tag": "shard-join"},

@@ -29,7 +29,7 @@ from repro import (
     ShardSet,
 )
 from repro.bench.harness import make_environment
-from repro.workloads.generator import make_join_inputs, make_sharded_join_inputs
+from repro.workloads.generator import make_join_inputs
 
 LEFT, RIGHT = 400, 4_000
 FRACTION = 0.15
@@ -66,7 +66,7 @@ def run_sharded(repartition: bool):
     right_partitioner = (
         HashPartitioner(SHARDS, key_index=1) if repartition else None
     )
-    orders, lineitems = make_sharded_join_inputs(
+    orders, lineitems = make_join_inputs(
         LEFT, RIGHT, shard_set, right_partitioner=right_partitioner
     )
     budget = MemoryBudget.fraction_of(orders, FRACTION)

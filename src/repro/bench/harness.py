@@ -19,9 +19,8 @@ from repro.joins import (
     SegmentedGraceJoin,
     SimpleHashJoin,
 )
-from repro.pmem.backends import make_backend
-from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
-from repro.pmem.latency import LatencyModel
+from repro.pmem.device import PersistentMemoryDevice
+from repro.shard.collection import ShardSet
 from repro.sorts import (
     ExternalMergeSort,
     HybridSort,
@@ -43,23 +42,17 @@ class Environment:
         self.device.reset_counters()
 
 
-def make_environment(
-    backend_name: str = "blocked_memory",
-    read_ns: float = 10.0,
-    write_ns: float = 150.0,
-    cacheline_bytes: int = 64,
-    block_bytes: int = 1024,
-    **backend_kwargs,
-) -> Environment:
-    """Create a device with the paper's latencies and the named backend."""
-    device = PersistentMemoryDevice(
-        latency=LatencyModel(read_ns=read_ns, write_ns=write_ns),
-        geometry=DeviceGeometry(
-            cacheline_bytes=cacheline_bytes, block_bytes=block_bytes
-        ),
+def make_environment(backend_name: str = "blocked_memory", **options) -> Environment:
+    """A one-device environment with the named backend.
+
+    ``options`` are :meth:`ShardSet.create`'s: ``read_ns``, ``write_ns``
+    and ``block_bytes`` (the paper's values by default) and the backend's
+    own options.
+    """
+    (backend,) = ShardSet.create(1, backend_name, **options).backends
+    return Environment(
+        device=backend.device, backend=backend, backend_name=backend_name
     )
-    backend = make_backend(backend_name, device, **backend_kwargs)
-    return Environment(device=device, backend=backend, backend_name=backend_name)
 
 
 def budget_for(collection, fraction: float) -> MemoryBudget:

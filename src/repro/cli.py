@@ -16,7 +16,10 @@ corresponding figure plots, from its declaration in
 too.  The ``query`` subcommand runs canned
 Wisconsin-workload queries through the cost-based planner and executor
 (:mod:`repro.query`) and prints the plan with estimated vs. actual I/O
-per node.  The ``workload`` subcommand submits a canned mix of
+per node.  Its inputs come from the one builder of
+:mod:`repro.workloads.generator`, given the shard set when ``--shards``
+exceeds one and its one backend otherwise, so a single-device plan scans
+plain collections.  The ``workload`` subcommand submits a canned mix of
 single-device and sharded queries through the concurrent workload API
 (:mod:`repro.workload_mgmt`) under a budget that admits only a few at a
 time, and prints the admission/timing report plus the session's
@@ -35,12 +38,10 @@ from repro.query import Query
 from repro.session import Session
 from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import (
+    load_collection,
     make_join_inputs,
-    make_sharded_join_inputs,
-    make_sharded_sort_input,
     make_sort_input,
 )
 
@@ -48,36 +49,13 @@ from repro.workloads.generator import (
 # --------------------------------------------------------------------- #
 # Canned planner/executor queries over the Wisconsin workload.
 # --------------------------------------------------------------------- #
-class _Relations:
-    """Builds the canned inputs: plain collections on a one-shard set,
-    sharded collections otherwise."""
-
-    def __init__(self, shard_set):
-        self.shard_set = shard_set
-        self.sharded = shard_set.num_shards > 1
-
-    def sort_input(self, num_records):
-        if self.sharded:
-            return make_sharded_sort_input(num_records, self.shard_set, name="T")
-        return make_sort_input(num_records, self.shard_set.backends[0], name="T")
-
-    def join_inputs(self, left_records, right_records):
-        if self.sharded:
-            return make_sharded_join_inputs(
-                left_records, right_records, self.shard_set
-            )
-        return make_join_inputs(
-            left_records, right_records, self.shard_set.backends[0]
-        )
-
-
-def _query_sort(args, relations):
-    relation = relations.sort_input(args.records)
+def _query_sort(args, target):
+    relation = make_sort_input(args.records, target)
     return Query.scan(relation).order_by(), relation
 
 
-def _query_filter_sort(args, relations):
-    relation = relations.sort_input(args.records)
+def _query_filter_sort(args, target):
+    relation = make_sort_input(args.records, target)
     bound = args.records // 2
     query = (
         Query.scan(relation)
@@ -87,13 +65,13 @@ def _query_filter_sort(args, relations):
     return query, relation
 
 
-def _query_join(args, relations):
-    left, right = relations.join_inputs(args.left, args.right)
+def _query_join(args, target):
+    left, right = make_join_inputs(args.left, args.right, target)
     return Query.scan(left).join(Query.scan(right)), left
 
 
-def _query_join_sort(args, relations):
-    left, right = relations.join_inputs(args.left, args.right)
+def _query_join_sort(args, target):
+    left, right = make_join_inputs(args.left, args.right, target)
     bound = args.left // 2
     query = (
         Query.scan(left)
@@ -104,8 +82,8 @@ def _query_join_sort(args, relations):
     return query, left
 
 
-def _query_aggregate(args, relations):
-    relation = relations.sort_input(args.records)
+def _query_aggregate(args, target):
+    relation = make_sort_input(args.records, target)
     query = Query.scan(relation).group_by(
         group_index=1,
         aggregates={"count": 1, "sum": 0, "max": 0},
@@ -136,10 +114,14 @@ def _run_query(args) -> str:
     shard_set = ShardSet.create(
         args.shards, backend_name=args.backend, write_ns=args.write_ns
     )
-    query, budget_base = builder(args, _Relations(shard_set))
+    # One shard holds plain collections, so a plan scans ``T``, not
+    # ``T/shard0``.
+    sharded = args.shards > 1
+    target = shard_set if sharded else shard_set.backends[0]
+    query, budget_base = builder(args, target)
     budget = MemoryBudget.fraction_of(budget_base, args.fraction)
     session = Session(
-        shard_set,
+        target,
         budget,
         materialize_result=args.materialize,
         boundary_policy=args.boundaries,
@@ -148,7 +130,6 @@ def _run_query(args) -> str:
         result = session.query(query)
     except ConfigurationError as error:
         raise SystemExit(str(error)) from None
-    sharded = args.shards > 1
     scope = " (all shards)" if sharded else ""
     lines = [
         result.explain(),
@@ -183,23 +164,18 @@ def _run_workload(args) -> str:
     shard_set = ShardSet.create(
         args.shards, backend_name=args.backend, write_ns=args.write_ns
     )
-    sort_input = make_sharded_sort_input(args.records, shard_set, name="T")
-    left, right = make_sharded_join_inputs(
+    sort_input = make_sort_input(args.records, shard_set)
+    left, right = make_join_inputs(
         max(args.records // 4, 8), args.records, shard_set
     )
-    plains = []
-    for index in range(args.shards):
-        plain = PersistentCollection(
-            name=f"P{index}",
-            backend=shard_set.backends[index],
-            schema=WISCONSIN_SCHEMA,
+    plains = [
+        load_collection(
+            (WISCONSIN_SCHEMA.make_record(key) for key in range(args.records // 2)),
+            backend,
+            f"P{index}",
         )
-        plain.extend(
-            WISCONSIN_SCHEMA.make_record(key)
-            for key in range(args.records // 2)
-        )
-        plain.seal()
-        plains.append(plain)
+        for index, backend in enumerate(shard_set.backends)
+    ]
     half = args.records // 2
     items = [
         {"query": Query.scan(sort_input).order_by(), "tag": "shard-sort"},

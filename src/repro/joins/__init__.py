@@ -9,16 +9,6 @@ from repro.joins.segmented_grace import SegmentedGraceJoin
 from repro.joins.lazy_hash_join import LazyHashJoin
 from repro.joins import cost
 
-#: All join classes keyed by their paper abbreviation.
-JOIN_REGISTRY = {
-    "NLJ": NestedLoopsJoin,
-    "HJ": SimpleHashJoin,
-    "GJ": GraceJoin,
-    "HybJ": HybridGraceNestedLoopsJoin,
-    "SegJ": SegmentedGraceJoin,
-    "LaJ": LazyHashJoin,
-}
-
 __all__ = [
     "JoinAlgorithm",
     "JoinResult",
@@ -28,6 +18,5 @@ __all__ = [
     "HybridGraceNestedLoopsJoin",
     "SegmentedGraceJoin",
     "LazyHashJoin",
-    "JOIN_REGISTRY",
     "cost",
 ]

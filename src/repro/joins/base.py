@@ -123,7 +123,8 @@ class JoinAlgorithm(Algorithm):
         (segmented Grace join materializes only some); the others are
         ``None`` and their records are skipped.  The left input goes first,
         and a right partition whose left partition holds no record is
-        ``None`` too: none of its records can match.
+        ``None`` too: none of its records can match.  When no right
+        partition is left to write, the right input is not scanned.
         """
         if materialized is None:
             materialized = num_partitions
@@ -132,6 +133,9 @@ class JoinAlgorithm(Algorithm):
         for source, key, side, stop in zip(
             (left, right), (self.left_key, self.right_key), "LR", stops
         ):
+            if side == "R" and not any(live):
+                sides.append(([None] * num_partitions, None))
+                break
             partitions = [
                 self._scratch_collection(f"{prefix}-{side}-p{index}", source.schema)
                 if live[index]

@@ -7,8 +7,10 @@ floor/ceiling functions are dropped.  Output materialization is excluded
 optional ``output_buffers`` argument adds it back when callers want
 absolute totals.  The Grace-family prices (GJ, SegJ, HybJ) write and read
 back every partitioned probe record; the joins skip the probe records of
-an empty build partition, so where build partitions are empty those
-prices are an upper bound.
+an empty build partition, and the partitioning scan of the probe side
+when no probe partition is left to write (SegJ at x = 0, an empty build
+side), so where build partitions are empty those prices are an upper
+bound.
 """
 
 from __future__ import annotations

@@ -44,7 +44,8 @@ def make_backend(name, device, **kwargs):
             ``pmfs``.
         device: the :class:`~repro.pmem.device.PersistentMemoryDevice` the
             backend charges its I/O against.
-        **kwargs: backend-specific tuning parameters.
+        **kwargs: backend options; the RAM disk's ``fs_block_bytes`` is
+            the only one.
 
     Raises:
         ConfigurationError: for an unknown backend name.

@@ -8,59 +8,30 @@ twice as large, copies every element over, and releases the old chunk.
 On persistent memory that copy is a full re-write of the collection, which
 is exactly the write amplification the paper blames for this backend's
 poor performance.
+
+The cost policy is fixed: a store starts at one device-geometry block,
+every expansion doubles its capacity (:data:`GROWTH_FACTOR`) and pays
+:data:`REALLOCATION_OVERHEAD_NS` of allocator work on top of the copy.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend, StoreStats
-from repro.pmem.device import PersistentMemoryDevice
+
+#: Capacity multiplier on expansion: the classic ``std::vector`` doubling.
+GROWTH_FACTOR = 2
 
 #: Software cost of one allocator call (allocate + free bookkeeping), ns.
-DEFAULT_REALLOCATION_OVERHEAD_NS = 120.0
+REALLOCATION_OVERHEAD_NS = 120.0
 
 
 class DynamicArrayBackend(PersistenceBackend):
-    """Capacity-doubling array over a persistent-memory allocator.
-
-    Args:
-        device: the device to charge I/O against.
-        initial_capacity_bytes: capacity of a freshly created store before
-            the first expansion.
-        growth_factor: capacity multiplier on expansion (2.0 for the classic
-            ``std::vector`` policy).
-        reallocation_overhead_ns: software overhead charged per expansion,
-            on top of the copy itself.
-    """
+    """Capacity-doubling array over a persistent-memory allocator."""
 
     name = "dynamic_array"
 
-    def __init__(
-        self,
-        device: PersistentMemoryDevice,
-        initial_capacity_bytes: int | None = None,
-        growth_factor: float = 2.0,
-        reallocation_overhead_ns: float = DEFAULT_REALLOCATION_OVERHEAD_NS,
-    ) -> None:
-        super().__init__(device)
-        self.initial_capacity_bytes = (
-            initial_capacity_bytes
-            if initial_capacity_bytes is not None
-            else device.geometry.block_bytes
-        )
-        if self.initial_capacity_bytes <= 0:
-            raise ConfigurationError("initial_capacity_bytes must be positive")
-        if growth_factor <= 1.0:
-            raise ConfigurationError(
-                f"growth_factor must exceed 1.0, got {growth_factor}"
-            )
-        if reallocation_overhead_ns < 0:
-            raise ConfigurationError("reallocation_overhead_ns must be non-negative")
-        self.growth_factor = growth_factor
-        self.reallocation_overhead_ns = reallocation_overhead_ns
-
     def _on_create(self, stats: StoreStats) -> None:
-        self._grow_physical(stats, self.initial_capacity_bytes)
+        self._grow_physical(stats, self.device.geometry.block_bytes)
         stats.extra["expansions"] = 0
         stats.extra["copied_bytes"] = 0
 
@@ -88,19 +59,17 @@ class DynamicArrayBackend(PersistenceBackend):
         that write is the amplification this backend exists to demonstrate.
         """
         old_capacity = stats.physical_bytes
-        new_capacity = max(
-            int(old_capacity * self.growth_factor), old_capacity + 1
-        )
+        new_capacity = old_capacity * GROWTH_FACTOR
         if live:
             self.device.read(live)
             self.device.write(live)
             stats.extra["copied_bytes"] = stats.extra.get("copied_bytes", 0) + live
-        self.device.overhead(self.reallocation_overhead_ns, label="reallocation")
+        self.device.overhead(REALLOCATION_OVERHEAD_NS, label="reallocation")
         self._grow_physical(stats, new_capacity - old_capacity)
         stats.extra["expansions"] = stats.extra.get("expansions", 0) + 1
 
     def _on_truncate(self, stats: StoreStats) -> None:
-        # Truncation resets to the initial capacity, as releasing and
-        # re-acquiring the initial chunk is how the C++ implementation
+        # Truncation resets to the initial one-block capacity, as releasing
+        # and re-acquiring the initial chunk is how the C++ implementation
         # recycles vectors between runs.
-        self._grow_physical(stats, self.initial_capacity_bytes)
+        self._grow_physical(stats, self.device.geometry.block_bytes)

@@ -4,9 +4,11 @@ Models the paper's first implementation option (Section 3.2, "RAM disk"):
 persistent collections are ordinary files on a memory-mounted filesystem.
 The filesystem gives persistence semantics while mounted, but imposes the
 traditional storage interface: accesses are rounded to filesystem records
-(512 bytes by default) and every operation goes through a system call.
-Both penalties are charged explicitly so the experiments can attribute the
-backend's overhead the same way the paper does.
+(512 bytes by default) and every operation goes through a system call,
+which costs :data:`SYSCALL_OVERHEAD_NS`.  Both penalties are charged
+explicitly so the experiments can attribute the backend's overhead the
+same way the paper does.  The record size is the one setting: the
+block-size ablation sweeps it like an OS page size.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.pmem.device import PersistentMemoryDevice
 DEFAULT_FS_BLOCK_BYTES = 512
 
 #: Cost of one filesystem call (read()/write() through the VFS), ns.
-DEFAULT_SYSCALL_OVERHEAD_NS = 700.0
+SYSCALL_OVERHEAD_NS = 700.0
 
 
 class RamDiskBackend(PersistenceBackend):
@@ -30,8 +32,6 @@ class RamDiskBackend(PersistenceBackend):
         device: the device to charge I/O against.
         fs_block_bytes: filesystem record size; every transfer is rounded up
             to a multiple of this.
-        syscall_overhead_ns: software overhead charged once per append/read
-            call.
     """
 
     name = "ramdisk"
@@ -40,15 +40,11 @@ class RamDiskBackend(PersistenceBackend):
         self,
         device: PersistentMemoryDevice,
         fs_block_bytes: int = DEFAULT_FS_BLOCK_BYTES,
-        syscall_overhead_ns: float = DEFAULT_SYSCALL_OVERHEAD_NS,
     ) -> None:
         super().__init__(device)
         if fs_block_bytes <= 0:
             raise ConfigurationError("fs_block_bytes must be positive")
-        if syscall_overhead_ns < 0:
-            raise ConfigurationError("syscall_overhead_ns must be non-negative")
         self.fs_block_bytes = fs_block_bytes
-        self.syscall_overhead_ns = syscall_overhead_ns
 
     def _rounded(self, nbytes: int) -> int:
         """Round a transfer up to whole filesystem blocks."""
@@ -62,7 +58,7 @@ class RamDiskBackend(PersistenceBackend):
         # Writes are synchronous to the RAM-disk region and block-granular:
         # a partial record still writes the whole record.
         self.device.write_bulk(physical, count)
-        self.device.overhead(self.syscall_overhead_ns, "syscall", count)
+        self.device.overhead(SYSCALL_OVERHEAD_NS, "syscall", count)
         stats.extra["padded_write_bytes"] = (
             stats.extra.get("padded_write_bytes", 0)
             + (physical - chunk_bytes) * count
@@ -71,7 +67,7 @@ class RamDiskBackend(PersistenceBackend):
     def _charge_read(self, stats: StoreStats, chunk_bytes: int, count: int) -> None:
         physical = self._rounded(chunk_bytes)
         self.device.read_bulk(physical, count)
-        self.device.overhead(self.syscall_overhead_ns, "syscall", count)
+        self.device.overhead(SYSCALL_OVERHEAD_NS, "syscall", count)
         stats.extra["padded_read_bytes"] = (
             stats.extra.get("padded_read_bytes", 0)
             + (physical - chunk_bytes) * count

@@ -44,13 +44,12 @@ class DeviceGeometry:
         block_bytes: unit in which persistent collections group their data
             to amortize access costs (Figure 3); must be a multiple of the
             cacheline size.
-        capacity_bytes: optional capacity bound.  ``None`` means unbounded,
-            which is the common case for experiments.
+
+    The device's capacity is unbounded: the experiments never fill it.
     """
 
     cacheline_bytes: int = DEFAULT_CACHELINE_BYTES
     block_bytes: int = DEFAULT_BLOCK_BYTES
-    capacity_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.cacheline_bytes <= 0:
@@ -62,8 +61,6 @@ class DeviceGeometry:
                 "block_bytes must be a multiple of cacheline_bytes "
                 f"(got block={self.block_bytes}, cacheline={self.cacheline_bytes})"
             )
-        if self.capacity_bytes is not None and self.capacity_bytes <= 0:
-            raise ConfigurationError("capacity_bytes must be positive when set")
 
     def bytes_to_cachelines(self, nbytes: int | float) -> float:
         """Convert a byte count to (fractional) cachelines.
@@ -92,7 +89,7 @@ class PersistentMemoryDevice:
         latency: LatencyModel | None = None,
         geometry: DeviceGeometry | None = None,
     ) -> None:
-        self.latency = latency or LatencyModel.paper_default()
+        self.latency = latency or LatencyModel()
         self.geometry = geometry or DeviceGeometry()
         self._counters = IOCounters()
         self._allocated_bytes = 0
@@ -155,23 +152,17 @@ class PersistentMemoryDevice:
         return cost * count
 
     # ------------------------------------------------------------------ #
-    # Capacity tracking (optional).
+    # Allocation accounting.
     # ------------------------------------------------------------------ #
     def allocate(self, nbytes: int) -> None:
-        """Reserve device capacity; raises when a capacity bound is exceeded."""
+        """Record ``nbytes`` of device space taken by a store."""
         if nbytes < 0:
             raise ConfigurationError("allocation size must be non-negative")
-        capacity = self.geometry.capacity_bytes
         with self._allocation_lock:
-            if capacity is not None and self._allocated_bytes + nbytes > capacity:
-                raise ConfigurationError(
-                    f"device capacity exceeded: {self._allocated_bytes + nbytes} "
-                    f"> {capacity} bytes"
-                )
             self._allocated_bytes += nbytes
 
     def release(self, nbytes: int) -> None:
-        """Return previously allocated capacity to the device."""
+        """Return ``nbytes`` of previously allocated space to the device."""
         if nbytes < 0:
             raise ConfigurationError("release size must be non-negative")
         with self._allocation_lock:

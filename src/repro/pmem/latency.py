@@ -59,8 +59,3 @@ class LatencyModel:
         if cachelines < 0:
             raise ConfigurationError("cannot write a negative number of cachelines")
         return cachelines * self.write_ns
-
-    @classmethod
-    def paper_default(cls) -> "LatencyModel":
-        """The 10 ns / 150 ns configuration used throughout the paper."""
-        return cls()

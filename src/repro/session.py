@@ -50,6 +50,12 @@ every query, and the :class:`~repro.shard.executor.ShardedQueryExecutor`
 runs it and returns a :class:`~repro.shard.executor.QueryResult`.  A
 query over plain collections on a sharded session is placed on the one
 shard backend that holds them.
+
+Data reaches a session's devices through one builder,
+:func:`~repro.workloads.generator.load_collection`, which follows the
+session's own rule: a backend target gets a plain collection, a
+:class:`~repro.shard.collection.ShardSet` a sharded one.
+:meth:`Session.create_collection` is its single-backend form.
 """
 
 from __future__ import annotations
@@ -66,12 +72,12 @@ from repro.shard.collection import ShardSet
 from repro.shard.executor import QueryResult
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
-from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt.admission import ADMISSION_POLICIES
 from repro.workload_mgmt.calibration import CalibrationAggregator
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workload_mgmt.result import WorkloadResult
 from repro.workload_mgmt.scheduler import WorkloadScheduler
+from repro.workloads.generator import load_collection
 
 
 class Session:
@@ -210,20 +216,17 @@ class Session:
         """A sealed collection of ``records`` (Wisconsin schema) on the
         session's backend.
 
-        On a sharded session, use :class:`~repro.shard.collection.
-        ShardedCollection` directly to spread data across the shard set.
+        On a sharded session, spread data across the shard set with
+        :func:`~repro.workloads.generator.load_collection` over the
+        session's ``shard_set``.
         """
         if self.is_sharded:
             raise ConfigurationError(
-                "create_collection targets a single backend; build a "
-                "ShardedCollection over the session's shard_set instead"
+                "create_collection targets a single backend; load a "
+                "ShardedCollection onto the session's shard_set with "
+                "load_collection instead"
             )
-        collection = PersistentCollection(
-            name=name, backend=self.backend, schema=WISCONSIN_SCHEMA
-        )
-        collection.extend(records)
-        collection.seal()
-        return collection
+        return load_collection(records, self.backend, name)
 
     # ------------------------------------------------------------------ #
     # The workload API.

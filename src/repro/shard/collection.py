@@ -23,8 +23,16 @@ from typing import Iterable, Optional
 from repro.exceptions import ConfigurationError
 from repro.pmem.backends import make_backend
 from repro.pmem.backends.base import PersistenceBackend
-from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
-from repro.pmem.latency import LatencyModel
+from repro.pmem.device import (
+    DEFAULT_BLOCK_BYTES,
+    DeviceGeometry,
+    PersistentMemoryDevice,
+)
+from repro.pmem.latency import (
+    DEFAULT_READ_LATENCY_NS,
+    DEFAULT_WRITE_LATENCY_NS,
+    LatencyModel,
+)
 from repro.shard.partition import HashPartitioner
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
@@ -34,9 +42,9 @@ class ShardSet:
     """N simulated devices, each behind its own persistence backend.
 
     All sharded collections participating in one query must live on the
-    same shard set; the planner checks this and the executor runs one
-    worker thread per shard, so each device is only ever accessed from a
-    single thread at a time.
+    same shard set; the planner checks this.  A session runs every query
+    on its one serial worker thread, so each device is only ever accessed
+    from a single thread at a time.
     """
 
     def __init__(self, backends: list[PersistenceBackend]) -> None:
@@ -49,22 +57,24 @@ class ShardSet:
         cls,
         num_shards: int,
         backend_name: str = "blocked_memory",
-        read_ns: float = 10.0,
-        write_ns: float = 150.0,
-        cacheline_bytes: int = 64,
-        block_bytes: int = 1024,
+        read_ns: float = DEFAULT_READ_LATENCY_NS,
+        write_ns: float = DEFAULT_WRITE_LATENCY_NS,
+        block_bytes: int = DEFAULT_BLOCK_BYTES,
         **backend_kwargs,
     ) -> "ShardSet":
-        """Build ``num_shards`` identical devices with the named backend."""
+        """Build ``num_shards`` identical devices with the named backend.
+
+        The devices have the paper's latencies and block size unless told
+        otherwise; ``backend_kwargs`` go to
+        :func:`~repro.pmem.backends.make_backend`.
+        """
         if num_shards <= 0:
             raise ConfigurationError("number of shards must be positive")
         backends = []
         for _ in range(num_shards):
             device = PersistentMemoryDevice(
                 latency=LatencyModel(read_ns=read_ns, write_ns=write_ns),
-                geometry=DeviceGeometry(
-                    cacheline_bytes=cacheline_bytes, block_bytes=block_bytes
-                ),
+                geometry=DeviceGeometry(block_bytes=block_bytes),
             )
             backends.append(make_backend(backend_name, device, **backend_kwargs))
         return cls(backends)

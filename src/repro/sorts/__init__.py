@@ -8,15 +8,6 @@ from repro.sorts.hybrid_sort import HybridSort
 from repro.sorts.lazy_sort import LazySort
 from repro.sorts import cost
 
-#: All sort classes keyed by their paper abbreviation.
-SORT_REGISTRY = {
-    "ExMS": ExternalMergeSort,
-    "SelS": SelectionSort,
-    "SegS": SegmentSort,
-    "HybS": HybridSort,
-    "LaS": LazySort,
-}
-
 __all__ = [
     "SortAlgorithm",
     "SortResult",
@@ -25,6 +16,5 @@ __all__ = [
     "SegmentSort",
     "HybridSort",
     "LazySort",
-    "SORT_REGISTRY",
     "cost",
 ]

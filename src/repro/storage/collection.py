@@ -56,6 +56,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend, StoreStats
+from repro.pmem.device import DEFAULT_BLOCK_BYTES
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 #: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
@@ -91,8 +92,10 @@ class PersistentCollection:
         status: initial lifecycle state.
         context: optional operator context (duck-typed: needs ``assess``,
             ``produce`` and ``reconstruct``) used for DEFERRED collections.
-        block_bytes: I/O granularity between DRAM and the device; defaults
-            to the backend device's block size.
+
+    The I/O granularity between DRAM and the device,
+    :attr:`block_bytes`, is the backend device's block size
+    (:data:`~repro.pmem.device.DEFAULT_BLOCK_BYTES` without a backend).
     """
 
     def __init__(
@@ -102,7 +105,6 @@ class PersistentCollection:
         schema: Schema = WISCONSIN_SCHEMA,
         status: CollectionStatus = CollectionStatus.MATERIALIZED,
         context=None,
-        block_bytes: int | None = None,
     ) -> None:
         self.name = name
         self.schema = schema
@@ -111,14 +113,11 @@ class PersistentCollection:
         self._status = status
         self._records: list[tuple] = []
         self._sealed = False
-        if block_bytes is None:
-            if backend is not None:
-                block_bytes = backend.device.geometry.block_bytes
-            else:
-                block_bytes = 1024
-        self.block_bytes = block_bytes
-        if self.block_bytes <= 0:
-            raise ConfigurationError("block_bytes must be positive")
+        self.block_bytes = (
+            DEFAULT_BLOCK_BYTES
+            if backend is None
+            else backend.device.geometry.block_bytes
+        )
         #: The backend store's handle while MATERIALIZED, else ``None``.
         self.store: StoreStats | None = None
         if status is CollectionStatus.MATERIALIZED:

@@ -1,6 +1,6 @@
 """Synthetic workload generators (Wisconsin-benchmark style)."""
 
-from repro.workloads.wisconsin import wisconsin_permutation, WisconsinGenerator
+from repro.workloads.wisconsin import wisconsin_permutation
 from repro.workloads.generator import (
     load_collection,
     make_join_inputs,
@@ -9,7 +9,6 @@ from repro.workloads.generator import (
 
 __all__ = [
     "wisconsin_permutation",
-    "WisconsinGenerator",
     "load_collection",
     "make_sort_input",
     "make_join_inputs",

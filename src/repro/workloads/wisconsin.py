@@ -93,20 +93,3 @@ def wisconsin_permutation(num_keys: int, seed: int = 1) -> Iterator[int]:
             yield value - 1
             produced += 1
 
-
-class WisconsinGenerator:
-    """Record generator over the Wisconsin key permutation.
-
-    Produces records of the configured schema whose key attribute follows
-    the Wisconsin permutation and whose remaining attributes are derived
-    from the key (see :meth:`repro.storage.schema.Schema.make_record`).
-    """
-
-    def __init__(self, schema, seed: int = 1) -> None:
-        self.schema = schema
-        self.seed = seed
-
-    def records(self, num_records: int) -> Iterator[tuple]:
-        """Yield ``num_records`` records in permuted key order."""
-        for key in wisconsin_permutation(num_records, seed=self.seed):
-            yield self.schema.make_record(key)

@@ -8,9 +8,12 @@ from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
 from repro.pmem.latency import LatencyModel
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
-from repro.workloads.generator import make_join_inputs, make_sort_input
+from repro.workloads.generator import (
+    load_collection,
+    make_join_inputs,
+    make_sort_input,
+)
 
 
 @pytest.fixture
@@ -45,15 +48,9 @@ def schema():
 
 def build_collection(backend, keys, name="input", schema=WISCONSIN_SCHEMA):
     """Materialize a collection with the given key sequence."""
-    collection = PersistentCollection(
-        name=name,
-        backend=backend,
-        schema=schema,
-        status=CollectionStatus.MATERIALIZED,
+    return load_collection(
+        (schema.make_record(key) for key in keys), backend, name, schema
     )
-    collection.extend(schema.make_record(key) for key in keys)
-    collection.seal()
-    return collection
 
 
 @pytest.fixture

@@ -31,12 +31,16 @@ from repro.joins.common import partition_into
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
-from repro.sorts import SORT_REGISTRY
+from repro.query import SORT_ALTERNATIVES
+from repro.sorts import SelectionSort
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import Schema
 
 from tests.conftest import build_collection
+
+#: Every sort: the planner's alternatives, and selection sort.
+SORTS = {**SORT_ALTERNATIVES, "SelS": SelectionSort}
 
 #: Narrow records keep the budgets (and so the spill trees) small.
 SCHEMA = Schema(num_fields=4, field_bytes=16)
@@ -251,7 +255,7 @@ class TestDifferential:
         rows=rows_strategy,
         spec=specs,
         group_index=group_attributes,
-        sort_name=st.sampled_from(sorted(SORT_REGISTRY)),
+        sort_name=st.sampled_from(sorted(SORTS)),
         budget_records=st.sampled_from([6, 16, 200]),
         backend_name=backend_names,
     )
@@ -265,10 +269,10 @@ class TestDifferential:
             backend_name=backend_name,
             group_index=group_index,
             aggregates=spec,
-            sort_class=SORT_REGISTRY[sort_name],
+            sort_class=SORTS[sort_name],
         )
 
-    @pytest.mark.parametrize("sort_name", sorted(SORT_REGISTRY))
+    @pytest.mark.parametrize("sort_name", sorted(SORTS))
     def test_sorted_aggregation_over_every_sort(self, sort_name):
         rows = [((i * 37) % 101 - 50, i % 7 - 3, -i, i * i) for i in range(900)]
         result = assert_matches_reference(
@@ -277,7 +281,7 @@ class TestDifferential:
             40 * SCHEMA.record_bytes,
             group_index=0,
             aggregates={"avg": 1, "min": 2, "max": 3, "count": 0, "sum": 0},
-            sort_class=SORT_REGISTRY[sort_name],
+            sort_class=SORTS[sort_name],
         )
         assert result.groups == 101
 

@@ -11,9 +11,13 @@ from repro.bench.harness import (
     sort_algorithm_suite,
 )
 from repro.pmem.backends import BACKEND_PAPER_ORDER
-from repro.sorts import SORT_REGISTRY, ExternalMergeSort
+from repro.query import SORT_ALTERNATIVES
+from repro.sorts import ExternalMergeSort, SelectionSort
 from repro.joins import GraceJoin
 from repro.workloads.generator import make_join_inputs, make_sort_input
+
+#: Every sort: the planner's alternatives, and selection sort.
+SORTS = {**SORT_ALTERNATIVES, "SelS": SelectionSort}
 
 
 class TestEnvironment:
@@ -106,7 +110,7 @@ class TestRunners:
         assert row["algorithm"] == "custom"
 
     @pytest.mark.parametrize("backend_name", BACKEND_PAPER_ORDER)
-    @pytest.mark.parametrize("sort_name", sorted(SORT_REGISTRY))
+    @pytest.mark.parametrize("sort_name", sorted(SORTS))
     def test_run_sort_repeats_and_leaves_only_the_input(
         self, sort_name, backend_name
     ):
@@ -117,7 +121,7 @@ class TestRunners:
         budget = budget_for(collection, 0.05)
         stores = env.backend.stores()
         rows = [
-            run_sort(SORT_REGISTRY[sort_name], collection, env.backend, budget)
+            run_sort(SORTS[sort_name], collection, env.backend, budget)
             for _ in range(3)
         ]
         fields = ("cacheline_reads", "cacheline_writes", "simulated_seconds")

@@ -16,6 +16,10 @@ intensities, that
 * the right partitions hold exactly the record width times the right
   records of those partitions.
 
+When no right partition is left to write -- SegJ at x = 0, or a build
+side that turns out empty -- the right input is not scanned to
+partition it at all.
+
 Records carry their load position in attribute 1, so equal keys are
 distinguishable.
 """
@@ -30,6 +34,7 @@ from repro.joins import GraceJoin, HybridGraceNestedLoopsJoin, SegmentedGraceJoi
 from repro.joins.common import partition_of
 from repro.pmem.backends import make_backend
 from repro.pmem.device import PersistentMemoryDevice
+from repro.runtime.context import OperatorContext
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
@@ -157,3 +162,42 @@ def test_no_probe_record_is_written_for_an_empty_build_partition(
     assert sum(store.logical_bytes for store in right_parts.values()) == (
         probe_records * WISCONSIN_SCHEMA.record_bytes
     )
+
+
+def right_scans(observation):
+    return sum(scan["collection"] == "right" for scan in observation.scans)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_segmented_join_at_x0_scans_the_right_input_only_to_probe(backend_name):
+    backend = make_backend(backend_name, PersistentMemoryDevice())
+    left = collection(backend, "left", [4 * value for value in range(40)])
+    right = collection(backend, "right", range(200))
+    join = SegmentedGraceJoin(
+        backend, MemoryBudget.from_records(8), write_intensity=0.0
+    )
+    observation = observe(join.join, left, right)
+    result = observation.value
+    assert result.details["materialized_partitions"] == 0
+    assert result.details["rescans"] > 0
+    # One scan per rescanned partition, none to partition the input.
+    assert right_scans(observation) == result.details["rescans"]
+
+
+@pytest.mark.parametrize("algorithm", ["GJ", "SegJ[x=0.5]", "HybJ[x=y=0.5]"])
+def test_an_empty_build_side_leaves_the_right_input_unscanned(algorithm):
+    backend = make_backend("blocked_memory", PersistentMemoryDevice())
+    root = collection(backend, "root", range(100))
+    context = OperatorContext(backend)
+    context.register(root)
+    # Declared at 100 records, the filter keeps none: the join partitions
+    # for a build side its scan never finds.
+    left = context.declare(name="left", expected_records=100)
+    context.filter(root, lambda record: False, 1.0, output=left)
+    right = collection(backend, "right", range(300))
+    cls, kwargs = JOINS[algorithm]
+    join = cls(backend, MemoryBudget.from_records(8), **kwargs)
+    observation = observe(join.join, left, right)
+    assert observation.value.partitions > 0
+    assert observation.value.output.records == []
+    assert right_scans(observation) == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.joins import (
-    JOIN_REGISTRY,
     GraceJoin,
     HybridGraceNestedLoopsJoin,
     LazyHashJoin,
@@ -18,6 +17,7 @@ from repro.joins.common import (
     partition_of,
     probe_into,
 )
+from repro.query import JOIN_ALTERNATIVES
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
@@ -189,7 +189,7 @@ class TestResultMetadata:
 
 class TestConfiguration:
     def test_registry_contains_paper_abbreviations(self):
-        assert set(JOIN_REGISTRY) == {"NLJ", "HJ", "GJ", "HybJ", "SegJ", "LaJ"}
+        assert set(JOIN_ALTERNATIVES) == {"NLJ", "HJ", "GJ", "HybJ", "SegJ", "LaJ"}
 
     def test_write_limited_flags(self):
         assert not GraceJoin.write_limited

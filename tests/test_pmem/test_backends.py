@@ -13,7 +13,12 @@ from repro.pmem.backends import (
     make_backend,
 )
 from repro.pmem.backends.base import StoreStats
-from repro.pmem.device import PersistentMemoryDevice
+from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
+
+
+def device_with_blocks(block_bytes):
+    """A fresh device whose geometry has ``block_bytes`` blocks."""
+    return PersistentMemoryDevice(geometry=DeviceGeometry(block_bytes=block_bytes))
 
 
 class TestRegistry:
@@ -125,15 +130,16 @@ class TestBlockedMemory:
         assert device.counters.cacheline_writes == 0.0
 
     def test_blocks_allocated_lazily(self, device):
-        backend = BlockedMemoryBackend(device, block_bytes=1024)
+        backend = BlockedMemoryBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 100)
         assert t.extra["blocks"] == 1
         backend.append_bulk(t, 2000)
         assert t.extra["blocks"] == 3
 
-    def test_no_copy_on_expansion(self, device):
-        backend = BlockedMemoryBackend(device, block_bytes=256)
+    def test_no_copy_on_expansion(self):
+        device = device_with_blocks(256)
+        backend = BlockedMemoryBackend(device)
         t = backend.create_store("t")
         for _ in range(20):
             backend.append_bulk(t, 100)
@@ -142,8 +148,9 @@ class TestBlockedMemory:
 
 
 class TestDynamicArray:
-    def test_expansion_copies_live_payload(self, device):
-        backend = DynamicArrayBackend(device, initial_capacity_bytes=128)
+    def test_expansion_copies_live_payload(self):
+        device = device_with_blocks(128)
+        backend = DynamicArrayBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 128)
         device.reset_counters()
@@ -151,8 +158,8 @@ class TestDynamicArray:
         assert device.counters.cacheline_reads == pytest.approx(2.0)
         assert device.counters.cacheline_writes == pytest.approx(2.0 + 1.0)
 
-    def test_expansions_counter(self, device):
-        backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
+    def test_expansions_counter(self):
+        backend = DynamicArrayBackend(device_with_blocks(64))
         t = backend.create_store("t")
         for _ in range(16):
             backend.append_bulk(t, 64)
@@ -162,9 +169,9 @@ class TestDynamicArray:
     def test_writes_exceed_blocked_memory(self):
         """The write amplification the paper attributes to dynamic arrays."""
         blocked_device = PersistentMemoryDevice()
-        dynamic_device = PersistentMemoryDevice()
+        dynamic_device = device_with_blocks(64)
         blocked = BlockedMemoryBackend(blocked_device)
-        dynamic = DynamicArrayBackend(dynamic_device, initial_capacity_bytes=64)
+        dynamic = DynamicArrayBackend(dynamic_device)
         for backend in (blocked, dynamic):
             t = backend.create_store("t")
             for _ in range(100):
@@ -174,12 +181,9 @@ class TestDynamicArray:
             > blocked_device.counters.cacheline_writes
         )
 
-    def test_growth_factor_validation(self, device):
-        with pytest.raises(ConfigurationError):
-            DynamicArrayBackend(device, growth_factor=1.0)
-
-    def test_reallocation_overhead_charged(self, device):
-        backend = DynamicArrayBackend(device, initial_capacity_bytes=64)
+    def test_reallocation_overhead_charged(self):
+        device = device_with_blocks(64)
+        backend = DynamicArrayBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 1024)
         assert device.counters.overhead_breakdown.get("reallocation", 0) > 0
@@ -203,7 +207,7 @@ class TestRamDisk:
         assert t.extra["padded_read_bytes"] == 412
 
     def test_syscall_overhead_per_call(self, device):
-        backend = RamDiskBackend(device, syscall_overhead_ns=700.0)
+        backend = RamDiskBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 512)
         backend.read_bulk(t, 512)
@@ -224,7 +228,7 @@ class TestPmfs:
         assert device.counters.cacheline_writes == pytest.approx(1.25)
 
     def test_small_per_call_overhead(self, device):
-        backend = PmfsBackend(device, file_call_overhead_ns=80.0)
+        backend = PmfsBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 64)
         backend.read_bulk(t, 64)

@@ -125,19 +125,7 @@ class TestAccounting:
 
 
 class TestCapacity:
-    def test_capacity_enforced(self):
-        device = PersistentMemoryDevice(
-            geometry=DeviceGeometry(capacity_bytes=1024)
-        )
-        device.allocate(512)
-        device.allocate(512)
-        with pytest.raises(ConfigurationError):
-            device.allocate(1)
-
-    def test_release_returns_capacity(self):
-        device = PersistentMemoryDevice(
-            geometry=DeviceGeometry(capacity_bytes=1024)
-        )
+    def test_release_returns_capacity(self, device):
         device.allocate(1024)
         device.release(512)
         device.allocate(256)

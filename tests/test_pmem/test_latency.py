@@ -12,10 +12,10 @@ from repro.pmem.latency import (
 
 class TestDefaults:
     def test_paper_default_read_latency(self):
-        assert LatencyModel.paper_default().read_ns == 10.0
+        assert LatencyModel().read_ns == 10.0
 
     def test_paper_default_write_latency(self):
-        assert LatencyModel.paper_default().write_ns == 150.0
+        assert LatencyModel().write_ns == 150.0
 
     def test_default_constants_match_paper(self):
         assert DEFAULT_READ_LATENCY_NS == 10.0

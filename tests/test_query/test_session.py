@@ -14,10 +14,7 @@ from repro.bench.harness import budget_for, make_environment
 from repro.exceptions import ConfigurationError
 from repro.shard import ShardedCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
-from repro.workloads.generator import (
-    make_sharded_sort_input,
-    make_sort_input,
-)
+from repro.workloads.generator import make_sort_input
 
 
 class TestTargets:
@@ -30,7 +27,7 @@ class TestTargets:
 
     def test_shard_set_target_runs_sharded(self):
         shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(64, shard_set)
+        collection = make_sort_input(64, shard_set)
         session = Session(shard_set, MemoryBudget.from_records(8))
         result = session.query(Query.scan(collection).order_by())
         assert isinstance(result, QueryResult)
@@ -63,14 +60,14 @@ class TestRouting:
     def test_mismatched_shard_set_rejected(self):
         set_a = ShardSet.create(2)
         set_b = ShardSet.create(2)
-        collection = make_sharded_sort_input(32, set_b)
+        collection = make_sort_input(32, set_b)
         session = Session(set_a, MemoryBudget.from_records(8))
         with pytest.raises(ConfigurationError, match="different shard set"):
             session.query(Query.scan(collection).order_by())
 
     def test_materialize_result_rejected_on_sharded_queries(self):
         shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(32, shard_set)
+        collection = make_sort_input(32, shard_set)
         session = Session(
             shard_set, MemoryBudget.from_records(8), materialize_result=True
         )
@@ -79,7 +76,7 @@ class TestRouting:
 
     def test_sharded_input_runs_a_sharded_plan(self, backend):
         shard_set = ShardSet.create(2)
-        sharded = make_sharded_sort_input(32, shard_set)
+        sharded = make_sort_input(32, shard_set)
         session = Session(shard_set, MemoryBudget.from_records(8))
         result = session.query(Query.scan(sharded).order_by())
         assert result.plan.num_shards == 2
@@ -113,7 +110,7 @@ class TestSharedBufferpool:
 
     def test_sharded_queries_share_the_session_pool(self):
         shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(64, shard_set)
+        collection = make_sort_input(64, shard_set)
         budget = MemoryBudget.from_records(16)
         session = Session(shard_set, budget)
         session.query(Query.scan(collection).order_by())

@@ -15,9 +15,9 @@ import pytest
 
 from repro.aggregation import HashAggregation, SortedAggregation
 from repro.exceptions import CollectionStateError
-from repro.joins import JOIN_REGISTRY
 from repro.runtime.context import OperatorContext
-from repro.sorts import SORT_REGISTRY, SegmentSort
+from repro.query import JOIN_ALTERNATIVES, SORT_ALTERNATIVES
+from repro.sorts import SegmentSort, SelectionSort
 from repro.storage.bufferpool import MemoryBudget
 from repro.workloads.generator import wisconsin_permutation
 
@@ -56,8 +56,10 @@ def aggregate_with(cls, **kwargs):
     ).aggregate(source)
 
 
+#: Every sort: the planner's alternatives, and selection sort.
+SORT_CLASSES = {**SORT_ALTERNATIVES, "SelS": SelectionSort}
 SORTS = {
-    **{name: sort_with(cls) for name, cls in SORT_REGISTRY.items()},
+    **{name: sort_with(cls) for name, cls in SORT_CLASSES.items()},
     # At x = 1 segment sort is external mergesort, reading to the end.
     "SegS[x=1]": sort_with(SegmentSort, write_intensity=1.0),
 }
@@ -65,12 +67,12 @@ CONSUMERS = {
     **SORTS,
     **{
         f"{name}[{side}]": join_with(cls, side)
-        for name, cls in JOIN_REGISTRY.items()
+        for name, cls in JOIN_ALTERNATIVES.items()
         for side in ("left", "right")
     },
     **{
         f"SortAgg[{name}]": aggregate_with(SortedAggregation, sort_class=cls)
-        for name, cls in SORT_REGISTRY.items()
+        for name, cls in SORT_CLASSES.items()
     },
     "HashAgg": aggregate_with(HashAggregation),
 }

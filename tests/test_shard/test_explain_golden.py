@@ -14,7 +14,7 @@ from repro.query import Query
 from repro.session import Session
 from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
-from repro.workloads.generator import make_sharded_join_inputs
+from repro.workloads.generator import make_join_inputs
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_explain_2shard.txt")
 
@@ -22,7 +22,7 @@ GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_explain_2shard.txt")
 def canonical_two_shard_join_explain() -> str:
     """The canonical plan: 300 x 3000 Wisconsin join, 2 shards, 10% DRAM."""
     shard_set = ShardSet.create(2)
-    left, right = make_sharded_join_inputs(300, 3_000, shard_set)
+    left, right = make_join_inputs(300, 3_000, shard_set)
     budget = MemoryBudget.fraction_of(left, 0.10)
     result = Session(shard_set, budget).query(
         Query.scan(left).join(Query.scan(right))

@@ -6,13 +6,13 @@ from repro.exceptions import ConfigurationError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.sorts import (
-    SORT_REGISTRY,
     ExternalMergeSort,
     HybridSort,
     LazySort,
     SegmentSort,
     SelectionSort,
 )
+from repro.query import SORT_ALTERNATIVES
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.workloads.generator import make_sort_input
@@ -168,7 +168,9 @@ class TestResultMetadata:
 
 class TestConfiguration:
     def test_registry_contains_paper_abbreviations(self):
-        assert set(SORT_REGISTRY) == {"ExMS", "SelS", "SegS", "HybS", "LaS"}
+        # Selection sort is segment sort at x = 0, so the planner prices
+        # SegS instead.
+        assert set(SORT_ALTERNATIVES) == {"ExMS", "SegS", "HybS", "LaS"}
 
     def test_write_limited_flags(self):
         assert not ExternalMergeSort.write_limited

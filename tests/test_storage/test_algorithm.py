@@ -13,20 +13,22 @@ from __future__ import annotations
 import pytest
 
 from repro.aggregation import HashAggregation, SortedAggregation
-from repro.joins import JOIN_REGISTRY, JoinAlgorithm
+from repro.joins import JoinAlgorithm
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.backends.base import PersistenceBackend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.pmem.metrics import IOSnapshot
-from repro.sorts import SORT_REGISTRY, SortAlgorithm
+from repro.query import JOIN_ALTERNATIVES, SORT_ALTERNATIVES
+from repro.sorts import SelectionSort, SortAlgorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
 from tests.conftest import build_collection
 
 ALGORITHMS = {
-    **SORT_REGISTRY,
-    **JOIN_REGISTRY,
+    **SORT_ALTERNATIVES,
+    "SelS": SelectionSort,
+    **JOIN_ALTERNATIVES,
     "SortAgg": SortedAggregation,
     "HashAgg": HashAggregation,
 }
@@ -50,7 +52,7 @@ def run(algorithm, inputs):
 
 
 def inputs_for(label, backend):
-    if label in JOIN_REGISTRY:
+    if label in JOIN_ALTERNATIVES:
         return make_join_inputs(40, 200, backend)
     return (make_sort_input(120, backend, name="run-input"),)
 
@@ -96,7 +98,7 @@ def test_workspace_released_when_execute_raises(label, backend):
 
 def empty_cases():
     for label in sorted(ALGORITHMS):
-        sides = ("left", "right") if label in JOIN_REGISTRY else ("input",)
+        sides = ("left", "right") if label in JOIN_ALTERNATIVES else ("input",)
         for side in sides:
             for materialize in (True, False):
                 yield pytest.param(

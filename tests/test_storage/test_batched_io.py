@@ -375,19 +375,8 @@ def test_memory_collection_extend_and_scan_blocks_charge_nothing(backend):
 
 
 # --------------------------------------------------------------------- #
-# block_bytes validation (regression: 0 used to silently become default).
+# block_bytes comes from the device geometry.
 # --------------------------------------------------------------------- #
-def test_zero_block_bytes_raises(backend):
-    with pytest.raises(ConfigurationError):
-        PersistentCollection(name="bad", backend=backend, block_bytes=0)
-    with pytest.raises(ConfigurationError):
-        PersistentCollection(
-            name="bad-mem", status=CollectionStatus.MEMORY, block_bytes=0
-        )
-    with pytest.raises(ConfigurationError):
-        PersistentCollection(name="bad-neg", backend=backend, block_bytes=-1)
-
-
 def test_default_block_bytes_comes_from_device_geometry(backend):
     collection = _materialized(backend, name="defaults")
     assert collection.block_bytes == backend.device.geometry.block_bytes

@@ -20,7 +20,6 @@ from repro.workload_mgmt.admission import (
 from repro.workload_mgmt.handle import QueryHandle
 from repro.workloads.generator import (
     make_join_inputs,
-    make_sharded_sort_input,
     make_sort_input,
 )
 
@@ -67,7 +66,7 @@ class TestEstimator:
 
     def test_sharded_demand_scales_with_shards(self):
         shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(100, shard_set)
+        collection = make_sort_input(100, shard_set)
         plan = ShardedPlanner(shard_set, MemoryBudget(1 << 20)).plan(
             Query.scan(collection).order_by()
         )

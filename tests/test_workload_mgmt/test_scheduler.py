@@ -12,27 +12,17 @@ from repro import MemoryBudget, Query, Session, ShardSet
 from repro.exceptions import ConfigurationError
 from repro.shard import HashPartitioner
 from repro.shard.planner import ShardedPlanner
-from repro.storage.collection import PersistentCollection
-from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import DeviceWorkerPool, QueryStatus
 from repro.workloads.generator import (
-    make_sharded_join_inputs,
-    make_sharded_sort_input,
+    make_join_inputs,
+    make_sort_input,
 )
 
+from tests.conftest import build_collection
 from tests.golden_pass import cli_output
 from tests.test_workload_mgmt.conftest import gated
 
 GOLDEN_CLI = pathlib.Path(__file__).parents[1] / "golden_cli"
-
-
-def build_plain(backend, name, keys):
-    collection = PersistentCollection(
-        name=name, backend=backend, schema=WISCONSIN_SCHEMA
-    )
-    collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in keys)
-    collection.seal()
-    return collection
 
 
 class TestDeviceWorkerPool:
@@ -66,8 +56,8 @@ class TestDeviceWorkerPool:
 class TestCoScheduling:
     def test_concurrent_workload_matches_serial_records(self):
         shard_set = ShardSet.create(2)
-        sort_input = make_sharded_sort_input(240, shard_set, name="T")
-        left, right = make_sharded_join_inputs(80, 800, shard_set)
+        sort_input = make_sort_input(240, shard_set, name="T")
+        left, right = make_join_inputs(80, 800, shard_set)
         queries = [
             {"query": Query.scan(sort_input).order_by(), "tag": "sort"},
             {
@@ -101,11 +91,11 @@ class TestCoScheduling:
         sort evaluate every predicate on one thread, not the client's."""
         shard_set = ShardSet.create(2)
         plains = [
-            build_plain(shard_set.backends[index], f"P{index}", range(200))
+            build_collection(shard_set.backends[index], range(200), f"P{index}")
             for index in range(2)
         ]
-        sort_input = make_sharded_sort_input(200, shard_set, name="T")
-        left, right = make_sharded_join_inputs(
+        sort_input = make_sort_input(200, shard_set, name="T")
+        left, right = make_join_inputs(
             50, 200, shard_set, right_partitioner=HashPartitioner(2, key_index=1)
         )
         threads = set()
@@ -162,8 +152,8 @@ class TestCoScheduling:
         """Two plain queries on different shard backends co-run: the
         workload critical path stays below the serial sum."""
         shard_set = ShardSet.create(2)
-        a = build_plain(shard_set.backends[0], "A", range(4000))
-        b = build_plain(shard_set.backends[1], "B", range(4000))
+        a = build_collection(shard_set.backends[0], range(4000), "A")
+        b = build_collection(shard_set.backends[1], range(4000), "B")
         with Session(shard_set, MemoryBudget(64_000)) as session:
             result = session.run_workload(
                 [
@@ -176,7 +166,7 @@ class TestCoScheduling:
             assert result.overlap > 1.5
 
     def test_queue_waits_are_reported(self, backend):
-        collection = build_plain(backend, "Q", range(2000))
+        collection = build_collection(backend, range(2000), "Q")
         query = Query.scan(collection).order_by()
         with Session(backend, MemoryBudget(32_000)) as session:
             result = session.run_workload(
@@ -196,8 +186,8 @@ class TestCoScheduling:
 
     def test_critical_path_bounded_by_serial_sum(self):
         shard_set = ShardSet.create(2)
-        sort_input = make_sharded_sort_input(200, shard_set)
-        plain = build_plain(shard_set.backends[0], "P", range(500))
+        sort_input = make_sort_input(200, shard_set)
+        plain = build_collection(shard_set.backends[0], range(500), "P")
         with Session(shard_set, MemoryBudget(48_000)) as session:
             result = session.run_workload(
                 [
@@ -208,7 +198,7 @@ class TestCoScheduling:
             assert result.critical_path_ns <= result.serial_sum_ns + 1e-6
 
     def test_failed_query_releases_memory_and_reports(self, backend):
-        bad = build_plain(backend, "BAD", range(100))
+        bad = build_collection(backend, range(100), "BAD")
 
         def exploding(record):
             raise RuntimeError("predicate exploded")
@@ -233,7 +223,7 @@ class TestDispatchLifecycle:
     def test_close_waits_for_a_running_query_and_returns_its_share(
         self, backend, gate
     ):
-        collection = build_plain(backend, "IDLE", range(100))
+        collection = build_collection(backend, range(100), "IDLE")
         session = Session(backend, MemoryBudget(32_000))
         handle = session.submit(gated(gate, collection), memory_bytes=8_000)
         assert handle.status is QueryStatus.RUNNING
@@ -254,7 +244,7 @@ class TestDispatchLifecycle:
 
     @pytest.mark.parametrize("bad", ["validation", "planning"])
     def test_a_batch_with_a_bad_last_item_admits_nothing(self, backend, bad):
-        collection = build_plain(backend, "BATCH", range(100))
+        collection = build_collection(backend, range(100), "BATCH")
         query = Query.scan(collection).order_by()
         with Session(backend, MemoryBudget(32_000)) as session:
             controller = session.scheduler.controller
@@ -286,7 +276,7 @@ class TestDispatchLifecycle:
         between admitting its batch and starting it: the members are
         running from admission on, so close waits for them, and the
         worker pool is still up when they start."""
-        collection = build_plain(backend, "LATE", range(100))
+        collection = build_collection(backend, range(100), "LATE")
         query = Query.scan(collection).filter(lambda r: True, selectivity=1.0)
         session = Session(backend, MemoryBudget(32_000))
         scheduler = session.scheduler
@@ -329,10 +319,10 @@ class TestDispatchLifecycle:
         duplicate run; a lost one never finishes."""
         shard_set = ShardSet.create(2)
         plains = [
-            build_plain(shard_set.backends[index], f"S{index}", range(40))
+            build_collection(shard_set.backends[index], range(40), f"S{index}")
             for index in range(2)
         ]
-        sharded = make_sharded_sort_input(40, shard_set)
+        sharded = make_sort_input(40, shard_set)
         queries = [
             Query.scan(plains[index % 2]).filter(
                 lambda r: r[0] % 2 == 0, selectivity=0.5

@@ -5,25 +5,12 @@ import pytest
 from repro import MemoryBudget, Query, Session, ShardSet
 from repro.exceptions import AdmissionRejectedError, ConfigurationError
 from repro.query import CostBasedPlanner
-from repro.storage.collection import PersistentCollection
-from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workload_mgmt import QueryStatus
 from repro.shard.planner import ShardedPlanner
-from repro.workloads.generator import (
-    make_sharded_sort_input,
-    make_sort_input,
-)
+from repro.workloads.generator import make_sort_input
 
+from tests.conftest import build_collection
 from tests.test_workload_mgmt.conftest import gated
-
-
-def build_plain(backend, name, keys):
-    collection = PersistentCollection(
-        name=name, backend=backend, schema=WISCONSIN_SCHEMA
-    )
-    collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in keys)
-    collection.seal()
-    return collection
 
 
 class TestContextManager:
@@ -166,7 +153,7 @@ class TestDegradeThroughSession:
 class TestMixedRouting:
     def test_plain_query_on_shard_backend_runs(self):
         shard_set = ShardSet.create(2)
-        plain = build_plain(shard_set.backends[1], "ON-SHARD", range(200))
+        plain = build_collection(shard_set.backends[1], range(200), "ON-SHARD")
         with Session(shard_set, MemoryBudget.from_records(60)) as session:
             result = session.query(
                 Query.scan(plain).filter(lambda r: r[0] < 100, selectivity=0.5)
@@ -175,15 +162,15 @@ class TestMixedRouting:
 
     def test_plain_query_off_the_shard_set_rejected(self, backend):
         shard_set = ShardSet.create(2)
-        foreign = build_plain(backend, "FOREIGN", range(50))
+        foreign = build_collection(backend, range(50), "FOREIGN")
         session = Session(shard_set, MemoryBudget.from_records(60))
         with pytest.raises(ConfigurationError, match="ShardSet"):
             session.query(Query.scan(foreign).order_by())
 
     def test_mixed_workload_single_device_and_sharded(self):
         shard_set = ShardSet.create(2)
-        sharded = make_sharded_sort_input(200, shard_set)
-        plain = build_plain(shard_set.backends[0], "MIX", range(150))
+        sharded = make_sort_input(200, shard_set)
+        plain = build_collection(shard_set.backends[0], range(150), "MIX")
         with Session(shard_set, MemoryBudget(64_000)) as session:
             report = session.run_workload(
                 [
@@ -229,7 +216,7 @@ class TestCalibrationReport:
 
     def test_sharded_queries_feed_the_report(self):
         shard_set = ShardSet.create(2)
-        collection = make_sharded_sort_input(200, shard_set)
+        collection = make_sort_input(200, shard_set)
         with Session(shard_set, MemoryBudget.from_records(60)) as session:
             session.query(Query.scan(collection).order_by())
             report = session.calibration_report()

@@ -27,7 +27,7 @@ from repro.session import Session
 from repro.shard import ShardSet
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.collection import PersistentCollection
-from repro.workloads.generator import make_join_inputs, make_sharded_join_inputs
+from repro.workloads.generator import make_join_inputs
 
 LEFT, RIGHT = 3_000, 6_000
 BUDGET = MemoryBudget(16 * 1024)
@@ -63,7 +63,7 @@ def load(shards):
         backend = make_backend("blocked_memory", PersistentMemoryDevice())
         return backend, [backend], make_join_inputs(LEFT, RIGHT, backend)
     shard_set = ShardSet.create(shards)
-    inputs = make_sharded_join_inputs(LEFT, RIGHT, shard_set)
+    inputs = make_join_inputs(LEFT, RIGHT, shard_set)
     return shard_set, shard_set.backends, inputs
 
 

@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.wisconsin import (
-    WisconsinGenerator,
     _primitive_root,
     wisconsin_permutation,
 )
@@ -63,10 +61,3 @@ class TestPrimitiveRoots:
             if order % divisor == 0:
                 assert pow(root, order // divisor, prime) != 1
 
-
-class TestWisconsinGenerator:
-    def test_records_follow_permutation(self):
-        generator = WisconsinGenerator(WISCONSIN_SCHEMA, seed=1)
-        records = list(generator.records(200))
-        assert sorted(r[0] for r in records) == list(range(200))
-        assert all(len(record) == 10 for record in records)
