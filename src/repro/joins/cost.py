@@ -7,10 +7,13 @@ floor/ceiling functions are dropped.  Output materialization is excluded
 optional ``output_buffers`` argument adds it back when callers want
 absolute totals.  The Grace-family prices (GJ, SegJ, HybJ) write and read
 back every partitioned probe record; the joins skip the probe records of
-an empty build partition, and the partitioning scan of the probe side
-when no probe partition is left to write (SegJ at x = 0, an empty build
-side), so where build partitions are empty those prices are an upper
-bound.
+an empty build partition, so where build partitions are empty those
+prices are an upper bound.  The joins also skip the partitioning scan of
+the probe side when no probe partition is left to write, which is every
+SegJ run that materializes no partition (x = 0, as when
+``round(k * x_fraction)`` is 0): Eq. 9's first term still charges that
+scan, ``r|V|``, so the SegJ price at x = 0 is one probe-side scan too
+high whatever the data.
 """
 
 from __future__ import annotations

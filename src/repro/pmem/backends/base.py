@@ -121,9 +121,9 @@ class PersistenceBackend(ABC):
         """Discard the store's contents (cheap: metadata only)."""
         stats = self._require(store)
         self.device.release(stats.physical_bytes)
-        self._on_truncate(stats)
         stats.logical_bytes = 0
         stats.physical_bytes = 0
+        self._on_truncate(stats)
         stats.truncate_calls += 1
 
     # ------------------------------------------------------------------ #
@@ -146,7 +146,9 @@ class PersistenceBackend(ABC):
         """Optional subclass hook run when a store is created."""
 
     def _on_truncate(self, stats: StoreStats) -> None:
-        """Optional subclass hook run when a store is truncated."""
+        """Optional subclass hook run when a store is truncated, after its
+        logical and physical sizes are reset to zero and its allocation
+        released."""
 
     # ------------------------------------------------------------------ #
     # Internal helpers.

@@ -19,7 +19,7 @@ invariant ``elapsed == transfer + overhead``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.pmem.latency import LatencyModel
@@ -40,7 +40,8 @@ class DeviceGeometry:
 
     Attributes:
         cacheline_bytes: unit in which the device is accessed and in which
-            reads/writes are counted ("buffers" in the paper's analysis).
+            reads/writes are counted ("buffers" in the paper's analysis);
+            always :data:`DEFAULT_CACHELINE_BYTES`.
         block_bytes: unit in which persistent collections group their data
             to amortize access costs (Figure 3); must be a multiple of the
             cacheline size.
@@ -48,12 +49,10 @@ class DeviceGeometry:
     The device's capacity is unbounded: the experiments never fill it.
     """
 
-    cacheline_bytes: int = DEFAULT_CACHELINE_BYTES
     block_bytes: int = DEFAULT_BLOCK_BYTES
+    cacheline_bytes: int = field(default=DEFAULT_CACHELINE_BYTES, init=False)
 
     def __post_init__(self) -> None:
-        if self.cacheline_bytes <= 0:
-            raise ConfigurationError("cacheline_bytes must be positive")
         if self.block_bytes <= 0:
             raise ConfigurationError("block_bytes must be positive")
         if self.block_bytes % self.cacheline_bytes != 0:

@@ -71,7 +71,6 @@ def make_sort_input(
     schema: Schema = WISCONSIN_SCHEMA,
     name: str = "T",
     seed: int = 1,
-    partitioner: Optional[HashPartitioner] = None,
 ):
     """The sort microbenchmark input: ``num_records`` Wisconsin records."""
     if num_records < 0:
@@ -81,7 +80,7 @@ def make_sort_input(
         if num_records
         else ()
     )
-    return load_collection(records, target, name, schema, partitioner)
+    return load_collection(records, target, name, schema)
 
 
 def make_join_inputs(
@@ -92,7 +91,6 @@ def make_join_inputs(
     left_name: str = "T",
     right_name: str = "V",
     seed: int = 1,
-    left_partitioner: Optional[HashPartitioner] = None,
     right_partitioner: Optional[HashPartitioner] = None,
 ):
     """The join microbenchmark inputs.
@@ -117,7 +115,6 @@ def make_join_inputs(
         target,
         left_name,
         schema,
-        left_partitioner,
     )
     right = load_collection(
         (

@@ -20,7 +20,7 @@ class TestDeviceGeometry:
 
     def test_block_must_be_multiple_of_cacheline(self):
         with pytest.raises(ConfigurationError):
-            DeviceGeometry(cacheline_bytes=64, block_bytes=1000)
+            DeviceGeometry(block_bytes=1000)
 
     def test_bytes_to_cachelines_fractional(self):
         geometry = DeviceGeometry()
@@ -30,10 +30,9 @@ class TestDeviceGeometry:
         with pytest.raises(ConfigurationError):
             DeviceGeometry().bytes_to_cachelines(-1)
 
-    @pytest.mark.parametrize("field", ["cacheline_bytes", "block_bytes"])
-    def test_non_positive_sizes_rejected(self, field):
+    def test_non_positive_block_rejected(self):
         with pytest.raises(ConfigurationError):
-            DeviceGeometry(**{field: 0})
+            DeviceGeometry(block_bytes=0)
 
 
 class TestAccounting:

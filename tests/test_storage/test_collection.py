@@ -21,7 +21,22 @@ class TestLifecycle:
     def test_memory_collection_needs_no_backend(self):
         collection = PersistentCollection(status=CollectionStatus.MEMORY)
         collection.extend([WISCONSIN_SCHEMA.make_record(1)])
+        collection.seal()
         assert len(collection) == 1
+
+    def test_clear_releases_the_store_and_appends_again(self, any_backend):
+        # Every backend charges an append after a truncate from the store's
+        # fresh allocation, and holds on the device exactly what it reports.
+        device = any_backend.device
+        collection = build_collection(any_backend, range(500), name="reused")
+        collection.clear()
+        assert collection.store.physical_bytes == device.allocated_bytes
+        collection.extend(WISCONSIN_SCHEMA.make_record(k) for k in range(500))
+        collection.seal()
+        assert len(collection) == 500
+        assert collection.store.logical_bytes == 500 * WISCONSIN_SCHEMA.record_bytes
+        assert collection.store.physical_bytes == device.allocated_bytes
+        assert collection.store.physical_bytes >= collection.store.logical_bytes
 
     def test_unnamed_collections_share_a_label_not_a_store(self, backend):
         first = PersistentCollection(backend=backend)

@@ -135,10 +135,6 @@ class TestSortInput:
         assert keys_of(a) != keys_of(b)
         assert sorted(keys_of(a)) == sorted(keys_of(b))
 
-    def test_partitioner_with_a_backend_raises(self, backend):
-        with pytest.raises(ConfigurationError):
-            make_sort_input(10, backend, partitioner=HashPartitioner(1))
-
 
 class TestJoinInputs:
     def test_same_records_on_every_target(self, target):
@@ -184,8 +180,6 @@ class TestJoinInputs:
         with pytest.raises(ConfigurationError):
             make_join_inputs(100, 0, target)
 
-    def test_partitioner_with_a_backend_raises(self, backend):
-        with pytest.raises(ConfigurationError):
-            make_join_inputs(10, 100, backend, left_partitioner=HashPartitioner(1))
-        with pytest.raises(ConfigurationError):
+    def test_right_partitioner_with_a_backend_raises(self, backend):
+        with pytest.raises(ConfigurationError, match="ShardSet"):
             make_join_inputs(10, 100, backend, right_partitioner=HashPartitioner(1))
