@@ -24,7 +24,7 @@ the one-shard case):
 
 from repro.shard.collection import ShardedCollection, ShardSet
 from repro.shard.executor import QueryResult, ShardedQueryExecutor
-from repro.shard.partition import HashPartitioner, multiplicative_hash
+from repro.shard.partition import HashPartitioner
 from repro.shard.planner import (
     ExchangeStep,
     FragmentStep,
@@ -37,7 +37,6 @@ __all__ = [
     "ShardSet",
     "ShardedCollection",
     "HashPartitioner",
-    "multiplicative_hash",
     "ShardedPlanner",
     "ShardedPhysicalPlan",
     "FragmentStep",

@@ -20,14 +20,20 @@ depends on its key alone, and each run is its members, kept in arrival
 order, stably sorted by key.
 
 A third kernel, :func:`ranked_passes`, serves a whole sequence of
-consecutive selection scans over one stable source from a single ranking:
-it computes once and charges per pass.
+consecutive selection scans over one stable source from a single ranking,
+and derives from that ranking the order in which any of those scans would
+displace records: it computes once and charges per pass.  Selection sort,
+segment sort and lazy sort draw every pass over a MEMORY or MATERIALIZED
+source from it, so :func:`select_smallest` runs only for hybrid sort's
+single pass and lazy sort's passes over a DEFERRED input.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
+from functools import partial
+from heapq import heapify, heappop, heappushpop, heapreplace
 from itertools import chain, islice
+from operator import neg
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
@@ -102,14 +108,16 @@ def ranked_passes(
     key: Callable[[tuple], int],
     start: int = 0,
     stop: int | None = None,
-) -> Iterator[tuple[list[tuple], tuple[int, int]]]:
+) -> Iterator[tuple[list[tuple], tuple[int, int], Callable[[], list[tuple]]]]:
     """Consecutive selection scans of ``source[start:stop]``, ranked once.
 
     Yields, pass after pass, exactly what :func:`select_smallest` returns
     when each scan resumes after the previous pass's threshold: the next
     ``capacity`` records in ``(key, position)`` order, ascending, and the
     ``(key, position)`` of the last of them.  So a caller may stop after
-    any pass and continue with ``select_smallest(after=threshold)``.
+    any pass and continue with ``select_smallest(after=threshold)``.  The
+    third item of each pass is a function that returns the records that
+    scan's ``displaced`` callback would have received, in that order.
 
     The first pass reads the slice through ``source.scan_blocks`` and
     sorts its positions once by ``(key, position)`` -- a stable sort of the
@@ -118,6 +126,19 @@ def ranked_passes(
     ``source.scan_blocks(start, stop)``, so each pass makes the same
     backend calls as the full rescan it replaces: the I/O profile is
     identical, only the Python CPU time changes.
+
+    The displacement order is a function of the ranking too.  A scan
+    resuming at offset ``o`` of the order sees the eligible records
+    ``order[o:]`` arrive by position; it keeps ``order[o:o + capacity]``
+    and displaces each later-ranked record at the step
+    ``max(its position, the capacity-th smallest position among the
+    eligible records ranked before it)``: on arrival if that many smaller
+    records came first, else on the arrival of the one that completes
+    them.  Walking the displaced records in rank order over a max-heap of
+    the ``capacity`` smallest positions seen, seeded with the kept ones,
+    one ``heappushpop`` per record yields its step.  Each arrival displaces
+    exactly one record, so the steps are distinct and sorting by them
+    gives the scan's displacement order.
 
     The ranked order is simulator bookkeeping over records the collection
     already holds as Python tuples, not modelled DRAM: the sort's
@@ -131,13 +152,28 @@ def ranked_passes(
     keys = list(map(key, records))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     fetch = records.__getitem__
+
+    def displaced(kept: list[int], end: int) -> list[tuple]:
+        heap = list(map(neg, kept))
+        heapify(heap)
+        later = order[end:]
+        # Negated steps: the heap is a max-heap of positions.
+        steps = list(map(partial(heappushpop, heap), map(neg, later)))
+        by_step = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
+        return list(map(fetch, map(later.__getitem__, by_step)))
+
     for offset in range(0, len(order), capacity):
         if offset:
             for _ in source.scan_blocks(start, stop):
                 pass
-        positions = order[offset : offset + capacity]
+        end = offset + capacity
+        positions = order[offset:end]
         last = positions[-1]
-        yield list(map(fetch, positions)), (keys[last], last)
+        yield (
+            list(map(fetch, positions)),
+            (keys[last], last),
+            partial(displaced, positions, end),
+        )
 
 
 def replacement_selection_runs(

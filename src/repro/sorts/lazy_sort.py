@@ -9,14 +9,16 @@ once the penalty catches up with the savings (Eq. 5 of the paper,
 unprocessed remainder as a smaller intermediate input, and reverts to
 being lazy on that input.
 
-Every pass is charged as a full rescan, but the lazy passes over a MEMORY
-or MATERIALIZED source are computed once: they come from the ranked
-selection kernel (:func:`~repro.sorts.heaps.ranked_passes`).  Two kinds of
-pass still run a :func:`~repro.sorts.heaps.select_smallest` scan.  A
-materializing pass does, because the order in which it displaces records
-lays out the intermediate and so decides later tie-breaks.  A pass over a
-DEFERRED input does, because a replay is priced with its bookkeeping, not
-only its root reads.  A deferred input has no buffers of its own, so lazy
+Every pass is charged as a full rescan, but the passes over a MEMORY or
+MATERIALIZED source are computed once: they come from one ranking of that
+source by the ranked selection kernel
+(:func:`~repro.sorts.heaps.ranked_passes`).  A materializing pass is
+served too: the order in which it displaces records lays out the
+intermediate and so decides later tie-breaks, and the kernel derives that
+order from the ranking.  So the input and each intermediate are ranked
+once.  Only a pass over a DEFERRED input still runs a
+:func:`~repro.sorts.heaps.select_smallest` scan, because that pass also
+counts the input.  A deferred input has no buffers of its own, so lazy
 sort materializes it on the first pass that leaves more than M records.
 
 A deferred input's length is unknown until a scan of it ends, so the
@@ -77,12 +79,12 @@ class LazySort(SortAlgorithm):
                 iteration >= materialization_iteration
                 and remaining > self.workspace_records
             )
-            if materialize or source.is_deferred:
-                # A displaced record is not among the current M minimums
-                # but is still pending: when materializing, it belongs
-                # to the intermediate input, in the order it was
-                # displaced.  The first pass over a deferred input
-                # keeps it to count the input.
+            # A displaced record is not among the current M minimums but
+            # is still pending: when materializing, it belongs to the
+            # intermediate input, in the order it was displaced.
+            if source.is_deferred:
+                # The first pass over a deferred input keeps it to count
+                # the input.
                 spill: list[tuple] = []
                 batch, threshold = select_smallest(
                     source.scan(),
@@ -97,20 +99,21 @@ class LazySort(SortAlgorithm):
                 )
                 if total_records is None:
                     total_records = len(batch) + len(spill)
-                # An over-declared deferred input may leave nothing
-                # to materialize.
-                materialize = materialize and bool(spill)
-                if materialize:
-                    intermediates += 1
-                    intermediate = self._scratch_collection(
-                        f"{collection.name}-las-intermediate-{intermediates}",
-                        self.schema,
-                    )
-                    intermediate.extend(spill)
             else:
                 if passes is None:
                     passes = ranked_passes(source, self.workspace_records, self.key_fn)
-                batch, threshold = next(passes)
+                batch, threshold, displaced = next(passes)
+                spill = displaced() if materialize else []
+            # An over-declared deferred input may leave nothing to
+            # materialize.
+            materialize = materialize and bool(spill)
+            if materialize:
+                intermediates += 1
+                intermediate = self._scratch_collection(
+                    f"{collection.name}-las-intermediate-{intermediates}",
+                    self.schema,
+                )
+                intermediate.extend(spill)
             scans += 1
             output.extend(batch)
             emitted += len(batch)

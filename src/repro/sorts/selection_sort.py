@@ -38,7 +38,9 @@ def selection_passes(
     the batches straight into its final merge, which is how it avoids
     materializing the selection segment as an intermediate run.
     """
-    for batch, _ in ranked_passes(collection, workspace_records, key_fn, start, stop):
+    for batch, _, _ in ranked_passes(
+        collection, workspace_records, key_fn, start, stop
+    ):
         yield batch
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.shard import HashPartitioner, ShardSet, ShardedCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
+from tests.test_shard.routed_keys import keys_routed_to
 
 
 def make_records(keys):
@@ -63,10 +64,8 @@ class TestShardedCollection:
 
     def test_writes_charge_only_the_owning_shard(self):
         shard_set = ShardSet.create(2)
-        collection = ShardedCollection(
-            "T", shard_set, partitioner=HashPartitioner(2, hash_fn=lambda key: 1)
-        )
-        collection.extend(make_records(range(100)))
+        collection = ShardedCollection("T", shard_set, partitioner=HashPartitioner(2))
+        collection.extend(make_records(keys_routed_to({1}, 2, 100)))
         collection.seal()
         snapshots = [device.snapshot() for device in shard_set.devices]
         assert snapshots[0].bytes_written == 0

@@ -1,10 +1,12 @@
 """Executor-level behavior: the calling thread, shares, step accounting."""
 
 import threading
+from itertools import count
 
 import pytest
 
 from repro.exceptions import BufferpoolExhaustedError
+from repro.joins.common import partition_of
 from repro.query import Query
 from repro.session import Session
 from repro.shard import (
@@ -18,6 +20,7 @@ from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
+from tests.test_shard.routed_keys import keys_routed_to
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -263,17 +266,20 @@ def test_exchange_critical_path_is_phase_aware():
     # shard 0 and writes on shard 1, so no single device sees both
     # phases' worth of work.
     shard_set = ShardSet.create(2)
-    to_zero = lambda key: 0  # noqa: E731
-    to_one = lambda key: 1  # noqa: E731
-    left = build_sharded(
-        shard_set, "L", list(range(40)), HashPartitioner(2, hash_fn=to_one)
+    # Every key routes to shard 1; its record's attribute 1 (key // 2)
+    # routes to shard 0.
+    keys = keys_routed_to(
+        {1}, 2, 40, keys=(key for key in count() if partition_of(key // 2, 2) == 0)
     )
+    left = build_sharded(shard_set, "L", keys, HashPartitioner(2))
     right = build_sharded(
         shard_set,
         "R",
-        [key % 40 for key in range(240)],
-        partitioner=HashPartitioner(2, key_index=1, hash_fn=to_zero),
+        [keys[index % 40] for index in range(240)],
+        partitioner=HashPartitioner(2, key_index=1),
     )
+    assert [len(shard) for shard in left.shards] == [0, 40]
+    assert [len(shard) for shard in right.shards] == [240, 0]
     with Session(shard_set, MemoryBudget.from_records(30)) as session:
         result = session.query(Query.scan(left).join(Query.scan(right)))
     step = next(

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.shard.partition import HashPartitioner, multiplicative_hash
+from repro.joins.common import partition_of
+from repro.shard.partition import HashPartitioner
 
 
 def keyed(keys):
@@ -27,7 +28,7 @@ class TestHashPartitioner:
     def test_shards_of_reads_key_index(self):
         partitioner = HashPartitioner(4, key_index=2)
         record = (99, 98, 7, 96)
-        assert partitioner.shards_of([record]) == [multiplicative_hash(7) % 4]
+        assert partitioner.shards_of([record]) == [partition_of(7, 4)]
 
     def test_routes_like_same_default_hash(self):
         assert HashPartitioner(4).routes_like(HashPartitioner(4, key_index=3))
@@ -35,20 +36,15 @@ class TestHashPartitioner:
     def test_routes_like_rejects_other_shard_count(self):
         assert not HashPartitioner(4).routes_like(HashPartitioner(5))
 
-    def test_routes_like_rejects_other_hash_fn(self):
-        assert not HashPartitioner(4).routes_like(
-            HashPartitioner(4, hash_fn=lambda key: 0)
-        )
-
     def test_with_key_index_preserves_routing(self):
-        base = HashPartitioner(4, hash_fn=lambda key: key * 3)
+        base = HashPartitioner(4)
         moved = base.with_key_index(5)
         assert moved.key_index == 5
         assert base.routes_like(moved)
 
     def test_uses_join_layer_hash(self):
         partitioner = HashPartitioner(7)
-        assert partitioner.shards_of([(42,)]) == [multiplicative_hash(42) % 7]
+        assert partitioner.shards_of([(42,)]) == [partition_of(42, 7)]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ConfigurationError):
@@ -71,15 +67,10 @@ _records = st.lists(st.tuples(_keys, _keys, _keys), max_size=200)
     records=_records,
     num_shards=st.integers(min_value=1, max_value=9),
     key_index=st.sampled_from([0, 1]),
-    custom_hash=st.booleans(),
 )
-def test_hash_shards_of_matches_per_record_hash(
-    records, num_shards, key_index, custom_hash
-):
-    hash_fn = (lambda key: key * 31 + 7) if custom_hash else None
-    partitioner = HashPartitioner(num_shards, key_index=key_index, hash_fn=hash_fn)
-    reference = hash_fn or multiplicative_hash
-    expected = [reference(record[key_index]) % num_shards for record in records]
+def test_hash_shards_of_matches_per_record_hash(records, num_shards, key_index):
+    partitioner = HashPartitioner(num_shards, key_index=key_index)
+    expected = [partition_of(record[key_index], num_shards) for record in records]
     assert partitioner.shards_of(records) == expected
     buckets = [[] for _ in range(num_shards)]
     for shard, record in zip(expected, records):
@@ -92,7 +83,7 @@ def test_hash_shards_of_matches_per_record_hash(
     "partitioner",
     [
         HashPartitioner(3),
-        HashPartitioner(3, hash_fn=lambda key: 0),
+        HashPartitioner(3, key_index=1),
         HashPartitioner(3, key_index=2),
     ],
 )

@@ -19,6 +19,7 @@ from repro.shard.planner import ExchangeStep, FragmentStep
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import load_collection
+from tests.test_shard.routed_keys import keys_routed_to
 
 
 def build_sharded(shard_set, name, keys, partitioner=None):
@@ -44,12 +45,11 @@ def single_device_records(key_lists, build_query, budget):
 
 class TestEmptyShard:
     def test_query_with_empty_shards_completes(self):
-        # Keys are all even, the hash is the identity modulo: odd shards
-        # of a 4-way split stay empty.
-        identity = lambda key: key  # noqa: E731
+        # Every key is a multiple of 4 routed to shard 0: the other
+        # shards of a 4-way split stay empty.
         shard_set = ShardSet.create(4)
-        partitioner = HashPartitioner(4, hash_fn=identity)
-        keys = [key * 4 for key in range(120)]
+        partitioner = HashPartitioner(4)
+        keys = keys_routed_to({0}, 4, 120, keys=range(0, 10**6, 4))
         collection = build_sharded(shard_set, "T", keys, partitioner)
         assert [len(shard) for shard in collection.shards] == [120, 0, 0, 0]
         budget = MemoryBudget.from_records(30)
@@ -68,20 +68,18 @@ class TestEmptyShard:
         assert sorted(result.records) == sorted(expected)
 
     def test_join_with_empty_shards(self):
-        constant_even = lambda key: (key % 2) * 2  # noqa: E731 - shards 0 and 2
+        # Every key routes to shard 0 or 2: shards 1 and 3 stay empty.
+        keys = keys_routed_to({0, 2}, 4, 40)
         shard_set = ShardSet.create(4)
-        left = build_sharded(
-            shard_set,
-            "L",
-            list(range(40)),
-            HashPartitioner(4, hash_fn=constant_even),
-        )
+        left = build_sharded(shard_set, "L", keys, HashPartitioner(4))
         right = build_sharded(
             shard_set,
             "R",
-            [key % 40 for key in range(240)],
-            HashPartitioner(4, hash_fn=constant_even),
+            [keys[index % 40] for index in range(240)],
+            HashPartitioner(4),
         )
+        assert [len(shard) for shard in left.shards][1::2] == [0, 0]
+        assert [len(shard) for shard in right.shards][1::2] == [0, 0]
         budget = MemoryBudget.from_records(40)
         with Session(shard_set, budget) as session:
             result = session.query(Query.scan(left).join(Query.scan(right)))
@@ -90,12 +88,12 @@ class TestEmptyShard:
 
 class TestSingleShardSkew:
     def test_all_records_on_one_shard(self):
-        everything_on_zero = lambda key: 0  # noqa: E731
+        keys = keys_routed_to({0}, 4, 50)
         shard_set = ShardSet.create(4)
-        partitioner = HashPartitioner(4, hash_fn=everything_on_zero)
-        left = build_sharded(shard_set, "L", list(range(50)), partitioner)
+        partitioner = HashPartitioner(4)
+        left = build_sharded(shard_set, "L", keys, partitioner)
         right = build_sharded(
-            shard_set, "R", [key % 50 for key in range(300)], partitioner
+            shard_set, "R", [keys[index % 50] for index in range(300)], partitioner
         )
         assert [len(shard) for shard in left.shards] == [50, 0, 0, 0]
         budget = MemoryBudget.from_records(40)

@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import CollectionStateError
+from repro.joins.common import partition_of
 from repro.query import Query
 from repro.shard import (
     HashPartitioner,
@@ -194,8 +195,7 @@ def test_planned_buckets_equal_per_record_routing(**case):
         partitioner = step.partitioner
 
         def shard_of(record):
-            key = record[partitioner.key_index]
-            return partitioner.hash_fn(key) % partitioner.num_shards
+            return partition_of(record[partitioner.key_index], partitioner.num_shards)
 
         assert step.buckets == [
             [

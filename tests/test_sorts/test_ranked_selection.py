@@ -1,9 +1,11 @@
 """Differential tests for the ranked selection kernel.
 
-Lazy sort's lazy passes and the selection passes behind selection sort
-and segment sort's selection segment are served by
-:func:`~repro.sorts.heaps.ranked_passes`: the source is ranked once and
-every pass drains an identical rescan to pay for itself.  This file keeps
+Lazy sort's passes over a MEMORY or MATERIALIZED source, materializing
+ones included, and the selection passes behind selection sort and segment
+sort's selection segment are served by
+:func:`~repro.sorts.heaps.ranked_passes`: the source is ranked once, every
+pass drains an identical rescan to pay for itself, and a materializing
+pass takes its displacement order from the ranking.  This file keeps
 test-local copies of the per-pass loops the kernel replaced -- one full
 ``select_smallest`` scan per pass -- and asserts that both produce the
 same records in the same order, the same ``IOSnapshot`` delta, the same
@@ -17,6 +19,7 @@ speedup cannot silently regress to one scan per pass.
 """
 
 import contextlib
+import itertools
 from unittest import mock
 
 import pytest
@@ -295,27 +298,76 @@ def test_segment_sort_matches_per_pass_scans(
         assert observed == observe(SegmentSort, kwargs, *args)
 
 
+#: A key domain from 2 to 10**6 values, so duplicates range from almost
+#: every record to almost none.
+domain_key_lists = st.tuples(
+    st.integers(min_value=2, max_value=10**6), st.integers(min_value=0, max_value=120)
+).flatmap(
+    lambda shape: st.lists(
+        st.integers(min_value=0, max_value=shape[0] - 1),
+        min_size=shape[1],
+        max_size=shape[1],
+    )
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    keys=key_lists,
-    capacity=st.integers(min_value=1, max_value=8),
+    keys=domain_key_lists,
     kind=st.sampled_from(["memory", "materialized"]),
     data=st.data(),
 )
-def test_ranked_passes_resume_like_selection_scans(keys, capacity, kind, data):
-    start = data.draw(st.integers(min_value=0, max_value=len(keys)))
+def test_ranked_passes_resume_like_selection_scans(keys, kind, data):
+    """Every pass is a ``select_smallest`` scan resuming after the last one.
+
+    Batch, threshold and the device's snapshot delta match on every pass;
+    the displacing pass, after 0..k lazy ones, also yields the records
+    the scan's ``displaced`` callback receives, in the same order.
+    """
+    # Small workspaces displace many records; up to len + 1 keeps them all.
+    capacity = data.draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=1, max_value=len(keys) + 1),
+        )
+    )
+    start = data.draw(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=len(keys)))
+    )
     stop = data.draw(
         st.one_of(st.none(), st.integers(min_value=start, max_value=len(keys)))
     )
-    _, _, _, collection = build("pmfs", kind, keys, 1.0)
-    threshold = None
-    for batch, ranked_threshold in ranked_passes(
-        collection, capacity, KEY, start, stop
-    ):
-        expected, threshold = select_smallest(
-            collection.records[start:stop], capacity, KEY, after=threshold
+    num_passes = -(-len(keys[start:stop]) // capacity)
+    lazy_passes = data.draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=max(0, num_passes - 1)),
         )
-        assert (batch, ranked_threshold) == (expected, threshold)
+    )
+    device, _, _, collection = build("pmfs", kind, keys, 1.0)
+    passes = ranked_passes(collection, capacity, KEY, start, stop)
+    threshold = None
+    for index in itertools.count():
+        before = device.snapshot()
+        ranked = next(passes, None)
+        if ranked is None:
+            break
+        batch, ranked_threshold, displaced = ranked
+        spill = displaced() if index == lazy_passes else None
+        ranked_io = (device.snapshot() - before).as_dict()
+        before = device.snapshot()
+        expected_spill = []
+        expected, threshold = select_smallest(
+            collection.scan(start, stop),
+            capacity,
+            KEY,
+            after=threshold,
+            displaced=expected_spill.append,
+        )
+        scan_io = (device.snapshot() - before).as_dict()
+        assert (batch, ranked_threshold, ranked_io) == (expected, threshold, scan_io)
+        if spill is not None:
+            assert spill == expected_spill
     assert select_smallest(
         collection.records[start:stop], capacity, KEY, after=threshold
     ) == ([], None)
@@ -337,6 +389,8 @@ def test_ranked_passes_resume_like_selection_scans(keys, capacity, kind, data):
 def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
     sort_cls, kwargs
 ):
+    """No pass over a materialized source runs a selection scan, a
+    materializing one included: each source is ranked once instead."""
     args = ("pmfs", "materialized", [value % 97 for value in range(400)], 3.0, 6)
     calls = 0
     rankings = 0
@@ -353,12 +407,16 @@ def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
 
     with mock.patch.object(
         lazy_sort_module, "select_smallest", counting
+    ), mock.patch.object(
+        lazy_sort_module, "ranked_passes", counting_rankings
     ), mock.patch.object(selection_sort_module, "ranked_passes", counting_rankings):
         observed = observe(sort_cls, kwargs, *args)
+    assert calls == 0
     if sort_cls is LazySort:
+        # One ranking of the input and one of each intermediate.
         materializations = observed["details"]["intermediate_materializations"]
         assert materializations >= 1
-        assert calls == materializations
+        assert rankings == 1 + materializations
         reference = observe(ReferenceLazySort, kwargs, *args)
     else:
         # Every selection pass comes from one ranking of the source.
