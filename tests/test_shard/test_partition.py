@@ -42,6 +42,17 @@ class TestHashPartitioner:
         assert moved.key_index == 5
         assert base.routes_like(moved)
 
+    def test_routes_like_rejects_a_non_partitioner(self):
+        assert not HashPartitioner(4).routes_like(object())
+
+    def test_with_key_index_splits_on_the_moved_attribute(self):
+        records = [(key, 1000 - key) for key in range(50)]
+        moved = HashPartitioner(4).with_key_index(1)
+        assert moved.split(records) == [
+            [record for record in records if partition_of(record[1], 4) == shard]
+            for shard in range(4)
+        ]
+
     def test_uses_join_layer_hash(self):
         partitioner = HashPartitioner(7)
         assert partitioner.shards_of([(42,)]) == [partition_of(42, 7)]
