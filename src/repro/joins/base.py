@@ -11,7 +11,9 @@ callers control which side is built against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from repro.exceptions import InsufficientMemoryError
@@ -164,20 +166,49 @@ class JoinAlgorithm(Algorithm):
         short, so the loop stops on an exhausted scan whatever the input's
         estimate says; a settled input's empty slice past its end charges
         nothing.  Returns the number of slices joined.
+
+        Each slice is read, then ``right`` is rescanned for it, in that
+        order.  A lone slice probes the rescan as it streams.  Otherwise
+        the first rescan is kept and every later one is only charged
+        (:meth:`PersistentCollection.charge_rescan`), and ``right`` is
+        probed once, against one table of every slice's records tagged
+        with its slice; the matches are written slice by slice, so the
+        records, their order and the I/O are those of one probe per
+        slice.  Hashing a slice is a DRAM-side optimization: the I/O
+        profile is identical to tuple-at-a-time nested loops, only the
+        Python CPU time changes.
         """
         block_records = self.left_workspace_records
-        iterations = 0
-        while block := list(left.scan(start=start, stop=start + block_records)):
-            iterations += 1
-            # Hashing the block is a DRAM-side optimization: the I/O profile
-            # is identical to tuple-at-a-time nested loops, only the Python
-            # CPU time changes.
+        block = list(left.scan(start=start, stop=start + block_records))
+        if not block:
+            return 0
+        if len(block) < block_records:
             table = build_hash_table(block, self.left_key)
             probe_into(output, table, right.scan_blocks(), self.right_key)
-            if len(block) < block_records:
-                break
+            return 1
+        slices = [block]
+        probe = list(right.scan_blocks())
+        while len(block) == block_records:
             start += block_records
-        return iterations
+            block = list(left.scan(start=start, stop=start + block_records))
+            if not block:
+                break
+            right.charge_rescan()
+            slices.append(block)
+        left_key, right_key = self.left_key, self.right_key
+        tagged: dict[int, list[tuple[int, tuple]]] = defaultdict(list)
+        for index, records in enumerate(slices):
+            for record in records:
+                tagged[left_key(record)].append((index, record))
+        joined: list[list[tuple]] = [[] for _ in slices]
+        appends = [matches.append for matches in joined]
+        get = tagged.get
+        for record in chain.from_iterable(probe):
+            for index, match in get(right_key(record), ()):
+                appends[index](match + record)
+        for matches in joined:
+            output.extend(matches)
+        return len(slices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

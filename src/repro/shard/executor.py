@@ -49,7 +49,6 @@ one-shard plan.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -244,8 +243,9 @@ class ShardedQueryExecutor:
 
         # Phase 1 (per source shard): scan and bucket.  Reads are
         # charged on the source device iff the source is materialized.  A
-        # materialized source was routed by the planner: its scan only
-        # pays for the read, and the planned buckets go to the writers.
+        # materialized source was routed by the planner: it is charged a
+        # full scan without being read, and the planned buckets go to the
+        # writers.
         def read_and_bucket(index: int):
             device = devices[index]
             before = device.snapshot()
@@ -257,7 +257,7 @@ class ShardedQueryExecutor:
                         f"exchange source {source.name!r} changed after the "
                         "query was planned; plan the query again"
                     )
-                deque(source.scan_blocks(), maxlen=0)
+                source.charge_rescan()
                 return step.buckets[index], device.snapshot() - before
             buckets: list[list[tuple]] = [[] for _ in range(num_shards)]
             for block in source.scan_blocks():

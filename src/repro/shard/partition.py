@@ -15,7 +15,6 @@ routing-compatible.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable
 
 from repro.exceptions import ConfigurationError
@@ -39,14 +38,6 @@ class HashPartitioner:
             raise ConfigurationError("partition key index must be non-negative")
         self.num_shards = num_shards
         self.key_index = key_index
-
-    def shards_of(self, records: Iterable[tuple]) -> list[int]:
-        """Shard index of every record, in order: one call per batch."""
-        num_shards, multiplier, mask = self.num_shards, _HASH_MULTIPLIER, _HASH_MASK
-        return [
-            ((key * multiplier) & mask) % num_shards
-            for key in map(itemgetter(self.key_index), records)
-        ]
 
     def split(self, records: Iterable[tuple]) -> list[list[tuple]]:
         """``records`` bucketed by shard, each bucket in input order."""

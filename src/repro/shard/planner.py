@@ -14,9 +14,11 @@ list of *steps*:
   set, priced with the repartition I/O term: a read of the source (free
   when the producing fragment pipelines straight into the exchange) plus
   a ``lambda``-weighted write of every record at its destination shard.
-  Materialized sources are routed here, once: the step keeps each
-  source's records split by destination, the executor writes those
-  buckets, and each destination's write is priced from its true share.
+  Materialized sources are routed here, a sealed one once for every plan
+  that exchanges it the same way (:meth:`PersistentCollection.routed`):
+  the step keeps each source's records split by destination, the
+  executor writes those buckets, and each destination's write is priced
+  from its true share.
 
 Placement rules: ``Scan``/``Filter``/``Project``/``OrderBy`` are always
 shard-local; a ``Join`` is partition-wise when both inputs are
@@ -97,8 +99,9 @@ class ExchangeStep:
     DRAM outputs of ``source_fragment``, free), routes every record with
     ``partitioner``, and writes each destination shard's share to that
     shard's device.  Materialized sources exist at plan time, so they are
-    routed once, by the planner, into ``buckets``; fragment outputs are
-    routed block by block as the executor reads them.
+    routed by the planner, into ``buckets`` (shared by every plan over
+    the same sealed source and partitioner); fragment outputs are routed
+    block by block as the executor reads them.
     """
 
     index: int
@@ -546,13 +549,14 @@ class ShardedPlanner:
         if all(isinstance(node, Scan) for node in per_shard):
             # Bare scans: the exchange reads the materialized shards
             # directly, charging the source devices.  Their records exist
-            # already, so they are routed here, once, through the no-charge
-            # ``records`` accessor: the executor still scans (and pays
-            # for) each source, then writes these buckets.
+            # already, so they are routed here, through the no-charge
+            # ``records`` accessor, and a sealed source only once for any
+            # number of plans: the executor still charges a scan of each
+            # source, then writes these buckets.
             sources = [node.collection for node in per_shard]
             source_fragment = None
             routed_from = [(source.records, len(source.records)) for source in sources]
-            buckets = [partitioner.split(records) for records, _ in routed_from]
+            buckets = [source.routed(partitioner) for source in sources]
             shard_records = [
                 node.est_records if node.est_records is not None else len(node.collection)
                 for node in per_shard

@@ -122,10 +122,10 @@ def ranked_passes(
     The first pass reads the slice through ``source.scan_blocks`` and
     sorts its positions once by ``(key, position)`` -- a stable sort of the
     positions by key.  Each pass is then the next ``capacity`` positions of
-    that order.  Every later pass still drains a fresh
-    ``source.scan_blocks(start, stop)``, so each pass makes the same
-    backend calls as the full rescan it replaces: the I/O profile is
-    identical, only the Python CPU time changes.
+    that order.  Every later pass is charged as a full rescan of the slice
+    by ``source.charge_rescan(start, stop)``, which moves the same
+    counters as draining ``source.scan_blocks(start, stop)`` would: the
+    I/O profile is identical, only the Python CPU time changes.
 
     The displacement order is a function of the ranking too.  A scan
     resuming at offset ``o`` of the order sees the eligible records
@@ -143,9 +143,9 @@ def ranked_passes(
     The ranked order is simulator bookkeeping over records the collection
     already holds as Python tuples, not modelled DRAM: the sort's
     workspace stays ``capacity`` records.  Every rescan of ``source``
-    yields the same records at the same price: a MEMORY or MATERIALIZED
-    collection re-reads its blocks, a DEFERRED one replays its derivation
-    once per pass.  Nothing is read until the first pass is requested.
+    costs what the first did: a MATERIALIZED collection is charged its
+    blocks again, a DEFERRED one replays its derivation once per pass.
+    Nothing is read until the first pass is requested.
     """
     _check_capacity(capacity)
     records = list(chain.from_iterable(source.scan_blocks(start, stop)))
@@ -164,8 +164,7 @@ def ranked_passes(
 
     for offset in range(0, len(order), capacity):
         if offset:
-            for _ in source.scan_blocks(start, stop):
-                pass
+            source.charge_rescan(start, stop)
         end = offset + capacity
         positions = order[offset:end]
         last = positions[-1]

@@ -12,11 +12,12 @@ being lazy on that input.
 Every pass is charged as a full rescan, but the passes over a MEMORY or
 MATERIALIZED source are computed once: they come from one ranking of that
 source by the ranked selection kernel
-(:func:`~repro.sorts.heaps.ranked_passes`).  A materializing pass is
-served too: the order in which it displaces records lays out the
-intermediate and so decides later tie-breaks, and the kernel derives that
-order from the ranking.  So the input and each intermediate are ranked
-once.  Only a pass over a DEFERRED input still runs a
+(:func:`~repro.sorts.heaps.ranked_passes`), and each later pass is one
+charge-only rescan (``charge_rescan``), not a drained scan.  A
+materializing pass is served too: the order in which it displaces records
+lays out the intermediate and so decides later tie-breaks, and the kernel
+derives that order from the ranking.  So the input and each intermediate
+are ranked once.  Only a pass over a DEFERRED input still runs a
 :func:`~repro.sorts.heaps.select_smallest` scan, because that pass also
 counts the input.  A deferred input has no buffers of its own, so lazy
 sort materializes it on the first pass that leaves more than M records.

@@ -10,7 +10,8 @@ the price of |T|/M read passes.
 The simulator charges every one of those passes but computes them once:
 the passes come from the ranked selection kernel
 (:func:`~repro.sorts.heaps.ranked_passes`), which ranks the input on its
-first pass and drains an identical rescan for each later one.  A DEFERRED
+first pass and charges each later one a full rescan without reading it
+again (``charge_rescan``: the counters of a drained scan).  A DEFERRED
 input's rescan is a replay, so each pass pays one replay, like the full
 selection scan it stands for.
 """

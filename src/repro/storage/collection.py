@@ -45,13 +45,16 @@ instead of O(records).  A ``scan_blocks`` list is a *charge batch* of
 whole I/O blocks: the unit of Python work and of one backend charge, not
 modelled DRAM.  :meth:`PersistentCollection.charge_scan` is the one
 function that prices a scanned range; a deferred collection's replay
-charges its root through it too.
+charges its root through it too, and
+:meth:`PersistentCollection.charge_rescan` charges a pass over records it
+already holds as a drained scan, without handing them out.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import CollectionStateError, ConfigurationError
@@ -128,6 +131,9 @@ class PersistentCollection:
             self.store = backend.create_store(self.name)
         #: bytes appended since the last block flush to the backend
         self._pending_bytes = 0
+        #: :meth:`routed`'s memo, made on first use: ``(num_shards,
+        #: key_index)`` -> ``(records list, its length, buckets)``.
+        self._routings: dict | None = None
 
     # ------------------------------------------------------------------ #
     # State.
@@ -235,6 +241,7 @@ class PersistentCollection:
         self._records = []
         self._pending_bytes = 0
         self._sealed = False
+        self._routings = None
         if self.store is not None:
             self.backend.truncate(self.store)
 
@@ -252,6 +259,7 @@ class PersistentCollection:
         self._status = CollectionStatus.DROPPED
         self.context = None
         self._pending_bytes = 0
+        self._routings = None
 
     def _dropped_error(self) -> CollectionStateError:
         return CollectionStateError(
@@ -283,6 +291,26 @@ class PersistentCollection:
             self.backend.read_bulk(self.store, per_block * record_bytes, blocks)
         if tail:
             self.backend.read_bulk(self.store, tail * record_bytes)
+
+    def charge_rescan(self, start: int = 0, stop: int | None = None) -> None:
+        """Charge a drained ``scan_blocks(start, stop)`` without reading it.
+
+        For a pass that rescans records it already holds.  A MATERIALIZED
+        collection prices the clipped range through :meth:`charge_scan`:
+        one ``read_bulk`` for all its whole blocks and one for the tail,
+        the same counters as the scan's per-batch calls, because a bulk
+        call costs what its chunks do one by one.  A MEMORY collection
+        charges nothing, a DEFERRED one drains its replay, and a DROPPED
+        one raises, as its scan would.
+        """
+        status = self._status
+        if status is CollectionStatus.MATERIALIZED:
+            first, last, _ = slice(start, stop).indices(len(self._records))
+            self.charge_scan(first, last)
+        elif status is CollectionStatus.DEFERRED:
+            deque(self.scan_blocks(start, stop), maxlen=0)
+        elif status is CollectionStatus.DROPPED:
+            raise self._dropped_error()
 
     def scan_blocks(
         self, start: int = 0, stop: int | None = None
@@ -392,6 +420,28 @@ class PersistentCollection:
         if self.backend is None:
             return self.nbytes / 64
         return self.backend.device.geometry.bytes_to_cachelines(self.nbytes)
+
+    def routed(self, partitioner) -> list[list[tuple]]:
+        """``partitioner.split(records)``, computed once per sealed collection.
+
+        The sharded planner routes an exchange source through this at
+        every plan.  A sealed collection keeps the buckets per
+        ``(num_shards, key_index)`` while its records list is the same
+        object of the same length; :meth:`clear` and :meth:`drop` empty
+        the memo, so it lives and dies with the collection.  Reads the
+        no-charge :attr:`records`, so it charges nothing.
+        """
+        records = self._records
+        key = (partitioner.num_shards, partitioner.key_index)
+        memo = self._routings and self._routings.get(key)
+        if memo and memo[0] is records and memo[1] == len(records):
+            return memo[2]
+        buckets = partitioner.split(records)
+        if self._sealed:
+            if self._routings is None:
+                self._routings = {}
+            self._routings[key] = (records, len(records), buckets)
+        return buckets
 
     def keys(self) -> list[int]:
         """The key column, without charging reads (testing helper)."""

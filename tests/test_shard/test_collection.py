@@ -40,7 +40,7 @@ class TestShardedCollection:
         collection.extend(records)
         partitioner = collection.partitioner
         for index, shard in enumerate(collection.shards):
-            assert set(partitioner.shards_of(shard.records)) <= {index}
+            assert partitioner.split(shard.records)[index] == shard.records
         assert len(collection) == 400
         assert sorted(collection.records) == sorted(records)
 
@@ -52,9 +52,9 @@ class TestShardedCollection:
         bulk.extend(records)
         bulk.seal()
         one_by_one = ShardedCollection("T", shard_set_b)
-        shards = one_by_one.partitioner.shards_of(records)
-        for shard, record in zip(shards, records):
-            one_by_one.shard(shard).extend([record])
+        for shard, bucket in enumerate(one_by_one.partitioner.split(records)):
+            for record in bucket:
+                one_by_one.shard(shard).extend([record])
         one_by_one.seal()
         assert [len(shard) for shard in bulk.shards] == [
             len(shard) for shard in one_by_one.shards

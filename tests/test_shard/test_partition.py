@@ -13,22 +13,27 @@ def keyed(keys):
     return [(key,) for key in keys]
 
 
+def alone(record, shard, num_shards):
+    """``split([record])``: the record in its shard's bucket, the rest empty."""
+    return [[record] if index == shard else [] for index in range(num_shards)]
+
+
 class TestHashPartitioner:
     def test_routes_every_key_in_range(self):
         partitioner = HashPartitioner(4)
-        shards = set(partitioner.shards_of(keyed(range(1000))))
-        assert shards == {0, 1, 2, 3}
+        buckets = partitioner.split(keyed(range(1000)))
+        assert len(buckets) == 4 and all(buckets)
 
     def test_deterministic(self):
         a = HashPartitioner(8)
         b = HashPartitioner(8)
         records = keyed(range(100))
-        assert a.shards_of(records) == b.shards_of(records)
+        assert a.split(records) == b.split(records)
 
-    def test_shards_of_reads_key_index(self):
+    def test_split_reads_key_index(self):
         partitioner = HashPartitioner(4, key_index=2)
         record = (99, 98, 7, 96)
-        assert partitioner.shards_of([record]) == [partition_of(7, 4)]
+        assert partitioner.split([record]) == alone(record, partition_of(7, 4), 4)
 
     def test_routes_like_same_default_hash(self):
         assert HashPartitioner(4).routes_like(HashPartitioner(4, key_index=3))
@@ -55,7 +60,7 @@ class TestHashPartitioner:
 
     def test_uses_join_layer_hash(self):
         partitioner = HashPartitioner(7)
-        assert partitioner.shards_of([(42,)]) == [partition_of(42, 7)]
+        assert partitioner.split([(42,)]) == alone((42,), partition_of(42, 7), 7)
 
     def test_invalid_shard_count(self):
         with pytest.raises(ConfigurationError):
@@ -67,7 +72,7 @@ class TestHashPartitioner:
 
 
 # --------------------------------------------------------------------- #
-# Batch routing: shards_of and split against hash(key) % num_shards.
+# Batch routing: split against hash(key) % num_shards.
 # --------------------------------------------------------------------- #
 _keys = st.integers(min_value=-(2**40), max_value=2**40)
 _records = st.lists(st.tuples(_keys, _keys, _keys), max_size=200)
@@ -79,13 +84,11 @@ _records = st.lists(st.tuples(_keys, _keys, _keys), max_size=200)
     num_shards=st.integers(min_value=1, max_value=9),
     key_index=st.sampled_from([0, 1]),
 )
-def test_hash_shards_of_matches_per_record_hash(records, num_shards, key_index):
+def test_split_matches_per_record_hash(records, num_shards, key_index):
     partitioner = HashPartitioner(num_shards, key_index=key_index)
-    expected = [partition_of(record[key_index], num_shards) for record in records]
-    assert partitioner.shards_of(records) == expected
     buckets = [[] for _ in range(num_shards)]
-    for shard, record in zip(expected, records):
-        buckets[shard].append(record)
+    for record in records:
+        buckets[partition_of(record[key_index], num_shards)].append(record)
     assert partitioner.split(records) == buckets
     assert partitioner.split(iter(records)) == buckets
 
@@ -98,6 +101,5 @@ def test_hash_shards_of_matches_per_record_hash(records, num_shards, key_index):
         HashPartitioner(3, key_index=2),
     ],
 )
-def test_shards_of_empty_batch(partitioner):
-    assert partitioner.shards_of([]) == []
+def test_split_empty_batch(partitioner):
     assert partitioner.split([]) == [[], [], []]

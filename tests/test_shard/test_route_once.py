@@ -1,28 +1,35 @@
-"""An exchange over materialized sources routes its records once, at plan time.
+"""An exchange routes a materialized source once per sealed source and partitioner.
 
 The sharded planner splits each materialized exchange source with the
 exchange partitioner and keeps the per-destination buckets on the
-:class:`ExchangeStep`; it prices each destination's write from them.  The
-executor's read phase still drains every source's ``scan_blocks()`` -- so
-the source device is charged exactly as before -- and hands the planned
-buckets to the write phase.  Fragment-fed exchanges still route block by
-block as they read, because their input does not exist at plan time.
+:class:`ExchangeStep`; it prices each destination's write from them.  A
+sealed source keeps its buckets per ``(num_shards, key_index)``
+(``PersistentCollection.routed``), so planning the same exchange again
+routes nothing.  The executor's read phase still charges every source a
+full scan (``charge_rescan``) -- so the source device is charged exactly
+as before -- and hands the planned buckets to the write phase.
+Fragment-fed exchanges still route block by block as they read, because
+their input does not exist at plan time.
 
 These tests check that:
 
-* each materialized source is routed once per planned query and never
-  while executing (a spy on ``HashPartitioner.split``/``shards_of``);
+* each materialized source is routed once at plan time, planning it again
+  routes nothing until it is cleared, and executing never routes it (a
+  spy on ``HashPartitioner.split``);
 * executing a plan gives exactly what executing it with the planned
   buckets removed does -- which forces the per-block path -- in records,
   destination contents, per-step and per-shard I/O and the critical path;
 * the planned buckets equal a per-record ``hash(key) % num_shards``
   reference;
-* a source changed between planning and execution is refused.
+* a source changed between planning and execution is refused, and a
+  cleared, refilled source is routed afresh and placed correctly;
+* a dropped source keeps no routing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -83,19 +90,15 @@ def without_planned_buckets(plan):
 
 @pytest.fixture
 def routing_calls(monkeypatch):
-    """Every ``split``/``shards_of`` call, as ``(method, records)`` pairs."""
+    """The records of every ``split`` call, in call order."""
     calls = []
+    split = HashPartitioner.split
 
-    def spy(name, original):
-        def wrapper(self, records):
-            calls.append((name, records))
-            return original(self, records)
+    def spy(self, records):
+        calls.append(records)
+        return split(self, records)
 
-        return wrapper
-
-    for name in ("split", "shards_of"):
-        original = getattr(HashPartitioner, name)
-        monkeypatch.setattr(HashPartitioner, name, spy(name, original))
+    monkeypatch.setattr(HashPartitioner, "split", spy)
     return calls
 
 
@@ -109,9 +112,10 @@ def test_materialized_sources_are_routed_once_at_plan_time(
     plan = ShardedPlanner(shard_set, BUDGET).plan(query)
     sources = [source for step in exchanges(plan) for source in step.sources]
     assert sources
-    splits = [records for name, records in routing_calls if name == "split"]
-    assert len(splits) == len(sources)
-    assert all(records is source.records for records, source in zip(splits, sources))
+    assert len(routing_calls) == len(sources)
+    assert all(
+        records is source.records for records, source in zip(routing_calls, sources)
+    )
 
     routing_calls.clear()
     ShardedQueryExecutor(shard_set, Bufferpool(BUDGET)).execute(plan)
@@ -128,7 +132,7 @@ def test_fragment_fed_exchange_routes_while_reading(routing_calls):
     assert step.sources is None and step.buckets is None
     assert routing_calls == []
     ShardedQueryExecutor(shard_set, Bufferpool(BUDGET)).execute(plan)
-    assert [name for name, _ in routing_calls].count("split") >= shard_set.num_shards
+    assert len(routing_calls) >= shard_set.num_shards
 
 
 #: Skewed keys: about half the draws are one hot key.
@@ -234,3 +238,68 @@ def test_source_appended_to_after_planning_is_refused():
     executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
     with pytest.raises(CollectionStateError, match="plan the query again"):
         executor.execute(plan)
+
+
+@pytest.mark.parametrize("query_index", [0, 1], ids=["join", "group_by"])
+def test_planning_an_unchanged_source_again_routes_nothing(routing_calls, query_index):
+    shard_set = ShardSet.create(3)
+    query = join_and_group(shard_set)[query_index]
+    first = ShardedPlanner(shard_set, BUDGET).plan(query)
+    routing_calls.clear()
+    again = ShardedPlanner(shard_set, BUDGET).plan(query)
+    assert routing_calls == []
+    assert [step.buckets for step in exchanges(again)] == [
+        step.buckets for step in exchanges(first)
+    ]
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
+    assert executor.execute(again).records == executor.execute(first).records
+    assert routing_calls == []
+
+
+def test_a_cleared_source_is_routed_again_and_placed_correctly(routing_calls):
+    shard_set = ShardSet.create(2)
+    query = join_and_group(shard_set)[1]
+    (step,) = exchanges(ShardedPlanner(shard_set, BUDGET).plan(query))
+    source = step.sources[0]
+    # Every record of this shard moves to the group (and route) of key 7.
+    records = [record[:2] + (7,) + record[3:] for record in source.records]
+    source.clear()
+    source.extend(records)
+    source.seal()
+    routing_calls.clear()
+    plan = ShardedPlanner(shard_set, BUDGET).plan(query)
+    (replanned,) = exchanges(plan)
+    assert routing_calls == [source.records]
+    assert replanned.buckets[0] == replanned.partitioner.split(records)
+    result = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET)).execute(plan)
+    for index, dest in enumerate(replanned.dests):
+        assert replanned.partitioner.split(dest.records)[index] == dest.records
+    groups = Counter(
+        record[2] for shard in replanned.sources for record in shard.records
+    )
+    assert sorted(result.records) == sorted(groups.items())
+
+
+def test_a_source_changed_after_planning_is_still_refused_with_a_memo():
+    shard_set = ShardSet.create(2)
+    query, _ = join_and_group(shard_set)
+    ShardedPlanner(shard_set, BUDGET).plan(query)
+    plan = ShardedPlanner(shard_set, BUDGET).plan(query)  # from the memo
+    (source, *_) = exchanges(plan)[0].sources
+    records = list(source.records)
+    source.clear()
+    source.extend(records)
+    source.seal()
+    executor = ShardedQueryExecutor(shard_set, Bufferpool(BUDGET))
+    with pytest.raises(CollectionStateError, match="changed after the query was"):
+        executor.execute(plan)
+
+
+def test_a_dropped_source_keeps_no_routing():
+    shard_set = ShardSet.create(2)
+    query = join_and_group(shard_set)[1]
+    (step,) = exchanges(ShardedPlanner(shard_set, BUDGET).plan(query))
+    source = step.sources[0]
+    assert source._routings
+    source.drop()
+    assert not source._routings

@@ -48,14 +48,9 @@ def assert_placed(collection, target, input_records):
     if isinstance(target, ShardSet):
         assert isinstance(collection, ShardedCollection)
         assert collection.shard_set is target
-        routes = collection.partitioner.shards_of(input_records)
+        routed = collection.partitioner.split(input_records)
         for index, shard in enumerate(collection.shards):
-            routed = [
-                record
-                for record, route in zip(input_records, routes)
-                if route == index
-            ]
-            assert shard.records == routed
+            assert shard.records == routed[index]
             assert shard.is_sealed
             assert shard.backend is target.backends[index]
     else:
