@@ -7,9 +7,10 @@ RAM-disk backend (where the block size matters most) for external
 mergesort.
 """
 
-from repro.bench.harness import budget_for, make_environment, run_sort
+from repro.bench.harness import make_environment, run_sort
 from repro.bench.reporting import format_table
 from repro.sorts import ExternalMergeSort
+from repro.storage.bufferpool import MemoryBudget
 from repro.workloads.generator import make_sort_input
 
 from conftest import attach_summary, run_experiment
@@ -25,13 +26,8 @@ def sweep_block_sizes():
             "ramdisk", block_bytes=block_bytes, fs_block_bytes=block_bytes
         )
         collection = make_sort_input(NUM_RECORDS, env.backend)
-        budget = budget_for(collection, 0.08)
-        row = run_sort(
-            lambda backend, budget: ExternalMergeSort(backend, budget),
-            collection,
-            env.backend,
-            budget,
-        )
+        budget = MemoryBudget.fraction_of(collection, 0.08)
+        row = run_sort(ExternalMergeSort(env.backend, budget), collection)
         row["block_bytes"] = block_bytes
         rows.append(row)
     return rows

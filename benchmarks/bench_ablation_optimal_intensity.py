@@ -5,9 +5,10 @@ ablation compares the intensity the solver picks against an empirical grid
 of manually chosen intensities.
 """
 
-from repro.bench.harness import budget_for, make_environment, run_sort
+from repro.bench.harness import make_environment, run_sort
 from repro.bench.reporting import format_table
 from repro.sorts import SegmentSort
+from repro.storage.bufferpool import MemoryBudget
 from repro.workloads.generator import make_sort_input
 
 from conftest import attach_summary, run_experiment
@@ -19,29 +20,19 @@ MANUAL_INTENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def sweep_intensities():
     env = make_environment()
     collection = make_sort_input(NUM_RECORDS, env.backend)
-    budget = budget_for(collection, 0.08)
+    budget = MemoryBudget.fraction_of(collection, 0.08)
     rows = []
     for intensity in MANUAL_INTENSITIES:
         row = run_sort(
-            lambda backend, budget, i=intensity: SegmentSort(
-                backend, budget, write_intensity=i
-            ),
+            SegmentSort(env.backend, budget, write_intensity=intensity),
             collection,
-            env.backend,
-            budget,
             label=f"manual {intensity:.1f}",
         )
         row["intensity"] = intensity
         rows.append(row)
     solver = SegmentSort(env.backend, budget)
     chosen = solver.resolve_intensity(collection.num_buffers)
-    row = run_sort(
-        lambda backend, budget: SegmentSort(backend, budget),
-        collection,
-        env.backend,
-        budget,
-        label="Eq. 4 optimum",
-    )
+    row = run_sort(solver, collection, label="Eq. 4 optimum")
     row["intensity"] = chosen
     rows.append(row)
     return rows

@@ -6,11 +6,12 @@ rule-driven operator against the statically tuned SegJ (several write
 intensities) and plain Grace join.
 """
 
-from repro.bench.harness import budget_for, make_environment, run_join
+from repro.bench.harness import make_environment, run_join
 from repro.bench.reporting import format_table
 from repro.joins import GraceJoin, SegmentedGraceJoin
 from repro.runtime.context import OperatorContext
 from repro.runtime.operators import SegmentedGraceJoinOperator
+from repro.storage.bufferpool import MemoryBudget
 from repro.workloads.generator import make_join_inputs
 
 from conftest import attach_summary, run_experiment
@@ -23,19 +24,27 @@ MEMORY_FRACTION = 0.08
 def compare_runtime_and_static():
     env = make_environment()
     left, right = make_join_inputs(LEFT_RECORDS, RIGHT_RECORDS, env.backend)
-    budget = budget_for(left, MEMORY_FRACTION)
-    rows = []
-    rows.append(
-        run_join(lambda b, m: GraceJoin(b, m), left, right, env.backend, budget, label="GJ")
-    )
+    budget = MemoryBudget.fraction_of(left, MEMORY_FRACTION)
+    # Every variant pipelines its output, as the runtime operator does.
+    rows = [
+        run_join(
+            GraceJoin(env.backend, budget, materialize_output=False),
+            left,
+            right,
+            label="GJ",
+        )
+    ]
     for intensity in (0.2, 0.5, 0.8):
         rows.append(
             run_join(
-                lambda b, m, i=intensity: SegmentedGraceJoin(b, m, write_intensity=i),
+                SegmentedGraceJoin(
+                    env.backend,
+                    budget,
+                    write_intensity=intensity,
+                    materialize_output=False,
+                ),
                 left,
                 right,
-                env.backend,
-                budget,
                 label=f"SegJ, {int(intensity * 100)}% (static)",
             )
         )

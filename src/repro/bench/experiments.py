@@ -14,18 +14,12 @@ paper exactly.
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import partial
 
 from repro.analysis.concordance import concordance
 from repro.analysis.heatmap import FIGURE2_LAMBDAS, FIGURE2_SIZE_RATIOS, hybrid_cost_surface
 from repro.analysis.table1 import lazy_hash_progression
-from repro.bench.harness import (
-    budget_for,
-    join_algorithm_suite,
-    make_environment,
-    run_join,
-    run_sort,
-    sort_algorithm_suite,
-)
+from repro.bench.harness import make_environment, run_join, run_sort
 from repro.joins import (
     GraceJoin,
     HybridGraceNestedLoopsJoin,
@@ -43,6 +37,7 @@ from repro.query import (
     Query,
 )
 from repro.sorts import ExternalMergeSort, HybridSort, LazySort, SegmentSort
+from repro.storage.bufferpool import MemoryBudget
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
 #: Memory sizes as fractions of the (left) input, mirroring the 1-15 % sweep.
@@ -55,6 +50,120 @@ SWEEP_MEMORY_FRACTION = 0.08
 
 #: Figure 11's write latencies in ns (reads stay at 10 ns).
 WRITE_LATENCIES_NS = (50.0, 100.0, 150.0, 200.0)
+
+
+# --------------------------------------------------------------------- #
+# Line-ups: each figure's algorithms, keyed by the label it prints.  An
+# entry is an algorithm class, or a ``functools.partial`` of one carrying
+# the figure's write intensities; either builds the configured algorithm
+# when called with ``(backend, budget)`` and the algorithm's keywords.
+# --------------------------------------------------------------------- #
+def _percent(intensity: float) -> str:
+    return f"{int(round(intensity * 100))}%"
+
+
+def _hybrid_join(left_intensity: float, right_intensity: float) -> partial:
+    return partial(
+        HybridGraceNestedLoopsJoin,
+        left_intensity=left_intensity,
+        right_intensity=right_intensity,
+    )
+
+
+#: Figure 5 (and 6): HybS and SegS at write intensities of 20 and 80 %.
+SORT_LINE_UP = {
+    "ExMS": ExternalMergeSort,
+    "LaS": LazySort,
+    "HybS, 20%": partial(HybridSort, write_intensity=0.2),
+    "SegS, 20%": partial(SegmentSort, write_intensity=0.2),
+    "HybS, 80%": partial(HybridSort, write_intensity=0.8),
+    "SegS, 80%": partial(SegmentSort, write_intensity=0.8),
+}
+
+#: Figure 7(a): SegJ at 20, 50 and 80 %, HybJ at three (x, y) splits.
+JOIN_LINE_UP = {
+    "NLJ": NestedLoopsJoin,
+    "HJ": SimpleHashJoin,
+    "GJ": GraceJoin,
+    "LaJ": LazyHashJoin,
+    "SegJ, 20%": partial(SegmentedGraceJoin, write_intensity=0.2),
+    "SegJ, 50%": partial(SegmentedGraceJoin, write_intensity=0.5),
+    "SegJ, 80%": partial(SegmentedGraceJoin, write_intensity=0.8),
+    "HybJ, 20% - 80%": _hybrid_join(0.2, 0.8),
+    "HybJ, 50% - 50%": _hybrid_join(0.5, 0.5),
+    "HybJ, 80% - 20%": _hybrid_join(0.8, 0.2),
+}
+
+#: Figure 8: Figure 7(a)'s line-up with SegJ and HybJ at 50 % only.
+BACKEND_JOIN_LINE_UP = {
+    label: JOIN_LINE_UP[label]
+    for label in ("NLJ", "HJ", "GJ", "LaJ", "SegJ, 50%", "HybJ, 50% - 50%")
+}
+
+#: Figure 9: SegS and HybS at each swept write intensity.
+SORT_INTENSITY_LINE_UP = {
+    f"{name}, {_percent(intensity)}": partial(cls, write_intensity=intensity)
+    for intensity in SWEPT_INTENSITIES
+    for name, cls in (("SegS", SegmentSort), ("HybS", HybridSort))
+}
+
+#: Figure 11's sorts and joins.
+LATENCY_SORT_LINE_UP = {
+    "LaS": LazySort,
+    "HybS, 20%": partial(HybridSort, write_intensity=0.2),
+    "HybS, 50%": partial(HybridSort, write_intensity=0.5),
+    "SegS, 20%": partial(SegmentSort, write_intensity=0.2),
+    "SegS, 50%": partial(SegmentSort, write_intensity=0.5),
+}
+LATENCY_JOIN_LINE_UP = {
+    "HybJ, 50% - 20%": _hybrid_join(0.5, 0.2),
+    "HybJ, 50% - 50%": _hybrid_join(0.5, 0.5),
+    "SegJ, 20%": partial(SegmentedGraceJoin, write_intensity=0.2),
+    "SegJ, 50%": partial(SegmentedGraceJoin, write_intensity=0.5),
+    "LaJ": LazyHashJoin,
+}
+
+#: Figure 12, per operation.  The lazy algorithms are left out, as in the
+#: paper, because their decisions are dynamic rather than compile-time
+#: estimable; the write-limited scope is each class's ``write_limited``.
+VALIDATION_LINE_UPS = {
+    "sort": {
+        "ExMS": ExternalMergeSort,
+        "SegS-20": partial(SegmentSort, write_intensity=0.2),
+        "SegS-80": partial(SegmentSort, write_intensity=0.8),
+        "HybS-20": partial(HybridSort, write_intensity=0.2),
+        "HybS-80": partial(HybridSort, write_intensity=0.8),
+    },
+    "join": {
+        "GJ": GraceJoin,
+        "HJ": SimpleHashJoin,
+        "NLJ": NestedLoopsJoin,
+        "SegJ-50": partial(SegmentedGraceJoin, write_intensity=0.5),
+        "HybJ-50-50": _hybrid_join(0.5, 0.5),
+    },
+}
+
+
+def _run_sorts(line_up, collection, backend, budget) -> list[dict]:
+    return [
+        run_sort(build(backend, budget), collection, label=label)
+        for label, build in line_up.items()
+    ]
+
+
+def _run_joins(line_up, left, right, backend, budget) -> list[dict]:
+    """One row per join of ``line_up``, each built to pipeline its output.
+
+    The paper's join cost analysis (Eq. 6 and 9) factors the output term
+    out: it is identical across algorithms and would otherwise dominate
+    the comparison.
+    """
+    return [
+        run_join(
+            build(backend, budget, materialize_output=False), left, right, label=label
+        )
+        for label, build in line_up.items()
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -99,14 +208,10 @@ def sort_memory_sweep(
     """Figure 5: sort response time and I/O versus available memory."""
     env = make_environment(backend_name)
     collection = make_sort_input(num_records, env.backend)
-    suite = sort_algorithm_suite()
     rows = []
     for fraction in memory_fractions:
-        budget = budget_for(collection, fraction)
-        for label, factory in suite.items():
-            rows.append(
-                run_sort(factory, collection, env.backend, budget, label=label)
-            )
+        budget = MemoryBudget.fraction_of(collection, fraction)
+        rows.extend(_run_sorts(SORT_LINE_UP, collection, env.backend, budget))
     return rows
 
 
@@ -134,27 +239,10 @@ def sort_write_intensity(
     for backend_name in backends:
         env = make_environment(backend_name)
         collection = make_sort_input(num_records, env.backend)
-        budget = budget_for(collection, SWEEP_MEMORY_FRACTION)
-        for intensity in SWEPT_INTENSITIES:
-            label = f"{int(round(intensity * 100))}%"
-            rows.append(
-                run_sort(
-                    lambda b, m, i=intensity: SegmentSort(b, m, write_intensity=i),
-                    collection,
-                    env.backend,
-                    budget,
-                    label=f"SegS, {label}",
-                )
-            )
-            rows.append(
-                run_sort(
-                    lambda b, m, i=intensity: HybridSort(b, m, write_intensity=i),
-                    collection,
-                    env.backend,
-                    budget,
-                    label=f"HybS, {label}",
-                )
-            )
+        budget = MemoryBudget.fraction_of(collection, SWEEP_MEMORY_FRACTION)
+        rows.extend(
+            _run_sorts(SORT_INTENSITY_LINE_UP, collection, env.backend, budget)
+        )
     return rows
 
 
@@ -166,23 +254,15 @@ def join_memory_sweep(
     right_records: int,
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
-    hybrid_intensities=((0.2, 0.8), (0.5, 0.5), (0.8, 0.2)),
-    segmented_intensities=(0.2, 0.5, 0.8),
+    line_up=JOIN_LINE_UP,
 ) -> list[dict]:
     """Figure 7: join response time and I/O versus available memory."""
     env = make_environment(backend_name)
     left, right = make_join_inputs(left_records, right_records, env.backend)
-    suite = join_algorithm_suite(
-        hybrid_intensities=hybrid_intensities,
-        segmented_intensities=segmented_intensities,
-    )
     rows = []
     for fraction in memory_fractions:
-        budget = budget_for(left, fraction)
-        for label, factory in suite.items():
-            rows.append(
-                run_join(factory, left, right, env.backend, budget, label=label)
-            )
+        budget = MemoryBudget.fraction_of(left, fraction)
+        rows.extend(_run_joins(line_up, left, right, env.backend, budget))
     return rows
 
 
@@ -198,8 +278,7 @@ def join_backend_comparison(
                 right_records=right_records,
                 memory_fractions=memory_fractions,
                 backend_name=backend_name,
-                hybrid_intensities=((0.5, 0.5),),
-                segmented_intensities=(0.5,),
+                line_up=BACKEND_JOIN_LINE_UP,
             )
         )
     return rows
@@ -212,46 +291,19 @@ def join_write_intensity(
     HybJ side held at 20, 50 or 80 %."""
     env = make_environment(backend_name)
     left, right = make_join_inputs(left_records, right_records, env.backend)
-    budget = budget_for(left, SWEEP_MEMORY_FRACTION)
+    budget = MemoryBudget.fraction_of(left, SWEEP_MEMORY_FRACTION)
     rows = []
     for intensity in SWEPT_INTENSITIES:
-        label = f"{int(round(intensity * 100))}%"
-        rows.append(
-            run_join(
-                lambda b, m, i=intensity: SegmentedGraceJoin(b, m, write_intensity=i),
-                left,
-                right,
-                env.backend,
-                budget,
-                label=f"SegJ, {label}",
+        # Each HybJ series sweeps one side (x) and holds the other.
+        line_up = {
+            f"SegJ, {_percent(intensity)}": partial(
+                SegmentedGraceJoin, write_intensity=intensity
             )
-        )
+        }
         for fixed in (0.2, 0.5, 0.8):
-            fixed_label = f"{int(round(fixed * 100))}%"
-            rows.append(
-                run_join(
-                    lambda b, m, x=intensity, y=fixed: HybridGraceNestedLoopsJoin(
-                        b, m, left_intensity=x, right_intensity=y
-                    ),
-                    left,
-                    right,
-                    env.backend,
-                    budget,
-                    label=f"HybJ, x - {fixed_label}",
-                )
-            )
-            rows.append(
-                run_join(
-                    lambda b, m, x=fixed, y=intensity: HybridGraceNestedLoopsJoin(
-                        b, m, left_intensity=x, right_intensity=y
-                    ),
-                    left,
-                    right,
-                    env.backend,
-                    budget,
-                    label=f"HybJ, {fixed_label} - x",
-                )
-            )
+            line_up[f"HybJ, x - {_percent(fixed)}"] = _hybrid_join(intensity, fixed)
+            line_up[f"HybJ, {_percent(fixed)} - x"] = _hybrid_join(fixed, intensity)
+        rows.extend(_run_joins(line_up, left, right, env.backend, budget))
     return rows
 
 
@@ -269,40 +321,20 @@ def latency_sensitivity(
     for write_ns in WRITE_LATENCIES_NS:
         env = make_environment(backend_name, write_ns=write_ns)
         sort_input = make_sort_input(num_sort_records, env.backend)
-        sort_budget = budget_for(sort_input, SWEEP_MEMORY_FRACTION)
-        sort_line_up = {
-            "LaS": lambda b, m: LazySort(b, m),
-            "HybS, 20%": lambda b, m: HybridSort(b, m, write_intensity=0.2),
-            "HybS, 50%": lambda b, m: HybridSort(b, m, write_intensity=0.5),
-            "SegS, 20%": lambda b, m: SegmentSort(b, m, write_intensity=0.2),
-            "SegS, 50%": lambda b, m: SegmentSort(b, m, write_intensity=0.5),
-        }
-        for label, factory in sort_line_up.items():
-            row = run_sort(factory, sort_input, env.backend, sort_budget, label=label)
-            row["write_latency_ns"] = write_ns
-            row["operation"] = "sort"
-            rows.append(row)
+        sort_budget = MemoryBudget.fraction_of(sort_input, SWEEP_MEMORY_FRACTION)
+        for row in _run_sorts(
+            LATENCY_SORT_LINE_UP, sort_input, env.backend, sort_budget
+        ):
+            rows.append({**row, "write_latency_ns": write_ns, "operation": "sort"})
 
         left, right = make_join_inputs(
             join_left_records, join_right_records, env.backend
         )
-        join_budget = budget_for(left, SWEEP_MEMORY_FRACTION)
-        join_line_up = {
-            "HybJ, 50% - 20%": lambda b, m: HybridGraceNestedLoopsJoin(
-                b, m, left_intensity=0.5, right_intensity=0.2
-            ),
-            "HybJ, 50% - 50%": lambda b, m: HybridGraceNestedLoopsJoin(
-                b, m, left_intensity=0.5, right_intensity=0.5
-            ),
-            "SegJ, 20%": lambda b, m: SegmentedGraceJoin(b, m, write_intensity=0.2),
-            "SegJ, 50%": lambda b, m: SegmentedGraceJoin(b, m, write_intensity=0.5),
-            "LaJ": lambda b, m: LazyHashJoin(b, m),
-        }
-        for label, factory in join_line_up.items():
-            row = run_join(factory, left, right, env.backend, join_budget, label=label)
-            row["write_latency_ns"] = write_ns
-            row["operation"] = "join"
-            rows.append(row)
+        join_budget = MemoryBudget.fraction_of(left, SWEEP_MEMORY_FRACTION)
+        for row in _run_joins(
+            LATENCY_JOIN_LINE_UP, left, right, env.backend, join_budget
+        ):
+            rows.append({**row, "write_latency_ns": write_ns, "operation": "join"})
     return rows
 
 
@@ -316,94 +348,47 @@ def cost_model_validation(
     memory_fractions=DEFAULT_MEMORY_FRACTIONS,
     backend_name: str = "blocked_memory",
 ) -> list[dict]:
-    """Figure 12: Kendall's tau between estimated and measured rankings.
-
-    The lazy algorithms are excluded, as in the paper, because their
-    decisions are dynamic rather than compile-time estimable.
-    """
+    """Figure 12: Kendall's tau between estimated and measured rankings,
+    over each line-up of :data:`VALIDATION_LINE_UPS` and its write-limited
+    algorithms."""
     env = make_environment(backend_name)
     sort_input = make_sort_input(num_sort_records, env.backend)
     left, right = make_join_inputs(join_left_records, join_right_records, env.backend)
-
-    sort_line_up = {
-        "ExMS": (ExternalMergeSort, {}, False),
-        "SegS-20": (SegmentSort, {"write_intensity": 0.2}, True),
-        "SegS-80": (SegmentSort, {"write_intensity": 0.8}, True),
-        "HybS-20": (HybridSort, {"write_intensity": 0.2}, True),
-        "HybS-80": (HybridSort, {"write_intensity": 0.8}, True),
-    }
-    join_line_up = {
-        "GJ": (GraceJoin, {}, False),
-        "HJ": (SimpleHashJoin, {}, False),
-        "NLJ": (NestedLoopsJoin, {}, False),
-        "SegJ-50": (SegmentedGraceJoin, {"write_intensity": 0.5}, True),
-        "HybJ-50-50": (
-            HybridGraceNestedLoopsJoin,
-            {"left_intensity": 0.5, "right_intensity": 0.5},
-            True,
-        ),
-    }
+    inputs = {"sort": (sort_input,), "join": (left, right)}
 
     rows = []
     for fraction in memory_fractions:
-        sort_budget = budget_for(sort_input, fraction)
-        estimated, measured, limited_estimated, limited_measured = {}, {}, {}, {}
-        for label, (cls, kwargs, is_write_limited) in sort_line_up.items():
-            algorithm = cls(env.backend, sort_budget, **kwargs)
-            estimated[label] = algorithm.estimated_cost_ns(sort_input.num_buffers)
-            result = algorithm.sort(sort_input)
-            measured[label] = result.io.total_ns
-            result.output.drop()
-            if is_write_limited:
-                limited_estimated[label] = estimated[label]
-                limited_measured[label] = measured[label]
-        rows.append(
-            {
-                "operation": "sort",
-                "scope": "all",
-                "memory_fraction": fraction,
-                "kendall_tau": concordance(estimated, measured),
-            }
-        )
-        rows.append(
-            {
-                "operation": "sort",
-                "scope": "write-limited",
-                "memory_fraction": fraction,
-                "kendall_tau": concordance(limited_estimated, limited_measured),
-            }
-        )
-
-        join_budget = budget_for(left, fraction)
-        estimated, measured, limited_estimated, limited_measured = {}, {}, {}, {}
-        for label, (cls, kwargs, is_write_limited) in join_line_up.items():
-            algorithm = cls(
-                env.backend, join_budget, materialize_output=False, **kwargs
-            )
-            estimated[label] = algorithm.estimated_cost_ns(
-                left.num_buffers, right.num_buffers
-            )
-            result = algorithm.join(left, right)
-            measured[label] = result.io.total_ns
-            if is_write_limited:
-                limited_estimated[label] = estimated[label]
-                limited_measured[label] = measured[label]
-        rows.append(
-            {
-                "operation": "join",
-                "scope": "all",
-                "memory_fraction": fraction,
-                "kendall_tau": concordance(estimated, measured),
-            }
-        )
-        rows.append(
-            {
-                "operation": "join",
-                "scope": "write-limited",
-                "memory_fraction": fraction,
-                "kendall_tau": concordance(limited_estimated, limited_measured),
-            }
-        )
+        for operation, line_up in VALIDATION_LINE_UPS.items():
+            operands = inputs[operation]
+            budget = MemoryBudget.fraction_of(operands[0], fraction)
+            estimated, measured, write_limited = {}, {}, []
+            for label, build in line_up.items():
+                # A sort writes its output; a join pipelines it (Eq. 6, 9).
+                algorithm = build(
+                    env.backend, budget, materialize_output=operation == "sort"
+                )
+                estimated[label] = algorithm.estimated_cost_ns(
+                    *(operand.num_buffers for operand in operands)
+                )
+                # ``algorithm.sort(...)`` or ``algorithm.join(...)``.
+                result = getattr(algorithm, operation)(*operands)
+                measured[label] = result.io.total_ns
+                result.output.drop()
+                if algorithm.write_limited:
+                    write_limited.append(label)
+            scopes = {"all": list(line_up), "write-limited": write_limited}
+            for scope, labels in scopes.items():
+                rows.append(
+                    {
+                        "operation": operation,
+                        "scope": scope,
+                        "memory_fraction": fraction,
+                        "kendall_tau": concordance(
+                            {label: estimated[label] for label in labels},
+                            {label: measured[label] for label in labels},
+                        ),
+                    }
+                )
     return rows
 
 
@@ -429,17 +414,13 @@ def planner_vs_fixed_sort(
         env = make_environment(backend_name, write_ns=write_ns)
         collection = make_sort_input(num_records, env.backend)
         for fraction in memory_fractions:
-            budget = budget_for(collection, fraction)
-            measured = {}
-            for label, sort_class in SORT_ALTERNATIVES.items():
-                row = run_sort(
-                    lambda b, m, cls=sort_class: cls(b, m),
-                    collection,
-                    env.backend,
-                    budget,
-                    label=label,
+            budget = MemoryBudget.fraction_of(collection, fraction)
+            measured = {
+                row["algorithm"]: row["simulated_seconds"]
+                for row in _run_sorts(
+                    SORT_ALTERNATIVES, collection, env.backend, budget
                 )
-                measured[label] = row["simulated_seconds"]
+            }
             plan = CostBasedPlanner(env.backend, budget).plan(
                 Query.scan(collection).order_by()
             )
@@ -471,22 +452,17 @@ def planner_vs_fixed_join(
             (left, right) if left.nbytes <= right.nbytes else (right, left)
         )
         for fraction in memory_fractions:
-            budget = budget_for(build, fraction)
-            measured = {}
-            for label, join_class in JOIN_ALTERNATIVES.items():
-                if label == "GJ" and not join_cost.grace_applicable(
-                    build.num_buffers, budget.buffers
-                ):
-                    continue
-                row = run_join(
-                    lambda b, m, cls=join_class: cls(b, m),
-                    build,
-                    probe,
-                    env.backend,
-                    budget,
-                    label=label,
-                )
-                measured[label] = row["simulated_seconds"]
+            budget = MemoryBudget.fraction_of(build, fraction)
+            line_up = {
+                label: join_class
+                for label, join_class in JOIN_ALTERNATIVES.items()
+                if label != "GJ"
+                or join_cost.grace_applicable(build.num_buffers, budget.buffers)
+            }
+            measured = {
+                row["algorithm"]: row["simulated_seconds"]
+                for row in _run_joins(line_up, build, probe, env.backend, budget)
+            }
             plan = CostBasedPlanner(env.backend, budget).plan(
                 Query.scan(left).join(Query.scan(right))
             )

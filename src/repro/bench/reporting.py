@@ -51,13 +51,12 @@ def format_series(
     rows: Sequence[dict],
     x_column: str,
     y_column: str,
-    group_column: str = "algorithm",
     title: str | None = None,
 ) -> str:
-    """Render rows as one line per group: the series a figure would plot."""
+    """Render rows as one line per algorithm: the series a figure would plot."""
     groups: dict[str, list[tuple]] = {}
     for row in rows:
-        groups.setdefault(str(row.get(group_column, "")), []).append(
+        groups.setdefault(str(row.get("algorithm", "")), []).append(
             (row.get(x_column), row.get(y_column))
         )
     lines = []
@@ -71,12 +70,14 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_surface(surface, shades: str = " .:-=+*#%@") -> str:
+def format_surface(surface) -> str:
     """Render one Figure 2 panel as an ASCII heatmap (dark = expensive)."""
     lines = [
         f"|V|/|T| = {surface.size_ratio:g}, lambda = {surface.lam:g} "
         "(x -> right, y -> down; darker = higher cost)"
     ]
+    # Shades from the cheapest cell to the dearest.
+    shades = " .:-=+*#%@"
     levels = len(shades) - 1
     for row in surface.normalized:
         lines.append("".join(shades[int(round(value * levels))] for value in row))

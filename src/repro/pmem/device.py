@@ -191,9 +191,6 @@ class PersistentMemoryDevice:
     def snapshot(self) -> IOSnapshot:
         return self._counters.snapshot()
 
-    def reset_counters(self) -> None:
-        self._counters.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"PersistentMemoryDevice(r={self.latency.read_ns}ns, "

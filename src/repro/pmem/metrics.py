@@ -92,18 +92,6 @@ class IOCounters:
             overhead_breakdown=dict(self.overhead_breakdown),
         )
 
-    def reset(self) -> None:
-        """Zero every counter (used between benchmark repetitions)."""
-        self.cacheline_reads = 0.0
-        self.cacheline_writes = 0.0
-        self.bytes_read = 0.0
-        self.bytes_written = 0.0
-        self.read_calls = 0
-        self.write_calls = 0
-        self.transfer_ns = 0.0
-        self.overhead_ns = 0.0
-        self.overhead_breakdown = {}
-
 
 @dataclass(frozen=True)
 class IOSnapshot:

@@ -12,10 +12,14 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
-from repro.joins.common import build_hash_table, partition_of, probe_into
+from repro.joins.common import (
+    build_hash_table,
+    joined_schema,
+    partition_of,
+    probe_into,
+)
 from repro.runtime.context import OperatorContext
 from repro.storage.collection import CollectionStatus, PersistentCollection
-from repro.storage.schema import Schema
 
 
 class Operator(abc.ABC):
@@ -70,7 +74,6 @@ class SegmentedGraceJoinOperator(Operator):
         left: PersistentCollection,
         right: PersistentCollection,
         num_partitions: int,
-        output_schema: Schema | None = None,
         materialize_output: bool = True,
     ) -> None:
         super().__init__(context)
@@ -78,11 +81,7 @@ class SegmentedGraceJoinOperator(Operator):
         self.right = right
         self.num_partitions = num_partitions
         self.materialize_output = materialize_output
-        self.output_schema = output_schema or Schema(
-            num_fields=left.schema.num_fields + right.schema.num_fields,
-            field_bytes=left.schema.field_bytes,
-            key_index=left.schema.key_index,
-        )
+        self.output_schema = joined_schema(left.schema, right.schema)
 
     def evaluate(self) -> PersistentCollection:
         context = self.context

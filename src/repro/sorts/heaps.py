@@ -23,9 +23,9 @@ A third kernel, :func:`ranked_passes`, serves a whole sequence of
 consecutive selection scans over one stable source from a single ranking,
 and derives from that ranking the order in which any of those scans would
 displace records: it computes once and charges per pass.  Selection sort,
-segment sort and lazy sort draw every pass over a MEMORY or MATERIALIZED
-source from it, so :func:`select_smallest` runs only for hybrid sort's
-single pass and lazy sort's passes over a DEFERRED input.
+segment sort and lazy sort draw every pass from it, over a MEMORY,
+MATERIALIZED or DEFERRED source alike, so :func:`select_smallest` runs
+only for hybrid sort's single pass.
 """
 
 from __future__ import annotations

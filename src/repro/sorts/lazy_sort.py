@@ -9,30 +9,29 @@ once the penalty catches up with the savings (Eq. 5 of the paper,
 unprocessed remainder as a smaller intermediate input, and reverts to
 being lazy on that input.
 
-Every pass is charged as a full rescan, but the passes over a MEMORY or
-MATERIALIZED source are computed once: they come from one ranking of that
-source by the ranked selection kernel
-(:func:`~repro.sorts.heaps.ranked_passes`), and each later pass is one
-charge-only rescan (``charge_rescan``), not a drained scan.  A
-materializing pass is served too: the order in which it displaces records
-lays out the intermediate and so decides later tie-breaks, and the kernel
-derives that order from the ranking.  So the input and each intermediate
-are ranked once.  Only a pass over a DEFERRED input still runs a
-:func:`~repro.sorts.heaps.select_smallest` scan, because that pass also
-counts the input.  A deferred input has no buffers of its own, so lazy
-sort materializes it on the first pass that leaves more than M records.
+Every pass is charged as a full rescan, but the passes over a source are
+computed once: they come from one ranking of that source by the ranked
+selection kernel (:func:`~repro.sorts.heaps.ranked_passes`), and each
+later pass is one charge-only rescan (``charge_rescan``), not a drained
+scan.  A materializing pass is served too: the order in which it
+displaces records lays out the intermediate and so decides later
+tie-breaks, and the kernel derives that order from the ranking.  So the
+input -- MEMORY, MATERIALIZED or DEFERRED -- and each intermediate are
+ranked once.  A deferred input has no buffers of its own, so lazy sort
+materializes it on the first pass that leaves more than M records.
 
 A deferred input's length is unknown until a scan of it ends, so the
-first pass, which sees every record, counts it; only that pass's
-materialization decision reads the estimate.  Intermediates are scratch
-stores of the run, dropped once replaced and when the run ends.
+first pass, which sees every record, counts it: the records it keeps plus
+the ones it displaces.  Only that pass's materialization decision reads
+the estimate.  Intermediates are scratch stores of the run, dropped once
+replaced and when the run ends.
 """
 
 from __future__ import annotations
 
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.heaps import ranked_passes, select_smallest
+from repro.sorts.heaps import ranked_passes
 from repro.storage.collection import PersistentCollection
 
 
@@ -54,7 +53,6 @@ class LazySort(SortAlgorithm):
         scans = 0
         intermediates = 0
         materialization_points: list[int] = []
-        threshold: tuple[int, int] | None = None
         # The ranked passes over the current source, once one is served.
         passes = None
 
@@ -80,31 +78,17 @@ class LazySort(SortAlgorithm):
                 iteration >= materialization_iteration
                 and remaining > self.workspace_records
             )
+            if passes is None:
+                passes = ranked_passes(source, self.workspace_records, self.key_fn)
+            # An empty deferred input yields no pass; its one scan still ran.
+            batch, _, displaced = next(passes, ([], None, list))
             # A displaced record is not among the current M minimums but
             # is still pending: when materializing, it belongs to the
-            # intermediate input, in the order it was displaced.
-            if source.is_deferred:
-                # The first pass over a deferred input keeps it to count
-                # the input.
-                spill: list[tuple] = []
-                batch, threshold = select_smallest(
-                    source.scan(),
-                    self.workspace_records,
-                    self.key_fn,
-                    after=threshold,
-                    displaced=(
-                        spill.append
-                        if materialize or total_records is None
-                        else None
-                    ),
-                )
-                if total_records is None:
-                    total_records = len(batch) + len(spill)
-            else:
-                if passes is None:
-                    passes = ranked_passes(source, self.workspace_records, self.key_fn)
-                batch, threshold, displaced = next(passes)
-                spill = displaced() if materialize else []
+            # intermediate input, in the order it was displaced.  The
+            # first pass over a deferred input takes them to count it.
+            spill = displaced() if materialize or total_records is None else []
+            if total_records is None:
+                total_records = len(batch) + len(spill)
             # An over-declared deferred input may leave nothing to
             # materialize.
             materialize = materialize and bool(spill)
@@ -129,7 +113,6 @@ class LazySort(SortAlgorithm):
                 if source is not collection:
                     source.drop()
                 source = intermediate
-                threshold = None
                 passes = None
                 iteration = 1
             else:

@@ -154,10 +154,6 @@ class PersistentCollection:
     def is_deferred(self) -> bool:
         return self._status is CollectionStatus.DEFERRED
 
-    @property
-    def is_sealed(self) -> bool:
-        return self._sealed
-
     def mark_materialized(self) -> None:
         """Give the collection a fresh store so that it can receive records.
 

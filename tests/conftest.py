@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exceptions import CollectionStateError
 from repro.pmem.backends import BACKEND_REGISTRY, make_backend
 from repro.pmem.device import DeviceGeometry, PersistentMemoryDevice
 from repro.pmem.latency import LatencyModel
@@ -44,6 +45,12 @@ def any_backend(request):
 @pytest.fixture
 def schema():
     return WISCONSIN_SCHEMA
+
+
+def assert_sealed(collection):
+    """``collection`` is sealed: it refuses a non-empty ``extend``."""
+    with pytest.raises(CollectionStateError, match="is sealed"):
+        collection.extend([collection.schema.make_record(0)])
 
 
 def build_collection(backend, keys, name="input", schema=WISCONSIN_SCHEMA):

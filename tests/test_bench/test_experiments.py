@@ -95,8 +95,7 @@ class TestJoinExperiments:
             left_records=150,
             right_records=1500,
             memory_fractions=(0.05, 0.15),
-            hybrid_intensities=((0.5, 0.5),),
-            segmented_intensities=(0.5,),
+            line_up=experiments.BACKEND_JOIN_LINE_UP,
         )
         assert {row["algorithm"] for row in rows} == {
             "NLJ",
@@ -114,8 +113,7 @@ class TestJoinExperiments:
             left_records=150,
             right_records=1500,
             memory_fractions=(0.08,),
-            hybrid_intensities=((0.5, 0.5),),
-            segmented_intensities=(0.5,),
+            line_up=experiments.BACKEND_JOIN_LINE_UP,
         )
         writes = {row["algorithm"]: row["cacheline_writes"] for row in rows}
         assert writes["HJ"] > writes["GJ"]

@@ -58,9 +58,9 @@ class TestBackendConsistency:
             backend = make_backend(name, device)
             collection = make_sort_input(300, backend, name="amplify")
             budget = MemoryBudget.fraction_of(collection, 0.1)
-            device.reset_counters()
+            before = device.snapshot()
             ExternalMergeSort(backend, budget).sort(collection)
-            writes[name] = device.counters.cacheline_writes
+            writes[name] = (device.snapshot() - before).cacheline_writes
         assert writes["dynamic_array"] > writes["blocked_memory"]
 
 

@@ -124,10 +124,11 @@ class TestBlockedMemory:
         backend = BlockedMemoryBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 320)
-        device.reset_counters()
+        before = device.snapshot()
         backend.read_bulk(t, 320)
-        assert device.counters.cacheline_reads == pytest.approx(5.0)
-        assert device.counters.cacheline_writes == 0.0
+        delta = device.snapshot() - before
+        assert delta.cacheline_reads == pytest.approx(5.0)
+        assert delta.cacheline_writes == 0.0
 
     def test_blocks_allocated_lazily(self, device):
         backend = BlockedMemoryBackend(device)
@@ -153,10 +154,11 @@ class TestDynamicArray:
         backend = DynamicArrayBackend(device)
         t = backend.create_store("t")
         backend.append_bulk(t, 128)
-        device.reset_counters()
+        before = device.snapshot()
         backend.append_bulk(t, 64)  # triggers a doubling that copies 128 bytes
-        assert device.counters.cacheline_reads == pytest.approx(2.0)
-        assert device.counters.cacheline_writes == pytest.approx(2.0 + 1.0)
+        delta = device.snapshot() - before
+        assert delta.cacheline_reads == pytest.approx(2.0)
+        assert delta.cacheline_writes == pytest.approx(2.0 + 1.0)
 
     def test_expansions_counter(self):
         backend = DynamicArrayBackend(device_with_blocks(64))
@@ -201,9 +203,9 @@ class TestRamDisk:
         backend = RamDiskBackend(device, fs_block_bytes=512)
         t = backend.create_store("t")
         backend.append_bulk(t, 512)
-        device.reset_counters()
+        before = device.snapshot()
         backend.read_bulk(t, 100)
-        assert device.counters.cacheline_reads == pytest.approx(8.0)
+        assert (device.snapshot() - before).cacheline_reads == pytest.approx(8.0)
         assert t.extra["padded_read_bytes"] == 412
 
     def test_syscall_overhead_per_call(self, device):

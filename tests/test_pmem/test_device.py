@@ -91,12 +91,6 @@ class TestAccounting:
         assert snapshot.bytes_read == 64
         assert snapshot.bytes_written == 64
 
-    def test_reset_counters(self, device):
-        device.write(64)
-        device.reset_counters()
-        assert device.elapsed_ns == 0
-        assert device.counters.cacheline_writes == 0
-
     def test_negative_read_rejected(self, device):
         with pytest.raises(ConfigurationError):
             device.read(-1)

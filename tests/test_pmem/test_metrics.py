@@ -49,15 +49,6 @@ class TestIOCounters:
         counters.record_write(3.0, 192, 450.0)
         assert counters.total_cachelines == pytest.approx(5.0)
 
-    def test_reset_clears_everything(self):
-        counters = IOCounters()
-        counters.record_read(2.0, 128, 20.0)
-        counters.record_overhead(5.0, label="x")
-        counters.reset()
-        assert counters.cacheline_reads == 0
-        assert counters.overhead_ns == 0
-        assert counters.overhead_breakdown == {}
-
     def test_snapshot_is_frozen_copy(self):
         counters = IOCounters()
         counters.record_write(1.0, 64, 150.0)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.bench.harness import budget_for, make_environment
+from repro.bench.harness import make_environment
 from repro.exceptions import ConfigurationError
 from repro.pmem.metrics import IOSnapshot
 from repro.query import (
@@ -40,7 +40,7 @@ class TestCostPolicy:
         self, backend
     ):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             filter_join_group_query(left, right)
         )
@@ -50,7 +50,7 @@ class TestCostPolicy:
 
     def test_every_edge_carries_priced_candidates(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             filter_join_group_query(left, right)
         )
@@ -65,7 +65,7 @@ class TestCostPolicy:
         # the full source, so the cost policy must not defer.
         env = make_environment("blocked_memory", write_ns=10.0)
         left, right = make_join_inputs(150, 1_500, env.backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         plan = CostBasedPlanner(env.backend, budget).plan(
             filter_join_group_query(left, right)
         )
@@ -88,7 +88,7 @@ class TestForcedPolicies:
     @pytest.fixture
     def setup(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         session = Session(backend, budget)
         return session, filter_join_group_query(left, right)
 
@@ -117,7 +117,7 @@ class TestForcedPolicies:
 class TestDeferredExecution:
     def test_deferred_filter_rederives_through_the_runtime(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         session = Session(backend, budget)
         query = filter_join_group_query(left, right)
         baseline = session.query(query, boundary_policy="materialize")
@@ -145,7 +145,7 @@ class TestDeferredExecution:
         # the execution details report the overriding rule.
         env = make_environment("blocked_memory", write_ns=10.0)
         left, right = make_join_inputs(150, 1_500, env.backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         session = Session(env.backend, budget)
         query = filter_join_group_query(left, right)
         baseline = session.query(query, boundary_policy="materialize")
@@ -166,7 +166,7 @@ class TestDeferredExecution:
         # deferred filter over each registers both in the one context.
         left = make_sort_input(150, backend, name="L")
         right = make_sort_input(150, backend, name="R")
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         query = (
             Query.scan(left)
             .order_by()
@@ -203,7 +203,7 @@ class TestDeferredExecution:
         # (and its deferred collections and predicates) alive.
         left, right = make_join_inputs(150, 1_500, backend)
         with Session(
-            backend, budget_for(left, 0.10), boundary_policy="defer"
+            backend, MemoryBudget.fraction_of(left, 0.10), boundary_policy="defer"
         ) as session:
             result = session.query(
                 Query.scan(left)
@@ -220,7 +220,7 @@ class TestDeferredExecution:
 class TestExplainRendering:
     def test_boundary_decisions_render_with_saved_writes(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         session = Session(backend, budget)
         result = session.query(filter_join_group_query(left, right))
         text = result.explain()
@@ -231,7 +231,7 @@ class TestExplainRendering:
 
     def test_explain_reports_elapsed_ns_per_node_and_total(self, backend):
         collection = make_sort_input(300, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         result = Session(backend, budget).query(
             Query.scan(collection).order_by()
         )
@@ -243,7 +243,7 @@ class TestExplainRendering:
 
     def test_materialize_result_still_settles_the_root(self, backend):
         collection = make_sort_input(300, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         session = Session(backend, budget, materialize_result=True)
         result = session.query(
             Query.scan(collection).order_by()
@@ -256,7 +256,7 @@ class TestExplainRendering:
 class TestPhysicalOperatorProtocol:
     def test_operators_stream_blocks_and_report_io(self, backend):
         collection = make_sort_input(200, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(collection).order_by()
         )

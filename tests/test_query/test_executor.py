@@ -4,12 +4,11 @@ import inspect
 
 import pytest
 
-from repro.bench.harness import budget_for
 from repro.exceptions import BufferpoolExhaustedError, CollectionStateError
 from repro.query import CostBasedPlanner, Query, QueryExecutor
 from repro.session import Session
 from repro.shard import ShardedQueryExecutor
-from repro.storage.bufferpool import Bufferpool
+from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.storage.collection import CollectionStatus, StoreOwner
 from repro.workloads.generator import make_join_inputs
 
@@ -52,7 +51,7 @@ class TestWisconsinCorrectness:
 
     def test_filter_join_order_by_matches_brute_force(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         query = (
             Query.scan(left)
             .filter(lambda r: r[0] < 75, selectivity=0.5)
@@ -70,7 +69,7 @@ class TestWisconsinCorrectness:
         # The bigger input on the left forces the planner to swap the build
         # side; output records must still read left + right.
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         query = Query.scan(right).join(Query.scan(left))
         plan = CostBasedPlanner(backend, budget).plan(query)
         assert plan.root.extra["swapped"] is True
@@ -99,7 +98,7 @@ class TestWisconsinCorrectness:
 class TestExecutionReporting:
     def test_explain_reports_estimate_and_actual_for_every_node(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         query = (
             Query.scan(left)
             .filter(lambda r: r[0] < 75, selectivity=0.5)
@@ -191,7 +190,7 @@ class TestExecutorContract:
         """Every sink a materialized plan writes goes to the caller's
         owner: releasing it leaves exactly the loaded stores and bytes."""
         left, right = make_join_inputs(150, 1_500, any_backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         filtered = Query.scan(left).filter(
             lambda r: r[0] % 2 == 0, selectivity=0.5
         )
@@ -254,7 +253,7 @@ class TestFinishedQueries:
             .join(Query.scan(right))
             .order_by()
         )
-        result = Session(backend, budget_for(left, 0.10)).query(
+        result = Session(backend, MemoryBudget.fraction_of(left, 0.10)).query(
             query, boundary_policy="materialize"
         )
         (sink,) = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import experiments
-from repro.bench.harness import budget_for, make_environment
+from repro.bench.harness import make_environment
 from repro.exceptions import ConfigurationError
 from repro.joins import cost as join_cost
 from repro.query import CostBasedPlanner, Query
@@ -15,7 +15,7 @@ from repro.workloads.generator import make_join_inputs, make_sort_input
 def plan_sort(write_ns: float, fraction: float, records: int = 1_000):
     env = make_environment("blocked_memory", write_ns=write_ns)
     collection = make_sort_input(records, env.backend)
-    budget = budget_for(collection, fraction)
+    budget = MemoryBudget.fraction_of(collection, fraction)
     planner = CostBasedPlanner(env.backend, budget)
     return env, collection, budget, planner.plan(Query.scan(collection).order_by())
 
@@ -25,7 +25,7 @@ def plan_join(
 ):
     env = make_environment("blocked_memory", write_ns=write_ns)
     left, right = make_join_inputs(left_records, right_records, env.backend)
-    budget = budget_for(left, fraction)
+    budget = MemoryBudget.fraction_of(left, fraction)
     planner = CostBasedPlanner(env.backend, budget)
     plan = planner.plan(Query.scan(left).join(Query.scan(right)))
     return env, (left, right), budget, plan
@@ -103,7 +103,7 @@ class TestPlanStructure:
         self, backend
     ):
         left, right = make_join_inputs(200, 2_000, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         query = (
             Query.scan(left)
             .filter(lambda r: r[0] < 100, selectivity=0.5)
@@ -131,7 +131,7 @@ class TestPlanStructure:
 
     def test_join_puts_smaller_estimated_input_on_build_side(self, backend):
         left, right = make_join_inputs(200, 2_000, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(right).join(Query.scan(left))
         )
@@ -143,7 +143,7 @@ class TestPlanStructure:
 
     def test_filter_scales_cardinality_estimates(self, backend):
         collection = make_sort_input(1_000, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(collection).filter(lambda r: True, selectivity=0.25).order_by()
         )
@@ -151,7 +151,7 @@ class TestPlanStructure:
 
     def test_total_estimated_cost_sums_nodes(self, backend):
         collection = make_sort_input(500, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(collection).filter(lambda r: True).order_by()
         )
@@ -161,7 +161,7 @@ class TestPlanStructure:
 
     def test_explain_lists_every_node(self, backend):
         left, right = make_join_inputs(150, 1_500, backend)
-        budget = budget_for(left, 0.10)
+        budget = MemoryBudget.fraction_of(left, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(left).join(Query.scan(right)).order_by()
         )
@@ -174,7 +174,7 @@ class TestPlanStructure:
 class TestGroupByChoice:
     def test_few_groups_pick_hash_aggregation(self, backend):
         collection = make_sort_input(1_000, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(collection).group_by(1, estimated_groups=4)
         )
@@ -182,7 +182,7 @@ class TestGroupByChoice:
 
     def test_many_groups_pick_sorted_aggregation(self, backend):
         collection = make_sort_input(1_000, backend)
-        budget = budget_for(collection, 0.02)
+        budget = MemoryBudget.fraction_of(collection, 0.02)
         plan = CostBasedPlanner(backend, budget).plan(
             Query.scan(collection).group_by(1, estimated_groups=1_000)
         )

@@ -10,17 +10,19 @@ from repro import (
     Session,
     ShardSet,
 )
-from repro.bench.harness import budget_for, make_environment
+from repro.bench.harness import make_environment
 from repro.exceptions import ConfigurationError
 from repro.shard import ShardedCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import make_sort_input
 
+from tests.conftest import assert_sealed
+
 
 class TestTargets:
     def test_backend_target_runs_single_device(self, backend):
         collection = make_sort_input(200, backend)
-        session = Session(backend, budget_for(collection, 0.10))
+        session = Session(backend, MemoryBudget.fraction_of(collection, 0.10))
         result = session.query(Query.scan(collection).order_by())
         assert isinstance(result, QueryResult)
         assert result.records == sorted(collection.records)
@@ -87,7 +89,7 @@ class TestOneResultType:
     def test_one_shard_result_keeps_the_fragment_output(self, backend):
         collection = make_sort_input(120, backend)
         session = Session(
-            backend, budget_for(collection, 0.10), materialize_result=True
+            backend, MemoryBudget.fraction_of(collection, 0.10), materialize_result=True
         )
         result = session.query(Query.scan(collection).order_by())
         (fragment_result,) = result.fragment_results[0]
@@ -100,7 +102,7 @@ class TestOneResultType:
 class TestSharedBufferpool:
     def test_queries_share_and_release_the_session_pool(self, backend):
         collection = make_sort_input(200, backend)
-        budget = budget_for(collection, 0.10)
+        budget = MemoryBudget.fraction_of(collection, 0.10)
         session = Session(backend, budget)
         pool = session.bufferpool
         for _ in range(3):
@@ -132,5 +134,5 @@ class TestCreateCollection:
             records=[WISCONSIN_SCHEMA.make_record(k) for k in range(8)],
         )
         assert collection.backend is env.backend
-        assert collection.is_sealed
+        assert_sealed(collection)
         assert len(collection) == 8

@@ -1,7 +1,7 @@
 """Differential tests for the ranked selection kernel.
 
-Lazy sort's passes over a MEMORY or MATERIALIZED source, materializing
-ones included, and the selection passes behind selection sort and segment
+Lazy sort's passes, materializing ones and those over a DEFERRED input
+included, and the selection passes behind selection sort and segment
 sort's selection segment are served by
 :func:`~repro.sorts.heaps.ranked_passes`: the source is ranked once, every
 pass drains an identical rescan to pay for itself, and a materializing
@@ -11,11 +11,14 @@ test-local copies of the per-pass loops the kernel replaced -- one full
 same records in the same order, the same ``IOSnapshot`` delta, the same
 ``input_scans`` and ``details``, the same per-store stats (lazy sort's
 intermediates aside: the reference leaves them behind) and, for deferred
-inputs, the same replay bookkeeping.  Every input record carries its load
-position in attribute 1, so equal keys are distinguishable.
+inputs, the same replay bookkeeping.  Lazy sort is also diffed over
+deferred inputs declared at none, half and twice their size.  Every input
+record carries its load position in attribute 1, so equal keys are
+distinguishable.
 
-A structural guard counts ``select_smallest`` calls and rankings, so the
-speedup cannot silently regress to one scan per pass.
+A structural guard counts rankings and checks that no sort module imports
+``select_smallest``, so the speedup cannot silently regress to one scan
+per pass.
 """
 
 import contextlib
@@ -71,14 +74,13 @@ class ReferenceLazySort(LazySort):
     """Lazy sort's loop with a ``select_smallest`` scan per pass.
 
     Like the loop the kernel replaced, it never drops its intermediates.
-    Like the operator, it scans a deferred input declared empty once.
+    Like the operator, it counts a deferred input on its first pass, which
+    sees every record: the records it keeps plus the ones it displaces.
+    Until then only the materialization decision reads the estimate.
     """
 
     def _execute(self, output, collection):
-        total_records = collection.estimated_records
-        if total_records == 0 and not collection.is_deferred:
-            output.seal()
-            return SortResult(output=output, io=None)
+        total_records = None if collection.is_deferred else len(collection)
         lam = self.backend.device.write_read_ratio
         source = collection
         emitted = 0
@@ -87,8 +89,12 @@ class ReferenceLazySort(LazySort):
         intermediates = 0
         materialization_points = []
         threshold = None
-        while emitted < total_records or not scans:
-            remaining = total_records - emitted
+        while total_records is None or emitted < total_records:
+            remaining = (
+                collection.estimated_records
+                if total_records is None
+                else total_records - emitted
+            )
             materialization_iteration = max(
                 1,
                 cost.lazy_sort_materialization_iteration(
@@ -99,8 +105,20 @@ class ReferenceLazySort(LazySort):
                 iteration >= materialization_iteration
                 and remaining > self.workspace_records
             )
+            counting = total_records is None
+            spill = []
+            batch, threshold = select_smallest(
+                source.scan(),
+                self.workspace_records,
+                self.key_fn,
+                after=threshold,
+                displaced=spill.append if materialize or counting else None,
+            )
+            if counting:
+                total_records = len(batch) + len(spill)
             intermediate = None
-            if materialize:
+            # A mis-declared deferred input may leave nothing to spill.
+            if materialize and spill:
                 intermediates += 1
                 intermediate = PersistentCollection(
                     name=f"{collection.name}-las-intermediate-{intermediates}",
@@ -108,15 +126,6 @@ class ReferenceLazySort(LazySort):
                     schema=self.schema,
                     status=CollectionStatus.MATERIALIZED,
                 )
-            spill = []
-            batch, threshold = select_smallest(
-                source.scan(),
-                self.workspace_records,
-                self.key_fn,
-                after=threshold,
-                displaced=spill.append if intermediate is not None else None,
-            )
-            if intermediate is not None:
                 intermediate.extend(spill)
             scans += 1
             output.extend(batch)
@@ -148,11 +157,11 @@ class ReferenceLazySort(LazySort):
 # --------------------------------------------------------------------- #
 # Inputs and observations.
 # --------------------------------------------------------------------- #
-def build(backend_name, kind, keys, lam):
+def build(backend_name, kind, keys, lam, declared=1.0):
     """A fresh device and backend with a sort input of the given kind.
 
     A deferred input is a filter over a materialized root that drops every
-    third record, declared at its exact size.
+    third record, declared at ``declared`` times its size.
     """
     device = PersistentMemoryDevice(
         latency=LatencyModel(read_ns=10.0, write_ns=10.0 * lam)
@@ -176,15 +185,21 @@ def build(backend_name, kind, keys, lam):
         context = OperatorContext(backend)
         context.register(collection)
         kept = sum(1 for position in range(len(keys)) if position % 3)
-        deferred = context.declare(name="filtered", expected_records=kept)
+        deferred = context.declare(
+            name="filtered", expected_records=int(kept * declared)
+        )
         collection = context.filter(
             collection, lambda record: record[1] % 3 != 0, 2 / 3, output=deferred
         )
     return device, backend, context, collection
 
 
-def observe(sort_cls, kwargs, backend_name, kind, keys, lam, workspace):
-    device, backend, context, collection = build(backend_name, kind, keys, lam)
+def observe(
+    sort_cls, kwargs, backend_name, kind, keys, lam, workspace, declared=1.0
+):
+    device, backend, context, collection = build(
+        backend_name, kind, keys, lam, declared
+    )
     result = sort_cls(
         backend, MemoryBudget.from_records(workspace), **kwargs
     ).sort(collection)
@@ -255,15 +270,21 @@ LAZY_SORT_EXAMPLES = [
 
 
 #: Lazy sort materializing never (the input fits the workspace), once and
-#: twice, and over a deferred input.
-@example(*LAZY_SORT_EXAMPLES[0])
-@example(*LAZY_SORT_EXAMPLES[1])
-@example(*LAZY_SORT_EXAMPLES[2])
-@example("blocked_memory", "deferred", [value % 9 for value in range(90)], 3.0, 3)
+#: twice, and over a deferred input declared at its size, none, half of it
+#: and twice it.
+@example(*LAZY_SORT_EXAMPLES[0], 1.0)
+@example(*LAZY_SORT_EXAMPLES[1], 1.0)
+@example(*LAZY_SORT_EXAMPLES[2], 1.0)
+@example("blocked_memory", "deferred", [value % 9 for value in range(90)], 3.0, 3, 1.0)
+@example("blocked_memory", "deferred", [value % 9 for value in range(90)], 3.0, 3, 0.0)
+@example("pmfs", "deferred", [value % 9 for value in range(90)], 15.0, 4, 0.5)
+@example("pmfs", "deferred", [value % 9 for value in range(90)], 1.0, 4, 2.0)
 @settings(max_examples=150, deadline=None)
-@given(**case)
-def test_lazy_sort_matches_per_pass_scans(backend_name, kind, keys, lam, workspace):
-    args = (backend_name, kind, keys, lam, workspace)
+@given(**case, declared=st.sampled_from([1.0, 0.0, 0.5, 2.0]))
+def test_lazy_sort_matches_per_pass_scans(
+    backend_name, kind, keys, lam, workspace, declared
+):
+    args = (backend_name, kind, keys, lam, workspace, declared)
     assert observe(LazySort, {}, *args) == observe(ReferenceLazySort, {}, *args)
 
 
@@ -376,6 +397,7 @@ def test_ranked_passes_resume_like_selection_scans(keys, kind, data):
 # --------------------------------------------------------------------- #
 # Structural guard.
 # --------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", ["materialized", "deferred"])
 @pytest.mark.parametrize(
     "sort_cls, kwargs",
     [
@@ -386,19 +408,13 @@ def test_ranked_passes_resume_like_selection_scans(keys, kind, data):
         (SegmentSort, {"write_intensity": 0.8}),
     ],
 )
-def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
-    sort_cls, kwargs
-):
-    """No pass over a materialized source runs a selection scan, a
-    materializing one included: each source is ranked once instead."""
-    args = ("pmfs", "materialized", [value % 97 for value in range(400)], 3.0, 6)
-    calls = 0
+def test_every_source_is_ranked_once(sort_cls, kwargs, kind):
+    """No pass runs a selection scan, a materializing one or one over a
+    deferred input included: each source is ranked once instead."""
+    args = ("pmfs", kind, [value % 97 for value in range(400)], 3.0, 6)
+    for module in (lazy_sort_module, selection_sort_module, segment_sort_module):
+        assert "select_smallest" not in vars(module)
     rankings = 0
-
-    def counting(*call_args, **call_kwargs):
-        nonlocal calls
-        calls += 1
-        return select_smallest(*call_args, **call_kwargs)
 
     def counting_rankings(*call_args, **call_kwargs):
         nonlocal rankings
@@ -406,12 +422,9 @@ def test_materialized_sources_are_scanned_for_selection_only_when_materializing(
         return ranked_passes(*call_args, **call_kwargs)
 
     with mock.patch.object(
-        lazy_sort_module, "select_smallest", counting
-    ), mock.patch.object(
         lazy_sort_module, "ranked_passes", counting_rankings
     ), mock.patch.object(selection_sort_module, "ranked_passes", counting_rankings):
         observed = observe(sort_cls, kwargs, *args)
-    assert calls == 0
     if sort_cls is LazySort:
         # One ranking of the input and one of each intermediate.
         materializations = observed["details"]["intermediate_materializations"]

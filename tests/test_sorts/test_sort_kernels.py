@@ -21,6 +21,8 @@ from repro.storage.collection import PersistentCollection
 from repro.storage.runs import RunSet, merge_streams
 from repro.storage.schema import WISCONSIN_SCHEMA
 
+from tests.conftest import assert_sealed
+
 KEY = WISCONSIN_SCHEMA.key
 
 
@@ -127,7 +129,8 @@ class TestReplacementSelectionKernel:
         assert [run.records for run in runset.runs] == reference_runs(
             records, capacity
         )
-        assert all(run.is_sealed for run in runset.runs)
+        for run in runset.runs:
+            assert_sealed(run)
 
     @settings(max_examples=50, deadline=None)
     @given(keys=ordered_key_lists, capacity=capacities, data=st.data())

@@ -23,7 +23,7 @@ from repro.sorts import SelectionSort, SortAlgorithm
 from repro.storage.bufferpool import Bufferpool, MemoryBudget
 from repro.workloads.generator import make_join_inputs, make_sort_input
 
-from tests.conftest import build_collection
+from tests.conftest import assert_sealed, build_collection
 
 ALGORITHMS = {
     **SORT_ALTERNATIVES,
@@ -75,7 +75,7 @@ def test_workspace_reserved_while_executing_and_released_after(
     result = run(algorithm, inputs_for(label, backend))
     assert observed == [BUDGET.nbytes]
     assert pool.reserved_bytes == 0
-    assert result.output.is_sealed
+    assert_sealed(result.output)
     assert result.output.is_materialized is materialize
     assert isinstance(result.io, IOSnapshot)
 
@@ -124,7 +124,7 @@ def test_settled_empty_input_returns_a_sealed_empty_output(
     inputs[1 if side == "right" else 0] = empty
     result = run(algorithm, inputs)
     output = result.output
-    assert output.is_sealed
+    assert_sealed(output)
     assert output.records == []
     assert output.is_materialized is materialize
     assert output.is_memory is not materialize

@@ -7,6 +7,8 @@ from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.runs import RunSet, merge_runs, merge_streams
 from repro.storage.schema import WISCONSIN_SCHEMA
 
+from tests.conftest import assert_sealed
+
 
 def make_run(runset, keys):
     return runset.write_sorted_run(
@@ -24,7 +26,7 @@ class TestRunSet:
     def test_write_sorted_run_seals(self, backend):
         runset = RunSet(backend)
         run = make_run(runset, [3, 1, 2])
-        assert run.is_sealed
+        assert_sealed(run)
         assert run.is_sorted()
 
     def test_iteration(self, backend):
@@ -70,7 +72,7 @@ class TestMergeRuns:
         passes = merge_runs(runset.runs, output, fan_in=8, backend=backend)
         assert passes == 1
         assert [r[0] for r in output.records] == [1, 2, 4, 5, 7, 8]
-        assert output.is_sealed
+        assert_sealed(output)
 
     def test_multi_pass_merge(self, backend):
         runset = RunSet(backend)
@@ -87,7 +89,7 @@ class TestMergeRuns:
         passes = merge_runs([], output, fan_in=4, backend=backend)
         assert passes == 0
         assert len(output.records) == 0
-        assert output.is_sealed
+        assert_sealed(output)
 
     def test_single_run_is_copied(self, backend):
         runset = RunSet(backend)
@@ -112,7 +114,7 @@ class TestMergeRuns:
         delta = device.snapshot() - before
         assert delta.cacheline_writes == 0
         assert delta.cacheline_reads > 0
-        assert output.is_sealed
+        assert_sealed(output)
 
     def test_intermediate_passes_charge_writes(self, device, backend):
         runset = RunSet(backend)

@@ -17,6 +17,8 @@ from repro.shard import HashPartitioner, ShardedCollection, ShardSet
 from repro.storage.schema import WISCONSIN_SCHEMA
 from repro.workloads.generator import load_collection, make_join_inputs, make_sort_input
 
+from tests.conftest import assert_sealed
+
 SHARD_COUNTS = (1, 2, 3, 4)
 
 
@@ -51,11 +53,11 @@ def assert_placed(collection, target, input_records):
         routed = collection.partitioner.split(input_records)
         for index, shard in enumerate(collection.shards):
             assert shard.records == routed[index]
-            assert shard.is_sealed
+            assert_sealed(shard)
             assert shard.backend is target.backends[index]
     else:
         assert collection.records == input_records
-        assert collection.is_sealed
+        assert_sealed(collection)
         assert collection.backend is target
 
 
