@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError, InsufficientMemoryError
@@ -182,7 +181,6 @@ class HashAggregation(_AggregationBase):
         self, output: PersistentCollection, collection: PersistentCollection
     ) -> AggregationResult:
         max_groups = max(1, self.budget.nbytes // self.GROUP_STATE_BYTES)
-        key_fn = itemgetter(self.group_index)
         fold_block = self.kernels.fold_block
         finish = self.kernels.finish
         spills = 0
@@ -213,7 +211,7 @@ class HashAggregation(_AggregationBase):
             spilled_records = sum(
                 partition_into(
                     _fold_blocks(source.scan_blocks(), fold_block, table, limit),
-                    key_fn,
+                    self.group_index,
                     targets,
                 )
             )

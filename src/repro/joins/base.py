@@ -20,7 +20,7 @@ from repro.exceptions import InsufficientMemoryError
 from repro.joins.common import (
     build_hash_table,
     joined_schema,
-    partition_into,
+    partition_source,
     probe_into,
 )
 from repro.joins.cost import PARTITION_FUDGE_FACTOR
@@ -120,7 +120,8 @@ class JoinAlgorithm(Algorithm):
 
         Returns the left and the right partitions, scratch stores of the
         run, written from the first ``stops`` records of each input through
-        :func:`partition_into`, and the left partitions' record counts.
+        :func:`partition_source` (a settled input read whole is served
+        from its bucket memo), and the left partitions' record counts.
         Only the first ``materialized`` partition indexes are written
         (segmented Grace join materializes only some); the others are
         ``None`` and their records are skipped.  The left input goes first,
@@ -132,8 +133,8 @@ class JoinAlgorithm(Algorithm):
             materialized = num_partitions
         live = [index < materialized for index in range(num_partitions)]
         sides = []
-        for source, key, side, stop in zip(
-            (left, right), (self.left_key, self.right_key), "LR", stops
+        for source, schema, side, stop in zip(
+            (left, right), (self.left_schema, self.right_schema), "LR", stops
         ):
             if side == "R" and not any(live):
                 sides.append(([None] * num_partitions, None))
@@ -144,7 +145,7 @@ class JoinAlgorithm(Algorithm):
                 else None
                 for index in range(num_partitions)
             ]
-            counts = partition_into(source.scan_blocks(stop=stop), key, partitions)
+            counts = partition_source(source, schema.key_index, partitions, stop)
             for partition in partitions:
                 if partition is not None:
                     partition.seal()

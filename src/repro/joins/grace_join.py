@@ -7,6 +7,11 @@ right partition probes it.  Total cost r (2 + λ)(|T| + |V|) plus the
 output; the left input is partitioned first, and a right record whose left
 partition is empty cannot match, so it is neither written nor read back
 and the cost is an upper bound.
+
+Every record is charged to be read and its partition written on every
+run, but a settled input is hashed only once: its partitions are written
+from its bucket memo
+(:meth:`~repro.storage.collection.PersistentCollection.partitioned`).
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ backing-store collection that becomes the next iteration's input
 
 from __future__ import annotations
 
-import itertools
-
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_into, split_blocks
+from repro.joins.common import (
+    build_hash_table,
+    partition_records,
+    probe_into,
+    split_blocks,
+)
 from repro.storage.collection import PersistentCollection
 
 
@@ -62,22 +65,25 @@ class SimpleHashJoin(JoinAlgorithm):
                 )
             # Partition ``index`` is joined in DRAM; records of later
             # partitions go to the spills, when this pass writes them back.
-            # The table holds only partition ``index``, so the probe side is
-            # split only to write its spill.
-            build = split_blocks(
-                sources[0].scan_blocks(),
-                self.left_key,
+            # A pass that writes none over a settled build side takes the
+            # partition's memoized bucket.  The table holds only partition
+            # ``index``, so the probe side is split only to write its spill.
+            build = partition_records(
+                sources[0],
+                self.left_schema.key_index,
                 num_partitions,
                 index,
                 spills[0],
             )
-            table = build_hash_table(
-                itertools.chain.from_iterable(build), self.left_key
-            )
+            table = build_hash_table(build, self.left_key)
             probe = sources[1].scan_blocks()
             if spills[1] is not None:
                 probe = split_blocks(
-                    probe, self.right_key, num_partitions, index, spills[1]
+                    probe,
+                    self.right_schema.key_index,
+                    num_partitions,
+                    index,
+                    spills[1],
                 )
             probe_into(output, table, probe, self.right_key)
             if spills[0] is not None:

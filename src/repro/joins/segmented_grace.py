@@ -10,12 +10,10 @@ Grace join; regardless, x is a direct write-intensity knob.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.exceptions import ConfigurationError
 from repro.joins import cost
 from repro.joins.base import JoinAlgorithm, JoinResult
-from repro.joins.common import build_hash_table, probe_into, split_blocks
+from repro.joins.common import build_hash_table, partition_records, probe_into
 from repro.storage.collection import PersistentCollection
 
 #: Default fraction of partitions materialized.
@@ -74,14 +72,16 @@ class SegmentedGraceJoin(JoinAlgorithm):
         # Phase 3: the remaining partitions are processed by re-scanning the
         # primary inputs and filtering the build side on the fly; the table
         # holds only partition ``index``, so the probe side needs no filter.
-        # A partition without a build record is not rescanned.
+        # A partition without a build record is not rescanned.  A settled
+        # build side is charged its rescan and hands over the partition's
+        # memoized bucket, so it is hashed once for every rescan.
         rescans = 0
         for index in range(materialized, num_partitions):
             if not occupancy[index]:
                 continue
             rescans += 1
-            build = itertools.chain.from_iterable(
-                split_blocks(left.scan_blocks(), self.left_key, num_partitions, index)
+            build = partition_records(
+                left, self.left_schema.key_index, num_partitions, index
             )
             table = build_hash_table(build, self.left_key)
             probe_into(output, table, right.scan_blocks(), self.right_key)

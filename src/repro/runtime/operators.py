@@ -12,12 +12,8 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
-from repro.joins.common import (
-    build_hash_table,
-    joined_schema,
-    partition_of,
-    probe_into,
-)
+from repro.hashing import partition_of
+from repro.joins.common import build_hash_table, joined_schema, probe_into
 from repro.runtime.context import OperatorContext
 from repro.storage.collection import CollectionStatus, PersistentCollection
 

@@ -18,17 +18,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.exceptions import ConfigurationError
-from repro.joins.common import _HASH_MASK, _HASH_MULTIPLIER
+from repro.hashing import buckets_of
 
 
 class HashPartitioner:
     """Hash partitioning: ``hash(key) % num_shards``.
 
     The hash is the multiplicative hash the join algorithms use for their
-    own partitioning (:func:`~repro.joins.common.partition_of`), which
+    own partitioning (:func:`~repro.hashing.partition_of`), which
     decorrelates shard assignment from the structured keys of the
-    synthetic workloads.  It is computed in place in each routing loop,
-    not called per record.
+    synthetic workloads.  Records are routed through the one bucketing
+    loop of :mod:`repro.hashing`, not hashed by a call per record.
     """
 
     def __init__(self, num_shards: int, key_index: int = 0) -> None:
@@ -41,13 +41,7 @@ class HashPartitioner:
 
     def split(self, records: Iterable[tuple]) -> list[list[tuple]]:
         """``records`` bucketed by shard, each bucket in input order."""
-        num_shards, multiplier, mask = self.num_shards, _HASH_MULTIPLIER, _HASH_MASK
-        key_index = self.key_index
-        buckets: list[list[tuple]] = [[] for _ in range(num_shards)]
-        appends = [bucket.append for bucket in buckets]
-        for record in records:
-            appends[((record[key_index] * multiplier) & mask) % num_shards](record)
-        return buckets
+        return buckets_of(records, self.num_shards, self.key_index)
 
     def routes_like(self, other: "HashPartitioner") -> bool:
         """Whether equal keys land on the same shard under both partitioners.

@@ -15,7 +15,9 @@ list of *steps*:
   when the producing fragment pipelines straight into the exchange) plus
   a ``lambda``-weighted write of every record at its destination shard.
   Materialized sources are routed here, a sealed one once for every plan
-  that exchanges it the same way (:meth:`PersistentCollection.routed`):
+  that exchanges it the same way (its bucket memo,
+  :meth:`PersistentCollection.partitioned`, which the joins' partition
+  passes share):
   the step keeps each source's records split by destination, the
   executor writes those buckets, and each destination's write is priced
   from its true share.
@@ -556,7 +558,10 @@ class ShardedPlanner:
             sources = [node.collection for node in per_shard]
             source_fragment = None
             routed_from = [(source.records, len(source.records)) for source in sources]
-            buckets = [source.routed(partitioner) for source in sources]
+            buckets = [
+                source.partitioned(partitioner.num_shards, partitioner.key_index)
+                for source in sources
+            ]
             shard_records = [
                 node.est_records if node.est_records is not None else len(node.collection)
                 for node in per_shard

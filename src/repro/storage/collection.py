@@ -48,6 +48,12 @@ function that prices a scanned range; a deferred collection's replay
 charges its root through it too, and
 :meth:`PersistentCollection.charge_rescan` charges a pass over records it
 already holds as a drained scan, without handing them out.
+
+A pass that hash-partitions a settled collection whole needs only its
+buckets: :meth:`PersistentCollection.partitioned` computes them, with the
+one hash of :mod:`repro.hashing`, and a sealed collection keeps them, so
+shard routing and every join's partition pass over it bucket it once and
+are charged per pass through ``charge_rescan``.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import itertools
 from collections import deque
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro import hashing
 from repro.exceptions import CollectionStateError, ConfigurationError
 from repro.pmem.backends.base import PersistenceBackend, StoreStats
 from repro.pmem.device import DEFAULT_BLOCK_BYTES
@@ -64,6 +71,11 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 
 #: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
 DEFAULT_CHARGE_BATCH_BLOCKS = 64
+
+#: ``(num_partitions, key_index)`` pairs whose buckets a sealed collection
+#: keeps (:meth:`PersistentCollection.partitioned`), least recently used
+#: evicted first.
+PARTITION_MEMO_ENTRIES = 4
 
 
 class CollectionStatus(enum.Enum):
@@ -131,9 +143,10 @@ class PersistentCollection:
             self.store = backend.create_store(self.name)
         #: bytes appended since the last block flush to the backend
         self._pending_bytes = 0
-        #: :meth:`routed`'s memo, made on first use: ``(num_shards,
-        #: key_index)`` -> ``(records list, its length, buckets)``.
-        self._routings: dict | None = None
+        #: :meth:`partitioned`'s memo while sealed, made on first use:
+        #: ``(num_partitions, key_index)`` -> buckets, least recently used
+        #: first.
+        self._partitions: dict | None = None
 
     # ------------------------------------------------------------------ #
     # State.
@@ -237,7 +250,7 @@ class PersistentCollection:
         self._records = []
         self._pending_bytes = 0
         self._sealed = False
-        self._routings = None
+        self._partitions = None
         if self.store is not None:
             self.backend.truncate(self.store)
 
@@ -255,7 +268,7 @@ class PersistentCollection:
         self._status = CollectionStatus.DROPPED
         self.context = None
         self._pending_bytes = 0
-        self._routings = None
+        self._partitions = None
 
     def _dropped_error(self) -> CollectionStateError:
         return CollectionStateError(
@@ -417,26 +430,40 @@ class PersistentCollection:
             return self.nbytes / 64
         return self.backend.device.geometry.bytes_to_cachelines(self.nbytes)
 
-    def routed(self, partitioner) -> list[list[tuple]]:
-        """``partitioner.split(records)``, computed once per sealed collection.
+    def partitioned(self, num_partitions: int, key_index: int) -> list[list[tuple]]:
+        """The records' hash buckets, each in input order.
 
-        The sharded planner routes an exchange source through this at
-        every plan.  A sealed collection keeps the buckets per
-        ``(num_shards, key_index)`` while its records list is the same
-        object of the same length; :meth:`clear` and :meth:`drop` empty
-        the memo, so it lives and dies with the collection.  Reads the
-        no-charge :attr:`records`, so it charges nothing.
+        ``buckets[p]`` holds, in insertion order, every record whose
+        attribute ``key_index`` hashes to ``p`` of ``num_partitions``
+        (:func:`~repro.hashing.partition_of`).  Reads the no-charge
+        :attr:`records`, so it charges nothing: a caller that stands for a
+        pass over the collection charges it with :meth:`charge_rescan`.
+
+        A sealed collection cannot change until :meth:`clear` or
+        :meth:`drop`, which empty the memo, so it keeps its buckets for the
+        last :data:`PARTITION_MEMO_ENTRIES` ``(num_partitions, key_index)``
+        pairs asked for: the sharded planner's exchanges and the joins'
+        partition passes over it bucket each pair once.  An unsealed
+        collection is bucketed afresh every time.  The memo is simulator
+        bookkeeping over tuples the collection already holds, like a
+        ranked sort's ranking, not modelled DRAM.
         """
-        records = self._records
-        key = (partitioner.num_shards, partitioner.key_index)
-        memo = self._routings and self._routings.get(key)
-        if memo and memo[0] is records and memo[1] == len(records):
-            return memo[2]
-        buckets = partitioner.split(records)
-        if self._sealed:
-            if self._routings is None:
-                self._routings = {}
-            self._routings[key] = (records, len(records), buckets)
+        if self._status is CollectionStatus.DEFERRED:
+            raise CollectionStateError(
+                f"deferred collection {self.name!r} holds no records to partition"
+            )
+        if not self._sealed:
+            return hashing.buckets_of(self._records, num_partitions, key_index)
+        key = (num_partitions, key_index)
+        memo = self._partitions
+        if memo is None:
+            memo = self._partitions = {}
+        buckets = memo.pop(key, None)
+        if buckets is None:
+            buckets = hashing.buckets_of(self._records, num_partitions, key_index)
+            if len(memo) >= PARTITION_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+        memo[key] = buckets
         return buckets
 
     def keys(self) -> list[int]:

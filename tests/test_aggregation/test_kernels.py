@@ -147,7 +147,7 @@ class ReferenceHashAggregation(HashAggregation):
                 for index in range(self.SPILL_PARTITIONS)
             ]
             spilled_records = sum(
-                partition_into(overflow(), itemgetter(group_index), targets)
+                partition_into(overflow(), group_index, targets)
             )
             output.extend(
                 [finalize(aggregates, key, table[key]) for key in sorted(table)]

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.joins import GraceJoin, HybridGraceNestedLoopsJoin, SegmentedGraceJoin
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.pmem.backends import make_backend
 from repro.pmem.device import PersistentMemoryDevice
 from repro.runtime.context import OperatorContext

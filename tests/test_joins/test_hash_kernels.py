@@ -19,11 +19,11 @@ from repro.aggregation import HashAggregation
 from repro.aggregation.functions import AGGREGATE_REGISTRY, make_aggregate
 from repro.aggregation.kernels import compile_kernels
 from repro.joins import GraceJoin, SimpleHashJoin
+from repro.hashing import partition_of
 from repro.joins.common import (
     PARTITION_BUCKET_BOUND,
     build_hash_table,
     partition_into,
-    partition_of,
     probe_into,
     split_blocks,
 )
@@ -34,6 +34,7 @@ from repro.storage.schema import WISCONSIN_SCHEMA
 from tests.conftest import build_collection
 
 KEY = WISCONSIN_SCHEMA.key
+KEY_INDEX = WISCONSIN_SCHEMA.key_index
 
 
 def tagged_records(keys):
@@ -95,7 +96,7 @@ class TestPartitionInto:
             None if index in skipped else RecordingTarget()
             for index in range(num_partitions)
         ]
-        counts = partition_into(as_blocks(records, block_records), KEY, targets)
+        counts = partition_into(as_blocks(records, block_records), KEY_INDEX, targets)
         # Every partition's records are counted, a skipped one's included.
         assert counts == list(map(len, reference_partition(records, num_partitions, ())))
         expected = reference_partition(records, num_partitions, skipped)
@@ -114,13 +115,13 @@ class TestPartitionInto:
         keys += [key for key in range(40) if partition_of(key, 2) == 1][:2]
         records = tagged_records(keys * 2000)
         targets = [RecordingTarget(), RecordingTarget()]
-        partition_into(as_blocks(records, 13), KEY, targets)
+        partition_into(as_blocks(records, 13), KEY_INDEX, targets)
         largest = max(len(batch) for target in targets for batch in target.batches)
         assert 512 < largest <= PARTITION_BUCKET_BOUND
 
     def test_empty_input_hands_over_nothing(self):
         target = RecordingTarget()
-        assert partition_into([], KEY, [target, None]) == [0, 0]
+        assert partition_into([], KEY_INDEX, [target, None]) == [0, 0]
         assert target.batches == []
 
 
@@ -262,7 +263,7 @@ class TestSplitBlocks:
         current = [
             record
             for block in split_blocks(
-                as_blocks(records, block_records), KEY, num_partitions, index, spill
+                as_blocks(records, block_records), KEY_INDEX, num_partitions, index, spill
             )
             for record in block
         ]

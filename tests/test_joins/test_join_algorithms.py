@@ -11,12 +11,8 @@ from repro.joins import (
     SegmentedGraceJoin,
     SimpleHashJoin,
 )
-from repro.joins.common import (
-    build_hash_table,
-    joined_schema,
-    partition_of,
-    probe_into,
-)
+from repro.hashing import partition_of
+from repro.joins.common import build_hash_table, joined_schema, probe_into
 from repro.query import JOIN_ALTERNATIVES
 from repro.storage.bufferpool import MemoryBudget
 from repro.storage.schema import Schema, WISCONSIN_SCHEMA

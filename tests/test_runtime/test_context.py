@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError, GraphConsistencyError
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.runtime.context import OperatorContext
 from repro.storage.collection import CollectionStatus, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA

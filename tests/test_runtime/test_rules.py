@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.runtime.context import OperatorContext
 from repro.runtime.rules import RuleEngine
 from repro.storage.collection import CollectionStatus

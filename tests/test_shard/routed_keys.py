@@ -7,7 +7,7 @@ tests exercise the one hash every sharded collection routes with.
 
 from itertools import count, islice
 
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 
 
 def keys_routed_to(shards, num_shards, how_many, keys=None):

@@ -6,7 +6,7 @@ from itertools import count
 import pytest
 
 from repro.exceptions import BufferpoolExhaustedError
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.query import Query
 from repro.session import Session
 from repro.shard import (

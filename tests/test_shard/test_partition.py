@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.shard.partition import HashPartitioner
 
 

@@ -4,8 +4,9 @@ The sharded planner splits each materialized exchange source with the
 exchange partitioner and keeps the per-destination buckets on the
 :class:`ExchangeStep`; it prices each destination's write from them.  A
 sealed source keeps its buckets per ``(num_shards, key_index)``
-(``PersistentCollection.routed``), so planning the same exchange again
-routes nothing.  The executor's read phase still charges every source a
+(``PersistentCollection.partitioned``, the bucket memo the joins'
+partition passes share), so planning the same exchange again routes
+nothing.  The executor's read phase still charges every source a
 full scan (``charge_rescan``) -- so the source device is charged exactly
 as before -- and hands the planned buckets to the write phase.
 Fragment-fed exchanges still route block by block as they read, because
@@ -15,7 +16,8 @@ These tests check that:
 
 * each materialized source is routed once at plan time, planning it again
   routes nothing until it is cleared, and executing never routes it (a
-  spy on ``HashPartitioner.split``);
+  spy on ``repro.hashing.bucket_into``, the one bucketing loop that
+  routing and partitioning share);
 * executing a plan gives exactly what executing it with the planned
   buckets removed does -- which forces the per-block path -- in records,
   destination contents, per-step and per-shard I/O and the critical path;
@@ -35,8 +37,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import hashing
 from repro.exceptions import CollectionStateError
-from repro.joins.common import partition_of
+from repro.hashing import partition_of
 from repro.query import Query
 from repro.shard import (
     HashPartitioner,
@@ -90,15 +93,15 @@ def without_planned_buckets(plan):
 
 @pytest.fixture
 def routing_calls(monkeypatch):
-    """The records of every ``split`` call, in call order."""
+    """The records of every call of the shared bucketing loop, in call order."""
     calls = []
-    split = HashPartitioner.split
+    bucket_into = hashing.bucket_into
 
-    def spy(self, records):
+    def spy(appends, records, key_index):
         calls.append(records)
-        return split(self, records)
+        return bucket_into(appends, records, key_index)
 
-    monkeypatch.setattr(HashPartitioner, "split", spy)
+    monkeypatch.setattr(hashing, "bucket_into", spy)
     return calls
 
 
@@ -300,6 +303,6 @@ def test_a_dropped_source_keeps_no_routing():
     query = join_and_group(shard_set)[1]
     (step,) = exchanges(ShardedPlanner(shard_set, BUDGET).plan(query))
     source = step.sources[0]
-    assert source._routings
+    assert source._partitions
     source.drop()
-    assert not source._routings
+    assert not source._partitions
