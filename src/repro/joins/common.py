@@ -101,12 +101,13 @@ def partition_source(
 
     Writes and returns what :func:`partition_into` over
     ``source.scan_blocks(stop=stop)`` does.  A settled source read whole
-    is charged one :meth:`charge_rescan` -- the drained scan's counters --
-    and each live target is extended with its memoized bucket in one call,
+    -- ``stop`` at or past its end, as HybJ's boundary at y = 1 is -- is
+    charged one :meth:`charge_rescan`, the drained scan's counters, and
+    each live target is extended with its memoized bucket in one call,
     which charges what any cut of the same stream does; the counts are the
     buckets' lengths, a dropped partition's included.
     """
-    if stop is not None or source.is_deferred:
+    if source.is_deferred or (stop is not None and stop < len(source)):
         return partition_into(source.scan_blocks(stop=stop), key_index, targets)
     source.charge_rescan()
     buckets = source.partitioned(len(targets), key_index)

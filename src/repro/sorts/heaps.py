@@ -26,6 +26,13 @@ displace records: it computes once and charges per pass.  Selection sort,
 segment sort and lazy sort draw every pass from it, over a MEMORY,
 MATERIALIZED or DEFERRED source alike, so :func:`select_smallest` runs
 only for hybrid sort's single pass.
+
+Replacement selection's runs are a function of the records cut and the
+workspace alone, so :func:`sorted_runs` is the derivation a sealed
+collection keeps in its memo
+(:meth:`~repro.storage.collection.PersistentCollection.derived`): external
+mergesort and segment sort cut the runs of a sealed settled input once and
+write them on every sort.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heapify, heappop, heappushpop, heapreplace
 from itertools import chain, islice
-from operator import neg
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
@@ -225,3 +232,18 @@ def replacement_selection_runs(
         if run:
             run.sort(key=key)
             yield run
+
+
+def sorted_runs(
+    records: list[tuple], stop: int, capacity: int, key_index: int
+) -> list[list[tuple]]:
+    """The runs :func:`replacement_selection_runs` cuts from ``records[:stop]``.
+
+    Keyed on the schema's ``key_index``, not on a key extractor, so that
+    every sort over one collection asks its memo for the same derivation.
+    """
+    return list(
+        replacement_selection_runs(
+            islice(records, stop), capacity, itemgetter(key_index)
+        )
+    )

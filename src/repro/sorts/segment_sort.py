@@ -12,6 +12,13 @@ With x = 0 the algorithm degenerates to pure selection sort and performs
 the minimum number of writes (one per input buffer); with x = 1 it is
 plain external mergesort.  When no intensity is supplied the cost-optimal
 value from Eq. 4 of the paper is used.
+
+Neither segment recomputes what a sealed settled input has already given
+it: the mergesort runs of its prefix come from the input's derivation memo
+(:func:`~repro.sorts.external_mergesort.generate_input_runs`) and the
+selection passes from one ranking (:func:`~repro.sorts.heaps.ranked_passes`).
+Every read and write is still charged on every sort; the memo is simulator
+bookkeeping, not modelled DRAM.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import itertools
 from repro.exceptions import ConfigurationError, CostModelError
 from repro.sorts import cost
 from repro.sorts.base import SortAlgorithm, SortResult
-from repro.sorts.external_mergesort import generate_runs_replacement_selection
+from repro.sorts.external_mergesort import generate_input_runs
 from repro.sorts.selection_sort import selection_passes
 from repro.storage.collection import PersistentCollection
 from repro.storage.runs import RunSet, merge_runs, merge_streams
@@ -76,14 +83,16 @@ class SegmentSort(SortAlgorithm):
             owner=self.scratch,
         )
 
-        # Write-incurring segment: replacement-selection run generation.
+        # Write-incurring segment: replacement-selection run generation,
+        # cut once per sealed input and workspace, written every sort.
         mergesort_scans = int(boundary > 0 or mergesort_only)
         if mergesort_scans:
-            generate_runs_replacement_selection(
-                collection.scan(0, None if mergesort_only else boundary),
+            generate_input_runs(
+                collection,
                 runset,
                 self.workspace_records,
-                self.key_fn,
+                self.schema.key_index,
+                stop=None if mergesort_only else boundary,
             )
 
         merge_passes = 0

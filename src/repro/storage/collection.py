@@ -49,19 +49,24 @@ charges its root through it too, and
 :meth:`PersistentCollection.charge_rescan` charges a pass over records it
 already holds as a drained scan, without handing them out.
 
-A pass that hash-partitions a settled collection whole needs only its
-buckets: :meth:`PersistentCollection.partitioned` computes them, with the
-one hash of :mod:`repro.hashing`, and a sealed collection keeps them, so
-shard routing and every join's partition pass over it bucket it once and
-are charged per pass through ``charge_rescan``.
+A pass whose result is a function of a settled collection's records
+alone -- its hash buckets, the sorted runs replacement selection cuts from
+a prefix of it -- need not compute it again while the records cannot
+change: :meth:`PersistentCollection.derived` computes it, and a sealed
+collection keeps its last :data:`DERIVATION_MEMO_ENTRIES` results.  So
+shard routing and every join's partition pass over it (through
+:meth:`PersistentCollection.partitioned`, with the one hash of
+:mod:`repro.hashing`) and the run generation of ExMS and SegS derive each
+result once, and are charged per pass through ``charge_rescan``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro import hashing
 from repro.exceptions import CollectionStateError, ConfigurationError
@@ -72,10 +77,11 @@ from repro.storage.schema import Schema, WISCONSIN_SCHEMA
 #: Whole I/O blocks per ``scan_blocks`` list, charged in one backend call.
 DEFAULT_CHARGE_BATCH_BLOCKS = 64
 
-#: ``(num_partitions, key_index)`` pairs whose buckets a sealed collection
-#: keeps (:meth:`PersistentCollection.partitioned`), least recently used
-#: evicted first.
-PARTITION_MEMO_ENTRIES = 4
+#: Results a sealed collection keeps (:meth:`PersistentCollection.derived`),
+#: bucketings and run sets alike, least recently used evicted first.
+DERIVATION_MEMO_ENTRIES = 4
+
+Result = TypeVar("Result")
 
 
 class CollectionStatus(enum.Enum):
@@ -143,10 +149,13 @@ class PersistentCollection:
             self.store = backend.create_store(self.name)
         #: bytes appended since the last block flush to the backend
         self._pending_bytes = 0
-        #: :meth:`partitioned`'s memo while sealed, made on first use:
-        #: ``(num_partitions, key_index)`` -> buckets, least recently used
-        #: first.
-        self._partitions: dict | None = None
+        #: :meth:`derived`'s memo while sealed, made on first use:
+        #: ``(derive, args)`` -> result, least recently used first.
+        self._derivations: dict | None = None
+        #: Serializes the memo: a session plans on the caller's thread
+        #: (exchange routing) while its worker runs queries over the same
+        #: collections (partition passes, run generation).
+        self._derivations_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # State.
@@ -166,6 +175,11 @@ class PersistentCollection:
     @property
     def is_deferred(self) -> bool:
         return self._status is CollectionStatus.DEFERRED
+
+    @property
+    def is_sealed(self) -> bool:
+        """Whether the records can no longer change (until :meth:`clear`)."""
+        return self._sealed
 
     def mark_materialized(self) -> None:
         """Give the collection a fresh store so that it can receive records.
@@ -250,7 +264,7 @@ class PersistentCollection:
         self._records = []
         self._pending_bytes = 0
         self._sealed = False
-        self._partitions = None
+        self._derivations = None
         if self.store is not None:
             self.backend.truncate(self.store)
 
@@ -268,7 +282,7 @@ class PersistentCollection:
         self._status = CollectionStatus.DROPPED
         self.context = None
         self._pending_bytes = 0
-        self._partitions = None
+        self._derivations = None
 
     def _dropped_error(self) -> CollectionStateError:
         return CollectionStateError(
@@ -430,41 +444,55 @@ class PersistentCollection:
             return self.nbytes / 64
         return self.backend.device.geometry.bytes_to_cachelines(self.nbytes)
 
+    def derived(self, derive: Callable[..., Result], *args) -> Result:
+        """``derive(records, *args)`` over the collection's records.
+
+        ``derive`` gets the no-charge :attr:`records` list, must not
+        change it, and must return a result no caller changes either; it
+        charges nothing, so a caller that stands for a pass over the
+        collection charges it with :meth:`charge_rescan`.
+
+        A sealed collection cannot change until :meth:`clear` or
+        :meth:`drop`, which empty the memo, so it keeps the results of its
+        last :data:`DERIVATION_MEMO_ENTRIES` ``(derive, args)`` pairs asked
+        for, whatever their ``derive``, and computes each pair once, also
+        when threads ask for it at once.  An unsealed collection derives
+        afresh every time.  The caller hands
+        in the derivation, so the storage layer imports no algorithm.  The
+        memo is simulator bookkeeping over tuples the collection already
+        holds, like a ranked sort's ranking, not modelled DRAM: no
+        algorithm's workspace grows by it.
+        """
+        if self._status is CollectionStatus.DEFERRED:
+            raise CollectionStateError(
+                f"deferred collection {self.name!r} holds no records to derive from"
+            )
+        if not self._sealed:
+            return derive(self._records, *args)
+        key = (derive, args)
+        with self._derivations_lock:
+            memo = self._derivations
+            if memo is None:
+                memo = self._derivations = {}
+            result = memo.pop(key, None)
+            if result is None:
+                result = derive(self._records, *args)
+                if len(memo) >= DERIVATION_MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+            memo[key] = result
+            return result
+
     def partitioned(self, num_partitions: int, key_index: int) -> list[list[tuple]]:
         """The records' hash buckets, each in input order.
 
         ``buckets[p]`` holds, in insertion order, every record whose
         attribute ``key_index`` hashes to ``p`` of ``num_partitions``
-        (:func:`~repro.hashing.partition_of`).  Reads the no-charge
-        :attr:`records`, so it charges nothing: a caller that stands for a
-        pass over the collection charges it with :meth:`charge_rescan`.
-
-        A sealed collection cannot change until :meth:`clear` or
-        :meth:`drop`, which empty the memo, so it keeps its buckets for the
-        last :data:`PARTITION_MEMO_ENTRIES` ``(num_partitions, key_index)``
-        pairs asked for: the sharded planner's exchanges and the joins'
-        partition passes over it bucket each pair once.  An unsealed
-        collection is bucketed afresh every time.  The memo is simulator
-        bookkeeping over tuples the collection already holds, like a
-        ranked sort's ranking, not modelled DRAM.
+        (:func:`~repro.hashing.partition_of`).  A :meth:`derived` result,
+        so a sealed collection buckets each ``(num_partitions,
+        key_index)`` pair once: the sharded planner's exchanges and the
+        joins' partition passes over it share its buckets.
         """
-        if self._status is CollectionStatus.DEFERRED:
-            raise CollectionStateError(
-                f"deferred collection {self.name!r} holds no records to partition"
-            )
-        if not self._sealed:
-            return hashing.buckets_of(self._records, num_partitions, key_index)
-        key = (num_partitions, key_index)
-        memo = self._partitions
-        if memo is None:
-            memo = self._partitions = {}
-        buckets = memo.pop(key, None)
-        if buckets is None:
-            buckets = hashing.buckets_of(self._records, num_partitions, key_index)
-            if len(memo) >= PARTITION_MEMO_ENTRIES:
-                del memo[next(iter(memo))]
-        memo[key] = buckets
-        return buckets
+        return self.derived(hashing.buckets_of, num_partitions, key_index)
 
     def keys(self) -> list[int]:
         """The key column, without charging reads (testing helper)."""

@@ -2,7 +2,7 @@
 
 ``PersistentCollection.partitioned(num_partitions, key_index)`` buckets a
 collection's records with the one hash of ``repro.hashing``.  A sealed
-collection keeps the buckets of its last ``PARTITION_MEMO_ENTRIES`` pairs,
+collection keeps the buckets of its last ``DERIVATION_MEMO_ENTRIES`` pairs,
 least recently used evicted first, until ``clear()`` or ``drop()``; an
 unsealed one keeps none.  The shard planner's exchanges and the joins'
 partition passes read the same memo.  A spy on ``repro.hashing.bucket_into``,
@@ -20,7 +20,7 @@ from repro.query import Query
 from repro.shard import HashPartitioner, ShardSet, ShardedCollection, ShardedPlanner
 from repro.shard.planner import ExchangeStep
 from repro.storage.bufferpool import MemoryBudget
-from repro.storage.collection import PARTITION_MEMO_ENTRIES, PersistentCollection
+from repro.storage.collection import DERIVATION_MEMO_ENTRIES, PersistentCollection
 from repro.storage.schema import WISCONSIN_SCHEMA
 
 from tests.conftest import build_collection
@@ -42,6 +42,13 @@ def bucketed(monkeypatch):
 
 def times_bucketed(calls, collection):
     return sum(records is collection.records for records in calls)
+
+
+def bucket_keys(collection):
+    """The memo's keys in LRU order, each a ``(num_partitions, key_index)``
+    bucketing."""
+    assert all(derive is hashing.buckets_of for derive, _ in collection._derivations)
+    return [args for _, args in collection._derivations]
 
 
 def reference_buckets(records, num_partitions, key_index=0):
@@ -70,7 +77,7 @@ def test_two_grace_joins_over_one_sealed_input_bucket_it_once(backend, bucketed)
     assert first.output.records == second.output.records
     assert times_bucketed(bucketed, left) == 1
     assert times_bucketed(bucketed, right) == 1
-    assert list(right._partitions) == [(first.partitions, 0)]
+    assert bucket_keys(right) == [(first.partitions, 0)]
 
 
 def test_an_unsealed_input_is_bucketed_on_every_run_and_keeps_no_memo(
@@ -82,23 +89,23 @@ def test_an_unsealed_input_is_bucketed_on_every_run_and_keeps_no_memo(
     first, second = join.join(left, right), join.join(left, right)
     assert first.output.records == second.output.records
     assert times_bucketed(bucketed, right) == 2
-    assert right._partitions is None
+    assert right._derivations is None
     assert right.partitioned(3, 0) == reference_buckets(right.records, 3)
-    assert right._partitions is None
+    assert right._derivations is None
 
 
 def test_clear_and_drop_empty_the_memo(backend):
     collection = build_collection(backend, range(100), "T")
     collection.partitioned(3, 0)
-    assert collection._partitions
+    assert collection._derivations
     collection.clear()
-    assert collection._partitions is None
+    assert collection._derivations is None
     collection.extend(WISCONSIN_SCHEMA.make_record(key) for key in range(5, 50))
     collection.seal()
     assert collection.partitioned(3, 0) == reference_buckets(collection.records, 3)
-    assert collection._partitions
+    assert collection._derivations
     collection.drop()
-    assert collection._partitions is None
+    assert collection._derivations is None
 
 
 def test_an_exchange_and_a_join_on_the_same_key_share_one_entry(bucketed):
@@ -115,7 +122,7 @@ def test_an_exchange_and_a_join_on_the_same_key_share_one_entry(bucketed):
     shard = grouped.shards[0]
     assert shard in exchange.sources
     assert times_bucketed(bucketed, shard) == 1
-    assert list(shard._partitions) == [(2, 0)]
+    assert bucket_keys(shard) == [(2, 0)]
 
     backend = shard_set.backends[0]
     other = build_collection(backend, range(150), "V")
@@ -123,17 +130,17 @@ def test_an_exchange_and_a_join_on_the_same_key_share_one_entry(bucketed):
     assert result.partitions == 2
     assert len(result.output.records) == len(shard.records)
     assert times_bucketed(bucketed, shard) == 1
-    assert list(shard._partitions) == [(2, 0)]
+    assert bucket_keys(shard) == [(2, 0)]
 
 
 def test_one_more_partition_count_than_the_bound_evicts_the_oldest(backend, bucketed):
     collection = build_collection(backend, [key * 3 for key in range(300)], "T")
-    counts = range(1, PARTITION_MEMO_ENTRIES + 2)
+    counts = range(1, DERIVATION_MEMO_ENTRIES + 2)
     for num_partitions in counts:
         assert collection.partitioned(num_partitions, 0) == reference_buckets(
             collection.records, num_partitions
         )
-    assert list(collection._partitions) == [(n, 0) for n in counts[1:]]
+    assert bucket_keys(collection) == [(n, 0) for n in counts[1:]]
     # The newest entries are served from the memo; a hit makes an entry the
     # most recently used.
     bucketed.clear()
@@ -143,4 +150,4 @@ def test_one_more_partition_count_than_the_bound_evicts_the_oldest(backend, buck
     # recently used entry in turn.
     assert collection.partitioned(1, 0) == reference_buckets(collection.records, 1)
     assert times_bucketed(bucketed, collection) == 1
-    assert list(collection._partitions) == [(n, 0) for n in [*counts[3:], 2, 1]]
+    assert bucket_keys(collection) == [(n, 0) for n in [*counts[3:], 2, 1]]

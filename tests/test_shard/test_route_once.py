@@ -303,6 +303,6 @@ def test_a_dropped_source_keeps_no_routing():
     query = join_and_group(shard_set)[1]
     (step,) = exchanges(ShardedPlanner(shard_set, BUDGET).plan(query))
     source = step.sources[0]
-    assert source._partitions
+    assert source._derivations
     source.drop()
-    assert not source._partitions
+    assert not source._derivations
